@@ -22,7 +22,7 @@ from .errors import (DomainError, InvalidTestFunctionError, NoRootError,
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL
 from .roots import RootResult, min_positive_root
-from .series import CoeffSeries, s_r
+from .series import CoeffSeries, GeometricWeight, norm_sum, s_r
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
 # threshold in the majorant equation
@@ -198,19 +198,9 @@ def bloch_refined_radius(density: HyperbolicDensity, nu: float,
 
 def derivative_majorant(coeffs: CoeffSeries, t: float) -> float:
     """Upper bound sum_s s ||A_s|| t^{s-1} on ||Df(z)|| for |z| = t."""
-    total = 0.0
-    n = max(1, coeffs.start_index)
-    while True:
-        x = coeffs.norm(n)
-        if x:
-            total += n * x * t ** (n - 1)
-        if n >= coeffs.last_index:
-            if coeffs.is_finite() or n * x * t ** (n - 1) < 1e-18 * (1.0 + total):
-                break
-            if n - coeffs.last_index > 16384:
-                break
-        n += 1
-    return total
+    if t == 0.0:
+        return coeffs.norm(1)
+    return norm_sum(coeffs, GeometricWeight((0, 1, 0), t, 1.0 - t)) / t
 
 
 def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class RunConfig:
     seed: int = 0
     out_path: str | None = None
     samples: int = 100
-    flags: list = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 < self.tol <= 1e-3:

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError, DomainError
-from .phi import DEFAULT_CONFIG, MONOMIAL, PhiSequence, phi_tail, phi_term, refined_sum
+from .phi import (DEFAULT_CONFIG, MONOMIAL, PhiSequence, phi_tail, phi_term,
+                  phi_weight, refined_sum)
 from .polynomials import area_poly_coeffs
-from .series import (CoeffSeries, _check_radius, mobius_gamma_coeffs,
-                     point_eval_bound, s_r, schwarz_composed_bound)
+from .series import (CoeffSeries, GeometricWeight, _check_radius, mobius_gamma_coeffs,
+                     norm_sum, point_eval_bound, s_r, schwarz_composed_bound)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
@@ -96,27 +97,16 @@ class FunctionalReport:
 
 def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float,
              config=DEFAULT_CONFIG) -> float:
-    """Weighted majorant sum_n ||A_n|| phi_n(r), truncation certified.
+    """Weighted majorant sum_n ||A_n|| phi_n(r), exact or raising.
 
-    For a geometric continuation the remainder after index n is at most
-    ||A_n|| Phi_{n+1}(r), which is driven below config.abs_tol.
+    A geometric continuation is summed in closed form for built-in kinds;
+    for custom kinds Phi_n(r) ||A_n|| / (1 - q) bounds the rest from n and
+    must reach config.abs_tol within config.truncation_n terms.
     """
     _check_radius(r)
-    terms = []
-    n = coeffs.start_index
-    while True:
-        x = coeffs.norm(n)
-        if x:
-            terms.append(x * phi_term(phi, n, r))
-        if n >= coeffs.last_index:
-            if coeffs.is_finite():
-                break
-            if x * phi_tail(phi, n + 1, r, config) <= config.abs_tol:
-                break
-            if n - coeffs.last_index > 16384:
-                break
-        n += 1
-    return math.fsum(terms)
+    return norm_sum(coeffs, phi_weight(phi, r), max(coeffs.start_index, phi.start_index),
+                    sup_weight=lambda n: phi_tail(phi, n, r, config),
+                    abs_tol=config.abs_tol, max_terms=config.truncation_n)
 
 
 def bohr_area_functional(coeffs: CoeffSeries, r: float, lambda_h: float = 1.0,
@@ -140,12 +130,9 @@ def bohr_beta_functional(coeffs: CoeffSeries, r: float, beta: float) -> Function
     if beta < 0:
         raise DomainError("beta must be non-negative")
     _check_radius(r)
-    sq = CoeffSeries(tuple(x * x for x in coeffs.norms), coeffs.start_index,
-                     None if coeffs.tail_geometric_ratio is None
-                     else coeffs.tail_geometric_ratio**2)
     a0 = coeffs.norm(coeffs.start_index)
     linear = majorant(coeffs, MONOMIAL, r) - a0 * r**coeffs.start_index
-    square = majorant(sq, MONOMIAL, r) - a0 * a0 * r**coeffs.start_index
+    square = norm_sum(coeffs, phi_weight(MONOMIAL, r), coeffs.start_index + 1, 2)
     value = a0 + linear + beta * square
     return FunctionalReport.compare(value, 1.0)
 
@@ -163,27 +150,12 @@ def bohr_energy_functional(coeffs: CoeffSeries, r: float,
     a0 = coeffs.norm(coeffs.start_index)
     weight = (1.0 + lambda_h) / (2.0 * lambda_h * (1.0 + a0)) \
         + 2.0 * (1.0 + lambda_h) * r / (3.0 * (1.0 - r))
-    energy = math.fsum(_energy_terms(coeffs, r))
-    value = majorant(coeffs, MONOMIAL, r) + weight * energy
+    value = majorant(coeffs, MONOMIAL, r) + weight * _energy(coeffs, r)
     return FunctionalReport.compare(value, 1.0)
 
 
-def _energy_terms(coeffs, r):
-    rr = r * r
-    n = max(1, coeffs.start_index)
-    acc = 0.0
-    while True:
-        x = coeffs.norm(n)
-        if x:
-            t = x * x * rr**n
-            acc += t
-            yield t
-        if n >= coeffs.last_index:
-            if coeffs.is_finite() or x * x * rr**n <= 1e-18 * (1.0 + acc):
-                break
-            if n - coeffs.last_index > 16384:
-                break
-        n += 1
+def _energy(coeffs, r):  # sum_{n >= 1} ||A_n||^2 r^{2n}
+    return norm_sum(coeffs, GeometricWeight((1, 0, 0), r * r, (1.0 - r) * (1.0 + r)), 1, 2)
 
 
 def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
@@ -256,20 +228,12 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
         value = a0 * a0 + majorant(coeffs, MONOMIAL, r) - a0
         return FunctionalReport.compare(value, 1.0)
     if variant == "kayumov_ponnusamy":
-        terms = [a0]
-        n, streak = 1, 0
-        while streak < 8 and n <= coeffs.last_index + 4096:
-            x = coeffs.norm(n)
-            t = (x * r**n + 0.5 * x * x) * (1.0 / 3.0) ** n
-            terms.append(t)
-            streak = streak + 1 if (n > coeffs.last_index and t < 1e-18) else 0
-            if n >= coeffs.last_index and coeffs.is_finite():
-                break
-            n += 1
-        return FunctionalReport.compare(math.fsum(terms), 1.0)
+        # a_0 + sum_{n>=1} (||A_n|| r^n + ||A_n||^2 / 2) 3^-n
+        value = majorant(coeffs, MONOMIAL, r / 3.0) + 0.5 * _energy(coeffs, 3.0**-0.5)
+        return FunctionalReport.compare(value, 1.0)
     if variant == "refined_square":
         weight = 1.0 / (1.0 + a0) + r / (1.0 - r)
-        value = majorant(coeffs, MONOMIAL, r) + weight * math.fsum(_energy_terms(coeffs, r))
+        value = majorant(coeffs, MONOMIAL, r) + weight * _energy(coeffs, r)
         return FunctionalReport.compare(value, 1.0)
     if variant == "rogosinski_partial":
         value = math.fsum(coeffs.norm(n) * r**n for n in range(N))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NonConvergenceError
-from .series import CoeffSeries, _check_radius
+from .series import CoeffSeries, GeometricWeight, _check_radius, norm_sum
 
 PHI_KINDS = ("monomial", "weighted_linear", "weighted_quadratic",
              "even_only", "odd_only", "custom")
@@ -86,6 +86,16 @@ BUILTIN_PHI = {
     "odd_only": ODD_ONLY,
 }
 
+# Each built-in kind as phi_n(r) = (c0 + c1 n + c2 n^2) r^n on the indices
+# n = parity (mod step), plus a head at n = 0: (c, step, parity, head).
+GEOMETRIC_FORMS = {
+    "monomial": ((1, 0, 0), 1, 0, 0.0),
+    "weighted_linear": ((1, 1, 0), 1, 0, 0.0),
+    "weighted_quadratic": ((0, 0, 1), 1, 0, 1.0),
+    "even_only": ((1, 0, 0), 2, 0, 0.0),
+    "odd_only": ((1, 0, 0), 2, 1, 1.0),
+}
+
 
 def phi_term(phi: PhiSequence, n: int, r: float) -> float:
     """Evaluate phi_n(r)."""
@@ -117,7 +127,8 @@ def phi_tail(phi: PhiSequence, N: int, r: float,
              config: SeriesEvalConfig = DEFAULT_CONFIG) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
-    Built-in kinds use closed forms; custom kinds fall back to a
+    Built-in kinds use closed forms whose numerators add non-negative
+    terms, so nothing cancels as r -> 1; custom kinds fall back to a
     truncated sum plus a geometric tail estimate whose certified bound
     must not exceed config.abs_tol.
     """
@@ -129,23 +140,23 @@ def phi_tail(phi: PhiSequence, N: int, r: float,
     if kind == "monomial":
         return r**N / (1.0 - r)
     if kind == "weighted_linear":
-        return r**N * ((N + 1) - N * r) / (1.0 - r) ** 2
+        return r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2
     if kind == "weighted_quadratic":
         head = 1.0 if N == 0 else 0.0
         M = max(N, 1)
-        poly = M * M - (2 * M * M - 2 * M - 1) * r + (M - 1) ** 2 * r * r
+        poly = M * M * (1.0 - r) ** 2 + 2 * M * r * (1.0 - r) + r * (1.0 + r)
         return head + r**M * poly / (1.0 - r) ** 3
     if kind == "even_only":
         if N == 0:
-            return 1.0 / (1.0 - r * r)
+            return 1.0 / ((1.0 - r) * (1.0 + r))
         E = N if N % 2 == 0 else N + 1
-        return r**E / (1.0 - r * r)
+        return r**E / ((1.0 - r) * (1.0 + r))
     if kind == "odd_only":
         head = 1.0 if N == 0 else 0.0
         O = max(N, 1)
         if O % 2 == 0:
             O += 1
-        return head + r**O / (1.0 - r * r)
+        return head + r**O / ((1.0 - r) * (1.0 + r))
     if phi.custom_tail is not None:
         return float(phi.custom_tail(N, r))
     return _truncated_tail(phi, N, r, config)
@@ -169,6 +180,34 @@ def _truncated_tail(phi, N, r, config):
     return math.fsum(terms) + bound
 
 
+def phi_weight(phi: PhiSequence, r: float):
+    """n -> phi_n(r), a GeometricWeight for the built-in kinds (the caller skips n < start)."""
+    if phi.kind == "custom":
+        return lambda n: phi_term(phi, n, r)
+    c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
+    return GeometricWeight(c, r, 1.0 - r, step, parity, head)
+
+
+def _refined_weight(phi, r, am, config):
+    """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1.
+
+    For a built-in kind starting at 0 with polynomial P, phi_{2n} is
+    P(2n) r^{2n} (if 2n is on its indices) and Phi_{2n+1} sums P(2n + a)
+    r^{2n+a} over its indices 2n + a, a >= 1.  As P(2n + a) = P(a) +
+    (2 c1 + 4 c2 a) n + 4 c2 n^2, this is a GeometricWeight in t = r^2.
+    """
+    if phi.kind == "custom" or phi.start_index > 0:
+        return lambda n: (phi_term(phi, 2 * n, r) / (1.0 + am)
+                          + phi_tail(phi, 2 * n + 1, r, config))
+    (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
+    on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
+    first = 1 + (parity - 1) % step
+    past_2n = [GeometricWeight(p, r, 1.0 - r, step, first % step).tail(first)
+               for p in ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))]
+    c = tuple(x / (1.0 + am) + y for x, y in zip(on_2n, past_2n))
+    return GeometricWeight(c, r * r, (1.0 - r) * (1.0 + r))
+
+
 def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
                 exponent_mode: str = "square",
                 config: SeriesEvalConfig = DEFAULT_CONFIG) -> float:
@@ -176,32 +215,16 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
 
     exponent_mode picks e: "square" uses e = 2 (the convention of the
     refined disk inequality this term generalizes), "two_n" uses e = 2n.
-    For norms <= 1 the square mode dominates the two_n mode.
+    For norms <= 1 the square mode dominates the two_n mode.  Outside the
+    exact square mode of built-in kinds, Phi_{2n} bounds the weight.
     """
     if exponent_mode not in ("square", "two_n"):
         raise ConfigurationError(f"unknown exponent mode {exponent_mode!r}")
     if m < 0:
         raise DomainError("m must be non-negative")
     _check_radius(r)
-    am = coeffs.norm(m)
-    terms = []
-    n = m + 1
-    tiny_streak = 0
-    while True:
-        x = coeffs.norm(n)
-        if x == 0.0 and n > coeffs.last_index:
-            break  # geometric continuation underflowed; nothing left
-        if x:
-            e = 2.0 if exponent_mode == "square" else 2.0 * n
-            weight = phi_term(phi, 2 * n, r) / (1.0 + am) + phi_tail(phi, 2 * n + 1, r, config)
-            t = x**e * weight
-            terms.append(t)
-            if n > coeffs.last_index:
-                tiny_streak = tiny_streak + 1 if t < 1e-4 * config.abs_tol else 0
-        if n >= coeffs.last_index:
-            if coeffs.is_finite() or tiny_streak >= 8:
-                break
-            if n - coeffs.last_index > 16384:
-                raise NonConvergenceError("refinement term failed to converge")
-        n += 1
-    return math.fsum(terms)
+    power, index_power = (2, 0) if exponent_mode == "square" else (0, 2)
+    return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m), config), m + 1,
+                    power, index_power,
+                    sup_weight=lambda n: phi_tail(phi, 2 * n, r, config),
+                    abs_tol=config.abs_tol, max_terms=config.truncation_n)

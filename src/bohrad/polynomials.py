@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
-from .optimize import central_diff, grid_then_golden_max, refine_by_derivative_sign
 
 # first peak weight: max of a (1+a)^2 on [0, 1], attained at the endpoint
 _D1 = 4.0
@@ -65,20 +64,14 @@ def peak_point(s: int) -> tuple[float, float]:
     """(argmax, max) of a (1+a)^2 (1-a^2)^{2s-2} on [0, 1], for s >= 2.
 
     The factors a and (1 - a^2)^{2s-2} vanish at the endpoints, so the
-    maximum is interior; a coarse grid restart feeds a golden-section
-    polish, then a derivative-sign bisection pins the critical point.
+    maximum is interior.  The logarithmic derivative
+    1/a + 2s/(1+a) - (2s-2)/(1-a) vanishes where (1+a)^2 = 4 s a^2, so
+    the maximiser is a* = 1/(2 sqrt(s) - 1); s = 1 gives a* = 1 and d_1 = 4.
     """
     if s < 2:
         raise DomainError("peak weight is defined for s >= 2")
-
-    def g(a):
-        return a * (1.0 + a) ** 2 * (1.0 - a * a) ** (2 * s - 2)
-
-    x, v = grid_then_golden_max(g, 0.0, 1.0, coarse=4096, tol=1e-12)
-    polished = refine_by_derivative_sign(g, x, 0.0, 1.0)
-    if g(polished) >= v:
-        return polished, g(polished)
-    return x, v
+    a = 1.0 / (2.0 * math.sqrt(s) - 1.0)
+    return a, a * (1.0 + a) ** 2 * (1.0 - a * a) ** (2 * s - 2)
 
 
 def peak_weight(s: int) -> float:

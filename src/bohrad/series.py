@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
-# Continuation horizon: a geometric tail is materialized at most this far
-# beyond the stored norms before a consumer must have converged.
-MAX_EXTENSION = 16384
+from .errors import DomainError, NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -97,6 +93,90 @@ class CoeffSeries:
         last = max(self.last_index, N)
         norms = tuple(0.0 if n < N else self.norm(n) for n in range(last + 1))
         return CoeffSeries(norms, max(self.start_index, N), self.tail_geometric_ratio)
+
+
+@dataclass(frozen=True)
+class GeometricWeight:
+    """Weights w(n) = (c0 + c1 n + c2 n^2) t^n on the indices n = parity (mod step).
+
+    ``head`` is added at n = 0; ``one_minus_t`` is 1 - t computed without
+    cancellation, e.g. (1-r)(1+r) for t = r^2.  w(n) q^n has the same
+    form, so a geometric continuation of the norms sums in closed form.
+    """
+
+    c: tuple[float, float, float]
+    t: float
+    one_minus_t: float
+    step: int = 1
+    parity: int = 0
+    head: float = 0.0
+
+    def __call__(self, n: int) -> float:
+        return self.values(n, n + 1)[0]
+
+    def values(self, start: int, stop: int) -> list[float]:
+        """[w(start), ..., w(stop - 1)], computed in one pass."""
+        (c0, c1, c2), t, step, parity = self.c, self.t, self.step, self.parity
+        w = [(c0 + n * (c1 + c2 * n)) * t**n if n % step == parity else 0.0
+             for n in range(start, stop)]
+        if start == 0 < stop:
+            w[0] += self.head
+        return w
+
+    def tail(self, N: int, q: float = 1.0, power: int = 1) -> float:
+        """sum_{n >= N} q^(power (n - N)) w(n) for N >= 1 and step 1 or 2.
+
+        With E the first index >= N on the weight's indices and u = s^step,
+        s = q^power t, this is q^(power (E-N)) t^E (b0 S0 + b1 S1 + b2 S2)
+        over S_i = sum_j j^i u^j = 1/(1-u), u/(1-u)^2, u(1+u)/(1-u)^3 and
+        b0 = P(E), b1 = step P'(E), b2 = step^2 c2.  For c_i >= 0 nothing
+        cancels as s -> 1, and nothing over- or underflows for q in [0, 1).
+        """
+        c0, c1, c2 = self.c
+        E = N + (self.parity - N) % self.step
+        qp = q**power
+        s = qp * self.t
+        d = (1.0 - q) * math.fsum(q**i for i in range(power)) + qp * self.one_minus_t
+        u, d = (s, d) if self.step == 1 else (s * s, d * (1.0 + s))
+        b0 = c0 + E * (c1 + c2 * E)
+        b1 = self.step * (c1 + 2 * c2 * E)
+        b2 = c2 * self.step**2
+        return qp ** (E - N) * self.t**E * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+
+
+def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
+             index_power: int = 0, sup_weight=None, abs_tol: float = 1e-12,
+             max_terms: int = 512) -> float:
+    """sum_{n >= start} ||A_n||^e(n) weight(n), e(n) = power + index_power n.
+
+    A geometric continuation of the stored norms adds, for a
+    GeometricWeight and a constant exponent, its exact remainder.  Other
+    weights come with ``sup_weight(n)`` >= weight(k) for all k >= n, and
+    continuation terms are added until the bound sup_weight(n) ||A_n||^e
+    / (1 - q^e) on the rest (valid for a constant exponent, or once
+    ||A_n|| <= 1) is at most abs_tol, within ``max_terms`` terms or
+    NonConvergenceError.  A short sum is never returned.
+    """
+    norms = coeffs.norms[start:]
+    weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
+               else [weight(n) if x else 0.0 for n, x in enumerate(norms, start)])
+    terms = [x ** (power + index_power * n) * w
+             for n, (x, w) in enumerate(zip(norms, weights), start) if x]
+    if coeffs.is_finite():
+        return math.fsum(terms)
+    q = coeffs.tail_geometric_ratio
+    N = max(start, coeffs.last_index + 1)
+    if isinstance(weight, GeometricWeight) and not index_power:
+        terms.append(coeffs.norm(N) ** power * weight.tail(N, q, power))
+        return math.fsum(terms)
+    for n in range(N, N + max_terms + 1):
+        x = coeffs.norm(n)
+        e = power + index_power * n
+        if (not index_power or x <= 1.0) and sup_weight(n) * x**e <= abs_tol * (1.0 - q**e):
+            return math.fsum(terms)
+        terms.append(x**e * weight(n))
+    raise NonConvergenceError(f"series remainder stays above abs_tol {abs_tol:.3g} "
+                              f"after {max_terms} continuation terms")
 
 
 @dataclass(frozen=True)
@@ -182,23 +262,7 @@ def s_r(coeffs: CoeffSeries, r: float, include_pi: bool = False) -> float:
     normalization of the scalar theory.
     """
     _check_radius(r)
-    terms = []
-    n = max(1, coeffs.start_index)
-    rr = r * r
-    while True:
-        x = coeffs.norm(n)
-        if x:
-            terms.append(n * x * x * rr**n)
-        if n >= coeffs.last_index:
-            if coeffs.is_finite():
-                break
-            # geometric tail: stop once the remaining mass is negligible
-            if x * x * rr**n * (n + 1) < 1e-18 * (1.0 + math.fsum(terms)):
-                break
-            if n - coeffs.last_index > MAX_EXTENSION:
-                break
-        n += 1
-    total = math.fsum(terms)
+    total = norm_sum(coeffs, GeometricWeight((0, 1, 0), r * r, (1.0 - r) * (1.0 + r)), 0, 2)
     return math.pi * total if include_pi else total
 
 
@@ -265,22 +329,26 @@ class MatrixCoeffFn:
 def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     """Coefficient-norm series of a diagonal Mobius blend.
 
-    The norm at index n is max_i |c_n^{(i)}|.  Stored norms are extended
-    until the entry with the largest parameter dominates the max, after
-    which the continuation ratio max_i a_i is exact.
+    The norm at index n is max_i |c_n^{(i)}|.  Stored norms run at least
+    to the last index where an entry with a smaller parameter a first
+    falls below the entry with the largest one, b: the smallest n with
+    (1-b^2) b^(n-1) >= (1-a^2) a^(n-1), which then holds for all larger n,
+    so the continuation ratio b is exact.  A log estimate, less one
+    against round-off, is stepped up until that comparison confirms it.
     """
     if count < 1:
         raise DomainError("count must be positive")
-    a_max = max(fn.params)
+    b = max(fn.params)
     n = count
-    while n < MAX_EXTENSION:
-        mags = [abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension)]
-        if mags.index(max(mags)) == fn.params.index(a_max):
-            break
-        n += 1
+    for a in fn.params:
+        if a < b:
+            k = max(1, math.floor(math.log((1.0 - a * a) / (1.0 - b * b)) / math.log(b / a)))
+            while (1.0 - b * b) * b ** (k - 1) < (1.0 - a * a) * a ** (k - 1):
+                k += 1
+            n = max(n, k)
     norms = [max(abs(fn.entry_coefficient(i, k)) for i in range(fn.dimension))
              for k in range(n + 1)]
-    return CoeffSeries(tuple(norms), 0, a_max)
+    return CoeffSeries(tuple(norms), 0, b)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ from bohrad import (CoeffSeries, HyperbolicDensity, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
                     count_sign_changes, m_integral)
 from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, BlochParams,
-                          gamma_equation_value)
+                          derivative_majorant, gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
                            SingularIntegrandError)
+
+import mp_sums
 
 DISK = HyperbolicDensity.unit_disk()
 
@@ -216,6 +218,17 @@ class TestBlochMajorantCheck:
         too_steep = CoeffSeries((0.5, 5.0))
         with pytest.raises(InvalidTestFunctionError):
             bloch_majorant_check(too_steep, 1.0, DISK, 1.0, 0.3)
+
+    @pytest.mark.parametrize("q", mp_sums.Q_GRID)
+    @pytest.mark.parametrize("t", mp_sums.R_GRID)
+    def test_derivative_majorant_matches_mp_reference(self, t, q):
+        for coeffs in (CoeffSeries(mp_sums.NORMS, 0, q), CoeffSeries((0.4,), 0, q)):
+            assert mp_sums.close(derivative_majorant(coeffs, t),
+                                 mp_sums.derivative_majorant(coeffs, t))
+
+    def test_derivative_majorant_at_the_origin_is_the_first_norm(self):
+        assert derivative_majorant(CoeffSeries(mp_sums.NORMS, 0, 0.5), 0.0) == 0.5
+        assert derivative_majorant(CoeffSeries((0.4,), 0, 0.5), 0.0) == 0.2
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):

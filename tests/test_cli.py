@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,9 +216,13 @@ class TestTextFormat:
 
 
 def test_console_script_smoke():
+    # the package is importable from src/ without installing it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bohrad.cli", "radius", "--phi", "monomial",
          "--gamma", "0"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["radius"] == pytest.approx(1 / 3, abs=1e-6)

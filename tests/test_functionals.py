@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
-                    CoeffSeries, MatrixCoeffFn, MuFunction, RadiusProblem,
+                    CoeffSeries, MatrixCoeffFn, MuFunction, PhiSequence, RadiusProblem,
                     bohr_area_functional, bohr_beta_functional,
                     bohr_energy_functional, classical_functional,
                     diag_blend_coeffs, majorant, mobius_gamma_coeffs,
                     mobius_partial_modulus, per_function_radius,
                     radius_refined, refined_functional, rogosinski_functional,
                     sharpness_probe)
-from bohrad.errors import ConfigurationError, DomainError
+from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
+
+import mp_sums
 
 UNIT = CoeffSeries.unit_constant()
+GRID = [(r, q) for r in mp_sums.R_GRID for q in mp_sums.Q_GRID]
+# r^n, with and without its closed-form tail
+CUSTOM_MONOMIAL = [PhiSequence("custom", custom_term=lambda n, r: r**n),
+                   PhiSequence("custom", custom_term=lambda n, r: r**n,
+                               custom_tail=lambda N, r: r**N / (1.0 - r))]
 
 
 def common_blend(rng):
@@ -51,11 +58,35 @@ class TestMajorant:
     def test_zero_function(self):
         assert majorant(CoeffSeries((0.0,)), MONOMIAL, 0.5) == 0.0
 
-    def test_geometric_closed_form_oracle(self):
-        # a = 1/2 disk family at r = 1/3:
+    @pytest.mark.parametrize("a, r", [(0.5, 1.0 / 3.0), (1.0 - 1e-4, 0.999),
+                                      (1.0 - 1e-6, 0.9999)])
+    def test_geometric_closed_form_oracle(self, a, r):
+        # disk family: a + (1 - a^2) r / (1 - a r); a = 1/2 at r = 1/3 gives
         # 1/2 + (3/4) * (1/3) / (1 - 1/6) = 1/2 + 3/10
-        coeffs = mobius_gamma_coeffs(0.5, 0.0)
-        assert majorant(coeffs, MONOMIAL, 1.0 / 3.0) == pytest.approx(0.8, abs=1e-13)
+        coeffs = mobius_gamma_coeffs(a, 0.0)
+        with mp_sums.mp.workdps(mp_sums.DPS):
+            a_, r_ = mp_sums.mp.mpf(a), mp_sums.mp.mpf(r)
+            want = a_ + (1 - a_ * a_) * r_ / (1 - a_ * r_)
+        assert mp_sums.close(majorant(coeffs, MONOMIAL, r), want)
+
+    @pytest.mark.parametrize("r, q", GRID)
+    @pytest.mark.parametrize("kind", list(BUILTIN_PHI))
+    def test_geometric_continuation_matches_mp_reference(self, kind, r, q):
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, q)
+        assert mp_sums.close(majorant(coeffs, BUILTIN_PHI[kind], r),
+                             mp_sums.majorant(coeffs, kind, r))
+
+    @pytest.mark.parametrize("custom", CUSTOM_MONOMIAL)
+    def test_custom_weight_meets_tolerance(self, custom):
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6)
+        assert mp_sums.close(majorant(coeffs, custom, 0.5),
+                             mp_sums.majorant(coeffs, "monomial", 0.5))
+
+    def test_custom_weight_that_cannot_meet_tolerance_raises(self):
+        # the remainder bound falls like 0.999^n: 512 terms are far too few
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6)
+        with pytest.raises(NonConvergenceError):
+            majorant(coeffs, CUSTOM_MONOMIAL[1], 0.999)
 
 
 class TestAreaPolynomialFunctional:
@@ -209,6 +240,17 @@ class TestClassicalSuite:
         for a in (0.3, 0.9, 0.999):
             coeffs = mobius_gamma_coeffs(a, 0.0)
             assert classical_functional(coeffs, 1.0 / 3.0, "kayumov_ponnusamy").satisfied
+
+    @pytest.mark.parametrize("r, q", GRID)
+    def test_geometric_continuations_match_mp_reference(self, r, q):
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, q)
+        assert mp_sums.close(classical_functional(coeffs, r, "kayumov_ponnusamy").value,
+                             mp_sums.kayumov_ponnusamy(coeffs, r))
+        weight = 1.0 / (1.0 + mp_sums.NORMS[0]) + r / (1.0 - r)
+        want = (mp_sums.majorant(coeffs, "monomial", r)
+                + weight * mp_sums.energy(coeffs, r))
+        assert mp_sums.close(classical_functional(coeffs, r, "refined_square").value,
+                             want, 1e-12 * (1.0 + weight))
 
     def test_partial_variants_require_N(self):
         coeffs = mobius_gamma_coeffs(0.5, 0.0)

@@ -12,6 +12,8 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     refined_sum)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 
+import mp_sums
+
 # independent term formulas for the partial-sum oracle
 ORACLE_TERMS = {
     "monomial": lambda n, r: r**n,
@@ -88,6 +90,15 @@ class TestPhiTail:
             # absolute 1e-12 on values of size 1e3
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("r", mp_sums.R_GRID)
+    @pytest.mark.parametrize("kind", list(ORACLE_TERMS))
+    def test_closed_forms_hold_near_one(self, kind, r):
+        # no cancelling terms: relative accuracy stays near round-off
+        for N in (0, 1, 7, 1000):
+            with mp_sums.mp.workdps(mp_sums.DPS):
+                want = mp_sums.phi_tail(kind, N, mp_sums.mp.mpf(r))
+            assert abs(phi_tail(BUILTIN_PHI[kind], N, r) - want) <= 1e-14 * want, N
+
     @pytest.mark.parametrize("kind", list(ORACLE_TERMS))
     @pytest.mark.parametrize("N", range(7))
     def test_telescoping(self, kind, N):
@@ -148,6 +159,27 @@ class TestRefinedSum:
                                    + r ** (2 * n + 1) / (1 - r))
             for n in range(1, 4))
         assert refined_sum(coeffs, MONOMIAL, 0, r) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("q", mp_sums.Q_GRID)
+    @pytest.mark.parametrize("r", mp_sums.R_GRID)
+    @pytest.mark.parametrize("mode", ["square", "two_n"])
+    @pytest.mark.parametrize("kind", list(ORACLE_TERMS))
+    def test_geometric_continuation_matches_mp_reference(self, kind, mode, r, q):
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, q)
+        assert mp_sums.close(refined_sum(coeffs, BUILTIN_PHI[kind], 1, r, mode),
+                             mp_sums.refined_sum(coeffs, kind, 1, r, mode))
+
+    @pytest.mark.parametrize("mode", ["square", "two_n"])
+    def test_custom_weight_meets_tolerance_or_raises(self, mode):
+        custom = PhiSequence("custom", custom_term=lambda n, r: r**n,
+                             custom_tail=lambda N, r: r**N / (1.0 - r))
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, 0.5)
+        assert mp_sums.close(refined_sum(coeffs, custom, 0, 0.9, mode),
+                             mp_sums.refined_sum(coeffs, "monomial", 0, 0.9, mode))
+        if mode == "square":
+            # a bound falling like 0.999^(2n) cannot reach abs_tol in 512 terms
+            with pytest.raises(NonConvergenceError):
+                refined_sum(CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6), custom, 0, 0.999)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -82,6 +82,17 @@ class TestPeakWeight:
             assert 0.0 < a_star < 1.0
             assert value == pytest.approx(g(a_star), abs=1e-14)
 
+    @pytest.mark.parametrize("s", range(2, 12))
+    def test_peak_point_is_the_closed_form(self, s):
+        # (1 + a)^2 = 4 s a^2 at the critical point
+        from bohrad.polynomials import peak_point
+
+        g = lambda a: a * (1 + a) ** 2 * (1 - a * a) ** (2 * s - 2)
+        a_star, value = peak_point(s)
+        assert a_star == pytest.approx(1.0 / (2.0 * math.sqrt(s) - 1.0), rel=1e-15)
+        assert value == pytest.approx(g(a_star), rel=1e-15)
+        assert value >= max(g(a_star - 1e-6), g(a_star + 1e-6))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             peak_weight(1)

@@ -12,6 +12,8 @@ from bohrad import (CoeffSeries, DomainSpec, MatrixCoeffFn, check_coeff_bound,
                     point_eval_bound, s_r, schwarz_composed_bound)
 from bohrad.errors import DomainError
 
+import mp_sums
+
 
 def power_iteration_norm(matrix, iters=5000, tol=1e-15, seed=7):
     """Independent largest-singular-value oracle via A* A power iteration."""
@@ -87,12 +89,11 @@ class TestDirichletSum:
         values = [s_r(coeffs, 0.05 * k) for k in range(1, 19)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_geometric_tail_is_summed(self):
-        coeffs = mobius_gamma_coeffs(0.9, 0.0, 4)  # stored range is short
-        r = 0.5
-        want = math.fsum(n * (0.19 * 0.9 ** (n - 1)) ** 2 * r ** (2 * n)
-                         for n in range(1, 400))
-        assert s_r(coeffs, r) == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("r", (0.5,) + mp_sums.R_GRID)
+    @pytest.mark.parametrize("coeffs", [mobius_gamma_coeffs(0.9, 0.0, 4)]  # short stored range
+                             + [CoeffSeries(mp_sums.NORMS, 0, q) for q in mp_sums.Q_GRID])
+    def test_geometric_tail_is_summed(self, coeffs, r):
+        assert mp_sums.close(s_r(coeffs, r), mp_sums.s_r(coeffs, r))
 
 
 class TestOperatorNorm:
@@ -148,6 +149,23 @@ class TestDiagonalBlend:
             m = fn.coefficient_matrix(n)
             assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
             assert operator_norm(m) == pytest.approx(blend.norm(n), abs=1e-12)
+
+    @pytest.mark.parametrize("params, count, checked", [
+        ((0.3, 0.6, 0.59), 4, range(501)),
+        # crossover near n = 105000: the stored range must reach past it
+        ((0.99999, 0.999991), 64, (0, 64, 20000, 104000, 106000, 200000)),
+    ])
+    def test_distinct_parameters_continue_exactly(self, params, count, checked):
+        fn = MatrixCoeffFn(params)
+        blend = diag_blend_coeffs(fn, count)
+        for n in checked:
+            want = max(abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension))
+            assert blend.norm(n) == pytest.approx(want, rel=1e-12, abs=0.0), n
+
+    def test_equal_parameters_store_count_norms(self):
+        blend = diag_blend_coeffs(MatrixCoeffFn((0.7, 0.7, 0.7)), 16)
+        assert blend.last_index == 16
+        assert blend.norms == pytest.approx(mobius_gamma_coeffs(0.7, 0.0, 16).norms, rel=1e-15)
 
     def test_phase_validation(self):
         with pytest.raises(DomainError):
