@@ -133,14 +133,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
+    def problem(sp, **phi):
+        sp.add_argument("--phi", **phi)
+        sp.add_argument("--p", type=float, default=1.0)
+        sp.add_argument("--m", type=int, default=0)
+        sp.add_argument("--N", type=int, default=1)
+        sp.add_argument("--mu-const", type=float, default=0.0)
+        sp.add_argument("--gamma", type=float, default=None)
+        sp.add_argument("--lambda-h", type=float, default=None)
+
     sp = sub.add_parser("radius", help="solve one radius equation")
-    sp.add_argument("--phi", required=True)
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--mu-const", type=float, default=0.0)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--lambda-h", type=float, default=None)
+    problem(sp, required=True)
     sp.add_argument("--kind", choices=("refined", "rogosinski"), default="refined")
     common(sp)
 
@@ -151,13 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="guarantee sweep below a radius, probe above it")
     sp.add_argument("--family", choices=VERIFY_FAMILIES, default="bohr")
-    sp.add_argument("--phi", default="monomial")
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--mu-const", type=float, default=0.0)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--lambda-h", type=float, default=None)
+    problem(sp, default="monomial")
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--degree", type=int, default=2)
     sp.add_argument("--samples", type=int, default=100)
@@ -225,15 +222,11 @@ def _cmd_radius(cfg: RunConfig):
     return EXIT_OK, record
 
 
-def _table_flags(rows):
-    return [f"erratum:table{row.table_id}:(p={row.p:g},m={row.m},mu={row.mu:g})"
-            for row in rows if row.erratum]
-
-
 def _cmd_tables(cfg: RunConfig):
     rows = reproduce_table(cfg.table_id, cfg.tol) if cfg.table_id \
         else reproduce_all_tables(cfg.tol)
-    flags = _table_flags(rows)
+    flags = [f"erratum:table{row.table_id}:(p={row.p:g},m={row.m},mu={row.mu:g})"
+             for row in rows if row.erratum]
     mismatched = [row for row in rows if row.delta > TABLE_MATCH_TOL]
     record = {"command": "tables",
               "params": {"id": cfg.table_id, "allow_errata": cfg.allow_errata},
@@ -318,24 +311,15 @@ def _cmd_verify(cfg: RunConfig):
 
     r_below = max(radius - PROBE_OFFSET, radius / 2.0)
     r_above = radius + PROBE_OFFSET
-    failures = []
-    worst_margin = math.inf
-    checked = 0
+    reports = []
     if extremal is not None:
-        for a in SWEEP_A_GRID:
-            rep = extremal(a, r_below)
-            checked += 1
-            worst_margin = min(worst_margin, rep.margin)
-            if not rep.satisfied:
-                failures.append({"a": a, "margin": rep.margin})
+        reports += [(a, extremal(a, r_below)) for a in SWEEP_A_GRID]
     if blend_check is not None:
-        for _ in range(cfg.samples):
-            coeffs = diag_blend_coeffs(_random_blend(rng))
-            rep = blend_check(coeffs, r_below)
-            checked += 1
-            worst_margin = min(worst_margin, rep.margin)
-            if not rep.satisfied:
-                failures.append({"a": "blend", "margin": rep.margin})
+        reports += [("blend", blend_check(diag_blend_coeffs(_random_blend(rng)), r_below))
+                    for _ in range(cfg.samples)]
+    checked = len(reports)
+    worst_margin = min((rep.margin for _, rep in reports), default=math.inf)
+    failures = [{"a": a, "margin": rep.margin} for a, rep in reports if not rep.satisfied]
 
     witness = None
     expect_witness = extremal is not None and r_above < 1.0
@@ -380,9 +364,8 @@ def _cmd_calibrate(cfg: RunConfig):
 
 
 def _cmd_bloch(cfg: RunConfig):
-    if cfg.bloch_domain == "gamma" or cfg.variant == "majorant-gamma":
-        if cfg.gamma is None:
-            raise ConfigurationError("this bloch variant needs --gamma")
+    if (cfg.bloch_domain == "gamma" or cfg.variant == "majorant-gamma") and cfg.gamma is None:
+        raise ConfigurationError("this bloch variant needs --gamma")
     density = HyperbolicDensity.unit_disk() if cfg.bloch_domain == "disk" \
         else HyperbolicDensity.omega_gamma(cfg.gamma)
     flags = []
@@ -449,10 +432,7 @@ def render(record, fmt: str) -> str:
             writer.writerow(row)
         return buf.getvalue()
     lines = [f"command: {record['command']}"]
-    for key, value in record.items():
-        if key == "command":
-            continue
-        lines.append(f"{key}: {value}")
+    lines += [f"{key}: {value}" for key, value in record.items() if key != "command"]
     return "\n".join(lines) + "\n"
 
 

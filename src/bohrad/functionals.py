@@ -105,8 +105,7 @@ def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float,
     """
     _check_radius(r)
     return norm_sum(coeffs, phi_weight(phi, r), max(coeffs.start_index, phi.start_index),
-                    sup_weight=lambda n: phi_tail(phi, n, r, config),
-                    abs_tol=config.abs_tol, max_terms=config.truncation_n)
+                    sup_weight=lambda n: phi_tail(phi, n, r, config), config=config)
 
 
 def bohr_area_functional(coeffs: CoeffSeries, r: float, lambda_h: float = 1.0,
@@ -168,10 +167,8 @@ def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
-    if coeffs.start_index < m:
-        for n in range(coeffs.start_index, m):
-            if coeffs.norm(n) != 0.0:
-                raise DomainError("coefficients must vanish below index m")
+    if any(coeffs.norm(n) != 0.0 for n in range(coeffs.start_index, m)):
+        raise DomainError("coefficients must vanish below index m")
     mu = MuFunction.of(mu)
     _check_radius(r)
     am = coeffs.norm(m)
@@ -223,23 +220,19 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
         raise ConfigurationError(f"variant {variant!r} requires N")
     a0 = coeffs.norm(0)
     if variant == "bohr":
-        return FunctionalReport.compare(majorant(coeffs, MONOMIAL, r), 1.0)
-    if variant == "paulsen":
+        value = majorant(coeffs, MONOMIAL, r)
+    elif variant == "paulsen":
         value = a0 * a0 + majorant(coeffs, MONOMIAL, r) - a0
-        return FunctionalReport.compare(value, 1.0)
-    if variant == "kayumov_ponnusamy":
+    elif variant == "kayumov_ponnusamy":
         # a_0 + sum_{n>=1} (||A_n|| r^n + ||A_n||^2 / 2) 3^-n
         value = majorant(coeffs, MONOMIAL, r / 3.0) + 0.5 * _energy(coeffs, 3.0**-0.5)
-        return FunctionalReport.compare(value, 1.0)
-    if variant == "refined_square":
+    elif variant == "refined_square":
         weight = 1.0 / (1.0 + a0) + r / (1.0 - r)
         value = majorant(coeffs, MONOMIAL, r) + weight * _energy(coeffs, r)
-        return FunctionalReport.compare(value, 1.0)
-    if variant == "rogosinski_partial":
+    elif variant == "rogosinski_partial":
         value = math.fsum(coeffs.norm(n) * r**n for n in range(N))
-        return FunctionalReport.compare(value, 1.0)
-    # bohr_rogosinski: point bound head plus the tail majorant from N
-    value = point_eval_bound(coeffs, r) + majorant(coeffs.truncated_from(N), MONOMIAL, r)
+    else:  # bohr_rogosinski: point bound head plus the tail majorant from N
+        value = point_eval_bound(coeffs, r) + majorant(coeffs.truncated_from(N), MONOMIAL, r)
     return FunctionalReport.compare(value, 1.0)
 
 
@@ -260,11 +253,8 @@ def mobius_partial_modulus(a: float, gamma: float, N: int, r: float,
     c = [(a - gamma) / (1.0 - a * gamma)]
     c += [-(1.0 - gamma) * (1.0 - a * a) * q ** (n - 1) / (1.0 - a * gamma) ** 2
           for n in range(1, N)]
-    best = 0.0
-    for k in range(nodes):
-        z = r * cmath.exp(2j * math.pi * k / nodes)
-        best = max(best, abs(sum(cn * z**n for n, cn in enumerate(c))))
-    return best
+    circle = (r * cmath.exp(2j * math.pi * k / nodes) for k in range(nodes))
+    return max((abs(sum(cn * z**n for n, cn in enumerate(c))) for z in circle), default=0.0)
 
 
 def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,

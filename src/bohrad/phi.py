@@ -14,30 +14,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NonConvergenceError
-from .series import CoeffSeries, GeometricWeight, _check_radius, norm_sum
+from .series import (DEFAULT_CONFIG, CoeffSeries, GeometricWeight, SeriesEvalConfig,
+                     _check_radius, norm_sum)
 
 PHI_KINDS = ("monomial", "weighted_linear", "weighted_quadratic",
              "even_only", "odd_only", "custom")
-
-
-@dataclass(frozen=True)
-class SeriesEvalConfig:
-    """Truncation policy for sums that lack a closed form."""
-
-    truncation_n: int = 512
-    tail_ratio_cap: float = 0.99
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.truncation_n < 2:
-            raise ConfigurationError("truncation_n must be at least 2")
-        if not 0.0 < self.tail_ratio_cap < 1.0:
-            raise ConfigurationError("tail_ratio_cap must lie in (0, 1)")
-        if self.abs_tol <= 0:
-            raise ConfigurationError("abs_tol must be positive")
-
-
-DEFAULT_CONFIG = SeriesEvalConfig()
 
 
 @dataclass(frozen=True)
@@ -147,16 +128,10 @@ def phi_tail(phi: PhiSequence, N: int, r: float,
         poly = M * M * (1.0 - r) ** 2 + 2 * M * r * (1.0 - r) + r * (1.0 + r)
         return head + r**M * poly / (1.0 - r) ** 3
     if kind == "even_only":
-        if N == 0:
-            return 1.0 / ((1.0 - r) * (1.0 + r))
-        E = N if N % 2 == 0 else N + 1
-        return r**E / ((1.0 - r) * (1.0 + r))
+        return r ** (N + N % 2) / ((1.0 - r) * (1.0 + r))
     if kind == "odd_only":
         head = 1.0 if N == 0 else 0.0
-        O = max(N, 1)
-        if O % 2 == 0:
-            O += 1
-        return head + r**O / ((1.0 - r) * (1.0 + r))
+        return head + r ** (N | 1) / ((1.0 - r) * (1.0 + r))
     if phi.custom_tail is not None:
         return float(phi.custom_tail(N, r))
     return _truncated_tail(phi, N, r, config)
@@ -202,7 +177,7 @@ def _refined_weight(phi, r, am, config):
     (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
     on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
     first = 1 + (parity - 1) % step
-    past_2n = [GeometricWeight(p, r, 1.0 - r, step, first % step).tail(first)
+    past_2n = [GeometricWeight(p, r, 1.0 - r, step, parity).tail(first)
                for p in ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))]
     c = tuple(x / (1.0 + am) + y for x, y in zip(on_2n, past_2n))
     return GeometricWeight(c, r * r, (1.0 - r) * (1.0 + r))
@@ -225,6 +200,4 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
     _check_radius(r)
     power, index_power = (2, 0) if exponent_mode == "square" else (0, 2)
     return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m), config), m + 1,
-                    power, index_power,
-                    sup_weight=lambda n: phi_tail(phi, 2 * n, r, config),
-                    abs_tol=config.abs_tol, max_terms=config.truncation_n)
+                    power, index_power, lambda n: phi_tail(phi, 2 * n, r, config), config)

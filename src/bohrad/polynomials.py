@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
 
-# first peak weight: max of a (1+a)^2 on [0, 1], attained at the endpoint
-_D1 = 4.0
 _CAL_BASE = 8.0 * (3.0 / 8.0) ** 2  # = 9/8, the coefficient multiplying c_1
 
 

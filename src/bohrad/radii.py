@@ -261,7 +261,5 @@ def reproduce_table(table_id: int, tol: float = 1e-12) -> list[TableRow]:
 
 
 def reproduce_all_tables(tol: float = 1e-12) -> list[TableRow]:
-    rows = []
-    for table_id in sorted(REFERENCE_TABLES):
-        rows.extend(reproduce_table(table_id, tol))
-    return rows
+    return [row for table_id in sorted(REFERENCE_TABLES)
+            for row in reproduce_table(table_id, tol)]

@@ -46,10 +46,8 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
     prev_v = None
     saw_positive = saw_negative = False
     k = 1
-    while True:
+    while k * scan_step < upper:
         x = k * scan_step
-        if x >= upper:
-            break
         v = f(x)
         evaluations += 1
         if v > 0:
@@ -83,15 +81,11 @@ def _bisect(f, lo, hi, flo, tol, scan_step, iterations):
             hi = mid
         else:
             lo, flo = mid, fmid
-        new_mid = 0.5 * (lo + hi)
-        if new_mid == lo or new_mid == hi:
-            mid = new_mid
-            fmid = f(mid)
-            iterations += 1
-            break
-        mid = new_mid
+        mid = 0.5 * (lo + hi)
         fmid = f(mid)
         iterations += 1
+        if mid == lo or mid == hi:
+            break
     return RootResult(mid, (lo, hi), fmid, iterations, scan_step)
 
 
@@ -100,11 +94,8 @@ def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0) -> int:
     count = 0
     prev = None
     k = 1
-    while True:
-        x = k * scan_step
-        if x >= upper:
-            break
-        v = f(x)
+    while k * scan_step < upper:
+        v = f(k * scan_step)
         if prev is not None and prev * v < 0:
             count += 1
         if v != 0.0:

@@ -15,7 +15,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import ConfigurationError, DomainError, NonConvergenceError
+
+# a diagonal blend stores its norms up to the index where the largest
+# parameter takes over; parameters that close together raise instead
+MAX_BLEND_NORMS = 1 << 18
+
+
+@dataclass(frozen=True)
+class SeriesEvalConfig:
+    """Truncation policy for sums that lack a closed form."""
+
+    truncation_n: int = 512
+    tail_ratio_cap: float = 0.99
+    abs_tol: float = 1e-12
+
+    def __post_init__(self):
+        if self.truncation_n < 2:
+            raise ConfigurationError("truncation_n must be at least 2")
+        if not 0.0 < self.tail_ratio_cap < 1.0:
+            raise ConfigurationError("tail_ratio_cap must lie in (0, 1)")
+        if self.abs_tol <= 0:
+            raise ConfigurationError("abs_tol must be positive")
+
+
+DEFAULT_CONFIG = SeriesEvalConfig()
 
 
 @dataclass(frozen=True)
@@ -145,17 +169,17 @@ class GeometricWeight:
 
 
 def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
-             index_power: int = 0, sup_weight=None, abs_tol: float = 1e-12,
-             max_terms: int = 512) -> float:
+             index_power: int = 0, sup_weight=None,
+             config: SeriesEvalConfig = DEFAULT_CONFIG) -> float:
     """sum_{n >= start} ||A_n||^e(n) weight(n), e(n) = power + index_power n.
 
     A geometric continuation of the stored norms adds, for a
     GeometricWeight and a constant exponent, its exact remainder.  Other
-    weights come with ``sup_weight(n)`` >= weight(k) for all k >= n, and
+    weights need ``sup_weight(n)`` >= weight(k) for all k >= n, and
     continuation terms are added until the bound sup_weight(n) ||A_n||^e
     / (1 - q^e) on the rest (valid for a constant exponent, or once
-    ||A_n|| <= 1) is at most abs_tol, within ``max_terms`` terms or
-    NonConvergenceError.  A short sum is never returned.
+    ||A_n|| <= 1) is at most config.abs_tol, within config.truncation_n
+    terms or NonConvergenceError.  A short sum is never returned.
     """
     norms = coeffs.norms[start:]
     weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
@@ -169,14 +193,16 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
     if isinstance(weight, GeometricWeight) and not index_power:
         terms.append(coeffs.norm(N) ** power * weight.tail(N, q, power))
         return math.fsum(terms)
-    for n in range(N, N + max_terms + 1):
+    if sup_weight is None:
+        raise ConfigurationError("a weight without a closed-form tail needs sup_weight")
+    for n in range(N, N + config.truncation_n + 1):
         x = coeffs.norm(n)
         e = power + index_power * n
-        if (not index_power or x <= 1.0) and sup_weight(n) * x**e <= abs_tol * (1.0 - q**e):
+        if (not index_power or x <= 1.0) and sup_weight(n) * x**e <= config.abs_tol * (1.0 - q**e):
             return math.fsum(terms)
         terms.append(x**e * weight(n))
-    raise NonConvergenceError(f"series remainder stays above abs_tol {abs_tol:.3g} "
-                              f"after {max_terms} continuation terms")
+    raise NonConvergenceError(f"series remainder stays above abs_tol {config.abs_tol:.3g} "
+                              f"after {config.truncation_n} continuation terms")
 
 
 @dataclass(frozen=True)
@@ -335,6 +361,7 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     (1-b^2) b^(n-1) >= (1-a^2) a^(n-1), which then holds for all larger n,
     so the continuation ratio b is exact.  A log estimate, less one
     against round-off, is stepped up until that comparison confirms it.
+    A crossover beyond MAX_BLEND_NORMS raises NonConvergenceError.
     """
     if count < 1:
         raise DomainError("count must be positive")
@@ -342,7 +369,11 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     n = count
     for a in fn.params:
         if a < b:
-            k = max(1, math.floor(math.log((1.0 - a * a) / (1.0 - b * b)) / math.log(b / a)))
+            k = max(1, math.floor(math.log((1.0 - a * a) / (1.0 - b * b))
+                                  / math.log1p((b - a) / a)))
+            if k > MAX_BLEND_NORMS:
+                raise NonConvergenceError(f"parameters {a!r} and {b!r} cross over near index "
+                                          f"{k}, past the {MAX_BLEND_NORMS} norms a blend stores")
             while (1.0 - b * b) * b ** (k - 1) < (1.0 - a * a) * a ** (k - 1):
                 k += 1
             n = max(n, k)
@@ -375,15 +406,13 @@ def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
     bound = domain.effective_lambda * (1.0 - a0 * a0)
     first = None
     max_ratio = 0.0
-    checked = 0
     for n in range(m + 1, coeffs.last_index + 1):
         x = coeffs.norm(n)
-        checked += 1
         if bound > 0:
             max_ratio = max(max_ratio, x / bound)
         if x > bound + tol and first is None:
             first = n
-    return CoeffBoundReport(first is None, first, checked, max_ratio)
+    return CoeffBoundReport(first is None, first, max(0, coeffs.last_index - m), max_ratio)
 
 
 def point_eval_bound(coeffs: CoeffSeries, r: float) -> float:

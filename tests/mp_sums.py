@@ -25,9 +25,9 @@ KINDS = {
 }
 
 
-def close(value, ref, abs_tol=1e-12):
-    """Within max(abs_tol, 1e-12 |ref|) of the reference."""
-    return abs(mp.mpf(value) - ref) <= max(abs_tol, 1e-12 * abs(ref))
+def close(value, ref, abs_tol=1e-12, rel_tol=1e-12):
+    """Within max(abs_tol, rel_tol |ref|) of the reference."""
+    return abs(mp.mpf(value) - ref) <= max(abs_tol, rel_tol * abs(ref))
 
 
 def _poly(c, n):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from bohrad import (CoeffSeries, DomainSpec, MatrixCoeffFn, check_coeff_bound,
                     diag_blend_coeffs, mobius_gamma_coeffs, operator_norm,
                     point_eval_bound, s_r, schwarz_composed_bound)
-from bohrad.errors import DomainError
+from bohrad.cli import _random_blend
+from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
+from bohrad.series import norm_sum
 
 import mp_sums
 
@@ -89,11 +91,20 @@ class TestDirichletSum:
         values = [s_r(coeffs, 0.05 * k) for k in range(1, 19)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("r", (0.5,) + mp_sums.R_GRID)
-    @pytest.mark.parametrize("coeffs", [mobius_gamma_coeffs(0.9, 0.0, 4)]  # short stored range
-                             + [CoeffSeries(mp_sums.NORMS, 0, q) for q in mp_sums.Q_GRID])
-    def test_geometric_tail_is_summed(self, coeffs, r):
-        assert mp_sums.close(s_r(coeffs, r), mp_sums.s_r(coeffs, r))
+    def test_weight_without_tail_bound_is_refused(self):
+        # a plain callable has no closed-form tail, so its remainder needs sup_weight
+        with pytest.raises(ConfigurationError):
+            norm_sum(CoeffSeries((1.0, 0.5), 0, 0.5), lambda n: 0.5**n)
+
+    @pytest.mark.parametrize("coeffs, r, abs_tol", [
+        # short stored range, held to 1e-12 relative
+        (mobius_gamma_coeffs(0.9, 0.0, 4), 0.5, 0.0),
+        *[(mobius_gamma_coeffs(0.9, 0.0, 4), r, 1e-12) for r in mp_sums.R_GRID],
+        *[(CoeffSeries(mp_sums.NORMS, 0, q), r, 1e-12)
+          for q in mp_sums.Q_GRID for r in (0.5,) + mp_sums.R_GRID],
+    ])
+    def test_geometric_tail_is_summed(self, coeffs, r, abs_tol):
+        assert mp_sums.close(s_r(coeffs, r), mp_sums.s_r(coeffs, r), abs_tol)
 
 
 class TestOperatorNorm:
@@ -162,10 +173,41 @@ class TestDiagonalBlend:
             want = max(abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension))
             assert blend.norm(n) == pytest.approx(want, rel=1e-12, abs=0.0), n
 
+    def test_near_equal_distinct_parameters_raise(self):
+        # the crossover index is near 1e9: refused before anything is stored
+        with pytest.raises(NonConvergenceError):
+            diag_blend_coeffs(MatrixCoeffFn((0.999999999, 0.9999999991)))
+
     def test_equal_parameters_store_count_norms(self):
         blend = diag_blend_coeffs(MatrixCoeffFn((0.7, 0.7, 0.7)), 16)
         assert blend.last_index == 16
         assert blend.norms == pytest.approx(mobius_gamma_coeffs(0.7, 0.0, 16).norms, rel=1e-15)
+
+    def test_phased_equal_parameters_prefix_a_dominance_scan(self):
+        # Scanning from `count` until the first entry with the largest
+        # parameter is also the largest in magnitude stores extra norms
+        # whenever phase round-off lifts another entry by an ulp.  Equal
+        # parameters need none of them: the stored norms are that scan's
+        # first count + 1, bit for bit, and the continuation matches the
+        # rest to round-off.
+        longer = 0
+        for seed in range(40):
+            fn = _random_blend(np.random.default_rng(seed))
+            blend = diag_blend_coeffs(fn)
+            n = blend.last_index
+            while True:
+                mags = [abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension)]
+                if mags.index(max(mags)) == 0:
+                    break
+                n += 1
+            scanned = [max(abs(fn.entry_coefficient(i, k)) for i in range(fn.dimension))
+                       for k in range(n + 1)]
+            assert blend.last_index == 64
+            assert list(blend.norms) == scanned[:65]
+            for k in range(65, n + 1):
+                assert blend.norm(k) == pytest.approx(scanned[k], rel=1e-14, abs=0.0)
+            longer += n > 64
+        assert longer > 0
 
     def test_phase_validation(self):
         with pytest.raises(DomainError):
