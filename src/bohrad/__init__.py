@@ -19,8 +19,8 @@ from .functionals import (DEFAULT_A_GRID, FunctionalReport, MuFunction,
                           problem_functional, refined_functional,
                           rogosinski_functional, sharpness_probe)
 from .phi import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR,
-                  WEIGHTED_QUADRATIC, PhiSequence, SeriesEvalConfig, phi_tail,
-                  phi_term, refined_sum)
+                  WEIGHTED_QUADRATIC, PhiSequence, phi_tail, phi_term,
+                  refined_sum)
 from .polynomials import (MonotonicityReport, PolySpec, area_poly_coeffs,
                           area_scale, calibrate_area_poly, calibration_residual,
                           monotonicity_check, peak_weight)

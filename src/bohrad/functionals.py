@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError, DomainError
-from .phi import (DEFAULT_CONFIG, MONOMIAL, PhiSequence, phi_tail, phi_term,
-                  phi_weight, refined_sum)
+from .phi import MONOMIAL, PhiSequence, phi_tail, phi_term, phi_weight, refined_sum
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, GeometricWeight, _check_radius, mobius_gamma_coeffs,
                      norm_sum, point_eval_bound, s_r, schwarz_composed_bound)
@@ -95,17 +94,16 @@ class FunctionalReport:
         return cls(value, rhs, margin >= -VIOLATION_TOL, margin)
 
 
-def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float,
-             config=DEFAULT_CONFIG) -> float:
+def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float) -> float:
     """Weighted majorant sum_n ||A_n|| phi_n(r), exact or raising.
 
     A geometric continuation is summed in closed form for built-in kinds;
     for custom kinds Phi_n(r) ||A_n|| / (1 - q) bounds the rest from n and
-    must reach config.abs_tol within config.truncation_n terms.
+    must reach series.ABS_TOL within series.TRUNCATION_N terms.
     """
     _check_radius(r)
     return norm_sum(coeffs, phi_weight(phi, r), max(coeffs.start_index, phi.start_index),
-                    sup_weight=lambda n: phi_tail(phi, n, r, config), config=config)
+                    sup_weight=lambda n: phi_tail(phi, n, r))
 
 
 def bohr_area_functional(coeffs: CoeffSeries, r: float, lambda_h: float = 1.0,

@@ -4,7 +4,7 @@ Generalized Bohr sums replace the monomial weights r^n by an admissible
 sequence of non-negative continuous functions whose sum converges on
 [0, 1).  Built-in kinds carry closed-form tails; custom sequences are
 summed by truncation with a geometric tail estimate certified against
-the configured tolerance.
+the fixed tolerance ``series.ABS_TOL``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NonConvergenceError
-from .series import (DEFAULT_CONFIG, CoeffSeries, GeometricWeight, SeriesEvalConfig,
+from .series import (ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, CoeffSeries, GeometricWeight,
                      _check_radius, norm_sum)
 
 PHI_KINDS = ("monomial", "weighted_linear", "weighted_quadratic",
@@ -104,14 +104,13 @@ def phi_term(phi: PhiSequence, n: int, r: float) -> float:
     return value
 
 
-def phi_tail(phi: PhiSequence, N: int, r: float,
-             config: SeriesEvalConfig = DEFAULT_CONFIG) -> float:
+def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
     Built-in kinds use closed forms whose numerators add non-negative
     terms, so nothing cancels as r -> 1; custom kinds fall back to a
     truncated sum plus a geometric tail estimate whose certified bound
-    must not exceed config.abs_tol.
+    must not exceed series.ABS_TOL.
     """
     if N < 0:
         raise DomainError("tail start index must be non-negative")
@@ -134,24 +133,24 @@ def phi_tail(phi: PhiSequence, N: int, r: float,
         return head + r ** (N | 1) / ((1.0 - r) * (1.0 + r))
     if phi.custom_tail is not None:
         return float(phi.custom_tail(N, r))
-    return _truncated_tail(phi, N, r, config)
+    return _truncated_tail(phi, N, r)
 
 
-def _truncated_tail(phi, N, r, config):
-    terms = [phi_term(phi, n, r) for n in range(N, N + config.truncation_n)]
+def _truncated_tail(phi, N, r):
+    terms = [phi_term(phi, n, r) for n in range(N, N + TRUNCATION_N)]
     nonzero = [t for t in terms if t > 0.0]
     if len(nonzero) < 2:
         return math.fsum(terms)
     ratio = nonzero[-1] / nonzero[-2]
-    if ratio >= config.tail_ratio_cap:
+    if ratio >= TAIL_RATIO_CAP:
         raise NonConvergenceError(
             f"term ratio {ratio:.6g} at truncation exceeds the cap "
-            f"{config.tail_ratio_cap:.6g}; cannot certify convergence")
+            f"{TAIL_RATIO_CAP:.6g}; cannot certify convergence")
     bound = nonzero[-1] * ratio / (1.0 - ratio)
-    if bound > config.abs_tol:
+    if bound > ABS_TOL:
         raise NonConvergenceError(
-            f"tail estimate {bound:.3g} exceeds abs_tol {config.abs_tol:.3g} "
-            f"after {config.truncation_n} terms")
+            f"tail estimate {bound:.3g} exceeds abs_tol {ABS_TOL:.3g} "
+            f"after {TRUNCATION_N} terms")
     return math.fsum(terms) + bound
 
 
@@ -163,7 +162,7 @@ def phi_weight(phi: PhiSequence, r: float):
     return GeometricWeight(c, r, 1.0 - r, step, parity, head)
 
 
-def _refined_weight(phi, r, am, config):
+def _refined_weight(phi, r, am):
     """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1.
 
     For a built-in kind starting at 0 with polynomial P, phi_{2n} is
@@ -173,7 +172,7 @@ def _refined_weight(phi, r, am, config):
     """
     if phi.kind == "custom" or phi.start_index > 0:
         return lambda n: (phi_term(phi, 2 * n, r) / (1.0 + am)
-                          + phi_tail(phi, 2 * n + 1, r, config))
+                          + phi_tail(phi, 2 * n + 1, r))
     (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
     on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
     first = 1 + (parity - 1) % step
@@ -184,8 +183,7 @@ def _refined_weight(phi, r, am, config):
 
 
 def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
-                exponent_mode: str = "square",
-                config: SeriesEvalConfig = DEFAULT_CONFIG) -> float:
+                exponent_mode: str = "square") -> float:
     """Refinement term sum_{n > m} ||A_n||^e ( phi_{2n}/(1 + ||A_m||) + Phi_{2n+1} ).
 
     exponent_mode picks e: "square" uses e = 2 (the convention of the
@@ -199,5 +197,5 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
         raise DomainError("m must be non-negative")
     _check_radius(r)
     power, index_power = (2, 0) if exponent_mode == "square" else (0, 2)
-    return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m), config), m + 1,
-                    power, index_power, lambda n: phi_tail(phi, 2 * n, r, config), config)
+    return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m)), m + 1,
+                    power, index_power, lambda n: phi_tail(phi, 2 * n, r))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, DomainError
 from .functionals import MuFunction
 from .optimize import grid_then_golden_min, refine_by_derivative_sign
-from .phi import BUILTIN_PHI, DEFAULT_CONFIG, PhiSequence, phi_tail, phi_term
+from .phi import BUILTIN_PHI, PhiSequence, phi_tail, phi_term
 from .roots import RootResult, min_positive_root
 from .series import DomainSpec
 

@@ -21,25 +21,13 @@ from .errors import ConfigurationError, DomainError, NonConvergenceError
 # parameter takes over; parameters that close together raise instead
 MAX_BLEND_NORMS = 1 << 18
 
-
-@dataclass(frozen=True)
-class SeriesEvalConfig:
-    """Truncation policy for sums that lack a closed form."""
-
-    truncation_n: int = 512
-    tail_ratio_cap: float = 0.99
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.truncation_n < 2:
-            raise ConfigurationError("truncation_n must be at least 2")
-        if not 0.0 < self.tail_ratio_cap < 1.0:
-            raise ConfigurationError("tail_ratio_cap must lie in (0, 1)")
-        if self.abs_tol <= 0:
-            raise ConfigurationError("abs_tol must be positive")
-
-
-DEFAULT_CONFIG = SeriesEvalConfig()
+# Truncation policy for sums that lack a closed form: at most
+# TRUNCATION_N terms past the stored or closed-form part, a remainder
+# of at most ABS_TOL, and no tail estimate once terms shrink more slowly
+# than TAIL_RATIO_CAP per index.
+TRUNCATION_N = 512
+TAIL_RATIO_CAP = 0.99
+ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,8 +157,7 @@ class GeometricWeight:
 
 
 def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
-             index_power: int = 0, sup_weight=None,
-             config: SeriesEvalConfig = DEFAULT_CONFIG) -> float:
+             index_power: int = 0, sup_weight=None) -> float:
     """sum_{n >= start} ||A_n||^e(n) weight(n), e(n) = power + index_power n.
 
     A geometric continuation of the stored norms adds, for a
@@ -178,8 +165,8 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
     weights need ``sup_weight(n)`` >= weight(k) for all k >= n, and
     continuation terms are added until the bound sup_weight(n) ||A_n||^e
     / (1 - q^e) on the rest (valid for a constant exponent, or once
-    ||A_n|| <= 1) is at most config.abs_tol, within config.truncation_n
-    terms or NonConvergenceError.  A short sum is never returned.
+    ||A_n|| <= 1) is at most ABS_TOL, within TRUNCATION_N terms or
+    NonConvergenceError.  A short sum is never returned.
     """
     norms = coeffs.norms[start:]
     weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
@@ -195,14 +182,14 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
         return math.fsum(terms)
     if sup_weight is None:
         raise ConfigurationError("a weight without a closed-form tail needs sup_weight")
-    for n in range(N, N + config.truncation_n + 1):
+    for n in range(N, N + TRUNCATION_N + 1):
         x = coeffs.norm(n)
         e = power + index_power * n
-        if (not index_power or x <= 1.0) and sup_weight(n) * x**e <= config.abs_tol * (1.0 - q**e):
+        if (not index_power or x <= 1.0) and sup_weight(n) * x**e <= ABS_TOL * (1.0 - q**e):
             return math.fsum(terms)
         terms.append(x**e * weight(n))
-    raise NonConvergenceError(f"series remainder stays above abs_tol {config.abs_tol:.3g} "
-                              f"after {config.truncation_n} continuation terms")
+    raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "
+                              f"after {TRUNCATION_N} continuation terms")
 
 
 @dataclass(frozen=True)

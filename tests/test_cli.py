@@ -11,9 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from bohrad.cli import main
+from bohrad import FunctionalReport, cli
+from bohrad.cli import SWEEP_A_GRID, main
 
 EXPECTED_BLOCH = math.sqrt(6.0 / (6.0 + math.pi**2))
+
+# argv, exit code and full stdout of every README example and one verify
+# per family at the default seed; a refactor must leave each one unchanged
+GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +128,38 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["summary"]["mismatches"] == 2
 
+    @pytest.mark.parametrize("argv, draws", [
+        (("--family", "bohr", "--gamma", "0"), 100),
+        (("--family", "bohr", "--gamma", "0", "--samples", "7"), 7),
+        (("--family", "rogosinski", "--p", "1", "--m", "1", "--mu-const", "1"), 100),
+        (("--family", "energy", "--lambda-h", "1", "--samples", "30"), 30),
+        (("--family", "bohr", "--gamma", "0.5"), 0),
+        (("--family", "refined", "--m", "1", "--mu-const", "1", "--gamma", "0"), 0),
+    ])
+    def test_seeded_draws_only_on_the_unshifted_disk_family(self, capsys, argv, draws):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert json.loads(out)["summary"]["checked"] == len(SWEEP_A_GRID) + draws
+
+    def test_draws_go_through_the_extremal_functional(self, capsys, monkeypatch):
+        # a functional that fails at every a off the fixed grid must fail
+        # once per seeded draw
+        real = cli.problem_functional
+
+        def failing_off_grid(problem):
+            evaluate = real(problem)
+
+            def report(a, r):
+                rep = evaluate(a, r)
+                return rep if a in SWEEP_A_GRID else FunctionalReport.compare(2.0, 1.0)
+            return report
+        monkeypatch.setattr(cli, "problem_functional", failing_off_grid)
+        code, out, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0",
+                               "--samples", "3")
+        summary = json.loads(out)["summary"]
+        assert code == 4
+        assert (summary["checked"], summary["failures"]) == (8, 3)
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.5",
                               "--seed", "42")
@@ -200,6 +237,16 @@ class TestExitCodes:
                              "--tol", "0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--seed", "-1"),
+        ("verify", "--samples", "-3"),
+        ("radius", "--phi", "monomial", "--gamma", "0", "--scan-step", "nan"),
+    ])
+    def test_out_of_range_inputs_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_malformed_float_exits_two(self, capsys):
         code = main(["radius", "--phi", "monomial", "--p", "banana", "--gamma", "0"])
         capsys.readouterr()
@@ -226,3 +273,8 @@ def test_console_script_smoke():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["radius"] == pytest.approx(1 / 3, abs=1e-6)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_stdout(capsys, case):
+    assert run_cli(capsys, *case["argv"])[:2] == (case["exit"], case["stdout"])

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, CoeffSeries,
-                    PhiSequence, SeriesEvalConfig, phi_tail, phi_term,
-                    refined_sum)
+                    PhiSequence, phi_tail, phi_term, refined_sum)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 
 import mp_sums
@@ -197,13 +196,3 @@ class TestRefinedSum:
         sq = refined_sum(coeffs, MONOMIAL, 0, r)
         tn = refined_sum(coeffs, MONOMIAL, 0, r, "two_n")
         assert sq >= tn - 1e-12
-
-
-class TestSeriesEvalConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SeriesEvalConfig(truncation_n=1)
-        with pytest.raises(ConfigurationError):
-            SeriesEvalConfig(tail_ratio_cap=1.5)
-        with pytest.raises(ConfigurationError):
-            SeriesEvalConfig(abs_tol=0.0)

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 from bohrad import (CoeffSeries, DomainSpec, MatrixCoeffFn, check_coeff_bound,
                     diag_blend_coeffs, mobius_gamma_coeffs, operator_norm,
                     point_eval_bound, s_r, schwarz_composed_bound)
-from bohrad.cli import _random_blend
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.series import norm_sum
 
 import mp_sums
+
+
+def phased_equal_blend(rng):
+    """1-8 entries sharing one parameter a, each with a random phase."""
+    d = int(rng.integers(1, 9))
+    a = float(rng.uniform(0.05, 0.995))
+    phases = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(d))
+    return MatrixCoeffFn((a,) * d, phases)
 
 
 def power_iteration_norm(matrix, iters=5000, tol=1e-15, seed=7):
@@ -192,7 +199,7 @@ class TestDiagonalBlend:
         # rest to round-off.
         longer = 0
         for seed in range(40):
-            fn = _random_blend(np.random.default_rng(seed))
+            fn = phased_equal_blend(np.random.default_rng(seed))
             blend = diag_blend_coeffs(fn)
             n = blend.last_index
             while True:
