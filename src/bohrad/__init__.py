@@ -6,9 +6,8 @@ radius solving, polynomial calibration, Bloch-space radii, and a CLI
 that reproduces the reference tables and runs sharpness probes.
 """
 
-from .bloch import (BlochParams, HyperbolicDensity, bloch_majorant_check,
-                    bloch_radius, bloch_radius_gamma, bloch_refined_radius,
-                    m_integral)
+from .bloch import (HyperbolicDensity, bloch_majorant_check, bloch_radius,
+                    bloch_radius_gamma, bloch_refined_radius, m_integral)
 from .errors import (BohradError, ConfigurationError, DomainError,
                      InfeasibleError, InvalidTestFunctionError, NoRootError,
                      NonConvergenceError, SingularIntegrandError)

@@ -31,6 +31,8 @@ REFINED_THRESHOLD = 3.0 / math.pi
 
 # proxy position for "the limit as r -> 1^-" precondition checks
 LIMIT_PROBE = 1.0 - 1e-6
+# node doubling in m_integral stops when two successive values agree to this
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,28 +84,12 @@ class HyperbolicDensity:
         return float(np.min(self.on_circle(r, thetas)))
 
 
-@dataclass(frozen=True)
-class BlochParams:
-    """Exponent and quadrature resolution for Bloch-radius computations."""
-
-    nu: float
-    quadrature_nodes: int = 64
-
-    def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise DomainError("nu must lie in (0, 1]")
-        if self.quadrature_nodes < 64:
-            raise DomainError("quadrature needs at least 64 nodes")
-
-
-def m_integral(density: HyperbolicDensity, nu: float, r: float,
-               force_quadrature: bool = False, tol: float = 1e-10,
-               start_nodes: int = 64) -> float:
+def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     """M(r) = (r / 2 pi) * circle integral of lambda^{2 nu}.
 
     Uses the closed form for the unit disk and periodic trapezoidal
-    quadrature otherwise, doubling nodes until two successive values
-    differ by at most tol (relative for large values).
+    quadrature otherwise, doubling nodes from 64 until two successive
+    values differ by at most QUAD_TOL (relative for large values).
     """
     if not 0.0 <= r < 1.0:
         raise DomainError("r must lie in [0, 1)")
@@ -111,9 +97,9 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float,
         raise DomainError("nu must lie in (0, 1]")
     if r == 0.0:
         return 0.0
-    if density.kind == "unit_disk" and not force_quadrature:
+    if density.kind == "unit_disk":
         return r * r / (1.0 - r * r) ** (2.0 * nu)
-    nodes = max(64, start_nodes)
+    nodes = 64
     prev = None
     while nodes <= 2**20:
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
@@ -122,7 +108,7 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float,
             raise SingularIntegrandError(
                 f"density is singular or non-positive on |z| = {r}")
         value = r * r * float(np.mean(lam ** (2.0 * nu)))
-        if prev is not None and abs(value - prev) <= tol * max(1.0, abs(value)):
+        if prev is not None and abs(value - prev) <= QUAD_TOL * max(1.0, abs(value)):
             return value
         prev = value
         nodes *= 2

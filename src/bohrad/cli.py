@@ -13,20 +13,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import HyperbolicDensity, bloch_radius, bloch_radius_gamma, \
     bloch_refined_radius, gamma_equation_value
-from .errors import (BohradError, ConfigurationError, DomainError,
-                     InfeasibleError, NoRootError, NonConvergenceError,
-                     SingularIntegrandError)
+from .errors import (BohradError, ConfigurationError, InfeasibleError,
+                     NoRootError, NonConvergenceError, SingularIntegrandError)
 from .functionals import (MuFunction, bohr_area_functional,
                           bohr_beta_functional, bohr_energy_functional,
-                          problem_functional)
+                          problem_functional, sharpness_probe)
 from .phi import BUILTIN_PHI
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
 from .radii import (RadiusProblem, radius_refined, radius_rogosinski,
@@ -56,62 +53,6 @@ def _sig9(x):
     if isinstance(x, (list, tuple)):
         return [_sig9(v) for v in x]
     return x
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation of one command."""
-
-    command: str
-    phi_kind: str = "monomial"
-    p: float = 1.0
-    m: int = 0
-    N: int = 1
-    mu_const: float = 0.0
-    gamma: float | None = None
-    lambda_h: float | None = None
-    nu: float = 0.5
-    beta: float | None = None
-    degree: int = 1
-    tail: tuple[float, ...] = ()
-    equation: str = "refined"
-    variant: str = "majorant"
-    bloch_domain: str = "disk"
-    table_id: int | None = None
-    family: str = "bohr"
-    allow_errata: bool = False
-    tol: float = 1e-12
-    scan_step: float = 1e-3
-    fmt: str = "json"
-    seed: int = 0
-    out_path: str | None = None
-    samples: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.tol <= 1e-3:
-            raise ConfigurationError("tol must lie in (0, 1e-3]")
-        if not 0.0 < self.scan_step < 1.0:  # also rejects nan
-            raise ConfigurationError("scan-step must lie in (0, 1)")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
-        if self.samples < 0:
-            raise ConfigurationError("samples must be non-negative")
-        if self.gamma is not None and self.lambda_h is not None:
-            raise ConfigurationError("give exactly one of --gamma / --lambda-h")
-
-    def domain(self, default_gamma=None) -> DomainSpec:
-        if self.gamma is not None:
-            return DomainSpec.omega_gamma(self.gamma)
-        if self.lambda_h is not None:
-            return DomainSpec.general(self.lambda_h)
-        if default_gamma is not None:
-            return DomainSpec.omega_gamma(default_gamma)
-        raise ConfigurationError("this command needs --gamma or --lambda-h")
-
-    def phi(self):
-        if self.phi_kind not in BUILTIN_PHI:
-            raise ConfigurationError(f"unknown phi kind {self.phi_kind!r}")
-        return BUILTIN_PHI[self.phi_kind]
 
 
 class _SingleLineParser(argparse.ArgumentParser):
@@ -162,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=2)
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--allow-errata", action="store_true")
+    sp.set_defaults(id=None)  # read by --family tables
     common(sp)
 
     sp = sub.add_parser("calibrate", help="calibrate the positive-coefficient polynomial")
@@ -185,167 +127,168 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, fmt=args.format, tol=args.tol,
-                    scan_step=args.scan_step, seed=args.seed, out_path=args.out)
-    for name, attr in (("phi_kind", "phi"), ("p", "p"), ("m", "m"), ("N", "N"),
-                       ("mu_const", "mu_const"), ("gamma", "gamma"),
-                       ("lambda_h", "lambda_h"), ("nu", "nu"), ("beta", "beta"),
-                       ("degree", "degree"), ("equation", "kind"),
-                       ("variant", "variant"), ("bloch_domain", "domain"),
-                       ("table_id", "id"), ("family", "family"),
-                       ("allow_errata", "allow_errata"), ("samples", "samples")):
-        if hasattr(args, attr):
-            setattr(cfg, name, getattr(args, attr))
-    if getattr(args, "c", None):
-        cfg.tail = tuple(args.c)
-    cfg.__post_init__()
-    return cfg
+def _validated(args):
+    """The parsed arguments, once the ranges argparse cannot express hold."""
+    if not 0.0 < args.tol <= 1e-3:
+        raise ConfigurationError("tol must lie in (0, 1e-3]")
+    if not 0.0 < args.scan_step < 1.0:  # also rejects nan
+        raise ConfigurationError("scan-step must lie in (0, 1)")
+    if args.seed < 0:
+        raise ConfigurationError("seed must be non-negative")
+    if getattr(args, "samples", 0) < 0:
+        raise ConfigurationError("samples must be non-negative")
+    if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
+        raise ConfigurationError("give exactly one of --gamma / --lambda-h")
+    return args
+
+
+def _domain(args, default_gamma=None) -> DomainSpec:
+    if args.gamma is not None:
+        return DomainSpec.omega_gamma(args.gamma)
+    if args.lambda_h is not None:
+        return DomainSpec.general(args.lambda_h)
+    if default_gamma is not None:
+        return DomainSpec.omega_gamma(default_gamma)
+    raise ConfigurationError("this command needs --gamma or --lambda-h")
+
+
+def _phi(args):
+    if args.phi not in BUILTIN_PHI:
+        raise ConfigurationError(f"unknown phi kind {args.phi!r}")
+    return BUILTIN_PHI[args.phi]
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_radius(cfg: RunConfig):
-    phi = cfg.phi()
-    mu = MuFunction.constant(cfg.mu_const)
-    if cfg.equation == "refined":
-        problem = RadiusProblem(phi, cfg.p, m=cfg.m, N=cfg.N, mu=mu,
-                                domain=cfg.domain(), equation_kind="refined")
-        result = radius_refined(problem, cfg.tol, cfg.scan_step)
-    else:
-        problem = RadiusProblem(phi, cfg.p, m=cfg.m, N=cfg.N, mu=mu,
-                                equation_kind="rogosinski")
-        result = radius_rogosinski(problem, cfg.tol, cfg.scan_step)
-    params = {"phi": cfg.phi_kind, "p": cfg.p, "m": cfg.m, "N": cfg.N,
-              "mu": cfg.mu_const, "kind": cfg.equation,
-              "gamma": cfg.gamma, "lambda_h": cfg.lambda_h}
+def _cmd_radius(args):
+    phi = _phi(args)
+    mu = MuFunction.constant(args.mu_const)
+    refined = args.kind == "refined"
+    problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
+                            domain=_domain(args) if refined else DomainSpec.disk(),
+                            equation_kind=args.kind)
+    result = (radius_refined if refined else radius_rogosinski)(problem, args.tol, args.scan_step)
+    params = {"phi": args.phi, "p": args.p, "m": args.m, "N": args.N,
+              "mu": args.mu_const, "kind": args.kind,
+              "gamma": args.gamma, "lambda_h": args.lambda_h}
     record = {"command": "radius", "params": params, "radius": result.value,
               "residual": result.residual, "bracket": list(result.bracket),
               "iterations": result.iterations, "flags": []}
     return EXIT_OK, record
 
 
-def _cmd_tables(cfg: RunConfig):
-    rows = reproduce_table(cfg.table_id, cfg.tol) if cfg.table_id \
-        else reproduce_all_tables(cfg.tol)
+def _cmd_tables(args):
+    rows = reproduce_table(args.id, args.tol) if args.id else reproduce_all_tables(args.tol)
     flags = [f"erratum:table{row.table_id}:(p={row.p:g},m={row.m},mu={row.mu:g})"
              for row in rows if row.erratum]
     mismatched = [row for row in rows if row.delta > TABLE_MATCH_TOL]
     record = {"command": "tables",
-              "params": {"id": cfg.table_id, "allow_errata": cfg.allow_errata},
+              "params": {"id": args.id, "allow_errata": args.allow_errata},
               "rows": [{"table": row.table_id, "phi": row.phi_kind, "p": row.p,
                         "m": row.m, "mu": row.mu, "R_printed": row.printed,
                         "R_computed": row.computed, "delta": row.delta,
                         "erratum": row.erratum} for row in rows],
               "flags": flags}
-    code = EXIT_OK if (not mismatched or cfg.allow_errata) else EXIT_VERIFY_FAILED
+    code = EXIT_OK if (not mismatched or args.allow_errata) else EXIT_VERIFY_FAILED
     return code, record
 
 
-def _verify_functional(cfg: RunConfig, domain: DomainSpec):
-    """(radius, coeffs -> report) for the improved-functional families."""
+def _verify_setup(args):
+    """(radius, extremal functional (a, r) -> report or None, sampled).
+
+    Seeded draws of a join the fixed grid (sampled) only on the unshifted
+    disk family (lambda_H = 1, m = 0), whose norm sequences are those of
+    every diagonal Mobius blend with a common parameter.
+    """
+    mu = MuFunction.constant(args.mu_const)
+    phi = _phi(args)
+    if args.family == "rogosinski":
+        # m is the Schwarz order here; the family itself is never shifted
+        problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
+                                equation_kind="rogosinski")
+        radius = radius_rogosinski(problem, args.tol, args.scan_step).value
+        return radius, problem_functional(problem), True
+
+    domain = _domain(args, default_gamma=0.0)
     lam = domain.effective_lambda
-    base = 1.0 / (1.0 + 2.0 * lam)
-    if cfg.family == "area-poly":
-        return base, lambda c, r: bohr_area_functional(c, r, lam, cfg.degree)
-    if cfg.family == "beta-square":
-        beta = cfg.beta if cfg.beta is not None else 1.0 / (4.0 * lam)
+    disk = abs(lam - 1.0) <= 1e-12
+    if args.family in ("bohr", "refined"):
+        # "bohr" is the plain weighted sum: the refined functional at mu = 0
+        problem = RadiusProblem(phi, args.p, m=args.m, N=args.N,
+                                mu=MuFunction.zero() if args.family == "bohr" else mu,
+                                domain=domain, equation_kind="refined")
+        radius = radius_refined(problem, args.tol, args.scan_step).value
+        return radius, problem_functional(problem), args.m == 0 and disk
+
+    if args.family == "area-poly":
+        functional = lambda c, r: bohr_area_functional(c, r, lam, args.degree)
+    elif args.family == "beta-square":
+        beta = args.beta if args.beta is not None else 1.0 / (4.0 * lam)
         if beta > 1.0 / (4.0 * lam) + 1e-12:
             raise ConfigurationError("beta must be at most 1/(4 lambda_h)")
-        return base, lambda c, r: bohr_beta_functional(c, r, beta)
-    if cfg.family == "energy":
-        return base, lambda c, r: bohr_energy_functional(c, r, lam)
-    raise ConfigurationError(f"family {cfg.family!r} has no direct functional")
+        functional = lambda c, r: bohr_beta_functional(c, r, beta)
+    else:
+        functional = lambda c, r: bohr_energy_functional(c, r, lam)
+    radius = 1.0 / (1.0 + 2.0 * lam)
+    if domain.mode == "general" and not disk:
+        return radius, None, False  # no constructible family for general lambda_h != 1
+    # a general domain gets here only as the disk, gamma = 0
+    return radius, lambda a, r: functional(mobius_gamma_coeffs(a, domain.gamma or 0.0), r), disk
 
 
-def _cmd_verify(cfg: RunConfig):
-    if cfg.family == "tables":
-        code, record = _cmd_tables(cfg)
+def _cmd_verify(args):
+    if args.family == "tables":
+        code, record = _cmd_tables(args)
         record["command"] = "verify"
-        record["summary"] = {"family": "tables",
-                             "mismatches": sum(1 for r in record["rows"]
-                                               if r["delta"] > TABLE_MATCH_TOL)}
+        record["summary"] = {"family": "tables", "mismatches": sum(
+            r["delta"] > TABLE_MATCH_TOL for r in record["rows"])}
         return code, record
 
-    mu = MuFunction.constant(cfg.mu_const)
-    phi = cfg.phi()
-
-    # on the unshifted disk family (lambda_H = 1, m = 0), whose norm
-    # sequences are those of every diagonal Mobius blend with a common
-    # parameter, seeded draws of a join the fixed grid
-    if cfg.family in ("bohr", "refined"):
-        # "bohr" is the plain weighted sum: the refined functional at mu = 0
-        if cfg.family == "bohr":
-            mu = MuFunction.zero()
-        domain = cfg.domain(default_gamma=0.0)
-        problem = RadiusProblem(phi, cfg.p, m=cfg.m, N=cfg.N, mu=mu,
-                                domain=domain, equation_kind="refined")
-        radius = radius_refined(problem, cfg.tol, cfg.scan_step).value
-        extremal = problem_functional(problem)
-        sampled = cfg.m == 0 and abs(domain.effective_lambda - 1.0) <= 1e-12
-    elif cfg.family == "rogosinski":
-        # m is the Schwarz order here; the family itself is never shifted
-        problem = RadiusProblem(phi, cfg.p, m=cfg.m, N=cfg.N, mu=mu,
-                                equation_kind="rogosinski")
-        radius = radius_rogosinski(problem, cfg.tol, cfg.scan_step).value
-        extremal = problem_functional(problem)
-        sampled = True
-    else:
-        domain = cfg.domain(default_gamma=0.0)
-        radius, functional = _verify_functional(cfg, domain)
-        gamma = domain.gamma if domain.mode == "gamma" else None
-
-        def extremal(a, r):
-            return functional(mobius_gamma_coeffs(a, gamma or 0.0), r)
-        sampled = abs(domain.effective_lambda - 1.0) <= 1e-12
-        if gamma is None and not sampled:
-            extremal = None  # no constructible family for general lambda_h != 1
-
+    radius, extremal, sampled = _verify_setup(args)
     r_below = max(radius - PROBE_OFFSET, radius / 2.0)
     r_above = radius + PROBE_OFFSET
     a_values = list(SWEEP_A_GRID) if extremal is not None else []
     if sampled:
-        a_values += np.random.default_rng(cfg.seed).uniform(0.05, 0.995, cfg.samples).tolist()
+        a_values += np.random.default_rng(args.seed).uniform(0.05, 0.995, args.samples).tolist()
     reports = [(a, extremal(a, r_below)) for a in a_values]
     checked = len(reports)
-    worst_margin = min((rep.margin for _, rep in reports), default=math.inf)
-    failures = [{"a": a, "margin": rep.margin} for a, rep in reports if not rep.satisfied]
+    failures = sum(not rep.satisfied for _, rep in reports)
+    worst_margin, worst_a = min(((rep.margin, a) for a, rep in reports), default=(None, None))
 
-    witness = None
     expect_witness = extremal is not None and r_above < 1.0
-    if expect_witness:
-        for a in SWEEP_A_GRID:
-            rep = extremal(a, r_above)
-            if not rep.satisfied:
-                witness = a
-                break
+    witness = sharpness_probe(None, r_above, SWEEP_A_GRID, extremal) if expect_witness else None
 
     passed = not failures and (witness is not None or not expect_witness)
     flags = [] if passed else ["verification-failed"]
     if checked == 0:
         flags.append("no-constructible-test-family")
-    summary = {"family": cfg.family, "radius": radius, "r_below": r_below,
+    if failures:
+        print(f"error: guarantee fails at {failures} of {checked} parameters; "
+              f"worst a = {worst_a:.9g}, margin {worst_margin:.9g}", file=sys.stderr)
+    elif not passed:
+        print(f"error: no violation found above the radius, at r = {r_above:.9g}",
+              file=sys.stderr)
+    summary = {"family": args.family, "radius": radius, "r_below": r_below,
                "r_above": r_above if expect_witness else None,
-               "checked": checked, "failures": len(failures),
-               "worst_margin": None if checked == 0 else worst_margin,
+               "checked": checked, "failures": failures, "worst_margin": worst_margin,
                "witness_a": witness, "passed": passed}
     record = {"command": "verify",
-              "params": {"family": cfg.family, "phi": cfg.phi_kind, "p": cfg.p,
-                         "m": cfg.m, "N": cfg.N, "mu": cfg.mu_const,
-                         "gamma": cfg.gamma, "lambda_h": cfg.lambda_h,
-                         "beta": cfg.beta, "seed": cfg.seed},
+              "params": {"family": args.family, "phi": args.phi, "p": args.p,
+                         "m": args.m, "N": args.N, "mu": args.mu_const,
+                         "gamma": args.gamma, "lambda_h": args.lambda_h,
+                         "beta": args.beta, "seed": args.seed},
               "summary": summary,
               "flags": flags}
     return (EXIT_OK if passed else EXIT_VERIFY_FAILED), record
 
 
-def _cmd_calibrate(cfg: RunConfig):
-    tail = cfg.tail
-    if tail and len(tail) != cfg.degree - 1:
+def _cmd_calibrate(args):
+    tail = tuple(args.c or ())
+    if tail and len(tail) != args.degree - 1:
         raise ConfigurationError("give exactly degree-1 tail coefficients")
     spec = calibrate_area_poly(tail)
     record = {"command": "calibrate",
-              "params": {"degree": max(cfg.degree, spec.degree), "tail": list(tail)},
+              "params": {"degree": max(args.degree, spec.degree), "tail": list(tail)},
               "coefficients": list(spec.coefficients),
               "residual": calibration_residual(spec),
               "peak_weights": [peak_weight(s) for s in range(2, spec.degree + 1)],
@@ -353,32 +296,32 @@ def _cmd_calibrate(cfg: RunConfig):
     return EXIT_OK, record
 
 
-def _cmd_bloch(cfg: RunConfig):
-    if (cfg.bloch_domain == "gamma" or cfg.variant == "majorant-gamma") and cfg.gamma is None:
+def _cmd_bloch(args):
+    if (args.domain == "gamma" or args.variant == "majorant-gamma") and args.gamma is None:
         raise ConfigurationError("this bloch variant needs --gamma")
-    density = HyperbolicDensity.unit_disk() if cfg.bloch_domain == "disk" \
-        else HyperbolicDensity.omega_gamma(cfg.gamma)
+    density = HyperbolicDensity.unit_disk() if args.domain == "disk" \
+        else HyperbolicDensity.omega_gamma(args.gamma)
     flags = []
-    if cfg.variant == "majorant":
-        result = bloch_radius(density, cfg.nu, cfg.tol, cfg.scan_step)
-    elif cfg.variant == "majorant-gamma":
-        result = bloch_radius_gamma(cfg.gamma, cfg.nu, cfg.tol, cfg.scan_step)
+    if args.variant == "majorant":
+        result = bloch_radius(density, args.nu, args.tol, args.scan_step)
+    elif args.variant == "majorant-gamma":
+        result = bloch_radius_gamma(args.gamma, args.nu, args.tol, args.scan_step)
         changes = count_sign_changes(
-            lambda r: gamma_equation_value(cfg.gamma, cfg.nu, r), cfg.scan_step)
+            lambda r: gamma_equation_value(args.gamma, args.nu, r), args.scan_step)
         flags.append(f"sign-changes:{changes}")
     else:
-        result = bloch_refined_radius(density, cfg.nu, cfg.tol, cfg.scan_step)
+        result = bloch_refined_radius(density, args.nu, args.tol, args.scan_step)
     record = {"command": "bloch",
-              "params": {"domain": cfg.bloch_domain, "gamma": cfg.gamma,
-                         "nu": cfg.nu, "variant": cfg.variant},
+              "params": {"domain": args.domain, "gamma": args.gamma,
+                         "nu": args.nu, "variant": args.variant},
               "radius": result.value, "residual": result.residual,
               "flags": flags}
     return EXIT_OK, record
 
 
-def _cmd_bounds(cfg: RunConfig):
-    lower, upper = rp_bounds(cfg.p)
-    record = {"command": "bounds", "params": {"p": cfg.p},
+def _cmd_bounds(args):
+    lower, upper = rp_bounds(args.p)
+    record = {"command": "bounds", "params": {"p": args.p},
               "lower": lower, "upper": upper, "flags": []}
     return EXIT_OK, record
 
@@ -418,8 +361,7 @@ def render(record, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         return buf.getvalue()
     lines = [f"command: {record['command']}"]
     lines += [f"{key}: {value}" for key, value in record.items() if key != "command"]
@@ -433,11 +375,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse validation already printed one line
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
-        cfg = config_from_args(args)
-        code, record = _COMMANDS[cfg.command](cfg)
-    except (ConfigurationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, record = _COMMANDS[args.command](_validated(args))
     except (NoRootError, InfeasibleError, NonConvergenceError,
             SingularIntegrandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -445,9 +383,9 @@ def main(argv=None) -> int:
     except BohradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    text = render(record, cfg.fmt)
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as handle:
+    text = render(record, args.format)
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

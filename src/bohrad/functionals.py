@@ -301,8 +301,7 @@ def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID,
         raise DomainError("probe radius must lie in (0, 1)")
     evaluate = functional if functional is not None else problem_functional(problem)
     for a in a_grid:
-        report = evaluate(a, r)
-        if report.margin < -VIOLATION_TOL:
+        if not evaluate(a, r).satisfied:
             return a
     return None
 

@@ -36,7 +36,7 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
     reporting whether the scanned values were all positive or all
     negative.
     """
-    if tol <= 0 or scan_step <= 0:
+    if not (tol > 0 and scan_step > 0):  # also rejects nan
         raise DomainError("tol and scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
@@ -91,6 +91,10 @@ def _bisect(f, lo, hi, flo, tol, scan_step, iterations):
 
 def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0) -> int:
     """Number of sign changes of f seen on the scan grid of (0, upper)."""
+    if not scan_step > 0:  # also rejects nan; a step <= 0 never ends the scan
+        raise DomainError("scan_step must be positive")
+    if not 0.0 < upper <= 1.0:
+        raise DomainError("upper must lie in (0, 1]")
     count = 0
     prev = None
     k = 1

@@ -62,12 +62,6 @@ class CoeffSeries:
         object.__setattr__(self, "norms", norms)
 
     @classmethod
-    def from_norms(cls, values, start_index=0, tail_geometric_ratio=None):
-        """Build a series whose first stored value sits at ``start_index``."""
-        padded = (0.0,) * start_index + tuple(float(v) for v in values)
-        return cls(padded, start_index, tail_geometric_ratio)
-
-    @classmethod
     def unit_constant(cls):
         """The equality witness f = cI with |c| = 1: norms (1, 0, 0, ...)."""
         return cls((1.0,))

@@ -7,8 +7,8 @@ import pytest
 from bohrad import (CoeffSeries, HyperbolicDensity, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
                     count_sign_changes, m_integral)
-from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, BlochParams,
-                          derivative_majorant, gamma_equation_value)
+from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
+                          gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
                            SingularIntegrandError)
 
@@ -35,10 +35,12 @@ class TestCircleIntegral:
         assert m_integral(DISK, 0.5, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_quadrature_matches_closed_form(self):
+        # Omega_0 is the disk, but its density goes through the trapezoid rule
+        disk_by_quadrature = HyperbolicDensity.omega_gamma(0.0)
         for r in (0.2, 0.5, 0.8):
             for nu in (0.25, 0.5, 1.0):
                 closed = m_integral(DISK, nu, r)
-                quad = m_integral(DISK, nu, r, force_quadrature=True)
+                quad = m_integral(disk_by_quadrature, nu, r)
                 assert abs(closed - quad) <= 1e-9
 
     def test_gamma_zero_reduces_to_disk(self):
@@ -233,12 +235,3 @@ class TestBlochMajorantCheck:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             bloch_majorant_check(CoeffSeries((0.5,)), 1.5, DISK, 0.5, 0.3)
-
-
-class TestBlochParams:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            BlochParams(nu=0.0)
-        with pytest.raises(DomainError):
-            BlochParams(nu=0.5, quadrature_nodes=8)
-        assert BlochParams(nu=0.5).quadrature_nodes == 64

@@ -5,10 +5,13 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bohrad import FunctionalReport, cli
@@ -16,8 +19,9 @@ from bohrad.cli import SWEEP_A_GRID, main
 
 EXPECTED_BLOCH = math.sqrt(6.0 / (6.0 + math.pi**2))
 
-# argv, exit code and full stdout of every README example and one verify
-# per family at the default seed; a refactor must leave each one unchanged
+# argv, exit code and full stdout of every README example, one verify per
+# family at the default seed, csv and text output, a seeded sample draw and
+# each error exit; a refactor must leave each one unchanged
 GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
 
 
@@ -142,8 +146,8 @@ class TestVerifyCommand:
         assert json.loads(out)["summary"]["checked"] == len(SWEEP_A_GRID) + draws
 
     def test_draws_go_through_the_extremal_functional(self, capsys, monkeypatch):
-        # a functional that fails at every a off the fixed grid must fail
-        # once per seeded draw
+        # a functional that fails at every a off the fixed grid, by a, must
+        # fail once per seeded draw, and stderr names the worst draw
         real = cli.problem_functional
 
         def failing_off_grid(problem):
@@ -151,14 +155,29 @@ class TestVerifyCommand:
 
             def report(a, r):
                 rep = evaluate(a, r)
-                return rep if a in SWEEP_A_GRID else FunctionalReport.compare(2.0, 1.0)
+                return rep if a in SWEEP_A_GRID else FunctionalReport.compare(1.0 + a, 1.0)
             return report
         monkeypatch.setattr(cli, "problem_functional", failing_off_grid)
-        code, out, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0",
-                               "--samples", "3")
+        code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0",
+                                 "--samples", "3")
         summary = json.loads(out)["summary"]
         assert code == 4
         assert (summary["checked"], summary["failures"]) == (8, 3)
+        worst = max(np.random.default_rng(0).uniform(0.05, 0.995, 3))
+        assert err == (f"error: guarantee fails at 3 of 8 parameters; "
+                       f"worst a = {worst:.9g}, margin {-worst:.9g}\n")
+
+    def test_missing_witness_is_reported(self, capsys, monkeypatch):
+        # a functional that never fails leaves the probe above the radius
+        # without a witness
+        monkeypatch.setattr(cli, "problem_functional",
+                            lambda problem: lambda a, r: FunctionalReport.compare(0.0, 1.0))
+        code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0")
+        summary = json.loads(out)["summary"]
+        assert code == 4
+        assert (summary["failures"], summary["witness_a"]) == (0, None)
+        assert err == ("error: no violation found above the radius, "
+                       f"at r = {summary['r_above']:.9g}\n")
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.5",
@@ -278,3 +297,13 @@ def test_console_script_smoke():
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_golden_stdout(capsys, case):
     assert run_cli(capsys, *case["argv"])[:2] == (case["exit"], case["stdout"])
+
+
+def test_readme_examples_are_golden():
+    # an edited README example must be pinned again, not drift from its output
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [shlex.split(line, comments=True)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.startswith("bohrad ")]
+    assert examples
+    assert [argv for argv in examples if argv not in [c["argv"] for c in GOLDEN]] == []

@@ -64,10 +64,11 @@ class TestMinPositiveRoot:
         assert result.residual == 0.0
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            min_positive_root(lambda r: r - 0.5, tol=0.0)
-        with pytest.raises(DomainError):
-            min_positive_root(lambda r: r - 0.5, scan_step=-1e-3)
+        # nan fails every comparison, so "<= 0" alone would let it through
+        for kwargs in ({"tol": 0.0}, {"scan_step": -1e-3}, {"tol": math.nan},
+                       {"scan_step": math.nan}):
+            with pytest.raises(DomainError):
+                min_positive_root(lambda r: r - 0.5, **kwargs)
 
 
 class TestSignChanges:
@@ -75,3 +76,10 @@ class TestSignChanges:
         assert count_sign_changes(lambda r: (r - 0.2) * (r - 0.8)) == 2
         assert count_sign_changes(lambda r: r - 0.5) == 1
         assert count_sign_changes(lambda r: 1.0) == 0
+
+    def test_parameter_validation(self):
+        # a step <= 0 or an unbounded upper end would never end the scan
+        for kwargs in ({"scan_step": 0.0}, {"scan_step": -1e-3}, {"scan_step": math.nan},
+                       {"upper": math.nan}, {"upper": math.inf}):
+            with pytest.raises(DomainError):
+                count_sign_changes(lambda r: r - 0.5, **kwargs)
