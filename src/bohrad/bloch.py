@@ -33,6 +33,8 @@ REFINED_THRESHOLD = 3.0 / math.pi
 LIMIT_PROBE = 1.0 - 1e-6
 # node doubling in m_integral stops when two successive values agree to this
 QUAD_TOL = 1e-10
+# radii per (radii x nodes) quadrature array; keeps the temporaries small
+QUAD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class HyperbolicDensity:
             w_sq = (1 - g) ** 2 * r * r + g * g + 2 * g * (1 - g) * r * np.cos(thetas)
             return (1.0 - g) / (1.0 - w_sq)
         z = r * np.exp(1j * thetas)
-        return np.array([float(self.fn(zz)) for zz in z])
+        return np.array([float(self.fn(zz)) for zz in z.ravel()]).reshape(z.shape)
 
     def min_on_circle(self, r: float, nodes: int = 256) -> float:
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
@@ -90,29 +92,53 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     Uses the closed form for the unit disk and periodic trapezoidal
     quadrature otherwise, doubling nodes from 64 until two successive
     values differ by at most QUAD_TOL (relative for large values).
+
+    r may be an ndarray of radii.  The quadrature then runs on (radii x
+    nodes) arrays of at most QUAD_ROWS radii, each radius leaving once
+    its own doubling settles, so every value equals the scalar call's.
+    On the disk numpy's pow stands in for the C library's and may
+    differ from the scalar value by one ulp.
     """
-    if not 0.0 <= r < 1.0:
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise DomainError("r must lie in [0, 1)")
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
-    if r == 0.0:
-        return 0.0
     if density.kind == "unit_disk":
         return r * r / (1.0 - r * r) ** (2.0 * nu)
-    nodes = 64
-    prev = None
-    while nodes <= 2**20:
-        thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
-        lam = density.on_circle(r, thetas)
-        if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-            raise SingularIntegrandError(
-                f"density is singular or non-positive on |z| = {r}")
-        value = r * r * float(np.mean(lam ** (2.0 * nu)))
-        if prev is not None and abs(value - prev) <= QUAD_TOL * max(1.0, abs(value)):
-            return value
-        prev = value
-        nodes *= 2
-    raise NonConvergenceError(f"circle quadrature did not settle at r = {r}")
+    if np.ndim(r) == 0:
+        return float(_circle_means(density, nu, np.array([r]))[0]) if r > 0.0 else 0.0
+    out = np.zeros(np.shape(r))
+    inside = r > 0.0
+    out[inside] = _circle_means(density, nu, r[inside])
+    return out
+
+
+def _circle_means(density, nu, rs):
+    """r^2 times the trapezoid mean of lambda^{2 nu} on |z| = r, for radii rs > 0."""
+    out = np.empty(rs.shape)
+    for start in range(0, rs.size, QUAD_ROWS):
+        active = np.arange(start, min(start + QUAD_ROWS, rs.size))
+        nodes = 64
+        prev = None
+        while active.size:
+            if nodes > 2**20:
+                raise NonConvergenceError(
+                    f"circle quadrature did not settle at r = {rs[active[0]]}")
+            r = rs[active]
+            thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
+            lam = density.on_circle(r[:, None], thetas)
+            bad = ~np.all(np.isfinite(lam) & (lam > 0.0), axis=1)
+            if bad.any():
+                raise SingularIntegrandError(
+                    f"density is singular or non-positive on |z| = {r[bad][0]}")
+            value = r * r * np.mean(lam ** (2.0 * nu), axis=1)
+            if prev is not None:
+                done = np.abs(value - prev) <= QUAD_TOL * np.maximum(1.0, np.abs(value))
+                out[active[done]] = value[done]
+                active, value = active[~done], value[~done]
+            prev = value
+            nodes *= 2
+    return out
 
 
 def _require_limit(value: float, threshold: float, label: str):
@@ -131,8 +157,12 @@ def bloch_radius(density: HyperbolicDensity, nu: float, tol: float = 1e-12,
     """
     _require_limit(m_integral(density, nu, LIMIT_PROBE), MAJORANT_THRESHOLD,
                    "majorant radius")
-    return min_positive_root(lambda r: m_integral(density, nu, r) - MAJORANT_THRESHOLD,
-                             tol, scan_step)
+
+    def F(r):
+        return m_integral(density, nu, r) - MAJORANT_THRESHOLD
+
+    return min_positive_root(F, tol, scan_step,
+                             f_grid=None if density.kind == "custom" else F)
 
 
 def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
@@ -141,6 +171,7 @@ def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
     N(r) = (1-g)^{2 nu} r^2 pi^2 - 6 (1 - ((1-g) r + g)^2)^{2 nu}; its
     root bounds the circle-integral radius from below because the
     density is majorized on |z| = r by its value at (1-g) r + g.
+    r may be an ndarray of radii.
     """
     if not 0.0 <= gamma < 1.0:
         raise DomainError("gamma must lie in [0, 1)")
@@ -163,8 +194,11 @@ def bloch_radius_gamma(gamma: float, nu: float, tol: float = 1e-12,
     if not (n0 < 0.0 < n1):
         raise NoRootError(f"endpoint signs N(0) = {n0:.6g}, N(1) = {n1:.6g} "
                           "do not bracket a root")
-    return min_positive_root(lambda r: gamma_equation_value(gamma, nu, r),
-                             tol, scan_step)
+
+    def F(r):
+        return gamma_equation_value(gamma, nu, r)
+
+    return min_positive_root(F, tol, scan_step, f_grid=F)
 
 
 def bloch_refined_radius(density: HyperbolicDensity, nu: float,
@@ -179,7 +213,8 @@ def bloch_refined_radius(density: HyperbolicDensity, nu: float,
         return 2.0 * math.pi * m_integral(density, nu, r) - REFINED_THRESHOLD
 
     _require_limit(H(LIMIT_PROBE), 0.0, "refined radius")
-    return min_positive_root(H, tol, scan_step)
+    return min_positive_root(H, tol, scan_step,
+                             f_grid=None if density.kind == "custom" else H)
 
 
 def derivative_majorant(coeffs: CoeffSeries, t: float) -> float:

@@ -139,6 +139,10 @@ def _validated(args):
         raise ConfigurationError("samples must be non-negative")
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
+    rogosinski = "rogosinski" in (getattr(args, "kind", None), getattr(args, "family", None))
+    if rogosinski and (args.gamma is not None or args.lambda_h is not None):
+        raise ConfigurationError("the rogosinski equation is posed on the unit disk; "
+                                 "--gamma and --lambda-h do not apply")
     return args
 
 
@@ -306,8 +310,8 @@ def _cmd_bloch(args):
         result = bloch_radius(density, args.nu, args.tol, args.scan_step)
     elif args.variant == "majorant-gamma":
         result = bloch_radius_gamma(args.gamma, args.nu, args.tol, args.scan_step)
-        changes = count_sign_changes(
-            lambda r: gamma_equation_value(args.gamma, args.nu, r), args.scan_step)
+        F = lambda r: gamma_equation_value(args.gamma, args.nu, r)
+        changes = count_sign_changes(F, args.scan_step, f_grid=F)
         flags.append(f"sign-changes:{changes}")
     else:
         result = bloch_refined_radius(density, args.nu, args.tol, args.scan_step)

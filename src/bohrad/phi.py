@@ -79,7 +79,7 @@ GEOMETRIC_FORMS = {
 
 
 def phi_term(phi: PhiSequence, n: int, r: float) -> float:
-    """Evaluate phi_n(r)."""
+    """Evaluate phi_n(r); built-in kinds also take an ndarray of radii."""
     if n < 0:
         raise DomainError("term index must be non-negative")
     _check_radius(r)
@@ -108,7 +108,8 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
     Built-in kinds use closed forms whose numerators add non-negative
-    terms, so nothing cancels as r -> 1; custom kinds fall back to a
+    terms, so nothing cancels as r -> 1, and also take an ndarray of
+    radii; custom kinds fall back to a
     truncated sum plus a geometric tail estimate whose certified bound
     must not exceed series.ABS_TOL.
     """

@@ -65,7 +65,8 @@ def refined_equation(problem: RadiusProblem):
 
 def rogosinski_equation(problem: RadiusProblem):
     def F(r):
-        head = problem.p * (1.0 - r**problem.m) / (1.0 + r**problem.m)
+        rm = r**problem.m
+        head = problem.p * (1.0 - rm) / (1.0 + rm)
         return head * phi_term(problem.phi, 0, r) \
             - 2.0 * problem.mu(r) * phi_tail(problem.phi, problem.N, r)
     return F
@@ -73,18 +74,31 @@ def rogosinski_equation(problem: RadiusProblem):
 
 def radius_refined(problem: RadiusProblem, tol: float = 1e-12,
                    scan_step: float = 1e-3) -> RootResult:
-    """Minimal positive root of p phi_m(r) - 2 lambda_H Phi_{m+1}(r) = 0."""
+    """Minimal positive root of p phi_m(r) - 2 lambda_H Phi_{m+1}(r) = 0.
+
+    Built-in weights scan the whole grid in one array call of the same
+    equation; custom weights are scanned point by point.
+    """
     if problem.equation_kind != "refined":
         raise ConfigurationError("problem is not of the refined kind")
-    return min_positive_root(refined_equation(problem), tol, scan_step)
+    F = refined_equation(problem)
+    closed = problem.phi.kind != "custom"
+    return min_positive_root(F, tol, scan_step, f_grid=F if closed else None)
 
 
 def radius_rogosinski(problem: RadiusProblem, tol: float = 1e-12,
                       scan_step: float = 1e-3) -> RootResult:
-    """Minimal positive root of p (1-r^m)/(1+r^m) phi_0 - 2 mu(r) Phi_N = 0."""
+    """Minimal positive root of p (1-r^m)/(1+r^m) phi_0 - 2 mu(r) Phi_N = 0.
+
+    Built-in weights with a constant mu scan the whole grid in one array
+    call of the same equation; custom weights or a callable mu are
+    scanned point by point.
+    """
     if problem.equation_kind != "rogosinski":
         raise ConfigurationError("problem is not of the rogosinski kind")
-    return min_positive_root(rogosinski_equation(problem), tol, scan_step)
+    F = rogosinski_equation(problem)
+    closed = problem.phi.kind != "custom" and problem.mu.value is not None
+    return min_positive_root(F, tol, scan_step, f_grid=F if closed else None)
 
 
 def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:

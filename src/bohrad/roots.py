@@ -4,6 +4,13 @@ Every radius in this package is defined as the minimal positive root of
 a continuous function.  Minimality is certified at finite resolution:
 the interval is scanned left to right at ``scan_step`` and the first
 bracketed sign change is bisected.
+
+A closed-form equation may also be given in array form, ``f_grid``.
+The scan then evaluates its grid x_k = k scan_step in blocks of at most
+SCAN_BLOCK points, one array call per block, and only the bisection
+calls the scalar F.  Both paths scan the same floats x_k and stop at the
+same first sign change, so they return the same RootResult whenever the
+grid values have the signs of the scalar ones.
 """
 
 from __future__ import annotations
@@ -11,12 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NoRootError
+
+# grid points per array call: the default step scans (0, 1) in one
+# block, and a tiny step cannot allocate a huge grid
+SCAN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class RootResult:
-    """A bracketed root with its certificate data."""
+    """A bracketed root with its certificate data.
+
+    ``iterations`` counts the scan points up to and including the one
+    that closed the bracket, plus the bisection calls of F, on either
+    scan path.
+    """
 
     value: float
     bracket: tuple[float, float]
@@ -26,7 +44,7 @@ class RootResult:
 
 
 def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
-                      upper: float = 1.0) -> RootResult:
+                      upper: float = 1.0, f_grid=None) -> RootResult:
     """Leftmost root of f on (0, upper).
 
     Scans r = scan_step, 2 scan_step, ... for the first sign change,
@@ -35,34 +53,84 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
     for steep f).  Raises NoRootError when no sign change is detected,
     reporting whether the scanned values were all positive or all
     negative.
+
+    ``f_grid``, when given, maps an ndarray of radii to the values of f
+    and takes over the scan; bisection still calls f, so the root is
+    the one the scalar scan finds whenever the grid values carry the
+    same signs.  numpy's ``pow`` may differ from the C library's by one
+    ulp (at about 6% of the default grid for non-integer exponents), so
+    a grid point where f is within round-off of zero may read with the
+    other sign.
     """
     if not (tol > 0 and scan_step > 0):  # also rejects nan
         raise DomainError("tol and scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
+    k, prev_v, v = _scan(f, scan_step, upper) if f_grid is None \
+        else _scan_grid(f_grid, scan_step, upper)
+    x = k * scan_step
+    lo = (k - 1) * scan_step
+    if v == 0.0:
+        if k == 1:
+            lo = max(x - scan_step, 0.0)
+        return RootResult(x, (max(lo, x - tol), min(x + tol, upper)), 0.0, k, scan_step)
+    return _bisect(f, lo, x, prev_v, tol, scan_step, k)
 
-    evaluations = 0
-    prev_x = None
-    prev_v = None
+
+def _scan(f, scan_step, upper):
+    """(k, f(x_{k-1}), f(x_k)) at the first x_k = k scan_step where f
+    vanishes or changes sign; f(x_0) reads as nan, which changes no sign."""
+    prev = math.nan
     saw_positive = saw_negative = False
     k = 1
     while k * scan_step < upper:
-        x = k * scan_step
-        v = f(x)
-        evaluations += 1
+        v = f(k * scan_step)
         if v > 0:
             saw_positive = True
         elif v < 0:
             saw_negative = True
-        if v == 0.0:
-            lo = prev_x if prev_x is not None else max(x - scan_step, 0.0)
-            return RootResult(x, (max(lo, x - tol), min(x + tol, upper)),
-                              0.0, evaluations, scan_step)
-        if prev_v is not None and prev_v * v < 0:
-            return _bisect(f, prev_x, x, prev_v, tol, scan_step, evaluations)
-        prev_x, prev_v = x, v
+        if v == 0.0 or prev * v < 0:
+            return k, prev, v
+        prev = v
         k += 1
-    raise NoRootError(
+    raise _no_root(scan_step, upper, saw_positive, saw_negative)
+
+
+def _scan_grid(f_grid, scan_step, upper):
+    """_scan with one f_grid call per block; prev carries across blocks."""
+    prev = math.nan
+    saw_positive = saw_negative = False
+    for k, xs in _grid_blocks(scan_step, upper):
+        vs = np.asarray(f_grid(xs), dtype=float)
+        before = np.concatenate(([prev], vs[:-1]))
+        hits = np.flatnonzero((vs == 0.0) | (before * vs < 0))
+        if hits.size:
+            i = int(hits[0])
+            return k + i, float(before[i]), float(vs[i])
+        saw_positive = saw_positive or bool(np.any(vs > 0))
+        saw_negative = saw_negative or bool(np.any(vs < 0))
+        prev = vs[-1]
+    raise _no_root(scan_step, upper, saw_positive, saw_negative)
+
+
+def _grid_blocks(scan_step, upper):
+    """(k, x_k .. x_{k+n-1}) blocks of the scan grid below upper, n <= SCAN_BLOCK.
+
+    x_k is computed as k * scan_step, the same float the scalar scan uses.
+    """
+    k = 1
+    while True:
+        xs = np.arange(k, k + SCAN_BLOCK) * scan_step
+        xs = xs[xs < upper]
+        if xs.size:
+            yield k, xs
+        if xs.size < SCAN_BLOCK:
+            return
+        k += SCAN_BLOCK
+
+
+def _no_root(scan_step, upper, saw_positive, saw_negative):
+    return NoRootError(
         "no sign change found in (0, {:.6g}) at scan step {:.3g}".format(upper, scan_step),
         all_positive=saw_positive and not saw_negative,
         all_negative=saw_negative and not saw_positive)
@@ -89,18 +157,30 @@ def _bisect(f, lo, hi, flo, tol, scan_step, iterations):
     return RootResult(mid, (lo, hi), fmid, iterations, scan_step)
 
 
-def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0) -> int:
-    """Number of sign changes of f seen on the scan grid of (0, upper)."""
+def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0,
+                       f_grid=None) -> int:
+    """Number of sign changes of f seen on the scan grid of (0, upper).
+
+    ``f_grid``, when given, evaluates the grid in blocks as in
+    min_positive_root.
+    """
     if not scan_step > 0:  # also rejects nan; a step <= 0 never ends the scan
         raise DomainError("scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
     count = 0
-    prev = None
+    prev = math.nan
+    if f_grid is not None:
+        for _, xs in _grid_blocks(scan_step, upper):
+            vs = np.asarray(f_grid(xs), dtype=float)
+            nonzero = np.concatenate(([prev], vs[vs != 0.0]))
+            count += int(np.count_nonzero(nonzero[:-1] * nonzero[1:] < 0))
+            prev = nonzero[-1]
+        return count
     k = 1
     while k * scan_step < upper:
         v = f(k * scan_step)
-        if prev is not None and prev * v < 0:
+        if prev * v < 0:
             count += 1
         if v != 0.0:
             prev = v

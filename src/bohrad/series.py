@@ -232,7 +232,10 @@ class DomainSpec:
 
 
 def _check_radius(r):
-    if not (isinstance(r, (int, float)) and 0.0 <= r < 1.0):
+    """Accept a radius in [0, 1), or an ndarray of them."""
+    if isinstance(r, (int, float)) and 0.0 <= r < 1.0:
+        return
+    if not (isinstance(r, np.ndarray) and np.all((0.0 <= r) & (r < 1.0))):
         raise DomainError(f"radius must lie in [0, 1), got {r}")
 
 

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from bohrad import (CoeffSeries, HyperbolicDensity, bloch_majorant_check,
+from bohrad import (CoeffSeries, HyperbolicDensity, bloch, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
-                    count_sign_changes, m_integral)
+                    count_sign_changes, m_integral, min_positive_root)
 from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
                           gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
@@ -235,3 +236,93 @@ class TestBlochMajorantCheck:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             bloch_majorant_check(CoeffSeries((0.5,)), 1.5, DISK, 0.5, 0.3)
+
+
+OMEGAS = [HyperbolicDensity.omega_gamma(g) for g in (0.0, 0.3, 0.7, 0.9)]
+
+
+class TestGridQuadrature:
+    """m_integral on an array of radii against one scalar call per radius."""
+
+    # 150 radii cross the 64-radius row blocks; r = 0 sits inside the array
+    RADII = np.linspace(0.0, 0.99, 150)
+
+    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"gamma={d.gamma}")
+    @pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 1.0])
+    def test_quadrature_is_bit_for_bit(self, density, nu):
+        scalar = [m_integral(density, nu, float(r)) for r in self.RADII]
+        assert m_integral(density, nu, self.RADII).tolist() == scalar
+
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
+    def test_disk_is_bit_for_bit_where_pow_is_exact(self, nu):
+        # 2 nu in {1/2, 1, 2}: numpy's sqrt, copy and square round as libm's pow
+        scalar = [m_integral(DISK, nu, float(r)) for r in self.RADII]
+        assert m_integral(DISK, nu, self.RADII).tolist() == scalar
+
+    @pytest.mark.parametrize("nu", [0.1, 0.3, 0.77])
+    def test_disk_is_within_an_ulp_elsewhere(self, nu):
+        scalar = np.array([m_integral(DISK, nu, float(r)) for r in self.RADII])
+        assert np.all(np.abs(m_integral(DISK, nu, self.RADII) - scalar) <= np.spacing(scalar))
+
+    def test_custom_density(self):
+        dens = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
+        radii = np.linspace(0.0, 0.9, 7)
+        assert m_integral(dens, 0.5, radii).tolist() == [m_integral(dens, 0.5, float(r))
+                                                          for r in radii]
+
+    def test_domain_checks(self):
+        with pytest.raises(DomainError):
+            m_integral(OMEGAS[1], 0.5, np.array([0.5, 1.0]))
+        with pytest.raises(DomainError):
+            m_integral(OMEGAS[1], 0.5, np.array([-0.1, 0.5]))
+
+
+class TestGridScan:
+    """The Bloch solvers scan their grid in one array call, with the scalar scan's result."""
+
+    @pytest.mark.parametrize("density", [DISK] + OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
+    def test_radii_match_scalar_scan(self, density, nu):
+        majorant = lambda r: m_integral(density, nu, r) - MAJORANT_THRESHOLD
+        refined = lambda r: 2.0 * math.pi * m_integral(density, nu, r) - REFINED_THRESHOLD
+        assert bloch_radius(density, nu) == min_positive_root(majorant)
+        assert bloch_refined_radius(density, nu) == min_positive_root(refined)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0])
+    def test_gamma_radius_and_sign_changes_match_scalar_scan(self, gamma, nu):
+        F = lambda r: gamma_equation_value(gamma, nu, r)
+        assert bloch_radius_gamma(gamma, nu) == min_positive_root(F)
+        for step in (1e-3, 1e-5):
+            assert count_sign_changes(F, step, f_grid=F) == count_sign_changes(F, step) == 1
+
+    def test_custom_density_scans_point_by_point(self, monkeypatch):
+        grids = []
+
+        def recording(f, tol, scan_step, f_grid=None):
+            grids.append(f_grid)
+            return min_positive_root(f, tol, scan_step, f_grid=f_grid)
+
+        monkeypatch.setattr(bloch, "min_positive_root", recording)
+        dens = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
+        bloch_radius(dens, 0.5, scan_step=1e-2)
+        bloch_refined_radius(dens, 0.5, scan_step=1e-2)
+        assert grids == [None, None]
+        bloch_radius(DISK, 0.5)
+        assert grids[2] is not None
+
+    @pytest.mark.parametrize("solve", [bloch_radius, bloch_refined_radius])
+    def test_scalar_equation_runs_only_in_bisection(self, solve, monkeypatch):
+        # work-counter guard: one scalar M(r) for the r -> 1 precondition,
+        # then one per bisection step; the scan goes through the array call
+        scalar_calls = []
+
+        def counting(density, nu, r):
+            if np.ndim(r) == 0:
+                scalar_calls.append(r)
+            return m_integral(density, nu, r)
+
+        monkeypatch.setattr(bloch, "m_integral", counting)
+        result = solve(OMEGAS[2], 0.5)
+        bracket_index = math.floor(result.value / result.scan_step) + 1
+        assert 1 < len(scalar_calls) == 1 + result.iterations - bracket_index

@@ -260,6 +260,12 @@ class TestExitCodes:
         ("verify", "--seed", "-1"),
         ("verify", "--samples", "-3"),
         ("radius", "--phi", "monomial", "--gamma", "0", "--scan-step", "nan"),
+        # the rogosinski equation lives on the disk; a domain was ignored before
+        ("radius", "--phi", "monomial", "--m", "1", "--mu-const", "1", "--kind", "rogosinski",
+         "--gamma", "1.5"),
+        ("radius", "--phi", "monomial", "--m", "1", "--mu-const", "1", "--kind", "rogosinski",
+         "--lambda-h", "2"),
+        ("verify", "--family", "rogosinski", "--m", "1", "--mu-const", "1", "--gamma", "0"),
     ])
     def test_out_of_range_inputs_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -3,14 +3,17 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
-from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, DomainSpec,
-                    MuFunction, RadiusProblem, closed_form_radius,
-                    non_improvable, radius_refined, radius_rogosinski,
+from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRATIC, DomainSpec,
+                    MuFunction, PhiSequence, RadiusProblem, closed_form_radius,
+                    min_positive_root, non_improvable, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
+from bohrad import radii
 from bohrad.errors import ConfigurationError, DomainError, NoRootError
-from bohrad.radii import REFERENCE_TABLES, rogosinski_equation
+from bohrad.phi import phi_term
+from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
 
 GAMMAS = [0.1 * k for k in range(10)]
 
@@ -250,3 +253,109 @@ class TestProblemValidation:
             RadiusProblem(MONOMIAL, 1.0, m=1, N=0, equation_kind="rogosinski")
         with pytest.raises(DomainError):
             RadiusProblem(MONOMIAL, 1.0, m=0, equation_kind="rogosinski")
+
+
+VALID_M = {"monomial": (0, 1, 2, 3), "weighted_linear": (0, 1, 2, 3),
+           "weighted_quadratic": (0, 1, 2, 3), "even_only": (0, 2, 4), "odd_only": (0, 1, 3)}
+
+
+def outcome(solve, arg):
+    """solve(arg), or the NoRootError flags (all_positive, all_negative)."""
+    try:
+        return solve(arg)
+    except NoRootError as err:
+        return err.all_positive, err.all_negative
+
+
+def scalar_scan(problem):
+    """The point-by-point scan of the problem's equation."""
+    refined = problem.equation_kind == "refined"
+    return outcome(min_positive_root,
+                   (refined_equation if refined else rogosinski_equation)(problem))
+
+
+def solved(problem):
+    refined = problem.equation_kind == "refined"
+    return outcome(radius_refined if refined else radius_rogosinski, problem)
+
+
+class TestGridScan:
+    """Built-in equations scan their grid in one array call, with the scalar scan's result."""
+
+    @pytest.mark.parametrize("kind", sorted(VALID_M))
+    def test_refined_matches_scalar_scan(self, kind):
+        for m in VALID_M[kind]:
+            for p in (0.05, 0.4, 1.0, 1.3, 2.0):
+                for gamma in (0.0, 0.25, 0.6, 0.95):
+                    problem = RadiusProblem(BUILTIN_PHI[kind], p, m=m,
+                                            domain=DomainSpec.omega_gamma(gamma))
+                    assert solved(problem) == scalar_scan(problem), (m, p, gamma)
+
+    @pytest.mark.parametrize("lambda_h", [0.3, 1.0, 1.5, 2.7])
+    def test_general_lambda_matches_scalar_scan(self, lambda_h):
+        for kind in sorted(VALID_M):
+            for m in VALID_M[kind]:
+                problem = RadiusProblem(BUILTIN_PHI[kind], 1.0, m=m,
+                                        domain=DomainSpec.general(lambda_h))
+                assert solved(problem) == scalar_scan(problem), (kind, m)
+
+    @pytest.mark.parametrize("kind", sorted(VALID_M))
+    def test_rogosinski_matches_scalar_scan(self, kind):
+        for m in (1, 2, 5):
+            for N in (1, 3):
+                for mu in (0.0, 0.5, 3.0, 10.0):
+                    for p in (0.3, 1.0, 2.0):
+                        problem = RadiusProblem(BUILTIN_PHI[kind], p, m=m, N=N, mu=mu,
+                                                equation_kind="rogosinski")
+                        assert solved(problem) == scalar_scan(problem), (m, N, mu, p)
+
+    @pytest.mark.parametrize("problem, root", [
+        (RadiusProblem(MONOMIAL, 2.0, domain=DomainSpec.omega_gamma(0.0)), 0.5),  # gamma_p2
+        (RadiusProblem(MONOMIAL, 1.0, domain=DomainSpec.general(1.5)), 0.25),    # lambda_base
+    ])
+    def test_root_on_a_scan_point(self, problem, root):
+        result = radius_refined(problem)
+        assert result == scalar_scan(problem)
+        assert result.value == root and result.residual == 0.0
+
+    @pytest.mark.parametrize("kind, m", [("even_only", 1), ("even_only", 3), ("odd_only", 2)])
+    def test_no_root_flags_match(self, kind, m):
+        problem = RadiusProblem(BUILTIN_PHI[kind], 1.0, m=m, domain=DomainSpec.omega_gamma(0.4))
+        assert solved(problem) == scalar_scan(problem) == (False, True)
+
+    def test_custom_phi_and_callable_mu_scan_point_by_point(self, monkeypatch):
+        grids = []
+
+        def recording(f, tol, scan_step, f_grid=None):
+            grids.append(f_grid)
+            return min_positive_root(f, tol, scan_step, f_grid=f_grid)
+
+        monkeypatch.setattr(radii, "min_positive_root", recording)
+        custom = PhiSequence("custom", custom_term=lambda n, r: r**n)
+        radius_refined(RadiusProblem(custom, 1.0))
+        radius_rogosinski(RadiusProblem(custom, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
+        radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=lambda r: 1.0 + r,
+                                        equation_kind="rogosinski"))
+        assert grids == [None, None, None]
+        radius_refined(RadiusProblem(MONOMIAL, 1.0))
+        radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
+        assert all(g is not None for g in grids[3:]) and len(grids) == 5
+
+    @pytest.mark.parametrize("problem", [
+        RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
+        RadiusProblem(ODD_ONLY, 0.5, m=1, mu=1.0, equation_kind="rogosinski"),
+    ])
+    def test_scalar_equation_runs_only_in_bisection(self, problem, monkeypatch):
+        # work-counter guard: every scan point goes through the array call,
+        # so the scalar equation is called once per bisection step
+        scalar_calls = []
+
+        def counting(phi, n, r):
+            if np.ndim(r) == 0:
+                scalar_calls.append(r)
+            return phi_term(phi, n, r)
+
+        monkeypatch.setattr(radii, "phi_term", counting)
+        result = solved(problem)
+        bracket_index = math.floor(result.value / result.scan_step) + 1
+        assert 0 < len(scalar_calls) == result.iterations - bracket_index

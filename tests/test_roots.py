@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bohrad import count_sign_changes, min_positive_root
@@ -83,3 +84,58 @@ class TestSignChanges:
                        {"upper": math.nan}, {"upper": math.inf}):
             with pytest.raises(DomainError):
                 count_sign_changes(lambda r: r - 0.5, **kwargs)
+
+
+def scan(f, grid, **kwargs):
+    """RootResult of the scalar or the array scan, or the NoRootError flags."""
+    try:
+        return min_positive_root(f, f_grid=f if grid else None, **kwargs)
+    except NoRootError as err:
+        return err.all_positive, err.all_negative
+
+
+class TestGridScan:
+    """The array scan must reproduce the scalar scan field for field."""
+
+    @pytest.mark.parametrize("f, kwargs", [
+        (lambda r: r - 1.0 / 3.0, {}),
+        (lambda r: (r - 0.2) * (r - 0.8), {}),
+        (lambda r: (1 - r) ** 2 - 2 * (1 + r) * r, {}),
+        (lambda r: 2.0 - 200.0 * r * (2 - r) / (1 - r) ** 2, {}),
+        (lambda r: r - 0.5, {"scan_step": 0.25}),        # zero on a scan point
+        (lambda r: r - 1e-3, {}),                        # zero on the first scan point
+        (lambda r: 0.05 - r, {"tol": 1e-9}),
+        (lambda r: r - 0.7, {"upper": 0.75}),
+        (lambda r: r - 0.010245, {"scan_step": 1e-5}),   # bracket straddles two blocks
+        (lambda r: r - 0.31, {"scan_step": 1e-5}),
+        (lambda r: 1.0 + r, {}),
+        (lambda r: -1.0 - r, {"scan_step": 1e-5}),
+        (lambda r: r - 0.9, {"upper": 0.5}),
+    ])
+    def test_matches_scalar_scan(self, f, kwargs):
+        assert scan(f, True, **kwargs) == scan(f, False, **kwargs)
+
+    def test_blocks_are_bounded(self):
+        from bohrad.roots import SCAN_BLOCK
+
+        sizes = []
+
+        def f(r):
+            if isinstance(r, np.ndarray):
+                sizes.append(r.size)
+            return r - 0.005
+
+        result = min_positive_root(f, scan_step=1e-6, f_grid=f)
+        assert max(sizes) == SCAN_BLOCK and len(sizes) == 5
+        assert result == min_positive_root(f, scan_step=1e-6)
+
+    @pytest.mark.parametrize("f, step", [
+        (lambda r: (r - 0.2) * (r - 0.8), 1e-3),
+        (lambda r: (r - 0.25) * (r - 0.5) * (r - 0.75), 0.25),  # zeros on scan points
+        (lambda r: np.sin(40.0 * r), 1e-3),
+        (lambda r: np.sin(400.0 * r), 1e-5),
+        (lambda r: 1.0 + 0.0 * r, 1e-3),
+    ])
+    def test_sign_changes_match_scalar_count(self, f, step):
+        expected = count_sign_changes(lambda r: float(f(r)), step)
+        assert count_sign_changes(f, step, f_grid=f) == expected
