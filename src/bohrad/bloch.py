@@ -162,7 +162,7 @@ def bloch_radius(density: HyperbolicDensity, nu: float, tol: float = 1e-12,
         return m_integral(density, nu, r) - MAJORANT_THRESHOLD
 
     return min_positive_root(F, tol, scan_step,
-                             f_grid=None if density.kind == "custom" else F)
+                             vectorized=density.kind != "custom")
 
 
 def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
@@ -198,7 +198,7 @@ def bloch_radius_gamma(gamma: float, nu: float, tol: float = 1e-12,
     def F(r):
         return gamma_equation_value(gamma, nu, r)
 
-    return min_positive_root(F, tol, scan_step, f_grid=F)
+    return min_positive_root(F, tol, scan_step, vectorized=True)
 
 
 def bloch_refined_radius(density: HyperbolicDensity, nu: float,
@@ -214,7 +214,7 @@ def bloch_refined_radius(density: HyperbolicDensity, nu: float,
 
     _require_limit(H(LIMIT_PROBE), 0.0, "refined radius")
     return min_positive_root(H, tol, scan_step,
-                             f_grid=None if density.kind == "custom" else H)
+                             vectorized=density.kind != "custom")
 
 
 def derivative_majorant(coeffs: CoeffSeries, t: float) -> float:

@@ -311,7 +311,7 @@ def _cmd_bloch(args):
     elif args.variant == "majorant-gamma":
         result = bloch_radius_gamma(args.gamma, args.nu, args.tol, args.scan_step)
         F = lambda r: gamma_equation_value(args.gamma, args.nu, r)
-        changes = count_sign_changes(F, args.scan_step, f_grid=F)
+        changes = count_sign_changes(F, args.scan_step, vectorized=True)
         flags.append(f"sign-changes:{changes}")
     else:
         result = bloch_refined_radius(density, args.nu, args.tol, args.scan_step)

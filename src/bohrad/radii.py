@@ -83,7 +83,7 @@ def radius_refined(problem: RadiusProblem, tol: float = 1e-12,
         raise ConfigurationError("problem is not of the refined kind")
     F = refined_equation(problem)
     closed = problem.phi.kind != "custom"
-    return min_positive_root(F, tol, scan_step, f_grid=F if closed else None)
+    return min_positive_root(F, tol, scan_step, vectorized=closed)
 
 
 def radius_rogosinski(problem: RadiusProblem, tol: float = 1e-12,
@@ -98,7 +98,7 @@ def radius_rogosinski(problem: RadiusProblem, tol: float = 1e-12,
         raise ConfigurationError("problem is not of the rogosinski kind")
     F = rogosinski_equation(problem)
     closed = problem.phi.kind != "custom" and problem.mu.value is not None
-    return min_positive_root(F, tol, scan_step, f_grid=F if closed else None)
+    return min_positive_root(F, tol, scan_step, vectorized=closed)
 
 
 def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:

@@ -5,10 +5,10 @@ a continuous function.  Minimality is certified at finite resolution:
 the interval is scanned left to right at ``scan_step`` and the first
 bracketed sign change is bisected.
 
-A closed-form equation may also be given in array form, ``f_grid``.
-The scan then evaluates its grid x_k = k scan_step in blocks of at most
-SCAN_BLOCK points, one array call per block, and only the bisection
-calls the scalar F.  Both paths scan the same floats x_k and stop at the
+A closed-form F may be marked ``vectorized``: F then also maps an
+ndarray of radii to its values.  The scan evaluates its grid
+x_k = k scan_step in blocks of at most SCAN_BLOCK points, one array call
+per block, and only the bisection calls F on a scalar.  Both paths scan the same floats x_k and stop at the
 same first sign change, so they return the same RootResult whenever the
 grid values have the signs of the scalar ones.
 """
@@ -44,7 +44,7 @@ class RootResult:
 
 
 def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
-                      upper: float = 1.0, f_grid=None) -> RootResult:
+                      upper: float = 1.0, vectorized: bool = False) -> RootResult:
     """Leftmost root of f on (0, upper).
 
     Scans r = scan_step, 2 scan_step, ... for the first sign change,
@@ -54,10 +54,9 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
     reporting whether the scanned values were all positive or all
     negative.
 
-    ``f_grid``, when given, maps an ndarray of radii to the values of f
-    and takes over the scan; bisection still calls f, so the root is
-    the one the scalar scan finds whenever the grid values carry the
-    same signs.  numpy's ``pow`` may differ from the C library's by one
+    With ``vectorized``, f is called on ndarray blocks of the scan grid;
+    bisection still calls f on a scalar, so the root is the one the
+    scalar scan finds whenever the grid values carry the same signs.  numpy's ``pow`` may differ from the C library's by one
     ulp (at about 6% of the default grid for non-integer exponents), so
     a grid point where f is within round-off of zero may read with the
     other sign.
@@ -66,8 +65,8 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
         raise DomainError("tol and scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
-    k, prev_v, v = _scan(f, scan_step, upper) if f_grid is None \
-        else _scan_grid(f_grid, scan_step, upper)
+    k, prev_v, v = _scan_grid(f, scan_step, upper) if vectorized \
+        else _scan(f, scan_step, upper)
     x = k * scan_step
     lo = (k - 1) * scan_step
     if v == 0.0:
@@ -96,12 +95,12 @@ def _scan(f, scan_step, upper):
     raise _no_root(scan_step, upper, saw_positive, saw_negative)
 
 
-def _scan_grid(f_grid, scan_step, upper):
-    """_scan with one f_grid call per block; prev carries across blocks."""
+def _scan_grid(f, scan_step, upper):
+    """_scan with one array call of f per block; prev carries across blocks."""
     prev = math.nan
     saw_positive = saw_negative = False
     for k, xs in _grid_blocks(scan_step, upper):
-        vs = np.asarray(f_grid(xs), dtype=float)
+        vs = np.asarray(f(xs), dtype=float)
         before = np.concatenate(([prev], vs[:-1]))
         hits = np.flatnonzero((vs == 0.0) | (before * vs < 0))
         if hits.size:
@@ -158,31 +157,22 @@ def _bisect(f, lo, hi, flo, tol, scan_step, iterations):
 
 
 def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0,
-                       f_grid=None) -> int:
+                       vectorized: bool = False) -> int:
     """Number of sign changes of f seen on the scan grid of (0, upper).
 
-    ``f_grid``, when given, evaluates the grid in blocks as in
-    min_positive_root.
+    The grid is evaluated in blocks as in min_positive_root; without
+    ``vectorized``, f is called on each point as a Python float.
     """
     if not scan_step > 0:  # also rejects nan; a step <= 0 never ends the scan
         raise DomainError("scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
+    evaluate = f if vectorized else (lambda xs: [f(x) for x in xs.tolist()])
     count = 0
     prev = math.nan
-    if f_grid is not None:
-        for _, xs in _grid_blocks(scan_step, upper):
-            vs = np.asarray(f_grid(xs), dtype=float)
-            nonzero = np.concatenate(([prev], vs[vs != 0.0]))
-            count += int(np.count_nonzero(nonzero[:-1] * nonzero[1:] < 0))
-            prev = nonzero[-1]
-        return count
-    k = 1
-    while k * scan_step < upper:
-        v = f(k * scan_step)
-        if prev * v < 0:
-            count += 1
-        if v != 0.0:
-            prev = v
-        k += 1
+    for _, xs in _grid_blocks(scan_step, upper):
+        vs = np.asarray(evaluate(xs), dtype=float)
+        nonzero = np.concatenate(([prev], vs[vs != 0.0]))
+        count += int(np.count_nonzero(nonzero[:-1] * nonzero[1:] < 0))
+        prev = nonzero[-1]
     return count

@@ -294,22 +294,22 @@ class TestGridScan:
         F = lambda r: gamma_equation_value(gamma, nu, r)
         assert bloch_radius_gamma(gamma, nu) == min_positive_root(F)
         for step in (1e-3, 1e-5):
-            assert count_sign_changes(F, step, f_grid=F) == count_sign_changes(F, step) == 1
+            assert count_sign_changes(F, step, vectorized=True) == count_sign_changes(F, step) == 1
 
     def test_custom_density_scans_point_by_point(self, monkeypatch):
         grids = []
 
-        def recording(f, tol, scan_step, f_grid=None):
-            grids.append(f_grid)
-            return min_positive_root(f, tol, scan_step, f_grid=f_grid)
+        def recording(f, tol, scan_step, vectorized=False):
+            grids.append(vectorized)
+            return min_positive_root(f, tol, scan_step, vectorized=vectorized)
 
         monkeypatch.setattr(bloch, "min_positive_root", recording)
         dens = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
         bloch_radius(dens, 0.5, scan_step=1e-2)
         bloch_refined_radius(dens, 0.5, scan_step=1e-2)
-        assert grids == [None, None]
+        assert grids == [False, False]
         bloch_radius(DISK, 0.5)
-        assert grids[2] is not None
+        assert grids[2] is True
 
     @pytest.mark.parametrize("solve", [bloch_radius, bloch_refined_radius])
     def test_scalar_equation_runs_only_in_bisection(self, solve, monkeypatch):

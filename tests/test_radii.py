@@ -326,9 +326,9 @@ class TestGridScan:
     def test_custom_phi_and_callable_mu_scan_point_by_point(self, monkeypatch):
         grids = []
 
-        def recording(f, tol, scan_step, f_grid=None):
-            grids.append(f_grid)
-            return min_positive_root(f, tol, scan_step, f_grid=f_grid)
+        def recording(f, tol, scan_step, vectorized=False):
+            grids.append(vectorized)
+            return min_positive_root(f, tol, scan_step, vectorized=vectorized)
 
         monkeypatch.setattr(radii, "min_positive_root", recording)
         custom = PhiSequence("custom", custom_term=lambda n, r: r**n)
@@ -336,10 +336,10 @@ class TestGridScan:
         radius_rogosinski(RadiusProblem(custom, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=lambda r: 1.0 + r,
                                         equation_kind="rogosinski"))
-        assert grids == [None, None, None]
+        assert grids == [False, False, False]
         radius_refined(RadiusProblem(MONOMIAL, 1.0))
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
-        assert all(g is not None for g in grids[3:]) and len(grids) == 5
+        assert grids[3:] == [True, True]
 
     @pytest.mark.parametrize("problem", [
         RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),

@@ -89,7 +89,7 @@ class TestSignChanges:
 def scan(f, grid, **kwargs):
     """RootResult of the scalar or the array scan, or the NoRootError flags."""
     try:
-        return min_positive_root(f, f_grid=f if grid else None, **kwargs)
+        return min_positive_root(f, vectorized=grid, **kwargs)
     except NoRootError as err:
         return err.all_positive, err.all_negative
 
@@ -125,7 +125,7 @@ class TestGridScan:
                 sizes.append(r.size)
             return r - 0.005
 
-        result = min_positive_root(f, scan_step=1e-6, f_grid=f)
+        result = min_positive_root(f, scan_step=1e-6, vectorized=True)
         assert max(sizes) == SCAN_BLOCK and len(sizes) == 5
         assert result == min_positive_root(f, scan_step=1e-6)
 
@@ -136,6 +136,27 @@ class TestGridScan:
         (lambda r: np.sin(400.0 * r), 1e-5),
         (lambda r: 1.0 + 0.0 * r, 1e-3),
     ])
-    def test_sign_changes_match_scalar_count(self, f, step):
-        expected = count_sign_changes(lambda r: float(f(r)), step)
-        assert count_sign_changes(f, step, f_grid=f) == expected
+    def test_sign_changes_match_pointwise_count(self, f, step):
+        # reference: walk the scan points one by one, skipping zeros
+        expected, prev, k = 0, math.nan, 1
+        while k * step < 1.0:
+            v = float(f(k * step))
+            expected += prev * v < 0
+            prev = v if v != 0.0 else prev
+            k += 1
+        assert count_sign_changes(lambda r: float(f(r)), step) == expected
+        assert count_sign_changes(f, step, vectorized=True) == expected
+
+    def test_sign_count_calls_scalar_f_on_each_scan_point(self):
+        seen = []
+
+        def f(r):
+            seen.append(r)
+            return math.nan if r == 0.5 else r - 0.3
+
+        # a zero keeps the previous sign; a nan changes no sign and replaces it
+        assert count_sign_changes(f, 0.125) == 1
+        assert count_sign_changes(lambda r: r - 0.375, 0.125) == 1
+        assert count_sign_changes(lambda r: math.nan if r == 0.375 else r - 0.3, 0.125) == 0
+        assert all(type(r) is float for r in seen)
+        assert seen == [k * 0.125 for k in range(1, 8)]
