@@ -7,6 +7,9 @@ The Bloch-space radii are roots of equations in
 with lambda the hyperbolic density of the domain.  The unit disk has
 the closed form M(r) = r^2 / (1 - r^2)^{2 nu}; other densities are
 integrated by trapezoidal quadrature with node doubling.
+
+On the disk and Omega_gamma log lambda is subharmonic, so M increases
+and ``increasing_root`` brackets its radii; custom densities are scanned.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (DomainError, InvalidTestFunctionError, NoRootError,
                      NonConvergenceError, SingularIntegrandError)
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL
-from .roots import RootResult, min_positive_root
+from .roots import RootResult, increasing_root, min_positive_root
 from .series import CoeffSeries, GeometricWeight, norm_sum, s_r
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
@@ -33,8 +36,6 @@ REFINED_THRESHOLD = 3.0 / math.pi
 LIMIT_PROBE = 1.0 - 1e-6
 # node doubling in m_integral stops when two successive values agree to this
 QUAD_TOL = 1e-10
-# radii per (radii x nodes) quadrature array; keeps the temporaries small
-QUAD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class HyperbolicDensity:
             w_sq = (1 - g) ** 2 * r * r + g * g + 2 * g * (1 - g) * r * np.cos(thetas)
             return (1.0 - g) / (1.0 - w_sq)
         z = r * np.exp(1j * thetas)
-        return np.array([float(self.fn(zz)) for zz in z.ravel()]).reshape(z.shape)
+        return np.array([float(self.fn(zz)) for zz in z])
 
     def min_on_circle(self, r: float, nodes: int = 256) -> float:
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
@@ -92,53 +93,26 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     Uses the closed form for the unit disk and periodic trapezoidal
     quadrature otherwise, doubling nodes from 64 until two successive
     values differ by at most QUAD_TOL (relative for large values).
-
-    r may be an ndarray of radii.  The quadrature then runs on (radii x
-    nodes) arrays of at most QUAD_ROWS radii, each radius leaving once
-    its own doubling settles, so every value equals the scalar call's.
-    On the disk numpy's pow stands in for the C library's and may
-    differ from the scalar value by one ulp.
     """
-    if not np.all((0.0 <= r) & (r < 1.0)):
+    if not 0.0 <= r < 1.0:
         raise DomainError("r must lie in [0, 1)")
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
-    if density.kind == "unit_disk":
+    if density.kind == "unit_disk" or r == 0.0:  # M(0) = 0 for every density
         return r * r / (1.0 - r * r) ** (2.0 * nu)
-    if np.ndim(r) == 0:
-        return float(_circle_means(density, nu, np.array([r]))[0]) if r > 0.0 else 0.0
-    out = np.zeros(np.shape(r))
-    inside = r > 0.0
-    out[inside] = _circle_means(density, nu, r[inside])
-    return out
-
-
-def _circle_means(density, nu, rs):
-    """r^2 times the trapezoid mean of lambda^{2 nu} on |z| = r, for radii rs > 0."""
-    out = np.empty(rs.shape)
-    for start in range(0, rs.size, QUAD_ROWS):
-        active = np.arange(start, min(start + QUAD_ROWS, rs.size))
-        nodes = 64
-        prev = None
-        while active.size:
-            if nodes > 2**20:
-                raise NonConvergenceError(
-                    f"circle quadrature did not settle at r = {rs[active[0]]}")
-            r = rs[active]
-            thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
-            lam = density.on_circle(r[:, None], thetas)
-            bad = ~np.all(np.isfinite(lam) & (lam > 0.0), axis=1)
-            if bad.any():
-                raise SingularIntegrandError(
-                    f"density is singular or non-positive on |z| = {r[bad][0]}")
-            value = r * r * np.mean(lam ** (2.0 * nu), axis=1)
-            if prev is not None:
-                done = np.abs(value - prev) <= QUAD_TOL * np.maximum(1.0, np.abs(value))
-                out[active[done]] = value[done]
-                active, value = active[~done], value[~done]
-            prev = value
-            nodes *= 2
-    return out
+    nodes = 64
+    prev = None
+    while nodes <= 2**20:
+        thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
+        lam = density.on_circle(r, thetas)
+        if not np.all(np.isfinite(lam) & (lam > 0.0)):
+            raise SingularIntegrandError(f"density is singular or non-positive on |z| = {r}")
+        value = r * r * float(np.mean(lam ** (2.0 * nu)))
+        if prev is not None and abs(value - prev) <= QUAD_TOL * max(1.0, abs(value)):
+            return value
+        prev = value
+        nodes *= 2
+    raise NonConvergenceError(f"circle quadrature did not settle at r = {r}")
 
 
 def _require_limit(value: float, threshold: float, label: str):
@@ -161,8 +135,8 @@ def bloch_radius(density: HyperbolicDensity, nu: float, tol: float = 1e-12,
     def F(r):
         return m_integral(density, nu, r) - MAJORANT_THRESHOLD
 
-    return min_positive_root(F, tol, scan_step,
-                             vectorized=density.kind != "custom")
+    solve = min_positive_root if density.kind == "custom" else increasing_root
+    return solve(F, tol, scan_step)
 
 
 def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
@@ -187,7 +161,7 @@ def bloch_radius_gamma(gamma: float, nu: float, tol: float = 1e-12,
     """Minimal root in (0, 1) of the closed-form enlarged-disk equation.
 
     Endpoint signs are verified first: N(0) = -6 (1 - g^2)^{2 nu} < 0
-    and N(1) = (1-g)^{2 nu} pi^2 > 0, so a root exists.
+    and N(1) = (1-g)^{2 nu} pi^2 > 0, so a root exists; N increases.
     """
     n0 = gamma_equation_value(gamma, nu, 0.0)
     n1 = gamma_equation_value(gamma, nu, 1.0)
@@ -198,7 +172,7 @@ def bloch_radius_gamma(gamma: float, nu: float, tol: float = 1e-12,
     def F(r):
         return gamma_equation_value(gamma, nu, r)
 
-    return min_positive_root(F, tol, scan_step, vectorized=True)
+    return increasing_root(F, tol, scan_step)
 
 
 def bloch_refined_radius(density: HyperbolicDensity, nu: float,
@@ -213,8 +187,8 @@ def bloch_refined_radius(density: HyperbolicDensity, nu: float,
         return 2.0 * math.pi * m_integral(density, nu, r) - REFINED_THRESHOLD
 
     _require_limit(H(LIMIT_PROBE), 0.0, "refined radius")
-    return min_positive_root(H, tol, scan_step,
-                             vectorized=density.kind != "custom")
+    solve = min_positive_root if density.kind == "custom" else increasing_root
+    return solve(H, tol, scan_step)
 
 
 def derivative_majorant(coeffs: CoeffSeries, t: float) -> float:

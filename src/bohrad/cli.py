@@ -182,7 +182,8 @@ def _cmd_radius(args):
 
 
 def _cmd_tables(args):
-    rows = reproduce_table(args.id, args.tol) if args.id else reproduce_all_tables(args.tol)
+    rows = reproduce_table(args.id, args.tol, args.scan_step) if args.id \
+        else reproduce_all_tables(args.tol, args.scan_step)
     flags = [f"erratum:table{row.table_id}:(p={row.p:g},m={row.m},mu={row.mu:g})"
              for row in rows if row.erratum]
     mismatched = [row for row in rows if row.delta > TABLE_MATCH_TOL]
@@ -303,6 +304,8 @@ def _cmd_calibrate(args):
 def _cmd_bloch(args):
     if (args.domain == "gamma" or args.variant == "majorant-gamma") and args.gamma is None:
         raise ConfigurationError("this bloch variant needs --gamma")
+    if args.domain == "disk" and args.variant != "majorant-gamma" and args.gamma is not None:
+        raise ConfigurationError("--gamma needs --domain gamma on this bloch variant")
     density = HyperbolicDensity.unit_disk() if args.domain == "disk" \
         else HyperbolicDensity.omega_gamma(args.gamma)
     flags = []

@@ -252,7 +252,8 @@ class TableRow:
     erratum: bool
 
 
-def reproduce_table(table_id: int, tol: float = 1e-12) -> list[TableRow]:
+def reproduce_table(table_id: int, tol: float = 1e-12,
+                    scan_step: float = 1e-3) -> list[TableRow]:
     """Recompute one reference table and compare against the printed values.
 
     Rows whose printed value misses the recomputed root by more than
@@ -267,13 +268,13 @@ def reproduce_table(table_id: int, tol: float = 1e-12) -> list[TableRow]:
     for p, m, mu, printed in rows:
         problem = RadiusProblem(phi, p, m=m, N=1, mu=MuFunction.constant(mu),
                                 equation_kind="rogosinski")
-        computed = radius_rogosinski(problem, tol=tol).value
+        computed = radius_rogosinski(problem, tol, scan_step).value
         delta = abs(computed - printed)
         out.append(TableRow(table_id, phi_kind, p, m, mu, printed, computed,
                             delta, delta > ERRATUM_DELTA))
     return out
 
 
-def reproduce_all_tables(tol: float = 1e-12) -> list[TableRow]:
+def reproduce_all_tables(tol: float = 1e-12, scan_step: float = 1e-3) -> list[TableRow]:
     return [row for table_id in sorted(REFERENCE_TABLES)
-            for row in reproduce_table(table_id, tol)]
+            for row in reproduce_table(table_id, tol, scan_step)]

@@ -8,9 +8,9 @@ bracketed sign change is bisected.
 A closed-form F may be marked ``vectorized``: F then also maps an
 ndarray of radii to its values.  The scan evaluates its grid
 x_k = k scan_step in blocks of at most SCAN_BLOCK points, one array call
-per block, and only the bisection calls F on a scalar.  Both paths scan the same floats x_k and stop at the
-same first sign change, so they return the same RootResult whenever the
-grid values have the signs of the scalar ones.
+per block; only the bisection calls F on a scalar.  Both paths scan the
+same floats x_k, so they return the same RootResult whenever the grid
+values have the signs of the scalar ones.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class RootResult:
     """A bracketed root with its certificate data.
 
     ``iterations`` counts the scan points up to and including the one
-    that closed the bracket, plus the bisection calls of F, on either
-    scan path.
+    that closed the bracket, plus the bisection calls of F, however the
+    bracket was found (scalar scan, array scan or index bisection).
     """
 
     value: float
@@ -56,24 +56,50 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
 
     With ``vectorized``, f is called on ndarray blocks of the scan grid;
     bisection still calls f on a scalar, so the root is the one the
-    scalar scan finds whenever the grid values carry the same signs.  numpy's ``pow`` may differ from the C library's by one
-    ulp (at about 6% of the default grid for non-integer exponents), so
-    a grid point where f is within round-off of zero may read with the
-    other sign.
+    scalar scan finds whenever the grid values carry the same signs.
+    numpy's ``pow`` differs from libm's by one ulp at about 6% of grid
+    points (non-integer exponents), so a grid value within round-off of
+    zero may read with the other sign.
     """
+    return _root(f, tol, scan_step, upper, _scan_grid if vectorized else _scan)
+
+
+def increasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
+                    upper: float = 1.0) -> RootResult:
+    """min_positive_root for an increasing f, bracketed by bisecting the scan index.
+
+    f is trusted to increase, not checked; the RootResult is the scan's.
+    """
+    return _root(f, tol, scan_step, upper, _index_search)
+
+
+def _root(f, tol, scan_step, upper, search):
     if not (tol > 0 and scan_step > 0):  # also rejects nan
         raise DomainError("tol and scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
-    k, prev_v, v = _scan_grid(f, scan_step, upper) if vectorized \
-        else _scan(f, scan_step, upper)
+    k, prev_v, v = search(f, scan_step, upper)
     x = k * scan_step
     lo = (k - 1) * scan_step
     if v == 0.0:
-        if k == 1:
-            lo = max(x - scan_step, 0.0)
         return RootResult(x, (max(lo, x - tol), min(x + tol, upper)), 0.0, k, scan_step)
     return _bisect(f, lo, x, prev_v, tol, scan_step, k)
+
+
+def _index_search(f, scan_step, upper):
+    """_scan's result for an increasing f, from about log2(upper/scan_step) calls."""
+    lo, hi = 0, math.ceil(upper / scan_step) + 1  # x_hi >= upper
+    v_lo = v_hi = math.nan
+    while hi - lo > 1:  # f(x_lo) < 0 unless lo = 0; f(x_hi) >= 0 or x_hi >= upper
+        k = (lo + hi) // 2
+        v = f(k * scan_step) if k * scan_step < upper else math.inf
+        if v >= 0:
+            hi, v_hi = k, v
+        else:
+            lo, v_lo = k, v
+    if hi * scan_step >= upper or hi == 1 and v_hi > 0:  # f < 0 on the grid, or f(x_1) > 0
+        raise _no_root(scan_step, upper, hi * scan_step < upper, lo > 0)
+    return hi, v_lo, v_hi
 
 
 def _scan(f, scan_step, upper):

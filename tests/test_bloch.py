@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bohrad import (CoeffSeries, HyperbolicDensity, bloch, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
-                    count_sign_changes, m_integral, min_positive_root)
+                    count_sign_changes, increasing_root, m_integral, min_positive_root)
 from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
                           gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
@@ -82,6 +84,9 @@ class TestCircleIntegral:
             m_integral(dens, 0.5, 0.7)
 
     def test_domain_checks(self):
+        for r in (1.0, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                m_integral(HyperbolicDensity.omega_gamma(0.3), 0.5, r)
         with pytest.raises(DomainError):
             m_integral(DISK, 0.5, 1.0)
         with pytest.raises(DomainError):
@@ -241,44 +246,38 @@ class TestBlochMajorantCheck:
 OMEGAS = [HyperbolicDensity.omega_gamma(g) for g in (0.0, 0.3, 0.7, 0.9)]
 
 
-class TestGridQuadrature:
-    """m_integral on an array of radii against one scalar call per radius."""
+class TestCircleMeanTheorem:
+    """M(r) increases, which lets the built-in densities skip the scan."""
 
-    # 150 radii cross the 64-radius row blocks; r = 0 sits inside the array
-    RADII = np.linspace(0.0, 0.99, 150)
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 0.95), st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(0.0, 0.99, exclude_min=True), st.floats(0.0, 0.99, exclude_min=True),
+           st.booleans())
+    def test_m_integral_increases(self, gamma, nu, r1, r2, disk):
+        # log lambda is subharmonic, so circle means of lambda^{2 nu} grow;
+        # radii closer than 1e-9 may round to one value
+        assume(r1 + 1e-9 < r2)
+        density = DISK if disk else HyperbolicDensity.omega_gamma(gamma)
+        assert m_integral(density, nu, r1) < m_integral(density, nu, r2)
 
-    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"gamma={d.gamma}")
-    @pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 1.0])
-    def test_quadrature_is_bit_for_bit(self, density, nu):
-        scalar = [m_integral(density, nu, float(r)) for r in self.RADII]
-        assert m_integral(density, nu, self.RADII).tolist() == scalar
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 1.0])
+    def test_omega_gamma_against_hypergeometric_closed_form(self, gamma, nu):
+        # on |z| = r, lambda^{2 nu} = (1-g)^{2 nu} (c - B cos t)^{-2 nu}, whose
+        # circle mean is c^{-2 nu} 2F1(nu, nu + 1/2; 1; (B/c)^2)
+        from scipy.special import hyp2f1
 
-    @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
-    def test_disk_is_bit_for_bit_where_pow_is_exact(self, nu):
-        # 2 nu in {1/2, 1, 2}: numpy's sqrt, copy and square round as libm's pow
-        scalar = [m_integral(DISK, nu, float(r)) for r in self.RADII]
-        assert m_integral(DISK, nu, self.RADII).tolist() == scalar
-
-    @pytest.mark.parametrize("nu", [0.1, 0.3, 0.77])
-    def test_disk_is_within_an_ulp_elsewhere(self, nu):
-        scalar = np.array([m_integral(DISK, nu, float(r)) for r in self.RADII])
-        assert np.all(np.abs(m_integral(DISK, nu, self.RADII) - scalar) <= np.spacing(scalar))
-
-    def test_custom_density(self):
-        dens = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
-        radii = np.linspace(0.0, 0.9, 7)
-        assert m_integral(dens, 0.5, radii).tolist() == [m_integral(dens, 0.5, float(r))
-                                                          for r in radii]
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            m_integral(OMEGAS[1], 0.5, np.array([0.5, 1.0]))
-        with pytest.raises(DomainError):
-            m_integral(OMEGAS[1], 0.5, np.array([-0.1, 0.5]))
+        density = HyperbolicDensity.omega_gamma(gamma)
+        for r in np.linspace(0.0, 0.99, 51)[1:].tolist():
+            c = 1.0 - (1.0 - gamma) ** 2 * r * r - gamma * gamma
+            B = 2.0 * gamma * (1.0 - gamma) * r
+            closed = (r * r * (1.0 - gamma) ** (2.0 * nu) * c ** (-2.0 * nu)
+                      * hyp2f1(nu, nu + 0.5, 1.0, (B / c) ** 2))
+            assert m_integral(density, nu, r) == pytest.approx(closed, rel=1e-12)
 
 
 class TestGridScan:
-    """The Bloch solvers scan their grid in one array call, with the scalar scan's result."""
+    """The Bloch solvers bracket by index bisection, with the scalar scan's result."""
 
     @pytest.mark.parametrize("density", [DISK] + OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
     @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
@@ -297,32 +296,40 @@ class TestGridScan:
             assert count_sign_changes(F, step, vectorized=True) == count_sign_changes(F, step) == 1
 
     def test_custom_density_scans_point_by_point(self, monkeypatch):
-        grids = []
+        solvers = []
 
-        def recording(f, tol, scan_step, vectorized=False):
-            grids.append(vectorized)
-            return min_positive_root(f, tol, scan_step, vectorized=vectorized)
+        def recording(solve):
+            def record(f, tol, scan_step):
+                solvers.append(solve.__name__)
+                return solve(f, tol, scan_step)
+            return record
 
-        monkeypatch.setattr(bloch, "min_positive_root", recording)
+        monkeypatch.setattr(bloch, "min_positive_root", recording(min_positive_root))
+        monkeypatch.setattr(bloch, "increasing_root", recording(increasing_root))
         dens = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
         bloch_radius(dens, 0.5, scan_step=1e-2)
         bloch_refined_radius(dens, 0.5, scan_step=1e-2)
-        assert grids == [False, False]
-        bloch_radius(DISK, 0.5)
-        assert grids[2] is True
+        assert solvers == ["min_positive_root"] * 2
+        for density in (DISK, OMEGAS[1]):
+            bloch_radius(density, 0.5)
+            bloch_refined_radius(density, 0.5)
+        bloch_radius_gamma(0.5, 0.5)
+        assert solvers[2:] == ["increasing_root"] * 5
 
     @pytest.mark.parametrize("solve", [bloch_radius, bloch_refined_radius])
-    def test_scalar_equation_runs_only_in_bisection(self, solve, monkeypatch):
-        # work-counter guard: one scalar M(r) for the r -> 1 precondition,
-        # then one per bisection step; the scan goes through the array call
-        scalar_calls = []
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    def test_equation_calls_are_precondition_search_and_bisection(self, solve, step,
+                                                                  monkeypatch):
+        # work-counter guard: one M(r) for the r -> 1 precondition, about
+        # log2(1/step) to find the bracket, then one per bisection step
+        calls = []
 
         def counting(density, nu, r):
-            if np.ndim(r) == 0:
-                scalar_calls.append(r)
+            calls.append(r)
             return m_integral(density, nu, r)
 
         monkeypatch.setattr(bloch, "m_integral", counting)
-        result = solve(OMEGAS[2], 0.5)
+        result = solve(OMEGAS[2], 0.5, scan_step=step)
         bracket_index = math.floor(result.value / result.scan_step) + 1
-        assert 1 < len(scalar_calls) == 1 + result.iterations - bracket_index
+        search = len(calls) - 1 - (result.iterations - bracket_index)
+        assert 1 <= search <= math.ceil(math.log2(1.0 / step + 2.0))

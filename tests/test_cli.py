@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohrad import FunctionalReport, cli
+from bohrad import FunctionalReport, cli, reproduce_all_tables, reproduce_table
 from bohrad.cli import SWEEP_A_GRID, main
+from bohrad.errors import NoRootError
 
 EXPECTED_BLOCH = math.sqrt(6.0 / (6.0 + math.pi**2))
 
@@ -90,6 +91,22 @@ class TestTablesCommand:
         for jr, cr in zip(json_rows, csv_rows):
             assert float(cr["R_computed"]) == jr["R_computed"]
             assert float(cr["delta"]) == jr["delta"]
+
+
+    @pytest.mark.parametrize("command", [("tables",), ("verify", "--family", "tables")])
+    def test_scan_step_reaches_the_solver(self, capsys, command):
+        # a step of 0.01 passes over table 1's root 0.00496 and finds none
+        with pytest.raises(NoRootError):
+            reproduce_all_tables(scan_step=0.01)
+        code, out, err = run_cli(capsys, *command, "--allow-errata", "--scan-step", "0.01")
+        assert (code, out) == (3, "") and err.startswith("error: no sign change")
+
+    def test_scan_step_rows_match_the_library(self, capsys):
+        code, out, _ = run_cli(capsys, "tables", "--id", "2", "--scan-step", "0.004")
+        rows = reproduce_table(2, scan_step=0.004)
+        assert code == 0
+        assert [r["R_computed"] for r in json.loads(out)["rows"]] == \
+            [float(f"{row.computed:.9g}") for row in rows]
 
 
 class TestVerifyCommand:
@@ -201,6 +218,11 @@ class TestBlochCommand:
         assert code == 0
         assert json.loads(out)["radius"] == pytest.approx(EXPECTED_BLOCH, abs=1e-6)
 
+    def test_closed_form_variant_takes_gamma_on_the_default_domain(self, capsys):
+        code, out, _ = run_cli(capsys, "bloch", "--variant", "majorant-gamma",
+                               "--gamma", "0.5", "--nu", "0.5")
+        assert code == 0 and json.loads(out)["params"]["gamma"] == 0.5
+
     def test_missing_gamma(self, capsys):
         code, _, _ = run_cli(capsys, "bloch", "--nu", "0.5",
                              "--variant", "majorant-gamma")
@@ -266,6 +288,9 @@ class TestExitCodes:
         ("radius", "--phi", "monomial", "--m", "1", "--mu-const", "1", "--kind", "rogosinski",
          "--lambda-h", "2"),
         ("verify", "--family", "rogosinski", "--m", "1", "--mu-const", "1", "--gamma", "0"),
+        # the disk variants of bloch ignored --gamma before
+        ("bloch", "--nu", "0.5", "--gamma", "0.5"),
+        ("bloch", "--nu", "0.5", "--gamma", "0.5", "--variant", "refined"),
     ])
     def test_out_of_range_inputs_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

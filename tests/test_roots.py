@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrad import count_sign_changes, min_positive_root
+from bohrad import count_sign_changes, increasing_root, min_positive_root
 from bohrad.errors import DomainError, NoRootError
 
 
@@ -64,12 +64,13 @@ class TestMinPositiveRoot:
         assert result.value == 0.5
         assert result.residual == 0.0
 
-    def test_parameter_validation(self):
+    @pytest.mark.parametrize("solver", [min_positive_root, increasing_root])
+    def test_parameter_validation(self, solver):
         # nan fails every comparison, so "<= 0" alone would let it through
         for kwargs in ({"tol": 0.0}, {"scan_step": -1e-3}, {"tol": math.nan},
-                       {"scan_step": math.nan}):
+                       {"scan_step": math.nan}, {"upper": math.nan}, {"upper": 1.5}):
             with pytest.raises(DomainError):
-                min_positive_root(lambda r: r - 0.5, **kwargs)
+                solver(lambda r: r - 0.5, **kwargs)
 
 
 class TestSignChanges:
@@ -160,3 +161,72 @@ class TestGridScan:
         assert count_sign_changes(lambda r: math.nan if r == 0.375 else r - 0.3, 0.125) == 0
         assert all(type(r) is float for r in seen)
         assert seen == [k * 0.125 for k in range(1, 8)]
+
+
+def solve(solver, f, **kwargs):
+    """RootResult of the solver, or the NoRootError flags."""
+    try:
+        return solver(f, **kwargs)
+    except NoRootError as err:
+        return err.all_positive, err.all_negative
+
+
+class TestIncreasingRoot:
+    """Index bisection must reproduce the scalar scan on increasing functions."""
+
+    @pytest.mark.parametrize("f, kwargs", [
+        (lambda r: r - 1.0 / 3.0, {}),
+        (lambda r: (1 + r) ** 3 - 1.9, {"tol": 1e-9}),
+        (lambda r: 200.0 * r * (2 - r) / (1 - r) ** 2 - 2.0, {}),  # steep
+        (lambda r: r - 1e-3, {}),                          # zero on x_1
+        (lambda r: r - 0.5, {"scan_step": 0.25}),          # zero on x_2
+        (lambda r: r - 0.75, {"scan_step": 0.125}),        # zero on x_6
+        (lambda r: 1.0 + r, {}),                           # f(x_1) > 0
+        (lambda r: r - 1e-4, {}),                          # root below x_1
+        (lambda r: -1.0 - r, {}),                          # no root below 1
+        (lambda r: r - 0.7, {"upper": 0.75}),
+        (lambda r: r - 0.9, {"upper": 0.5}),
+        (lambda r: r - 0.3, {"upper": 0.5, "scan_step": 0.125}),
+        (lambda r: r - 0.45, {"upper": 0.5, "scan_step": 0.125}),  # x_4 = upper is off the grid
+        (lambda r: r - 0.29, {"upper": 0.3, "scan_step": 0.1}),    # 3 * 0.1 > 0.3 in floats
+        (lambda r: r - 0.3, {"scan_step": 1.5}),           # no grid point at all
+        (lambda r: r - 0.31, {"scan_step": 1e-6}),
+        (lambda r: r - 0.5, {"scan_step": 1e-6}),
+    ])
+    def test_matches_scalar_scan(self, f, kwargs):
+        assert solve(increasing_root, f, **kwargs) == solve(min_positive_root, f, **kwargs)
+
+    def test_no_root_flags(self):
+        assert solve(increasing_root, lambda r: 1.0 + r) == (True, False)
+        assert solve(increasing_root, lambda r: -1.0 - r) == (False, True)
+        assert solve(increasing_root, lambda r: r - 0.6, upper=0.5) == (False, True)
+
+    @pytest.mark.parametrize("upper, step", [(1.0, 1e-3), (0.5, 0.125), (0.3, 0.1)])
+    def test_never_evaluates_at_or_above_upper(self, upper, step):
+        def f(r):
+            assert r < upper
+            return -1.0
+
+        assert solve(increasing_root, f, scan_step=step, upper=upper) == (False, True)
+
+    def test_zero_on_the_grid(self):
+        result = increasing_root(lambda r: r - 0.75, scan_step=0.125)
+        assert (result.value, result.residual, result.iterations) == (0.75, 0.0, 6)
+        first = increasing_root(lambda r: r - 0.125, scan_step=0.125)
+        assert (first.value, first.bracket[0], first.iterations) == (0.125, 0.125 - 1e-12, 1)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("root", [0.0012345, 0.123456, 0.987654])
+    def test_bracket_search_calls(self, step, root):
+        # work-counter guard: about log2(1/step) grid points before bisection
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return r - root
+
+        result = increasing_root(f, scan_step=step)
+        bracket_index = math.floor(result.value / step) + 1
+        search = calls[:len(calls) - (result.iterations - bracket_index)]
+        assert 1 <= len(search) <= math.ceil(math.log2(1.0 / step + 2.0))
+        assert all(r == round(r / step) * step and r < 1.0 for r in search)
