@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -63,7 +64,13 @@ class _SingleLineParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bohrad argument parser, built on first use and once per process.
+
+    Every call returns the same shared parser, so callers must not
+    mutate it (add arguments, set defaults); parsing leaves it unchanged.
+    """
     parser = _SingleLineParser(
         prog="bohrad",
         description="Bohr-type radii and inequality checks for operator-valued "

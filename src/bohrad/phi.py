@@ -4,7 +4,10 @@ Generalized Bohr sums replace the monomial weights r^n by an admissible
 sequence of non-negative continuous functions whose sum converges on
 [0, 1).  Built-in kinds carry closed-form tails; custom sequences are
 summed by truncation with a geometric tail estimate certified against
-the fixed tolerance ``series.ABS_TOL``.
+the fixed tolerance ``series.ABS_TOL``.  A custom kind without a
+``custom_tail`` costs ``series.TRUNCATION_N`` calls of
+``custom_term`` per evaluation of its tail, made directly rather than
+through ``phi_term``.
 """
 
 from __future__ import annotations
@@ -138,21 +141,37 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
 
 
 def _truncated_tail(phi, N, r):
-    terms = [phi_term(phi, n, r) for n in range(N, N + TRUNCATION_N)]
-    nonzero = [t for t in terms if t > 0.0]
-    if len(nonzero) < 2:
-        return math.fsum(terms)
-    ratio = nonzero[-1] / nonzero[-2]
+    """Sum of custom_term(n, r) over N <= n < N + TRUNCATION_N plus a geometric bound.
+
+    The caller has checked r and N >= start_index.  The terms are
+    checked together after they are all computed; a failure names the
+    first n whose term is negative or not finite.
+    """
+    term = phi.custom_term
+    terms = [float(term(n, r)) for n in range(N, N + TRUNCATION_N)]
+    try:
+        # min first: fsum raises ValueError on +inf and -inf together
+        total = math.fsum(terms) if min(terms) >= 0.0 else math.nan
+    except OverflowError:  # valid terms whose sum overflows: raised after the ratio checks
+        total = None
+    if total is not None and not math.isfinite(total):
+        n = next(n for n, t in enumerate(terms, N) if not 0.0 <= t < math.inf)
+        raise DomainError(f"custom term at n={n} must be finite and >= 0")
+    nonzero = (t for t in reversed(terms) if t > 0.0)
+    last, before = next(nonzero, 0.0), next(nonzero, 0.0)
+    if not before:  # at most one nonzero term: its sum cannot overflow
+        return total
+    ratio = last / before
     if ratio >= TAIL_RATIO_CAP:
         raise NonConvergenceError(
             f"term ratio {ratio:.6g} at truncation exceeds the cap "
             f"{TAIL_RATIO_CAP:.6g}; cannot certify convergence")
-    bound = nonzero[-1] * ratio / (1.0 - ratio)
+    bound = last * ratio / (1.0 - ratio)
     if bound > ABS_TOL:
         raise NonConvergenceError(
             f"tail estimate {bound:.3g} exceeds abs_tol {ABS_TOL:.3g} "
             f"after {TRUNCATION_N} terms")
-    return math.fsum(terms) + bound
+    return (math.fsum(terms) if total is None else total) + bound
 
 
 def phi_weight(phi: PhiSequence, r: float):

@@ -96,9 +96,14 @@ class CoeffSeries:
         A geometric continuation survives: when N lies beyond the stored
         range the first kept norm is materialized from it.
         """
-        last = max(self.last_index, N)
-        norms = tuple(0.0 if n < N else self.norm(n) for n in range(last + 1))
-        return CoeffSeries(norms, max(self.start_index, N), self.tail_geometric_ratio)
+        start = max(self.start_index, N)
+        if N > self.last_index:
+            norms = (0.0,) * N + (self.norm(N),)
+        else:
+            # zero up to the new start: a stored -0.0 below it reads as norm() = 0.0
+            keep = min(start, len(self.norms))
+            norms = (0.0,) * keep + self.norms[keep:]
+        return CoeffSeries(norms, start, self.tail_geometric_ratio)
 
 
 @dataclass(frozen=True)

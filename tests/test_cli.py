@@ -312,15 +312,16 @@ class TestTextFormat:
         assert any(line.startswith("radius:") for line in out.splitlines())
 
 
-def test_console_script_smoke():
-    # the package is importable from src/ without installing it
+def run_python(*args):
+    """Run python with src/ importable (no install needed) and a fixed help width."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bohrad.cli", "radius", "--phi", "monomial",
-         "--gamma", "0"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+
+
+def test_console_script_smoke():
+    proc = run_python("-m", "bohrad.cli", "radius", "--phi", "monomial", "--gamma", "0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["radius"] == pytest.approx(1 / 3, abs=1e-6)
 
@@ -338,3 +339,51 @@ def test_readme_examples_are_golden():
                 for line in block.splitlines() if line.startswith("bohrad ")]
     assert examples
     assert [argv for argv in examples if argv not in [c["argv"] for c in GOLDEN]] == []
+
+
+class TestParserCache:
+    # main() -> [exit, stdout, stderr] for each argv in sys.argv[1], all in this process
+    MAIN_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from bohrad.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+    def main_in_one_process(self, *argvs):
+        proc = run_python("-c", self.MAIN_IN_ONE_PROCESS, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_does_not_build_the_parser(self):
+        proc = run_python("-c", """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import bohrad.cli
+print(len(built))
+bohrad.cli.build_parser()
+print(len(built) > 0)
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True"]
+
+    def test_requests_in_one_process_print_what_fresh_processes_print(self):
+        golden = GOLDEN[0]
+        argvs = [["radius", "--phi", "monomial", "--p", "abc"], ["--help"],
+                 ["verify", "--family", "tables"], golden["argv"]]
+        shared = self.main_in_one_process(*argvs)
+        assert shared == [self.main_in_one_process(argv)[0] for argv in argvs]
+        assert [code for code, _, _ in shared] == [2, 0, 4, golden["exit"]]
+        assert shared[0][2].startswith("error: argument --p")
+        assert shared[1][1].startswith("usage: bohrad")
+        assert shared[3][1] == golden["stdout"]

@@ -10,6 +10,8 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, CoeffSeries,
                     PhiSequence, phi_tail, phi_term, refined_sum)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
+from bohrad.phi import _truncated_tail
+from bohrad.series import ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N
 
 import mp_sums
 
@@ -134,6 +136,96 @@ class TestPhiTail:
         nearly_flat = PhiSequence("custom", custom_term=lambda n, r: 0.995**n)
         with pytest.raises(NonConvergenceError):
             phi_tail(nearly_flat, 0, 0.5)
+
+
+def reference_truncated_tail(phi, N, r):
+    """The truncated tail term by term through phi_term, the way it was first written."""
+    terms = [phi_term(phi, n, r) for n in range(N, N + TRUNCATION_N)]
+    nonzero = [t for t in terms if t > 0.0]
+    if len(nonzero) < 2:
+        return math.fsum(terms)
+    ratio = nonzero[-1] / nonzero[-2]
+    if ratio >= TAIL_RATIO_CAP:
+        raise NonConvergenceError(
+            f"term ratio {ratio:.6g} at truncation exceeds the cap "
+            f"{TAIL_RATIO_CAP:.6g}; cannot certify convergence")
+    bound = nonzero[-1] * ratio / (1.0 - ratio)
+    if bound > ABS_TOL:
+        raise NonConvergenceError(
+            f"tail estimate {bound:.3g} exceeds abs_tol {ABS_TOL:.3g} "
+            f"after {TRUNCATION_N} terms")
+    return math.fsum(terms) + bound
+
+
+def outcome(f, *args):
+    """A call's float repr, or its exception's type and message."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+CUSTOM_TERMS = {
+    "geometric": lambda n, r: r**n,
+    "linear": lambda n, r: (n + 1) * r**n,
+    "harmonic": lambda n, r: r**n / (n + 1),
+    "every_third": lambda n, r: r**n if n % 3 == 0 else 0.0,
+    "single": lambda n, r: r if n == 5 else 0.0,
+}
+
+
+def with_values(values):
+    """A custom weight with 0.5^n everywhere except at the given indices."""
+    return PhiSequence("custom", custom_term=lambda n, r: values.get(n, 0.5**n))
+
+
+class TestTruncatedTail:
+    @pytest.mark.parametrize("name", sorted(CUSTOM_TERMS))
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("N", [0, 1, 4, 7])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_matches_term_by_term_reference_bit_for_bit(self, name, start, N, r):
+        phi = PhiSequence("custom", start, CUSTOM_TERMS[name])
+        expected = outcome(reference_truncated_tail, phi, max(N, start), r)
+        assert outcome(phi_tail, phi, N, r) == expected
+        if N >= start:
+            assert outcome(_truncated_tail, phi, N, r) == expected
+
+    @pytest.mark.parametrize("values, first", [
+        ({7: -1e-3}, 7),
+        ({2: -0.0, 7: -1e-300}, 7),
+        ({2: math.nan}, 2),
+        ({9: math.nan}, 9),
+        ({2: math.nan, 9: -1.0}, 2),
+        ({9: math.inf}, 9),
+        ({9: -math.inf}, 9),
+        ({4: math.inf, 9: -math.inf}, 4),
+        ({4: -math.inf, 9: math.inf}, 4),
+        ({4: math.inf, 9: math.nan}, 4),
+        ({2 + TRUNCATION_N - 1: math.inf}, 2 + TRUNCATION_N - 1),
+    ])
+    def test_bad_terms_name_the_first_bad_index(self, values, first):
+        phi = with_values(values)
+        with pytest.raises(DomainError) as info:
+            phi_tail(phi, 2, 0.5)
+        assert str(info.value) == f"custom term at n={first} must be finite and >= 0"
+        assert outcome(phi_tail, phi, 2, 0.5) == outcome(reference_truncated_tail, phi, 2, 0.5)
+
+    def test_bad_term_past_the_window_is_never_seen(self):
+        phi = with_values({2 + TRUNCATION_N: math.nan})
+        assert repr(phi_tail(phi, 2, 0.5)) == repr(reference_truncated_tail(phi, 2, 0.5))
+
+    @pytest.mark.parametrize("phi", [
+        PhiSequence("custom", custom_term=lambda n, r: 1.0 / (n + 1.0)),
+        PhiSequence("custom", custom_term=lambda n, r: 0.995**n),
+        # valid terms whose sum overflows: the ratio check still comes first
+        PhiSequence("custom", custom_term=lambda n, r: 1e308),
+        PhiSequence("custom", custom_term=lambda n, r: 1e308 if n < 2 else 0.5**n),
+    ])
+    def test_failures_match_the_reference(self, phi):
+        expected = outcome(reference_truncated_tail, phi, 0, 0.5)
+        assert not isinstance(expected, str)
+        assert outcome(phi_tail, phi, 0, 0.5) == expected
 
 
 class TestRefinedSum:

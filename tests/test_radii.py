@@ -10,10 +10,12 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRAT
                     MuFunction, PhiSequence, RadiusProblem, closed_form_radius,
                     min_positive_root, non_improvable, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
+from bohrad import phi as phi_module
 from bohrad import radii
 from bohrad.errors import ConfigurationError, DomainError, NoRootError
 from bohrad.phi import phi_term
 from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
+from bohrad.series import TRUNCATION_N
 
 GAMMAS = [0.1 * k for k in range(10)]
 
@@ -359,3 +361,25 @@ class TestGridScan:
         result = solved(problem)
         bracket_index = math.floor(result.value / result.scan_step) + 1
         assert 0 < len(scalar_calls) == result.iterations - bracket_index
+
+    def test_custom_tail_calls_custom_term_directly(self, monkeypatch):
+        # work-counter guard: each evaluation of F makes one phi_term call
+        # (its head phi_m) and one tail of TRUNCATION_N custom_term calls
+        counts = {"term": 0, "tail": 0, "custom": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(phi_module, "phi_term", counted("term", phi_module.phi_term))
+        monkeypatch.setattr(radii, "phi_term", counted("term", radii.phi_term))
+        monkeypatch.setattr(radii, "phi_tail", counted("tail", radii.phi_tail))
+        custom = PhiSequence("custom", custom_term=counted("custom", lambda n, r: r**n))
+        result = radius_refined(RadiusProblem(custom, 1.0))
+        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        evaluations = counts["tail"]
+        assert evaluations > 0
+        assert counts["term"] == evaluations
+        assert counts["custom"] == (TRUNCATION_N + 1) * evaluations

@@ -307,6 +307,29 @@ class TestCoeffSeries:
         assert cut.norm(10) == pytest.approx(coeffs.norm(10), rel=1e-12)
         assert cut.norm(12) == pytest.approx(coeffs.norm(12), rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_truncated_from_matches_the_norm_comprehension(self, seed):
+        # property: the sliced norms equal the per-index norm() construction
+        # bit for bit (signed zeros included) below, at and past last_index
+        def reference(coeffs, N):
+            norms = tuple(0.0 if n < N else coeffs.norm(n)
+                          for n in range(max(coeffs.last_index, N) + 1))
+            return CoeffSeries(norms, max(coeffs.start_index, N), coeffs.tail_geometric_ratio)
+
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            size = int(rng.integers(1, 10))
+            start = int(rng.integers(0, size + 3))
+            zeros = rng.choice([0.0, -0.0], size)
+            values = np.where(rng.random(size) < 0.2, zeros, rng.uniform(0.0, 2.0, size))
+            norms = tuple(float(z if n < start else v) for n, (z, v) in enumerate(zip(zeros, values)))
+            ratio = (None, 0.0, float(rng.uniform(0.0, 1.0)))[int(rng.integers(0, 3))]
+            coeffs = CoeffSeries(norms, start, ratio)
+            for N in range(coeffs.last_index + 4):
+                cut, expected = coeffs.truncated_from(N), reference(coeffs, N)
+                assert repr(cut) == repr(expected)
+                assert repr(cut.norms) == repr(expected.norms)
+
     def test_domain_spec_effective_lambda(self):
         assert DomainSpec.omega_gamma(0.5).effective_lambda == pytest.approx(2 / 3)
         assert DomainSpec.disk().effective_lambda == 1.0
