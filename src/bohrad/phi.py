@@ -8,10 +8,17 @@ the fixed tolerance ``series.ABS_TOL``.  A custom kind without a
 ``custom_tail`` costs ``series.TRUNCATION_N`` calls of
 ``custom_term`` per evaluation of its tail, made directly rather than
 through ``phi_term``.
+
+The closed forms of the built-in kinds sit in one table, read by
+``phi_term``/``phi_tail`` and by the binders ``term_at``/``tail_from``.
+A binder resolves the kind, start_index and index checks once per
+equation and returns a function of r alone that does no checking, so
+an equation bound once checks r once per evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,6 +88,61 @@ GEOMETRIC_FORMS = {
 }
 
 
+def _weighted_quadratic_tail(N, r):
+    head = 1.0 if N == 0 else 0.0
+    M = max(N, 1)
+    poly = M * M * (1.0 - r) ** 2 + 2 * M * r * (1.0 - r) + r * (1.0 + r)
+    return head + r**M * poly / (1.0 - r) ** 3
+
+
+# Each built-in kind as (phi_n(r) as a function of (n, r), Phi_N(r) as a
+# function of (N, r) for N >= start_index); r is a float or an ndarray.
+# The tails add non-negative terms over powers of (1 - r), so nothing
+# cancels as r -> 1.
+_FORMULAS = {
+    "monomial": (lambda n, r: r**n,
+                 lambda N, r: r**N / (1.0 - r)),
+    "weighted_linear": (lambda n, r: (n + 1) * r**n,
+                        lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2),
+    "weighted_quadratic": (lambda n, r: 1.0 if n == 0 else n * n * r**n,
+                           _weighted_quadratic_tail),
+    "even_only": (lambda n, r: r**n if n % 2 == 0 else 0.0,
+                  lambda N, r: r ** (N + N % 2) / ((1.0 - r) * (1.0 + r))),
+    "odd_only": (lambda n, r: 1.0 if n == 0 else r**n if n % 2 == 1 else 0.0,
+                 lambda N, r: (1.0 if N == 0 else 0.0) + r ** (N | 1) / ((1.0 - r) * (1.0 + r))),
+}
+
+
+def _builtin(phi):
+    if phi.kind == "custom":
+        raise ConfigurationError("custom weights are evaluated by phi_term and phi_tail")
+    return _FORMULAS[phi.kind]
+
+
+def _zero(r):
+    return 0.0
+
+
+def term_at(phi: PhiSequence, n: int):
+    """phi_n of a built-in kind as a function of r alone.
+
+    The kind, start_index and the check on n are resolved here, once;
+    the returned function does not check r (its caller does) and gives
+    phi_term(phi, n, r) bit for bit.
+    """
+    if n < 0:
+        raise DomainError("term index must be non-negative")
+    term = _builtin(phi)[0]
+    return _zero if n < phi.start_index else functools.partial(term, n)
+
+
+def tail_from(phi: PhiSequence, N: int):
+    """Phi_N of a built-in kind as a function of r alone; see term_at."""
+    if N < 0:
+        raise DomainError("tail start index must be non-negative")
+    return functools.partial(_builtin(phi)[1], max(N, phi.start_index))
+
+
 def phi_term(phi: PhiSequence, n: int, r: float) -> float:
     """Evaluate phi_n(r); built-in kinds also take an ndarray of radii."""
     if n < 0:
@@ -88,19 +150,8 @@ def phi_term(phi: PhiSequence, n: int, r: float) -> float:
     _check_radius(r)
     if n < phi.start_index:
         return 0.0
-    kind = phi.kind
-    if kind == "monomial":
-        return r**n
-    if kind == "weighted_linear":
-        return (n + 1) * r**n
-    if kind == "weighted_quadratic":
-        return 1.0 if n == 0 else n * n * r**n
-    if kind == "even_only":
-        return r**n if n % 2 == 0 else 0.0
-    if kind == "odd_only":
-        if n == 0:
-            return 1.0
-        return r**n if n % 2 == 1 else 0.0
+    if phi.kind != "custom":
+        return _FORMULAS[phi.kind][0](n, r)
     value = float(phi.custom_term(n, r))
     if not math.isfinite(value) or value < 0:
         raise DomainError(f"custom term at n={n} must be finite and >= 0")
@@ -110,9 +161,8 @@ def phi_term(phi: PhiSequence, n: int, r: float) -> float:
 def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
-    Built-in kinds use closed forms whose numerators add non-negative
-    terms, so nothing cancels as r -> 1, and also take an ndarray of
-    radii; custom kinds fall back to a
+    Built-in kinds use the closed forms of _FORMULAS, and also take an
+    ndarray of radii; custom kinds use custom_tail if given, else a
     truncated sum plus a geometric tail estimate whose certified bound
     must not exceed series.ABS_TOL.
     """
@@ -120,21 +170,8 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
         raise DomainError("tail start index must be non-negative")
     _check_radius(r)
     N = max(N, phi.start_index)
-    kind = phi.kind
-    if kind == "monomial":
-        return r**N / (1.0 - r)
-    if kind == "weighted_linear":
-        return r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2
-    if kind == "weighted_quadratic":
-        head = 1.0 if N == 0 else 0.0
-        M = max(N, 1)
-        poly = M * M * (1.0 - r) ** 2 + 2 * M * r * (1.0 - r) + r * (1.0 + r)
-        return head + r**M * poly / (1.0 - r) ** 3
-    if kind == "even_only":
-        return r ** (N + N % 2) / ((1.0 - r) * (1.0 + r))
-    if kind == "odd_only":
-        head = 1.0 if N == 0 else 0.0
-        return head + r ** (N | 1) / ((1.0 - r) * (1.0 + r))
+    if phi.kind != "custom":
+        return _FORMULAS[phi.kind][1](N, r)
     if phi.custom_tail is not None:
         return float(phi.custom_tail(N, r))
     return _truncated_tail(phi, N, r)

@@ -8,13 +8,15 @@ bracketed sign change is bisected.
 A closed-form F may be marked ``vectorized``: F then also maps an
 ndarray of radii to its values.  The scan evaluates its grid
 x_k = k scan_step in blocks of at most SCAN_BLOCK points, one array call
-per block; only the bisection calls F on a scalar.  Both paths scan the
-same floats x_k, so they return the same RootResult whenever the grid
-values have the signs of the scalar ones.
+per block; only the bisection calls F on a scalar.  The blocks are
+cached read-only, so solves at one ``scan_step`` build the grid once.
+Both paths scan the same floats x_k, so they return the same RootResult
+whenever the grid values have the signs of the scalar ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,19 +141,28 @@ def _scan_grid(f, scan_step, upper):
 
 
 def _grid_blocks(scan_step, upper):
-    """(k, x_k .. x_{k+n-1}) blocks of the scan grid below upper, n <= SCAN_BLOCK.
-
-    x_k is computed as k * scan_step, the same float the scalar scan uses.
-    """
+    """(k, x_k .. x_{k+n-1}) blocks of the scan grid below upper, n <= SCAN_BLOCK."""
     k = 1
     while True:
-        xs = np.arange(k, k + SCAN_BLOCK) * scan_step
-        xs = xs[xs < upper]
+        xs = _grid_block(k, scan_step, upper)
         if xs.size:
             yield k, xs
         if xs.size < SCAN_BLOCK:
             return
         k += SCAN_BLOCK
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_block(k, scan_step, upper):
+    """x_j = j scan_step for k <= j < k + SCAN_BLOCK, cut at upper; cached read-only.
+
+    x_j is the same float the scalar scan uses.  Solves at one scan_step
+    share their blocks; 32 blocks hold 256 KiB.
+    """
+    xs = np.arange(k, k + SCAN_BLOCK) * scan_step
+    xs = xs[xs < upper]
+    xs.flags.writeable = False
+    return xs
 
 
 def _no_root(scan_step, upper, saw_positive, saw_negative):

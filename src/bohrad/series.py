@@ -48,14 +48,14 @@ class CoeffSeries:
     def __post_init__(self):
         if self.start_index < 0:
             raise DomainError("start_index must be non-negative")
-        norms = tuple(float(x) for x in self.norms)
-        if not norms:
-            norms = (0.0,)
-        for n, x in enumerate(norms):
-            if not math.isfinite(x) or x < 0:
-                raise DomainError(f"norm at index {n} must be finite and >= 0, got {x}")
-            if n < self.start_index and x != 0.0:
-                raise DomainError(f"norms below start_index must vanish (index {n})")
+        norms = tuple(map(float, self.norms)) or (0.0,)
+        if not (all(map(math.isfinite, norms)) and min(norms) >= 0.0
+                and not any(norms[:self.start_index])):
+            for n, x in enumerate(norms):  # name the first bad index
+                if not math.isfinite(x) or x < 0:
+                    raise DomainError(f"norm at index {n} must be finite and >= 0, got {x}")
+                if n < self.start_index and x != 0.0:
+                    raise DomainError(f"norms below start_index must vanish (index {n})")
         ratio = self.tail_geometric_ratio
         if ratio is not None and not 0.0 <= ratio < 1.0:
             raise DomainError("tail_geometric_ratio must lie in [0, 1)")
@@ -237,10 +237,16 @@ class DomainSpec:
 
 
 def _check_radius(r):
-    """Accept a radius in [0, 1), or an ndarray of them."""
+    """Accept a real radius in [0, 1) (Python or numpy scalar), or an ndarray of them."""
     if isinstance(r, (int, float)) and 0.0 <= r < 1.0:
         return
-    if not (isinstance(r, np.ndarray) and np.all((0.0 <= r) & (r < 1.0))):
+    if isinstance(r, np.ndarray):
+        inside = np.all((0.0 <= r) & (r < 1.0))
+    elif isinstance(r, (int, float, np.integer, np.floating)):
+        inside = 0.0 <= r < 1.0
+    else:
+        raise DomainError(f"radius must be a real number or an ndarray, got {type(r).__name__}")
+    if not inside:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, CoeffSeries,
                     PhiSequence, phi_tail, phi_term, refined_sum)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.phi import _truncated_tail
+from bohrad.phi import _truncated_tail, tail_from, term_at
 from bohrad.series import ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N
 
 import mp_sums
@@ -136,6 +137,45 @@ class TestPhiTail:
         nearly_flat = PhiSequence("custom", custom_term=lambda n, r: 0.995**n)
         with pytest.raises(NonConvergenceError):
             phi_tail(nearly_flat, 0, 0.5)
+
+
+SCAN_GRID = np.arange(1, 1000) * 1e-3  # the default scan grid, one array call
+
+
+def bits(x):
+    """Type, shape and bytes of a float or an array: equal means equal bit for bit."""
+    a = np.asarray(x, dtype=float)
+    return type(x), a.shape, a.tobytes()
+
+
+class TestBinders:
+    """term_at/tail_from resolve kind and index once and match phi_term/phi_tail exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUILTIN_PHI)), n=st.integers(0, 12),
+           start=st.sampled_from((0, 1, 3)), r=st.floats(0.0, 1.0, exclude_max=True))
+    def test_bound_weights_equal_phi_term_and_phi_tail(self, kind, n, start, r):
+        phi = PhiSequence(kind, start_index=start)
+        term, tail = term_at(phi, n), tail_from(phi, n)
+        for x in (r, SCAN_GRID):
+            assert bits(term(x)) == bits(phi_term(phi, n, x))
+            assert bits(tail(x)) == bits(phi_tail(phi, n, x))
+
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI))
+    def test_negative_index_raises_the_old_message(self, kind):
+        phi = BUILTIN_PHI[kind]
+        for bind, call in ((term_at, phi_term), (tail_from, phi_tail)):
+            with pytest.raises(DomainError) as bound:
+                bind(phi, -1)
+            with pytest.raises(DomainError) as direct:
+                call(phi, -1, 0.5)
+            assert str(bound.value) == str(direct.value)
+
+    def test_custom_weights_are_not_bound(self):
+        custom = PhiSequence("custom", custom_term=lambda n, r: r**n)
+        for bind in (term_at, tail_from):
+            with pytest.raises(ConfigurationError):
+                bind(custom, 1)
 
 
 def reference_truncated_tail(phi, N, r):

@@ -1,19 +1,23 @@
 """Radius equations, closed forms, reference tables, and r_p bounds."""
 
+import collections
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRATIC, DomainSpec,
-                    MuFunction, PhiSequence, RadiusProblem, closed_form_radius,
+                    MuFunction, PhiSequence, RadiusProblem, RootResult, closed_form_radius,
                     min_positive_root, non_improvable, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
 from bohrad import phi as phi_module
 from bohrad import radii
-from bohrad.errors import ConfigurationError, DomainError, NoRootError
-from bohrad.phi import phi_term
+from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError, NoRootError
+from bohrad.phi import phi_tail, phi_term, term_at
 from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
 from bohrad.series import TRUNCATION_N
 
@@ -281,6 +285,73 @@ def solved(problem):
     return outcome(radius_refined if refined else radius_rogosinski, problem)
 
 
+def inline_refined(problem):
+    """The refined equation as first written: phi_term and phi_tail on every call."""
+    lam = problem.domain.effective_lambda
+
+    def F(r):
+        return problem.p * phi_term(problem.phi, problem.m, r) \
+            - 2.0 * lam * phi_tail(problem.phi, problem.m + 1, r)
+    return F
+
+
+def inline_rogosinski(problem):
+    """The Rogosinski equation as first written."""
+    def F(r):
+        rm = r**problem.m
+        head = problem.p * (1.0 - rm) / (1.0 + rm)
+        return head * phi_term(problem.phi, 0, r) \
+            - 2.0 * problem.mu(r) * phi_tail(problem.phi, problem.N, r)
+    return F
+
+
+def evaluated(F, x):
+    """F(x) as type, shape and bytes (equal means equal bit for bit), or its error."""
+    try:
+        value = F(x)
+    except (DomainError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+    a = np.asarray(value, dtype=float)
+    return type(value), a.shape, a.tobytes()
+
+
+SCAN_GRID = np.arange(1, 1000) * 1e-3
+CUSTOM_POWER = PhiSequence("custom", custom_term=lambda n, r: r**n)
+
+
+class TestBoundEquations:
+    """Equations bound once per problem give the inline forms' values bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUILTIN_PHI) + ["custom"]), start=st.sampled_from((0, 1, 3)),
+           m=st.integers(0, 12), N=st.integers(1, 12), p=st.floats(0.01, 2.0),
+           domain=st.one_of(st.floats(0.0, 0.99).map(DomainSpec.omega_gamma),
+                            st.floats(0.1, 5.0).map(DomainSpec.general)),
+           mu=st.one_of(st.floats(0.0, 100.0), st.just(lambda r: 1.0 + r * r)),
+           r=st.floats(0.0, 1.0, exclude_max=True))
+    def test_bound_equals_inline(self, kind, start, m, N, p, domain, mu, r):
+        phi = (PhiSequence(kind, start_index=start) if kind != "custom"
+               else dataclasses.replace(CUSTOM_POWER, start_index=start))
+        refined = RadiusProblem(phi, p, m=m, domain=domain)
+        rogosinski = RadiusProblem(phi, p, m=max(m, 1), N=N, mu=mu, equation_kind="rogosinski")
+        pairs = [(refined_equation(refined), inline_refined(refined)),
+                 (rogosinski_equation(rogosinski), inline_rogosinski(rogosinski))]
+        for i, (bound, inline) in enumerate(pairs):
+            arrays = kind != "custom" and (i == 0 or rogosinski.mu.value is not None)
+            for x in (r, SCAN_GRID) if arrays else (r,):
+                assert evaluated(bound, x) == evaluated(inline, x)
+
+    @pytest.mark.parametrize("phi", [MONOMIAL, EVEN_ONLY, CUSTOM_POWER])
+    @pytest.mark.parametrize("mu", [2.0, lambda r: 1.0 + r])
+    def test_out_of_range_radius_raises(self, phi, mu):
+        for F in (refined_equation(RadiusProblem(phi, 1.0)),
+                  rogosinski_equation(RadiusProblem(phi, 1.0, m=1, mu=mu,
+                                                    equation_kind="rogosinski"))):
+            for r in (1.0, -0.1, math.nan, np.array([0.5, 1.0])):
+                with pytest.raises(DomainError, match="radius must lie in"):
+                    F(r)
+
+
 class TestGridScan:
     """Built-in equations scan their grid in one array call, with the scalar scan's result."""
 
@@ -343,24 +414,76 @@ class TestGridScan:
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
         assert grids[3:] == [True, True]
 
+    @pytest.mark.parametrize("problem, step, expected", [
+        (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 1e-6,
+         RootResult(0.39393939393901833, (0.39393939393806465, 0.393939393939972),
+                    6.198375146482249e-13, 393960, 1e-06)),
+        (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 3e-6,
+         RootResult(0.39393939393925664, (0.3939393939385414, 0.3939393939399719),
+                    2.2659651932599445e-13, 131336, 3e-06)),
+        (RadiusProblem(WEIGHTED_QUADRATIC, 1.0, m=5, mu=10.0, equation_kind="rogosinski"), 1e-6,
+         RootResult(0.04216114214801788, (0.04216114214706421, 0.042161142148971556),
+                    -4.545253062815391e-12, 42182, 1e-06)),
+        (RadiusProblem(WEIGHTED_QUADRATIC, 1.0, m=5, mu=10.0, equation_kind="rogosinski"), 3e-6,
+         RootResult(0.04216114214766026, (0.042161142147302634, 0.04216114214801789),
+                    5.4003468363816864e-12, 14077, 3e-06)),
+    ])
+    def test_fine_steps_keep_their_root_results(self, problem, step, expected):
+        # many cached grid blocks, more than the cache holds for the first two;
+        # the expected results were computed before the blocks were cached
+        solve = radius_refined if problem.equation_kind == "refined" else radius_rogosinski
+        assert solve(problem, scan_step=step) == expected
+
     @pytest.mark.parametrize("problem", [
         RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
         RadiusProblem(ODD_ONLY, 0.5, m=1, mu=1.0, equation_kind="rogosinski"),
     ])
     def test_scalar_equation_runs_only_in_bisection(self, problem, monkeypatch):
         # work-counter guard: every scan point goes through the array call,
-        # so the scalar equation is called once per bisection step
+        # so the bound term is evaluated on a scalar once per bisection step
         scalar_calls = []
 
-        def counting(phi, n, r):
-            if np.ndim(r) == 0:
-                scalar_calls.append(r)
-            return phi_term(phi, n, r)
+        def counting_term_at(phi, n):
+            term = term_at(phi, n)
 
-        monkeypatch.setattr(radii, "phi_term", counting)
+            def counted(r):
+                if np.ndim(r) == 0:
+                    scalar_calls.append(r)
+                return term(r)
+            return counted
+
+        monkeypatch.setattr(radii, "term_at", counting_term_at)
         result = solved(problem)
         bracket_index = math.floor(result.value / result.scan_step) + 1
         assert 0 < len(scalar_calls) == result.iterations - bracket_index
+
+    @pytest.mark.parametrize("problem", [
+        RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
+        RadiusProblem(ODD_ONLY, 0.5, m=1, mu=1.0, equation_kind="rogosinski"),
+    ])
+    def test_bound_equation_checks_r_once_per_evaluation(self, problem, monkeypatch):
+        # work-counter guard: a built-in equation is bound once per problem,
+        # so its solve calls neither phi_term nor phi_tail and checks r once
+        # per evaluation of F: one array call for the scan, then bisection
+        calls = collections.Counter()
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (radii, phi_module):
+            for name in ("phi_term", "phi_tail"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(radii, "_check_radius", counted("check", radii._check_radius))
+        name = f"{problem.equation_kind}_equation"
+        equation = getattr(radii, name)
+        monkeypatch.setattr(radii, name, lambda problem: counted("F", equation(problem)))
+        result = solved(problem)
+        bracket_index = math.floor(result.value / result.scan_step) + 1
+        assert calls["phi_term"] == calls["phi_tail"] == 0
+        assert calls["check"] == calls["F"] == 1 + result.iterations - bracket_index
 
     def test_custom_tail_calls_custom_term_directly(self, monkeypatch):
         # work-counter guard: each evaluation of F makes one phi_term call

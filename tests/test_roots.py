@@ -7,6 +7,7 @@ import pytest
 
 from bohrad import count_sign_changes, increasing_root, min_positive_root
 from bohrad.errors import DomainError, NoRootError
+from bohrad.roots import SCAN_BLOCK, _grid_block, _grid_blocks
 
 
 class TestMinPositiveRoot:
@@ -117,8 +118,6 @@ class TestGridScan:
         assert scan(f, True, **kwargs) == scan(f, False, **kwargs)
 
     def test_blocks_are_bounded(self):
-        from bohrad.roots import SCAN_BLOCK
-
         sizes = []
 
         def f(r):
@@ -129,6 +128,41 @@ class TestGridScan:
         result = min_positive_root(f, scan_step=1e-6, vectorized=True)
         assert max(sizes) == SCAN_BLOCK and len(sizes) == 5
         assert result == min_positive_root(f, scan_step=1e-6)
+
+    @pytest.mark.parametrize("step, upper", [
+        (1e-3, 1.0), (0.25, 1.0), (1e-3, 0.75), (1e-5, 1.0), (3e-6, 0.5), (1e-5, 0.010245)])
+    def test_cached_blocks_are_the_arange_blocks(self, step, upper):
+        # reference: the grid as built before blocks were cached
+        def arange_blocks():
+            k = 1
+            while True:
+                xs = np.arange(k, k + SCAN_BLOCK) * step
+                xs = xs[xs < upper]
+                if xs.size:
+                    yield k, xs
+                if xs.size < SCAN_BLOCK:
+                    return
+                k += SCAN_BLOCK
+
+        blocks = list(_grid_blocks(step, upper))
+        expected = list(arange_blocks())
+        assert [k for k, _ in blocks] == [k for k, _ in expected]
+        for (_, xs), (_, want) in zip(blocks, expected):
+            assert xs.dtype == want.dtype and xs.tobytes() == want.tobytes()
+        if len(blocks) <= _grid_block.cache_info().maxsize:  # a grid that fits is built once
+            assert all(a is b for (_, a), (_, b) in zip(blocks, _grid_blocks(step, upper)))
+
+    def test_cached_blocks_are_read_only(self):
+        _, xs = next(_grid_blocks(1e-3, 1.0))
+        with pytest.raises(ValueError):
+            xs[0] = 0.5
+        with pytest.raises(ValueError):
+            xs *= 2.0
+        assert xs[0] == 1e-3
+
+    def test_grid_cache_is_bounded(self):
+        maxsize = _grid_block.cache_info().maxsize
+        assert maxsize is not None and maxsize * SCAN_BLOCK * 8 <= 1 << 20
 
     @pytest.mark.parametrize("f, step", [
         (lambda r: (r - 0.2) * (r - 0.8), 1e-3),

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrad import (CoeffSeries, DomainSpec, MatrixCoeffFn, check_coeff_bound,
-                    diag_blend_coeffs, mobius_gamma_coeffs, operator_norm,
+from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, MatrixCoeffFn, check_coeff_bound,
+                    diag_blend_coeffs, mobius_gamma_coeffs, operator_norm, phi_term,
                     point_eval_bound, s_r, schwarz_composed_bound)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.series import norm_sum
+from bohrad.series import _check_radius, norm_sum
 
 import mp_sums
 
@@ -293,6 +293,27 @@ class TestCoeffSeries:
         with pytest.raises(DomainError):
             CoeffSeries((-0.1,))
 
+    @pytest.mark.parametrize("norms, start, message", [
+        ((0.5, math.nan), 0, "norm at index 1 must be finite and >= 0, got nan"),
+        ((math.inf,), 0, "norm at index 0 must be finite and >= 0, got inf"),
+        ((0.1, 0.2, -math.inf), 0, "norm at index 2 must be finite and >= 0, got -inf"),
+        ((0.0, -1e-300), 0, "norm at index 1 must be finite and >= 0, got -1e-300"),
+        ((0.0, 0.3, 0.2), 2, "norms below start_index must vanish (index 1)"),
+        ((0.0, 0.3, -0.2, math.nan), 2, "norms below start_index must vanish (index 1)"),
+        ((0.0, 0.0, -0.2, math.nan, 0.4), 1, "norm at index 2 must be finite and >= 0, got -0.2"),
+        ((0.1, math.nan, -1.0), 0, "norm at index 1 must be finite and >= 0, got nan"),
+        ((0.0, -1.0, 0.5), 3, "norm at index 1 must be finite and >= 0, got -1.0"),
+    ])
+    def test_names_the_first_bad_norm(self, norms, start, message):
+        with pytest.raises(DomainError) as err:
+            CoeffSeries(norms, start)
+        assert str(err.value) == message
+
+    def test_accepts_signed_zeros_below_the_start(self):
+        coeffs = CoeffSeries((-0.0, 0.0, -0.0, 0.5), 3)
+        assert repr(coeffs.norms) == "(-0.0, 0.0, -0.0, 0.5)"
+        assert CoeffSeries(np.array([0.25, 0.5], dtype=np.float32)).norms == (0.25, 0.5)
+
     def test_shift(self):
         shifted = CoeffSeries((0.5, 0.2)).shifted(2)
         assert shifted.start_index == 2
@@ -336,3 +357,27 @@ class TestCoeffSeries:
         assert DomainSpec.general(2.0).effective_lambda == 2.0
         with pytest.raises(DomainError):
             DomainSpec("gamma", lambda_h=1.0)
+
+
+class TestCheckRadius:
+    @pytest.mark.parametrize("r", [0, 0.0, 0.5, np.float32(0.5), np.float64(0.25), np.int64(0),
+                                   np.float16(0.999), np.array([0.0, 0.5]), np.float32(0.0)])
+    def test_accepts_real_radii_in_the_unit_interval(self, r):
+        _check_radius(r)
+
+    @pytest.mark.parametrize("r", [1, 1.0, -0.5, math.nan, True, np.float32(1.0),
+                                   np.int64(1), np.float64(-1e-300), np.array([0.5, 1.0])])
+    def test_out_of_range_names_the_value(self, r):
+        with pytest.raises(DomainError, match=r"^radius must lie in \[0, 1\), got "):
+            _check_radius(r)
+
+    @pytest.mark.parametrize("r, name", [("0.5", "str"), (None, "NoneType"), (0.5j, "complex"),
+                                         ([0.5], "list"), (np.bool_(False), "bool")])
+    def test_wrong_type_names_the_type(self, r, name):
+        with pytest.raises(DomainError) as err:
+            _check_radius(r)
+        assert str(err.value).endswith(f"got {name}")
+
+    def test_numpy_scalars_reach_the_formulas(self):
+        assert phi_term(MONOMIAL, 2, np.float32(0.5)) == 0.25
+        assert phi_term(MONOMIAL, 2, np.int64(0)) == 0
