@@ -9,11 +9,12 @@ the fixed tolerance ``series.ABS_TOL``.  A custom kind without a
 ``custom_term`` per evaluation of its tail, made directly rather than
 through ``phi_term``.
 
-The closed forms of the built-in kinds sit in one table, read by
-``phi_term``/``phi_tail`` and by the binders ``term_at``/``tail_from``.
-A binder resolves the kind, start_index and index checks once per
-equation and returns a function of r alone that does no checking, so
-an equation bound once checks r once per evaluation.
+Every kind is evaluated one way: the binders ``term_at``/``tail_from``
+resolve kind, start_index and index checks once and return a function
+of r that does not check r; ``phi_term``/``phi_tail`` bind, check r and
+call.  An equation bound once checks r once per evaluation, custom
+weights included.  Built-in terms come from ``GEOMETRIC_FORMS``, which
+the series sums read too; built-in tails are the closed forms ``_TAILS``.
 """
 
 from __future__ import annotations
@@ -95,86 +96,80 @@ def _weighted_quadratic_tail(N, r):
     return head + r**M * poly / (1.0 - r) ** 3
 
 
-# Each built-in kind as (phi_n(r) as a function of (n, r), Phi_N(r) as a
-# function of (N, r) for N >= start_index); r is a float or an ndarray.
-# The tails add non-negative terms over powers of (1 - r), so nothing
-# cancels as r -> 1.
-_FORMULAS = {
-    "monomial": (lambda n, r: r**n,
-                 lambda N, r: r**N / (1.0 - r)),
-    "weighted_linear": (lambda n, r: (n + 1) * r**n,
-                        lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2),
-    "weighted_quadratic": (lambda n, r: 1.0 if n == 0 else n * n * r**n,
-                           _weighted_quadratic_tail),
-    "even_only": (lambda n, r: r**n if n % 2 == 0 else 0.0,
-                  lambda N, r: r ** (N + N % 2) / ((1.0 - r) * (1.0 + r))),
-    "odd_only": (lambda n, r: 1.0 if n == 0 else r**n if n % 2 == 1 else 0.0,
-                 lambda N, r: (1.0 if N == 0 else 0.0) + r ** (N | 1) / ((1.0 - r) * (1.0 + r))),
+# Phi_N(r) of each built-in kind as a function of (N, r), N >= start_index;
+# r is a float or an ndarray.  The tails add non-negative terms over
+# powers of (1 - r), so nothing cancels as r -> 1.
+_TAILS = {
+    "monomial": lambda N, r: r**N / (1.0 - r),
+    "weighted_linear": lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2,
+    "weighted_quadratic": _weighted_quadratic_tail,
+    "even_only": lambda N, r: r ** (N + N % 2) / ((1.0 - r) * (1.0 + r)),
+    "odd_only": lambda N, r: (1.0 if N == 0 else 0.0) + r ** (N | 1) / ((1.0 - r) * (1.0 + r)),
 }
 
 
-def _builtin(phi):
-    if phi.kind == "custom":
-        raise ConfigurationError("custom weights are evaluated by phi_term and phi_tail")
-    return _FORMULAS[phi.kind]
-
-
-def _zero(r):
-    return 0.0
-
-
 def term_at(phi: PhiSequence, n: int):
-    """phi_n of a built-in kind as a function of r alone.
+    """phi_n of any kind as a function of r alone, which does not check r.
 
-    The kind, start_index and the check on n are resolved here, once;
-    the returned function does not check r (its caller does) and gives
-    phi_term(phi, n, r) bit for bit.
+    The kind, start_index and the check on n are resolved here, once.  A
+    built-in phi_n is (c0 + c1 n + c2 n^2) r^n of GEOMETRIC_FORMS, or a
+    constant, and also takes an ndarray; a custom phi_n checks its value.
     """
     if n < 0:
         raise DomainError("term index must be non-negative")
-    term = _builtin(phi)[0]
-    return _zero if n < phi.start_index else functools.partial(term, n)
+    if n < phi.start_index:
+        return _constant(0.0)
+    if phi.kind == "custom":
+        return functools.partial(_custom_term, phi.custom_term, n)
+    (c0, c1, c2), step, parity, head = GEOMETRIC_FORMS[phi.kind]
+    a = c0 + c1 * n + c2 * n * n if n % step == parity else 0
+    if not a:
+        return _constant(head if n == 0 else 0.0)
+    return lambda r: a * r**n
 
 
 def tail_from(phi: PhiSequence, N: int):
-    """Phi_N of a built-in kind as a function of r alone; see term_at."""
+    """Phi_N of any kind as a function of r alone; see term_at and phi_tail."""
     if N < 0:
         raise DomainError("tail start index must be non-negative")
-    return functools.partial(_builtin(phi)[1], max(N, phi.start_index))
-
-
-def phi_term(phi: PhiSequence, n: int, r: float) -> float:
-    """Evaluate phi_n(r); built-in kinds also take an ndarray of radii."""
-    if n < 0:
-        raise DomainError("term index must be non-negative")
-    _check_radius(r)
-    if n < phi.start_index:
-        return 0.0
+    N = max(N, phi.start_index)
     if phi.kind != "custom":
-        return _FORMULAS[phi.kind][0](n, r)
-    value = float(phi.custom_term(n, r))
+        return functools.partial(_TAILS[phi.kind], N)
+    tail = phi.custom_tail
+    if tail is not None:
+        return lambda r: float(tail(N, r))
+    return lambda r: _truncated_tail(phi, N, r)  # found at call time, so it can be wrapped
+
+
+def _constant(value):
+    return lambda r: value
+
+
+def _custom_term(term, n, r):
+    value = float(term(n, r))
     if not math.isfinite(value) or value < 0:
         raise DomainError(f"custom term at n={n} must be finite and >= 0")
     return value
 
 
+def phi_term(phi: PhiSequence, n: int, r: float) -> float:
+    """Evaluate phi_n(r); built-in kinds also take an ndarray of radii."""
+    term = term_at(phi, n)
+    _check_radius(r)
+    return term(r)
+
+
 def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
-    Built-in kinds use the closed forms of _FORMULAS, and also take an
+    Built-in kinds use the closed forms of _TAILS, and also take an
     ndarray of radii; custom kinds use custom_tail if given, else a
     truncated sum plus a geometric tail estimate whose certified bound
     must not exceed series.ABS_TOL.
     """
-    if N < 0:
-        raise DomainError("tail start index must be non-negative")
+    tail = tail_from(phi, N)
     _check_radius(r)
-    N = max(N, phi.start_index)
-    if phi.kind != "custom":
-        return _FORMULAS[phi.kind][1](N, r)
-    if phi.custom_tail is not None:
-        return float(phi.custom_tail(N, r))
-    return _truncated_tail(phi, N, r)
+    return tail(r)
 
 
 def _truncated_tail(phi, N, r):

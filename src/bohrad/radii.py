@@ -10,9 +10,11 @@ kinds are
 with lambda_H = 1/(1+gamma) on the enlarged disk Omega_gamma.
 
 ``refined_equation`` and ``rogosinski_equation`` bind an equation once
-per problem: the weights, p, m, lambda_H and a constant mu are resolved
-when F is built, and each evaluation of F, on a float or on an ndarray
-of radii, checks r once and then only does arithmetic.
+per problem: the weights of every kind (through ``phi.term_at`` and
+``phi.tail_from``), p, m, lambda_H and a constant mu are resolved when
+F is built.  Each evaluation of F, on a float or on an ndarray of
+radii, checks r once and then only evaluates the bound weights, so a
+custom weight's r is checked once per evaluation as well.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, DomainError
 from .functionals import MuFunction
 from .optimize import grid_then_golden_min, refine_by_derivative_sign
-from .phi import BUILTIN_PHI, PhiSequence, phi_tail, phi_term, tail_from, term_at
+from .phi import BUILTIN_PHI, PhiSequence, tail_from, term_at
+from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, min_positive_root
 from .series import DomainSpec, _check_radius
 
@@ -59,41 +62,25 @@ class RadiusProblem:
         object.__setattr__(self, "mu", MuFunction.of(self.mu))
 
 
-def _weights(phi, n, N):
-    """(check, phi_n, Phi_N): functions of r that F calls once per evaluation.
-
-    Built-in kinds are bound once and checked by _check_radius alone;
-    custom kinds go through phi_term and phi_tail, whose checks of r and
-    of every custom term stand in for the first function.
-    """
-    if phi.kind == "custom":
-        return _unchecked, (lambda r: phi_term(phi, n, r)), (lambda r: phi_tail(phi, N, r))
-    return _check_radius, term_at(phi, n), tail_from(phi, N)
-
-
-def _unchecked(r):
-    pass
-
-
 def refined_equation(problem: RadiusProblem):
     """F(r) = p phi_m(r) - 2 lambda_H Phi_{m+1}(r), bound once for the problem."""
-    check, term, tail = _weights(problem.phi, problem.m, problem.m + 1)
+    term, tail = term_at(problem.phi, problem.m), tail_from(problem.phi, problem.m + 1)
     p, two_lam = problem.p, 2.0 * problem.domain.effective_lambda
 
     def F(r):
-        check(r)
+        _check_radius(r)
         return p * term(r) - two_lam * tail(r)
     return F
 
 
 def rogosinski_equation(problem: RadiusProblem):
     """F(r) = p (1 - r^m)/(1 + r^m) phi_0(r) - 2 mu(r) Phi_N(r), bound once for the problem."""
-    check, term, tail = _weights(problem.phi, 0, problem.N)
+    term, tail = term_at(problem.phi, 0), tail_from(problem.phi, problem.N)
     p, m, mu = problem.p, problem.m, problem.mu
     two_mu = None if mu.value is None else 2.0 * mu.value
 
     def F(r):
-        check(r)
+        _check_radius(r)
         rm = r**m
         head = p * (1.0 - rm) / (1.0 + rm)
         return head * term(r) - (2.0 * mu(r) if two_mu is None else two_mu) * tail(r)

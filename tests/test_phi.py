@@ -1,5 +1,6 @@
 """Weight-sequence kernel: terms, closed-form tails, refinement sums."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, CoeffSeries,
                     PhiSequence, phi_tail, phi_term, refined_sum)
+from bohrad import phi as phi_module
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.phi import _truncated_tail, tail_from, term_at
 from bohrad.series import ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N
 
 import mp_sums
 
-# independent term formulas for the partial-sum oracle
+# independent term formulas for the partial-sum oracle, in the float
+# operation order the built-in terms were first written in
 ORACLE_TERMS = {
     "monomial": lambda n, r: r**n,
     "weighted_linear": lambda n, r: (n + 1) * r**n,
@@ -148,22 +151,40 @@ def bits(x):
     return type(x), a.shape, a.tobytes()
 
 
+CUSTOM_PHI = {  # weighted_linear as custom kinds: a truncated tail, and a closed one
+    "custom": PhiSequence("custom", custom_term=ORACLE_TERMS["weighted_linear"]),
+    "custom_tail": PhiSequence("custom", custom_term=ORACLE_TERMS["weighted_linear"],
+                               custom_tail=lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2),
+}
+
+
+def evaluated(f, *args):
+    """bits of f(*args), or the type and message of its DomainError or NonConvergenceError."""
+    try:
+        return bits(f(*args))
+    except (DomainError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
 class TestBinders:
     """term_at/tail_from resolve kind and index once and match phi_term/phi_tail exactly."""
 
     @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(sorted(BUILTIN_PHI)), n=st.integers(0, 12),
+    @given(kind=st.sampled_from(sorted(BUILTIN_PHI) + sorted(CUSTOM_PHI)), n=st.integers(0, 12),
            start=st.sampled_from((0, 1, 3)), r=st.floats(0.0, 1.0, exclude_max=True))
     def test_bound_weights_equal_phi_term_and_phi_tail(self, kind, n, start, r):
-        phi = PhiSequence(kind, start_index=start)
+        phi = dataclasses.replace(BUILTIN_PHI.get(kind) or CUSTOM_PHI[kind], start_index=start)
         term, tail = term_at(phi, n), tail_from(phi, n)
-        for x in (r, SCAN_GRID):
+        builtin = kind in BUILTIN_PHI
+        for x in (r, SCAN_GRID) if builtin else (r,):
             assert bits(term(x)) == bits(phi_term(phi, n, x))
-            assert bits(tail(x)) == bits(phi_tail(phi, n, x))
+            assert evaluated(tail, x) == evaluated(phi_tail, phi, n, x)
+            if builtin:  # the term formulas as they were written per kind
+                assert bits(term(x)) == bits(ORACLE_TERMS[kind](n, x) if n >= start else 0.0)
 
-    @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI))
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI) + sorted(CUSTOM_PHI))
     def test_negative_index_raises_the_old_message(self, kind):
-        phi = BUILTIN_PHI[kind]
+        phi = BUILTIN_PHI.get(kind) or CUSTOM_PHI[kind]
         for bind, call in ((term_at, phi_term), (tail_from, phi_tail)):
             with pytest.raises(DomainError) as bound:
                 bind(phi, -1)
@@ -171,11 +192,26 @@ class TestBinders:
                 call(phi, -1, 0.5)
             assert str(bound.value) == str(direct.value)
 
-    def test_custom_weights_are_not_bound(self):
-        custom = PhiSequence("custom", custom_term=lambda n, r: r**n)
-        for bind in (term_at, tail_from):
-            with pytest.raises(ConfigurationError):
-                bind(custom, 1)
+    @pytest.mark.parametrize("value", [-1e-3, -math.inf, math.nan, math.inf])
+    def test_bound_custom_term_checks_its_value(self, value):
+        phi = PhiSequence("custom", custom_term=lambda n, r: value)
+        with pytest.raises(DomainError) as bound:
+            term_at(phi, 4)(0.5)
+        with pytest.raises(DomainError) as direct:
+            phi_term(phi, 4, 0.5)
+        assert str(bound.value) == str(direct.value) == "custom term at n=4 must be finite and >= 0"
+
+    def test_custom_truncated_tail_is_found_at_call_time(self, monkeypatch):
+        # a wrapper put on phi._truncated_tail after binding still sees the calls
+        tail = tail_from(CUSTOM_PHI["custom"], 2)
+        calls = []
+
+        def wrapped(phi, N, r):
+            calls.append((N, r))
+            return _truncated_tail(phi, N, r)
+        monkeypatch.setattr(phi_module, "_truncated_tail", wrapped)
+        assert tail(0.5) == phi_tail(CUSTOM_PHI["custom"], 2, 0.5)
+        assert calls == [(2, 0.5), (2, 0.5)]
 
 
 def reference_truncated_tail(phi, N, r):

@@ -473,9 +473,9 @@ class TestGridScan:
                 return fn(*args)
             return wrapper
 
-        for module in (radii, phi_module):
-            for name in ("phi_term", "phi_tail"):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module, name in ((phi_module, "phi_term"), (phi_module, "phi_tail"),
+                             (radii, "phi_term")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(radii, "_check_radius", counted("check", radii._check_radius))
         name = f"{problem.equation_kind}_equation"
         equation = getattr(radii, name)
@@ -486,9 +486,10 @@ class TestGridScan:
         assert calls["check"] == calls["F"] == 1 + result.iterations - bracket_index
 
     def test_custom_tail_calls_custom_term_directly(self, monkeypatch):
-        # work-counter guard: each evaluation of F makes one phi_term call
-        # (its head phi_m) and one tail of TRUNCATION_N custom_term calls
-        counts = {"term": 0, "tail": 0, "custom": 0}
+        # work-counter guard: each evaluation of F checks r once, in radii or
+        # phi, and makes TRUNCATION_N + 1 custom_term calls: one for its head
+        # phi_m and TRUNCATION_N for its truncated tail
+        counts = collections.Counter()
 
         def counted(key, fn):
             def wrapper(*args):
@@ -496,13 +497,14 @@ class TestGridScan:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(phi_module, "phi_term", counted("term", phi_module.phi_term))
-        monkeypatch.setattr(radii, "phi_term", counted("term", radii.phi_term))
-        monkeypatch.setattr(radii, "phi_tail", counted("tail", radii.phi_tail))
+        for module in (radii, phi_module):
+            monkeypatch.setattr(module, "_check_radius", counted("check", module._check_radius))
+        monkeypatch.setattr(radii, "refined_equation",
+                            lambda problem: counted("F", refined_equation(problem)))
         custom = PhiSequence("custom", custom_term=counted("custom", lambda n, r: r**n))
         result = radius_refined(RadiusProblem(custom, 1.0))
         assert result.value == pytest.approx(1.0 / 3.0, abs=1e-12)
-        evaluations = counts["tail"]
-        assert evaluations > 0
-        assert counts["term"] == evaluations
+        evaluations = counts["F"]
+        assert evaluations == result.iterations
+        assert counts["check"] == evaluations
         assert counts["custom"] == (TRUNCATION_N + 1) * evaluations
