@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError, DomainError
-from .phi import MONOMIAL, PhiSequence, phi_tail, phi_term, phi_weight, refined_sum
+from .phi import MONOMIAL, PhiSequence, phi_term, phi_weight, refined_sum, tail_from, term_at
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, GeometricWeight, _check_radius, mobius_gamma_coeffs,
                      norm_sum, point_eval_bound, s_r, schwarz_composed_bound)
@@ -103,7 +103,7 @@ def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float) -> float:
     """
     _check_radius(r)
     return norm_sum(coeffs, phi_weight(phi, r), max(coeffs.start_index, phi.start_index),
-                    sup_weight=lambda n: phi_tail(phi, n, r))
+                    sup_weight=lambda n: tail_from(phi, n)(r))
 
 
 def bohr_area_functional(coeffs: CoeffSeries, r: float, lambda_h: float = 1.0,
@@ -170,10 +170,10 @@ def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
     mu = MuFunction.of(mu)
     _check_radius(r)
     am = coeffs.norm(m)
-    head = phi_term(phi, m, r) * am**p
-    tail_part = majorant(coeffs, phi, r) - am * phi_term(phi, m, r)
-    value = head + tail_part + mu(r) * refined_sum(coeffs, phi, m, r, exponent_mode)
-    return FunctionalReport.compare(value, phi_term(phi, m, r))
+    phi_m = term_at(phi, m)(r)
+    tail_part = majorant(coeffs, phi, r) - am * phi_m
+    value = phi_m * am**p + tail_part + mu(r) * refined_sum(coeffs, phi, m, r, exponent_mode)
+    return FunctionalReport.compare(value, phi_m)
 
 
 def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
@@ -191,9 +191,10 @@ def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
         raise DomainError("N must be at least 1")
     mu = MuFunction.of(mu)
     _check_radius(r)
-    head = schwarz_composed_bound(coeffs, omega_order, r) ** p * phi_term(phi, 0, r)
+    phi_0 = term_at(phi, 0)(r)
+    head = schwarz_composed_bound(coeffs, omega_order, r) ** p * phi_0
     value = head + mu(r) * majorant(coeffs.truncated_from(N), phi, r)
-    return FunctionalReport.compare(value, phi_term(phi, 0, r))
+    return FunctionalReport.compare(value, phi_0)
 
 
 CLASSICAL_VARIANTS = ("bohr", "paulsen", "kayumov_ponnusamy", "refined_square",
@@ -271,10 +272,10 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
 
     def gap(r):
         am = coeffs.norm(m)
-        head = phi_term(phi, m, r) * am**p
-        inner = (majorant(coeffs, phi, r) - am * phi_term(phi, m, r)
+        phi_m = phi_term(phi, m, r)
+        inner = (majorant(coeffs, phi, r) - am * phi_m
                  + mu(r) * refined_sum(coeffs, phi, m, r, exponent_mode))
-        return head + inner**q - phi_term(phi, m, r)
+        return phi_m * am**p + inner**q - phi_m
 
     lo, hi = 0.0, 1.0 - 1e-9
     if gap(hi) <= 0:

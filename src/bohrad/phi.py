@@ -13,8 +13,9 @@ Every kind is evaluated one way: the binders ``term_at``/``tail_from``
 resolve kind, start_index and index checks once and return a function
 of r that does not check r; ``phi_term``/``phi_tail`` bind, check r and
 call.  An equation bound once checks r once per evaluation, custom
-weights included.  Built-in terms come from ``GEOMETRIC_FORMS``, which
-the series sums read too; built-in tails are the closed forms ``_TAILS``.
+weights included, and the sums call the binders at the r they checked.
+Built-in terms come from ``GEOMETRIC_FORMS``, which the series sums
+read too; built-in tails are the closed forms ``_TAILS``.
 """
 
 from __future__ import annotations
@@ -207,15 +208,18 @@ def _truncated_tail(phi, N, r):
 
 
 def phi_weight(phi: PhiSequence, r: float):
-    """n -> phi_n(r), a GeometricWeight for the built-in kinds (the caller skips n < start)."""
+    """n -> phi_n(r), a GeometricWeight for the built-in kinds.
+
+    The caller has checked r and skips n < start_index.
+    """
     if phi.kind == "custom":
-        return lambda n: phi_term(phi, n, r)
+        return lambda n: term_at(phi, n)(r)
     c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
     return GeometricWeight(c, r, 1.0 - r, step, parity, head)
 
 
 def _refined_weight(phi, r, am):
-    """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1.
+    """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1, at a checked r.
 
     For a built-in kind starting at 0 with polynomial P, phi_{2n} is
     P(2n) r^{2n} (if 2n is on its indices) and Phi_{2n+1} sums P(2n + a)
@@ -223,8 +227,7 @@ def _refined_weight(phi, r, am):
     (2 c1 + 4 c2 a) n + 4 c2 n^2, this is a GeometricWeight in t = r^2.
     """
     if phi.kind == "custom" or phi.start_index > 0:
-        return lambda n: (phi_term(phi, 2 * n, r) / (1.0 + am)
-                          + phi_tail(phi, 2 * n + 1, r))
+        return lambda n: term_at(phi, 2 * n)(r) / (1.0 + am) + tail_from(phi, 2 * n + 1)(r)
     (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
     on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
     first = 1 + (parity - 1) % step
@@ -250,4 +253,4 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
     _check_radius(r)
     power, index_power = (2, 0) if exponent_mode == "square" else (0, 2)
     return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m)), m + 1,
-                    power, index_power, lambda n: phi_tail(phi, 2 * n, r))
+                    power, index_power, lambda n: tail_from(phi, 2 * n)(r))

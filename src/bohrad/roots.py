@@ -157,7 +157,10 @@ def _grid_block(k, scan_step, upper):
     """x_j = j scan_step for k <= j < k + SCAN_BLOCK, cut at upper; cached read-only.
 
     x_j is the same float the scalar scan uses.  Solves at one scan_step
-    share their blocks; 32 blocks hold 256 KiB.
+    share their blocks; 32 blocks hold 256 KiB.  A scan that needs more
+    than 32 blocks (steps below about 3.1e-5) evicts its own first
+    blocks before the next solve reads them, so it rebuilds its whole
+    grid every time and gains nothing from the cache.
     """
     xs = np.arange(k, k + SCAN_BLOCK) * scan_step
     xs = xs[xs < upper]

@@ -10,6 +10,7 @@ diagonal blends of scalar Mobius factors, for which the norms are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -336,12 +337,7 @@ class MatrixCoeffFn:
 
     def entry_coefficient(self, i: int, n: int) -> complex:
         """n-th Taylor coefficient of the i-th diagonal entry."""
-        a = self.params[i]
-        if n == 0:
-            c = complex(a)
-        else:
-            c = (1.0 - a * a) * (-a) ** (n - 1)
-        return self.phases[i] * c
+        return self.phases[i] * _mobius_taylor(self.params[i], n, n + 1)[0]
 
     def coefficient_matrix(self, n: int) -> np.ndarray:
         return np.diag([self.entry_coefficient(i, n) for i in range(self.dimension)])
@@ -350,7 +346,8 @@ class MatrixCoeffFn:
 def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     """Coefficient-norm series of a diagonal Mobius blend.
 
-    The norm at index n is max_i |c_n^{(i)}|.  Stored norms run at least
+    The norm at index n is max_i |c_n^{(i)}|, from one table of Taylor
+    coefficients per distinct parameter.  Stored norms run at least
     to the last index where an entry with a smaller parameter a first
     falls below the entry with the largest one, b: the smallest n with
     (1-b^2) b^(n-1) >= (1-a^2) a^(n-1), which then holds for all larger n,
@@ -372,9 +369,20 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
             while (1.0 - b * b) * b ** (k - 1) < (1.0 - a * a) * a ** (k - 1):
                 k += 1
             n = max(n, k)
-    norms = [max(abs(fn.entry_coefficient(i, k)) for i in range(fn.dimension))
-             for k in range(n + 1)]
-    return CoeffSeries(tuple(norms), 0, b)
+    scalar = {a: _mobius_taylor(a, 0, n + 1) for a in set(fn.params)}
+    magnitudes = [map(abs, map(phase.__mul__, scalar[a])) for a, phase in zip(fn.params, fn.phases)]
+    return CoeffSeries(tuple(map(max, zip(*magnitudes))), 0, b)
+
+
+def _mobius_taylor(a: float, start: int, stop: int) -> list:
+    """Taylor coefficients c_start .. c_{stop-1} of (a + z)/(1 + a z).
+
+    c_0 = a (as a complex) and c_n = (1 - a^2)(-a)^(n-1) for n >= 1; the
+    same floating-point operations whether one or a whole table is asked.
+    """
+    head = [complex(a)] if start == 0 < stop else []
+    powers = map(float.__pow__, itertools.repeat(-a), range(max(start, 1) - 1, stop - 1))
+    return head + list(map((1.0 - a * a).__mul__, powers))
 
 
 @dataclass(frozen=True)

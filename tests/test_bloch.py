@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bohrad import (CoeffSeries, HyperbolicDensity, bloch, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
-                    count_sign_changes, increasing_root, m_integral, min_positive_root)
+                    count_sign_changes, functionals, increasing_root, m_integral,
+                    min_positive_root, phi, series)
 from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
                           gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
@@ -18,6 +19,7 @@ from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
 import mp_sums
 
 DISK = HyperbolicDensity.unit_disk()
+OMEGAS = [HyperbolicDensity.omega_gamma(g) for g in (0.0, 0.3, 0.7, 0.9)]
 
 
 def bisect(f, lo, hi, iters=200):
@@ -91,6 +93,28 @@ class TestCircleIntegral:
             m_integral(DISK, 0.5, 1.0)
         with pytest.raises(DomainError):
             m_integral(DISK, 1.5, 0.5)
+
+
+class TestCircleMinimum:
+    NODES = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 0.999))
+    def test_closed_forms_equal_the_sampled_minimum(self, gamma, r):
+        # theta = pi is node 128, and the rounding of lambda is monotone in cos
+        for density in (DISK, HyperbolicDensity.omega_gamma(gamma)):
+            sampled = float(np.min(density.on_circle(r, self.NODES)))
+            assert density.min_on_circle(r) == sampled
+            assert density.min_on_circle(r, nodes=3) == sampled
+            both = density.min_on_circle(np.array([r, 0.5 * r]))
+            assert both.tolist() == [sampled, density.min_on_circle(0.5 * r)]
+
+    def test_custom_density_is_sampled_at_nodes(self):
+        density = HyperbolicDensity.custom(lambda z: 2.0 + z.real)
+        assert density.min_on_circle(0.5, nodes=2) == 1.5
+        assert density.min_on_circle(0.5, nodes=3) == pytest.approx(1.75, abs=1e-15)
+        rows = density.min_on_circle(np.array([[0.5], [0.25]]), nodes=2)
+        assert rows.shape == (2, 1) and rows.tolist() == [[1.5], [1.75]]
 
 
 class TestBaselConstant:
@@ -242,8 +266,70 @@ class TestBlochMajorantCheck:
         with pytest.raises(DomainError):
             bloch_majorant_check(CoeffSeries((0.5,)), 1.5, DISK, 0.5, 0.3)
 
+    @pytest.mark.parametrize("q", mp_sums.Q_GRID)
+    def test_array_derivative_majorant_matches_mp_reference(self, q):
+        t = np.array(mp_sums.R_GRID)
+        for coeffs in (CoeffSeries(mp_sums.NORMS, 0, q), CoeffSeries((0.4,), 0, q)):
+            values = derivative_majorant(coeffs, t)
+            assert isinstance(values, np.ndarray) and values.shape == t.shape
+            for value, radius in zip(values, t):
+                assert mp_sums.close(value, mp_sums.derivative_majorant(coeffs, radius))
 
-OMEGAS = [HyperbolicDensity.omega_gamma(g) for g in (0.0, 0.3, 0.7, 0.9)]
+    @pytest.mark.parametrize("k", [1, 64])
+    def test_planted_violation_raises_at_its_radius(self, k):
+        # lambda is tiny on one grid circle only, so the check fails there alone
+        target = 0.999 * k / 64
+
+        def density(z):
+            return 1e-6 if abs(abs(z) - target) < 1e-9 else 1e6
+
+        with pytest.raises(InvalidTestFunctionError,
+                           match=rf"^derivative bound fails at \|z\| = {target:.4f}$"):
+            bloch_majorant_check(CoeffSeries((0.5, 0.5)), 1.0,
+                                 HyperbolicDensity.custom(density), 0.5, 0.3)
+
+    @pytest.mark.parametrize("density", [DISK] + OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
+    def test_first_failure_is_the_first_failing_grid_radius(self, density):
+        # the radius-by-radius check, written out: the array pass raises at
+        # the same first radius, or not at all
+        for scale in (0.2, 0.5, 1.0, 3.0):
+            coeffs = CoeffSeries((0.3, scale, scale * 0.6), 0, 0.6)
+            first = next((t for t in (0.999 * k / 64 for k in range(1, 65))
+                          if derivative_majorant(coeffs, t)
+                          > 0.7 * density.min_on_circle(t) ** 0.5 + 1e-12), None)
+            if first is None:
+                bloch_majorant_check(coeffs, 1.0, density, 0.5, 0.3)
+            else:
+                with pytest.raises(InvalidTestFunctionError, match=rf"= {first:.4f}$"):
+                    bloch_majorant_check(coeffs, 1.0, density, 0.5, 0.3)
+
+    def test_grid_size_does_not_add_sums(self, monkeypatch):
+        # one derivative_majorant call and a fixed number of norm_sum
+        # calls, however many radii the grid has
+        calls = {"norm_sum": 0, "derivative_majorant": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (series, functionals, phi, bloch):
+            if hasattr(module, "norm_sum"):
+                monkeypatch.setattr(module, "norm_sum", counting("norm_sum", series.norm_sum))
+        monkeypatch.setattr(bloch, "derivative_majorant",
+                            counting("derivative_majorant", bloch.derivative_majorant))
+        coeffs = CoeffSeries((0.05, 0.06, 0.03), 0, 0.5)
+        seen = []
+        for grid_radii in (8, 64):
+            calls.update(norm_sum=0, derivative_majorant=0)
+            report = bloch_majorant_check(coeffs, 1.0, DISK, 0.5, 0.3, mu=0.5, refined=True,
+                                          grid_radii=grid_radii)
+            assert report.satisfied
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        assert seen[0]["derivative_majorant"] == 1 and seen[0]["norm_sum"] > 0
+
 
 
 class TestCircleMeanTheorem:

@@ -216,6 +216,32 @@ class TestDiagonalBlend:
             longer += n > 64
         assert longer > 0
 
+    def test_phased_unequal_parameters_match_the_entry_scan(self):
+        longer = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 9))
+            # a largest parameter near 1 with near neighbours crosses over late
+            b = float(rng.uniform(0.95, 0.999))
+            params = (b,) + tuple(float(b * rng.uniform(0.97, 1.0) if rng.random() < 0.5
+                                        else rng.uniform(0.05, b)) for _ in range(d - 1))
+            phases = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(d))
+            fn = MatrixCoeffFn(params, phases)
+            blend = diag_blend_coeffs(fn)
+            scanned = [max(abs(fn.entry_coefficient(i, k)) for i in range(d))
+                       for k in range(blend.last_index + 1)]
+            assert list(blend.norms) == scanned
+            longer += blend.last_index > 64
+        assert longer > 0
+
+    def test_entry_coefficients_are_the_mobius_taylor_coefficients(self):
+        # c_0 = a and c_n = (1 - a^2)(-a)^(n-1), times the phase, bit for bit
+        fn = MatrixCoeffFn((0.3, 0.97), (1j, np.exp(2j)))
+        for i, (a, phase) in enumerate(zip(fn.params, fn.phases)):
+            assert fn.entry_coefficient(i, 0) == phase * complex(a)
+            for n in (1, 2, 7, 64, 300):
+                assert fn.entry_coefficient(i, n) == phase * ((1.0 - a * a) * (-a) ** (n - 1))
+
     def test_phase_validation(self):
         with pytest.raises(DomainError):
             MatrixCoeffFn((0.5,), (2.0,))
