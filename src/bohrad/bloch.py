@@ -80,9 +80,8 @@ class HyperbolicDensity:
         if self.kind == "unit_disk":
             return np.full_like(thetas, 1.0 / (1.0 - r * r))
         if self.kind == "omega_gamma":
-            g = self.gamma
-            w_sq = (1 - g) ** 2 * r * r + g * g + 2 * g * (1 - g) * r * np.cos(thetas)
-            return (1.0 - g) / (1.0 - w_sq)
+            s = np.sin(0.5 * thetas)
+            return _omega_gamma_density(self.gamma, r, s * s)
         z = r * np.exp(1j * thetas)
         return np.array([float(self.fn(zz)) for zz in z])
 
@@ -90,20 +89,27 @@ class HyperbolicDensity:
         """Minimum of lambda on |z| = r; r is a float or an ndarray of radii.
 
         Built-in kinds use closed forms: lambda is constant on the disk's
-        circles, and on Omega_gamma |(1-g) z + g| is smallest at z = -r
-        (theta = pi, node nodes/2 of the sampling, so the value equals
-        the sampled minimum bit for bit).  Only a custom density is
-        sampled, at ``nodes`` angles.
+        circles, and on Omega_gamma it is smallest at z = -r (theta = pi,
+        node nodes/2 of the sampling, where sin^2(theta/2) = 1 exactly, so
+        the value equals the sampled minimum bit for bit).  Only a custom
+        density is sampled, at ``nodes`` angles.
         """
         if self.kind == "unit_disk":
             return 1.0 / (1.0 - r * r)
         if self.kind == "omega_gamma":
-            g = self.gamma
-            w_sq = (1 - g) ** 2 * r * r + g * g - 2 * g * (1 - g) * r
-            return (1.0 - g) / (1.0 - w_sq)
+            return _omega_gamma_density(self.gamma, r, 1.0)
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
         mins = [float(np.min(self.on_circle(x, thetas))) for x in np.ravel(r)]
         return np.reshape(mins, np.shape(r)) if np.ndim(r) else mins[0]
+
+
+def _omega_gamma_density(g, r, sin_sq):
+    """lambda = (1-g)/(1 - |w|^2) on Omega_gamma at |z| = r, sin_sq = sin^2(theta/2).
+
+    With w = (1-g) z + g, 1 - |w|^2 = (1-g)[(1-r)(1+g+(1-g)r) + 4 g r sin_sq]:
+    every term is non-negative, so nothing cancels as r -> 1.
+    """
+    return 1.0 / ((1.0 - r) * (1.0 + g + (1.0 - g) * r) + 4.0 * g * r * sin_sq)
 
 
 def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
@@ -164,15 +170,15 @@ def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
     N(r) = (1-g)^{2 nu} r^2 pi^2 - 6 (1 - ((1-g) r + g)^2)^{2 nu}; its
     root bounds the circle-integral radius from below because the
     density is majorized on |z| = r by its value at (1-g) r + g.
-    r may be an ndarray of radii.
+    1 - ((1-g) r + g)^2 is evaluated as (1-g)(1-r)(1+g+(1-g)r), without
+    cancellation.  r may be an ndarray of radii.
     """
     if not 0.0 <= gamma < 1.0:
         raise DomainError("gamma must lie in [0, 1)")
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
-    outer = (1.0 - gamma) * r + gamma
-    return (1.0 - gamma) ** (2.0 * nu) * r * r * math.pi**2 \
-        - 6.0 * (1.0 - outer * outer) ** (2.0 * nu)
+    gap = (1.0 - gamma) * (1.0 - r) * (1.0 + gamma + (1.0 - gamma) * r)
+    return (1.0 - gamma) ** (2.0 * nu) * r * r * math.pi**2 - 6.0 * gap ** (2.0 * nu)
 
 
 def bloch_radius_gamma(gamma: float, nu: float, tol: float = 1e-12,

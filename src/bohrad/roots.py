@@ -141,14 +141,10 @@ def _scan_grid(f, scan_step, upper):
 
 
 def _grid_blocks(scan_step, upper):
-    """(k, x_k .. x_{k+n-1}) blocks of the scan grid below upper, n <= SCAN_BLOCK."""
+    """(k, x_k .. x_{k+n-1}) blocks of the scan grid below upper, 0 < n <= SCAN_BLOCK."""
     k = 1
-    while True:
-        xs = _grid_block(k, scan_step, upper)
-        if xs.size:
-            yield k, xs
-        if xs.size < SCAN_BLOCK:
-            return
+    while k * scan_step < upper:
+        yield k, _grid_block(k, scan_step, upper)
         k += SCAN_BLOCK
 
 

@@ -6,6 +6,9 @@ inequality in this package only through the norm sequence ||A_n||.
 optional exact geometric continuation).  Concrete test surfaces are the
 Mobius-type extremal family on the enlarged disk Omega_gamma and
 diagonal blends of scalar Mobius factors, for which the norms are exact.
+The extremal family is geometric from index 1, so it stores two norms
+and its ratio (``count`` asks for a longer explicit prefix), and every
+sum on it adds the rest in closed form.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ from .errors import ConfigurationError, DomainError, NonConvergenceError
 # parameter takes over; parameters that close together raise instead
 MAX_BLEND_NORMS = 1 << 18
 
-# Truncation policy for sums that lack a closed form: at most
-# TRUNCATION_N terms past the stored or closed-form part, a remainder
-# of at most ABS_TOL, and no tail estimate once terms shrink more slowly
-# than TAIL_RATIO_CAP per index.
+# Truncation policy for sums that lack a closed form: a remainder of at
+# most ABS_TOL within TRUNCATION_N terms past a custom weight's
+# closed-form part, or past index max(N, CONTINUATION_FLOOR) on a
+# geometric continuation of norms from its first unstored index N (so
+# two stored norms are summed as 64 are), and no tail estimate once
+# terms shrink more slowly than TAIL_RATIO_CAP per index.
 TRUNCATION_N = 512
+CONTINUATION_FLOOR = 65
 TAIL_RATIO_CAP = 0.99
 ABS_TOL = 1e-12
 
@@ -165,8 +171,13 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
     weights need ``sup_weight(n)`` >= weight(k) for all k >= n, and
     continuation terms are added until the bound sup_weight(n) ||A_n||^e
     / (1 - q^e) on the rest (valid for a constant exponent, or once
-    ||A_n|| <= 1) is at most ABS_TOL, within TRUNCATION_N terms or
-    NonConvergenceError.  A short sum is never returned.
+    ||A_n|| <= 1) is at most ABS_TOL, or NonConvergenceError.  With N the
+    first unstored index and M = max(N, CONTINUATION_FLOOR), terms N .. M
+    are added unchecked and the bound is checked at n = M .. M +
+    TRUNCATION_N: a prefix shorter than 64 norms is summed as if 64 were
+    stored, with the same terms and as many evaluations of sup_weight (a
+    custom weight's truncated tail costs TRUNCATION_N terms each).  A
+    short sum is never returned.
     """
     norms = coeffs.norms[start:]
     weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
@@ -182,14 +193,16 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
         return math.fsum(terms)
     if sup_weight is None:
         raise ConfigurationError("a weight without a closed-form tail needs sup_weight")
-    for n in range(N, N + TRUNCATION_N + 1):
+    check_from = max(N, CONTINUATION_FLOOR)
+    for n in range(N, check_from + TRUNCATION_N + 1):
         x = coeffs.norm(n)
         e = power + index_power * n
-        if (not index_power or x <= 1.0) and sup_weight(n) * x**e <= ABS_TOL * (1.0 - q**e):
+        if (n >= check_from and (not index_power or x <= 1.0)
+                and sup_weight(n) * x**e <= ABS_TOL * (1.0 - q**e)):
             return math.fsum(terms)
         terms.append(x**e * weight(n))
     raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "
-                              f"after {TRUNCATION_N} continuation terms")
+                              f"after {check_from + TRUNCATION_N - N} continuation terms")
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,7 @@ def _check_radius(r):
         raise DomainError(f"radius must lie in [0, 1), got {r}")
 
 
-def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 64) -> CoeffSeries:
+def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSeries:
     """Coefficient norms of the Mobius-type extremal map of Omega_gamma.
 
     h_a composes the disk automorphism (a - w)/(1 - a w) with the affine
@@ -262,6 +275,10 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 64) -> CoeffS
 
     for n >= 1.  a = 0 and a = 1 are excluded (the n >= 1 formula has a
     in a denominator and the family is used in the a -> 1^- limit only).
+    The norms are exactly geometric from n = 1, so the series stores
+    ||A_0||, ||A_1|| and the ratio q, and every sum adds the rest in
+    closed form; ``count`` > 1 stores ||A_1|| .. ||A_count|| explicitly,
+    for callers that want a longer stored prefix.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"a must lie strictly inside (0, 1), got {a}")
@@ -391,7 +408,7 @@ class CoeffBoundReport:
 
     passed: bool
     first_violation: int | None
-    checked: int
+    checked: int  # stored norms compared, n = m + 1 .. last_index; not the continuation
     max_ratio: float  # max over n of ||A_n|| / bound; 1.0 means equality
 
 
@@ -400,7 +417,12 @@ def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
     """Check ||A_n|| <= lambda_H (1 - ||A_m||^2) for all stored n > m.
 
     m is the series start index and A_m its first coefficient; a
-    violation is reported, not raised.
+    violation is reported, not raised.  The stored norms settle the whole
+    series: a geometric continuation has ratio < 1, so no norm past the
+    stored range exceeds the last stored one, and the two-norm extremal
+    family reports what any longer prefix of it does.  ``checked`` counts
+    the stored norms compared, so that family reports 1 (a 64-norm prefix
+    of it, 64), although both checks cover every index.
     """
     m = coeffs.start_index
     a0 = coeffs.norm(m)

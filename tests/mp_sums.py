@@ -77,14 +77,15 @@ def _series(coeffs):
     return norms, len(norms) - 1, (mp.mpf(q) if q and norms[-1] else None)
 
 
-def majorant(coeffs, kind, r):
+def majorant(coeffs, kind, r, start=0):
+    """sum_{n >= start} ||A_n|| phi_n(r)."""
     with mp.workdps(DPS):
         r = mp.mpf(r)
         x, L, q = _series(coeffs)
-        total = sum(x[n] * phi(kind, n, r) for n in range(L + 1))
+        total = sum(x[n] * phi(kind, n, r) for n in range(start, L + 1))
         if q:
             c, parity, _ = KINDS[kind]
-            total += x[L] * q**-L * poly_tail(c, q * r, L + 1, parity)
+            total += x[L] * q**-L * poly_tail(c, q * r, max(L + 1, start), parity)
         return total
 
 

@@ -11,8 +11,8 @@ from bohrad import (CoeffSeries, HyperbolicDensity, bloch, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
                     count_sign_changes, functionals, increasing_root, m_integral,
                     min_positive_root, phi, series)
-from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
-                          gamma_equation_value)
+from bohrad.bloch import (LIMIT_PROBE, MAJORANT_THRESHOLD, REFINED_THRESHOLD,
+                          derivative_majorant, gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
                            SingularIntegrandError)
 
@@ -360,6 +360,22 @@ class TestCircleMeanTheorem:
             closed = (r * r * (1.0 - gamma) ** (2.0 * nu) * c ** (-2.0 * nu)
                       * hyp2f1(nu, nu + 0.5, 1.0, (B / c) ** 2))
             assert m_integral(density, nu, r) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
+    def test_omega_gamma_against_mp_closed_form_up_to_the_limit_probe(self, gamma, nu):
+        # the same 2F1 closed form at 40 digits, up to r = LIMIT_PROBE, where
+        # scipy's hyp2f1 loses about 1e-9 and so would not see a cancelling density
+        mp = mp_sums.mp
+        density = HyperbolicDensity.omega_gamma(gamma)
+        for r in (0.9, 0.99, LIMIT_PROBE):
+            with mp.workdps(mp_sums.DPS):
+                g, r_ = mp.mpf(gamma), mp.mpf(r)
+                c = 1 - (1 - g) ** 2 * r_ * r_ - g * g
+                B = 2 * g * (1 - g) * r_
+                closed = (r_ * r_ * (1 - g) ** (2 * nu) * c ** (-2 * nu)
+                          * mp.hyp2f1(nu, nu + 0.5, 1, (B / c) ** 2))
+            assert mp_sums.close(m_integral(density, nu, r), closed, 0.0, 1e-12), r
 
 
 class TestGridScan:

@@ -2,8 +2,12 @@
 
 import math
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
                     CoeffSeries, MatrixCoeffFn, MuFunction, PhiSequence, RadiusProblem,
@@ -11,9 +15,10 @@ from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
                     bohr_energy_functional, classical_functional,
                     diag_blend_coeffs, majorant, mobius_gamma_coeffs,
                     mobius_partial_modulus, per_function_radius,
-                    radius_refined, refined_functional, rogosinski_functional,
-                    sharpness_probe)
+                    radius_refined, refined_functional, refined_sum,
+                    rogosinski_functional, s_r, sharpness_probe)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
+from bohrad.series import ABS_TOL
 
 import mp_sums
 
@@ -427,3 +432,155 @@ class TestFunctionalReport:
         assert not FunctionalReport.compare(1.0 + 5e-12, 1.0).satisfied
         report = FunctionalReport.compare(0.4, 1.0)
         assert report.margin == pytest.approx(0.6, abs=1e-15)
+
+
+def family_sums(a, gamma, kind, m, r, count=1):
+    """The seven sums on the extremal family (a, gamma), stored with ``count`` norms past A_0.
+
+    majorant, s_r and the refined functional take the family shifted by
+    m; Rogosinski takes the disk family with N = omega_order = m + 1.
+    """
+    phi, lam = BUILTIN_PHI[kind], 1.0 / (1.0 + gamma)
+    coeffs = mobius_gamma_coeffs(a, gamma, count)
+    shifted = coeffs.shifted(m)
+    return {
+        "majorant": majorant(shifted, phi, r),
+        "s_r": s_r(shifted, r),
+        "energy": bohr_energy_functional(coeffs, r, lam).value,
+        "beta": bohr_beta_functional(coeffs, r, 0.25 * lam).value,
+        "area": bohr_area_functional(coeffs, r, lam, m + 1).value,
+        "refined": refined_functional(shifted, phi, 1.5, m, 2.0, r).value,
+        "rogosinski": rogosinski_functional(mobius_gamma_coeffs(a, 0.0, count), phi,
+                                            1.5, m + 1, m + 1, 2.0, r).value,
+    }
+
+
+def mp_family_sums(a, gamma, kind, m, r):
+    """family_sums of the two-norm family, from the 40-digit references."""
+    mp = mp_sums.mp
+    lam = 1.0 / (1.0 + gamma)
+    coeffs = mobius_gamma_coeffs(a, gamma)
+    shifted = coeffs.shifted(m)
+    disk = mobius_gamma_coeffs(a, 0.0)
+    with mp.workdps(mp_sums.DPS):
+        L, r_, a0 = mp.mpf(lam), mp.mpf(r), mp.mpf(coeffs.norm(0))
+        bohr = mp_sums.majorant(coeffs, "monomial", r)
+        weight = (1 + L) / (2 * L * (1 + a0)) + 2 * (1 + L) * r_ / (3 * (1 - r_))
+        base = ((1 + L) / (1 + 2 * L)) ** 2
+        dirichlet = mp_sums.s_r(coeffs, r)
+        am, phi_m = mp.mpf(shifted.norm(m)), mp_sums.phi(kind, m, r_)
+        head = (disk.norm(0) + r_ ** (m + 1)) / (1 + disk.norm(0) * r_ ** (m + 1))
+        return {
+            "majorant": mp_sums.majorant(shifted, kind, r),
+            "s_r": mp_sums.s_r(shifted, r),
+            "energy": bohr + weight * mp_sums.energy(coeffs, r),
+            "beta": bohr + 0.25 * L * mp_sums.energy(coeffs, mp.sqrt(r_)),
+            "area": bohr + sum((base * dirichlet) ** j for j in range(1, m + 2)),
+            "refined": (phi_m * am ** mp.mpf(1.5) + mp_sums.majorant(shifted, kind, r)
+                        - am * phi_m + 2 * mp_sums.refined_sum(shifted, kind, m, r)),
+            "rogosinski": (head ** mp.mpf(1.5) * mp_sums.phi(kind, 0, r_)
+                           + 2 * mp_sums.majorant(disk, kind, r, m + 1)),
+        }
+
+
+class TestTwoNormFamily:
+    """The extremal family stores ||A_0||, ||A_1|| and q; sums add the rest in closed form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-300, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+           st.floats(0.0, 0.999, exclude_max=True), st.integers(0, 3),
+           st.sampled_from(sorted(BUILTIN_PHI)))
+    def test_sums_equal_the_64_norm_family(self, a, gamma, r, m, kind):
+        # where the 64-norm prefix underflows it drops terms the closed form
+        # keeps (see test_underflowing_prefix_loses_terms_the_closed_form_keeps)
+        assume(mobius_gamma_coeffs(a, gamma, 64).norms[-1] >= sys.float_info.min)
+        short = family_sums(a, gamma, kind, m, r)
+        long = family_sums(a, gamma, kind, m, r, 64)
+        for name, want in long.items():
+            assert abs(short[name] - want) <= 1e-14 * abs(want), name
+
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI))
+    @pytest.mark.parametrize("a, gamma", [(0.3, 0.0), (0.9, 0.5), (0.999, 0.0),
+                                          (0.999, 0.9), (1.0 - 1e-6, 0.3)])
+    def test_sums_match_mp_reference(self, kind, a, gamma):
+        for r in (0.3, 0.9, 0.99):
+            for m in (0, 2):
+                got = family_sums(a, gamma, kind, m, r)
+                want = mp_family_sums(a, gamma, kind, m, r)
+                for name in got:
+                    assert mp_sums.close(got[name], want[name]), (name, r, m)
+
+    def test_underflowing_prefix_loses_terms_the_closed_form_keeps(self):
+        # q = a: a^2 underflows, so the 64-norm prefix stores ||A_2|| = 0, ends
+        # in a zero norm and drops every even term; the two norms keep them
+        a, r = 3.0536614991083513e-189, 0.5
+        want = mp_sums.majorant(mobius_gamma_coeffs(a, 0.0), "even_only", r)
+        assert mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0), EVEN_ONLY, r), want, 0.0)
+        assert not mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0, 64), EVEN_ONLY, r),
+                                 want, 0.0)
+
+
+# (n + 1) r^n as a custom kind, with and without its closed-form tail
+CUSTOM_LINEAR = [
+    PhiSequence("custom", custom_term=lambda n, r: (n + 1) * r**n,
+                custom_tail=lambda N, r: r**N * ((N + 1) / (1.0 - r) + r / (1.0 - r) ** 2)),
+    PhiSequence("custom", custom_term=lambda n, r: (n + 1) * r**n),
+]
+
+
+class TestTwoNormFamilyCustomWeights:
+    """Sums without a closed form add continuation terms: two stored norms must act as 64."""
+
+    @staticmethod
+    def outcomes(coeffs, phi, m, r):
+        """majorant and refined_sum with phi, and the two_n refined_sum; None if they raise."""
+        sums = (lambda: majorant(coeffs, phi, r), lambda: refined_sum(coeffs, phi, m, r),
+                lambda: refined_sum(coeffs, MONOMIAL, m, r, "two_n"))
+        found = []
+        for total in sums:
+            try:
+                found.append(total())
+            except NonConvergenceError:
+                found.append(None)
+        return found
+
+    def assert_same_outcomes(self, a, gamma, m, phi, r):
+        short = self.outcomes(mobius_gamma_coeffs(a, gamma).shifted(m), phi, m, r)
+        long = self.outcomes(mobius_gamma_coeffs(a, gamma, 64).shifted(m), phi, m, r)
+        for x, want in zip(short, long):
+            assert (x is None) == (want is None), (a, gamma, m, r)
+            if want is not None:  # sums near 1e4 round at a few ulp above ABS_TOL
+                assert abs(x - want) <= max(ABS_TOL, 4 * math.ulp(want)), (a, gamma, m, r)
+        return short
+
+    def test_closed_tail_outcomes_match_the_64_norm_family(self):
+        outcomes = [x for a in np.linspace(0.9, 0.999, 12).tolist()
+                    for gamma in (0.0, 0.5)
+                    for m in (0, 2)
+                    for r in (0.9, 0.99, 0.995)
+                    for x in self.assert_same_outcomes(a, gamma, m, CUSTOM_LINEAR[0], r)]
+        # the grid holds both outcomes
+        assert None in outcomes and any(x is not None for x in outcomes)
+
+    @pytest.mark.parametrize("a, r", [(0.5, 0.5), (0.94, 0.9), (0.99, 0.5), (0.99, 0.95)])
+    def test_truncated_tail_outcomes_match_the_64_norm_family(self, a, r):
+        self.assert_same_outcomes(a, 0.0, 0, CUSTOM_LINEAR[1], r)
+
+    @pytest.mark.parametrize("a, r", [(0.5, 0.5), (0.9, 0.9)])
+    def test_truncated_tail_costs_what_64_norms_cost(self, a, r):
+        # the bound, TRUNCATION_N custom_term calls per index, is first checked
+        # where 64 stored norms end, not at index 2
+        calls = []
+        phi = PhiSequence("custom", custom_term=lambda n, r: calls.append(n) or (n + 1) * r**n)
+        counts = []
+        for count in (1, 64):
+            calls.clear()
+            majorant(mobius_gamma_coeffs(a, 0.0, count), phi, r)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_two_norms_reach_as_far_as_64(self):
+        # 547 continuation terms (indices 2 to 548): more than TRUNCATION_N
+        value = majorant(mobius_gamma_coeffs(0.94, 0.0), CUSTOM_LINEAR[0], 0.99)
+        want = mp_sums.majorant(mobius_gamma_coeffs(0.94, 0.0), "weighted_linear", 0.99)
+        assert mp_sums.close(value, want)

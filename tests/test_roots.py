@@ -164,6 +164,16 @@ class TestGridScan:
         maxsize = _grid_block.cache_info().maxsize
         assert maxsize is not None and maxsize * SCAN_BLOCK * 8 <= 1 << 20
 
+    def test_full_last_block_ends_the_grid(self):
+        # x_1 .. x_1024 fill one block and x_1025 = 1.0 is not below upper:
+        # no empty trailing block is built
+        step = 1.0 / 1025
+        before = _grid_block.cache_info()
+        blocks = list(_grid_blocks(step, 1.0))
+        after = _grid_block.cache_info()
+        assert [(k, xs.size) for k, xs in blocks] == [(1, SCAN_BLOCK)]
+        assert after.hits + after.misses == before.hits + before.misses + 1
+
     @pytest.mark.parametrize("f, step", [
         (lambda r: (r - 0.2) * (r - 0.8), 1e-3),
         (lambda r: (r - 0.25) * (r - 0.5) * (r - 0.75), 0.25),  # zeros on scan points

@@ -73,6 +73,16 @@ class TestMobiusFamily:
         scale = (1 - 0.16) / (0.4 * (1 - 0.08))
         assert coeffs.norm(20) == pytest.approx(scale * q**20, rel=1e-12)
 
+    @pytest.mark.parametrize("a, gamma", [(0.4, 0.2), (0.9, 0.0), (0.999, 0.85), (0.3, 0.3)])
+    def test_stores_two_norms_and_the_ratio(self, a, gamma):
+        coeffs = mobius_gamma_coeffs(a, gamma)
+        assert len(coeffs.norms) == 2
+        assert coeffs.tail_geometric_ratio == a * (1.0 - gamma) / (1.0 - a * gamma)
+        prefix = mobius_gamma_coeffs(a, gamma, 64)
+        assert coeffs.norms == prefix.norms[:2]
+        for n in range(2, 80):
+            assert coeffs.norm(n) == pytest.approx(prefix.norm(n), rel=1e-13, abs=0.0), n
+
 
 class TestDirichletSum:
     def test_identity_coefficient(self):
@@ -271,6 +281,22 @@ class TestCoeffBound:
                                            DomainSpec.omega_gamma(gamma))
                 assert report.passed
                 assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_two_norm_family_reports_as_its_64_norm_prefix(self, gamma, m):
+        # continuation norms never exceed the last stored one (ratio < 1)
+        domains = (DomainSpec.omega_gamma(gamma), DomainSpec.disk(), DomainSpec.general(0.3))
+        for a in (0.01, 0.1, 0.5, gamma, 0.9, 0.999, 0.9999):
+            if not 0.0 < a < 1.0:
+                continue
+            for domain in domains:
+                short = check_coeff_bound(mobius_gamma_coeffs(a, gamma).shifted(m), domain)
+                long = check_coeff_bound(mobius_gamma_coeffs(a, gamma, 64).shifted(m), domain)
+                assert (short.passed, short.first_violation, short.max_ratio) \
+                    == (long.passed, long.first_violation, long.max_ratio)
+                # checked counts stored norms only, not the continuation they settle
+                assert (short.checked, long.checked) == (1, 64)
 
 
 class TestPointBounds:
