@@ -224,15 +224,26 @@ def _refined_weight(phi, r, am):
     For a built-in kind starting at 0 with polynomial P, phi_{2n} is
     P(2n) r^{2n} (if 2n is on its indices) and Phi_{2n+1} sums P(2n + a)
     r^{2n+a} over its indices 2n + a, a >= 1.  As P(2n + a) = P(a) +
-    (2 c1 + 4 c2 a) n + 4 c2 n^2, this is a GeometricWeight in t = r^2.
+    (2 c1 + 4 c2 a) n + 4 c2 n^2, this is a GeometricWeight in t = r^2
+    whose coefficients hold three tails sum_{a >= 1} p(a) r^a, one per
+    polynomial p.  They share E (the first index a), r^E, u = r^step and
+    d = 1 - u, computed once; each applies GeometricWeight.tail(E) at
+    q = 1 in its order of operations, so the weight is bit identical to
+    three GeometricWeight(p, r, 1 - r, step, parity).tail(E) calls.
     """
     if phi.kind == "custom" or phi.start_index > 0:
         return lambda n: term_at(phi, 2 * n)(r) / (1.0 + am) + tail_from(phi, 2 * n + 1)(r)
     (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
     on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
-    first = 1 + (parity - 1) % step
-    past_2n = [GeometricWeight(p, r, 1.0 - r, step, parity).tail(first)
-               for p in ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))]
+    E = 1 + (parity - 1) % step
+    u, d = (r, 1.0 - r) if step == 1 else (r * r, (1.0 - r) * (1.0 + r))
+    rE = r**E
+
+    def tail(p0, p1, p2):
+        b0, b1, b2 = p0 + E * (p1 + p2 * E), step * (p1 + 2 * p2 * E), p2 * step**2
+        return rE * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+
+    past_2n = (tail(c0, c1, c2), tail(2 * c1, 4 * c2, 0), tail(4 * c2, 0, 0))
     c = tuple(x / (1.0 + am) + y for x, y in zip(on_2n, past_2n))
     return GeometricWeight(c, r * r, (1.0 - r) * (1.0 + r))
 

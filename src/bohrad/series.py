@@ -9,12 +9,21 @@ diagonal blends of scalar Mobius factors, for which the norms are exact.
 The extremal family is geometric from index 1, so it stores two norms
 and its ratio (``count`` asks for a longer explicit prefix), and every
 sum on it adds the rest in closed form.
+
+Weights, sums and blend tables do their per-element work with the
+floating-point operations of a plain per-element loop, so every value is
+bit identical to that loop, with less interpreter work: weights visit
+only the indices of their parity class, stored-norm terms are products
+mapped in C, and a blend's norms come from one numpy table whose moduli
+are libm ``hypot``, as ``abs(complex)`` computes them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +142,26 @@ class GeometricWeight:
         return self.values(n, n + 1)[0]
 
     def values(self, start: int, stop: int) -> list[float]:
-        """[w(start), ..., w(stop - 1)], computed in one pass."""
-        (c0, c1, c2), t, step, parity = self.c, self.t, self.step, self.parity
-        w = [(c0 + n * (c1 + c2 * n)) * t**n if n % step == parity else 0.0
-             for n in range(start, stop)]
+        """[w(start), ..., w(stop - 1)], computed in one pass.
+
+        Each w(n) on the weight's indices is (c0 + n (c1 + c2 n)) * t**n,
+        the operations of a per-index loop, so the values are bit
+        identical to it; only the indices on the parity class are visited,
+        the factor is c0 alone when c1 = c2 = 0, and the off-parity slots
+        are zeros filled by one slice assignment.
+        """
+        (c0, c1, c2), t, step = self.c, self.t, self.step
+        first = start + (self.parity - start) % step
+        indices = range(first, stop, step)
+        if c1 or c2:
+            on = [(c0 + n * (c1 + c2 * n)) * t**n for n in indices]
+        else:
+            on = [c0 * t**n for n in indices]
+        if step == 1:
+            w = on
+        else:
+            w = [0.0] * max(0, stop - start)
+            w[first - start::step] = on
         if start == 0 < stop:
             w[0] += self.head
         return w
@@ -154,7 +179,9 @@ class GeometricWeight:
         E = N + (self.parity - N) % self.step
         qp = q**power
         s = qp * self.t
-        d = (1.0 - q) * math.fsum(q**i for i in range(power)) + qp * self.one_minus_t
+        # 1 - s = (1 - q)(1 + q + ... + q^(power-1)) + q^power (1 - t); that sum is 1.0 at power 1
+        d = ((1.0 - q) * (1.0 if power == 1 else math.fsum(q**i for i in range(power)))
+             + qp * self.one_minus_t)
         u, d = (s, d) if self.step == 1 else (s * s, d * (1.0 + s))
         b0 = c0 + E * (c1 + c2 * E)
         b1 = self.step * (c1 + 2 * c2 * E)
@@ -166,24 +193,35 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
              index_power: int = 0, sup_weight=None) -> float:
     """sum_{n >= start} ||A_n||^e(n) weight(n), e(n) = power + index_power n.
 
-    A geometric continuation of the stored norms adds, for a
-    GeometricWeight and a constant exponent, its exact remainder.  Other
-    weights need ``sup_weight(n)`` >= weight(k) for all k >= n, and
-    continuation terms are added until the bound sup_weight(n) ||A_n||^e
-    / (1 - q^e) on the rest (valid for a constant exponent, or once
-    ||A_n|| <= 1) is at most ABS_TOL, or NonConvergenceError.  With N the
-    first unstored index and M = max(N, CONTINUATION_FLOOR), terms N .. M
-    are added unchecked and the bound is checked at n = M .. M +
-    TRUNCATION_N: a prefix shorter than 64 norms is summed as if 64 were
-    stored, with the same terms and as many evaluations of sup_weight (a
-    custom weight's truncated tail costs TRUNCATION_N terms each).  A
-    short sum is never returned.
+    The stored norms are summed with fsum.  For a constant exponent
+    e = power > 0 their terms are x * w (power 1) or pow(x, power) * w,
+    mapped over the norms and weights; a zero norm adds 0.0, which
+    leaves the fsum unchanged.  A geometric continuation of the stored
+    norms adds, for a GeometricWeight and a constant exponent, its exact
+    remainder.  Other weights need ``sup_weight(n)`` >= weight(k) for all
+    k >= n, and continuation terms are added until the bound
+    sup_weight(n) ||A_n||^e / (1 - q^e) on the rest (valid for a
+    constant exponent, or once ||A_n|| <= 1) is at most ABS_TOL, or
+    NonConvergenceError.  With N the first unstored index and M = max(N,
+    CONTINUATION_FLOOR), terms N .. M are added unchecked and the bound
+    is checked at n = M .. M + TRUNCATION_N.  At each checked index,
+    weight(n) ||A_n||^e is compared first, and sup_weight(n) (a custom
+    weight's truncated tail costs TRUNCATION_N terms) is evaluated only
+    once that term alone meets the bound; as sup_weight(n) >= weight(n),
+    this stops where the bound alone would.  So weight(n) is evaluated
+    at the stop index too, and a prefix shorter than 64 norms is summed
+    as if 64 were stored, with the same terms and evaluations.  A short
+    sum is never returned.
     """
     norms = coeffs.norms[start:]
     weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
                else [weight(n) if x else 0.0 for n, x in enumerate(norms, start)])
-    terms = [x ** (power + index_power * n) * w
-             for n, (x, w) in enumerate(zip(norms, weights), start) if x]
+    if index_power or power <= 0:
+        terms = [x ** (power + index_power * n) * w
+                 for n, (x, w) in enumerate(zip(norms, weights), start) if x]
+    else:
+        powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
+        terms = list(map(operator.mul, powered, weights))
     if coeffs.is_finite():
         return math.fsum(terms)
     q = coeffs.tail_geometric_ratio
@@ -197,10 +235,12 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
     for n in range(N, check_from + TRUNCATION_N + 1):
         x = coeffs.norm(n)
         e = power + index_power * n
-        if (n >= check_from and (not index_power or x <= 1.0)
-                and sup_weight(n) * x**e <= ABS_TOL * (1.0 - q**e)):
-            return math.fsum(terms)
-        terms.append(x**e * weight(n))
+        xe, w = x**e, weight(n)
+        if n >= check_from and (not index_power or x <= 1.0):
+            bound = ABS_TOL * (1.0 - q**e)
+            if w * xe <= bound and sup_weight(n) * xe <= bound:
+                return math.fsum(terms)
+        terms.append(xe * w)
     raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "
                               f"after {check_from + TRUNCATION_N - N} continuation terms")
 
@@ -278,7 +318,10 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
     The norms are exactly geometric from n = 1, so the series stores
     ||A_0||, ||A_1|| and the ratio q, and every sum adds the rest in
     closed form; ``count`` > 1 stores ||A_1|| .. ||A_count|| explicitly,
-    for callers that want a longer stored prefix.
+    for callers that want a longer stored prefix, but only while q^n is
+    a normal float: the scale can exceed 1, so a power that underflows
+    would store a norm far below its true value (or 0.0, which would end
+    the series), and the continuation carries the rest instead.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"a must lie strictly inside (0, 1), got {a}")
@@ -289,7 +332,12 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
     a0 = abs(a - gamma) / (1.0 - a * gamma)
     scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
     q = a * (1.0 - gamma) / (1.0 - a * gamma)
-    norms = [a0] + [scale * q**n for n in range(1, count + 1)]
+    norms = [a0, scale * q]
+    for n in range(2, count + 1):
+        power = q**n
+        if power < sys.float_info.min:
+            break
+        norms.append(scale * power)
     return CoeffSeries(tuple(norms), 0, q)
 
 
@@ -371,6 +419,16 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     so the continuation ratio b is exact.  A log estimate, less one
     against round-off, is stepped up until that comparison confirms it.
     A crossover beyond MAX_BLEND_NORMS raises NonConvergenceError.
+
+    The table is computed in one array pass with the operations of the
+    per-entry scan max_i abs(phase_i * c_n^{(i)}), so every norm is bit
+    identical to it: a phase times a real coefficient is the complex
+    (Re * c, Im * c), and np.hypot of the two parts calls the libm hypot
+    that abs(complex) calls (np.abs on complex128 rounds differently).
+    The coefficients' powers stay in Python's pow (see _mobius_taylor).
+    An underflowed power needs no guard: (1 - a^2) <= 1 never enlarges
+    it, so a stored 0.0 is the true norm rounded, and so is every later
+    norm.
     """
     if count < 1:
         raise DomainError("count must be positive")
@@ -386,9 +444,11 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
             while (1.0 - b * b) * b ** (k - 1) < (1.0 - a * a) * a ** (k - 1):
                 k += 1
             n = max(n, k)
-    scalar = {a: _mobius_taylor(a, 0, n + 1) for a in set(fn.params)}
-    magnitudes = [map(abs, map(phase.__mul__, scalar[a])) for a, phase in zip(fn.params, fn.phases)]
-    return CoeffSeries(tuple(map(max, zip(*magnitudes))), 0, b)
+    scalar = {a: np.array([a] + _mobius_taylor(a, 1, n + 1)) for a in set(fn.params)}
+    table = np.array([scalar[a] for a in fn.params])
+    phases = np.array(fn.phases)
+    norms = np.hypot(phases.real[:, None] * table, phases.imag[:, None] * table).max(axis=0)
+    return CoeffSeries(tuple(norms.tolist()), 0, b)
 
 
 def _mobius_taylor(a: float, start: int, stop: int) -> list:
@@ -396,10 +456,12 @@ def _mobius_taylor(a: float, start: int, stop: int) -> list:
 
     c_0 = a (as a complex) and c_n = (1 - a^2)(-a)^(n-1) for n >= 1; the
     same floating-point operations whether one or a whole table is asked.
+    The powers come from Python's pow (libm), not numpy's, whose pow can
+    differ in the last bit (see roots.min_positive_root).
     """
     head = [complex(a)] if start == 0 < stop else []
-    powers = map(float.__pow__, itertools.repeat(-a), range(max(start, 1) - 1, stop - 1))
-    return head + list(map((1.0 - a * a).__mul__, powers))
+    scale, b = 1.0 - a * a, -a
+    return head + [scale * b**k for k in range(max(start, 1) - 1, stop - 1)]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,9 @@
 
 import math
 
-import sys
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
@@ -491,9 +489,8 @@ class TestTwoNormFamily:
            st.floats(0.0, 0.999, exclude_max=True), st.integers(0, 3),
            st.sampled_from(sorted(BUILTIN_PHI)))
     def test_sums_equal_the_64_norm_family(self, a, gamma, r, m, kind):
-        # where the 64-norm prefix underflows it drops terms the closed form
-        # keeps (see test_underflowing_prefix_loses_terms_the_closed_form_keeps)
-        assume(mobius_gamma_coeffs(a, gamma, 64).norms[-1] >= sys.float_info.min)
+        # a prefix whose powers underflow stops early (see
+        # test_prefix_stops_before_underflow_and_keeps_every_term)
         short = family_sums(a, gamma, kind, m, r)
         long = family_sums(a, gamma, kind, m, r, 64)
         for name, want in long.items():
@@ -510,14 +507,14 @@ class TestTwoNormFamily:
                 for name in got:
                     assert mp_sums.close(got[name], want[name]), (name, r, m)
 
-    def test_underflowing_prefix_loses_terms_the_closed_form_keeps(self):
-        # q = a: a^2 underflows, so the 64-norm prefix stores ||A_2|| = 0, ends
-        # in a zero norm and drops every even term; the two norms keep them
+    def test_prefix_stops_before_underflow_and_keeps_every_term(self):
+        # q = a: a^2 underflows, so a 64-norm prefix would store ||A_2|| = 0,
+        # end in a zero norm and drop every even term; it stops at ||A_1||
         a, r = 3.0536614991083513e-189, 0.5
         want = mp_sums.majorant(mobius_gamma_coeffs(a, 0.0), "even_only", r)
         assert mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0), EVEN_ONLY, r), want, 0.0)
-        assert not mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0, 64), EVEN_ONLY, r),
-                                 want, 0.0)
+        assert mobius_gamma_coeffs(a, 0.0, 64) == mobius_gamma_coeffs(a, 0.0)
+        assert mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0, 64), EVEN_ONLY, r), want, 0.0)
 
 
 # (n + 1) r^n as a custom kind, with and without its closed-form tail
@@ -578,6 +575,14 @@ class TestTwoNormFamilyCustomWeights:
             majorant(mobius_gamma_coeffs(a, 0.0, count), phi, r)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_truncated_tail_is_summed_only_where_the_term_meets_the_bound(self):
+        # 171 terms; a 512-term tail at each of the 107 indices checked from 65
+        # cost 54,955 calls, where only the stop index needs one
+        calls = []
+        phi = PhiSequence("custom", custom_term=lambda n, r: calls.append(n) or (n + 1) * r**n)
+        assert majorant(mobius_gamma_coeffs(0.9, 0.0), phi, 0.9) == 6.536842105263115
+        assert len(calls) <= 7000
 
     def test_two_norms_reach_as_far_as_64(self):
         # 547 continuation terms (indices 2 to 548): more than TRUNCATION_N

@@ -13,8 +13,8 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     PhiSequence, phi_tail, phi_term, refined_sum)
 from bohrad import phi as phi_module
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.phi import _truncated_tail, tail_from, term_at
-from bohrad.series import ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N
+from bohrad.phi import GEOMETRIC_FORMS, _refined_weight, _truncated_tail, tail_from, term_at
+from bohrad.series import ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, GeometricWeight
 
 import mp_sums
 
@@ -355,6 +355,27 @@ class TestRefinedSum:
     def test_out_of_range_radius(self):
         with pytest.raises(DomainError):
             refined_sum(CoeffSeries((0.0, 0.5)), MONOMIAL, 0, 1.0)
+
+    @staticmethod
+    def tail_composition(kind, r, am):
+        """The refinement weight's coefficients as three GeometricWeight tails."""
+        (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[kind]
+        on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
+        first = 1 + (parity - 1) % step
+        past_2n = [GeometricWeight(p, r, 1.0 - r, step, parity).tail(first)
+                   for p in ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))]
+        return tuple(x / (1.0 + am) + y for x, y in zip(on_2n, past_2n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BUILTIN_PHI)), st.floats(0.0, 1.0, exclude_max=True),
+           st.booleans(), st.floats(0.0, 1.0))
+    def test_refined_weight_is_the_tail_composition_bit_for_bit(self, kind, r, numpy_r, am):
+        r = np.float64(r) if numpy_r else r
+        weight = _refined_weight(BUILTIN_PHI[kind], r, am)
+        want = self.tail_composition(kind, r, am)
+        assert list(map(float.hex, map(float, weight.c))) == \
+            list(map(float.hex, map(float, want)))
+        assert (weight.t, weight.one_minus_t) == (r * r, (1.0 - r) * (1.0 + r))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),

@@ -1,19 +1,24 @@
 """Coefficient series, operator norms, and the point bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, MatrixCoeffFn, check_coeff_bound,
-                    diag_blend_coeffs, mobius_gamma_coeffs, operator_norm, phi_term,
-                    point_eval_bound, s_r, schwarz_composed_bound)
+from bohrad import (EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec, MatrixCoeffFn,
+                    check_coeff_bound, diag_blend_coeffs, majorant, mobius_gamma_coeffs,
+                    operator_norm, phi_term, point_eval_bound, s_r, schwarz_composed_bound)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.series import _check_radius, norm_sum
+from bohrad.series import GeometricWeight, _check_radius, norm_sum
 
 import mp_sums
+
+
+# blend parameters whose crossovers stay within a few hundred norms
+BLEND_GRID = tuple(k / 50 for k in range(1, 50)) + (0.995,)
 
 
 def phased_equal_blend(rng):
@@ -67,6 +72,18 @@ class TestMobiusFamily:
         with pytest.raises(DomainError):
             mobius_gamma_coeffs(a, 0.0, 4)
 
+    @pytest.mark.parametrize("a, gamma, stored", [
+        (0.5, 0.0, 64), (1.6e-5, 0.0, 64), (1e-5, 0.0, 61), (1e-100, 0.0, 3),
+        (3.0536614991083513e-189, 0.0, 1), (1e-300, 0.0, 1), (0.9, 1.0 - 1e-15, 21)])
+    def test_prefix_stops_at_the_last_normal_power(self, a, gamma, stored):
+        coeffs = mobius_gamma_coeffs(a, gamma, 64)
+        q = coeffs.tail_geometric_ratio
+        assert coeffs.last_index == stored
+        assert stored == 1 or q**stored >= sys.float_info.min
+        assert stored == 64 or q ** (stored + 1) < sys.float_info.min
+        scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
+        assert coeffs.norms[1:] == tuple(scale * q**n for n in range(1, stored + 1))
+
     def test_geometric_continuation_is_exact(self):
         coeffs = mobius_gamma_coeffs(0.4, 0.2, 8)
         q = 0.4 * 0.8 / (1 - 0.08)
@@ -82,6 +99,29 @@ class TestMobiusFamily:
         assert coeffs.norms == prefix.norms[:2]
         for n in range(2, 80):
             assert coeffs.norm(n) == pytest.approx(prefix.norm(n), rel=1e-13, abs=0.0), n
+
+
+class TestGeometricWeightValues:
+    """values() against the per-index formula (c0 + n (c1 + c2 n)) t^n, bit for bit."""
+
+    @staticmethod
+    def per_index(weight, n):
+        (c0, c1, c2), t = weight.c, weight.t
+        value = (c0 + n * (c1 + c2 * n)) * t**n if n % weight.step == weight.parity else 0.0
+        return value + weight.head if n == 0 else value
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(*[st.one_of(st.integers(0, 6), st.floats(0.0, 10.0))] * 3),
+           st.floats(0.0, 1.0, exclude_max=True), st.booleans(), st.sampled_from([1, 2]),
+           st.integers(0, 1), st.sampled_from([0.0, 1.0, 0.25]), st.integers(0, 90),
+           st.integers(-3, 90))
+    def test_values_are_the_per_index_formula(self, c, t, numpy_t, step, parity, head,
+                                              start, length):
+        t = np.float64(t) if numpy_t else t
+        weight = GeometricWeight(c, t, 1.0 - t, step, parity % step, head)
+        got = weight.values(start, start + length)
+        want = [self.per_index(weight, n) for n in range(start, start + length)]
+        assert list(map(float.hex, map(float, got))) == list(map(float.hex, map(float, want)))
 
 
 class TestDirichletSum:
@@ -243,6 +283,34 @@ class TestDiagonalBlend:
             assert list(blend.norms) == scanned
             longer += blend.last_index > 64
         assert longer > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(BLEND_GRID), min_size=1, max_size=8),
+           st.lists(st.floats(0.0, 2.0 * math.pi), min_size=8, max_size=8),
+           st.integers(1, 300))
+    def test_table_is_the_entry_scan_bit_for_bit(self, params, angles, count):
+        # equal and distinct parameters; the scan is max_i abs(phase_i c_n^(i))
+        phases = [complex(math.cos(t), math.sin(t)) for t in angles[:len(params)]]
+        fn = MatrixCoeffFn(params, phases)
+        blend = diag_blend_coeffs(fn, count)
+        scanned = [max(abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension))
+                   for n in range(blend.last_index + 1)]
+        assert list(map(float.hex, blend.norms)) == list(map(float.hex, scanned))
+        assert blend.last_index >= count and blend.tail_geometric_ratio == max(params)
+
+    def test_underflowed_norms_are_the_true_norms_rounded(self):
+        # (1 - a^2) <= 1 cannot lift an underflowed power: every stored 0.0 is
+        # a norm below half the least subnormal, so the sums keep their terms
+        a, r = 3.0536614991083513e-189, 0.5
+        blend = diag_blend_coeffs(MatrixCoeffFn((a, a), (1.0, 1j)))
+        mp = mp_sums.mp
+        with mp.workdps(mp_sums.DPS):
+            half_least = mp.mpf(2) ** -1075
+            zeros = [n for n, x in enumerate(blend.norms) if x == 0.0]
+            assert zeros and all((1 - mp.mpf(a) ** 2) * mp.mpf(a) ** (n - 1) < half_least
+                                 for n in zeros)
+        want = mp_sums.majorant(mobius_gamma_coeffs(a, 0.0), "even_only", r)
+        assert mp_sums.close(majorant(blend, EVEN_ONLY, r), want, 0.0)
 
     def test_entry_coefficients_are_the_mobius_taylor_coefficients(self):
         # c_0 = a and c_n = (1 - a^2)(-a)^(n-1), times the phase, bit for bit

@@ -1,0 +1,102 @@
+"""Exact values of the series sums, pinned in series_golden.json.
+
+Every sum on the extremal family (two stored norms and a 64-norm
+prefix), on diagonal blends and with custom weights must repeat the
+stored ``repr`` bit for bit, so a faster kernel that reorders any
+floating-point operation fails here.  Regenerate the file only for an
+intended change of values:
+
+    PYTHONPATH=src python tests/test_series_golden.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from bohrad import (BUILTIN_PHI, MatrixCoeffFn, PhiSequence, bohr_area_functional,
+                    bohr_beta_functional, bohr_energy_functional, diag_blend_coeffs, majorant,
+                    mobius_gamma_coeffs, refined_functional, refined_sum, rogosinski_functional,
+                    s_r)
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "series_golden.json"
+
+CUSTOM = {
+    "custom_tail": PhiSequence("custom", custom_term=lambda n, r: (n + 1) * r**n,
+                               custom_tail=lambda N, r: r**N * ((N + 1) / (1.0 - r)
+                                                                + r / (1.0 - r) ** 2)),
+    "custom_truncated": PhiSequence("custom", custom_term=lambda n, r: (n + 1) * r**n),
+}
+
+
+def _blend(params, turns):
+    return MatrixCoeffFn(params, tuple(complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+                                       for t in turns))
+
+
+BLENDS = {
+    "equal": _blend((0.6, 0.6, 0.6), (0.0, 0.3, 0.71)),
+    "distinct": _blend((0.3, 0.7, 0.5), (0.1, 0.45, 0.9)),
+    "wide": _blend((0.05, 0.95, 0.9, 0.2, 0.6, 0.6, 0.995, 0.4), [k / 8 for k in range(8)]),
+}
+
+
+def _sums(values, label, coeffs, disk, m, r, lam, kinds):
+    """The functionals of one series: kind-free ones once, the rest per weight."""
+    shifted = coeffs.shifted(m)
+    values[f"{label} s_r"] = s_r(shifted, r)
+    values[f"{label} energy"] = bohr_energy_functional(coeffs, r, lam).value
+    values[f"{label} beta"] = bohr_beta_functional(coeffs, r, 0.25 * lam).value
+    values[f"{label} area"] = bohr_area_functional(coeffs, r, lam, m + 1).value
+    for kind, phi in kinds.items():
+        values[f"{label} {kind} majorant"] = majorant(shifted, phi, r)
+        values[f"{label} {kind} refined"] = refined_functional(shifted, phi, 1.5, m, 2.0, r).value
+        values[f"{label} {kind} refined_two_n"] = refined_sum(shifted, phi, m, r, "two_n")
+        values[f"{label} {kind} rogosinski"] = rogosinski_functional(
+            disk, phi, 1.5, m + 1, m + 1, 2.0, r).value
+
+
+def golden_values():
+    """Label -> value of every pinned sum."""
+    values = {}
+    for m, r in enumerate((0.5, 0.9, 0.99, 0.75)):
+        _sums(values, f"two_norm m={m}", mobius_gamma_coeffs(0.95, 0.4),
+              mobius_gamma_coeffs(0.95, 0.0), m, r, 1.0 / 1.4, BUILTIN_PHI)
+    for m in (0, 2):
+        _sums(values, f"count64 m={m}", mobius_gamma_coeffs(0.9, 0.0, 64),
+              mobius_gamma_coeffs(0.9, 0.0, 64), m, 0.7, 1.0, BUILTIN_PHI)
+    for (name, fn), r in zip(BLENDS.items(), (0.3, 0.8, 0.6)):
+        coeffs = diag_blend_coeffs(fn)
+        _sums(values, f"blend {name}", coeffs, coeffs, 0, r, 1.0, BUILTIN_PHI)
+    family = mobius_gamma_coeffs(0.9, 0.0)
+    for kind, phi in CUSTOM.items():
+        values[f"custom {kind} majorant"] = majorant(family, phi, 0.9)
+        values[f"custom {kind} refined_sum"] = refined_sum(family, phi, 0, 0.5)
+        values[f"custom {kind} refined_two_n"] = refined_sum(family, phi, 0, 0.5, "two_n")
+    return {label: repr(value) for label, value in values.items()}
+
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+
+
+def test_golden_covers_about_two_hundred_values():
+    assert len(GOLDEN) >= 200
+
+
+@pytest.fixture(scope="module")
+def current():
+    return golden_values()
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_sum_repeats_its_golden_value(current, label):
+    assert current[label] == GOLDEN[label]
+
+
+def test_no_value_is_unpinned(current):
+    assert sorted(current) == sorted(GOLDEN)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(golden_values(), indent=1, sort_keys=True) + "\n")
