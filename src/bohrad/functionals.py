@@ -73,11 +73,6 @@ class MuFunction:
             raise DomainError(f"mu({r}) = {v} is not finite and non-negative")
         return v
 
-    def oscillation(self, nodes: int = 1024) -> float:
-        """Largest neighboring jump on a uniform grid of [0, 1]."""
-        vals = [self(k / nodes) for k in range(nodes + 1)]
-        return max(abs(vals[k + 1] - vals[k]) for k in range(nodes))
-
 
 @dataclass(frozen=True)
 class FunctionalReport:
@@ -102,7 +97,7 @@ def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float) -> float:
     must reach series.ABS_TOL within series.TRUNCATION_N terms.
     """
     _check_radius(r)
-    return norm_sum(coeffs, phi_weight(phi, r), max(coeffs.start_index, phi.start_index),
+    return norm_sum(coeffs, phi_weight(phi, r), coeffs.start_index,
                     sup_weight=lambda n: tail_from(phi, n)(r))
 
 
@@ -156,7 +151,7 @@ def _energy(coeffs, r):  # sum_{n >= 1} ||A_n||^2 r^{2n}
 
 
 def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
-                       mu, r: float, exponent_mode: str = "square") -> FunctionalReport:
+                       mu, r: float) -> FunctionalReport:
     """Weighted Bohr functional with the refinement term.
 
     value = phi_m(r) ||A_m||^p + sum_{n>m} ||A_n|| phi_n(r)
@@ -172,7 +167,7 @@ def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
     am = coeffs.norm(m)
     phi_m = term_at(phi, m)(r)
     tail_part = majorant(coeffs, phi, r) - am * phi_m
-    value = phi_m * am**p + tail_part + mu(r) * refined_sum(coeffs, phi, m, r, exponent_mode)
+    value = phi_m * am**p + tail_part + mu(r) * refined_sum(coeffs, phi, m, r)
     return FunctionalReport.compare(value, phi_m)
 
 
@@ -215,8 +210,11 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
     _check_radius(r)
     if variant not in CLASSICAL_VARIANTS:
         raise ConfigurationError(f"unknown classical variant {variant!r}")
-    if variant in ("rogosinski_partial", "bohr_rogosinski") and N is None:
-        raise ConfigurationError(f"variant {variant!r} requires N")
+    if variant in ("rogosinski_partial", "bohr_rogosinski"):
+        if N is None:
+            raise ConfigurationError(f"variant {variant!r} requires N")
+        if N < 1:
+            raise DomainError("N must be at least 1")
     a0 = coeffs.norm(0)
     if variant == "bohr":
         value = majorant(coeffs, MONOMIAL, r)
@@ -257,8 +255,7 @@ def mobius_partial_modulus(a: float, gamma: float, N: int, r: float,
 
 
 def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
-                        q: float, m: int = 0, mu=0.0,
-                        exponent_mode: str = "square", tol: float = 1e-10) -> float:
+                        q: float, m: int = 0, mu=0.0, tol: float = 1e-10) -> float:
     """Numeric radius estimate for the q-powered functional of ONE function.
 
     Finds sup{ r : phi_m ||A_m||^p + (sum_{n>m} ||A_n|| phi_n + mu * A)^q
@@ -274,7 +271,7 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
         am = coeffs.norm(m)
         phi_m = phi_term(phi, m, r)
         inner = (majorant(coeffs, phi, r) - am * phi_m
-                 + mu(r) * refined_sum(coeffs, phi, m, r, exponent_mode))
+                 + mu(r) * refined_sum(coeffs, phi, m, r))
         return phi_m * am**p + inner**q - phi_m
 
     lo, hi = 0.0, 1.0 - 1e-9

@@ -10,8 +10,8 @@ the fixed tolerance ``series.ABS_TOL``.  A custom kind without a
 through ``phi_term``.
 
 Every kind is evaluated one way: the binders ``term_at``/``tail_from``
-resolve kind, start_index and index checks once and return a function
-of r that does not check r; ``phi_term``/``phi_tail`` bind, check r and
+resolve kind and index checks once and return a function of r that
+does not check r; ``phi_term``/``phi_tail`` bind, check r and
 call.  An equation bound once checks r once per evaluation, custom
 weights included, and the sums call the binders at the r they checked.
 Built-in terms come from ``GEOMETRIC_FORMS``, which the series sums
@@ -46,21 +46,17 @@ class PhiSequence:
       custom              terms from custom_term(n, r) (>= 0), with an
                           optional closed-form custom_tail(N, r)
 
-    start_index marks where the sequence begins; terms below it are 0.
     Instances are immutable and safe to share across threads; custom
     callables must be reentrant themselves.
     """
 
     kind: str
-    start_index: int = 0
     custom_term: Callable[[int, float], float] | None = None
     custom_tail: Callable[[int, float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in PHI_KINDS:
             raise ConfigurationError(f"unknown phi kind {self.kind!r}")
-        if self.start_index < 0:
-            raise ConfigurationError("start_index must be non-negative")
         if self.kind == "custom" and self.custom_term is None:
             raise ConfigurationError("custom phi requires a custom_term callable")
 
@@ -97,7 +93,7 @@ def _weighted_quadratic_tail(N, r):
     return head + r**M * poly / (1.0 - r) ** 3
 
 
-# Phi_N(r) of each built-in kind as a function of (N, r), N >= start_index;
+# Phi_N(r) of each built-in kind as a function of (N, r), N >= 0;
 # r is a float or an ndarray.  The tails add non-negative terms over
 # powers of (1 - r), so nothing cancels as r -> 1.
 _TAILS = {
@@ -112,14 +108,12 @@ _TAILS = {
 def term_at(phi: PhiSequence, n: int):
     """phi_n of any kind as a function of r alone, which does not check r.
 
-    The kind, start_index and the check on n are resolved here, once.  A
-    built-in phi_n is (c0 + c1 n + c2 n^2) r^n of GEOMETRIC_FORMS, or a
-    constant, and also takes an ndarray; a custom phi_n checks its value.
+    The kind and the check on n are resolved here, once.  A built-in
+    phi_n is (c0 + c1 n + c2 n^2) r^n of GEOMETRIC_FORMS, or a constant,
+    and also takes an ndarray; a custom phi_n checks its value.
     """
     if n < 0:
         raise DomainError("term index must be non-negative")
-    if n < phi.start_index:
-        return _constant(0.0)
     if phi.kind == "custom":
         return functools.partial(_custom_term, phi.custom_term, n)
     (c0, c1, c2), step, parity, head = GEOMETRIC_FORMS[phi.kind]
@@ -133,7 +127,6 @@ def tail_from(phi: PhiSequence, N: int):
     """Phi_N of any kind as a function of r alone; see term_at and phi_tail."""
     if N < 0:
         raise DomainError("tail start index must be non-negative")
-    N = max(N, phi.start_index)
     if phi.kind != "custom":
         return functools.partial(_TAILS[phi.kind], N)
     tail = phi.custom_tail
@@ -176,7 +169,7 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
 def _truncated_tail(phi, N, r):
     """Sum of custom_term(n, r) over N <= n < N + TRUNCATION_N plus a geometric bound.
 
-    The caller has checked r and N >= start_index.  The terms are
+    The caller has checked r and N >= 0.  The terms are
     checked together after they are all computed; a failure names the
     first n whose term is negative or not finite.
     """
@@ -208,10 +201,7 @@ def _truncated_tail(phi, N, r):
 
 
 def phi_weight(phi: PhiSequence, r: float):
-    """n -> phi_n(r), a GeometricWeight for the built-in kinds.
-
-    The caller has checked r and skips n < start_index.
-    """
+    """n -> phi_n(r), a GeometricWeight for the built-in kinds, at a checked r."""
     if phi.kind == "custom":
         return lambda n: term_at(phi, n)(r)
     c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
@@ -221,7 +211,7 @@ def phi_weight(phi: PhiSequence, r: float):
 def _refined_weight(phi, r, am):
     """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1, at a checked r.
 
-    For a built-in kind starting at 0 with polynomial P, phi_{2n} is
+    For a built-in kind with polynomial P, phi_{2n} is
     P(2n) r^{2n} (if 2n is on its indices) and Phi_{2n+1} sums P(2n + a)
     r^{2n+a} over its indices 2n + a, a >= 1.  As P(2n + a) = P(a) +
     (2 c1 + 4 c2 a) n + 4 c2 n^2, this is a GeometricWeight in t = r^2
@@ -231,7 +221,7 @@ def _refined_weight(phi, r, am):
     q = 1 in its order of operations, so the weight is bit identical to
     three GeometricWeight(p, r, 1 - r, step, parity).tail(E) calls.
     """
-    if phi.kind == "custom" or phi.start_index > 0:
+    if phi.kind == "custom":
         return lambda n: term_at(phi, 2 * n)(r) / (1.0 + am) + tail_from(phi, 2 * n + 1)(r)
     (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
     on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
@@ -248,20 +238,15 @@ def _refined_weight(phi, r, am):
     return GeometricWeight(c, r * r, (1.0 - r) * (1.0 + r))
 
 
-def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float,
-                exponent_mode: str = "square") -> float:
-    """Refinement term sum_{n > m} ||A_n||^e ( phi_{2n}/(1 + ||A_m||) + Phi_{2n+1} ).
+def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float) -> float:
+    """Refinement term sum_{n > m} ||A_n||^2 ( phi_{2n}/(1 + ||A_m||) + Phi_{2n+1} ).
 
-    exponent_mode picks e: "square" uses e = 2 (the convention of the
-    refined disk inequality this term generalizes), "two_n" uses e = 2n.
-    For norms <= 1 the square mode dominates the two_n mode.  Outside the
-    exact square mode of built-in kinds, Phi_{2n} bounds the weight.
+    The squares are the convention of the refined disk inequality this
+    term generalizes.  Built-in kinds sum in closed form; for custom
+    kinds Phi_{2n} bounds the weight.
     """
-    if exponent_mode not in ("square", "two_n"):
-        raise ConfigurationError(f"unknown exponent mode {exponent_mode!r}")
     if m < 0:
         raise DomainError("m must be non-negative")
     _check_radius(r)
-    power, index_power = (2, 0) if exponent_mode == "square" else (0, 2)
-    return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m)), m + 1,
-                    power, index_power, lambda n: tail_from(phi, 2 * n)(r))
+    return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m)), m + 1, 2,
+                    lambda n: tail_from(phi, 2 * n)(r))

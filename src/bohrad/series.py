@@ -190,56 +190,47 @@ class GeometricWeight:
 
 
 def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
-             index_power: int = 0, sup_weight=None) -> float:
-    """sum_{n >= start} ||A_n||^e(n) weight(n), e(n) = power + index_power n.
+             sup_weight=None) -> float:
+    """sum_{n >= start} ||A_n||^power weight(n), for a power >= 1.
 
-    The stored norms are summed with fsum.  For a constant exponent
-    e = power > 0 their terms are x * w (power 1) or pow(x, power) * w,
-    mapped over the norms and weights; a zero norm adds 0.0, which
-    leaves the fsum unchanged.  A geometric continuation of the stored
-    norms adds, for a GeometricWeight and a constant exponent, its exact
-    remainder.  Other weights need ``sup_weight(n)`` >= weight(k) for all
-    k >= n, and continuation terms are added until the bound
-    sup_weight(n) ||A_n||^e / (1 - q^e) on the rest (valid for a
-    constant exponent, or once ||A_n|| <= 1) is at most ABS_TOL, or
-    NonConvergenceError.  With N the first unstored index and M = max(N,
-    CONTINUATION_FLOOR), terms N .. M are added unchecked and the bound
-    is checked at n = M .. M + TRUNCATION_N.  At each checked index,
-    weight(n) ||A_n||^e is compared first, and sup_weight(n) (a custom
-    weight's truncated tail costs TRUNCATION_N terms) is evaluated only
-    once that term alone meets the bound; as sup_weight(n) >= weight(n),
-    this stops where the bound alone would.  So weight(n) is evaluated
-    at the stop index too, and a prefix shorter than 64 norms is summed
-    as if 64 were stored, with the same terms and evaluations.  A short
-    sum is never returned.
+    The stored norms are summed with fsum.  Their terms are x * w (power
+    1) or pow(x, power) * w, mapped over the norms and weights; a zero
+    norm adds 0.0, which leaves the fsum unchanged.  A geometric
+    continuation of the stored norms adds, for a GeometricWeight, its
+    exact remainder.  Other weights need ``sup_weight(n)`` >= weight(k)
+    for all k >= n, and continuation terms are added until the bound
+    sup_weight(n) ||A_n||^power / (1 - q^power) on the rest is at most
+    ABS_TOL, or NonConvergenceError.  With N the first unstored index and
+    M = max(N, CONTINUATION_FLOOR), terms N .. M are added unchecked and
+    the bound is checked at n = M .. M + TRUNCATION_N.  At each checked
+    index, weight(n) ||A_n||^power is compared first, and sup_weight(n)
+    (a custom weight's truncated tail costs TRUNCATION_N terms) is
+    evaluated only once that term alone meets the bound; as sup_weight(n)
+    >= weight(n), this stops where the bound alone would.  So weight(n)
+    is evaluated at the stop index too, and a prefix shorter than 64
+    norms is summed as if 64 were stored, with the same terms and
+    evaluations.  A short sum is never returned.
     """
     norms = coeffs.norms[start:]
     weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
                else [weight(n) if x else 0.0 for n, x in enumerate(norms, start)])
-    if index_power or power <= 0:
-        terms = [x ** (power + index_power * n) * w
-                 for n, (x, w) in enumerate(zip(norms, weights), start) if x]
-    else:
-        powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
-        terms = list(map(operator.mul, powered, weights))
+    powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
+    terms = list(map(operator.mul, powered, weights))
     if coeffs.is_finite():
         return math.fsum(terms)
     q = coeffs.tail_geometric_ratio
     N = max(start, coeffs.last_index + 1)
-    if isinstance(weight, GeometricWeight) and not index_power:
+    if isinstance(weight, GeometricWeight):
         terms.append(coeffs.norm(N) ** power * weight.tail(N, q, power))
         return math.fsum(terms)
     if sup_weight is None:
         raise ConfigurationError("a weight without a closed-form tail needs sup_weight")
     check_from = max(N, CONTINUATION_FLOOR)
+    bound = ABS_TOL * (1.0 - q**power)
     for n in range(N, check_from + TRUNCATION_N + 1):
-        x = coeffs.norm(n)
-        e = power + index_power * n
-        xe, w = x**e, weight(n)
-        if n >= check_from and (not index_power or x <= 1.0):
-            bound = ABS_TOL * (1.0 - q**e)
-            if w * xe <= bound and sup_weight(n) * xe <= bound:
-                return math.fsum(terms)
+        xe, w = coeffs.norm(n) ** power, weight(n)
+        if n >= check_from and w * xe <= bound and sup_weight(n) * xe <= bound:
+            return math.fsum(terms)
         terms.append(xe * w)
     raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "
                               f"after {check_from + TRUNCATION_N - N} continuation terms")
@@ -314,7 +305,8 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
         ||A_n|| = (1 - a^2)/(a (1 - a gamma)) * q^n,   q = a(1-gamma)/(1 - a gamma),
 
     for n >= 1.  a = 0 and a = 1 are excluded (the n >= 1 formula has a
-    in a denominator and the family is used in the a -> 1^- limit only).
+    in a denominator and the family is used in the a -> 1^- limit only),
+    and so is an a so small that the scale 1/a overflows.
     The norms are exactly geometric from n = 1, so the series stores
     ||A_0||, ||A_1|| and the ratio q, and every sum adds the rest in
     closed form; ``count`` > 1 stores ||A_1|| .. ||A_count|| explicitly,
@@ -331,6 +323,8 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
         raise DomainError("count must be positive")
     a0 = abs(a - gamma) / (1.0 - a * gamma)
     scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
+    if not math.isfinite(scale):
+        raise DomainError(f"a = {a} is too small: the norm scale 1/a overflows")
     q = a * (1.0 - gamma) / (1.0 - a * gamma)
     norms = [a0, scale * q]
     for n in range(2, count + 1):

@@ -132,13 +132,11 @@ def kayumov_ponnusamy(coeffs, r):
         return total
 
 
-def refined_sum(coeffs, kind, m, r, exponent_mode="square"):
-    """sum_{n > m} ||A_n||^e (phi_{2n}/(1 + ||A_m||) + Phi_{2n+1}), for m <= L.
+def refined_sum(coeffs, kind, m, r):
+    """sum_{n > m} ||A_n||^2 (phi_{2n}/(1 + ||A_m||) + Phi_{2n+1}), for m <= L.
 
-    Square mode: the continuation swaps the order of the double sum,
+    The continuation swaps the order of the double sum,
     sum_{n>L} q^{2n} Phi_{2n+1} = sum_{k >= 2L+3} phi_k sum_{n=L+1}^{(k-1)//2} q^{2n}.
-    two_n mode sums the continuation term by term, until the rest is
-    below 1e-40 of the total; its terms fall faster than geometrically.
     """
     with mp.workdps(DPS):
         r = mp.mpf(r)
@@ -149,26 +147,13 @@ def refined_sum(coeffs, kind, m, r, exponent_mode="square"):
         def weight(n):
             return phi(kind, 2 * n, r) / (1 + am) + phi_tail(kind, 2 * n + 1, r)
 
-        def exponent(n):
-            return 2 if exponent_mode == "square" else 2 * n
-
-        total = sum(x[n] ** exponent(n) * weight(n) for n in range(m + 1, L + 1))
+        total = sum(x[n] ** 2 * weight(n) for n in range(m + 1, L + 1))
         if not q:
             return total
-        if exponent_mode == "square":
-            z = q * r
-            even = poly_tail(c, z, 2 * L + 2, 0) if _on(parity, 0) else 0
-            cut = q * poly_tail(c, z, 2 * L + 3, 1) if _on(parity, 1) else 0
-            if _on(parity, 0):
-                cut += poly_tail(c, z, 2 * L + 4, 0)
-            swapped = (q ** (2 * L + 2) * phi_tail(kind, 2 * L + 3, r) - cut) / (1 - q * q)
-            return total + x[L] ** 2 * q ** (-2 * L) * (even / (1 + am) + swapped)
-        # Phi_{2n+1} by subtraction: 40 digits absorb the cancellation
-        n, tail = L + 1, phi_tail(kind, 2 * L + 3, r)
-        while True:
-            xn, head = x[L] * q ** (n - L), phi(kind, 2 * n, r)
-            if xn <= 1 and xn ** (2 * n) * (head + tail) < mp.mpf(10) ** -DPS * (1 + total):
-                return total
-            total += xn ** (2 * n) * (head / (1 + am) + tail)
-            tail -= phi(kind, 2 * n + 1, r) + phi(kind, 2 * n + 2, r)
-            n += 1
+        z = q * r
+        even = poly_tail(c, z, 2 * L + 2, 0) if _on(parity, 0) else 0
+        cut = q * poly_tail(c, z, 2 * L + 3, 1) if _on(parity, 1) else 0
+        if _on(parity, 0):
+            cut += poly_tail(c, z, 2 * L + 4, 0)
+        swapped = (q ** (2 * L + 2) * phi_tail(kind, 2 * L + 3, r) - cut) / (1 - q * q)
+        return total + x[L] ** 2 * q ** (-2 * L) * (even / (1 + am) + swapped)

@@ -1,6 +1,5 @@
 """Weight-sequence kernel: terms, closed-form tails, refinement sums."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -171,16 +170,16 @@ class TestBinders:
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(sorted(BUILTIN_PHI) + sorted(CUSTOM_PHI)), n=st.integers(0, 12),
-           start=st.sampled_from((0, 1, 3)), r=st.floats(0.0, 1.0, exclude_max=True))
-    def test_bound_weights_equal_phi_term_and_phi_tail(self, kind, n, start, r):
-        phi = dataclasses.replace(BUILTIN_PHI.get(kind) or CUSTOM_PHI[kind], start_index=start)
+           r=st.floats(0.0, 1.0, exclude_max=True))
+    def test_bound_weights_equal_phi_term_and_phi_tail(self, kind, n, r):
+        phi = BUILTIN_PHI.get(kind) or CUSTOM_PHI[kind]
         term, tail = term_at(phi, n), tail_from(phi, n)
         builtin = kind in BUILTIN_PHI
         for x in (r, SCAN_GRID) if builtin else (r,):
             assert bits(term(x)) == bits(phi_term(phi, n, x))
             assert evaluated(tail, x) == evaluated(phi_tail, phi, n, x)
             if builtin:  # the term formulas as they were written per kind
-                assert bits(term(x)) == bits(ORACLE_TERMS[kind](n, x) if n >= start else 0.0)
+                assert bits(term(x)) == bits(ORACLE_TERMS[kind](n, x))
 
     @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI) + sorted(CUSTOM_PHI))
     def test_negative_index_raises_the_old_message(self, kind):
@@ -257,15 +256,13 @@ def with_values(values):
 
 class TestTruncatedTail:
     @pytest.mark.parametrize("name", sorted(CUSTOM_TERMS))
-    @pytest.mark.parametrize("start", [0, 3])
     @pytest.mark.parametrize("N", [0, 1, 4, 7])
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
-    def test_matches_term_by_term_reference_bit_for_bit(self, name, start, N, r):
-        phi = PhiSequence("custom", start, CUSTOM_TERMS[name])
-        expected = outcome(reference_truncated_tail, phi, max(N, start), r)
+    def test_matches_term_by_term_reference_bit_for_bit(self, name, N, r):
+        phi = PhiSequence("custom", custom_term=CUSTOM_TERMS[name])
+        expected = outcome(reference_truncated_tail, phi, N, r)
         assert outcome(phi_tail, phi, N, r) == expected
-        if N >= start:
-            assert outcome(_truncated_tail, phi, N, r) == expected
+        assert outcome(_truncated_tail, phi, N, r) == expected
 
     @pytest.mark.parametrize("values, first", [
         ({7: -1e-3}, 7),
@@ -314,9 +311,6 @@ class TestRefinedSum:
         # 0.25 * (r^2 / (1 + 0) + r^3 / (1 - r)) = 0.25 * (0.25 + 0.25)
         coeffs = CoeffSeries((0.0, 0.5))
         assert refined_sum(coeffs, MONOMIAL, 0, 0.5) == pytest.approx(0.125, abs=1e-15)
-        # exponents 2 and 2n coincide at n = 1
-        assert refined_sum(coeffs, MONOMIAL, 0, 0.5, "two_n") == \
-            pytest.approx(0.125, abs=1e-15)
 
     def test_direct_sum_oracle(self):
         coeffs = CoeffSeries((0.0, 0.5, 0.25, 0.75))
@@ -329,28 +323,21 @@ class TestRefinedSum:
 
     @pytest.mark.parametrize("q", mp_sums.Q_GRID)
     @pytest.mark.parametrize("r", mp_sums.R_GRID)
-    @pytest.mark.parametrize("mode", ["square", "two_n"])
     @pytest.mark.parametrize("kind", list(ORACLE_TERMS))
-    def test_geometric_continuation_matches_mp_reference(self, kind, mode, r, q):
+    def test_geometric_continuation_matches_mp_reference(self, kind, r, q):
         coeffs = CoeffSeries(mp_sums.NORMS, 0, q)
-        assert mp_sums.close(refined_sum(coeffs, BUILTIN_PHI[kind], 1, r, mode),
-                             mp_sums.refined_sum(coeffs, kind, 1, r, mode))
+        assert mp_sums.close(refined_sum(coeffs, BUILTIN_PHI[kind], 1, r),
+                             mp_sums.refined_sum(coeffs, kind, 1, r))
 
-    @pytest.mark.parametrize("mode", ["square", "two_n"])
-    def test_custom_weight_meets_tolerance_or_raises(self, mode):
+    def test_custom_weight_meets_tolerance_or_raises(self):
         custom = PhiSequence("custom", custom_term=lambda n, r: r**n,
                              custom_tail=lambda N, r: r**N / (1.0 - r))
         coeffs = CoeffSeries(mp_sums.NORMS, 0, 0.5)
-        assert mp_sums.close(refined_sum(coeffs, custom, 0, 0.9, mode),
-                             mp_sums.refined_sum(coeffs, "monomial", 0, 0.9, mode))
-        if mode == "square":
-            # a bound falling like 0.999^(2n) cannot reach abs_tol in 512 terms
-            with pytest.raises(NonConvergenceError):
-                refined_sum(CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6), custom, 0, 0.999)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            refined_sum(CoeffSeries((0.0, 0.5)), MONOMIAL, 0, 0.5, "cubed")
+        assert mp_sums.close(refined_sum(coeffs, custom, 0, 0.9),
+                             mp_sums.refined_sum(coeffs, "monomial", 0, 0.9))
+        # a bound falling like 0.999^(2n) cannot reach abs_tol in 512 terms
+        with pytest.raises(NonConvergenceError):
+            refined_sum(CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6), custom, 0, 0.999)
 
     def test_out_of_range_radius(self):
         with pytest.raises(DomainError):
@@ -376,12 +363,3 @@ class TestRefinedSum:
         assert list(map(float.hex, map(float, weight.c))) == \
             list(map(float.hex, map(float, want)))
         assert (weight.t, weight.one_minus_t) == (r * r, (1.0 - r) * (1.0 + r))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
-           st.floats(0.0, 0.9))
-    def test_square_mode_dominates_two_n_for_unit_norms(self, norms, r):
-        coeffs = CoeffSeries(tuple([0.0] + norms))
-        sq = refined_sum(coeffs, MONOMIAL, 0, r)
-        tn = refined_sum(coeffs, MONOMIAL, 0, r, "two_n")
-        assert sq >= tn - 1e-12

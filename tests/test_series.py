@@ -72,6 +72,14 @@ class TestMobiusFamily:
         with pytest.raises(DomainError):
             mobius_gamma_coeffs(a, 0.0, 4)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_parameter_whose_scale_overflows_is_named(self, gamma):
+        # the scale 1/a is finite at a = 1e-300 and overflows at 5e-309, where
+        # the error names a, not the infinite norm it would store
+        assert mobius_gamma_coeffs(1e-300, gamma).norms[1] == pytest.approx(1.0 - gamma)
+        with pytest.raises(DomainError, match=r"^a = 5e-309 is too small"):
+            mobius_gamma_coeffs(5e-309, gamma)
+
     @pytest.mark.parametrize("a, gamma, stored", [
         (0.5, 0.0, 64), (1.6e-5, 0.0, 64), (1e-5, 0.0, 61), (1e-100, 0.0, 3),
         (3.0536614991083513e-189, 0.0, 1), (1e-300, 0.0, 1), (0.9, 1.0 - 1e-15, 21)])

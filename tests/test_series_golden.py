@@ -52,7 +52,7 @@ def _sums(values, label, coeffs, disk, m, r, lam, kinds):
     for kind, phi in kinds.items():
         values[f"{label} {kind} majorant"] = majorant(shifted, phi, r)
         values[f"{label} {kind} refined"] = refined_functional(shifted, phi, 1.5, m, 2.0, r).value
-        values[f"{label} {kind} refined_two_n"] = refined_sum(shifted, phi, m, r, "two_n")
+        values[f"{label} {kind} refined_sum"] = refined_sum(shifted, phi, m, r)
         values[f"{label} {kind} rogosinski"] = rogosinski_functional(
             disk, phi, 1.5, m + 1, m + 1, 2.0, r).value
 
@@ -73,7 +73,6 @@ def golden_values():
     for kind, phi in CUSTOM.items():
         values[f"custom {kind} majorant"] = majorant(family, phi, 0.9)
         values[f"custom {kind} refined_sum"] = refined_sum(family, phi, 0, 0.5)
-        values[f"custom {kind} refined_two_n"] = refined_sum(family, phi, 0, 0.5, "two_n")
     return {label: repr(value) for label, value in values.items()}
 
 
