@@ -89,6 +89,18 @@ def majorant(coeffs, kind, r, start=0):
         return total
 
 
+def remainder_bound(coeffs, kind, r, n, power, index_scale=1):
+    """Phi_{index_scale n}(r) ||A_n||^power / (1 - q^power), for n past the stored norms.
+
+    It bounds the continuation sum_{k >= n} ||A_k||^power w_k when every
+    w_k, k >= n, is at most Phi_{index_scale n}(r).
+    """
+    with mp.workdps(DPS):
+        x, L, q = _series(coeffs)
+        xn = x[L] * q ** (n - L)
+        return phi_tail(kind, index_scale * n, mp.mpf(r)) * xn**power / (1 - q**power)
+
+
 def s_r(coeffs, r):
     with mp.workdps(DPS):
         r = mp.mpf(r)

@@ -12,11 +12,11 @@ from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
                     bohr_area_functional, bohr_beta_functional,
                     bohr_energy_functional, classical_functional,
                     diag_blend_coeffs, majorant, mobius_gamma_coeffs,
-                    mobius_partial_modulus, per_function_radius,
-                    radius_refined, refined_functional, refined_sum,
+                    mobius_partial_modulus, per_function_radius, phi_tail,
+                    phi_term, radius_refined, refined_functional, refined_sum,
                     rogosinski_functional, s_r, sharpness_probe)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.series import ABS_TOL
+from bohrad.series import ABS_TOL, CONTINUATION_FLOOR, TRUNCATION_N
 
 import mp_sums
 
@@ -92,6 +92,26 @@ class TestMajorant:
         coeffs = CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6)
         with pytest.raises(NonConvergenceError):
             majorant(coeffs, CUSTOM_MONOMIAL[1], 0.999)
+
+    @pytest.mark.parametrize("r, q", GRID)
+    @pytest.mark.parametrize("kind", list(BUILTIN_PHI))
+    def test_custom_weight_stops_where_its_bound_allows(self, kind, r, q):
+        # the kind restated as a custom weight: continuation terms are added
+        # until Phi_n(r) ||A_n|| / (1 - q) <= ABS_TOL, checked at indices
+        # CONTINUATION_FLOOR .. CONTINUATION_FLOOR + TRUNCATION_N
+        phi = BUILTIN_PHI[kind]
+        custom = PhiSequence("custom", custom_term=lambda n, r: phi_term(phi, n, r),
+                             custom_tail=lambda N, r: phi_tail(phi, N, r))
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, q)
+        last = CONTINUATION_FLOOR + TRUNCATION_N
+        stops = not q or mp_sums.remainder_bound(coeffs, kind, r, last, 1) <= ABS_TOL
+        try:
+            value = majorant(coeffs, custom, r)
+        except NonConvergenceError:
+            assert not stops
+        else:
+            assert stops
+            assert mp_sums.close(value, mp_sums.majorant(coeffs, kind, r))
 
 
 class TestAreaPolynomialFunctional:

@@ -13,7 +13,8 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
 from bohrad import phi as phi_module
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.phi import GEOMETRIC_FORMS, _refined_weight, _truncated_tail, tail_from, term_at
-from bohrad.series import ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, GeometricWeight
+from bohrad.series import (ABS_TOL, CONTINUATION_FLOOR, TAIL_RATIO_CAP, TRUNCATION_N,
+                           GeometricWeight)
 
 import mp_sums
 
@@ -264,6 +265,20 @@ class TestTruncatedTail:
         assert outcome(phi_tail, phi, N, r) == expected
         assert outcome(_truncated_tail, phi, N, r) == expected
 
+    @pytest.mark.parametrize("name", sorted(CUSTOM_TERMS))
+    @pytest.mark.parametrize("N", [0, 1, 4, 7])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_zeroed_head_matches_term_by_term_reference_bit_for_bit(self, name, N, r):
+        # a weight that starts at index 3 is a custom weight whose first terms are 0
+        term = CUSTOM_TERMS[name]
+        phi = PhiSequence("custom", custom_term=lambda n, r: term(n, r) if n >= 3 else 0.0)
+        expected = outcome(reference_truncated_tail, phi, N, r)
+        assert outcome(phi_tail, phi, N, r) == expected
+        assert outcome(_truncated_tail, phi, N, r) == expected
+        if N >= 3:  # past the head both weights sum the same terms
+            whole = PhiSequence("custom", custom_term=term)
+            assert outcome(phi_tail, whole, N, r) == expected
+
     @pytest.mark.parametrize("values, first", [
         ({7: -1e-3}, 7),
         ({2: -0.0, 7: -1e-300}, 7),
@@ -338,6 +353,26 @@ class TestRefinedSum:
         # a bound falling like 0.999^(2n) cannot reach abs_tol in 512 terms
         with pytest.raises(NonConvergenceError):
             refined_sum(CoeffSeries(mp_sums.NORMS, 0, 1.0 - 1e-6), custom, 0, 0.999)
+
+    @pytest.mark.parametrize("q", mp_sums.Q_GRID)
+    @pytest.mark.parametrize("r", mp_sums.R_GRID)
+    @pytest.mark.parametrize("kind", list(ORACLE_TERMS))
+    def test_custom_weight_stops_where_its_bound_allows(self, kind, r, q):
+        # the kind restated as a custom weight: continuation terms are added
+        # until Phi_{2n}(r) ||A_n||^2 / (1 - q^2) <= ABS_TOL, checked at
+        # indices CONTINUATION_FLOOR .. CONTINUATION_FLOOR + TRUNCATION_N
+        custom = PhiSequence("custom", custom_term=ORACLE_TERMS[kind],
+                             custom_tail=lambda N, r: phi_tail(BUILTIN_PHI[kind], N, r))
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, q)
+        last = CONTINUATION_FLOOR + TRUNCATION_N
+        stops = not q or mp_sums.remainder_bound(coeffs, kind, r, last, 2, 2) <= ABS_TOL
+        try:
+            value = refined_sum(coeffs, custom, 1, r)
+        except NonConvergenceError:
+            assert not stops
+        else:
+            assert stops
+            assert mp_sums.close(value, mp_sums.refined_sum(coeffs, kind, 1, r))
 
     def test_out_of_range_radius(self):
         with pytest.raises(DomainError):
