@@ -26,7 +26,8 @@ from .polynomials import (MonotonicityReport, PolySpec, area_poly_coeffs,
 from .radii import (OddRadiusPair, RadiusProblem, TableRow, closed_form_radius,
                     non_improvable, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
-from .roots import RootResult, count_sign_changes, increasing_root, min_positive_root
+from .roots import (RootResult, count_sign_changes, decreasing_root, increasing_root,
+                    min_positive_root)
 from .series import (CoeffBoundReport, CoeffSeries, DomainSpec, MatrixCoeffFn,
                      check_coeff_bound, diag_blend_coeffs, mobius_gamma_coeffs,
                      operator_norm, point_eval_bound, s_r,

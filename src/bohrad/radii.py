@@ -15,6 +15,20 @@ per problem: the weights of every kind (through ``phi.term_at`` and
 F is built.  Each evaluation of F, on a float or on an ndarray of
 radii, checks r once and then only evaluates the bound weights, so a
 custom weight's r is checked once per evaluation as well.
+
+For the built-in weights (and a constant mu) F changes sign at most
+once on (0, 1), from + to -, so ``roots.decreasing_root`` brackets its
+root by bisecting the scan index, with the scan's RootResult:
+
+  refined     F = phi_m (p - 2 lambda_H Phi_{m+1}/phi_m) with phi_m > 0,
+              and each phi_n/phi_m (n > m) is a constant >= 0 times
+              r^{n-m}, so the ratio strictly increases; if phi_m = 0 (m
+              off the parity class), F = -2 lambda_H Phi_{m+1} < 0.
+  rogosinski  phi_0 = 1 for every built-in, so F = Phi_N (p h/Phi_N - 2 mu)
+              with h = (1 - r^m)/(1 + r^m); h and 1/Phi_N are positive
+              and decreasing.
+
+Custom weights and a callable mu are scanned point by point.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from .functionals import MuFunction
 from .optimize import grid_then_golden_min, refine_by_derivative_sign
 from .phi import BUILTIN_PHI, PhiSequence, tail_from, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
-from .roots import RootResult, min_positive_root
+from .roots import RootResult, decreasing_root, min_positive_root
 from .series import DomainSpec, _check_radius
 
 # a printed reference value failing its own equation by more than this
@@ -91,29 +105,26 @@ def radius_refined(problem: RadiusProblem, tol: float = 1e-12,
                    scan_step: float = 1e-3) -> RootResult:
     """Minimal positive root of p phi_m(r) - 2 lambda_H Phi_{m+1}(r) = 0.
 
-    Built-in weights scan the whole grid in one array call of the same
-    equation; custom weights are scanned point by point.
+    Built-in weights bisect the scan index; custom weights are scanned.
     """
     if problem.equation_kind != "refined":
         raise ConfigurationError("problem is not of the refined kind")
-    F = refined_equation(problem)
-    closed = problem.phi.kind != "custom"
-    return min_positive_root(F, tol, scan_step, vectorized=closed)
+    solve = min_positive_root if problem.phi.kind == "custom" else decreasing_root
+    return solve(refined_equation(problem), tol, scan_step)
 
 
 def radius_rogosinski(problem: RadiusProblem, tol: float = 1e-12,
                       scan_step: float = 1e-3) -> RootResult:
     """Minimal positive root of p (1-r^m)/(1+r^m) phi_0 - 2 mu(r) Phi_N = 0.
 
-    Built-in weights with a constant mu scan the whole grid in one array
-    call of the same equation; custom weights or a callable mu are
-    scanned point by point.
+    Built-in weights with a constant mu bisect the scan index; custom
+    weights or a callable mu are scanned.
     """
     if problem.equation_kind != "rogosinski":
         raise ConfigurationError("problem is not of the rogosinski kind")
-    F = rogosinski_equation(problem)
-    closed = problem.phi.kind != "custom" and problem.mu.value is not None
-    return min_positive_root(F, tol, scan_step, vectorized=closed)
+    scanned = problem.phi.kind == "custom" or problem.mu.value is None
+    solve = min_positive_root if scanned else decreasing_root
+    return solve(rogosinski_equation(problem), tol, scan_step)
 
 
 def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:

@@ -2,16 +2,16 @@
 
 Every radius in this package is defined as the minimal positive root of
 a continuous function.  Minimality is certified at finite resolution:
-the interval is scanned left to right at ``scan_step`` and the first
-bracketed sign change is bisected.
+the grid x_k = k scan_step is scanned left to right and the first
+bracketed sign change is bisected.  For an f whose sign changes at most
+once in a known direction (the Bloch and built-in radius equations; see
+``bloch`` and ``radii``), ``increasing_root`` and ``decreasing_root``
+find that grid point by bisecting the scan index, in about
+log2(1/scan_step) calls, and return the scan's RootResult.
 
-A closed-form F may be marked ``vectorized``: F then also maps an
-ndarray of radii to its values.  The scan evaluates its grid
-x_k = k scan_step in blocks of at most SCAN_BLOCK points, one array call
-per block; only the bisection calls F on a scalar.  The blocks are
-cached read-only, so solves at one ``scan_step`` build the grid once.
-Both paths scan the same floats x_k, so they return the same RootResult
-whenever the grid values have the signs of the scalar ones.
+Signs are compared, not multiplied: a product of values below about
+1e-162 underflows to -0.0.  Roots are isolated, so 0.0 on two
+consecutive grid points is underflow and raises NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoRootError
+from .errors import DomainError, NoRootError, NonConvergenceError
 
-# grid points per array call: the default step scans (0, 1) in one
-# block, and a tiny step cannot allocate a huge grid
+# grid points per array call of count_sign_changes: the default step
+# scans (0, 1) in one block, and a tiny step cannot allocate a huge grid
 SCAN_BLOCK = 1024
 
 
@@ -35,7 +35,7 @@ class RootResult:
 
     ``iterations`` counts the scan points up to and including the one
     that closed the bracket, plus the bisection calls of F, however the
-    bracket was found (scalar scan, array scan or index bisection).
+    bracket was found (scalar scan or index bisection).
     """
 
     value: float
@@ -46,7 +46,7 @@ class RootResult:
 
 
 def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
-                      upper: float = 1.0, vectorized: bool = False) -> RootResult:
+                      upper: float = 1.0) -> RootResult:
     """Leftmost root of f on (0, upper).
 
     Scans r = scan_step, 2 scan_step, ... for the first sign change,
@@ -54,25 +54,22 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
     midpoint residual is below 10 tol (continuing to float resolution
     for steep f).  Raises NoRootError when no sign change is detected,
     reporting whether the scanned values were all positive or all
-    negative.
-
-    With ``vectorized``, f is called on ndarray blocks of the scan grid;
-    bisection still calls f on a scalar, so the root is the one the
-    scalar scan finds whenever the grid values carry the same signs.
-    numpy's ``pow`` differs from libm's by one ulp at about 6% of grid
-    points (non-integer exponents), so a grid value within round-off of
-    zero may read with the other sign.
+    negative, and NonConvergenceError when f reads 0.0 on two
+    consecutive scan points.
     """
-    return _root(f, tol, scan_step, upper, _scan_grid if vectorized else _scan)
+    return _root(f, tol, scan_step, upper, _scan)
 
 
 def increasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
                     upper: float = 1.0) -> RootResult:
-    """min_positive_root for an increasing f, bracketed by bisecting the scan index.
+    """min_positive_root for an f trusted, not checked, to increase."""
+    return _root(f, tol, scan_step, upper, functools.partial(_index_search, sign=1.0))
 
-    f is trusted to increase, not checked; the RootResult is the scan's.
-    """
-    return _root(f, tol, scan_step, upper, _index_search)
+
+def decreasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
+                    upper: float = 1.0) -> RootResult:
+    """min_positive_root for an f trusted to change sign at most once, from + to -."""
+    return _root(f, tol, scan_step, upper, functools.partial(_index_search, sign=-1.0))
 
 
 def _root(f, tol, scan_step, upper, search):
@@ -84,23 +81,33 @@ def _root(f, tol, scan_step, upper, search):
     x = k * scan_step
     lo = (k - 1) * scan_step
     if v == 0.0:
+        after = (k + 1) * scan_step
+        if after < upper and f(after) == 0.0:  # not counted in iterations
+            raise NonConvergenceError(f"f underflows to 0.0 at r = {x:.6g} and at the "
+                                      f"next scan point r = {after:.6g}; its sign is lost")
         return RootResult(x, (max(lo, x - tol), min(x + tol, upper)), 0.0, k, scan_step)
     return _bisect(f, lo, x, prev_v, tol, scan_step, k)
 
 
-def _index_search(f, scan_step, upper):
-    """_scan's result for an increasing f, from about log2(upper/scan_step) calls."""
+def _opposite(a, b):
+    """a and b are nonzero with opposite signs; unlike a * b < 0, even when tiny."""
+    return a < 0.0 < b or b < 0.0 < a
+
+
+def _index_search(f, scan_step, upper, sign):
+    """_scan's result for an f with sign f increasing, from about log2(upper/scan_step) calls."""
     lo, hi = 0, math.ceil(upper / scan_step) + 1  # x_hi >= upper
     v_lo = v_hi = math.nan
-    while hi - lo > 1:  # f(x_lo) < 0 unless lo = 0; f(x_hi) >= 0 or x_hi >= upper
+    while hi - lo > 1:  # sign f(x_lo) < 0 unless lo = 0; sign f(x_hi) >= 0 or x_hi >= upper
         k = (lo + hi) // 2
-        v = f(k * scan_step) if k * scan_step < upper else math.inf
-        if v >= 0:
+        v = f(k * scan_step) if k * scan_step < upper else sign * math.inf
+        if sign * v >= 0:
             hi, v_hi = k, v
         else:
             lo, v_lo = k, v
-    if hi * scan_step >= upper or hi == 1 and v_hi > 0:  # f < 0 on the grid, or f(x_1) > 0
-        raise _no_root(scan_step, upper, hi * scan_step < upper, lo > 0)
+    if hi * scan_step >= upper or hi == 1 and sign * v_hi > 0:  # no sign change on the grid
+        reached, passed = hi * scan_step < upper, lo > 0  # sign f >= 0 seen, sign f < 0 seen
+        raise _no_root(scan_step, upper, *((reached, passed) if sign > 0 else (passed, reached)))
     return hi, v_lo, v_hi
 
 
@@ -116,27 +123,10 @@ def _scan(f, scan_step, upper):
             saw_positive = True
         elif v < 0:
             saw_negative = True
-        if v == 0.0 or prev * v < 0:
+        if v == 0.0 or _opposite(prev, v):
             return k, prev, v
         prev = v
         k += 1
-    raise _no_root(scan_step, upper, saw_positive, saw_negative)
-
-
-def _scan_grid(f, scan_step, upper):
-    """_scan with one array call of f per block; prev carries across blocks."""
-    prev = math.nan
-    saw_positive = saw_negative = False
-    for k, xs in _grid_blocks(scan_step, upper):
-        vs = np.asarray(f(xs), dtype=float)
-        before = np.concatenate(([prev], vs[:-1]))
-        hits = np.flatnonzero((vs == 0.0) | (before * vs < 0))
-        if hits.size:
-            i = int(hits[0])
-            return k + i, float(before[i]), float(vs[i])
-        saw_positive = saw_positive or bool(np.any(vs > 0))
-        saw_negative = saw_negative or bool(np.any(vs < 0))
-        prev = vs[-1]
     raise _no_root(scan_step, upper, saw_positive, saw_negative)
 
 
@@ -152,11 +142,9 @@ def _grid_blocks(scan_step, upper):
 def _grid_block(k, scan_step, upper):
     """x_j = j scan_step for k <= j < k + SCAN_BLOCK, cut at upper; cached read-only.
 
-    x_j is the same float the scalar scan uses.  Solves at one scan_step
-    share their blocks; 32 blocks hold 256 KiB.  A scan that needs more
-    than 32 blocks (steps below about 3.1e-5) evicts its own first
-    blocks before the next solve reads them, so it rebuilds its whole
-    grid every time and gains nothing from the cache.
+    Counts at one scan_step share their blocks; 32 blocks hold 256 KiB.
+    A grid of more than 32 blocks (steps below about 3.1e-5) evicts its
+    own first blocks, so it is rebuilt on every count.
     """
     xs = np.arange(k, k + SCAN_BLOCK) * scan_step
     xs = xs[xs < upper]
@@ -180,7 +168,7 @@ def _bisect(f, lo, hi, flo, tol, scan_step, iterations):
     while (hi - lo) > 2.0 * tol or abs(fmid) > 10.0 * tol:
         if fmid == 0.0:
             break
-        if flo * fmid < 0:
+        if _opposite(flo, fmid):
             hi = mid
         else:
             lo, flo = mid, fmid
@@ -196,8 +184,8 @@ def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0,
                        vectorized: bool = False) -> int:
     """Number of sign changes of f seen on the scan grid of (0, upper).
 
-    The grid is evaluated in blocks as in min_positive_root; without
-    ``vectorized``, f is called on each point as a Python float.
+    With ``vectorized``, f is called once per grid block (at most
+    SCAN_BLOCK points) on an ndarray, else on each point as a float.
     """
     if not scan_step > 0:  # also rejects nan; a step <= 0 never ends the scan
         raise DomainError("scan_step must be positive")
@@ -209,6 +197,6 @@ def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0,
     for _, xs in _grid_blocks(scan_step, upper):
         vs = np.asarray(evaluate(xs), dtype=float)
         nonzero = np.concatenate(([prev], vs[vs != 0.0]))
-        count += int(np.count_nonzero(nonzero[:-1] * nonzero[1:] < 0))
+        count += int(np.count_nonzero(np.sign(nonzero[:-1]) * np.sign(nonzero[1:]) < 0))
         prev = nonzero[-1]
     return count

@@ -451,7 +451,7 @@ def _mobius_taylor(a: float, start: int, stop: int) -> list:
     c_0 = a (as a complex) and c_n = (1 - a^2)(-a)^(n-1) for n >= 1; the
     same floating-point operations whether one or a whole table is asked.
     The powers come from Python's pow (libm), not numpy's, whose pow can
-    differ in the last bit (see roots.min_positive_root).
+    differ in the last bit.
     """
     head = [complex(a)] if start == 0 < stop else []
     scale, b = 1.0 - a * a, -a

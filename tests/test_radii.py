@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRATIC, DomainSpec,
                     MuFunction, PhiSequence, RadiusProblem, RootResult, closed_form_radius,
-                    min_positive_root, non_improvable, radius_refined, radius_rogosinski,
-                    reproduce_all_tables, reproduce_table, rp_bounds)
+                    decreasing_root, min_positive_root, non_improvable, radius_refined,
+                    radius_rogosinski, reproduce_all_tables, reproduce_table, rp_bounds)
 from bohrad import phi as phi_module
 from bohrad import radii
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError, NoRootError
-from bohrad.phi import phi_tail, phi_term, term_at
+from bohrad.phi import phi_tail, phi_term
 from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
 from bohrad.series import TRUNCATION_N
 
@@ -264,24 +264,34 @@ VALID_M = {"monomial": (0, 1, 2, 3), "weighted_linear": (0, 1, 2, 3),
            "weighted_quadratic": (0, 1, 2, 3), "even_only": (0, 2, 4), "odd_only": (0, 1, 3)}
 
 
-def outcome(solve, arg):
-    """solve(arg), or the NoRootError flags (all_positive, all_negative)."""
+def outcome(solve, *args, **kwargs):
+    """solve(*args, **kwargs), or the NoRootError flags (all_positive, all_negative)."""
     try:
-        return solve(arg)
+        return solve(*args, **kwargs)
     except NoRootError as err:
         return err.all_positive, err.all_negative
 
 
-def scalar_scan(problem):
+def scalar_scan(problem, scan_step=1e-3):
     """The point-by-point scan of the problem's equation."""
     refined = problem.equation_kind == "refined"
     return outcome(min_positive_root,
-                   (refined_equation if refined else rogosinski_equation)(problem))
+                   (refined_equation if refined else rogosinski_equation)(problem),
+                   scan_step=scan_step)
 
 
-def solved(problem):
+def solved(problem, scan_step=1e-3):
     refined = problem.equation_kind == "refined"
-    return outcome(radius_refined if refined else radius_rogosinski, problem)
+    return outcome(radius_refined if refined else radius_rogosinski, problem,
+                   scan_step=scan_step)
+
+
+def recorded(evaluations, F):
+    """F, appending each radius it is called on to evaluations."""
+    def wrapper(r):
+        evaluations.append(r)
+        return F(r)
+    return wrapper
 
 
 def inline_refined(problem):
@@ -350,7 +360,7 @@ class TestBoundEquations:
 
 
 class TestGridScan:
-    """Built-in equations scan their grid in one array call, with the scalar scan's result."""
+    """Built-in equations bracket by bisecting the scan index, with the scalar scan's result."""
 
     @pytest.mark.parametrize("kind", sorted(VALID_M))
     def test_refined_matches_scalar_scan(self, kind):
@@ -383,10 +393,50 @@ class TestGridScan:
         (RadiusProblem(MONOMIAL, 2.0, domain=DomainSpec.omega_gamma(0.0)), 0.5),  # gamma_p2
         (RadiusProblem(MONOMIAL, 1.0, domain=DomainSpec.general(1.5)), 0.25),    # lambda_base
     ])
-    def test_root_on_a_scan_point(self, problem, root):
+    def test_root_on_a_scan_point(self, problem, root, monkeypatch):
+        # the zero is confirmed by one call of F at the next scan point,
+        # which iterations does not count
+        evaluations = []
+        equation = radii.refined_equation
+        monkeypatch.setattr(radii, "refined_equation",
+                            lambda problem: recorded(evaluations, equation(problem)))
         result = radius_refined(problem)
+        assert result.iterations == 1000 * root and len(evaluations) <= 12
+        assert evaluations[-1] == (result.iterations + 1) * 1e-3
         assert result == scalar_scan(problem)
         assert result.value == root and result.residual == 0.0
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUILTIN_PHI)), m=st.integers(0, 30), p=st.floats(0.01, 2.0),
+           domain=st.one_of(st.floats(0.0, 0.99).map(DomainSpec.omega_gamma),
+                            st.floats(0.1, 5.0).map(DomainSpec.general)),
+           N=st.integers(1, 12), mu=st.floats(0.0, 100.0), rogosinski=st.booleans(),
+           scan_step=st.sampled_from([1e-3, 3e-4, 1e-4]))
+    def test_matches_scalar_scan_on_random_problems(self, kind, m, p, domain, N, mu,
+                                                    rogosinski, scan_step):
+        if rogosinski:
+            problem = RadiusProblem(BUILTIN_PHI[kind], p, m=max(m, 1), N=N, mu=mu,
+                                    equation_kind="rogosinski")
+        else:
+            problem = RadiusProblem(BUILTIN_PHI[kind], p, m=m, domain=domain)
+        assert solved(problem, scan_step) == scalar_scan(problem, scan_step)
+
+    @pytest.mark.parametrize("phi, m, expected", [
+        (MONOMIAL, 150, 1.0 / 3.0), (MONOMIAL, 200, 1.0 / 3.0), (MONOMIAL, 340, 1.0 / 3.0),
+        (MONOMIAL, 400, 1.0 / 3.0), (MONOMIAL, 600, NonConvergenceError),
+        (CUSTOM_POWER, 150, NonConvergenceError),
+    ])
+    def test_underflowing_weights_never_give_a_wrong_radius(self, phi, m, expected):
+        # r^m underflows on the first scan points from m = 108, and values
+        # below 1e-162 near the root multiply to -0.0; the radius is
+        # p/(p + 2 lambda_H) = 1/3 for every m.  At m = 600 the search meets
+        # a run of zeros (r^600 = 0 below r = 0.288) and cannot place the root
+        problem = RadiusProblem(phi, 1.0, m=m)
+        if expected is NonConvergenceError:
+            with pytest.raises(NonConvergenceError, match=r"underflows to 0\.0 at r = "):
+                radius_refined(problem)
+        else:
+            assert radius_refined(problem).value == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("kind, m", [("even_only", 1), ("even_only", 3), ("odd_only", 2)])
     def test_no_root_flags_match(self, kind, m):
@@ -394,22 +444,25 @@ class TestGridScan:
         assert solved(problem) == scalar_scan(problem) == (False, True)
 
     def test_custom_phi_and_callable_mu_scan_point_by_point(self, monkeypatch):
-        grids = []
+        solvers = []
 
-        def recording(f, tol, scan_step, vectorized=False):
-            grids.append(vectorized)
-            return min_positive_root(f, tol, scan_step, vectorized=vectorized)
+        def recording(solve):
+            def record(f, tol, scan_step):
+                solvers.append(solve.__name__)
+                return solve(f, tol, scan_step)
+            return record
 
-        monkeypatch.setattr(radii, "min_positive_root", recording)
+        monkeypatch.setattr(radii, "min_positive_root", recording(min_positive_root))
+        monkeypatch.setattr(radii, "decreasing_root", recording(decreasing_root))
         custom = PhiSequence("custom", custom_term=lambda n, r: r**n)
         radius_refined(RadiusProblem(custom, 1.0))
         radius_rogosinski(RadiusProblem(custom, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=lambda r: 1.0 + r,
                                         equation_kind="rogosinski"))
-        assert grids == [False, False, False]
+        assert solvers == ["min_positive_root"] * 3
         radius_refined(RadiusProblem(MONOMIAL, 1.0))
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
-        assert grids[3:] == [True, True]
+        assert solvers[3:] == ["decreasing_root"] * 2
 
     @pytest.mark.parametrize("problem, step, expected", [
         (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 1e-6,
@@ -426,8 +479,8 @@ class TestGridScan:
                     5.4003468363816864e-12, 14077, 3e-06)),
     ])
     def test_fine_steps_keep_their_root_results(self, problem, step, expected):
-        # many cached grid blocks, more than the cache holds for the first two;
-        # the expected results were computed before the blocks were cached
+        # computed by the point-by-point scan, which evaluated F at every
+        # scan point up to the bracket; the index search needs about 20
         solve = radius_refined if problem.equation_kind == "refined" else radius_rogosinski
         assert solve(problem, scan_step=step) == expected
 
@@ -435,24 +488,21 @@ class TestGridScan:
         RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
         RadiusProblem(ODD_ONLY, 0.5, m=1, mu=1.0, equation_kind="rogosinski"),
     ])
-    def test_scalar_equation_runs_only_in_bisection(self, problem, monkeypatch):
-        # work-counter guard: every scan point goes through the array call,
-        # so the bound term is evaluated on a scalar once per bisection step
-        scalar_calls = []
-
-        def counting_term_at(phi, n):
-            term = term_at(phi, n)
-
-            def counted(r):
-                if np.ndim(r) == 0:
-                    scalar_calls.append(r)
-                return term(r)
-            return counted
-
-        monkeypatch.setattr(radii, "term_at", counting_term_at)
-        result = solved(problem)
-        bracket_index = math.floor(result.value / result.scan_step) + 1
-        assert 0 < len(scalar_calls) == result.iterations - bracket_index
+    def test_bracket_search_makes_about_log2_calls(self, problem, monkeypatch):
+        # work-counter guard: at most ceil(log2(1/step)) + 1 evaluations of F
+        # find the bracket, then one per bisection step; F is only ever
+        # called on a float
+        evaluations = []
+        name = f"{problem.equation_kind}_equation"
+        equation = getattr(radii, name)
+        monkeypatch.setattr(radii, name, lambda problem: recorded(evaluations, equation(problem)))
+        for step in (1e-3, 1e-4, 1e-6):
+            evaluations.clear()
+            result = solved(problem, step)
+            bracket_index = math.floor(result.value / step) + 1
+            search = evaluations[:len(evaluations) - (result.iterations - bracket_index)]
+            assert 1 <= len(search) <= math.ceil(math.log2(1.0 / step)) + 1
+            assert all(type(r) is float and r == round(r / step) * step for r in search)
 
     @pytest.mark.parametrize("problem", [
         RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
@@ -461,7 +511,7 @@ class TestGridScan:
     def test_bound_equation_checks_r_once_per_evaluation(self, problem, monkeypatch):
         # work-counter guard: a built-in equation is bound once per problem,
         # so its solve calls neither phi_term nor phi_tail and checks r once
-        # per evaluation of F: one array call for the scan, then bisection
+        # per evaluation of F: the bracket search, then bisection
         calls = collections.Counter()
 
         def counted(key, fn):
@@ -479,8 +529,10 @@ class TestGridScan:
         monkeypatch.setattr(radii, name, lambda problem: counted("F", equation(problem)))
         result = solved(problem)
         bracket_index = math.floor(result.value / result.scan_step) + 1
+        bisection = result.iterations - bracket_index
         assert calls["phi_term"] == calls["phi_tail"] == 0
-        assert calls["check"] == calls["F"] == 1 + result.iterations - bracket_index
+        assert calls["check"] == calls["F"]
+        assert bisection < calls["F"] <= bisection + math.ceil(math.log2(1e3)) + 1
 
     def test_custom_tail_calls_custom_term_directly(self, monkeypatch):
         # work-counter guard: each evaluation of F checks r once, in radii or

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bohrad import count_sign_changes, increasing_root, min_positive_root
-from bohrad.errors import DomainError, NoRootError
+from bohrad import count_sign_changes, decreasing_root, increasing_root, min_positive_root
+from bohrad.errors import DomainError, NonConvergenceError, NoRootError
 from bohrad.roots import SCAN_BLOCK, _grid_block, _grid_blocks
 
 
@@ -65,7 +65,7 @@ class TestMinPositiveRoot:
         assert result.value == 0.5
         assert result.residual == 0.0
 
-    @pytest.mark.parametrize("solver", [min_positive_root, increasing_root])
+    @pytest.mark.parametrize("solver", [min_positive_root, increasing_root, decreasing_root])
     def test_parameter_validation(self, solver):
         # nan fails every comparison, so "<= 0" alone would let it through
         for kwargs in ({"tol": 0.0}, {"scan_step": -1e-3}, {"tol": math.nan},
@@ -80,6 +80,12 @@ class TestSignChanges:
         assert count_sign_changes(lambda r: r - 0.5) == 1
         assert count_sign_changes(lambda r: 1.0) == 0
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-290])
+    def test_tiny_values_keep_their_sign_changes(self, scale):
+        # products of these values underflow to -0.0; their signs do not
+        f = lambda r: scale * (r - 0.2) * (r - 0.8)
+        assert count_sign_changes(f) == count_sign_changes(f, vectorized=True) == 2
+
     def test_parameter_validation(self):
         # a step <= 0 or an unbounded upper end would never end the scan
         for kwargs in ({"scan_step": 0.0}, {"scan_step": -1e-3}, {"scan_step": math.nan},
@@ -88,46 +94,18 @@ class TestSignChanges:
                 count_sign_changes(lambda r: r - 0.5, **kwargs)
 
 
-def scan(f, grid, **kwargs):
-    """RootResult of the scalar or the array scan, or the NoRootError flags."""
-    try:
-        return min_positive_root(f, vectorized=grid, **kwargs)
-    except NoRootError as err:
-        return err.all_positive, err.all_negative
-
-
 class TestGridScan:
-    """The array scan must reproduce the scalar scan field for field."""
-
-    @pytest.mark.parametrize("f, kwargs", [
-        (lambda r: r - 1.0 / 3.0, {}),
-        (lambda r: (r - 0.2) * (r - 0.8), {}),
-        (lambda r: (1 - r) ** 2 - 2 * (1 + r) * r, {}),
-        (lambda r: 2.0 - 200.0 * r * (2 - r) / (1 - r) ** 2, {}),
-        (lambda r: r - 0.5, {"scan_step": 0.25}),        # zero on a scan point
-        (lambda r: r - 1e-3, {}),                        # zero on the first scan point
-        (lambda r: 0.05 - r, {"tol": 1e-9}),
-        (lambda r: r - 0.7, {"upper": 0.75}),
-        (lambda r: r - 0.010245, {"scan_step": 1e-5}),   # bracket straddles two blocks
-        (lambda r: r - 0.31, {"scan_step": 1e-5}),
-        (lambda r: 1.0 + r, {}),
-        (lambda r: -1.0 - r, {"scan_step": 1e-5}),
-        (lambda r: r - 0.9, {"upper": 0.5}),
-    ])
-    def test_matches_scalar_scan(self, f, kwargs):
-        assert scan(f, True, **kwargs) == scan(f, False, **kwargs)
+    """count_sign_changes reads the scan grid in cached, read-only blocks."""
 
     def test_blocks_are_bounded(self):
         sizes = []
 
         def f(r):
-            if isinstance(r, np.ndarray):
-                sizes.append(r.size)
+            sizes.append(r.size)
             return r - 0.005
 
-        result = min_positive_root(f, scan_step=1e-6, vectorized=True)
-        assert max(sizes) == SCAN_BLOCK and len(sizes) == 5
-        assert result == min_positive_root(f, scan_step=1e-6)
+        assert count_sign_changes(f, 1e-6, vectorized=True) == 1
+        assert max(sizes) == SCAN_BLOCK and len(sizes) == math.ceil(999_999 / SCAN_BLOCK)
 
     @pytest.mark.parametrize("step, upper", [
         (1e-3, 1.0), (0.25, 1.0), (1e-3, 0.75), (1e-5, 1.0), (3e-6, 0.5), (1e-5, 0.010245)])
@@ -215,28 +193,41 @@ def solve(solver, f, **kwargs):
         return err.all_positive, err.all_negative
 
 
+# increasing functions, whose negatives change sign at most once, from + to -
+MONOTONE_CASES = [
+    (lambda r: r - 1.0 / 3.0, {}),
+    (lambda r: (1 + r) ** 3 - 1.9, {"tol": 1e-9}),
+    (lambda r: 200.0 * r * (2 - r) / (1 - r) ** 2 - 2.0, {}),  # steep
+    (lambda r: r - 1e-3, {}),                          # zero on x_1
+    (lambda r: r - 0.5, {"scan_step": 0.25}),          # zero on x_2
+    (lambda r: r - 0.75, {"scan_step": 0.125}),        # zero on x_6
+    (lambda r: 1.0 + r, {}),                           # f(x_1) > 0
+    (lambda r: r - 1e-4, {}),                          # root below x_1
+    (lambda r: -1.0 - r, {}),                          # no root below 1
+    (lambda r: r - 0.7, {"upper": 0.75}),
+    (lambda r: r - 0.9, {"upper": 0.5}),
+    (lambda r: r - 0.3, {"upper": 0.5, "scan_step": 0.125}),
+    (lambda r: r - 0.45, {"upper": 0.5, "scan_step": 0.125}),  # x_4 = upper is off the grid
+    (lambda r: r - 0.29, {"upper": 0.3, "scan_step": 0.1}),    # 3 * 0.1 > 0.3 in floats
+    (lambda r: r - 0.3, {"scan_step": 1.5}),           # no grid point at all
+    (lambda r: r - 0.31, {"scan_step": 1e-6}),
+    (lambda r: r - 0.5, {"scan_step": 1e-6}),
+]
+
+
+def search_calls(calls, result):
+    """The calls of f that found the bracket: not bisection, nor the check of a grid zero."""
+    k = result.iterations
+    if result.value == k * result.scan_step:  # zero on x_k, confirmed (uncounted) at x_{k+1}
+        assert calls[-1] == (k + 1) * result.scan_step
+        return calls[:-1]
+    return calls[:len(calls) - (k - math.floor(result.value / result.scan_step) - 1)]
+
+
 class TestIncreasingRoot:
     """Index bisection must reproduce the scalar scan on increasing functions."""
 
-    @pytest.mark.parametrize("f, kwargs", [
-        (lambda r: r - 1.0 / 3.0, {}),
-        (lambda r: (1 + r) ** 3 - 1.9, {"tol": 1e-9}),
-        (lambda r: 200.0 * r * (2 - r) / (1 - r) ** 2 - 2.0, {}),  # steep
-        (lambda r: r - 1e-3, {}),                          # zero on x_1
-        (lambda r: r - 0.5, {"scan_step": 0.25}),          # zero on x_2
-        (lambda r: r - 0.75, {"scan_step": 0.125}),        # zero on x_6
-        (lambda r: 1.0 + r, {}),                           # f(x_1) > 0
-        (lambda r: r - 1e-4, {}),                          # root below x_1
-        (lambda r: -1.0 - r, {}),                          # no root below 1
-        (lambda r: r - 0.7, {"upper": 0.75}),
-        (lambda r: r - 0.9, {"upper": 0.5}),
-        (lambda r: r - 0.3, {"upper": 0.5, "scan_step": 0.125}),
-        (lambda r: r - 0.45, {"upper": 0.5, "scan_step": 0.125}),  # x_4 = upper is off the grid
-        (lambda r: r - 0.29, {"upper": 0.3, "scan_step": 0.1}),    # 3 * 0.1 > 0.3 in floats
-        (lambda r: r - 0.3, {"scan_step": 1.5}),           # no grid point at all
-        (lambda r: r - 0.31, {"scan_step": 1e-6}),
-        (lambda r: r - 0.5, {"scan_step": 1e-6}),
-    ])
+    @pytest.mark.parametrize("f, kwargs", MONOTONE_CASES)
     def test_matches_scalar_scan(self, f, kwargs):
         assert solve(increasing_root, f, **kwargs) == solve(min_positive_root, f, **kwargs)
 
@@ -270,7 +261,90 @@ class TestIncreasingRoot:
             return r - root
 
         result = increasing_root(f, scan_step=step)
-        bracket_index = math.floor(result.value / step) + 1
-        search = calls[:len(calls) - (result.iterations - bracket_index)]
+        search = search_calls(calls, result)
         assert 1 <= len(search) <= math.ceil(math.log2(1.0 / step + 2.0))
         assert all(r == round(r / step) * step and r < 1.0 for r in search)
+
+
+def negated(f):
+    return lambda r: -f(r)
+
+
+class TestDecreasingRoot:
+    """Index bisection must reproduce the scalar scan where f falls through zero once."""
+
+    @pytest.mark.parametrize("f, kwargs", MONOTONE_CASES)
+    def test_matches_scalar_scan(self, f, kwargs):
+        g = negated(f)
+        assert solve(decreasing_root, g, **kwargs) == solve(min_positive_root, g, **kwargs)
+
+    def test_no_root_flags(self):
+        assert solve(decreasing_root, lambda r: 1.0 + r) == (True, False)
+        assert solve(decreasing_root, lambda r: -1.0 - r) == (False, True)
+        assert solve(decreasing_root, lambda r: 0.6 - r, upper=0.5) == (True, False)
+
+    @pytest.mark.parametrize("upper, step", [(1.0, 1e-3), (0.5, 0.125), (0.3, 0.1)])
+    def test_never_evaluates_at_or_above_upper(self, upper, step):
+        def f(r):
+            assert r < upper
+            return 1.0
+
+        assert solve(decreasing_root, f, scan_step=step, upper=upper) == (True, False)
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("root", [0.0012345, 0.123456, 0.987654])
+    def test_bracket_search_calls(self, step, root):
+        # work-counter guard: about log2(1/step) grid points before bisection
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return root - r
+
+        result = decreasing_root(f, scan_step=step)
+        search = search_calls(calls, result)
+        assert 1 <= len(search) <= math.ceil(math.log2(1.0 / step)) + 1
+        assert all(r == round(r / step) * step and r < 1.0 for r in search)
+
+
+ALL_SOLVERS = [(min_positive_root, 1.0), (increasing_root, 1.0), (decreasing_root, -1.0)]
+
+
+class TestUnderflow:
+    """Values below about 1e-162 keep their signs, and a run of zeros is not a root."""
+
+    @pytest.mark.parametrize("solver, sign", ALL_SOLVERS)
+    @pytest.mark.parametrize("scale", [1e-170, 1e-250, 1e-290])
+    def test_tiny_values_keep_their_sign_change(self, solver, sign, scale):
+        # f(x) f(y) underflows to -0.0 at these scales, which hid the sign change
+        f = lambda r: sign * scale * (r - 1.0 / 3.0)
+        result = solver(f)
+        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert result == min_positive_root(f)
+
+    @pytest.mark.parametrize("solver, sign", ALL_SOLVERS)
+    def test_two_zeros_on_the_grid_raise_naming_r(self, solver, sign):
+        def f(r):  # underflows to 0.0 below r = 0.3 and changes sign at 0.5
+            return 0.0 if r < 0.3 else sign * (r - 0.5)
+
+        with pytest.raises(NonConvergenceError, match=r"r = 0\.001 .* r = 0\.002"):
+            solver(f)
+
+    @pytest.mark.parametrize("solver, sign", ALL_SOLVERS)
+    def test_isolated_zero_is_a_root_and_its_check_is_not_counted(self, solver, sign):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return sign * (r - 0.5)
+
+        result = solver(f, scan_step=0.25)
+        assert (result.value, result.residual, result.iterations) == (0.5, 0.0, 2)
+        assert len(calls) == 3 and calls[-1] == 0.75
+
+    def test_zero_on_the_last_grid_point_reads_nothing_at_upper(self):
+        def f(r):
+            assert r < 1.0
+            return r - 0.75
+
+        assert min_positive_root(f, scan_step=0.25).value == 0.75
