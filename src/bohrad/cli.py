@@ -77,11 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "holomorphic functions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, solves=True):
+        """Output options, and the root solver's on commands that solve."""
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--tol", type=float, default=1e-12)
-        sp.add_argument("--scan-step", type=float, default=1e-3)
-        sp.add_argument("--seed", type=int, default=0)
+        if solves:
+            sp.add_argument("--tol", type=float, default=1e-12)
+            sp.add_argument("--scan-step", type=float, default=1e-3)
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     def problem(sp, **phi):
@@ -109,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--degree", type=int, default=2)
     sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-errata", action="store_true")
     sp.set_defaults(id=None)  # read by --family tables
     common(sp)
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, default=1)
     sp.add_argument("--c", type=float, action="append", default=None,
                     help="tail coefficient (repeat for c_2, c_3, ...)")
-    common(sp)
+    common(sp, solves=False)
 
     sp = sub.add_parser("bloch", help="Bloch-space Bohr radii")
     sp.add_argument("--domain", choices=("disk", "gamma"), default="disk")
@@ -129,20 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="two-sided bounds on the p-powered Bohr radius")
     sp.add_argument("--p", type=float, required=True)
-    common(sp)
+    common(sp, solves=False)
 
     return parser
 
 
 def _validated(args):
     """The parsed arguments, once the ranges argparse cannot express hold."""
-    if not 0.0 < args.tol <= 1e-3:
+    if "tol" in args and not 0.0 < args.tol <= 1e-3:
         raise ConfigurationError("tol must lie in (0, 1e-3]")
-    if not 0.0 < args.scan_step < 1.0:  # also rejects nan
+    if "scan_step" in args and not 0.0 < args.scan_step < 1.0:  # also rejects nan
         raise ConfigurationError("scan-step must lie in (0, 1)")
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         raise ConfigurationError("seed must be non-negative")
-    if getattr(args, "samples", 0) < 0:
+    if "samples" in args and args.samples < 0:
         raise ConfigurationError("samples must be non-negative")
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
@@ -321,7 +323,7 @@ def _cmd_bloch(args):
     elif args.variant == "majorant-gamma":
         result = bloch_radius_gamma(args.gamma, args.nu, args.tol, args.scan_step)
         F = lambda r: gamma_equation_value(args.gamma, args.nu, r)
-        changes = count_sign_changes(F, args.scan_step, vectorized=True)
+        changes = count_sign_changes(F, args.scan_step)
         flags.append(f"sign-changes:{changes}")
     else:
         result = bloch_refined_radius(density, args.nu, args.tol, args.scan_step)

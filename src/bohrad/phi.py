@@ -93,9 +93,9 @@ def _weighted_quadratic_tail(N, r):
     return head + r**M * poly / (1.0 - r) ** 3
 
 
-# Phi_N(r) of each built-in kind as a function of (N, r), N >= 0;
-# r is a float or an ndarray.  The tails add non-negative terms over
-# powers of (1 - r), so nothing cancels as r -> 1.
+# Phi_N(r) of each built-in kind as a function of (N, r), N >= 0.
+# The tails add non-negative terms over powers of (1 - r), so nothing
+# cancels as r -> 1.
 _TAILS = {
     "monomial": lambda N, r: r**N / (1.0 - r),
     "weighted_linear": lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2,
@@ -109,8 +109,8 @@ def term_at(phi: PhiSequence, n: int):
     """phi_n of any kind as a function of r alone, which does not check r.
 
     The kind and the check on n are resolved here, once.  A built-in
-    phi_n is (c0 + c1 n + c2 n^2) r^n of GEOMETRIC_FORMS, or a constant,
-    and also takes an ndarray; a custom phi_n checks its value.
+    phi_n is (c0 + c1 n + c2 n^2) r^n of GEOMETRIC_FORMS, or a constant;
+    a custom phi_n checks its value.
     """
     if n < 0:
         raise DomainError("term index must be non-negative")
@@ -147,7 +147,7 @@ def _custom_term(term, n, r):
 
 
 def phi_term(phi: PhiSequence, n: int, r: float) -> float:
-    """Evaluate phi_n(r); built-in kinds also take an ndarray of radii."""
+    """Evaluate phi_n(r)."""
     term = term_at(phi, n)
     _check_radius(r)
     return term(r)
@@ -156,10 +156,9 @@ def phi_term(phi: PhiSequence, n: int, r: float) -> float:
 def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
-    Built-in kinds use the closed forms of _TAILS, and also take an
-    ndarray of radii; custom kinds use custom_tail if given, else a
-    truncated sum plus a geometric tail estimate whose certified bound
-    must not exceed series.ABS_TOL.
+    Built-in kinds use the closed forms of _TAILS; custom kinds use
+    custom_tail if given, else a truncated sum plus a geometric tail
+    estimate whose certified bound must not exceed series.ABS_TOL.
     """
     tail = tail_from(phi, N)
     _check_radius(r)

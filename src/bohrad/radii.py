@@ -12,9 +12,9 @@ with lambda_H = 1/(1+gamma) on the enlarged disk Omega_gamma.
 ``refined_equation`` and ``rogosinski_equation`` bind an equation once
 per problem: the weights of every kind (through ``phi.term_at`` and
 ``phi.tail_from``), p, m, lambda_H and a constant mu are resolved when
-F is built.  Each evaluation of F, on a float or on an ndarray of
-radii, checks r once and then only evaluates the bound weights, so a
-custom weight's r is checked once per evaluation as well.
+F is built.  Each evaluation of F checks r once and then only
+evaluates the bound weights, so a custom weight's r is checked once
+per evaluation as well.
 
 For the built-in weights (and a constant mu) F changes sign at most
 once on (0, 1), from + to -, so ``roots.decreasing_root`` brackets its

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import DomainError, NoRootError, NonConvergenceError
 
 # grid points per array call of count_sign_changes: the default step
-# scans (0, 1) in one block, and a tiny step cannot allocate a huge grid
+# scans (0, 1) in one call, and a tiny step builds its grid a block at a
+# time rather than all at once
 SCAN_BLOCK = 1024
 
 
@@ -130,28 +131,6 @@ def _scan(f, scan_step, upper):
     raise _no_root(scan_step, upper, saw_positive, saw_negative)
 
 
-def _grid_blocks(scan_step, upper):
-    """(k, x_k .. x_{k+n-1}) blocks of the scan grid below upper, 0 < n <= SCAN_BLOCK."""
-    k = 1
-    while k * scan_step < upper:
-        yield k, _grid_block(k, scan_step, upper)
-        k += SCAN_BLOCK
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_block(k, scan_step, upper):
-    """x_j = j scan_step for k <= j < k + SCAN_BLOCK, cut at upper; cached read-only.
-
-    Counts at one scan_step share their blocks; 32 blocks hold 256 KiB.
-    A grid of more than 32 blocks (steps below about 3.1e-5) evicts its
-    own first blocks, so it is rebuilt on every count.
-    """
-    xs = np.arange(k, k + SCAN_BLOCK) * scan_step
-    xs = xs[xs < upper]
-    xs.flags.writeable = False
-    return xs
-
-
 def _no_root(scan_step, upper, saw_positive, saw_negative):
     return NoRootError(
         "no sign change found in (0, {:.6g}) at scan step {:.3g}".format(upper, scan_step),
@@ -180,23 +159,25 @@ def _bisect(f, lo, hi, flo, tol, scan_step, iterations):
     return RootResult(mid, (lo, hi), fmid, iterations, scan_step)
 
 
-def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0,
-                       vectorized: bool = False) -> int:
+def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0) -> int:
     """Number of sign changes of f seen on the scan grid of (0, upper).
 
-    With ``vectorized``, f is called once per grid block (at most
-    SCAN_BLOCK points) on an ndarray, else on each point as a float.
+    f is called on an ndarray of grid points once per block of at most
+    SCAN_BLOCK points.  A zero keeps the previous sign; a nan counts no
+    change on either side of it.
     """
     if not scan_step > 0:  # also rejects nan; a step <= 0 never ends the scan
         raise DomainError("scan_step must be positive")
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
-    evaluate = f if vectorized else (lambda xs: [f(x) for x in xs.tolist()])
     count = 0
     prev = math.nan
-    for _, xs in _grid_blocks(scan_step, upper):
-        vs = np.asarray(evaluate(xs), dtype=float)
+    k = 1
+    while k * scan_step < upper:
+        xs = np.arange(k, k + SCAN_BLOCK) * scan_step
+        vs = np.asarray(f(xs[xs < upper]), dtype=float)
         nonzero = np.concatenate(([prev], vs[vs != 0.0]))
         count += int(np.count_nonzero(np.sign(nonzero[:-1]) * np.sign(nonzero[1:]) < 0))
         prev = nonzero[-1]
+        k += SCAN_BLOCK
     return count

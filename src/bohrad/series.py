@@ -281,17 +281,15 @@ class DomainSpec:
         return 1.0 / (1.0 + self.gamma)
 
 
+# built once: every evaluation of a radius equation checks its r
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def _check_radius(r):
-    """Accept a real radius in [0, 1) (Python or numpy scalar), or an ndarray of them."""
-    if isinstance(r, (int, float)) and 0.0 <= r < 1.0:
-        return
-    if isinstance(r, np.ndarray):
-        inside = np.all((0.0 <= r) & (r < 1.0))
-    elif isinstance(r, (int, float, np.integer, np.floating)):
-        inside = 0.0 <= r < 1.0
-    else:
-        raise DomainError(f"radius must be a real number or an ndarray, got {type(r).__name__}")
-    if not inside:
+    """Accept a real radius in [0, 1), a Python or numpy scalar."""
+    if not isinstance(r, _REAL_TYPES):
+        raise DomainError(f"radius must be a real number, got {type(r).__name__}")
+    if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
 
 
@@ -397,9 +395,6 @@ class MatrixCoeffFn:
     def entry_coefficient(self, i: int, n: int) -> complex:
         """n-th Taylor coefficient of the i-th diagonal entry."""
         return self.phases[i] * _mobius_taylor(self.params[i], n, n + 1)[0]
-
-    def coefficient_matrix(self, n: int) -> np.ndarray:
-        return np.diag([self.entry_coefficient(i, n) for i in range(self.dimension)])
 
 
 def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:

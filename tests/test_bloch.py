@@ -395,7 +395,15 @@ class TestGridScan:
         F = lambda r: gamma_equation_value(gamma, nu, r)
         assert bloch_radius_gamma(gamma, nu) == min_positive_root(F)
         for step in (1e-3, 1e-5):
-            assert count_sign_changes(F, step, vectorized=True) == count_sign_changes(F, step) == 1
+            # reference: F on each scan point as a float, skipping zeros
+            pointwise, prev, k = 0, math.nan, 1
+            while k * step < 1.0:
+                v = F(k * step)
+                if v != 0.0:
+                    pointwise += prev < 0.0 < v or v < 0.0 < prev
+                    prev = v
+                k += 1
+            assert count_sign_changes(F, step) == pointwise == 1
 
     def test_custom_density_scans_point_by_point(self, monkeypatch):
         solvers = []

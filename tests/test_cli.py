@@ -302,6 +302,16 @@ class TestExitCodes:
         # the disk variants of bloch ignored --gamma before
         ("bloch", "--nu", "0.5", "--gamma", "0.5"),
         ("bloch", "--nu", "0.5", "--gamma", "0.5", "--variant", "refined"),
+        # options a command never read were accepted and ignored before
+        ("calibrate", "--tol", "1e-10"),
+        ("calibrate", "--scan-step", "0.01"),
+        ("calibrate", "--seed", "1"),
+        ("bounds", "--p", "1.5", "--tol", "1e-10"),
+        ("bounds", "--p", "1.5", "--scan-step", "0.01"),
+        ("bounds", "--p", "1.5", "--seed", "1"),
+        ("radius", "--phi", "monomial", "--gamma", "0", "--seed", "1"),
+        ("tables", "--seed", "1"),
+        ("bloch", "--nu", "0.5", "--seed", "1"),
     ])
     def test_out_of_range_inputs_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -324,7 +324,6 @@ def evaluated(F, x):
     return type(value), a.shape, a.tobytes()
 
 
-SCAN_GRID = np.arange(1, 1000) * 1e-3
 CUSTOM_POWER = PhiSequence("custom", custom_term=lambda n, r: r**n)
 
 
@@ -343,10 +342,8 @@ class TestBoundEquations:
         rogosinski = RadiusProblem(phi, p, m=max(m, 1), N=N, mu=mu, equation_kind="rogosinski")
         pairs = [(refined_equation(refined), inline_refined(refined)),
                  (rogosinski_equation(rogosinski), inline_rogosinski(rogosinski))]
-        for i, (bound, inline) in enumerate(pairs):
-            arrays = kind != "custom" and (i == 0 or rogosinski.mu.value is not None)
-            for x in (r, SCAN_GRID) if arrays else (r,):
-                assert evaluated(bound, x) == evaluated(inline, x)
+        for bound, inline in pairs:
+            assert evaluated(bound, r) == evaluated(inline, r)
 
     @pytest.mark.parametrize("phi", [MONOMIAL, EVEN_ONLY, CUSTOM_POWER])
     @pytest.mark.parametrize("mu", [2.0, lambda r: 1.0 + r])
@@ -354,9 +351,11 @@ class TestBoundEquations:
         for F in (refined_equation(RadiusProblem(phi, 1.0)),
                   rogosinski_equation(RadiusProblem(phi, 1.0, m=1, mu=mu,
                                                     equation_kind="rogosinski"))):
-            for r in (1.0, -0.1, math.nan, np.array([0.5, 1.0])):
+            for r in (1.0, -0.1, math.nan):
                 with pytest.raises(DomainError, match="radius must lie in"):
                     F(r)
+            with pytest.raises(DomainError, match="got ndarray$"):
+                F(np.array([0.5]))
 
 
 class TestGridScan:

@@ -7,7 +7,7 @@ import pytest
 
 from bohrad import count_sign_changes, decreasing_root, increasing_root, min_positive_root
 from bohrad.errors import DomainError, NonConvergenceError, NoRootError
-from bohrad.roots import SCAN_BLOCK, _grid_block, _grid_blocks
+from bohrad.roots import SCAN_BLOCK
 
 
 class TestMinPositiveRoot:
@@ -78,13 +78,13 @@ class TestSignChanges:
     def test_counts(self):
         assert count_sign_changes(lambda r: (r - 0.2) * (r - 0.8)) == 2
         assert count_sign_changes(lambda r: r - 0.5) == 1
-        assert count_sign_changes(lambda r: 1.0) == 0
+        assert count_sign_changes(lambda r: 1.0 + 0.0 * r) == 0
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-290])
     def test_tiny_values_keep_their_sign_changes(self, scale):
         # products of these values underflow to -0.0; their signs do not
         f = lambda r: scale * (r - 0.2) * (r - 0.8)
-        assert count_sign_changes(f) == count_sign_changes(f, vectorized=True) == 2
+        assert count_sign_changes(f) == 2
 
     def test_parameter_validation(self):
         # a step <= 0 or an unbounded upper end would never end the scan
@@ -95,7 +95,30 @@ class TestSignChanges:
 
 
 class TestGridScan:
-    """count_sign_changes reads the scan grid in cached, read-only blocks."""
+    """count_sign_changes calls f on np.arange blocks of the scan grid."""
+
+    @pytest.mark.parametrize("step, upper", [
+        (1e-3, 1.0), (0.25, 1.0), (1e-3, 0.75), (1e-5, 1.0), (3e-6, 0.5), (1e-5, 0.010245),
+        (1.0 / 1025, 1.0),  # x_1 .. x_1024 fill one block and x_1025 = 1.0 is not below upper
+        (1e-6, 1.0)])
+    def test_f_reads_the_arange_blocks_cut_at_upper(self, step, upper):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return r - 0.005
+
+        count_sign_changes(f, step, upper)
+        # reference: x_k = k step from np.arange, SCAN_BLOCK points at a time
+        expected, k = [], 1
+        while k * step < upper:
+            xs = np.arange(k, k + SCAN_BLOCK) * step
+            expected.append(xs[xs < upper])
+            k += SCAN_BLOCK
+        assert len(calls) == len(expected)
+        for xs, want in zip(calls, expected):
+            assert xs.dtype == want.dtype and xs.tobytes() == want.tobytes()
+        assert all(0 < xs.size <= SCAN_BLOCK for xs in calls)  # no empty call after a full block
 
     def test_blocks_are_bounded(self):
         sizes = []
@@ -104,53 +127,8 @@ class TestGridScan:
             sizes.append(r.size)
             return r - 0.005
 
-        assert count_sign_changes(f, 1e-6, vectorized=True) == 1
+        assert count_sign_changes(f, 1e-6) == 1
         assert max(sizes) == SCAN_BLOCK and len(sizes) == math.ceil(999_999 / SCAN_BLOCK)
-
-    @pytest.mark.parametrize("step, upper", [
-        (1e-3, 1.0), (0.25, 1.0), (1e-3, 0.75), (1e-5, 1.0), (3e-6, 0.5), (1e-5, 0.010245)])
-    def test_cached_blocks_are_the_arange_blocks(self, step, upper):
-        # reference: the grid as built before blocks were cached
-        def arange_blocks():
-            k = 1
-            while True:
-                xs = np.arange(k, k + SCAN_BLOCK) * step
-                xs = xs[xs < upper]
-                if xs.size:
-                    yield k, xs
-                if xs.size < SCAN_BLOCK:
-                    return
-                k += SCAN_BLOCK
-
-        blocks = list(_grid_blocks(step, upper))
-        expected = list(arange_blocks())
-        assert [k for k, _ in blocks] == [k for k, _ in expected]
-        for (_, xs), (_, want) in zip(blocks, expected):
-            assert xs.dtype == want.dtype and xs.tobytes() == want.tobytes()
-        if len(blocks) <= _grid_block.cache_info().maxsize:  # a grid that fits is built once
-            assert all(a is b for (_, a), (_, b) in zip(blocks, _grid_blocks(step, upper)))
-
-    def test_cached_blocks_are_read_only(self):
-        _, xs = next(_grid_blocks(1e-3, 1.0))
-        with pytest.raises(ValueError):
-            xs[0] = 0.5
-        with pytest.raises(ValueError):
-            xs *= 2.0
-        assert xs[0] == 1e-3
-
-    def test_grid_cache_is_bounded(self):
-        maxsize = _grid_block.cache_info().maxsize
-        assert maxsize is not None and maxsize * SCAN_BLOCK * 8 <= 1 << 20
-
-    def test_full_last_block_ends_the_grid(self):
-        # x_1 .. x_1024 fill one block and x_1025 = 1.0 is not below upper:
-        # no empty trailing block is built
-        step = 1.0 / 1025
-        before = _grid_block.cache_info()
-        blocks = list(_grid_blocks(step, 1.0))
-        after = _grid_block.cache_info()
-        assert [(k, xs.size) for k, xs in blocks] == [(1, SCAN_BLOCK)]
-        assert after.hits + after.misses == before.hits + before.misses + 1
 
     @pytest.mark.parametrize("f, step", [
         (lambda r: (r - 0.2) * (r - 0.8), 1e-3),
@@ -167,22 +145,21 @@ class TestGridScan:
             expected += prev * v < 0
             prev = v if v != 0.0 else prev
             k += 1
-        assert count_sign_changes(lambda r: float(f(r)), step) == expected
-        assert count_sign_changes(f, step, vectorized=True) == expected
+        assert count_sign_changes(f, step) == expected
 
-    def test_sign_count_calls_scalar_f_on_each_scan_point(self):
+    def test_zeros_keep_the_sign_and_nans_change_none(self):
         seen = []
 
         def f(r):
             seen.append(r)
-            return math.nan if r == 0.5 else r - 0.3
+            return np.where(r == 0.5, math.nan, r - 0.3)
 
         # a zero keeps the previous sign; a nan changes no sign and replaces it
         assert count_sign_changes(f, 0.125) == 1
         assert count_sign_changes(lambda r: r - 0.375, 0.125) == 1
-        assert count_sign_changes(lambda r: math.nan if r == 0.375 else r - 0.3, 0.125) == 0
-        assert all(type(r) is float for r in seen)
-        assert seen == [k * 0.125 for k in range(1, 8)]
+        assert count_sign_changes(lambda r: np.where(r == 0.375, math.nan, r - 0.3), 0.125) == 0
+        assert len(seen) == 1 and seen[0].dtype == np.float64
+        assert seen[0].tolist() == [k * 0.125 for k in range(1, 8)]
 
 
 def solve(solver, f, **kwargs):

@@ -218,12 +218,11 @@ class TestDiagonalBlend:
         assert blend.norm(1) == pytest.approx(max(1 - 0.09, 1 - 0.36), abs=1e-15)
         assert blend.norm(1) == pytest.approx(0.91, abs=1e-15)
 
-    def test_coefficient_matrices_are_diagonal_with_matching_norm(self):
+    def test_diagonal_coefficient_matrices_have_the_blend_norm(self):
         fn = MatrixCoeffFn((0.3, 0.6), (1.0, 1j))
         blend = diag_blend_coeffs(fn, 8)
         for n in range(5):
-            m = fn.coefficient_matrix(n)
-            assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+            m = np.diag([fn.entry_coefficient(i, n) for i in range(fn.dimension)])
             assert operator_norm(m) == pytest.approx(blend.norm(n), abs=1e-12)
 
     @pytest.mark.parametrize("params, count, checked", [
@@ -489,18 +488,19 @@ class TestCoeffSeries:
 
 class TestCheckRadius:
     @pytest.mark.parametrize("r", [0, 0.0, 0.5, np.float32(0.5), np.float64(0.25), np.int64(0),
-                                   np.float16(0.999), np.array([0.0, 0.5]), np.float32(0.0)])
+                                   np.float16(0.999), np.float32(0.0)])
     def test_accepts_real_radii_in_the_unit_interval(self, r):
         _check_radius(r)
 
     @pytest.mark.parametrize("r", [1, 1.0, -0.5, math.nan, True, np.float32(1.0),
-                                   np.int64(1), np.float64(-1e-300), np.array([0.5, 1.0])])
+                                   np.int64(1), np.float64(-1e-300)])
     def test_out_of_range_names_the_value(self, r):
         with pytest.raises(DomainError, match=r"^radius must lie in \[0, 1\), got "):
             _check_radius(r)
 
     @pytest.mark.parametrize("r, name", [("0.5", "str"), (None, "NoneType"), (0.5j, "complex"),
-                                         ([0.5], "list"), (np.bool_(False), "bool")])
+                                         ([0.5], "list"), (np.bool_(False), "bool"),
+                                         (np.array([0.5]), "ndarray")])
     def test_wrong_type_names_the_type(self, r, name):
         with pytest.raises(DomainError) as err:
             _check_radius(r)
