@@ -18,7 +18,9 @@ per evaluation as well.
 
 For the built-in weights (and a constant mu) F changes sign at most
 once on (0, 1), from + to -, so ``roots.decreasing_root`` brackets its
-root by bisecting the scan index, with the scan's RootResult:
+root by bisecting the scan index, with the scan's RootResult (the
+bracket is then narrowed by safeguarded Brent-Dekker steps, as for
+every equation):
 
   refined     F = phi_m (p - 2 lambda_H Phi_{m+1}/phi_m) with phi_m > 0,
               and each phi_n/phi_m (n > m) is a constant >= 0 times

@@ -431,7 +431,7 @@ class TestGridScan:
     def test_equation_calls_are_precondition_search_and_bisection(self, solve, step,
                                                                   monkeypatch):
         # work-counter guard: one M(r) for the r -> 1 precondition, about
-        # log2(1/step) to find the bracket, then one per bisection step
+        # log2(1/step) to find the bracket, then one per narrowing step
         calls = []
 
         def counting(density, nu, r):

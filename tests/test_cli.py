@@ -1,5 +1,13 @@
-"""CLI contract: records, formats, determinism, exit codes."""
+"""CLI contract: records, formats, determinism, exit codes.
 
+tests/cli_golden.json pins the exit code and full stdout of each of its
+argv lists.  Regenerate it from cli.main only for an intended change of
+output, and review the diff field by field:
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
 import csv
 import io
 import json
@@ -23,7 +31,8 @@ EXPECTED_BLOCH = math.sqrt(6.0 / (6.0 + math.pi**2))
 # argv, exit code and full stdout of every README example, one verify per
 # family at the default seed, csv and text output, a seeded sample draw and
 # each error exit; a refactor must leave each one unchanged
-GOLDEN = json.loads((Path(__file__).resolve().parent / "cli_golden.json").read_text())
+GOLDEN_PATH = Path(__file__).resolve().parent / "cli_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 def run_cli(capsys, *argv):
@@ -408,3 +417,18 @@ print(len(built) > 0)
         assert shared[0][2].startswith("error: argument --p")
         assert shared[1][1].startswith("usage: bohrad")
         assert shared[3][1] == golden["stdout"]
+
+
+def golden_cases():
+    """Each pinned argv with the exit code and stdout that cli.main gives it now."""
+    cases = []
+    for case in GOLDEN:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(case["argv"]))
+        cases.append({"argv": case["argv"], "exit": code, "stdout": out.getvalue()})
+    return cases
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(golden_cases(), indent=1) + "\n")

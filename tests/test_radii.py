@@ -423,13 +423,15 @@ class TestGridScan:
     @pytest.mark.parametrize("phi, m, expected", [
         (MONOMIAL, 150, 1.0 / 3.0), (MONOMIAL, 200, 1.0 / 3.0), (MONOMIAL, 340, 1.0 / 3.0),
         (MONOMIAL, 400, 1.0 / 3.0), (MONOMIAL, 600, NonConvergenceError),
-        (CUSTOM_POWER, 150, NonConvergenceError),
+        (CUSTOM_POWER, 110, NonConvergenceError), (CUSTOM_POWER, 150, NonConvergenceError),
     ])
     def test_underflowing_weights_never_give_a_wrong_radius(self, phi, m, expected):
         # r^m underflows on the first scan points from m = 108, and values
         # below 1e-162 near the root multiply to -0.0; the radius is
         # p/(p + 2 lambda_H) = 1/3 for every m.  At m = 600 the search meets
-        # a run of zeros (r^600 = 0 below r = 0.288) and cannot place the root
+        # a run of zeros (r^600 = 0 below r = 0.288) and cannot place the root;
+        # the scanned custom weight at m = 110 reads 0.0 at x_1 = 0.001 and
+        # at 0.0005, but not at x_2 = 0.002
         problem = RadiusProblem(phi, 1.0, m=m)
         if expected is NonConvergenceError:
             with pytest.raises(NonConvergenceError, match=r"underflows to 0\.0 at r = "):
@@ -465,17 +467,17 @@ class TestGridScan:
 
     @pytest.mark.parametrize("problem, step, expected", [
         (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 1e-6,
-         RootResult(0.39393939393901833, (0.39393939393806465, 0.393939393939972),
-                    6.198375146482249e-13, 393960, 1e-06)),
+         RootResult(0.393939393938894, (0.39393939393839394, 0.393939393939394),
+                    8.249512184477226e-13, 393943, 1e-06)),
         (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 3e-6,
-         RootResult(0.39393939393925664, (0.3939393939385414, 0.3939393939399719),
-                    2.2659651932599445e-13, 131336, 3e-06)),
+         RootResult(0.39393939393939387, (0.39393939393939376, 0.393939393939394),
+                    1.6653345369377348e-16, 131318, 3e-06)),
         (RadiusProblem(WEIGHTED_QUADRATIC, 1.0, m=5, mu=10.0, equation_kind="rogosinski"), 1e-6,
-         RootResult(0.04216114214801788, (0.04216114214706421, 0.042161142148971556),
-                    -4.545253062815391e-12, 42182, 1e-06)),
+         RootResult(0.04216114214785445, (0.04216114214738705, 0.04216114214832185),
+                    0.0, 42165, 1e-06)),
         (RadiusProblem(WEIGHTED_QUADRATIC, 1.0, m=5, mu=10.0, equation_kind="rogosinski"), 3e-6,
-         RootResult(0.04216114214766026, (0.042161142147302634, 0.04216114214801789),
-                    5.4003468363816864e-12, 14077, 3e-06)),
+         RootResult(0.04216114214785445, (0.04216114214685445, 0.04216114214885445),
+                    0.0, 14056, 3e-06)),
     ])
     def test_fine_steps_keep_their_root_results(self, problem, step, expected):
         # computed by the point-by-point scan, which evaluated F at every
@@ -483,14 +485,43 @@ class TestGridScan:
         solve = radius_refined if problem.equation_kind == "refined" else radius_rogosinski
         assert solve(problem, scan_step=step) == expected
 
+    def test_default_step_solves_make_at_most_18_evaluations(self, monkeypatch):
+        # work-counter guard: about 11 evaluations of F find the 1e-3 cell
+        # and about 4 narrow and certify it, where halving the cell took 29
+        # more; over the sweeps above and the reference rows
+        problems = [RadiusProblem(BUILTIN_PHI[kind], p, m=m, domain=domain)
+                    for kind in sorted(VALID_M) for m in VALID_M[kind]
+                    for p, domain in [(p, DomainSpec.omega_gamma(gamma))
+                                      for p in (0.05, 0.4, 1.0, 1.3, 2.0)
+                                      for gamma in (0.0, 0.25, 0.6, 0.95)]
+                    + [(1.0, DomainSpec.general(lam)) for lam in (0.3, 1.0, 1.5, 2.7)]]
+        problems += [RadiusProblem(BUILTIN_PHI[kind], p, m=m, N=N, mu=mu,
+                                   equation_kind="rogosinski")
+                     for kind in sorted(VALID_M) for m in (1, 2, 5) for N in (1, 3)
+                     for mu in (0.0, 0.5, 3.0, 10.0) for p in (0.3, 1.0, 2.0)]
+        problems += [RadiusProblem(BUILTIN_PHI[kind], p, m=m, mu=mu, equation_kind="rogosinski")
+                     for kind, rows in REFERENCE_TABLES.values() for p, m, mu, _ in rows]
+        evaluations = []
+        for name in ("refined_equation", "rogosinski_equation"):
+            equation = getattr(radii, name)
+            monkeypatch.setattr(radii, name, lambda problem, equation=equation:
+                                recorded(evaluations, equation(problem)))
+        solves = 0
+        for problem in problems:
+            evaluations.clear()
+            if isinstance(solved(problem), RootResult):
+                solves += 1
+                assert len(evaluations) <= 18, problem
+        assert solves > 700
+
     @pytest.mark.parametrize("problem", [
         RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
         RadiusProblem(ODD_ONLY, 0.5, m=1, mu=1.0, equation_kind="rogosinski"),
     ])
     def test_bracket_search_makes_about_log2_calls(self, problem, monkeypatch):
         # work-counter guard: at most ceil(log2(1/step)) + 1 evaluations of F
-        # find the bracket, then one per bisection step; F is only ever
-        # called on a float
+        # find the bracket, then one per narrowing or certificate step; F
+        # is only ever called on a float
         evaluations = []
         name = f"{problem.equation_kind}_equation"
         equation = getattr(radii, name)
@@ -510,7 +541,7 @@ class TestGridScan:
     def test_bound_equation_checks_r_once_per_evaluation(self, problem, monkeypatch):
         # work-counter guard: a built-in equation is bound once per problem,
         # so its solve calls neither phi_term nor phi_tail and checks r once
-        # per evaluation of F: the bracket search, then bisection
+        # per evaluation of F: the bracket search, then the narrowing steps
         calls = collections.Counter()
 
         def counted(key, fn):
@@ -528,10 +559,10 @@ class TestGridScan:
         monkeypatch.setattr(radii, name, lambda problem: counted("F", equation(problem)))
         result = solved(problem)
         bracket_index = math.floor(result.value / result.scan_step) + 1
-        bisection = result.iterations - bracket_index
+        narrowing = result.iterations - bracket_index
         assert calls["phi_term"] == calls["phi_tail"] == 0
         assert calls["check"] == calls["F"]
-        assert bisection < calls["F"] <= bisection + math.ceil(math.log2(1e3)) + 1
+        assert narrowing < calls["F"] <= narrowing + math.ceil(math.log2(1e3)) + 1
 
     def test_custom_tail_calls_custom_term_directly(self, monkeypatch):
         # work-counter guard: each evaluation of F checks r once, in radii or

@@ -1,13 +1,19 @@
-"""Leftmost-root scanning and bisection certificates."""
+"""Leftmost-root scanning, bracket narrowing and its certificates."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bohrad import count_sign_changes, decreasing_root, increasing_root, min_positive_root
+from bohrad import (BUILTIN_PHI, DomainSpec, HyperbolicDensity, RadiusProblem,
+                    closed_form_radius, count_sign_changes, decreasing_root, increasing_root,
+                    min_positive_root)
+from bohrad.bloch import MAJORANT_THRESHOLD, gamma_equation_value, m_integral
 from bohrad.errors import DomainError, NonConvergenceError, NoRootError
-from bohrad.roots import SCAN_BLOCK
+from bohrad.radii import refined_equation, rogosinski_equation
+from bohrad.roots import SCAN_BLOCK, _narrow
 
 
 class TestMinPositiveRoot:
@@ -193,7 +199,7 @@ MONOTONE_CASES = [
 
 
 def search_calls(calls, result):
-    """The calls of f that found the bracket: not bisection, nor the check of a grid zero."""
+    """The calls of f that found the bracket: not narrowing, nor the check of a grid zero."""
     k = result.iterations
     if result.value == k * result.scan_step:  # zero on x_k, confirmed (uncounted) at x_{k+1}
         assert calls[-1] == (k + 1) * result.scan_step
@@ -224,13 +230,14 @@ class TestIncreasingRoot:
     def test_zero_on_the_grid(self):
         result = increasing_root(lambda r: r - 0.75, scan_step=0.125)
         assert (result.value, result.residual, result.iterations) == (0.75, 0.0, 6)
+        # f(x_1/2) = -0.0625 is nonzero, so x_1 is a root; neither check is counted
         first = increasing_root(lambda r: r - 0.125, scan_step=0.125)
         assert (first.value, first.bracket[0], first.iterations) == (0.125, 0.125 - 1e-12, 1)
 
     @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-6])
     @pytest.mark.parametrize("root", [0.0012345, 0.123456, 0.987654])
     def test_bracket_search_calls(self, step, root):
-        # work-counter guard: about log2(1/step) grid points before bisection
+        # work-counter guard: about log2(1/step) grid points before narrowing
         calls = []
 
         def f(r):
@@ -271,7 +278,7 @@ class TestDecreasingRoot:
     @pytest.mark.parametrize("step", [1e-3, 1e-4, 1e-6])
     @pytest.mark.parametrize("root", [0.0012345, 0.123456, 0.987654])
     def test_bracket_search_calls(self, step, root):
-        # work-counter guard: about log2(1/step) grid points before bisection
+        # work-counter guard: about log2(1/step) grid points before narrowing
         calls = []
 
         def f(r):
@@ -308,6 +315,15 @@ class TestUnderflow:
             solver(f)
 
     @pytest.mark.parametrize("solver, sign", ALL_SOLVERS)
+    def test_zero_on_the_first_grid_point_and_halfway_to_it_raises_naming_r(self, solver,
+                                                                            sign):
+        def f(r):  # underflows to 0.0 below r = 0.0015, so x_2 reads nonzero
+            return 0.0 if r < 0.0015 else sign * (r - 0.0015)
+
+        with pytest.raises(NonConvergenceError, match=r"r = 0\.0005 .* r = 0\.001;"):
+            solver(f)
+
+    @pytest.mark.parametrize("solver, sign", ALL_SOLVERS)
     def test_isolated_zero_is_a_root_and_its_check_is_not_counted(self, solver, sign):
         calls = []
 
@@ -325,3 +341,165 @@ class TestUnderflow:
             return r - 0.75
 
         assert min_positive_root(f, scan_step=0.25).value == 0.75
+
+
+def traced(f):
+    """f, and the list of (r, f(r)) of its calls."""
+    calls = []
+
+    def wrapper(r):
+        value = f(r)
+        calls.append((r, value))
+        return value
+    return wrapper, calls
+
+
+def assert_certified(result, tol=1e-12):
+    """The bracket is at most 2 tol wide and the residual at most 10 tol,
+    unless the search stopped at float resolution; value lies in the bracket."""
+    lo, hi = result.bracket
+    assert lo <= result.value <= hi
+    at_resolution = result.value in (lo, hi)  # the midpoint rounded onto an end
+    assert hi - lo <= 2 * tol + 4 * math.ulp(hi) or at_resolution
+    assert abs(result.residual) <= 10 * tol or at_resolution
+
+
+def narrowing_evaluations(calls, result, tol=1e-12):
+    """Calls of f inside the root's scan cell until their signs bracket it within 2 tol."""
+    step = result.scan_step
+    k = math.floor(result.value / step) + 1
+    lo, hi = (k - 1) * step, k * step
+    f_hi = dict(calls)[hi]
+    inside = calls[len(calls) - (result.iterations - k):]
+    assert all(lo < r < hi for r, _ in inside)
+    for n, (r, v) in enumerate(inside, 1):
+        if v == 0.0:
+            return n
+        if v < 0.0 < f_hi or f_hi < 0.0 < v:
+            lo = r
+        else:
+            hi = r
+        if hi - lo <= 2 * tol:
+            return n
+    return len(inside)
+
+
+def bisection_evaluations(step, tol=1e-12):
+    """Halvings of a scan cell down to a 2 tol bracket."""
+    return math.ceil(math.log2(step / (2 * tol)))
+
+
+def closed_form(kind, p, gamma):
+    """The closed-form refined radius at m = 0 on Omega_gamma, where one exists."""
+    if kind == "monomial" and p in (1.0, 2.0):
+        return closed_form_radius("gamma_p1" if p == 1.0 else "gamma_p2", gamma=gamma)
+    if kind == "even_only":
+        return closed_form_radius("even_p", gamma=gamma, p=p)
+    if kind == "odd_only":
+        return closed_form_radius("odd_p", gamma=gamma, p=p).derived
+    return None
+
+
+# off the scan grid and off every dyadic midpoint of its cell
+C = 1.0 / 3.0 + math.pi * 1e-7
+
+
+def quadratic(r):
+    """1 - 4 r - r^2, whose root in (0, 1) is sqrt(5) - 2."""
+    return (1 - r) ** 2 - 2 * (1 + r) * r
+
+
+def tanh_step(r):
+    return math.tanh(1e6 * (r - C))
+
+
+# increasing f whose sign changes once, at C, where interpolation does
+# badly: a ninth-order zero, a step of slope 1e6, signs only, and an
+# infinite slope
+WORST_CASES = {
+    "ninth_power": lambda r: (r - C) ** 9,
+    "tanh_step": tanh_step,
+    "sign_only": lambda r: 1.0 if r > C else -1.0,
+    "ninth_root": lambda r: math.copysign(abs(r - C) ** (1 / 9), r - C),
+}
+
+
+class TestNarrowing:
+    """Safeguarded Brent-Dekker narrowing of the scan's bracket."""
+
+    @pytest.mark.parametrize("name", sorted(WORST_CASES))
+    def test_worst_cases_keep_the_certificate_within_twice_bisection(self, name):
+        f, calls = traced(WORST_CASES[name])
+        result = min_positive_root(f)
+        assert result == increasing_root(WORST_CASES[name])
+        assert_certified(result)
+        assert result.bracket[0] <= C <= result.bracket[1]
+        assert narrowing_evaluations(calls, result) <= 2 * bisection_evaluations(1e-3) + 3
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("f, solver, root", [
+        (quadratic, decreasing_root, math.sqrt(5.0) - 2.0),
+        (tanh_step, increasing_root, C),
+    ])
+    def test_scaled_f_keeps_the_certificate_and_the_root(self, scale, f, solver, root):
+        scaled, calls = traced(lambda r: scale * f(r))
+        result = min_positive_root(scaled)
+        assert result == solver(lambda r: scale * f(r))
+        assert_certified(result)
+        assert narrowing_evaluations(calls, result) <= 2 * bisection_evaluations(1e-3) + 3
+        assert result.value == pytest.approx(min_positive_root(f).value, abs=1e-12)
+        assert result.value == pytest.approx(root, abs=1e-12)
+
+    def test_a_nan_left_end_is_halved_first(self):
+        # x_0 reads nan; no solver hands one to the narrowing, which keeps
+        # its bracket all the same
+        f, calls = traced(lambda r: r - 1e-4)
+        result = _narrow(f, 0.0, 1e-3, math.nan, f(1e-3), 1e-12, 1e-3, 1)
+        assert calls[1][0] == 0.5e-3
+        assert_certified(result)
+        assert result.value == pytest.approx(1e-4, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUILTIN_PHI)),
+           m=st.one_of(st.just(0), st.integers(0, 20)),
+           p=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.05, 2.0)),
+           gamma=st.floats(0.0, 0.95), N=st.integers(1, 8), mu=st.floats(0.0, 50.0),
+           rogosinski=st.booleans(), step=st.sampled_from([1e-3, 1e-6]))
+    def test_built_in_radii_are_certified_within_bisection_work(self, kind, m, p, gamma, N,
+                                                               mu, rogosinski, step):
+        if rogosinski:
+            problem = RadiusProblem(BUILTIN_PHI[kind], p, m=max(m, 1), N=N, mu=mu,
+                                    equation_kind="rogosinski")
+            F, calls = traced(rogosinski_equation(problem))
+        else:
+            problem = RadiusProblem(BUILTIN_PHI[kind], p, m=m,
+                                    domain=DomainSpec.omega_gamma(gamma))
+            F, calls = traced(refined_equation(problem))
+        try:
+            result = decreasing_root(F, scan_step=step)
+        except NoRootError:
+            assume(False)
+        assert_certified(result)
+        assert narrowing_evaluations(calls, result) <= bisection_evaluations(step)
+        expected = None if rogosinski or m else closed_form(kind, p, gamma)
+        if expected is not None:
+            assert result.value == pytest.approx(expected, abs=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(gamma=st.one_of(st.none(), st.floats(0.0, 0.9)), nu=st.floats(0.1, 1.0),
+           closed=st.booleans(), step=st.sampled_from([1e-3, 1e-6]))
+    def test_bloch_radii_are_certified_within_bisection_work(self, gamma, nu, closed, step):
+        if closed:
+            g = 0.0 if gamma is None else gamma
+            F, calls = traced(lambda r: gamma_equation_value(g, nu, r))
+        else:
+            density = (HyperbolicDensity.unit_disk() if gamma is None
+                       else HyperbolicDensity.omega_gamma(gamma))
+            F, calls = traced(lambda r: m_integral(density, nu, r) - MAJORANT_THRESHOLD)
+        try:
+            result = increasing_root(F, scan_step=step)
+        except NoRootError:
+            assume(False)
+        assert_certified(result)
+        assert narrowing_evaluations(calls, result) <= bisection_evaluations(step)
+
