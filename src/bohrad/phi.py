@@ -14,8 +14,8 @@ resolve kind and index checks once and return a function of r that
 does not check r; ``phi_term``/``phi_tail`` bind, check r and
 call.  An equation bound once checks r once per evaluation, custom
 weights included, and the sums call the binders at the r they checked.
-Built-in terms come from ``GEOMETRIC_FORMS``, which the series sums
-read too; built-in tails are the closed forms ``_TAILS``.
+Built-in terms, weights and tails all come from ``GEOMETRIC_FORMS``,
+the tails through the one routine ``series.power_tail``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NonConvergenceError
 from .series import (ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, CoeffSeries, GeometricWeight,
-                     _check_radius, norm_sum)
+                     _check_radius, norm_sum, power_tail)
 
 PHI_KINDS = ("monomial", "weighted_linear", "weighted_quadratic",
              "even_only", "odd_only", "custom")
@@ -86,25 +86,6 @@ GEOMETRIC_FORMS = {
 }
 
 
-def _weighted_quadratic_tail(N, r):
-    head = 1.0 if N == 0 else 0.0
-    M = max(N, 1)
-    poly = M * M * (1.0 - r) ** 2 + 2 * M * r * (1.0 - r) + r * (1.0 + r)
-    return head + r**M * poly / (1.0 - r) ** 3
-
-
-# Phi_N(r) of each built-in kind as a function of (N, r), N >= 0.
-# The tails add non-negative terms over powers of (1 - r), so nothing
-# cancels as r -> 1.
-_TAILS = {
-    "monomial": lambda N, r: r**N / (1.0 - r),
-    "weighted_linear": lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2,
-    "weighted_quadratic": _weighted_quadratic_tail,
-    "even_only": lambda N, r: r ** (N + N % 2) / ((1.0 - r) * (1.0 + r)),
-    "odd_only": lambda N, r: (1.0 if N == 0 else 0.0) + r ** (N | 1) / ((1.0 - r) * (1.0 + r)),
-}
-
-
 def term_at(phi: PhiSequence, n: int):
     """phi_n of any kind as a function of r alone, which does not check r.
 
@@ -118,9 +99,8 @@ def term_at(phi: PhiSequence, n: int):
         return functools.partial(_custom_term, phi.custom_term, n)
     (c0, c1, c2), step, parity, head = GEOMETRIC_FORMS[phi.kind]
     a = c0 + c1 * n + c2 * n * n if n % step == parity else 0
-    if not a:
-        return _constant(head if n == 0 else 0.0)
-    return lambda r: a * r**n
+    value = head if n == 0 else 0.0
+    return (lambda r: a * r**n) if a else (lambda r: value)
 
 
 def tail_from(phi: PhiSequence, N: int):
@@ -128,15 +108,41 @@ def tail_from(phi: PhiSequence, N: int):
     if N < 0:
         raise DomainError("tail start index must be non-negative")
     if phi.kind != "custom":
-        return functools.partial(_TAILS[phi.kind], N)
+        c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
+        return _power_tail(c, step, parity, N, head if N == 0 else 0.0)
     tail = phi.custom_tail
     if tail is not None:
         return lambda r: float(tail(N, r))
     return lambda r: _truncated_tail(phi, N, r)  # found at call time, so it can be wrapped
 
 
-def _constant(value):
-    return lambda r: value
+def tail_ratio(phi: PhiSequence, m: int):
+    """Phi_{m+1}/phi_m = sum_{n > m} (P(n)/a) r^(n-m) of a built-in phi_m = a r^m != 0,
+    never forming r^m (it underflows for m in the hundreds); else None."""
+    if phi.kind == "custom" or not (a := term_at(phi, m)(1.0)):  # phi_m(1) = a
+        return None
+    return _power_tail(*GEOMETRIC_FORMS[phi.kind][:3], m + 1, m=m, a=a)
+
+
+def _power_tail(c, step, parity, N, head=0.0, m=0, a=1):
+    """head + sum_{n >= N} (P(n)/a) r^(n-m) over n = parity (mod step), a call-free f(r)."""
+    E, b0, b1, b2 = power_tail(c, step, parity, N)
+    k, b0, b1, b2 = E - m, b0 / a, b1 / a, b2 / a
+    if b1 or b2:
+        def tail(r):
+            u, d = (r, 1.0 - r) if step == 1 else (r * r, (1.0 - r) * (1.0 + r))
+            return head + r**k * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+        return tail
+    if step == 1:
+        return lambda r: head + r**k * b0 / (1.0 - r)
+    return lambda r: head + r**k * b0 / ((1.0 - r) * (1.0 + r))
+
+
+# per kind, the tails sum_{a >= 1} p(a) r^a of the three polynomials p in
+# P(2n + a) = P(a) + (2 c1 + 4 c2 a) n + 4 c2 n^2, bound once for _refined_weight
+_REFINED_TAILS = {kind: [_power_tail(p, step, parity, 1)
+                         for p in ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))]
+                  for kind, ((c0, c1, c2), step, parity, _) in GEOMETRIC_FORMS.items()}
 
 
 def _custom_term(term, n, r):
@@ -156,7 +162,7 @@ def phi_term(phi: PhiSequence, n: int, r: float) -> float:
 def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
-    Built-in kinds use the closed forms of _TAILS; custom kinds use
+    Built-in kinds use the closed form of _power_tail; custom kinds use
     custom_tail if given, else a truncated sum plus a geometric tail
     estimate whose certified bound must not exceed series.ABS_TOL.
     """
@@ -210,30 +216,15 @@ def phi_weight(phi: PhiSequence, r: float):
 def _refined_weight(phi, r, am):
     """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1, at a checked r.
 
-    For a built-in kind with polynomial P, phi_{2n} is
-    P(2n) r^{2n} (if 2n is on its indices) and Phi_{2n+1} sums P(2n + a)
-    r^{2n+a} over its indices 2n + a, a >= 1.  As P(2n + a) = P(a) +
-    (2 c1 + 4 c2 a) n + 4 c2 n^2, this is a GeometricWeight in t = r^2
-    whose coefficients hold three tails sum_{a >= 1} p(a) r^a, one per
-    polynomial p.  They share E (the first index a), r^E, u = r^step and
-    d = 1 - u, computed once; each applies GeometricWeight.tail(E) at
-    q = 1 in its order of operations, so the weight is bit identical to
-    three GeometricWeight(p, r, 1 - r, step, parity).tail(E) calls.
+    For a built-in kind with polynomial P, phi_{2n} is P(2n) r^{2n} (if 2n
+    is on its indices) and Phi_{2n+1} sums P(2n + a) r^{2n+a} over its
+    indices 2n + a, a >= 1: a GeometricWeight in t = r^2 (see _REFINED_TAILS).
     """
     if phi.kind == "custom":
         return lambda n: term_at(phi, 2 * n)(r) / (1.0 + am) + tail_from(phi, 2 * n + 1)(r)
-    (c0, c1, c2), step, parity, _ = GEOMETRIC_FORMS[phi.kind]
+    (c0, c1, c2), _, parity, _ = GEOMETRIC_FORMS[phi.kind]
     on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
-    E = 1 + (parity - 1) % step
-    u, d = (r, 1.0 - r) if step == 1 else (r * r, (1.0 - r) * (1.0 + r))
-    rE = r**E
-
-    def tail(p0, p1, p2):
-        b0, b1, b2 = p0 + E * (p1 + p2 * E), step * (p1 + 2 * p2 * E), p2 * step**2
-        return rE * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
-
-    past_2n = (tail(c0, c1, c2), tail(2 * c1, 4 * c2, 0), tail(4 * c2, 0, 0))
-    c = tuple(x / (1.0 + am) + y for x, y in zip(on_2n, past_2n))
+    c = tuple(x / (1.0 + am) + tail(r) for x, tail in zip(on_2n, _REFINED_TAILS[phi.kind]))
     return GeometricWeight(c, r * r, (1.0 - r) * (1.0 + r))
 
 

@@ -10,11 +10,10 @@ kinds are
 with lambda_H = 1/(1+gamma) on the enlarged disk Omega_gamma.
 
 ``refined_equation`` and ``rogosinski_equation`` bind an equation once
-per problem: the weights of every kind (through ``phi.term_at`` and
-``phi.tail_from``), p, m, lambda_H and a constant mu are resolved when
-F is built.  Each evaluation of F checks r once and then only
-evaluates the bound weights, so a custom weight's r is checked once
-per evaluation as well.
+per problem: the weights of every kind (through the binders of
+``phi``), p, m, lambda_H and a constant mu are resolved when F is
+built.  Each evaluation of F checks r once and then only evaluates the
+bound weights, so a custom weight's r is checked once per evaluation.
 
 For the built-in weights (and a constant mu) F changes sign at most
 once on (0, 1), from + to -, so ``roots.decreasing_root`` brackets its
@@ -22,10 +21,11 @@ root by bisecting the scan index, with the scan's RootResult (the
 bracket is then narrowed by safeguarded Brent-Dekker steps, as for
 every equation):
 
-  refined     F = phi_m (p - 2 lambda_H Phi_{m+1}/phi_m) with phi_m > 0,
-              and each phi_n/phi_m (n > m) is a constant >= 0 times
-              r^{n-m}, so the ratio strictly increases; if phi_m = 0 (m
-              off the parity class), F = -2 lambda_H Phi_{m+1} < 0.
+  refined     for phi_m > 0, G = F/phi_m = p - 2 lambda_H R, R = Phi_{m+1}/phi_m
+              (G is F bit for bit at m = 0, where phi_0 = 1); each phi_n/phi_m
+              (n > m) is a constant >= 0 times r^{n-m}, so R increases from 0
+              to infinity and G has exactly one root; if phi_m = 0 (m off the
+              parity class), F = -2 lambda_H Phi_{m+1} < 0.
   rogosinski  phi_0 = 1 for every built-in, so F = Phi_N (p h/Phi_N - 2 mu)
               with h = (1 - r^m)/(1 + r^m); h and 1/Phi_N are positive
               and decreasing.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, DomainError
 from .functionals import MuFunction
 from .optimize import grid_then_golden_min, refine_by_derivative_sign
-from .phi import BUILTIN_PHI, PhiSequence, tail_from, term_at
+from .phi import BUILTIN_PHI, PhiSequence, tail_from, tail_ratio, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, decreasing_root, min_positive_root
 from .series import DomainSpec, _check_radius
@@ -49,6 +49,7 @@ from .series import DomainSpec, _check_radius
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
 ERRATUM_DELTA = 1e-3
+RP_UPPER_GRID = 4096  # grid cells rp_upper searches before its golden-section polish
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,10 @@ class RadiusProblem:
 
 
 def refined_equation(problem: RadiusProblem):
-    """F(r) = p phi_m(r) - 2 lambda_H Phi_{m+1}(r), bound once for the problem."""
-    term, tail = term_at(problem.phi, problem.m), tail_from(problem.phi, problem.m + 1)
+    """F = p phi_m - 2 lambda_H Phi_{m+1}, or G = F/phi_m for a built-in phi_m != 0, bound once."""
+    phi, m = problem.phi, problem.m
+    ratio = tail_ratio(phi, m)
+    term, tail = ((lambda r: 1.0), ratio) if ratio else (term_at(phi, m), tail_from(phi, m + 1))
     p, two_lam = problem.p, 2.0 * problem.domain.effective_lambda
 
     def F(r):
@@ -227,13 +230,13 @@ def _rp_upper_objective(p):
     return g
 
 
-def rp_upper(p: float, coarse: int = 4096) -> float:
+def rp_upper(p: float) -> float:
     """Numeric minimization of the upper-bound expression over a in [0, 1)."""
     if not 1.0 <= p < 2.0:
         raise DomainError("p must lie in [1, 2)")
     g = _rp_upper_objective(p)
     hi = 1.0 - 1e-9
-    x, v = grid_then_golden_min(g, 0.0, hi, coarse=coarse, tol=1e-13)
+    x, v = grid_then_golden_min(g, 0.0, hi, coarse=RP_UPPER_GRID, tol=1e-13)
     x = refine_by_derivative_sign(g, x, 0.0, hi)
     return min(v, g(x))
 

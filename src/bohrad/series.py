@@ -167,26 +167,31 @@ class GeometricWeight:
         return w
 
     def tail(self, N: int, q: float = 1.0, power: int = 1) -> float:
-        """sum_{n >= N} q^(power (n - N)) w(n) for N >= 1 and step 1 or 2.
-
-        With E the first index >= N on the weight's indices and u = s^step,
-        s = q^power t, this is q^(power (E-N)) t^E (b0 S0 + b1 S1 + b2 S2)
-        over S_i = sum_j j^i u^j = 1/(1-u), u/(1-u)^2, u(1+u)/(1-u)^3 and
-        b0 = P(E), b1 = step P'(E), b2 = step^2 c2.  For c_i >= 0 nothing
-        cancels as s -> 1, and nothing over- or underflows for q in [0, 1).
-        """
-        c0, c1, c2 = self.c
-        E = N + (self.parity - N) % self.step
+        """sum_{n >= N} q^(power (n - N)) w(n), N >= 0: q^(power (E-N)) t^E times
+        power_tail's factor at s = q^power t, plus the head at N = 0; for q in
+        [0, 1) nothing over- or underflows."""
+        E, b0, b1, b2 = power_tail(self.c, self.step, self.parity, N)
         qp = q**power
         s = qp * self.t
         # 1 - s = (1 - q)(1 + q + ... + q^(power-1)) + q^power (1 - t); that sum is 1.0 at power 1
         d = ((1.0 - q) * (1.0 if power == 1 else math.fsum(q**i for i in range(power)))
              + qp * self.one_minus_t)
         u, d = (s, d) if self.step == 1 else (s * s, d * (1.0 + s))
-        b0 = c0 + E * (c1 + c2 * E)
-        b1 = self.step * (c1 + 2 * c2 * E)
-        b2 = c2 * self.step**2
-        return qp ** (E - N) * self.t**E * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+        head = self.head if N == 0 else 0.0
+        return head + qp ** (E - N) * self.t**E * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+
+
+def power_tail(c, step: int, parity: int, N: int):
+    """E, b0, b1, b2 of sum_{n >= N} P(n) s^n over n = parity (mod step), step 1 or 2.
+
+    E is the first index >= N there; with u = s^step and d = 1 - u, the sum
+    is s^E (b0 + (b1 + b2 (1 + u)/d) u/d)/d for b0 = P(E), b1 = step P'(E),
+    b2 = step^2 c2, as P(E + step j) = b0 + b1 j + b2 j^2 and sum_j j^i u^j
+    = 1/d, u/d^2, u(1+u)/d^3.  For c_i >= 0 nothing cancels as s -> 1.
+    """
+    c0, c1, c2 = c
+    E = N + (parity - N) % step
+    return E, c0 + E * (c1 + c2 * E), step * (c1 + 2 * c2 * E), c2 * step**2
 
 
 def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,

@@ -282,16 +282,13 @@ class TestExitCodes:
                              "--kind", "rogosinski")
         assert code == 3
 
-    @pytest.mark.parametrize("m, code", [(200, 0), (400, 0), (600, 3)])
-    def test_underflowing_weight_gives_one_third_or_exit_three(self, capsys, m, code):
+    @pytest.mark.parametrize("m", [200, 400, 538, 600, 5000])
+    def test_underflowing_weight_gives_one_third(self, capsys, m):
         # r^m underflows at the first scan points; the radius is 1/3 for every m
-        got, out, err = run_cli(capsys, "radius", "--phi", "monomial", "--p", "1",
-                                "--m", str(m), "--gamma", "0")
-        assert got == code
-        if code == 0:
-            assert json.loads(out)["radius"] == 0.333333333
-        else:
-            assert "underflows to 0.0 at r = " in err
+        got, out, _ = run_cli(capsys, "radius", "--phi", "monomial", "--p", "1",
+                              "--m", str(m), "--gamma", "0")
+        assert got == 0
+        assert json.loads(out)["radius"] == 0.333333333
 
     def test_tolerance_validation(self, capsys):
         code, _, _ = run_cli(capsys, "radius", "--phi", "monomial", "--gamma", "0",

@@ -12,7 +12,8 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     PhiSequence, phi_tail, phi_term, refined_sum)
 from bohrad import phi as phi_module
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.phi import GEOMETRIC_FORMS, _refined_weight, _truncated_tail, tail_from, term_at
+from bohrad.phi import (GEOMETRIC_FORMS, _refined_weight, _truncated_tail, tail_from, tail_ratio,
+                        term_at)
 from bohrad.series import (ABS_TOL, CONTINUATION_FLOOR, TAIL_RATIO_CAP, TRUNCATION_N,
                            GeometricWeight)
 
@@ -140,6 +141,70 @@ class TestPhiTail:
         nearly_flat = PhiSequence("custom", custom_term=lambda n, r: 0.995**n)
         with pytest.raises(NonConvergenceError):
             phi_tail(nearly_flat, 0, 0.5)
+
+
+def written_quadratic_tail(N, r):
+    head = 1.0 if N == 0 else 0.0
+    M = max(N, 1)
+    poly = M * M * (1.0 - r) ** 2 + 2 * M * r * (1.0 - r) + r * (1.0 + r)
+    return head + r**M * poly / (1.0 - r) ** 3
+
+
+# Phi_N(r) of each built-in kind as one closed form per kind, the way
+# the tails were first written, before all were derived from GEOMETRIC_FORMS
+WRITTEN_TAILS = {
+    "monomial": lambda N, r: r**N / (1.0 - r),
+    "weighted_linear": lambda N, r: r**N * (1 + N * (1.0 - r)) / (1.0 - r) ** 2,
+    "weighted_quadratic": written_quadratic_tail,
+    "even_only": lambda N, r: r ** (N + N % 2) / ((1.0 - r) * (1.0 + r)),
+    "odd_only": lambda N, r: (1.0 if N == 0 else 0.0) + r ** (N | 1) / ((1.0 - r) * (1.0 + r)),
+}
+
+
+def tail_draws(count, seed):
+    """(N, r) with N <= 300 and r in [0, 1 - 1e-6], half of them close to 1."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(0.0, 1.0 - 1e-6, count // 2)
+    near_one = 1.0 - 10.0 ** -rng.uniform(0.0, 6.0, count - count // 2)
+    rs = np.concatenate((uniform, near_one))
+    return list(zip(rng.integers(0, 301, count).tolist(), rs.tolist()))
+
+
+class TestTailRoutine:
+    """Every built-in tail comes from series.power_tail through GEOMETRIC_FORMS."""
+
+    @pytest.mark.parametrize("kind", sorted(WRITTEN_TAILS))
+    def test_matches_the_written_closed_forms(self, kind):
+        # b1 = b2 = 0 keeps the written operations; the linear and
+        # quadratic factors group them differently, within a few ulp
+        tail = {N: tail_from(BUILTIN_PHI[kind], N) for N in range(301)}
+        exact = kind in ("monomial", "even_only", "odd_only")
+        for N, r in tail_draws(10_000, 17):
+            got, want = tail[N](r), WRITTEN_TAILS[kind](N, r)
+            if exact:
+                assert got.hex() == want.hex(), (N, r)
+            else:
+                assert abs(got - want) <= 8 * math.ulp(want), (N, r)
+
+    @pytest.mark.parametrize("kind", sorted(WRITTEN_TAILS) + ["custom"])
+    def test_tail_ratio_is_phi_tail_over_phi_term(self, kind):
+        phi = BUILTIN_PHI.get(kind) or CUSTOM_PHI[kind]
+        for m in range(13):
+            ratio = tail_ratio(phi, m)
+            if kind == "custom" or phi_term(phi, m, 0.5) == 0.0:
+                assert ratio is None
+                continue
+            for r in (1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+                want = phi_tail(phi, m + 1, r) / phi_term(phi, m, r)
+                assert abs(ratio(r) - want) <= 1e-14 * want, (m, r)
+
+    @pytest.mark.parametrize("kind", sorted(WRITTEN_TAILS))
+    def test_bound_tail_is_the_geometric_weight_tail(self, kind):
+        c, step, parity, head = GEOMETRIC_FORMS[kind]
+        tail = {N: tail_from(BUILTIN_PHI[kind], N) for N in range(301)}
+        for N, r in tail_draws(2_000, 29):
+            weight = GeometricWeight(c, r, 1.0 - r, step, parity, head)
+            assert tail[N](r).hex() == weight.tail(N).hex(), (N, r)
 
 
 def bits(x):

@@ -16,9 +16,9 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRAT
 from bohrad import phi as phi_module
 from bohrad import radii
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError, NoRootError
-from bohrad.phi import phi_tail, phi_term
+from bohrad.phi import GEOMETRIC_FORMS, phi_tail, phi_term
 from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
-from bohrad.series import TRUNCATION_N
+from bohrad.series import TRUNCATION_N, _check_radius
 
 GAMMAS = [0.1 * k for k in range(10)]
 
@@ -295,8 +295,28 @@ def recorded(evaluations, F):
 
 
 def inline_refined(problem):
-    """The refined equation as first written: phi_term and phi_tail on every call."""
+    """The refined equation as first written: phi_term and phi_tail on every call.
+
+    A built-in phi_m = a r^m != 0 gives G = p - 2 lambda_H Phi_{m+1}/phi_m
+    instead, written out from GEOMETRIC_FORMS: Phi_{m+1}/phi_m = r^(E-m)
+    (b0 + (b1 + b2 (1 + u)/d) u/d)/d with E the first index > m on the
+    weight's indices, b0 = P(E)/a, b1 = step P'(E)/a, b2 = step^2 c2/a.
+    """
     lam = problem.domain.effective_lambda
+    m = problem.m
+    (c0, c1, c2), step, parity, head = GEOMETRIC_FORMS.get(problem.phi.kind, ((0, 0, 0), 1, 0, 0))
+    a = (c0 + c1 * m + c2 * m * m if m % step == parity else 0) + (head if m == 0 else 0)
+    if a:
+        E = m + 1 + (parity - m - 1) % step
+        b0, b1, b2 = ((c0 + c1 * E + c2 * E * E) / a, step * (c1 + 2 * c2 * E) / a,
+                      c2 * step**2 / a)
+
+        def G(r):
+            _check_radius(r)
+            u, d = (r, 1.0 - r) if step == 1 else (r * r, (1.0 - r) * (1.0 + r))
+            ratio = r ** (E - m) * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+            return problem.p - 2.0 * lam * ratio
+        return G
 
     def F(r):
         return problem.p * phi_term(problem.phi, problem.m, r) \
@@ -422,16 +442,16 @@ class TestGridScan:
 
     @pytest.mark.parametrize("phi, m, expected", [
         (MONOMIAL, 150, 1.0 / 3.0), (MONOMIAL, 200, 1.0 / 3.0), (MONOMIAL, 340, 1.0 / 3.0),
-        (MONOMIAL, 400, 1.0 / 3.0), (MONOMIAL, 600, NonConvergenceError),
+        (MONOMIAL, 400, 1.0 / 3.0), (MONOMIAL, 538, 1.0 / 3.0), (MONOMIAL, 600, 1.0 / 3.0),
+        (MONOMIAL, 5000, 1.0 / 3.0),
         (CUSTOM_POWER, 110, NonConvergenceError), (CUSTOM_POWER, 150, NonConvergenceError),
     ])
     def test_underflowing_weights_never_give_a_wrong_radius(self, phi, m, expected):
-        # r^m underflows on the first scan points from m = 108, and values
-        # below 1e-162 near the root multiply to -0.0; the radius is
-        # p/(p + 2 lambda_H) = 1/3 for every m.  At m = 600 the search meets
-        # a run of zeros (r^600 = 0 below r = 0.288) and cannot place the root;
-        # the scanned custom weight at m = 110 reads 0.0 at x_1 = 0.001 and
-        # at 0.0005, but not at x_2 = 0.002
+        # r^m underflows on the first scan points from m = 108 (r^600 = 0
+        # below r = 0.288); the radius is p/(p + 2 lambda_H) = 1/3 for every
+        # m.  The built-in equation G = p - 2 lambda_H Phi_{m+1}/phi_m never
+        # forms r^m, so no m underflows it; the scanned custom weight at
+        # m = 110 reads 0.0 at x_1 = 0.001 and at 0.0005, but not at x_2 = 0.002
         problem = RadiusProblem(phi, 1.0, m=m)
         if expected is NonConvergenceError:
             with pytest.raises(NonConvergenceError, match=r"underflows to 0\.0 at r = "):
@@ -467,21 +487,22 @@ class TestGridScan:
 
     @pytest.mark.parametrize("problem, step, expected", [
         (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 1e-6,
-         RootResult(0.393939393938894, (0.39393939393839394, 0.393939393939394),
-                    8.249512184477226e-13, 393943, 1e-06)),
+         RootResult(0.393939393939394, (0.393939393939, 0.39393939393978794),
+                    -2.220446049250313e-16, 393943, 1e-06)),
         (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 3e-6,
-         RootResult(0.39393939393939387, (0.39393939393939376, 0.393939393939394),
-                    1.6653345369377348e-16, 131318, 3e-06)),
+         RootResult(0.393939393938547, (0.3939393939377, 0.393939393939394),
+                    3.5476066528872252e-12, 131317, 3e-06)),
         (RadiusProblem(WEIGHTED_QUADRATIC, 1.0, m=5, mu=10.0, equation_kind="rogosinski"), 1e-6,
-         RootResult(0.04216114214785445, (0.04216114214738705, 0.04216114214832185),
-                    0.0, 42165, 1e-06)),
+         RootResult(0.04216114214785444, (0.04216114214738706, 0.042161142148321826),
+                    1.1102230246251565e-16, 42165, 1e-06)),
         (RadiusProblem(WEIGHTED_QUADRATIC, 1.0, m=5, mu=10.0, equation_kind="rogosinski"), 3e-6,
-         RootResult(0.04216114214785445, (0.04216114214685445, 0.04216114214885445),
-                    0.0, 14056, 3e-06)),
+         RootResult(0.042161142147854436, (0.04216114214785442, 0.04216114214785445),
+                    2.220446049250313e-16, 14058, 3e-06)),
     ])
     def test_fine_steps_keep_their_root_results(self, problem, step, expected):
-        # computed by the point-by-point scan, which evaluated F at every
-        # scan point up to the bracket; the index search needs about 20
+        # computed by the point-by-point scan, which evaluated the bound
+        # equation (G for the refined cases) at every scan point up to the
+        # bracket; the index search needs about 20
         solve = radius_refined if problem.equation_kind == "refined" else radius_rogosinski
         assert solve(problem, scan_step=step) == expected
 
