@@ -10,6 +10,9 @@ integrated by trapezoidal quadrature with node doubling.
 
 On the disk and Omega_gamma log lambda is subharmonic, so M increases
 and ``increasing_root`` brackets its radii; custom densities are scanned.
+A radius exists when lim_{r -> 1} M(r) exceeds its level; the solver's
+sign search decides that, raising NoRootError (all_negative) when the
+equation stays negative on every scan point.
 ``bloch_majorant_check`` tests the hypothesis ||Df(z)|| <= (1 - ||A_0||)
 lambda(z)^nu on its whole radial grid at once: ``derivative_majorant``
 and ``HyperbolicDensity.min_on_circle`` take an ndarray of radii, and
@@ -24,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, InvalidTestFunctionError, NoRootError,
-                     NonConvergenceError, SingularIntegrandError)
+from .errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
+                     SingularIntegrandError)
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL
 from .roots import RootResult, increasing_root, min_positive_root
@@ -36,8 +39,6 @@ from .series import CoeffSeries, GeometricWeight, s_r
 MAJORANT_THRESHOLD = 6.0 / math.pi**2
 REFINED_THRESHOLD = 3.0 / math.pi
 
-# proxy position for "the limit as r -> 1^-" precondition checks
-LIMIT_PROBE = 1.0 - 1e-6
 # node doubling in m_integral stops when two successive values agree to this
 QUAD_TOL = 1e-10
 
@@ -140,28 +141,29 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     raise NonConvergenceError(f"circle quadrature did not settle at r = {r}")
 
 
-def _require_limit(value: float, threshold: float, label: str):
-    if not value > threshold:
-        raise NoRootError(
-            f"{label}: boundary value {value:.6g} does not exceed {threshold:.6g}; "
-            "the radius equation has no root in (0, 1)", all_negative=True)
+def _level_root(density, nu, scale, level, tol, scan_step) -> RootResult:
+    """Smallest root of scale * M(r) - level on (0, 1).
+
+    Built-in densities have an increasing M, so ``increasing_root``
+    bisects the scan index; a custom density is scanned point by point
+    for its first crossing.  Either raises NoRootError when no scan
+    point reaches the level.
+    """
+    def F(r):
+        return scale * m_integral(density, nu, r) - level
+
+    solve = min_positive_root if density.kind == "custom" else increasing_root
+    return solve(F, tol, scan_step)
 
 
 def bloch_radius(density: HyperbolicDensity, nu: float, tol: float = 1e-12,
                  scan_step: float = 1e-3) -> RootResult:
     """Smallest root of M(r) = 6/pi^2, the Bloch majorant radius.
 
-    The boundary condition lim_{r -> 1} M(r) > 6/pi^2 is checked at the
-    proxy point 1 - 1e-6 before solving.
+    The root exists when lim_{r -> 1} M(r) > 6/pi^2; the sign search decides
+    that and raises NoRootError (all_negative) otherwise.
     """
-    _require_limit(m_integral(density, nu, LIMIT_PROBE), MAJORANT_THRESHOLD,
-                   "majorant radius")
-
-    def F(r):
-        return m_integral(density, nu, r) - MAJORANT_THRESHOLD
-
-    solve = min_positive_root if density.kind == "custom" else increasing_root
-    return solve(F, tol, scan_step)
+    return _level_root(density, nu, 1.0, MAJORANT_THRESHOLD, tol, scan_step)
 
 
 def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
@@ -185,15 +187,10 @@ def bloch_radius_gamma(gamma: float, nu: float, tol: float = 1e-12,
                        scan_step: float = 1e-3) -> RootResult:
     """Minimal root in (0, 1) of the closed-form enlarged-disk equation.
 
-    Endpoint signs are verified first: N(0) = -6 (1 - g^2)^{2 nu} < 0
-    and N(1) = (1-g)^{2 nu} pi^2 > 0, so a root exists; N increases.
+    A root exists for every (g, nu) that ``gamma_equation_value``
+    accepts: N(0) = -6 (1 - g^2)^{2 nu} < 0 and N(1) = (1-g)^{2 nu} pi^2
+    > 0, and N increases, so the sign search always brackets it.
     """
-    n0 = gamma_equation_value(gamma, nu, 0.0)
-    n1 = gamma_equation_value(gamma, nu, 1.0)
-    if not (n0 < 0.0 < n1):
-        raise NoRootError(f"endpoint signs N(0) = {n0:.6g}, N(1) = {n1:.6g} "
-                          "do not bracket a root")
-
     def F(r):
         return gamma_equation_value(gamma, nu, r)
 
@@ -205,15 +202,10 @@ def bloch_refined_radius(density: HyperbolicDensity, nu: float,
     """Smallest root of H(r) = r * (circle integral) - 3/pi = 0.
 
     The circle integral here is un-normalized, so H(r) = 2 pi M(r) - 3/pi
-    and H(0) = -3/pi.  The boundary condition lim_{r->1} H(r) > 0 is
-    checked at the proxy point first.
+    and H(0) = -3/pi.  The root exists when lim_{r -> 1} H(r) > 0; the sign
+    search decides that and raises NoRootError (all_negative) otherwise.
     """
-    def H(r):
-        return 2.0 * math.pi * m_integral(density, nu, r) - REFINED_THRESHOLD
-
-    _require_limit(H(LIMIT_PROBE), 0.0, "refined radius")
-    solve = min_positive_root if density.kind == "custom" else increasing_root
-    return solve(H, tol, scan_step)
+    return _level_root(density, nu, 2.0 * math.pi, REFINED_THRESHOLD, tol, scan_step)
 
 
 def derivative_majorant(coeffs: CoeffSeries, t):

@@ -298,11 +298,11 @@ def _cmd_verify(args):
 
 def _cmd_calibrate(args):
     tail = tuple(args.c or ())
-    if tail and len(tail) != args.degree - 1:
+    if len(tail) != args.degree - 1:
         raise ConfigurationError("give exactly degree-1 tail coefficients")
     spec = calibrate_area_poly(tail)
     record = {"command": "calibrate",
-              "params": {"degree": max(args.degree, spec.degree), "tail": list(tail)},
+              "params": {"degree": args.degree, "tail": list(tail)},
               "coefficients": list(spec.coefficients),
               "residual": calibration_residual(spec),
               "peak_weights": [peak_weight(s) for s in range(2, spec.degree + 1)],

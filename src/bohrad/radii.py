@@ -161,10 +161,6 @@ class OddRadiusPair:
     discrepant: bool
 
 
-CLOSED_FORM_CASES = ("lambda_base", "gamma_p1", "gamma_p2", "even_p", "odd_p",
-                     "recentered", "disk_third", "disk_half")
-
-
 def closed_form_radius(case: str, gamma: float | None = None,
                        lambda_h: float | None = None, p: float | None = None):
     """Closed-form radii.

@@ -11,8 +11,8 @@ from bohrad import (CoeffSeries, HyperbolicDensity, bloch, bloch_majorant_check,
                     bloch_radius, bloch_radius_gamma, bloch_refined_radius,
                     count_sign_changes, functionals, increasing_root, m_integral,
                     min_positive_root, phi, series)
-from bohrad.bloch import (LIMIT_PROBE, MAJORANT_THRESHOLD, REFINED_THRESHOLD,
-                          derivative_majorant, gamma_equation_value)
+from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
+                          gamma_equation_value)
 from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
                            SingularIntegrandError)
 
@@ -149,9 +149,11 @@ class TestMajorantRadius:
         assert abs(got - want) <= 1e-8
 
     def test_no_root_for_bounded_density(self):
+        # M(r) = 0.01 r^2 stays below 6/pi^2 on every scan point
         flat = HyperbolicDensity.custom(lambda z: 0.1)
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError) as err:
             bloch_radius(flat, 1.0)
+        assert err.value.all_negative and not err.value.all_positive
 
 
 class TestGammaRadius:
@@ -219,8 +221,9 @@ class TestRefinedRadius:
 
     def test_no_root_for_bounded_density(self):
         flat = HyperbolicDensity.custom(lambda z: 0.05)
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError) as err:
             bloch_refined_radius(flat, 1.0)
+        assert err.value.all_negative and not err.value.all_positive
 
 
 class TestBlochMajorantCheck:
@@ -363,12 +366,12 @@ class TestCircleMeanTheorem:
 
     @pytest.mark.parametrize("gamma", [0.3, 0.7, 0.95])
     @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
-    def test_omega_gamma_against_mp_closed_form_up_to_the_limit_probe(self, gamma, nu):
-        # the same 2F1 closed form at 40 digits, up to r = LIMIT_PROBE, where
+    def test_omega_gamma_against_mp_closed_form_near_one(self, gamma, nu):
+        # the same 2F1 closed form at 40 digits, up to r = 1 - 1e-6, where
         # scipy's hyp2f1 loses about 1e-9 and so would not see a cancelling density
         mp = mp_sums.mp
         density = HyperbolicDensity.omega_gamma(gamma)
-        for r in (0.9, 0.99, LIMIT_PROBE):
+        for r in (0.9, 0.99, 1.0 - 1e-6):
             with mp.workdps(mp_sums.DPS):
                 g, r_ = mp.mpf(gamma), mp.mpf(r)
                 c = 1 - (1 - g) ** 2 * r_ * r_ - g * g
@@ -428,10 +431,9 @@ class TestGridScan:
 
     @pytest.mark.parametrize("solve", [bloch_radius, bloch_refined_radius])
     @pytest.mark.parametrize("step", [1e-3, 1e-4])
-    def test_equation_calls_are_precondition_search_and_bisection(self, solve, step,
-                                                                  monkeypatch):
-        # work-counter guard: one M(r) for the r -> 1 precondition, about
-        # log2(1/step) to find the bracket, then one per narrowing step
+    def test_equation_calls_are_index_search_and_narrowing(self, solve, step, monkeypatch):
+        # work-counter guard: the M(r) calls are the index search's, at most
+        # log2(1/step + 2), then one per narrowing step, and none past the grid
         calls = []
 
         def counting(density, nu, r):
@@ -441,5 +443,12 @@ class TestGridScan:
         monkeypatch.setattr(bloch, "m_integral", counting)
         result = solve(OMEGAS[2], 0.5, scan_step=step)
         bracket_index = math.floor(result.value / result.scan_step) + 1
-        search = len(calls) - 1 - (result.iterations - bracket_index)
+        search, lo, hi = 0, 0, math.ceil(1.0 / step) + 1
+        while hi - lo > 1:  # the index search, replayed on the known bracket
+            k = (lo + hi) // 2
+            search += k * step < 1.0
+            lo, hi = (lo, k) if k >= bracket_index else (k, hi)
+        assert hi == bracket_index
         assert 1 <= search <= math.ceil(math.log2(1.0 / step + 2.0))
+        assert len(calls) == search + result.iterations - bracket_index
+        assert max(calls) <= (math.ceil(1.0 / step) - 1) * step  # the last scan point

@@ -312,6 +312,9 @@ class TestExitCodes:
         ("calibrate", "--tol", "1e-10"),
         ("calibrate", "--scan-step", "0.01"),
         ("calibrate", "--seed", "1"),
+        # a degree without its degree - 1 tail coefficients was accepted before
+        ("calibrate", "--degree", "3"),
+        ("calibrate", "--degree", "0"),
         ("bounds", "--p", "1.5", "--tol", "1e-10"),
         ("bounds", "--p", "1.5", "--scan-step", "0.01"),
         ("bounds", "--p", "1.5", "--seed", "1"),
