@@ -24,8 +24,8 @@ from .errors import (BohradError, ConfigurationError, InfeasibleError,
                      NoRootError, NonConvergenceError, SingularIntegrandError)
 from .functionals import (MuFunction, bohr_area_functional,
                           bohr_beta_functional, bohr_energy_functional,
-                          problem_functional, sharpness_probe)
-from .phi import BUILTIN_PHI
+                          family_gamma, problem_functional, sharpness_probe)
+from .phi import BUILTIN_PHI, MONOMIAL
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
 from .radii import (RadiusProblem, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     def problem(sp, **phi):
-        sp.add_argument("--phi", **phi)
+        sp.add_argument("--phi", choices=tuple(BUILTIN_PHI), **phi)
         sp.add_argument("--p", type=float, default=1.0)
         sp.add_argument("--m", type=int, default=0)
         sp.add_argument("--N", type=int, default=1)
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="guarantee sweep below a radius, probe above it")
     sp.add_argument("--family", choices=VERIFY_FAMILIES, default="bohr")
-    problem(sp, default="monomial")
+    problem(sp, default=MONOMIAL.kind)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--degree", type=int, default=2)
     sp.add_argument("--samples", type=int, default=100)
@@ -165,16 +165,10 @@ def _domain(args, default_gamma=None) -> DomainSpec:
     raise ConfigurationError("this command needs --gamma or --lambda-h")
 
 
-def _phi(args):
-    if args.phi not in BUILTIN_PHI:
-        raise ConfigurationError(f"unknown phi kind {args.phi!r}")
-    return BUILTIN_PHI[args.phi]
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_radius(args):
-    phi = _phi(args)
+    phi = BUILTIN_PHI[args.phi]
     mu = MuFunction.constant(args.mu_const)
     refined = args.kind == "refined"
     problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
@@ -208,14 +202,16 @@ def _cmd_tables(args):
 
 
 def _verify_setup(args):
-    """(radius, extremal functional (a, r) -> report or None, sampled).
+    """(radius, extremal functional (a, r) -> report, sampled).
 
-    Seeded draws of a join the fixed grid (sampled) only on the unshifted
-    disk family (lambda_H = 1, m = 0), whose norm sequences are those of
-    every diagonal Mobius blend with a common parameter.
+    The family is ``family_gamma``'s, so a general lambda_h != 1 exits 2
+    before any solve.  Seeded draws of a join the fixed grid (sampled)
+    only on the unshifted disk family (gamma = 0, and m = 0 for
+    bohr/refined), whose norm sequences are those of every diagonal
+    Mobius blend with a common parameter.
     """
     mu = MuFunction.constant(args.mu_const)
-    phi = _phi(args)
+    phi = BUILTIN_PHI[args.phi]
     if args.family == "rogosinski":
         # m is the Schwarz order here; the family itself is never shifted
         problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
@@ -224,8 +220,8 @@ def _verify_setup(args):
         return radius, problem_functional(problem), True
 
     domain = _domain(args, default_gamma=0.0)
-    lam = domain.effective_lambda
-    disk = abs(lam - 1.0) <= 1e-12
+    gamma = family_gamma(domain)
+    disk = gamma == 0.0
     if args.family in ("bohr", "refined"):
         # "bohr" is the plain weighted sum: the refined functional at mu = 0
         problem = RadiusProblem(phi, args.p, m=args.m, N=args.N,
@@ -234,6 +230,7 @@ def _verify_setup(args):
         radius = radius_refined(problem, args.tol, args.scan_step).value
         return radius, problem_functional(problem), args.m == 0 and disk
 
+    lam = domain.effective_lambda
     if args.family == "area-poly":
         functional = lambda c, r: bohr_area_functional(c, r, lam, args.degree)
     elif args.family == "beta-square":
@@ -244,10 +241,7 @@ def _verify_setup(args):
     else:
         functional = lambda c, r: bohr_energy_functional(c, r, lam)
     radius = 1.0 / (1.0 + 2.0 * lam)
-    if domain.mode == "general" and not disk:
-        return radius, None, False  # no constructible family for general lambda_h != 1
-    # a general domain gets here only as the disk, gamma = 0
-    return radius, lambda a, r: functional(mobius_gamma_coeffs(a, domain.gamma or 0.0), r), disk
+    return radius, lambda a, r: functional(mobius_gamma_coeffs(a, gamma), r), disk
 
 
 def _cmd_verify(args):
@@ -261,21 +255,19 @@ def _cmd_verify(args):
     radius, extremal, sampled = _verify_setup(args)
     r_below = max(radius - PROBE_OFFSET, radius / 2.0)
     r_above = radius + PROBE_OFFSET
-    a_values = list(SWEEP_A_GRID) if extremal is not None else []
+    a_values = list(SWEEP_A_GRID)
     if sampled:
         a_values += np.random.default_rng(args.seed).uniform(0.05, 0.995, args.samples).tolist()
     reports = [(a, extremal(a, r_below)) for a in a_values]
     checked = len(reports)
     failures = sum(not rep.satisfied for _, rep in reports)
-    worst_margin, worst_a = min(((rep.margin, a) for a, rep in reports), default=(None, None))
+    worst_margin, worst_a = min((rep.margin, a) for a, rep in reports)
 
-    expect_witness = extremal is not None and r_above < 1.0
+    expect_witness = r_above < 1.0
     witness = sharpness_probe(None, r_above, SWEEP_A_GRID, extremal) if expect_witness else None
 
     passed = not failures and (witness is not None or not expect_witness)
     flags = [] if passed else ["verification-failed"]
-    if checked == 0:
-        flags.append("no-constructible-test-family")
     if failures:
         print(f"error: guarantee fails at {failures} of {checked} parameters; "
               f"worst a = {worst_a:.9g}, margin {worst_margin:.9g}", file=sys.stderr)

@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING, Callable
 from .errors import ConfigurationError, DomainError
 from .phi import MONOMIAL, PhiSequence, phi_term, phi_weight, refined_sum, tail_from, term_at
 from .polynomials import area_poly_coeffs
-from .series import (CoeffSeries, GeometricWeight, _check_radius, mobius_gamma_coeffs,
-                     norm_sum, point_eval_bound, s_r, schwarz_composed_bound)
+from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_radius,
+                     mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r,
+                     schwarz_composed_bound)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
@@ -156,7 +157,9 @@ def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
 
     value = phi_m(r) ||A_m||^p + sum_{n>m} ||A_n|| phi_n(r)
           + mu(r) * refined_sum(...), against rhs phi_m(r).  The series
-    must vanish below index m.
+    must vanish below index m.  A bare callable mu is input from outside,
+    so each call screens it at 65 points before using it (66 calls of mu);
+    wrap it once in a MuFunction to screen it once.
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
@@ -178,7 +181,8 @@ def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     value = sup||f(w(z))||^p phi_0(r) + mu(r) sum_{n>=N} ||A_n|| phi_n(r)
     against rhs phi_0(r), where the sup over admissible Schwarz mappings
     of order omega_order and |z| = r is the sharp point bound
-    (a + r^k)/(1 + a r^k); the extremal family attains it.
+    (a + r^k)/(1 + a r^k); the extremal family attains it.  A bare
+    callable mu is screened on each call, as in refined_functional.
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
@@ -304,14 +308,26 @@ def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID,
     return None
 
 
+def family_gamma(domain: DomainSpec) -> float:
+    """gamma of the Mobius-type extremal family that tests a domain.
+
+    The family exists on Omega_gamma (its own gamma) and on the disk, a
+    general domain with lambda_h == 1 (gamma = 0); a domain known only
+    by a general lambda_h != 1 has none, and raises ConfigurationError.
+    """
+    if domain.mode == "gamma":
+        return domain.gamma
+    if abs(domain.effective_lambda - 1.0) <= 1e-12:
+        return 0.0
+    raise ConfigurationError("no extremal family is constructible for a general lambda_h != 1")
+
+
 def problem_functional(problem: "RadiusProblem") -> Callable[[float, float], FunctionalReport]:
     """Extremal-family functional matching a radius problem.
 
-    Refined problems use the Omega_gamma family shifted by m (gamma
-    taken from the problem domain); Rogosinski problems use the disk
-    family with the problem's Schwarz order.  Domains given only by a
-    general lambda_h have no constructible extremal family unless
-    lambda_h == 1 (the disk).
+    Refined problems use the family of ``family_gamma(problem.domain)``
+    shifted by m; Rogosinski problems use the disk family with the
+    problem's Schwarz order.
     """
     if problem.equation_kind == "rogosinski":
         def evaluate(a, r):
@@ -319,14 +335,7 @@ def problem_functional(problem: "RadiusProblem") -> Callable[[float, float], Fun
             return rogosinski_functional(coeffs, problem.phi, problem.p,
                                          problem.N, problem.m, problem.mu, r)
         return evaluate
-    domain = problem.domain
-    if domain.mode == "gamma":
-        gamma = domain.gamma
-    elif abs(domain.effective_lambda - 1.0) <= 1e-12:
-        gamma = 0.0
-    else:
-        raise ConfigurationError(
-            "no extremal family is constructible for a general lambda_h != 1")
+    gamma = family_gamma(problem.domain)
 
     def evaluate(a, r):
         coeffs = mobius_gamma_coeffs(a, gamma).shifted(problem.m)

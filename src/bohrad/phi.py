@@ -29,8 +29,18 @@ from .errors import ConfigurationError, DomainError, NonConvergenceError
 from .series import (ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, CoeffSeries, GeometricWeight,
                      _check_radius, norm_sum, power_tail)
 
-PHI_KINDS = ("monomial", "weighted_linear", "weighted_quadratic",
-             "even_only", "odd_only", "custom")
+# Each built-in kind as phi_n(r) = (c0 + c1 n + c2 n^2) r^n on the indices
+# n = parity (mod step), plus a head at n = 0: (c, step, parity, head).
+# The kind registries below are derived from it.
+GEOMETRIC_FORMS = {
+    "monomial": ((1, 0, 0), 1, 0, 0.0),
+    "weighted_linear": ((1, 1, 0), 1, 0, 0.0),
+    "weighted_quadratic": ((0, 0, 1), 1, 0, 1.0),
+    "even_only": ((1, 0, 0), 2, 0, 0.0),
+    "odd_only": ((1, 0, 0), 2, 1, 1.0),
+}
+
+PHI_KINDS = (*GEOMETRIC_FORMS, "custom")
 
 
 @dataclass(frozen=True)
@@ -61,29 +71,8 @@ class PhiSequence:
             raise ConfigurationError("custom phi requires a custom_term callable")
 
 
-MONOMIAL = PhiSequence("monomial")
-WEIGHTED_LINEAR = PhiSequence("weighted_linear")
-WEIGHTED_QUADRATIC = PhiSequence("weighted_quadratic")
-EVEN_ONLY = PhiSequence("even_only")
-ODD_ONLY = PhiSequence("odd_only")
-
-BUILTIN_PHI = {
-    "monomial": MONOMIAL,
-    "weighted_linear": WEIGHTED_LINEAR,
-    "weighted_quadratic": WEIGHTED_QUADRATIC,
-    "even_only": EVEN_ONLY,
-    "odd_only": ODD_ONLY,
-}
-
-# Each built-in kind as phi_n(r) = (c0 + c1 n + c2 n^2) r^n on the indices
-# n = parity (mod step), plus a head at n = 0: (c, step, parity, head).
-GEOMETRIC_FORMS = {
-    "monomial": ((1, 0, 0), 1, 0, 0.0),
-    "weighted_linear": ((1, 1, 0), 1, 0, 0.0),
-    "weighted_quadratic": ((0, 0, 1), 1, 0, 1.0),
-    "even_only": ((1, 0, 0), 2, 0, 0.0),
-    "odd_only": ((1, 0, 0), 2, 1, 1.0),
-}
+BUILTIN_PHI = {kind: PhiSequence(kind) for kind in GEOMETRIC_FORMS}
+MONOMIAL, WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, EVEN_ONLY, ODD_ONLY = BUILTIN_PHI.values()
 
 
 def term_at(phi: PhiSequence, n: int):

@@ -5,6 +5,9 @@ argv lists.  Regenerate it from cli.main only for an intended change of
 output, and review the diff field by field:
 
     PYTHONPATH=src python tests/test_cli.py
+
+It prints the argv of each entry whose exit code or stdout it rewrote,
+one line each, and nothing when no entry changed.
 """
 
 import contextlib
@@ -270,6 +273,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "radius", "--phi", "cubic", "--gamma", "0")
         assert code == 2
         assert len(err.strip().splitlines()) == 1
+        assert "'monomial'" in err  # the line lists the valid choices
 
     def test_conflicting_domain_flags(self, capsys):
         code, _, _ = run_cli(capsys, "radius", "--phi", "monomial", "--gamma", "0",
@@ -321,6 +325,10 @@ class TestExitCodes:
         ("radius", "--phi", "monomial", "--gamma", "0", "--seed", "1"),
         ("tables", "--seed", "1"),
         ("bloch", "--nu", "0.5", "--seed", "1"),
+        # a general lambda_h != 1 has no extremal family; these passed with nothing checked
+        ("verify", "--family", "area-poly", "--lambda-h", "2"),
+        ("verify", "--family", "beta-square", "--lambda-h", "2"),
+        ("verify", "--family", "energy", "--lambda-h", "2"),
     ])
     def test_out_of_range_inputs_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -431,4 +439,8 @@ def golden_cases():
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(golden_cases(), indent=1) + "\n")
+    cases = golden_cases()
+    for old, new in zip(GOLDEN, cases):  # name each rewritten entry, so a diff can be checked
+        if old != new:
+            print(shlex.join(new["argv"]))
+    GOLDEN_PATH.write_text(json.dumps(cases, indent=1) + "\n")

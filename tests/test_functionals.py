@@ -16,7 +16,8 @@ from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
                     phi_term, radius_refined, refined_functional, refined_sum,
                     rogosinski_functional, s_r, sharpness_probe)
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.series import ABS_TOL, CONTINUATION_FLOOR, TRUNCATION_N
+from bohrad.functionals import family_gamma
+from bohrad.series import ABS_TOL, CONTINUATION_FLOOR, TRUNCATION_N, DomainSpec
 
 import mp_sums
 
@@ -414,6 +415,18 @@ class TestSharpnessProbe:
         assert sharpness_probe(problem, 1.0 / 3.0, DEFAULT_A_GRID) is None
 
 
+class TestFamilyGamma:
+    def test_omega_gamma_keeps_its_own_gamma(self):
+        assert family_gamma(DomainSpec.omega_gamma(0.4)) == 0.4
+
+    def test_general_unit_lambda_is_the_disk(self):
+        assert family_gamma(DomainSpec.general(1.0)) == 0.0
+
+    def test_general_lambda_has_no_family(self):
+        with pytest.raises(ConfigurationError, match="no extremal family"):
+            family_gamma(DomainSpec.general(2.0))
+
+
 class TestPerFunctionRadius:
     def test_q_one_matches_functional_crossing(self):
         coeffs = mobius_gamma_coeffs(0.9, 0.0)
@@ -441,6 +454,26 @@ class TestMuFunction:
             MuFunction.constant(-1.0)
         with pytest.raises(ConfigurationError):
             MuFunction.of(lambda r: -r - 0.1)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda coeffs, mu: refined_functional(coeffs, MONOMIAL, 1.0, 0, mu, 0.3),
+        lambda coeffs, mu: rogosinski_functional(coeffs, MONOMIAL, 1.0, 1, 1, mu, 0.3),
+    ])
+    def test_bare_callable_is_screened_on_every_call(self, evaluate):
+        # a bare callable is input from outside, so each call screens it at
+        # 65 points before its one evaluation; a MuFunction was screened once
+        calls = []
+
+        def mu(r):
+            calls.append(r)
+            return 1.0
+        coeffs = mobius_gamma_coeffs(0.5, 0.0)
+        evaluate(coeffs, mu)
+        assert len(calls) == 66
+        wrapped = MuFunction.of(mu)
+        calls.clear()
+        evaluate(coeffs, wrapped)
+        assert calls == [0.3]
 
 
 class TestFunctionalReport:

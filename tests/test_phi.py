@@ -68,6 +68,13 @@ class TestPhiTerm:
         with pytest.raises(ConfigurationError):
             PhiSequence("fibonacci")
 
+    def test_kinds_come_from_the_geometric_forms(self):
+        assert phi_module.PHI_KINDS == (*GEOMETRIC_FORMS, "custom")
+        assert list(BUILTIN_PHI) == list(GEOMETRIC_FORMS)
+        constants = (MONOMIAL, WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, EVEN_ONLY, ODD_ONLY)
+        for kind, constant in zip(GEOMETRIC_FORMS, constants):
+            assert BUILTIN_PHI[kind] is constant and constant.kind == kind
+
 
 class TestPhiTail:
     def test_monomial_geometric(self):
