@@ -86,10 +86,14 @@ def term_at(phi: PhiSequence, n: int):
         raise DomainError("term index must be non-negative")
     if phi.kind == "custom":
         return functools.partial(_custom_term, phi.custom_term, n)
-    (c0, c1, c2), step, parity, head = GEOMETRIC_FORMS[phi.kind]
-    a = c0 + c1 * n + c2 * n * n if n % step == parity else 0
-    value = head if n == 0 else 0.0
+    a, value = _form_at(phi.kind, n)
     return (lambda r: a * r**n) if a else (lambda r: value)
+
+
+def _form_at(kind, n):
+    """(a, value) of a built-in phi_n: a r^n if a != 0, else the constant value."""
+    (c0, c1, c2), step, parity, head = GEOMETRIC_FORMS[kind]
+    return c0 + c1 * n + c2 * n * n if n % step == parity else 0, head if n == 0 else 0.0
 
 
 def tail_from(phi: PhiSequence, N: int):
@@ -101,30 +105,39 @@ def tail_from(phi: PhiSequence, N: int):
         return _power_tail(c, step, parity, N, head if N == 0 else 0.0)
     tail = phi.custom_tail
     if tail is not None:
-        return lambda r: float(tail(N, r))
+        return functools.partial(_custom_tail, tail, N)
     return lambda r: _truncated_tail(phi, N, r)  # found at call time, so it can be wrapped
 
 
 def tail_ratio(phi: PhiSequence, m: int):
     """Phi_{m+1}/phi_m = sum_{n > m} (P(n)/a) r^(n-m) of a built-in phi_m = a r^m != 0,
     never forming r^m (it underflows for m in the hundreds); else None."""
-    if phi.kind == "custom" or not (a := term_at(phi, m)(1.0)):  # phi_m(1) = a
+    if phi.kind == "custom":
         return None
-    return _power_tail(*GEOMETRIC_FORMS[phi.kind][:3], m + 1, m=m, a=a)
+    a, value = _form_at(phi.kind, m)
+    a = float(a) or value  # phi_m(1), as term_at evaluates it
+    return _power_tail(*GEOMETRIC_FORMS[phi.kind][:3], m + 1, m=m, a=a) if a else None
 
 
 def _power_tail(c, step, parity, N, head=0.0, m=0, a=1):
-    """head + sum_{n >= N} (P(n)/a) r^(n-m) over n = parity (mod step), a call-free f(r)."""
+    """head + sum_{n >= N} (P(n)/a) r^(n-m) over n = parity (mod step), a call-free f(r);
+    the step, and whether P is constant, pick its closed form here, once."""
     E, b0, b1, b2 = power_tail(c, step, parity, N)
     k, b0, b1, b2 = E - m, b0 / a, b1 / a, b2 / a
-    if b1 or b2:
-        def tail(r):
-            u, d = (r, 1.0 - r) if step == 1 else (r * r, (1.0 - r) * (1.0 + r))
-            return head + r**k * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
-        return tail
+    if not (b1 or b2):
+        if step == 1:
+            return lambda r: head + r**k * b0 / (1.0 - r)
+        return lambda r: head + r**k * b0 / ((1.0 - r) * (1.0 + r))
     if step == 1:
-        return lambda r: head + r**k * b0 / (1.0 - r)
-    return lambda r: head + r**k * b0 / ((1.0 - r) * (1.0 + r))
+        def tail(r):
+            d = 1.0 - r
+            return head + r**k * (b0 + (b1 + b2 * (1.0 + r) / d) * r / d) / d
+        return tail
+
+    def tail(r):
+        u, d = r * r, (1.0 - r) * (1.0 + r)
+        return head + r**k * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+    return tail
 
 
 # per kind, the tails sum_{a >= 1} p(a) r^a of the three polynomials p in
@@ -141,6 +154,13 @@ def _custom_term(term, n, r):
     return value
 
 
+def _custom_tail(tail, N, r):
+    value = float(tail(N, r))
+    if not math.isfinite(value) or value < 0:
+        raise DomainError(f"custom tail at N={N}, r={r} must be finite and >= 0")
+    return value
+
+
 def phi_term(phi: PhiSequence, n: int, r: float) -> float:
     """Evaluate phi_n(r)."""
     term = term_at(phi, n)
@@ -152,7 +172,8 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
     """Tail sum Phi_N(r) = sum_{n >= N} phi_n(r).
 
     Built-in kinds use the closed form of _power_tail; custom kinds use
-    custom_tail if given, else a truncated sum plus a geometric tail
+    custom_tail if given (its value must be finite and >= 0, as a
+    custom term's), else a truncated sum plus a geometric tail
     estimate whose certified bound must not exceed series.ABS_TOL.
     """
     tail = tail_from(phi, N)

@@ -14,6 +14,9 @@ per problem: the weights of every kind (through the binders of
 ``phi``), p, m, lambda_H and a constant mu are resolved when F is
 built.  Each evaluation of F checks r once and then only evaluates the
 bound weights, so a custom weight's r is checked once per evaluation.
+For the built-in weights the bind drops the factors that read 1.0:
+phi_m/phi_m in G below, and phi_0 in the Rogosinski F with a constant
+mu; x * 1.0 is x, so F is unchanged bit for bit.
 
 For the built-in weights (and a constant mu) F changes sign at most
 once on (0, 1), from + to -, so ``roots.decreasing_root`` brackets its
@@ -82,9 +85,14 @@ class RadiusProblem:
 def refined_equation(problem: RadiusProblem):
     """F = p phi_m - 2 lambda_H Phi_{m+1}, or G = F/phi_m for a built-in phi_m != 0, bound once."""
     phi, m = problem.phi, problem.m
-    ratio = tail_ratio(phi, m)
-    term, tail = ((lambda r: 1.0), ratio) if ratio else (term_at(phi, m), tail_from(phi, m + 1))
     p, two_lam = problem.p, 2.0 * problem.domain.effective_lambda
+    ratio = tail_ratio(phi, m)
+    if ratio:
+        def G(r):  # p phi_m/phi_m is p * 1.0, that is p
+            _check_radius(r)
+            return p - two_lam * ratio(r)
+        return G
+    term, tail = term_at(phi, m), tail_from(phi, m + 1)
 
     def F(r):
         _check_radius(r)
@@ -94,9 +102,16 @@ def refined_equation(problem: RadiusProblem):
 
 def rogosinski_equation(problem: RadiusProblem):
     """F(r) = p (1 - r^m)/(1 + r^m) phi_0(r) - 2 mu(r) Phi_N(r), bound once for the problem."""
-    term, tail = term_at(problem.phi, 0), tail_from(problem.phi, problem.N)
+    tail = tail_from(problem.phi, problem.N)
     p, m, mu = problem.p, problem.m, problem.mu
     two_mu = None if mu.value is None else 2.0 * mu.value
+    if problem.phi.kind != "custom" and two_mu is not None:
+        def F_const(r):  # phi_0 = 1.0 for every built-in, and head * 1.0 is head
+            _check_radius(r)
+            rm = r**m
+            return p * (1.0 - rm) / (1.0 + rm) - two_mu * tail(r)
+        return F_const
+    term = term_at(problem.phi, 0)
 
     def F(r):
         _check_radius(r)

@@ -72,13 +72,13 @@ def min_positive_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
 def increasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
                     upper: float = 1.0) -> RootResult:
     """min_positive_root for an f trusted, not checked, to increase."""
-    return _root(f, tol, scan_step, upper, functools.partial(_index_search, sign=1.0))
+    return _root(f, tol, scan_step, upper, _increasing_search)
 
 
 def decreasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
                     upper: float = 1.0) -> RootResult:
     """min_positive_root for an f trusted to change sign at most once, from + to -."""
-    return _root(f, tol, scan_step, upper, functools.partial(_index_search, sign=-1.0))
+    return _root(f, tol, scan_step, upper, _decreasing_search)
 
 
 def _root(f, tol, scan_step, upper, search):
@@ -123,6 +123,10 @@ def _index_search(f, scan_step, upper, sign):
     return hi, v_lo, v_hi
 
 
+_increasing_search = functools.partial(_index_search, sign=1.0)
+_decreasing_search = functools.partial(_index_search, sign=-1.0)
+
+
 def _scan(f, scan_step, upper):
     """(k, f(x_{k-1}), f(x_k)) at the first x_k = k scan_step where f
     vanishes or changes sign; f(x_0) reads as nan, which changes no sign."""
@@ -147,6 +151,10 @@ def _no_root(scan_step, upper, saw_positive, saw_negative):
         "no sign change found in (0, {:.6g}) at scan step {:.3g}".format(upper, scan_step),
         all_positive=saw_positive and not saw_negative,
         all_negative=saw_negative and not saw_positive)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+_TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 def _narrow(f, lo, hi, flo, fhi, tol, scan_step, iterations):
@@ -174,12 +182,13 @@ def _narrow(f, lo, hi, flo, fhi, tol, scan_step, iterations):
     residual exceeds 10 tol, continuing to float resolution for steep f.
     """
     x3 = f3 = math.nan  # the end dropped last
-    allowed = 2.0 * math.sqrt(2.0) * (hi - lo)
-    while hi - lo > 2.0 * tol:
+    allowed = _TWO_SQRT2 * (hi - lo)
+    two_tol = 2.0 * tol
+    while hi - lo > two_tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        allowed *= math.sqrt(0.5)  # the width allowed after this step
+        allowed *= _SQRT_HALF  # the width allowed after this step
         x = mid
         if hi - lo <= allowed:  # else only the midpoint is sure to keep within it
             estimate = _estimate(lo, hi, flo, fhi, x3, f3)
@@ -194,7 +203,7 @@ def _narrow(f, lo, hi, flo, fhi, tol, scan_step, iterations):
         iterations += 1
         if fx == 0.0:
             return RootResult(x, (max(lo, x - tol), min(x + tol, hi)), 0.0, iterations, scan_step)
-        if _opposite(fx, fhi):
+        if fx < 0.0 < fhi or fhi < 0.0 < fx:  # _opposite(fx, fhi), inline on the hot step
             x3, f3, lo, flo = lo, flo, x, fx
         else:
             x3, f3, hi, fhi = hi, fhi, x, fx
@@ -203,7 +212,7 @@ def _narrow(f, lo, hi, flo, fhi, tol, scan_step, iterations):
     iterations += 1
     # keep narrowing beyond the width target until the residual
     # certificate holds or floats run out of resolution
-    while (hi - lo) > 2.0 * tol or abs(fmid) > 10.0 * tol:
+    while (hi - lo) > two_tol or abs(fmid) > 10.0 * tol:
         if fmid == 0.0:
             break
         if _opposite(fmid, fhi):

@@ -173,9 +173,11 @@ class GeometricWeight:
         E, b0, b1, b2 = power_tail(self.c, self.step, self.parity, N)
         qp = q**power
         s = qp * self.t
-        # 1 - s = (1 - q)(1 + q + ... + q^(power-1)) + q^power (1 - t); that sum is 1.0 at power 1
-        d = ((1.0 - q) * (1.0 if power == 1 else math.fsum(q**i for i in range(power)))
-             + qp * self.one_minus_t)
+        # 1 - s = (1 - q)(1 + q + ... + q^(power-1)) + q^power (1 - t); that sum is 1.0 at
+        # power 1, and 1.0 + q, the fsum of its two terms, at power 2
+        geometric = (1.0 if power == 1 else 1.0 + q if power == 2
+                     else math.fsum(q**i for i in range(power)))
+        d = (1.0 - q) * geometric + qp * self.one_minus_t
         u, d = (s, d) if self.step == 1 else (s * s, d * (1.0 + s))
         head = self.head if N == 0 else 0.0
         return head + qp ** (E - N) * self.t**E * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
@@ -291,8 +293,8 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def _check_radius(r):
-    """Accept a real radius in [0, 1), a Python or numpy scalar."""
-    if not isinstance(r, _REAL_TYPES):
+    """Accept a real radius in [0, 1), a Python or numpy scalar other than a bool."""
+    if type(r) is not float and (isinstance(r, bool) or not isinstance(r, _REAL_TYPES)):
         raise DomainError(f"radius must be a real number, got {type(r).__name__}")
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")

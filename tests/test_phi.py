@@ -268,6 +268,21 @@ class TestBinders:
             phi_term(phi, 4, 0.5)
         assert str(bound.value) == str(direct.value) == "custom term at n=4 must be finite and >= 0"
 
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, -math.inf, math.nan, math.inf])
+    def test_bound_custom_tail_checks_its_value(self, value):
+        phi = PhiSequence("custom", custom_term=lambda n, r: r**n,
+                          custom_tail=lambda N, r: value)
+        with pytest.raises(DomainError) as bound:
+            tail_from(phi, 1)(0.5)
+        with pytest.raises(DomainError) as direct:
+            phi_tail(phi, 1, 0.5)
+        assert str(bound.value) == str(direct.value) \
+            == "custom tail at N=1, r=0.5 must be finite and >= 0"
+
+    def test_custom_tail_zero_is_accepted(self):
+        phi = PhiSequence("custom", custom_term=lambda n, r: r**n, custom_tail=lambda N, r: 0)
+        assert phi_tail(phi, 3, 0.0) == 0.0 and type(phi_tail(phi, 3, 0.0)) is float
+
     def test_custom_truncated_tail_is_found_at_call_time(self, monkeypatch):
         # a wrapper put on phi._truncated_tail after binding still sees the calls
         tail = tail_from(CUSTOM_PHI["custom"], 2)

@@ -350,8 +350,11 @@ CUSTOM_POWER = PhiSequence("custom", custom_term=lambda n, r: r**n)
 class TestBoundEquations:
     """Equations bound once per problem give the inline forms' values bit for bit."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(kind=st.sampled_from(sorted(BUILTIN_PHI) + ["custom"]), m=st.integers(0, 12), N=st.integers(1, 12), p=st.floats(0.01, 2.0),
+    # m up to 600 and N up to 60 reach where r^m and r^N underflow; every
+    # built-in kind takes its step-resolved tail and phi_0 = 1 form here
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUILTIN_PHI) + ["custom"]), m=st.integers(0, 600),
+           N=st.integers(1, 60), p=st.floats(0.01, 2.0),
            domain=st.one_of(st.floats(0.0, 0.99).map(DomainSpec.omega_gamma),
                             st.floats(0.1, 5.0).map(DomainSpec.general)),
            mu=st.one_of(st.floats(0.0, 100.0), st.just(lambda r: 1.0 + r * r)),
@@ -365,6 +368,21 @@ class TestBoundEquations:
         for bound, inline in pairs:
             assert evaluated(bound, r) == evaluated(inline, r)
 
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI) + ["custom"])
+    def test_bound_equations_find_check_radius_at_call_time(self, kind, monkeypatch):
+        # a wrapper put on radii._check_radius after binding sees every
+        # call: no form of F holds it as a local or a default argument
+        phi = BUILTIN_PHI.get(kind, CUSTOM_POWER)
+        equations = [refined_equation(RadiusProblem(phi, 1.0, m=m)) for m in (0, 1, 2)]
+        equations += [rogosinski_equation(RadiusProblem(phi, 1.0, m=1, mu=mu,
+                                                        equation_kind="rogosinski"))
+                      for mu in (2.0, lambda r: 1.0 + r)]
+        seen = []
+        monkeypatch.setattr(radii, "_check_radius", seen.append)
+        for F in equations:
+            F(0.5)
+        assert seen == [0.5] * len(equations)
+
     @pytest.mark.parametrize("phi", [MONOMIAL, EVEN_ONLY, CUSTOM_POWER])
     @pytest.mark.parametrize("mu", [2.0, lambda r: 1.0 + r])
     def test_out_of_range_radius_raises(self, phi, mu):
@@ -376,6 +394,9 @@ class TestBoundEquations:
                     F(r)
             with pytest.raises(DomainError, match="got ndarray$"):
                 F(np.array([0.5]))
+            for r in (False, np.bool_(False)):
+                with pytest.raises(DomainError, match="got bool$"):
+                    F(r)
 
 
 class TestGridScan:
@@ -555,14 +576,19 @@ class TestGridScan:
             assert 1 <= len(search) <= math.ceil(math.log2(1.0 / step)) + 1
             assert all(type(r) is float and r == round(r / step) * step for r in search)
 
-    @pytest.mark.parametrize("problem", [
-        RadiusProblem(WEIGHTED_QUADRATIC, 1.2, m=2, domain=DomainSpec.omega_gamma(0.3)),
-        RadiusProblem(ODD_ONLY, 0.5, m=1, mu=1.0, equation_kind="rogosinski"),
-    ])
-    def test_bound_equation_checks_r_once_per_evaluation(self, problem, monkeypatch):
+    @pytest.mark.parametrize("kind", sorted(BUILTIN_PHI))
+    @pytest.mark.parametrize("equation_kind", ["refined", "rogosinski"])
+    def test_bound_equation_checks_r_once_per_evaluation(self, kind, equation_kind, monkeypatch):
         # work-counter guard: a built-in equation is bound once per problem,
         # so its solve calls neither phi_term nor phi_tail and checks r once
-        # per evaluation of F: the bracket search, then the narrowing steps
+        # per evaluation of F: the bracket search, then the narrowing steps.
+        # The count also pins that F finds radii._check_radius at call time.
+        if equation_kind == "refined":
+            problem = RadiusProblem(BUILTIN_PHI[kind], 1.2, m=1 if kind == "odd_only" else 2,
+                                    domain=DomainSpec.omega_gamma(0.3))
+        else:
+            problem = RadiusProblem(BUILTIN_PHI[kind], 0.5, m=1, mu=1.0,
+                                    equation_kind="rogosinski")
         calls = collections.Counter()
 
         def counted(key, fn):
@@ -584,6 +610,14 @@ class TestGridScan:
         assert calls["phi_term"] == calls["phi_tail"] == 0
         assert calls["check"] == calls["F"]
         assert narrowing < calls["F"] <= narrowing + math.ceil(math.log2(1e3)) + 1
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_bad_custom_tail_raises_domain_error_not_no_root(self, value):
+        # a nan tail made every scan point compare false, which read as no sign change
+        phi = PhiSequence("custom", custom_term=lambda n, r: r**n,
+                          custom_tail=lambda N, r: value)
+        with pytest.raises(DomainError, match=r"^custom tail at N=1, r=0\.001 must be finite"):
+            radius_refined(RadiusProblem(phi, 1.0))
 
     def test_custom_tail_calls_custom_term_directly(self, monkeypatch):
         # work-counter guard: each evaluation of F checks r once, in radii or

@@ -492,7 +492,7 @@ class TestCheckRadius:
     def test_accepts_real_radii_in_the_unit_interval(self, r):
         _check_radius(r)
 
-    @pytest.mark.parametrize("r", [1, 1.0, -0.5, math.nan, True, np.float32(1.0),
+    @pytest.mark.parametrize("r", [1, 1.0, -0.5, math.nan, math.inf, np.float32(1.0),
                                    np.int64(1), np.float64(-1e-300)])
     def test_out_of_range_names_the_value(self, r):
         with pytest.raises(DomainError, match=r"^radius must lie in \[0, 1\), got "):
@@ -500,11 +500,20 @@ class TestCheckRadius:
 
     @pytest.mark.parametrize("r, name", [("0.5", "str"), (None, "NoneType"), (0.5j, "complex"),
                                          ([0.5], "list"), (np.bool_(False), "bool"),
-                                         (np.array([0.5]), "ndarray")])
+                                         (np.array([0.5]), "ndarray"), (True, "bool"),
+                                         (False, "bool")])
     def test_wrong_type_names_the_type(self, r, name):
         with pytest.raises(DomainError) as err:
             _check_radius(r)
         assert str(err.value).endswith(f"got {name}")
+
+    def test_bools_never_reach_the_formulas(self):
+        # a bool is an int, but not a radius: phi_0 read the int 1 at r = False
+        coeffs = CoeffSeries((1.0, 0.5))
+        for r in (False, np.bool_(False)):
+            for call in (lambda: phi_term(MONOMIAL, 0, r), lambda: majorant(coeffs, MONOMIAL, r)):
+                with pytest.raises(DomainError, match="got bool$"):
+                    call()
 
     def test_numpy_scalars_reach_the_formulas(self):
         assert phi_term(MONOMIAL, 2, np.float32(0.5)) == 0.25
