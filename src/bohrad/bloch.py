@@ -32,7 +32,7 @@ from .errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL
 from .roots import RootResult, increasing_root, min_positive_root
-from .series import CoeffSeries, GeometricWeight, s_r
+from .series import CoeffSeries, GeometricWeight, _check_index, _check_radius, s_r
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
 # threshold in the majorant equation
@@ -95,6 +95,7 @@ class HyperbolicDensity:
         the value equals the sampled minimum bit for bit).  Only a custom
         density is sampled, at ``nodes`` angles.
         """
+        _check_index("nodes", nodes, 1)
         if self.kind == "unit_disk":
             return 1.0 / (1.0 - r * r)
         if self.kind == "omega_gamma":
@@ -120,8 +121,7 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     quadrature otherwise, doubling nodes from 64 until two successive
     values differ by at most QUAD_TOL (relative for large values).
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError("r must lie in [0, 1)")
+    _check_radius(r)
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
     if density.kind == "unit_disk" or r == 0.0:  # M(0) = 0 for every density
@@ -173,12 +173,16 @@ def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
     root bounds the circle-integral radius from below because the
     density is majorized on |z| = r by its value at (1-g) r + g.
     1 - ((1-g) r + g)^2 is evaluated as (1-g)(1-r)(1+g+(1-g)r), without
-    cancellation.  r may be an ndarray of radii.
+    cancellation.  r is a radius in [0, 1), or an ndarray of them.
     """
     if not 0.0 <= gamma < 1.0:
         raise DomainError("gamma must lie in [0, 1)")
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
+    if not isinstance(r, np.ndarray):
+        _check_radius(r)
+    elif not np.all((r >= 0.0) & (r < 1.0)):  # nan fails both comparisons
+        raise DomainError("every radius must lie in [0, 1)")
     gap = (1.0 - gamma) * (1.0 - r) * (1.0 + gamma + (1.0 - gamma) * r)
     return (1.0 - gamma) ** (2.0 * nu) * r * r * math.pi**2 - 6.0 * gap ** (2.0 * nu)
 
@@ -243,8 +247,9 @@ def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
     pi * sum s ||A_s||^2 r^{2s}, with the full majorant standing in for
     ||f(z)||.
     """
-    if bloch_norm_budget > 1.0 + 1e-12:
-        raise DomainError("the Bloch norm budget must be <= 1")
+    if not bloch_norm_budget <= 1.0 + 1e-12:
+        raise DomainError(f"the Bloch norm budget must be <= 1, got {bloch_norm_budget}")
+    _check_index("grid_radii", grid_radii, 1)
     a0 = coeffs.norm(coeffs.start_index)
     slack = bloch_norm_budget - a0
     if slack < -1e-12:

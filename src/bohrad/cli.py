@@ -30,7 +30,7 @@ from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
 from .radii import (RadiusProblem, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
 from .roots import count_sign_changes
-from .series import DomainSpec, mobius_gamma_coeffs
+from .series import DomainSpec, _check_index, mobius_gamma_coeffs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -142,10 +142,9 @@ def _validated(args):
         raise ConfigurationError("tol must lie in (0, 1e-3]")
     if "scan_step" in args and not 0.0 < args.scan_step < 1.0:  # also rejects nan
         raise ConfigurationError("scan-step must lie in (0, 1)")
-    if "seed" in args and args.seed < 0:
-        raise ConfigurationError("seed must be non-negative")
-    if "samples" in args and args.samples < 0:
-        raise ConfigurationError("samples must be non-negative")
+    for count in ("seed", "samples"):
+        if count in args:
+            _check_index(count, getattr(args, count))
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
     rogosinski = "rogosinski" in (getattr(args, "kind", None), getattr(args, "family", None))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 from .errors import ConfigurationError, DomainError
 from .phi import MONOMIAL, PhiSequence, phi_term, phi_weight, refined_sum, tail_from, term_at
 from .polynomials import area_poly_coeffs
-from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_radius,
+from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_radius,
                      mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r,
                      schwarz_composed_bound)
 
@@ -120,8 +120,8 @@ def bohr_beta_functional(coeffs: CoeffSeries, r: float, beta: float) -> Function
     value = ||A_0|| + sum_{n>=1} (||A_n|| + beta ||A_n||^2) r^n; the
     guarantee needs beta <= 1/(4 lambda_h).
     """
-    if beta < 0:
-        raise DomainError("beta must be non-negative")
+    if not beta >= 0:
+        raise DomainError(f"beta must be non-negative, got {beta}")
     _check_radius(r)
     a0 = coeffs.norm(coeffs.start_index)
     linear = majorant(coeffs, MONOMIAL, r) - a0 * r**coeffs.start_index
@@ -137,8 +137,8 @@ def bohr_energy_functional(coeffs: CoeffSeries, r: float,
     value = sum ||A_n|| r^n
           + ( (1+L)/(2L(1+||A_0||)) + 2(1+L) r/(3(1-r)) ) sum_{n>=1} ||A_n||^2 r^{2n}.
     """
-    if lambda_h <= 0:
-        raise DomainError("lambda_h must be positive")
+    if not lambda_h > 0:
+        raise DomainError(f"lambda_h must be positive, got {lambda_h}")
     _check_radius(r)
     a0 = coeffs.norm(coeffs.start_index)
     weight = (1.0 + lambda_h) / (2.0 * lambda_h * (1.0 + a0)) \
@@ -163,6 +163,7 @@ def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
+    _check_index("m", m)
     if any(coeffs.norm(n) != 0.0 for n in range(coeffs.start_index, m)):
         raise DomainError("coefficients must vanish below index m")
     mu = MuFunction.of(mu)
@@ -186,8 +187,7 @@ def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
-    if N < 1:
-        raise DomainError("N must be at least 1")
+    _check_index("N", N, 1)
     mu = MuFunction.of(mu)
     _check_radius(r)
     phi_0 = term_at(phi, 0)(r)
@@ -217,8 +217,7 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
     if variant in ("rogosinski_partial", "bohr_rogosinski"):
         if N is None:
             raise ConfigurationError(f"variant {variant!r} requires N")
-        if N < 1:
-            raise DomainError("N must be at least 1")
+        _check_index("N", N, 1)
     a0 = coeffs.norm(0)
     if variant == "bohr":
         value = majorant(coeffs, MONOMIAL, r)
@@ -245,8 +244,8 @@ def mobius_partial_modulus(a: float, gamma: float, N: int, r: float,
     and c_n = -(1-g)(1-a^2) q^{n-1}/(1-ag)^2; the circle is scanned at
     ``nodes`` angles.
     """
-    if N < 1:
-        raise DomainError("N must be at least 1")
+    _check_index("N", N, 1)
+    _check_index("nodes", nodes, 1)
     _check_radius(r)
     if not 0.0 < a < 1.0 or not 0.0 <= gamma < 1.0:
         raise DomainError("need a in (0,1) and gamma in [0,1)")
@@ -267,8 +266,9 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     class-wide radius for q != 1, so this is a per-function estimate,
     not a certified class radius.
     """
-    if q <= 0:
-        raise DomainError("q must be positive")
+    if not q > 0:
+        raise DomainError(f"q must be positive, got {q}")
+    _check_index("m", m)
     mu = MuFunction.of(mu)
 
     def gap(r):

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NonConvergenceError
 from .series import (ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, CoeffSeries, GeometricWeight,
-                     _check_radius, norm_sum, power_tail)
+                     _check_index, _check_radius, norm_sum, power_tail)
 
 # Each built-in kind as phi_n(r) = (c0 + c1 n + c2 n^2) r^n on the indices
 # n = parity (mod step), plus a head at n = 0: (c, step, parity, head).
@@ -82,8 +82,7 @@ def term_at(phi: PhiSequence, n: int):
     phi_n is (c0 + c1 n + c2 n^2) r^n of GEOMETRIC_FORMS, or a constant;
     a custom phi_n checks its value.
     """
-    if n < 0:
-        raise DomainError("term index must be non-negative")
+    _check_index("n", n)
     if phi.kind == "custom":
         return functools.partial(_custom_term, phi.custom_term, n)
     a, value = _form_at(phi.kind, n)
@@ -98,8 +97,7 @@ def _form_at(kind, n):
 
 def tail_from(phi: PhiSequence, N: int):
     """Phi_N of any kind as a function of r alone; see term_at and phi_tail."""
-    if N < 0:
-        raise DomainError("tail start index must be non-negative")
+    _check_index("N", N)
     if phi.kind != "custom":
         c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
         return _power_tail(c, step, parity, N, head if N == 0 else 0.0)
@@ -112,6 +110,7 @@ def tail_from(phi: PhiSequence, N: int):
 def tail_ratio(phi: PhiSequence, m: int):
     """Phi_{m+1}/phi_m = sum_{n > m} (P(n)/a) r^(n-m) of a built-in phi_m = a r^m != 0,
     never forming r^m (it underflows for m in the hundreds); else None."""
+    _check_index("m", m)
     if phi.kind == "custom":
         return None
     a, value = _form_at(phi.kind, m)
@@ -121,30 +120,27 @@ def tail_ratio(phi: PhiSequence, m: int):
 
 def _power_tail(c, step, parity, N, head=0.0, m=0, a=1):
     """head + sum_{n >= N} (P(n)/a) r^(n-m) over n = parity (mod step), a call-free f(r);
-    the step, and whether P is constant, pick its closed form here, once."""
+    the step, and whether P is constant, pick its closed form here, once.  Every
+    step-2 P of GEOMETRIC_FORMS and _REFINED_POLYS is constant (a test pins this)."""
     E, b0, b1, b2 = power_tail(c, step, parity, N)
     k, b0, b1, b2 = E - m, b0 / a, b1 / a, b2 / a
-    if not (b1 or b2):
-        if step == 1:
-            return lambda r: head + r**k * b0 / (1.0 - r)
+    if step == 2:
         return lambda r: head + r**k * b0 / ((1.0 - r) * (1.0 + r))
-    if step == 1:
-        def tail(r):
-            d = 1.0 - r
-            return head + r**k * (b0 + (b1 + b2 * (1.0 + r) / d) * r / d) / d
-        return tail
+    if not (b1 or b2):
+        return lambda r: head + r**k * b0 / (1.0 - r)
 
     def tail(r):
-        u, d = r * r, (1.0 - r) * (1.0 + r)
-        return head + r**k * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
+        d = 1.0 - r
+        return head + r**k * (b0 + (b1 + b2 * (1.0 + r) / d) * r / d) / d
     return tail
 
 
-# per kind, the tails sum_{a >= 1} p(a) r^a of the three polynomials p in
-# P(2n + a) = P(a) + (2 c1 + 4 c2 a) n + 4 c2 n^2, bound once for _refined_weight
-_REFINED_TAILS = {kind: [_power_tail(p, step, parity, 1)
-                         for p in ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))]
-                  for kind, ((c0, c1, c2), step, parity, _) in GEOMETRIC_FORMS.items()}
+# per kind, the three polynomials p in P(2n + a) = P(a) + (2 c1 + 4 c2 a) n + 4 c2 n^2,
+# and their tails sum_{a >= 1} p(a) r^a, bound once for _refined_weight
+_REFINED_POLYS = {kind: ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))
+                  for kind, ((c0, c1, c2), *_) in GEOMETRIC_FORMS.items()}
+_REFINED_TAILS = {kind: [_power_tail(p, *GEOMETRIC_FORMS[kind][1:3], 1) for p in polys]
+                  for kind, polys in _REFINED_POLYS.items()}
 
 
 def _custom_term(term, n, r):
@@ -245,8 +241,7 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float) -> floa
     term generalizes.  Built-in kinds sum in closed form; for custom
     kinds Phi_{2n} bounds the weight.
     """
-    if m < 0:
-        raise DomainError("m must be non-negative")
+    _check_index("m", m)
     _check_radius(r)
     return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m)), m + 1, 2,
                     lambda n: tail_from(phi, 2 * n)(r))

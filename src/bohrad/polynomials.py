@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, InfeasibleError
+from .series import _check_index
 
 _CAL_BASE = 8.0 * (3.0 / 8.0) ** 2  # = 9/8, the coefficient multiplying c_1
 
@@ -50,10 +51,9 @@ class PolySpec:
 
 def area_poly_coeffs(lambda_h: float, degree: int) -> PolySpec:
     """Closed-form coefficients k_j = ((1 + L)/(1 + 2L))^{2j}, L = lambda_h."""
-    if lambda_h <= 0:
-        raise DomainError("lambda_h must be positive")
-    if degree < 1:
-        raise DomainError("degree must be at least 1")
+    if not lambda_h > 0:
+        raise DomainError(f"lambda_h must be positive, got {lambda_h}")
+    _check_index("degree", degree, 1)
     base = ((1.0 + lambda_h) / (1.0 + 2.0 * lambda_h)) ** 2
     return PolySpec(tuple(base**j for j in range(1, degree + 1)))
 
@@ -66,8 +66,7 @@ def peak_point(s: int) -> tuple[float, float]:
     1/a + 2s/(1+a) - (2s-2)/(1-a) vanishes where (1+a)^2 = 4 s a^2, so
     the maximiser is a* = 1/(2 sqrt(s) - 1); s = 1 gives a* = 1 and d_1 = 4.
     """
-    if s < 2:
-        raise DomainError("peak weight is defined for s >= 2")
+    _check_index("s", s, 2)
     a = 1.0 / (2.0 * math.sqrt(s) - 1.0)
     return a, a * (1.0 + a) ** 2 * (1.0 - a * a) ** (2 * s - 2)
 
@@ -144,6 +143,7 @@ def area_slack(x: float, m: int) -> float:
     non-negative and decreasing on [0, 1] with J(1) = 0.  Depends only
     on the polynomial degree m.
     """
+    _check_index("m", m, 1)
     scale = 16.0**m
     s = math.fsum(16.0 ** (m - j) * (1.0 - x * x) ** (2 * j - 1) for j in range(1, m + 1))
     return scale / (1.0 + x) - scale / 2.0 - s
@@ -192,8 +192,7 @@ def monotonicity_check(profile: str, grid_size: int = 1000, *, m: int = 1,
         direction = "increasing"
     else:
         raise ConfigurationError(f"unknown profile {profile!r}")
-    if grid_size < 2:
-        raise ConfigurationError("grid_size must be at least 2")
+    _check_index("grid_size", grid_size, 2)
 
     xs = [k / grid_size for k in range(grid_size + 1)]
     vals = [fn(x) for x in xs]

@@ -47,7 +47,7 @@ from .optimize import grid_then_golden_min, refine_by_derivative_sign
 from .phi import BUILTIN_PHI, PhiSequence, tail_from, tail_ratio, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, decreasing_root, min_positive_root
-from .series import DomainSpec, _check_radius
+from .series import DomainSpec, _check_index, _check_radius
 
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
@@ -70,15 +70,12 @@ class RadiusProblem:
     def __post_init__(self):
         if not 0.0 < self.p <= 2.0:
             raise DomainError(f"p must lie in (0, 2], got {self.p}")
-        if self.m < 0:
-            raise DomainError("m must be non-negative")
+        _check_index("m", self.m)
         if self.equation_kind not in ("refined", "rogosinski"):
             raise ConfigurationError(f"unknown equation kind {self.equation_kind!r}")
         if self.equation_kind == "rogosinski":
-            if self.N < 1:
-                raise DomainError("rogosinski equations need N >= 1")
-            if self.m < 1:
-                raise DomainError("rogosinski equations need a Schwarz order m >= 1")
+            _check_index("N", self.N, 1)
+            _check_index("m", self.m, 1)  # the Schwarz order
         object.__setattr__(self, "mu", MuFunction.of(self.mu))
 
 
@@ -196,7 +193,7 @@ def closed_form_radius(case: str, gamma: float | None = None,
         return p
 
     if case == "lambda_base":
-        if lambda_h is None or lambda_h <= 0:
+        if lambda_h is None or not lambda_h > 0:
             raise ConfigurationError("case 'lambda_base' needs lambda_h > 0")
         return 1.0 / (1.0 + 2.0 * lambda_h)
     if case == "gamma_p1":

@@ -62,8 +62,7 @@ class CoeffSeries:
     tail_geometric_ratio: float | None = None
 
     def __post_init__(self):
-        if self.start_index < 0:
-            raise DomainError("start_index must be non-negative")
+        _check_index("start_index", self.start_index)
         norms = tuple(map(float, self.norms)) or (0.0,)
         if not (all(map(math.isfinite, norms)) and min(norms) >= 0.0
                 and not any(norms[:self.start_index])):
@@ -98,8 +97,7 @@ class CoeffSeries:
 
     def shifted(self, k: int) -> "CoeffSeries":
         """The series of z^k * f(z): every index moves up by k."""
-        if k < 0:
-            raise DomainError("shift must be non-negative")
+        _check_index("k", k)
         return CoeffSeries((0.0,) * k + self.norms, self.start_index + k,
                            self.tail_geometric_ratio)
 
@@ -112,6 +110,7 @@ class CoeffSeries:
         A geometric continuation survives: when N lies beyond the stored
         range the first kept norm is materialized from it.
         """
+        _check_index("N", N)
         start = max(self.start_index, N)
         if N > self.last_index:
             norms = (0.0,) * N + (self.norm(N),)
@@ -137,9 +136,6 @@ class GeometricWeight:
     step: int = 1
     parity: int = 0
     head: float = 0.0
-
-    def __call__(self, n: int) -> float:
-        return self.values(n, n + 1)[0]
 
     def values(self, start: int, stop: int) -> list[float]:
         """[w(start), ..., w(stop - 1)], computed in one pass.
@@ -292,6 +288,14 @@ class DomainSpec:
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
+def _check_index(name, n, least=0):
+    """Accept an integer index n >= least: an int or a numpy integer, never a bool."""
+    if type(n) is not int and not isinstance(n, np.integer):
+        raise DomainError(f"{name} must be an integer, got {type(n).__name__}")
+    if n < least:
+        raise DomainError(f"{name} must be at least {least}")
+
+
 def _check_radius(r):
     """Accept a real radius in [0, 1), a Python or numpy scalar other than a bool."""
     if type(r) is not float and (isinstance(r, bool) or not isinstance(r, _REAL_TYPES)):
@@ -324,8 +328,7 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
         raise DomainError(f"a must lie strictly inside (0, 1), got {a}")
     if not 0.0 <= gamma < 1.0:
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-    if count < 1:
-        raise DomainError("count must be positive")
+    _check_index("count", count, 1)
     a0 = abs(a - gamma) / (1.0 - a * gamma)
     scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
     if not math.isfinite(scale):
@@ -401,6 +404,8 @@ class MatrixCoeffFn:
 
     def entry_coefficient(self, i: int, n: int) -> complex:
         """n-th Taylor coefficient of the i-th diagonal entry."""
+        _check_index("i", i)
+        _check_index("n", n)
         return self.phases[i] * _mobius_taylor(self.params[i], n, n + 1)[0]
 
 
@@ -426,8 +431,7 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     it, so a stored 0.0 is the true norm rounded, and so is every later
     norm.
     """
-    if count < 1:
-        raise DomainError("count must be positive")
+    _check_index("count", count, 1)
     b = max(fn.params)
     n = count
     for a in fn.params:
@@ -514,7 +518,6 @@ def schwarz_composed_bound(coeffs: CoeffSeries, omega_order: int, r: float) -> f
     |w(z)| <= |z|^k, and t -> (a + t)/(1 + a t) is increasing, so the
     bound is the point bound evaluated at r^k.
     """
-    if omega_order < 1:
-        raise DomainError("the Schwarz mapping order must be >= 1")
+    _check_index("omega_order", omega_order, 1)
     _check_radius(r)
     return point_eval_bound(coeffs, r**omega_order)

@@ -168,9 +168,10 @@ class TestGammaRadius:
         assert gamma_equation_value(0.5, 0.5, lo) * gamma_equation_value(0.5, 0.5, hi) <= 0
 
     def test_endpoint_signs(self):
+        # r = 1.0 lies outside [0, 1); the largest radius below it shows N(1) > 0
         for gamma in (0.0, 0.3, 0.7):
             assert gamma_equation_value(gamma, 0.5, 0.0) < 0
-            assert gamma_equation_value(gamma, 0.5, 1.0) > 0
+            assert gamma_equation_value(gamma, 0.5, math.nextafter(1.0, 0.0)) > 0
 
     def test_increasing_in_gamma(self):
         # enlarging the domain shrinks the hyperbolic density, which

@@ -213,6 +213,14 @@ class TestTailRoutine:
             weight = GeometricWeight(c, r, 1.0 - r, step, parity, head)
             assert tail[N](r).hex() == weight.tail(N).hex(), (N, r)
 
+    def test_every_step_2_polynomial_is_constant(self):
+        # phi._power_tail sums P(n) r^n on a step-2 class in closed form only for a
+        # constant P: a kind that breaks this needs that form, not step 1's
+        for kind, (c, step, _, _) in GEOMETRIC_FORMS.items():
+            polys = (c, *phi_module._REFINED_POLYS[kind])
+            assert len(phi_module._REFINED_TAILS[kind]) == len(polys) - 1
+            assert step == 1 or all(p[1:] == (0, 0) for p in polys), kind
+
 
 def bits(x):
     """Type, shape and bytes of a value: equal means equal bit for bit."""
