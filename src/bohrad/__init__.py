@@ -15,8 +15,8 @@ from .functionals import (DEFAULT_A_GRID, FunctionalReport, MuFunction,
                           bohr_area_functional, bohr_beta_functional,
                           bohr_energy_functional, classical_functional,
                           majorant, mobius_partial_modulus, per_function_radius,
-                          problem_functional, refined_functional,
-                          rogosinski_functional, sharpness_probe)
+                          problem_functional, refined_at, refined_functional,
+                          rogosinski_at, rogosinski_functional, sharpness_probe)
 from .phi import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR,
                   WEIGHTED_QUADRATIC, PhiSequence, phi_tail, phi_term,
                   refined_sum)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError, DomainError
-from .phi import MONOMIAL, PhiSequence, phi_term, phi_weight, refined_sum, tail_from, term_at
+from .phi import (MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, refined_sum,
+                  tail_from, term_at)
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_radius,
-                     mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r,
-                     schwarz_composed_bound)
+                     mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
@@ -161,18 +161,40 @@ def refined_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float, m: int,
     so each call screens it at 65 points before using it (66 calls of mu);
     wrap it once in a MuFunction to screen it once.
     """
+    return refined_at(phi, p, m, mu, r)(coeffs)
+
+
+def refined_at(phi: PhiSequence, p: float, m: int, mu,
+               r: float) -> Callable[[CoeffSeries], FunctionalReport]:
+    """coeffs -> refined_functional(coeffs, phi, p, m, mu, r), bound once.
+
+    Every check and every value that depends on r alone is resolved
+    here, once: p, m, mu (a bare callable is screened here), r, phi_m(r),
+    mu(r), the majorant's weight and the refinement weight's r-part.
+    Each series is then checked for a vanishing head and summed as
+    majorant and refined_sum sum it, with the bound weights.
+    """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
     _check_index("m", m)
-    if any(coeffs.norm(n) != 0.0 for n in range(coeffs.start_index, m)):
-        raise DomainError("coefficients must vanish below index m")
     mu = MuFunction.of(mu)
     _check_radius(r)
-    am = coeffs.norm(m)
-    phi_m = term_at(phi, m)(r)
-    tail_part = majorant(coeffs, phi, r) - am * phi_m
-    value = phi_m * am**p + tail_part + mu(r) * refined_sum(coeffs, phi, m, r)
-    return FunctionalReport.compare(value, phi_m)
+    # one tuple, not a closure cell per value: the cells, or a closure per
+    # sum, made a one-shot call of the functional measurably slower
+    bound = (p, m, term_at(phi, m)(r), phi_weight(phi, r), lambda n: tail_from(phi, n)(r),
+             *_refined_weight(phi, r), mu(r))
+
+    def evaluate(coeffs):
+        p, m, phi_m, weight, sup_weight, refined_weight, refined_sup, mu_r = bound
+        start = coeffs.start_index
+        if start < m and any(coeffs.norm(n) != 0.0 for n in range(start, m)):
+            raise DomainError("coefficients must vanish below index m")
+        am = coeffs.norm(m)
+        tail_part = norm_sum(coeffs, weight, start, 1, sup_weight) - am * phi_m
+        refined = norm_sum(coeffs, refined_weight(am), m + 1, 2, refined_sup)
+        value = phi_m * am**p + tail_part + mu_r * refined
+        return FunctionalReport.compare(value, phi_m)
+    return evaluate
 
 
 def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
@@ -185,15 +207,35 @@ def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     (a + r^k)/(1 + a r^k); the extremal family attains it.  A bare
     callable mu is screened on each call, as in refined_functional.
     """
+    return rogosinski_at(phi, p, N, omega_order, mu, r)(coeffs)
+
+
+def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
+                  r: float) -> Callable[[CoeffSeries], FunctionalReport]:
+    """coeffs -> rogosinski_functional(coeffs, phi, p, N, omega_order, mu, r), bound once.
+
+    As refined_at: the checks, phi_0(r), r^omega_order (where
+    schwarz_composed_bound takes the point bound), mu(r) and the
+    majorant's weight are resolved here; each series is then only
+    bounded at r^omega_order, truncated from N and summed.
+    """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
     _check_index("N", N, 1)
     mu = MuFunction.of(mu)
     _check_radius(r)
     phi_0 = term_at(phi, 0)(r)
-    head = schwarz_composed_bound(coeffs, omega_order, r) ** p * phi_0
-    value = head + mu(r) * majorant(coeffs.truncated_from(N), phi, r)
-    return FunctionalReport.compare(value, phi_0)
+    _check_index("omega_order", omega_order, 1)
+    bound = (p, N, phi_0, r**omega_order, phi_weight(phi, r), lambda n: tail_from(phi, n)(r),
+             mu(r))  # one tuple, as in refined_at
+
+    def evaluate(coeffs):
+        p, N, phi_0, r_k, weight, sup_weight, mu_r = bound
+        head = point_eval_bound(coeffs, r_k) ** p * phi_0
+        tail = coeffs.truncated_from(N)
+        value = head + mu_r * norm_sum(tail, weight, tail.start_index, 1, sup_weight)
+        return FunctionalReport.compare(value, phi_0)
+    return evaluate
 
 
 CLASSICAL_VARIANTS = ("bohr", "paulsen", "kayumov_ponnusamy", "refined_square",
@@ -327,18 +369,29 @@ def problem_functional(problem: "RadiusProblem") -> Callable[[float, float], Fun
 
     Refined problems use the family of ``family_gamma(problem.domain)``
     shifted by m; Rogosinski problems use the disk family with the
-    problem's Schwarz order.
+    problem's Schwarz order.  The functional is bound once per radius:
+    the evaluator keeps the binding of the last r it saw, so a sweep of
+    a at one r only builds the family and sums it.
     """
     if problem.equation_kind == "rogosinski":
-        def evaluate(a, r):
-            coeffs = mobius_gamma_coeffs(a, 0.0)
-            return rogosinski_functional(coeffs, problem.phi, problem.p,
-                                         problem.N, problem.m, problem.mu, r)
-        return evaluate
-    gamma = family_gamma(problem.domain)
+        gamma, shift = 0.0, 0
+        bind = lambda r: rogosinski_at(problem.phi, problem.p, problem.N, problem.m,
+                                       problem.mu, r)
+    else:
+        gamma, shift = family_gamma(problem.domain), problem.m
+        bind = lambda r: refined_at(problem.phi, problem.p, problem.m, problem.mu, r)
+    # (r, bind(r)), read and replaced as one tuple, so threads sharing the
+    # evaluator never pair one radius with another's binding; a hit needs the
+    # object r itself, so -0.0 never reuses 0.0's binding and an unhashable
+    # r reaches the radius check
+    memo = (object(), None)
 
     def evaluate(a, r):
-        coeffs = mobius_gamma_coeffs(a, gamma).shifted(problem.m)
-        return refined_functional(coeffs, problem.phi, problem.p, problem.m,
-                                  problem.mu, r)
+        nonlocal memo
+        coeffs = mobius_gamma_coeffs(a, gamma)
+        key, bound = memo
+        if key is not r:
+            bound = bind(r)
+            memo = (r, bound)
+        return bound(coeffs.shifted(shift) if shift else coeffs)
     return evaluate

@@ -2,12 +2,13 @@
 
 Generalized Bohr sums replace the monomial weights r^n by an admissible
 sequence of non-negative continuous functions whose sum converges on
-[0, 1).  Built-in kinds carry closed-form tails; custom sequences are
-summed by truncation with a geometric tail estimate certified against
-the fixed tolerance ``series.ABS_TOL``.  A custom kind without a
-``custom_tail`` costs ``series.TRUNCATION_N`` calls of
-``custom_term`` per evaluation of its tail, made directly rather than
-through ``phi_term``.
+[0, 1).  Built-in kinds carry closed-form tails; a custom kind without
+a ``custom_tail`` sums the first ``series.TRUNCATION_N`` terms of each
+tail it evaluates, calling ``custom_term`` directly rather than through
+``phi_term``, and adds a geometric estimate of the rest that must not
+exceed the fixed tolerance ``series.ABS_TOL``.  The estimate
+extrapolates the ratio of the last two terms; nothing bounds a
+callable's terms past the truncation, so it is not a proven bound.
 
 Every kind is evaluated one way: the binders ``term_at``/``tail_from``
 resolve kind and index checks once and return a function of r that
@@ -169,8 +170,10 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
 
     Built-in kinds use the closed form of _power_tail; custom kinds use
     custom_tail if given (its value must be finite and >= 0, as a
-    custom term's), else a truncated sum plus a geometric tail
-    estimate whose certified bound must not exceed series.ABS_TOL.
+    custom term's), else a truncated sum plus a geometric estimate of
+    the rest, extrapolated from the ratio of its last two terms, which
+    must not exceed series.ABS_TOL.  That estimate is not a proven
+    bound: nothing bounds a callable's terms past the truncation.
     """
     tail = tail_from(phi, N)
     _check_radius(r)
@@ -178,7 +181,7 @@ def phi_tail(phi: PhiSequence, N: int, r: float) -> float:
 
 
 def _truncated_tail(phi, N, r):
-    """Sum of custom_term(n, r) over N <= n < N + TRUNCATION_N plus a geometric bound.
+    """Sum of custom_term(n, r) over N <= n < N + TRUNCATION_N plus a geometric estimate.
 
     The caller has checked r and N >= 0.  The terms are
     checked together after they are all computed; a failure names the
@@ -219,19 +222,32 @@ def phi_weight(phi: PhiSequence, r: float):
     return GeometricWeight(c, r, 1.0 - r, step, parity, head)
 
 
-def _refined_weight(phi, r, am):
-    """n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1, at a checked r.
+def _refined_weight(phi, r):
+    """(weight, sup_weight) of the refinement term at a checked r.
 
-    For a built-in kind with polynomial P, phi_{2n} is P(2n) r^{2n} (if 2n
-    is on its indices) and Phi_{2n+1} sums P(2n + a) r^{2n+a} over its
-    indices 2n + a, a >= 1: a GeometricWeight in t = r^2 (see _REFINED_TAILS).
+    refined_sum and functionals.refined_at both sum with it.
+    weight(am) is n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1,
+    and sup_weight(n) = Phi_{2n}(r) bounds it.  For a built-in kind with
+    polynomial P, phi_{2n} is P(2n) r^{2n} (if 2n is on its indices) and
+    Phi_{2n+1} sums P(2n + a) r^{2n+a} over its indices 2n + a, a >= 1: a
+    GeometricWeight in t = r^2 (see _REFINED_TAILS).  The tail values, t
+    and 1 - t are bound here; per am, only the division by 1 + am and the
+    GeometricWeight remain.
     """
+    sup_weight = lambda n: tail_from(phi, 2 * n)(r)
     if phi.kind == "custom":
-        return lambda n: term_at(phi, 2 * n)(r) / (1.0 + am) + tail_from(phi, 2 * n + 1)(r)
+        return (lambda am: lambda n: (term_at(phi, 2 * n)(r) / (1.0 + am)
+                                      + tail_from(phi, 2 * n + 1)(r))), sup_weight
     (c0, c1, c2), _, parity, _ = GEOMETRIC_FORMS[phi.kind]
-    on_2n = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
-    c = tuple(x / (1.0 + am) + tail(r) for x, tail in zip(on_2n, _REFINED_TAILS[phi.kind]))
-    return GeometricWeight(c, r * r, (1.0 - r) * (1.0 + r))
+    x0, x1, x2 = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
+    tail0, tail1, tail2 = _REFINED_TAILS[phi.kind]
+    v0, v1, v2 = tail0(r), tail1(r), tail2(r)
+    t, one_minus_t = r * r, (1.0 - r) * (1.0 + r)
+
+    def weight(am):
+        d = 1.0 + am
+        return GeometricWeight((x0 / d + v0, x1 / d + v1, x2 / d + v2), t, one_minus_t)
+    return weight, sup_weight
 
 
 def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float) -> float:
@@ -243,5 +259,5 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float) -> floa
     """
     _check_index("m", m)
     _check_radius(r)
-    return norm_sum(coeffs, _refined_weight(phi, r, coeffs.norm(m)), m + 1, 2,
-                    lambda n: tail_from(phi, 2 * n)(r))
+    weight, sup_weight = _refined_weight(phi, r)
+    return norm_sum(coeffs, weight(coeffs.norm(m)), m + 1, 2, sup_weight)

@@ -87,6 +87,8 @@ class CoeffSeries:
 
     def norm(self, n: int) -> float:
         """||A_n||, extending geometrically past the stored range if allowed."""
+        if type(n) is bool:  # True < start_index compares as 1
+            raise DomainError("n must be an integer, got bool")
         if n < self.start_index:
             return 0.0
         if n <= self.last_index:
@@ -163,17 +165,15 @@ class GeometricWeight:
         return w
 
     def tail(self, N: int, q: float = 1.0, power: int = 1) -> float:
-        """sum_{n >= N} q^(power (n - N)) w(n), N >= 0: q^(power (E-N)) t^E times
-        power_tail's factor at s = q^power t, plus the head at N = 0; for q in
-        [0, 1) nothing over- or underflows."""
+        """sum_{n >= N} q^(power (n - N)) w(n), N >= 0, power 1 or 2: q^(power (E-N))
+        t^E times power_tail's factor at s = q^power t, plus the head at N = 0; for
+        q in [0, 1) nothing over- or underflows."""
         E, b0, b1, b2 = power_tail(self.c, self.step, self.parity, N)
         qp = q**power
         s = qp * self.t
         # 1 - s = (1 - q)(1 + q + ... + q^(power-1)) + q^power (1 - t); that sum is 1.0 at
-        # power 1, and 1.0 + q, the fsum of its two terms, at power 2
-        geometric = (1.0 if power == 1 else 1.0 + q if power == 2
-                     else math.fsum(q**i for i in range(power)))
-        d = (1.0 - q) * geometric + qp * self.one_minus_t
+        # power 1 and 1.0 + q at power 2
+        d = (1.0 - q) * (1.0 if power == 1 else 1.0 + q) + qp * self.one_minus_t
         u, d = (s, d) if self.step == 1 else (s * s, d * (1.0 + s))
         head = self.head if N == 0 else 0.0
         return head + qp ** (E - N) * self.t**E * (b0 + (b1 + b2 * (1.0 + u) / d) * u / d) / d
@@ -194,8 +194,9 @@ def power_tail(c, step: int, parity: int, N: int):
 
 def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
              sup_weight=None) -> float:
-    """sum_{n >= start} ||A_n||^power weight(n), for a power >= 1.
+    """sum_{n >= start} ||A_n||^power weight(n), for power 1 or 2.
 
+    Any other power raises DomainError before any term is computed.
     The stored norms are summed with fsum.  Their terms are x * w (power
     1) or pow(x, power) * w, mapped over the norms and weights; a zero
     norm adds 0.0, which leaves the fsum unchanged.  A geometric
@@ -214,6 +215,8 @@ def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
     norms is summed as if 64 were stored, with the same terms and
     evaluations.  A short sum is never returned.
     """
+    if power not in (1, 2):
+        raise DomainError(f"power must be 1 or 2, got {power!r}")
     norms = coeffs.norms[start:]
     weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
                else [weight(n) if x else 0.0 for n, x in enumerate(norms, start)])

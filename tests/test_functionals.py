@@ -1,20 +1,28 @@
 """Inequality left-hand sides, equality cases, and sharpness probes."""
 
+import contextlib
+import io
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL,
-                    CoeffSeries, MatrixCoeffFn, MuFunction, PhiSequence, RadiusProblem,
-                    bohr_area_functional, bohr_beta_functional,
+from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, WEIGHTED_LINEAR,
+                    CoeffSeries, FunctionalReport, MatrixCoeffFn, MuFunction, PhiSequence,
+                    RadiusProblem, bohr_area_functional, bohr_beta_functional,
                     bohr_energy_functional, classical_functional,
                     diag_blend_coeffs, majorant, mobius_gamma_coeffs,
                     mobius_partial_modulus, per_function_radius, phi_tail,
-                    phi_term, radius_refined, refined_functional, refined_sum,
-                    rogosinski_functional, s_r, sharpness_probe)
+                    phi_term, problem_functional, radius_refined, refined_at,
+                    refined_functional, refined_sum, rogosinski_at, rogosinski_functional, s_r,
+                    schwarz_composed_bound, sharpness_probe)
+from bohrad import functionals
+from bohrad.cli import main
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.functionals import family_gamma
 from bohrad.series import ABS_TOL, CONTINUATION_FLOOR, TRUNCATION_N, DomainSpec
@@ -648,3 +656,214 @@ class TestTwoNormFamilyCustomWeights:
         value = majorant(mobius_gamma_coeffs(0.94, 0.0), CUSTOM_LINEAR[0], 0.99)
         want = mp_sums.majorant(mobius_gamma_coeffs(0.94, 0.0), "weighted_linear", 0.99)
         assert mp_sums.close(value, want)
+
+
+def outcome(call):
+    """repr of call()'s result, or the type of the exception it raised."""
+    try:
+        return repr(call())
+    except Exception as exc:  # every outcome is compared, raised ones by type
+        return type(exc)
+
+
+def refined_composition(coeffs, phi, p, m, mu, r):
+    """The refined functional composed from the public sums."""
+    am, phi_m = coeffs.norm(m), phi_term(phi, m, r)
+    value = (phi_m * am**p + (majorant(coeffs, phi, r) - am * phi_m)
+             + MuFunction.of(mu)(r) * refined_sum(coeffs, phi, m, r))
+    return FunctionalReport.compare(value, phi_m)
+
+
+def rogosinski_composition(coeffs, phi, p, N, k, mu, r):
+    """The Bohr-Rogosinski functional composed from the public sums."""
+    head = schwarz_composed_bound(coeffs, k, r) ** p * phi_term(phi, 0, r)
+    value = head + MuFunction.of(mu)(r) * majorant(coeffs.truncated_from(N), phi, r)
+    return FunctionalReport.compare(value, phi_term(phi, 0, r))
+
+
+BOUND_PHI = {**BUILTIN_PHI, "custom": CUSTOM_MONOMIAL[0], "custom_tail": CUSTOM_MONOMIAL[1]}
+UNIT_INTERVAL = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+FAMILY_A = st.one_of(st.floats(1e-300, 1.0, exclude_max=True), st.just(1.0 - 1e-6))
+MU = st.one_of(st.floats(0.0, 4.0), st.sampled_from(["wrapped", "bare"]))
+
+
+def callable_mu(mu, fn):
+    """mu itself if a constant; else fn wrapped in a MuFunction, or bare."""
+    return {"wrapped": MuFunction(fn=fn), "bare": fn}.get(mu, mu)
+
+
+class TestBoundFunctionals:
+    """The binders refined_at/rogosinski_at, and problem_functional's one binding per radius."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
+           st.one_of(st.just(0.0), UNIT_INTERVAL), UNIT_INTERVAL, st.integers(0, 5),
+           st.floats(0.0, 2.0, exclude_min=True), MU)
+    @example("monomial", 1.0 - 1e-6, 0.0, 0.999, 0, 1.0, 1.0)
+    @example("custom", 1.0 - 1e-6, 0.5, 0.3, 5, 0.5, "wrapped")
+    def test_refined_is_the_composition_bit_for_bit(self, kind, a, gamma, r, m, p, mu):
+        phi = BOUND_PHI[kind]
+        mu = callable_mu(mu, lambda t: 1.0 + t * t)
+        coeffs = mobius_gamma_coeffs(a, gamma).shifted(m)
+        want = outcome(lambda: refined_composition(coeffs, phi, p, m, mu, r))
+        assert outcome(lambda: refined_functional(coeffs, phi, p, m, mu, r)) == want
+        assert outcome(lambda: refined_at(phi, p, m, mu, r)(coeffs)) == want
+        problem = RadiusProblem(phi, p, m=m, mu=mu, domain=DomainSpec.omega_gamma(gamma))
+        assert outcome(lambda: problem_functional(problem)(a, r)) == want
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
+           UNIT_INTERVAL, st.integers(1, 6), st.integers(1, 5),
+           st.floats(0.0, 2.0, exclude_min=True), MU)
+    @example("odd_only", 1.0 - 1e-6, 0.999, 1, 1, 2.0, 3.0)
+    def test_rogosinski_is_the_composition_bit_for_bit(self, kind, a, r, N, k, p, mu):
+        phi = BOUND_PHI[kind]
+        mu = callable_mu(mu, lambda t: 0.5 + t)
+        coeffs = mobius_gamma_coeffs(a, 0.0)
+        want = outcome(lambda: rogosinski_composition(coeffs, phi, p, N, k, mu, r))
+        assert outcome(lambda: rogosinski_functional(coeffs, phi, p, N, k, mu, r)) == want
+        assert outcome(lambda: rogosinski_at(phi, p, N, k, mu, r)(coeffs)) == want
+        problem = RadiusProblem(phi, p, m=k, N=N, mu=mu, equation_kind="rogosinski")
+        assert outcome(lambda: problem_functional(problem)(a, r)) == want
+
+    # each input is invalid in one way; the types are those the functionals
+    # raised before they were bound: a check moved into a binder raises as before
+    BAD_TERM = PhiSequence("custom", custom_term=lambda n, r: -1.0 if n == 2 else r**n)
+    SLOW = PhiSequence("custom", custom_term=lambda n, r: 1.0 / (n + 1) ** 2)
+    DIP = MuFunction(fn=lambda r: -1.0 if 0.3 < r < 0.31 else 1.0)  # between screen points
+    FAMILY = mobius_gamma_coeffs(0.6, 0.2)
+    REFINED = [  # (phi, p, m, mu, r, coeffs or None for FAMILY)
+        ((MONOMIAL, 0.0, 0, 1.0, 0.3, None), DomainError),
+        ((MONOMIAL, 2.5, 0, 1.0, 0.3, None), DomainError),
+        ((MONOMIAL, math.nan, 0, 1.0, 0.3, None), DomainError),
+        ((MONOMIAL, 1.0, -1, 1.0, 0.3, None), DomainError),
+        ((MONOMIAL, 1.0, 1.5, 1.0, 0.3, None), DomainError),
+        ((MONOMIAL, 1.0, True, 1.0, 0.3, None), DomainError),
+        ((MONOMIAL, 1.0, 0, -1.0, 0.3, None), ConfigurationError),
+        ((MONOMIAL, 1.0, 0, math.nan, 0.3, None), ConfigurationError),
+        ((MONOMIAL, 1.0, 0, lambda r: -r, 0.3, None), ConfigurationError),
+        ((MONOMIAL, 1.0, 0, DIP, 0.305, None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, 1.0, None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, -0.1, None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, math.nan, None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, True, None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, "0.3", None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, [0.3], None), DomainError),
+        ((MONOMIAL, 1.0, 0, 1.0, None, None), DomainError),
+        ((MONOMIAL, 1.0, 1, 1.0, 0.3, CoeffSeries((0.5, 0.2))), DomainError),
+        ((BAD_TERM, 1.0, 2, 1.0, 0.3, FAMILY.shifted(2)), DomainError),
+        ((BAD_TERM, 1.0, 0, 1.0, 0.3, None), DomainError),
+        ((SLOW, 1.0, 0, 1.0, 0.3, None), NonConvergenceError),
+    ]
+    ROGOSINSKI = [  # (phi, p, N, omega_order, mu, r)
+        ((MONOMIAL, 0.0, 1, 1, 1.0, 0.3), DomainError),
+        ((MONOMIAL, 1.0, 0, 1, 1.0, 0.3), DomainError),
+        ((MONOMIAL, 1.0, 1.0, 1, 1.0, 0.3), DomainError),
+        ((MONOMIAL, 1.0, 1, 0, 1.0, 0.3), DomainError),
+        ((MONOMIAL, 1.0, 1, True, 1.0, 0.3), DomainError),
+        ((MONOMIAL, 1.0, 1, 1, -2.0, 0.3), ConfigurationError),
+        ((MONOMIAL, 1.0, 1, 1, DIP, 0.305), DomainError),
+        ((MONOMIAL, 1.0, 1, 1, 1.0, 1.0), DomainError),
+        ((MONOMIAL, 1.0, 1, 1, 1.0, [0.3]), DomainError),
+        ((BAD_TERM, 1.0, 1, 1, 1.0, 0.3), DomainError),
+        ((SLOW, 1.0, 1, 1, 1.0, 0.3), NonConvergenceError),
+    ]
+
+    @pytest.mark.parametrize("args, error", REFINED)
+    def test_invalid_refined_input_raises_as_unbound(self, args, error):
+        *args, coeffs = args
+        coeffs = coeffs or self.FAMILY
+        with pytest.raises(error):
+            refined_functional(coeffs, *args)
+        with pytest.raises(error):
+            refined_at(*args)(coeffs)
+
+    @pytest.mark.parametrize("args, error", ROGOSINSKI)
+    def test_invalid_rogosinski_input_raises_as_unbound(self, args, error):
+        with pytest.raises(error):
+            rogosinski_functional(self.FAMILY, *args)
+        with pytest.raises(error):
+            rogosinski_at(*args)(self.FAMILY)
+
+    @pytest.mark.parametrize("a, r", [(1.0, 0.3), (0.0, 0.3), (0.5, 1.0), (0.5, [0.3]),
+                                      (0.5, None), (0.5, math.nan)])
+    @pytest.mark.parametrize("kind", ["refined", "rogosinski"])
+    def test_invalid_problem_functional_input_raises_domain_error(self, kind, a, r):
+        problem = RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind=kind)
+        evaluate = problem_functional(problem)
+        for _ in range(2):  # a failed binding is not kept
+            with pytest.raises(DomainError):
+                evaluate(a, r)
+        assert evaluate(0.5, 0.3) == problem_functional(problem)(0.5, 0.3)
+
+    def test_signed_zero_radii_keep_their_own_binding(self):
+        # -0.0 == 0.0, but phi_1(-0.0) = -0.0 is the rhs: an equality-keyed memo would mix them
+        evaluate = problem_functional(RadiusProblem(MONOMIAL, 1.0, m=1))
+        for r in (0.0, -0.0, 0.0):
+            want = refined_functional(mobius_gamma_coeffs(0.5, 0.0).shifted(1), MONOMIAL,
+                                      1.0, 1, 0.0, r)
+            assert repr(evaluate(0.5, r)) == repr(want)
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(functionals, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(functionals, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("problem, r", [
+        (RadiusProblem(MONOMIAL, 1.0), 1.0 / 3.0 - 0.02),
+        (RadiusProblem(EVEN_ONLY, 1.0, m=2, N=2, mu=1.0, equation_kind="rogosinski"), 0.05)])
+    def test_a_full_grid_probe_binds_once(self, monkeypatch, problem, r):
+        binder = "rogosinski_at" if problem.equation_kind == "rogosinski" else "refined_at"
+        binds = self.count_calls(monkeypatch, binder)
+        weights = self.count_calls(monkeypatch, "phi_weight")
+        assert sharpness_probe(problem, r) is None  # every a of DEFAULT_A_GRID evaluated
+        assert (len(binds), len(weights)) == (1, 1)
+        evaluate = problem_functional(problem)
+        assert all(evaluate(a, r).satisfied for a in DEFAULT_A_GRID)
+        assert (len(binds), len(weights)) == (2, 2)
+
+    def test_verify_refined_binds_once_per_radius(self, monkeypatch):
+        binds = self.count_calls(monkeypatch, "refined_at")
+        weights = self.count_calls(monkeypatch, "phi_weight")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--family", "refined", "--samples", "20"])
+        summary = json.loads(out.getvalue())["summary"]
+        assert (code, summary["checked"], summary["passed"]) == (0, 25, True)
+        # r_below for the 25 values of a, r_above for the probe's grid
+        bound_at = [args[-1] for args in binds]
+        assert bound_at == pytest.approx([summary["r_below"], summary["r_above"]], rel=1e-8)
+        assert len(weights) == 2
+
+    def test_threads_sharing_an_evaluator_get_the_serial_reports(self):
+        problem = RadiusProblem(WEIGHTED_LINEAR, 1.5, m=1, mu=0.7,
+                                domain=DomainSpec.omega_gamma(0.3))
+        a_grid = [0.05 + 0.9 * k / 40 for k in range(40)] + list(DEFAULT_A_GRID)
+        radii = (0.2, 0.35)
+        serial = {r: [problem_functional(problem)(a, r) for a in a_grid] for r in radii}
+        shared = problem_functional(problem)
+        results = {}
+
+        def work(key, r):
+            results[key] = [shared(a, r) for _ in range(20) for a in a_grid]
+        # two threads per radius, more threads than cores, switching often
+        threads = [threading.Thread(target=work, args=((r, i), r)) for r in radii for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (r, _), reports in results.items():
+            assert reports == serial[r] * 20
+        assert len(results) == 4

@@ -126,6 +126,16 @@ def test_an_index_check_accepts_numpy_integers_of_every_width():
         assert phi_term(MONOMIAL, kind(2), 0.5) == 0.25
 
 
+def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
+    # True < start_index compares as 1, so norm(True) read ||A_1||
+    series = CoeffSeries((0.5, 0.25), 0, 0.5)
+    for bad in (True, False):
+        with pytest.raises(DomainError, match="^n must be an integer, got bool$"):
+            series.norm(bad)
+    for n, want in ((0, 0.5), (1, 0.25), (3, 0.0625), (-1, 0.0)):
+        assert series.norm(n) == series.norm(np.int64(n)) == want
+
+
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.nan), DomainError,
                  "^beta must be non-negative, got nan$", id="beta"),

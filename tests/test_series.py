@@ -132,6 +132,36 @@ class TestGeometricWeightValues:
         assert list(map(float.hex, map(float, got))) == list(map(float.hex, map(float, want)))
 
 
+class TestNormSumPowers:
+    """norm_sum sums ||A_n||^power w(n) for power 1 or 2; any other power raises first."""
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("form", [((1, 0, 0), 1, 0, 0.0), ((1, 1, 0), 1, 0, 0.0),
+                                      ((0, 0, 1), 1, 0, 1.0), ((1, 0, 0), 2, 0, 0.0),
+                                      ((1, 0, 0), 2, 1, 1.0)])
+    @pytest.mark.parametrize("q, t", [(0.3, 0.5), (0.9, 0.7), (0.95, 0.9)])
+    @pytest.mark.parametrize("start", [0, 1, 4])
+    def test_both_powers_match_the_term_by_term_sum(self, power, form, q, t, start):
+        c, step, parity, head = form
+        coeffs = CoeffSeries((0.7, 0.4, 0.2), 0, q)
+        weight = GeometricWeight(c, t, 1.0 - t, step, parity, head)
+        # q t <= 0.855, so the terms past 3000 are far below one ulp of the sum
+        terms = [coeffs.norm(n) ** power * TestGeometricWeightValues.per_index(weight, n)
+                 for n in range(start, 3000)]
+        assert norm_sum(coeffs, weight, start, power) == pytest.approx(math.fsum(terms),
+                                                                       rel=1e-13)
+
+    @pytest.mark.parametrize("power", [0, 3, 4, -1, 1.5])
+    def test_any_other_power_raises_before_any_work(self, power):
+        calls = []
+        coeffs = CoeffSeries((0.7, 0.4), 0, 0.5)
+        weights = (GeometricWeight((1, 0, 0), 0.5, 0.5), lambda n: calls.append(n) or 0.5**n)
+        for weight in weights:
+            with pytest.raises(DomainError, match=f"^power must be 1 or 2, got {power}$"):
+                norm_sum(coeffs, weight, 0, power, lambda n: calls.append(n) or 1.0)
+        assert calls == []
+
+
 class TestDirichletSum:
     def test_identity_coefficient(self):
         assert s_r(CoeffSeries((0.0, 1.0)), 0.5) == 0.25
