@@ -18,7 +18,7 @@ from .phi import (MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, 
                   tail_from, term_at)
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_radius,
-                     mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r)
+                     _trusted, mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
@@ -40,8 +40,8 @@ class MuFunction:
     def __post_init__(self):
         if (self.value is None) == (self.fn is None):
             raise ConfigurationError("provide exactly one of value / fn")
-        if self.value is not None and (not math.isfinite(self.value) or self.value < 0):
-            raise ConfigurationError("a constant mu must be finite and >= 0")
+        if self.value is not None:
+            _check_constant_mu(self.value)
         if self.fn is not None:
             for k in range(65):  # coarse admissibility screen
                 v = float(self.fn(k / 64.0))
@@ -59,12 +59,17 @@ class MuFunction:
 
     @classmethod
     def of(cls, mu) -> "MuFunction":
-        """Coerce a float, callable or MuFunction."""
+        """Coerce a float, callable or MuFunction.
+
+        A number gets __post_init__'s check of a constant, once, and is
+        then stored without running __post_init__ again.
+        """
         if isinstance(mu, MuFunction):
             return mu
         if callable(mu):
             return cls(fn=mu)
-        return cls(value=float(mu))
+        value = _check_constant_mu(float(mu))
+        return _trusted(cls, value=value, fn=None)
 
     def __call__(self, r: float) -> float:
         if self.value is not None:
@@ -73,6 +78,12 @@ class MuFunction:
         if not math.isfinite(v) or v < 0:
             raise DomainError(f"mu({r}) = {v} is not finite and non-negative")
         return v
+
+
+def _check_constant_mu(value):
+    if not math.isfinite(value) or value < 0:
+        raise ConfigurationError("a constant mu must be finite and >= 0")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,8 +97,9 @@ class FunctionalReport:
 
     @classmethod
     def compare(cls, value: float, rhs: float) -> "FunctionalReport":
-        margin = rhs - value
-        return cls(value, rhs, margin >= -VIOLATION_TOL, margin)
+        margin = rhs - value  # a report checks nothing: _trusted skips only __init__
+        return _trusted(cls, value=value, rhs=rhs, satisfied=margin >= -VIOLATION_TOL,
+                        margin=margin)
 
 
 def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float) -> float:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoRootError, NonConvergenceError
+from .series import _trusted
 
 # grid points per array call of count_sign_changes: the default step
 # scans (0, 1) in one call, and a tiny step builds its grid a block at a
@@ -97,7 +98,9 @@ def _root(f, tol, scan_step, upper, search):
         if k == 1 and f(0.5 * x) == 0.0:  # x_1 has no scan point before it to check
             raise NonConvergenceError(f"f underflows to 0.0 at r = {0.5 * x:.6g} and at the "
                                       f"first scan point r = {x:.6g}; its sign is lost")
-        return RootResult(x, (max(lo, x - tol), min(x + tol, upper)), 0.0, k, scan_step)
+        # RootResult checks nothing: _trusted only skips its generated __init__
+        return _trusted(RootResult, value=x, bracket=(max(lo, x - tol), min(x + tol, upper)),
+                        residual=0.0, iterations=k, scan_step=scan_step)
     return _narrow(f, lo, x, prev_v, v, tol, scan_step, k)
 
 
@@ -202,7 +205,8 @@ def _narrow(f, lo, hi, flo, fhi, tol, scan_step, iterations):
         fx = f(x)
         iterations += 1
         if fx == 0.0:
-            return RootResult(x, (max(lo, x - tol), min(x + tol, hi)), 0.0, iterations, scan_step)
+            return _trusted(RootResult, value=x, bracket=(max(lo, x - tol), min(x + tol, hi)),
+                            residual=0.0, iterations=iterations, scan_step=scan_step)
         if fx < 0.0 < fhi or fhi < 0.0 < fx:  # _opposite(fx, fhi), inline on the hot step
             x3, f3, lo, flo = lo, flo, x, fx
         else:
@@ -224,7 +228,8 @@ def _narrow(f, lo, hi, flo, fhi, tol, scan_step, iterations):
         iterations += 1
         if mid == lo or mid == hi:
             break
-    return RootResult(mid, (lo, hi), fmid, iterations, scan_step)
+    return _trusted(RootResult, value=mid, bracket=(lo, hi), residual=fmid,
+                    iterations=iterations, scan_step=scan_step)
 
 
 def _estimate(lo, hi, flo, fhi, x3, f3):

@@ -16,6 +16,18 @@ bit identical to that loop, with less interpreter work: weights visit
 only the indices of their parity class, stored-norm terms are products
 mapped in C, and a blend's norms come from one numpy table whose moduli
 are libm ``hypot``, as ``abs(complex)`` computes them.
+
+Inputs are checked once, where they enter the package: the public
+constructors (``CoeffSeries``, ``MatrixCoeffFn``, ``DomainSpec``, and in
+other modules ``MuFunction`` and ``RadiusProblem``) and the arguments of
+public functions.  A value object the package builds itself from values
+it has checked is built by ``_trusted``, which runs no ``__init__`` or
+``__post_init__``: the series of ``mobius_gamma_coeffs``,
+``CoeffSeries.shifted``, ``CoeffSeries.truncated_from`` and
+``diag_blend_coeffs``, ``MuFunction.of`` of a number,
+``FunctionalReport.compare`` and the solvers' ``RootResult``.  Each of
+those sites says why its values pass the checks it skips, and a test
+rebuilds every trusted series through the public constructor.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +100,7 @@ class CoeffSeries:
 
     def norm(self, n: int) -> float:
         """||A_n||, extending geometrically past the stored range if allowed."""
-        if type(n) is bool:  # True < start_index compares as 1
+        if type(n) in _BOOL_TYPES:  # True < start_index compares as 1
             raise DomainError("n must be an integer, got bool")
         if n < self.start_index:
             return 0.0
@@ -100,8 +113,11 @@ class CoeffSeries:
     def shifted(self, k: int) -> "CoeffSeries":
         """The series of z^k * f(z): every index moves up by k."""
         _check_index("k", k)
-        return CoeffSeries((0.0,) * k + self.norms, self.start_index + k,
-                           self.tail_geometric_ratio)
+        # self's norms are checked floats, finite, >= 0 and zero below its start, and
+        # its ratio is checked; k leading zeros keep them zero below start + k
+        return _trusted(CoeffSeries, norms=(0.0,) * k + self.norms,
+                        start_index=self.start_index + k,
+                        tail_geometric_ratio=self.tail_geometric_ratio)
 
     def is_finite(self) -> bool:
         return self.tail_geometric_ratio is None or self.norms[-1] == 0.0
@@ -115,21 +131,26 @@ class CoeffSeries:
         _check_index("N", N)
         start = max(self.start_index, N)
         if N > self.last_index:
-            norms = (0.0,) * N + (self.norm(N),)
+            norms = (0.0,) * N + (float(self.norm(N)),)  # a numpy ratio's power is not a float
         else:
             # zero up to the new start: a stored -0.0 below it reads as norm() = 0.0
             keep = min(start, len(self.norms))
             norms = (0.0,) * keep + self.norms[keep:]
-        return CoeffSeries(norms, start, self.tail_geometric_ratio)
+        # each norm is 0.0, one of self's checked floats or a checked norm times a power
+        # of the checked ratio, and every index below start holds 0.0
+        return _trusted(CoeffSeries, norms=norms, start_index=start,
+                        tail_geometric_ratio=self.tail_geometric_ratio)
 
 
-@dataclass(frozen=True)
-class GeometricWeight:
+class GeometricWeight(NamedTuple):
     """Weights w(n) = (c0 + c1 n + c2 n^2) t^n on the indices n = parity (mod step).
 
     ``head`` is added at n = 0; ``one_minus_t`` is 1 - t computed without
     cancellation, e.g. (1-r)(1+r) for t = r^2.  w(n) q^n has the same
     form, so a geometric continuation of the norms sums in closed form.
+    Only the package builds weights, from values it has checked, so this
+    is a NamedTuple: it checks nothing, and builds without a dataclass
+    ``__init__``.
     """
 
     c: tuple[float, float, float]
@@ -289,6 +310,15 @@ class DomainSpec:
 
 # built once: every evaluation of a radius equation checks its r
 _REAL_TYPES = (int, float, np.integer, np.floating)
+_BOOL_TYPES = (bool, np.bool_)
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, built without running
+    its __init__ or __post_init__; only for values the package made and has checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_index(name, n, least=0):
@@ -332,6 +362,7 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
     if not 0.0 <= gamma < 1.0:
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
     _check_index("count", count, 1)
+    a, gamma = float(a), float(gamma)  # so a numpy scalar stores Python floats
     a0 = abs(a - gamma) / (1.0 - a * gamma)
     scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
     if not math.isfinite(scale):
@@ -343,7 +374,10 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
         if power < sys.float_info.min:
             break
         norms.append(scale * power)
-    return CoeffSeries(tuple(norms), 0, q)
+    # floats from the checked a and gamma, start 0: a0 >= 0 over 1 - a gamma > 0, and a
+    # finite scale >= 0 times normal powers of q; q < 1, as a (1 - gamma) rounds below
+    # 1 - gamma, which rounds no higher than 1 - a gamma (a test rebuilds the series)
+    return _trusted(CoeffSeries, norms=tuple(norms), start_index=0, tail_geometric_ratio=q)
 
 
 def s_r(coeffs: CoeffSeries, r: float, include_pi: bool = False) -> float:
@@ -396,7 +430,7 @@ class MatrixCoeffFn:
             if len(phases) != len(params):
                 raise DomainError("one phase per diagonal entry is required")
             for p in phases:
-                if abs(abs(p) - 1.0) > 1e-12:
+                if not abs(abs(p) - 1.0) <= 1e-12:  # a NaN fails it too
                     raise DomainError("phases must be unimodular")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "phases", phases)
@@ -451,7 +485,10 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
     table = np.array([scalar[a] for a in fn.params])
     phases = np.array(fn.phases)
     norms = np.hypot(phases.real[:, None] * table, phases.imag[:, None] * table).max(axis=0)
-    return CoeffSeries(tuple(norms.tolist()), 0, b)
+    # tolist gives floats; hypot of finite coefficients and checked unimodular phases
+    # is finite and >= 0, start 0 needs no zeros, and the largest parameter b lies in (0, 1)
+    return _trusted(CoeffSeries, norms=tuple(norms.tolist()), start_index=0,
+                    tail_geometric_ratio=b)
 
 
 def _mobius_taylor(a: float, start: int, stop: int) -> list:
