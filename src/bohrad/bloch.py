@@ -84,7 +84,10 @@ class HyperbolicDensity:
             s = np.sin(0.5 * thetas)
             return _omega_gamma_density(self.gamma, r, s * s)
         z = r * np.exp(1j * thetas)
-        return np.array([float(self.fn(zz)) for zz in z])
+        lam = np.array([float(self.fn(zz)) for zz in z])
+        if not np.all(np.isfinite(lam) & (lam > 0.0)):  # built-in kinds are, for r < 1
+            raise SingularIntegrandError(f"density is singular or non-positive on |z| = {r}")
+        return lam
 
     def min_on_circle(self, r, nodes: int = 256):
         """Minimum of lambda on |z| = r; r is a float or an ndarray of radii.
@@ -93,7 +96,7 @@ class HyperbolicDensity:
         circles, and on Omega_gamma it is smallest at z = -r (theta = pi,
         node nodes/2 of the sampling, where sin^2(theta/2) = 1 exactly, so
         the value equals the sampled minimum bit for bit).  Only a custom
-        density is sampled, at ``nodes`` angles.
+        density is sampled, at ``nodes`` angles (on_circle checks each value).
         """
         _check_index("nodes", nodes, 1)
         if self.kind == "unit_disk":
@@ -130,10 +133,7 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     prev = None
     while nodes <= 2**20:
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
-        lam = density.on_circle(r, thetas)
-        if not np.all(np.isfinite(lam) & (lam > 0.0)):
-            raise SingularIntegrandError(f"density is singular or non-positive on |z| = {r}")
-        value = r * r * float(np.mean(lam ** (2.0 * nu)))
+        value = r * r * float(np.mean(density.on_circle(r, thetas) ** (2.0 * nu)))
         if prev is not None and abs(value - prev) <= QUAD_TOL * max(1.0, abs(value)):
             return value
         prev = value
@@ -245,8 +245,10 @@ def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
     plain check compares sum ||A_s|| r^s with 1; the refined variant
     adds the tail majorant and mu(r) times the planar Dirichlet integral
     pi * sum s ||A_s||^2 r^{2s}, with the full majorant standing in for
-    ||f(z)||.
+    ||f(z)||.  A nu outside (0, 1] raises DomainError before any work.
     """
+    if not 0.0 < nu <= 1.0:
+        raise DomainError("nu must lie in (0, 1]")
     if not bloch_norm_budget <= 1.0 + 1e-12:
         raise DomainError(f"the Bloch norm budget must be <= 1, got {bloch_norm_budget}")
     _check_index("grid_radii", grid_radii, 1)

@@ -22,9 +22,9 @@ from .bloch import HyperbolicDensity, bloch_radius, bloch_radius_gamma, \
     bloch_refined_radius, gamma_equation_value
 from .errors import (BohradError, ConfigurationError, InfeasibleError,
                      NoRootError, NonConvergenceError, SingularIntegrandError)
-from .functionals import (MuFunction, bohr_area_functional,
+from .functionals import (MuFunction, _first_violation, bohr_area_functional,
                           bohr_beta_functional, bohr_energy_functional,
-                          family_gamma, problem_functional, sharpness_probe)
+                          family_gamma, problem_functional)
 from .phi import BUILTIN_PHI, MONOMIAL
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
 from .radii import (RadiusProblem, radius_refined, radius_rogosinski,
@@ -201,7 +201,7 @@ def _cmd_tables(args):
 
 
 def _verify_setup(args):
-    """(radius, extremal functional (a, r) -> report, sampled).
+    """(radius, bind: r -> (a -> report) on the extremal family, sampled).
 
     The family is ``family_gamma``'s, so a general lambda_h != 1 exits 2
     before any solve.  Seeded draws of a join the fixed grid (sampled)
@@ -216,7 +216,7 @@ def _verify_setup(args):
         problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
                                 equation_kind="rogosinski")
         radius = radius_rogosinski(problem, args.tol, args.scan_step).value
-        return radius, problem_functional(problem), True
+        return radius, lambda r: problem_functional(problem, r), True
 
     domain = _domain(args, default_gamma=0.0)
     gamma = family_gamma(domain)
@@ -227,7 +227,7 @@ def _verify_setup(args):
                                 mu=MuFunction.zero() if args.family == "bohr" else mu,
                                 domain=domain, equation_kind="refined")
         radius = radius_refined(problem, args.tol, args.scan_step).value
-        return radius, problem_functional(problem), args.m == 0 and disk
+        return radius, lambda r: problem_functional(problem, r), args.m == 0 and disk
 
     lam = domain.effective_lambda
     if args.family == "area-poly":
@@ -240,7 +240,7 @@ def _verify_setup(args):
     else:
         functional = lambda c, r: bohr_energy_functional(c, r, lam)
     radius = 1.0 / (1.0 + 2.0 * lam)
-    return radius, lambda a, r: functional(mobius_gamma_coeffs(a, gamma), r), disk
+    return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r), disk
 
 
 def _cmd_verify(args):
@@ -251,19 +251,19 @@ def _cmd_verify(args):
             r["delta"] > TABLE_MATCH_TOL for r in record["rows"])}
         return code, record
 
-    radius, extremal, sampled = _verify_setup(args)
+    radius, bind, sampled = _verify_setup(args)
     r_below = max(radius - PROBE_OFFSET, radius / 2.0)
     r_above = radius + PROBE_OFFSET
     a_values = list(SWEEP_A_GRID)
     if sampled:
         a_values += np.random.default_rng(args.seed).uniform(0.05, 0.995, args.samples).tolist()
-    reports = [(a, extremal(a, r_below)) for a in a_values]
+    reports = list(zip(a_values, map(bind(r_below), a_values)))
     checked = len(reports)
     failures = sum(not rep.satisfied for _, rep in reports)
     worst_margin, worst_a = min((rep.margin, a) for a, rep in reports)
 
     expect_witness = r_above < 1.0
-    witness = sharpness_probe(None, r_above, SWEEP_A_GRID, extremal) if expect_witness else None
+    witness = _first_violation(bind(r_above), SWEEP_A_GRID) if expect_witness else None
 
     passed = not failures and (witness is not None or not expect_witness)
     flags = [] if passed else ["verification-failed"]

@@ -3,7 +3,9 @@
 Every functional returns a ``FunctionalReport`` comparing its value with
 the right-hand side of the inequality it belongs to.  Probes evaluate a
 functional along the extremal Mobius family and hunt for a violation
-just beyond a claimed radius.
+just beyond a claimed radius.  Binders take the radius r and return
+coeffs -> report (``refined_at``, ``rogosinski_at``) or a -> report
+(``problem_functional``), with every r-only value computed once.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError, DomainError
-from .phi import (MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, refined_sum,
-                  tail_from, term_at)
+from .phi import MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, refined_sum, term_at
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_radius,
                      _trusted, mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r)
@@ -110,8 +111,7 @@ def majorant(coeffs: CoeffSeries, phi: PhiSequence, r: float) -> float:
     must reach series.ABS_TOL within series.TRUNCATION_N terms.
     """
     _check_radius(r)
-    return norm_sum(coeffs, phi_weight(phi, r), coeffs.start_index,
-                    sup_weight=lambda n: tail_from(phi, n)(r))
+    return norm_sum(coeffs, phi_weight(phi, r), coeffs.start_index)
 
 
 def bohr_area_functional(coeffs: CoeffSeries, r: float, lambda_h: float = 1.0,
@@ -193,17 +193,16 @@ def refined_at(phi: PhiSequence, p: float, m: int, mu,
     _check_radius(r)
     # one tuple, not a closure cell per value: the cells, or a closure per
     # sum, made a one-shot call of the functional measurably slower
-    bound = (p, m, term_at(phi, m)(r), phi_weight(phi, r), lambda n: tail_from(phi, n)(r),
-             *_refined_weight(phi, r), mu(r))
+    bound = (p, m, term_at(phi, m)(r), phi_weight(phi, r), _refined_weight(phi, r), mu(r))
 
     def evaluate(coeffs):
-        p, m, phi_m, weight, sup_weight, refined_weight, refined_sup, mu_r = bound
+        p, m, phi_m, weight, refined_weight, mu_r = bound
         start = coeffs.start_index
         if start < m and any(coeffs.norm(n) != 0.0 for n in range(start, m)):
             raise DomainError("coefficients must vanish below index m")
         am = coeffs.norm(m)
-        tail_part = norm_sum(coeffs, weight, start, 1, sup_weight) - am * phi_m
-        refined = norm_sum(coeffs, refined_weight(am), m + 1, 2, refined_sup)
+        tail_part = norm_sum(coeffs, weight, start) - am * phi_m
+        refined = norm_sum(coeffs, refined_weight(am), m + 1, 2)
         value = phi_m * am**p + tail_part + mu_r * refined
         return FunctionalReport.compare(value, phi_m)
     return evaluate
@@ -238,14 +237,13 @@ def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
     _check_radius(r)
     phi_0 = term_at(phi, 0)(r)
     _check_index("omega_order", omega_order, 1)
-    bound = (p, N, phi_0, r**omega_order, phi_weight(phi, r), lambda n: tail_from(phi, n)(r),
-             mu(r))  # one tuple, as in refined_at
+    bound = (p, N, phi_0, r**omega_order, phi_weight(phi, r), mu(r))  # one tuple, as in refined_at
 
     def evaluate(coeffs):
-        p, N, phi_0, r_k, weight, sup_weight, mu_r = bound
+        p, N, phi_0, r_k, weight, mu_r = bound
         head = point_eval_bound(coeffs, r_k) ** p * phi_0
         tail = coeffs.truncated_from(N)
-        value = head + mu_r * norm_sum(tail, weight, tail.start_index, 1, sup_weight)
+        value = head + mu_r * norm_sum(tail, weight, tail.start_index)
         return FunctionalReport.compare(value, phi_0)
     return evaluate
 
@@ -344,22 +342,21 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     return lo
 
 
-def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID,
-                    functional: Callable[[float, float], FunctionalReport] | None = None):
+def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID):
     """First extremal parameter in a_grid whose functional beats its rhs at r.
 
-    Evaluates the extremal Mobius family at each a in grid order and
-    returns the first a with value > rhs + VIOLATION_TOL, or None.  A
-    custom ``functional(a, r)`` overrides the one derived from the
-    problem.
+    Binds problem_functional(problem, r) once, evaluates the extremal
+    Mobius family at each a in grid order and returns the first a with
+    value > rhs + VIOLATION_TOL, or None.
     """
     if not 0.0 < r < 1.0:
         raise DomainError("probe radius must lie in (0, 1)")
-    evaluate = functional if functional is not None else problem_functional(problem)
-    for a in a_grid:
-        if not evaluate(a, r).satisfied:
-            return a
-    return None
+    return _first_violation(problem_functional(problem, r), a_grid)
+
+
+def _first_violation(evaluate: Callable[[float], FunctionalReport], a_grid):
+    """The first a in a_grid whose report evaluate(a) is not satisfied, or None."""
+    return next((a for a in a_grid if not evaluate(a).satisfied), None)
 
 
 def family_gamma(domain: DomainSpec) -> float:
@@ -376,34 +373,22 @@ def family_gamma(domain: DomainSpec) -> float:
     raise ConfigurationError("no extremal family is constructible for a general lambda_h != 1")
 
 
-def problem_functional(problem: "RadiusProblem") -> Callable[[float, float], FunctionalReport]:
-    """Extremal-family functional matching a radius problem.
+def problem_functional(problem: "RadiusProblem", r: float) -> Callable[[float], FunctionalReport]:
+    """a -> report of the problem's functional on the extremal family at r, bound once.
 
     Refined problems use the family of ``family_gamma(problem.domain)``
-    shifted by m; Rogosinski problems use the disk family with the
-    problem's Schwarz order.  The functional is bound once per radius:
-    the evaluator keeps the binding of the last r it saw, so a sweep of
-    a at one r only builds the family and sums it.
+    shifted by m and bind ``refined_at``; Rogosinski problems use the
+    disk family with the problem's Schwarz order and bind
+    ``rogosinski_at``.  Each a then only builds the family and sums it.
     """
     if problem.equation_kind == "rogosinski":
         gamma, shift = 0.0, 0
-        bind = lambda r: rogosinski_at(problem.phi, problem.p, problem.N, problem.m,
-                                       problem.mu, r)
+        bound = rogosinski_at(problem.phi, problem.p, problem.N, problem.m, problem.mu, r)
     else:
         gamma, shift = family_gamma(problem.domain), problem.m
-        bind = lambda r: refined_at(problem.phi, problem.p, problem.m, problem.mu, r)
-    # (r, bind(r)), read and replaced as one tuple, so threads sharing the
-    # evaluator never pair one radius with another's binding; a hit needs the
-    # object r itself, so -0.0 never reuses 0.0's binding and an unhashable
-    # r reaches the radius check
-    memo = (object(), None)
+        bound = refined_at(problem.phi, problem.p, problem.m, problem.mu, r)
 
-    def evaluate(a, r):
-        nonlocal memo
+    def evaluate(a):
         coeffs = mobius_gamma_coeffs(a, gamma)
-        key, bound = memo
-        if key is not r:
-            bound = bind(r)
-            memo = (r, bound)
         return bound(coeffs.shifted(shift) if shift else coeffs)
     return evaluate

@@ -16,7 +16,8 @@ does not check r; ``phi_term``/``phi_tail`` bind, check r and
 call.  An equation bound once checks r once per evaluation, custom
 weights included, and the sums call the binders at the r they checked.
 Built-in terms, weights and tails all come from ``GEOMETRIC_FORMS``,
-the tails through the one routine ``series.power_tail``.
+the tails through the one routine ``series.power_tail``.  A custom
+kind's remainder bound is decided with its weight, in ``phi_weight``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 from .errors import ConfigurationError, DomainError, NonConvergenceError
 from .series import (ABS_TOL, TAIL_RATIO_CAP, TRUNCATION_N, CoeffSeries, GeometricWeight,
-                     _check_index, _check_radius, norm_sum, power_tail)
+                     SampledWeight, _check_index, _check_radius, norm_sum, power_tail)
 
 # Each built-in kind as phi_n(r) = (c0 + c1 n + c2 n^2) r^n on the indices
 # n = parity (mod step), plus a head at n = 0: (c, step, parity, head).
@@ -214,30 +215,30 @@ def _truncated_tail(phi, N, r):
     return (math.fsum(terms) if total is None else total) + bound
 
 
-def phi_weight(phi: PhiSequence, r: float):
-    """n -> phi_n(r), a GeometricWeight for the built-in kinds, at a checked r."""
+def phi_weight(phi: PhiSequence, r: float) -> GeometricWeight | SampledWeight:
+    """n -> phi_n(r) at a checked r; a custom kind's is a SampledWeight bounded by Phi_n(r)."""
     if phi.kind == "custom":
-        return lambda n: term_at(phi, n)(r)
+        return SampledWeight(lambda n: term_at(phi, n)(r), lambda n: tail_from(phi, n)(r))
     c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
     return GeometricWeight(c, r, 1.0 - r, step, parity, head)
 
 
 def _refined_weight(phi, r):
-    """(weight, sup_weight) of the refinement term at a checked r.
+    """am -> the refinement weight at a checked r, as norm_sum takes it.
 
-    refined_sum and functionals.refined_at both sum with it.
-    weight(am) is n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1,
-    and sup_weight(n) = Phi_{2n}(r) bounds it.  For a built-in kind with
+    refined_sum and functionals.refined_at both sum with it.  The weight
+    is n -> phi_{2n}(r)/(1 + am) + Phi_{2n+1}(r) for n >= 1; a custom
+    kind's is a SampledWeight bounded by Phi_{2n}(r).  For a built-in kind with
     polynomial P, phi_{2n} is P(2n) r^{2n} (if 2n is on its indices) and
     Phi_{2n+1} sums P(2n + a) r^{2n+a} over its indices 2n + a, a >= 1: a
     GeometricWeight in t = r^2 (see _REFINED_TAILS).  The tail values, t
     and 1 - t are bound here; per am, only the division by 1 + am and the
     GeometricWeight remain.
     """
-    sup_weight = lambda n: tail_from(phi, 2 * n)(r)
     if phi.kind == "custom":
-        return (lambda am: lambda n: (term_at(phi, 2 * n)(r) / (1.0 + am)
-                                      + tail_from(phi, 2 * n + 1)(r))), sup_weight
+        sup = lambda n: tail_from(phi, 2 * n)(r)
+        return lambda am: SampledWeight(lambda n: (term_at(phi, 2 * n)(r) / (1.0 + am)
+                                                   + tail_from(phi, 2 * n + 1)(r)), sup)
     (c0, c1, c2), _, parity, _ = GEOMETRIC_FORMS[phi.kind]
     x0, x1, x2 = (c0, 2 * c1, 4 * c2) if parity == 0 else (0, 0, 0)
     tail0, tail1, tail2 = _REFINED_TAILS[phi.kind]
@@ -247,7 +248,7 @@ def _refined_weight(phi, r):
     def weight(am):
         d = 1.0 + am
         return GeometricWeight((x0 / d + v0, x1 / d + v1, x2 / d + v2), t, one_minus_t)
-    return weight, sup_weight
+    return weight
 
 
 def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float) -> float:
@@ -259,5 +260,4 @@ def refined_sum(coeffs: CoeffSeries, phi: PhiSequence, m: int, r: float) -> floa
     """
     _check_index("m", m)
     _check_radius(r)
-    weight, sup_weight = _refined_weight(phi, r)
-    return norm_sum(coeffs, weight(coeffs.norm(m)), m + 1, 2, sup_weight)
+    return norm_sum(coeffs, _refined_weight(phi, r)(coeffs.norm(m)), m + 1, 2)

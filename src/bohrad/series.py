@@ -37,11 +37,11 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 
 # a diagonal blend stores its norms up to the index where the largest
 # parameter takes over; parameters that close together raise instead
@@ -85,8 +85,13 @@ class CoeffSeries:
                 if n < self.start_index and x != 0.0:
                     raise DomainError(f"norms below start_index must vanish (index {n})")
         ratio = self.tail_geometric_ratio
-        if ratio is not None and not 0.0 <= ratio < 1.0:
-            raise DomainError("tail_geometric_ratio must lie in [0, 1)")
+        if ratio is not None:
+            if isinstance(ratio, bool) or not isinstance(ratio, _REAL_TYPES):  # np.bool_ too
+                raise DomainError("tail_geometric_ratio must be a real number, "
+                                  f"got {type(ratio).__name__}")
+            if not 0.0 <= ratio < 1.0:
+                raise DomainError("tail_geometric_ratio must lie in [0, 1)")
+            object.__setattr__(self, "tail_geometric_ratio", float(ratio))
         object.__setattr__(self, "norms", norms)
 
     @classmethod
@@ -131,7 +136,7 @@ class CoeffSeries:
         _check_index("N", N)
         start = max(self.start_index, N)
         if N > self.last_index:
-            norms = (0.0,) * N + (float(self.norm(N)),)  # a numpy ratio's power is not a float
+            norms = (0.0,) * N + (self.norm(N),)
         else:
             # zero up to the new start: a stored -0.0 below it reads as norm() = 0.0
             keep = min(start, len(self.norms))
@@ -213,50 +218,57 @@ def power_tail(c, step: int, parity: int, N: int):
     return E, c0 + E * (c1 + c2 * E), step * (c1 + 2 * c2 * E), c2 * step**2
 
 
-def norm_sum(coeffs: CoeffSeries, weight, start: int = 0, power: int = 1,
-             sup_weight=None) -> float:
-    """sum_{n >= start} ||A_n||^power weight(n), for power 1 or 2.
+class SampledWeight(NamedTuple):
+    """Weights w(n) = term(n) without a closed form, bounded by sup(n) >= w(k) for all
+    k >= n; their maker (phi.phi_weight, phi._refined_weight) decides that bound."""
+
+    term: Callable[[int], float]
+    sup: Callable[[int], float]
+
+
+def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start: int = 0,
+             power: int = 1) -> float:
+    """sum_{n >= start} ||A_n||^power w(n), for power 1 or 2.
 
     Any other power raises DomainError before any term is computed.
     The stored norms are summed with fsum.  Their terms are x * w (power
     1) or pow(x, power) * w, mapped over the norms and weights; a zero
     norm adds 0.0, which leaves the fsum unchanged.  A geometric
     continuation of the stored norms adds, for a GeometricWeight, its
-    exact remainder.  Other weights need ``sup_weight(n)`` >= weight(k)
-    for all k >= n, and continuation terms are added until the bound
-    sup_weight(n) ||A_n||^power / (1 - q^power) on the rest is at most
-    ABS_TOL, or NonConvergenceError.  With N the first unstored index and
-    M = max(N, CONTINUATION_FLOOR), terms N .. M are added unchecked and
-    the bound is checked at n = M .. M + TRUNCATION_N.  At each checked
-    index, weight(n) ||A_n||^power is compared first, and sup_weight(n)
-    (a custom weight's truncated tail costs TRUNCATION_N terms) is
-    evaluated only once that term alone meets the bound; as sup_weight(n)
-    >= weight(n), this stops where the bound alone would.  So weight(n)
-    is evaluated at the stop index too, and a prefix shorter than 64
-    norms is summed as if 64 were stored, with the same terms and
-    evaluations.  A short sum is never returned.
+    exact remainder.  For a SampledWeight, continuation terms are added
+    until the bound sup(n) ||A_n||^power / (1 - q^power) on the rest is
+    at most ABS_TOL, or NonConvergenceError.  With N the first unstored
+    index and M = max(N, CONTINUATION_FLOOR), terms N .. M are added
+    unchecked and the bound is checked at n = M .. M + TRUNCATION_N.  At
+    each checked index, term(n) ||A_n||^power is compared first, and
+    sup(n) (a custom weight's truncated tail costs TRUNCATION_N terms) is
+    evaluated only once that term alone meets the bound; as sup(n) >=
+    term(n), this stops where the bound alone would.  So term(n) is
+    evaluated at the stop index too, and a prefix shorter than 64 norms
+    is summed as if 64 were stored, with the same terms and evaluations.
+    A short sum is never returned.
     """
     if power not in (1, 2):
         raise DomainError(f"power must be 1 or 2, got {power!r}")
     norms = coeffs.norms[start:]
-    weights = (weight.values(start, start + len(norms)) if isinstance(weight, GeometricWeight)
-               else [weight(n) if x else 0.0 for n, x in enumerate(norms, start)])
+    geometric = isinstance(weight, GeometricWeight)
+    weights = (weight.values(start, start + len(norms)) if geometric
+               else [weight.term(n) if x else 0.0 for n, x in enumerate(norms, start)])
     powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
     terms = list(map(operator.mul, powered, weights))
     if coeffs.is_finite():
         return math.fsum(terms)
     q = coeffs.tail_geometric_ratio
     N = max(start, coeffs.last_index + 1)
-    if isinstance(weight, GeometricWeight):
+    if geometric:
         terms.append(coeffs.norm(N) ** power * weight.tail(N, q, power))
         return math.fsum(terms)
-    if sup_weight is None:
-        raise ConfigurationError("a weight without a closed-form tail needs sup_weight")
+    term, sup = weight
     check_from = max(N, CONTINUATION_FLOOR)
     bound = ABS_TOL * (1.0 - q**power)
     for n in range(N, check_from + TRUNCATION_N + 1):
-        xe, w = coeffs.norm(n) ** power, weight(n)
-        if n >= check_from and w * xe <= bound and sup_weight(n) * xe <= bound:
+        xe, w = coeffs.norm(n) ** power, term(n)
+        if n >= check_from and w * xe <= bound and sup(n) * xe <= bound:
             return math.fsum(terms)
         terms.append(xe * w)
     raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "

@@ -109,6 +109,12 @@ class TestCircleMinimum:
             both = density.min_on_circle(np.array([r, 0.5 * r]))
             assert both.tolist() == [sampled, density.min_on_circle(0.5 * r)]
 
+    def test_custom_density_one_bad_node_is_singular(self):
+        # one NaN node makes the sampled minimum NaN, and NaN compares False with any bound
+        density = HyperbolicDensity.custom(lambda z: math.nan if z.real < 0 else 2.0)
+        with pytest.raises(SingularIntegrandError, match=r"on \|z\| = 0.5$"):
+            density.min_on_circle(0.5, nodes=4)
+
     def test_custom_density_is_sampled_at_nodes(self):
         density = HyperbolicDensity.custom(lambda z: 2.0 + z.real)
         assert density.min_on_circle(0.5, nodes=2) == 1.5
@@ -269,6 +275,24 @@ class TestBlochMajorantCheck:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             bloch_majorant_check(CoeffSeries((0.5,)), 1.5, DISK, 0.5, 0.3)
+
+    @pytest.mark.parametrize("nu", [math.nan, 0.0, -1.0, 5.0])
+    def test_nu_outside_the_unit_interval_is_refused_before_any_work(self, monkeypatch, nu):
+        # at nu = 0.5 this series fails the derivative hypothesis; no nu may skip that check
+        calls = []
+        monkeypatch.setattr(bloch, "derivative_majorant", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=r"^nu must lie in \(0, 1\]$"):
+            bloch_majorant_check(CoeffSeries((0, 5, 5)), 1.0, DISK, nu, 0.3)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_non_positive_custom_density_is_singular(self, value):
+        density = HyperbolicDensity.custom(lambda z: value)
+        with pytest.raises(SingularIntegrandError,
+                           match=r"^density is singular or non-positive on \|z\| = "):
+            bloch_majorant_check(CoeffSeries((0, 5, 5)), 1.0, density, 0.5, 0.3)
+        with pytest.raises(SingularIntegrandError):
+            density.min_on_circle(np.array([0.2, 0.4]))
 
     @pytest.mark.parametrize("q", mp_sums.Q_GRID)
     def test_array_derivative_majorant_matches_mp_reference(self, q):

@@ -179,11 +179,11 @@ class TestVerifyCommand:
         # fail once per seeded draw, and stderr names the worst draw
         real = cli.problem_functional
 
-        def failing_off_grid(problem):
-            evaluate = real(problem)
+        def failing_off_grid(problem, r):
+            evaluate = real(problem, r)
 
-            def report(a, r):
-                rep = evaluate(a, r)
+            def report(a):
+                rep = evaluate(a)
                 return rep if a in SWEEP_A_GRID else FunctionalReport.compare(1.0 + a, 1.0)
             return report
         monkeypatch.setattr(cli, "problem_functional", failing_off_grid)
@@ -200,7 +200,7 @@ class TestVerifyCommand:
         # a functional that never fails leaves the probe above the radius
         # without a witness
         monkeypatch.setattr(cli, "problem_functional",
-                            lambda problem: lambda a, r: FunctionalReport.compare(0.0, 1.0))
+                            lambda problem, r: lambda a: FunctionalReport.compare(0.0, 1.0))
         code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0")
         summary = json.loads(out)["summary"]
         assert code == 4

@@ -422,6 +422,11 @@ class TestSharpnessProbe:
         problem = RadiusProblem(MONOMIAL, 1.0)
         assert sharpness_probe(problem, 1.0 / 3.0, DEFAULT_A_GRID) is None
 
+    @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, math.nan])
+    def test_radius_outside_the_open_interval_is_refused(self, r):
+        with pytest.raises(DomainError, match=r"^probe radius must lie in \(0, 1\)$"):
+            sharpness_probe(RadiusProblem(MONOMIAL, 1.0), r)
+
 
 class TestFamilyGamma:
     def test_omega_gamma_keeps_its_own_gamma(self):
@@ -693,7 +698,7 @@ def callable_mu(mu, fn):
 
 
 class TestBoundFunctionals:
-    """The binders refined_at/rogosinski_at, and problem_functional's one binding per radius."""
+    """The binders refined_at/rogosinski_at, and problem_functional, which binds one of them at r."""
 
     @settings(max_examples=250, deadline=None)
     @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
@@ -709,7 +714,7 @@ class TestBoundFunctionals:
         assert outcome(lambda: refined_functional(coeffs, phi, p, m, mu, r)) == want
         assert outcome(lambda: refined_at(phi, p, m, mu, r)(coeffs)) == want
         problem = RadiusProblem(phi, p, m=m, mu=mu, domain=DomainSpec.omega_gamma(gamma))
-        assert outcome(lambda: problem_functional(problem)(a, r)) == want
+        assert outcome(lambda: problem_functional(problem, r)(a)) == want
 
     @settings(max_examples=250, deadline=None)
     @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
@@ -724,7 +729,7 @@ class TestBoundFunctionals:
         assert outcome(lambda: rogosinski_functional(coeffs, phi, p, N, k, mu, r)) == want
         assert outcome(lambda: rogosinski_at(phi, p, N, k, mu, r)(coeffs)) == want
         problem = RadiusProblem(phi, p, m=k, N=N, mu=mu, equation_kind="rogosinski")
-        assert outcome(lambda: problem_functional(problem)(a, r)) == want
+        assert outcome(lambda: problem_functional(problem, r)(a)) == want
 
     # each input is invalid in one way; the types are those the functionals
     # raised before they were bound: a check moved into a binder raises as before
@@ -789,20 +794,15 @@ class TestBoundFunctionals:
                                       (0.5, None), (0.5, math.nan)])
     @pytest.mark.parametrize("kind", ["refined", "rogosinski"])
     def test_invalid_problem_functional_input_raises_domain_error(self, kind, a, r):
+        # a bad r raises when the functional is bound, a bad a when it is evaluated
         problem = RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind=kind)
-        evaluate = problem_functional(problem)
-        for _ in range(2):  # a failed binding is not kept
+        with pytest.raises(DomainError):
+            problem_functional(problem, r)(a)
+        if r == 0.3:
+            evaluate = problem_functional(problem, r)
             with pytest.raises(DomainError):
-                evaluate(a, r)
-        assert evaluate(0.5, 0.3) == problem_functional(problem)(0.5, 0.3)
-
-    def test_signed_zero_radii_keep_their_own_binding(self):
-        # -0.0 == 0.0, but phi_1(-0.0) = -0.0 is the rhs: an equality-keyed memo would mix them
-        evaluate = problem_functional(RadiusProblem(MONOMIAL, 1.0, m=1))
-        for r in (0.0, -0.0, 0.0):
-            want = refined_functional(mobius_gamma_coeffs(0.5, 0.0).shifted(1), MONOMIAL,
-                                      1.0, 1, 0.0, r)
-            assert repr(evaluate(0.5, r)) == repr(want)
+                evaluate(a)
+            assert evaluate(0.5) == problem_functional(problem, 0.3)(0.5)
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -824,8 +824,8 @@ class TestBoundFunctionals:
         weights = self.count_calls(monkeypatch, "phi_weight")
         assert sharpness_probe(problem, r) is None  # every a of DEFAULT_A_GRID evaluated
         assert (len(binds), len(weights)) == (1, 1)
-        evaluate = problem_functional(problem)
-        assert all(evaluate(a, r).satisfied for a in DEFAULT_A_GRID)
+        evaluate = problem_functional(problem, r)
+        assert all(evaluate(a).satisfied for a in DEFAULT_A_GRID)
         assert (len(binds), len(weights)) == (2, 2)
 
     def test_verify_refined_binds_once_per_radius(self, monkeypatch):
@@ -841,17 +841,17 @@ class TestBoundFunctionals:
         assert bound_at == pytest.approx([summary["r_below"], summary["r_above"]], rel=1e-8)
         assert len(weights) == 2
 
-    def test_threads_sharing_an_evaluator_get_the_serial_reports(self):
+    def test_threads_sharing_a_bound_evaluator_get_the_serial_reports(self):
         problem = RadiusProblem(WEIGHTED_LINEAR, 1.5, m=1, mu=0.7,
                                 domain=DomainSpec.omega_gamma(0.3))
         a_grid = [0.05 + 0.9 * k / 40 for k in range(40)] + list(DEFAULT_A_GRID)
         radii = (0.2, 0.35)
-        serial = {r: [problem_functional(problem)(a, r) for a in a_grid] for r in radii}
-        shared = problem_functional(problem)
+        serial = {r: [problem_functional(problem, r)(a) for a in a_grid] for r in radii}
+        shared = {r: problem_functional(problem, r) for r in radii}
         results = {}
 
         def work(key, r):
-            results[key] = [shared(a, r) for _ in range(20) for a in a_grid]
+            results[key] = [shared[r](a) for _ in range(20) for a in a_grid]
         # two threads per radius, more threads than cores, switching often
         threads = [threading.Thread(target=work, args=((r, i), r)) for r in radii for i in range(2)]
         interval = sys.getswitchinterval()

@@ -483,7 +483,7 @@ class TestRefinedSum:
            st.booleans(), st.floats(0.0, 1.0))
     def test_refined_weight_is_the_tail_composition_bit_for_bit(self, kind, r, numpy_r, am):
         r = np.float64(r) if numpy_r else r
-        weight = _refined_weight(BUILTIN_PHI[kind], r)[0](am)
+        weight = _refined_weight(BUILTIN_PHI[kind], r)(am)
         want = self.tail_composition(kind, r, am)
         assert list(map(float.hex, map(float, weight.c))) == \
             list(map(float.hex, map(float, want)))

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from bohrad import (EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec, MatrixCoeffFn,
                     check_coeff_bound, diag_blend_coeffs, majorant, mobius_gamma_coeffs,
                     operator_norm, phi_term, point_eval_bound, s_r, schwarz_composed_bound)
-from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.series import GeometricWeight, _check_radius, norm_sum
+from bohrad.errors import DomainError, NonConvergenceError
+from bohrad.series import GeometricWeight, SampledWeight, _check_radius, norm_sum
 
 import mp_sums
 
@@ -155,10 +155,12 @@ class TestNormSumPowers:
     def test_any_other_power_raises_before_any_work(self, power):
         calls = []
         coeffs = CoeffSeries((0.7, 0.4), 0, 0.5)
-        weights = (GeometricWeight((1, 0, 0), 0.5, 0.5), lambda n: calls.append(n) or 0.5**n)
+        weights = (GeometricWeight((1, 0, 0), 0.5, 0.5),
+                   SampledWeight(lambda n: calls.append(n) or 0.5**n,
+                                 lambda n: calls.append(n) or 1.0))
         for weight in weights:
             with pytest.raises(DomainError, match=f"^power must be 1 or 2, got {power}$"):
-                norm_sum(coeffs, weight, 0, power, lambda n: calls.append(n) or 1.0)
+                norm_sum(coeffs, weight, 0, power)
         assert calls == []
 
 
@@ -185,11 +187,6 @@ class TestDirichletSum:
         coeffs = mobius_gamma_coeffs(0.6, 0.1)
         values = [s_r(coeffs, 0.05 * k) for k in range(1, 19)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_weight_without_tail_bound_is_refused(self):
-        # a plain callable has no closed-form tail, so its remainder needs sup_weight
-        with pytest.raises(ConfigurationError):
-            norm_sum(CoeffSeries((1.0, 0.5), 0, 0.5), lambda n: 0.5**n)
 
     @pytest.mark.parametrize("coeffs, r, abs_tol", [
         # short stored range, held to 1e-12 relative

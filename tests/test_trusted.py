@@ -20,7 +20,7 @@ from bohrad import (DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec
                     diag_blend_coeffs, majorant, min_positive_root, mobius_gamma_coeffs,
                     refined_functional, rogosinski_functional, s_r, sharpness_probe)
 from bohrad.errors import ConfigurationError, DomainError
-from bohrad.functionals import problem_functional
+from bohrad import functionals
 
 # blend parameters whose crossovers stay within a few hundred norms
 BLEND_PARAMS = st.sampled_from(tuple(k / 50 for k in range(1, 50)) + (0.995,))
@@ -33,6 +33,7 @@ def assert_rebuilds(s):
     assert s == public
     assert repr(s) == repr(public)  # signed zeros and the ratio's type included
     assert all(type(x) is float for x in s.norms)
+    assert s.tail_geometric_ratio is None or type(s.tail_geometric_ratio) is float
 
 
 family = st.builds(mobius_gamma_coeffs, st.floats(1e-300, 1.0, exclude_max=True),
@@ -46,7 +47,8 @@ def public(draw):
     norms = draw(st.lists(st.sampled_from((0.0, -0.0, 0.5, 1e-300, 3.0)), min_size=1,
                           max_size=7))
     norms = [x if n >= start else math.copysign(0.0, x) for n, x in enumerate(norms)]
-    ratio = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+    ratio = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True),
+                           st.floats(0.0, 1.0, exclude_max=True).map(np.float64)))
     return CoeffSeries(tuple(norms), start, ratio)
 
 
@@ -83,10 +85,25 @@ class TestTrustedSeriesRebuild:
     def test_diagonal_blend(self, args):
         assert_rebuilds(_blend(*args))
 
-    def test_numpy_ratio_materializes_a_float(self):
-        cut = CoeffSeries((0.5, 0.25), 0, np.float64(0.5)).truncated_from(4)
+    def test_numpy_ratio_is_stored_as_a_float(self):
+        wide = CoeffSeries((0.5, 0.25), 0, np.float64(0.5))
+        assert repr(wide) == repr(CoeffSeries((0.5, 0.25), 0, 0.5))
+        cut = wide.truncated_from(4)
         assert_rebuilds(cut)
         assert cut.norms[4] == 0.25 * 0.5**3
+
+    @pytest.mark.parametrize("ratio, name", [
+        (False, "bool"), (True, "bool"), (np.False_, "bool"), (np.True_, "bool"),
+        ("0.5", "str"), ([0.5], "list"), (0.5 + 0j, "complex")])
+    def test_ratio_that_is_not_a_real_number_is_refused(self, ratio, name):
+        with pytest.raises(DomainError,
+                           match=f"^tail_geometric_ratio must be a real number, got {name}$"):
+            CoeffSeries((0.5, 0.25), 0, ratio)
+
+    @pytest.mark.parametrize("ratio", [1.0, -0.25, math.nan, np.float64(1.5)])
+    def test_ratio_outside_the_unit_interval_is_refused(self, ratio):
+        with pytest.raises(DomainError, match=r"^tail_geometric_ratio must lie in \[0, 1\)$"):
+            CoeffSeries((0.5, 0.25), 0, ratio)
 
 
 class TestValidatorRunsOnlyAtTheBoundary:
@@ -102,12 +119,13 @@ class TestValidatorRunsOnlyAtTheBoundary:
         RadiusProblem(EVEN_ONLY, 1.0, m=2, mu=0.5, domain=DomainSpec.omega_gamma(0.3)),
         RadiusProblem(MONOMIAL, 1.0, m=2, N=2, mu=0.3, equation_kind="rogosinski"),
     ], ids=["refined-shifted", "rogosinski"])
-    def test_full_grid_sharpness_probe(self, post_inits, problem):
+    def test_full_grid_sharpness_probe(self, post_inits, monkeypatch, problem):
         seen = []
-        evaluate = problem_functional(problem)
+        build = functionals.mobius_gamma_coeffs
+        monkeypatch.setattr(functionals, "mobius_gamma_coeffs",
+                            lambda a, gamma: seen.append(a) or build(a, gamma))
         # r = 0.05 lies below both radii, so the probe walks the whole grid
-        assert sharpness_probe(problem, 0.05, functional=lambda a, r: seen.append(a)
-                               or evaluate(a, r)) is None
+        assert sharpness_probe(problem, 0.05) is None
         assert seen == list(DEFAULT_A_GRID)
         assert post_inits == []
 
