@@ -17,6 +17,10 @@ equation stays negative on every scan point.
 lambda(z)^nu on its whole radial grid at once: ``derivative_majorant``
 and ``HyperbolicDensity.min_on_circle`` take an ndarray of radii, and
 the minimum has closed forms on the disk and Omega_gamma.
+``derivative_majorant`` builds one (radii x terms) array and reduces
+its rows with one numpy sum; every term is non-negative, so each row
+is within a few ulp of its exact sum.  Both functions, and
+``gamma_equation_value``, accept only radii in [0, 1).
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ class HyperbolicDensity:
         density is sampled, at ``nodes`` angles (on_circle checks each value).
         """
         _check_index("nodes", nodes, 1)
+        _check_radii(r)
         if self.kind == "unit_disk":
             return 1.0 / (1.0 - r * r)
         if self.kind == "omega_gamma":
@@ -106,6 +111,14 @@ class HyperbolicDensity:
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
         mins = [float(np.min(self.on_circle(x, thetas))) for x in np.ravel(r)]
         return np.reshape(mins, np.shape(r)) if np.ndim(r) else mins[0]
+
+
+def _check_radii(r):
+    """Accept a radius in [0, 1) (``_check_radius``) or an ndarray of them."""
+    if not isinstance(r, np.ndarray):
+        _check_radius(r)
+    elif not np.all((r >= 0.0) & (r < 1.0)):  # nan fails both comparisons
+        raise DomainError("every radius must lie in [0, 1)")
 
 
 def _omega_gamma_density(g, r, sin_sq):
@@ -179,10 +192,7 @@ def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
         raise DomainError("gamma must lie in [0, 1)")
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
-    if not isinstance(r, np.ndarray):
-        _check_radius(r)
-    elif not np.all((r >= 0.0) & (r < 1.0)):  # nan fails both comparisons
-        raise DomainError("every radius must lie in [0, 1)")
+    _check_radii(r)
     gap = (1.0 - gamma) * (1.0 - r) * (1.0 + gamma + (1.0 - gamma) * r)
     return (1.0 - gamma) ** (2.0 * nu) * r * r * math.pi**2 - 6.0 * gap ** (2.0 * nu)
 
@@ -215,11 +225,15 @@ def bloch_refined_radius(density: HyperbolicDensity, nu: float,
 def derivative_majorant(coeffs: CoeffSeries, t):
     """Upper bound sum_s s ||A_s|| t^(s-1) on ||Df(z)|| for |z| = t.
 
-    t is a float or an ndarray of radii.  Each radius sums its stored
-    terms s ||A_s|| t^(s-1) and the geometric continuation
-    ||A_N|| sum_{s >= N} q^(s-N) s t^(s-1) (a GeometricWeight tail in
-    (1 + n) t^n from n = N - 1) with one fsum; t = 0 gives ||A_1||.
+    t is a radius in [0, 1) or an ndarray of them.  Row i of one
+    (radii x terms) array holds the stored terms s ||A_s|| t_i^(s-1) and
+    the geometric continuation ||A_N|| sum_{s >= N} q^(s-N) s t_i^(s-1)
+    (a GeometricWeight tail in (1 + n) t^n from n = N - 1); one numpy sum
+    along the rows reduces it.  The terms are non-negative, so numpy's
+    pairwise sum is within a few ulp of the exact (fsum) value; t = 0
+    gives ||A_1||.
     """
+    _check_radii(t)
     ts = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
     s = np.arange(1, len(coeffs.norms))
     columns = [s * np.asarray(coeffs.norms[1:]) * ts ** (s - 1)]
@@ -227,8 +241,7 @@ def derivative_majorant(coeffs: CoeffSeries, t):
         N = coeffs.last_index + 1
         weight = GeometricWeight((1, 1, 0), ts, 1.0 - ts)
         columns.append(coeffs.norm(N) * weight.tail(N - 1, coeffs.tail_geometric_ratio))
-    rows = np.hstack(columns).tolist()
-    sums = np.fromiter(map(math.fsum, rows), float, len(rows))
+    sums = np.hstack(columns).sum(axis=1)
     return sums.reshape(np.shape(t)) if np.ndim(t) else float(sums[0])
 
 

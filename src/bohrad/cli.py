@@ -43,6 +43,16 @@ SWEEP_A_GRID = (0.5, 0.9, 0.99, 0.999, 0.9999)
 
 VERIFY_FAMILIES = ("bohr", "refined", "rogosinski", "area-poly", "beta-square",
                    "energy", "tables")
+# the verify options only some families read, and the families that read each;
+# bohr and refined solve p phi_m = 2 lambda_H Phi_{m+1}, which has no N
+FAMILY_OPTIONS = {"phi": ("bohr", "refined", "rogosinski"),
+                  "p": ("bohr", "refined", "rogosinski"),
+                  "m": ("bohr", "refined", "rogosinski"),
+                  "N": ("rogosinski",),
+                  "mu_const": ("refined", "rogosinski"),
+                  "beta": ("beta-square",),
+                  "degree": ("area-poly",),
+                  "allow_errata": ("tables",)}
 
 
 def _sig9(x):
@@ -147,6 +157,12 @@ def _validated(args):
             _check_index(count, getattr(args, count))
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
+    if args.command == "verify":
+        defaults = build_parser().parse_args(["verify"])
+        for option, families in FAMILY_OPTIONS.items():
+            if args.family not in families and getattr(args, option) != getattr(defaults, option):
+                raise ConfigurationError(f"--{option.replace('_', '-')} does not apply "
+                                         f"to --family {args.family}")
     rogosinski = "rogosinski" in (getattr(args, "kind", None), getattr(args, "family", None))
     if rogosinski and (args.gamma is not None or args.lambda_h is not None):
         raise ConfigurationError("the rogosinski equation is posed on the unit disk; "
@@ -392,8 +408,12 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     text = render(record, args.format)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(text)
     return code

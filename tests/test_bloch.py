@@ -268,6 +268,32 @@ class TestBlochMajorantCheck:
             assert mp_sums.close(derivative_majorant(coeffs, t),
                                  mp_sums.derivative_majorant(coeffs, t))
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=80),
+           st.one_of(st.none(), st.floats(0.0, 0.99)),
+           st.lists(st.floats(0.0, 0.999), min_size=1, max_size=64))
+    def test_derivative_majorant_rows_match_fsum(self, norms, q, radii):
+        # the reference sums each row's terms, built one radius at a time, with fsum
+        coeffs = CoeffSeries(norms, 0, q)
+        values = derivative_majorant(coeffs, np.array(radii))
+        for value, t in zip(values, radii):
+            row = [s * norms[s] * t ** (s - 1) for s in range(1, len(norms))]
+            if q is not None:
+                N = len(norms)
+                row.append(coeffs.norm(N) * series.GeometricWeight((1, 1, 0), t, 1.0 - t)
+                           .tail(N - 1, q))
+            exact = math.fsum(row)
+            assert abs(value - exact) <= 1e-14 * exact
+
+    def test_derivative_majorant_makes_no_fsum_call(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+        coeffs = CoeffSeries(mp_sums.NORMS, 0, 0.7)
+        assert derivative_majorant(coeffs, 0.999 * np.arange(1, 65) / 64).shape == (64,)
+        assert derivative_majorant(coeffs, 0.5) > 0.0
+        assert calls == []
+
     def test_derivative_majorant_at_the_origin_is_the_first_norm(self):
         assert derivative_majorant(CoeffSeries(mp_sums.NORMS, 0, 0.5), 0.0) == 0.5
         assert derivative_majorant(CoeffSeries((0.4,), 0, 0.5), 0.0) == 0.2

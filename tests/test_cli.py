@@ -69,6 +69,14 @@ class TestRadiusCommand:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["radius"] == pytest.approx(1 / 3, abs=1e-6)
 
+    @pytest.mark.parametrize("where", ["missing/radius.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_path_exits_2_with_one_line(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run_cli(capsys, "radius", "--phi", "monomial", "--gamma", "0",
+                                 "--out", str(target))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: cannot write {re.escape(str(target))}: [^\n]+\n", err)
+
 
 class TestTablesCommand:
     def test_table_one_csv(self, capsys):
@@ -152,6 +160,31 @@ class TestVerifyCommand:
                                "--lambda-h", "1", "--beta", "0.5")
         assert code == 2
         assert err.strip().startswith("error:")
+
+    @pytest.mark.parametrize("argv, option", [
+        (("--family", "energy", "--phi", "odd_only", "--p", "0.3", "--mu-const", "5",
+          "--N", "4"), "--phi"),
+        (("--family", "bohr", "--mu-const", "0.7"), "--mu-const"),
+        (("--family", "bohr", "--gamma", "0", "--N", "2"), "--N"),
+        (("--family", "refined", "--N", "2"), "--N"),
+        (("--family", "rogosinski", "--m", "1", "--beta", "0.1"), "--beta"),
+        (("--family", "beta-square", "--lambda-h", "1", "--degree", "3"), "--degree"),
+        (("--family", "area-poly", "--p", "0.5"), "--p"),
+        (("--family", "energy", "--m", "1"), "--m"),
+        (("--family", "energy", "--beta", "nan"), "--beta"),
+        (("--family", "tables", "--mu-const", "1"), "--mu-const"),
+        (("--family", "area-poly", "--allow-errata"), "--allow-errata"),
+    ])
+    def test_an_option_the_family_does_not_read_exits_2(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} does not apply to --family {argv[1]}\n"
+
+    def test_options_at_their_defaults_apply_to_every_family(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--family", "energy", "--lambda-h", "1",
+                               "--phi", "monomial", "--p", "1", "--m", "0", "--N", "1",
+                               "--mu-const", "0", "--degree", "2")
+        assert code == 0 and json.loads(out)["summary"]["passed"]
 
     def test_tables_family_respects_errata_gate(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "tables")

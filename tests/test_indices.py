@@ -23,7 +23,7 @@ from bohrad import (EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR, WEIGHTED_QUA
                     monotonicity_check, peak_weight, per_function_radius, phi_tail, phi_term,
                     radius_refined, radius_rogosinski, refined_functional, refined_sum,
                     rogosinski_functional, schwarz_composed_bound)
-from bohrad.bloch import gamma_equation_value
+from bohrad.bloch import derivative_majorant, gamma_equation_value
 from bohrad.cli import main
 from bohrad.errors import ConfigurationError, DomainError
 from bohrad.phi import tail_from, tail_ratio, term_at
@@ -34,6 +34,7 @@ SMALL = CoeffSeries((0.0, 0.1))  # meets the Bloch hypothesis on the disk at nu 
 DISK = HyperbolicDensity.unit_disk()
 CUSTOM_DISK = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
 BLEND = MatrixCoeffFn((0.3, 0.5))
+BLOCH_TEST = CoeffSeries((0.3, 0.5, 0.2), 0, 0.6)
 
 # (entry, argument name, least value, a valid value, call with the index)
 ENTRIES = [
@@ -161,6 +162,19 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
                  r"^every radius must lie in \[0, 1\)$", id="gamma-equation-negative"),
     pytest.param(lambda: gamma_equation_value(0.3, 0.5, np.array([0.2, math.nan])), DomainError,
                  r"^every radius must lie in \[0, 1\)$", id="gamma-equation-array-nan"),
+    *(pytest.param(call, DomainError, match, id=f"{name}-{case}")
+      for name, call in (("derivative_majorant", lambda r: derivative_majorant(BLOCH_TEST, r)),
+                         ("min_on_circle-disk", DISK.min_on_circle),
+                         ("min_on_circle-omega", HyperbolicDensity.omega_gamma(0.3).min_on_circle),
+                         ("min_on_circle-custom", CUSTOM_DISK.min_on_circle))
+      for case, call, match in (
+          ("above", lambda c=call: c(1.5), r"^radius must lie in \[0, 1\), got 1.5$"),
+          ("negative", lambda c=call: c(-0.5), r"^radius must lie in \[0, 1\), got -0.5$"),
+          ("nan", lambda c=call: c(math.nan), r"^radius must lie in \[0, 1\), got nan$"),
+          ("bool", lambda c=call: c(True), "^radius must be a real number, got bool$"),
+          ("array", lambda c=call: c(np.array([0.2, 1.0])), r"^every radius must lie in \[0, 1\)$"),
+          ("array-nan", lambda c=call: c(np.array([[0.2], [math.nan]])),
+           r"^every radius must lie in \[0, 1\)$"))),
     pytest.param(lambda: m_integral(HyperbolicDensity.omega_gamma(0.3), 0.5, False), DomainError,
                  "^radius must be a real number, got bool$", id="m_integral-bool"),
     pytest.param(lambda: m_integral(DISK, 0.5, 1.0), DomainError,
