@@ -41,18 +41,33 @@ TABLE_MATCH_TOL = 1e-5  # printed values carry six significant figures
 PROBE_OFFSET = 0.01
 SWEEP_A_GRID = (0.5, 0.9, 0.99, 0.999, 0.9999)
 
-VERIFY_FAMILIES = ("bohr", "refined", "rogosinski", "area-poly", "beta-square",
-                   "energy", "tables")
-# the verify options only some families read, and the families that read each;
-# bohr and refined solve p phi_m = 2 lambda_H Phi_{m+1}, which has no N
-FAMILY_OPTIONS = {"phi": ("bohr", "refined", "rogosinski"),
-                  "p": ("bohr", "refined", "rogosinski"),
-                  "m": ("bohr", "refined", "rogosinski"),
-                  "N": ("rogosinski",),
-                  "mu_const": ("refined", "rogosinski"),
-                  "beta": ("beta-square",),
-                  "degree": ("area-poly",),
-                  "allow_errata": ("tables",)}
+# The options each run reads besides --format and --out, as argparse dests, by command
+# and the value of its selector (None on a command without one).  Any other option must
+# keep its default; a record's params echoes the selector and exactly these.
+_SOLVER = ("tol", "scan_step")
+_DRAWS = ("samples", "seed")  # verify's seeded draws of a
+_REFINED = ("phi", "p", "m", "gamma", "lambda_h")  # p phi_m = 2 lambda_H Phi_{m+1}
+_ROGOSINSKI = ("phi", "p", "m", "N", "mu_const")  # posed on the disk
+READS = {
+    "radius": ("kind", {"refined": _REFINED + _SOLVER, "rogosinski": _ROGOSINSKI + _SOLVER}),
+    "tables": (None, {None: ("id", "allow_errata") + _SOLVER}),
+    "verify": ("family", {
+        "bohr": _REFINED + _SOLVER + _DRAWS,  # mu = 0
+        "refined": _REFINED + ("mu_const",) + _SOLVER + _DRAWS,
+        "rogosinski": _ROGOSINSKI + _SOLVER + _DRAWS,
+        # these three radii are the closed form 1/(1 + 2 lambda_H): no solve
+        "area-poly": ("gamma", "lambda_h", "degree") + _DRAWS,
+        "beta-square": ("gamma", "lambda_h", "beta") + _DRAWS,
+        "energy": ("gamma", "lambda_h") + _DRAWS,
+        "tables": ("allow_errata",) + _SOLVER}),
+    "calibrate": (None, {None: ("degree", "c")}),
+    # the closed form takes gamma itself, on no --domain
+    "bloch": ("variant", {"majorant": ("domain", "gamma", "nu") + _SOLVER,
+                          "majorant-gamma": ("gamma", "nu") + _SOLVER,
+                          "refined": ("domain", "gamma", "nu") + _SOLVER}),
+    "bounds": (None, {None: ("p",)}),
+}
+VERIFY_FAMILIES = tuple(READS["verify"][1])
 
 
 def _sig9(x):
@@ -106,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("radius", help="solve one radius equation")
     problem(sp, required=True)
-    sp.add_argument("--kind", choices=("refined", "rogosinski"), default="refined")
+    sp.add_argument("--kind", choices=tuple(READS["radius"][1]), default="refined")
     common(sp)
 
     sp = sub.add_parser("tables", help="recompute the reference radius tables")
@@ -122,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-errata", action="store_true")
-    sp.set_defaults(id=None)  # read by --family tables
     common(sp)
 
     sp = sub.add_parser("calibrate", help="calibrate the positive-coefficient polynomial")
@@ -135,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--domain", choices=("disk", "gamma"), default="disk")
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--nu", type=float, required=True)
-    sp.add_argument("--variant", choices=("majorant", "majorant-gamma", "refined"),
-                    default="majorant")
+    sp.add_argument("--variant", choices=tuple(READS["bloch"][1]), default="majorant")
     common(sp)
 
     sp = sub.add_parser("bounds", help="two-sided bounds on the p-powered Bohr radius")
@@ -146,74 +159,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _reads(command, choice):
+    """(dest, flag, default) of each option of command but --format and --out, in
+    parser order: (those a run at this selector value reads, selector included; the rest)."""
+    selector, reads = READS[command]
+    commands, = (a for a in build_parser()._actions if a.dest == "command")
+    options = [(a.dest, a.option_strings[0], a.default) for a in commands.choices[command]._actions
+               if a.dest not in ("help", "format", "out")]
+    read = tuple(o for o in options if o[0] == selector or o[0] in reads[choice])
+    return read, tuple(o for o in options if o not in read)
+
+
+def _reject_unread(args, options, where):
+    """Exit 2 naming the first of options, in parser order, off its default."""
+    for dest, flag, default in options:
+        if getattr(args, dest) != default:
+            raise ConfigurationError(f"{flag} does not apply to {where}")
+
+
 def _validated(args):
-    """The parsed arguments, once the ranges argparse cannot express hold."""
+    """The options args reads, in parser order, once every option it does not
+    read keeps its default and the ranges argparse cannot express hold."""
+    selector = READS[args.command][0]
+    choice = getattr(args, selector) if selector else None
+    read, unread = _reads(args.command, choice)
+    _reject_unread(args, unread, f"--{selector} {choice}" if selector else args.command)
     if "tol" in args and not 0.0 < args.tol <= 1e-3:
         raise ConfigurationError("tol must lie in (0, 1e-3]")
     if "scan_step" in args and not 0.0 < args.scan_step < 1.0:  # also rejects nan
         raise ConfigurationError("scan-step must lie in (0, 1)")
-    for count in ("seed", "samples"):
+    for count in _DRAWS:
         if count in args:
             _check_index(count, getattr(args, count))
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
-    if args.command == "verify":
-        defaults = build_parser().parse_args(["verify"])
-        for option, families in FAMILY_OPTIONS.items():
-            if args.family not in families and getattr(args, option) != getattr(defaults, option):
-                raise ConfigurationError(f"--{option.replace('_', '-')} does not apply "
-                                         f"to --family {args.family}")
-    rogosinski = "rogosinski" in (getattr(args, "kind", None), getattr(args, "family", None))
-    if rogosinski and (args.gamma is not None or args.lambda_h is not None):
-        raise ConfigurationError("the rogosinski equation is posed on the unit disk; "
-                                 "--gamma and --lambda-h do not apply")
-    return args
+    return read
 
 
 def _domain(args, default_gamma=None) -> DomainSpec:
-    if args.gamma is not None:
-        return DomainSpec.omega_gamma(args.gamma)
     if args.lambda_h is not None:
         return DomainSpec.general(args.lambda_h)
-    if default_gamma is not None:
-        return DomainSpec.omega_gamma(default_gamma)
-    raise ConfigurationError("this command needs --gamma or --lambda-h")
+    gamma = default_gamma if args.gamma is None else args.gamma
+    if gamma is None:
+        raise ConfigurationError("this command needs --gamma or --lambda-h")
+    return DomainSpec.omega_gamma(gamma)
 
 
 # ---------------------------------------------------------------- commands
 
+def _solved(args, kind, domain):
+    """The radius problem args pose on domain, and its leftmost root."""
+    problem = RadiusProblem(BUILTIN_PHI[args.phi], args.p, m=args.m, N=args.N,
+                            mu=MuFunction.constant(args.mu_const), domain=domain,
+                            equation_kind=kind)
+    solve = radius_refined if kind == "refined" else radius_rogosinski
+    return problem, solve(problem, args.tol, args.scan_step)
+
+
 def _cmd_radius(args):
-    phi = BUILTIN_PHI[args.phi]
-    mu = MuFunction.constant(args.mu_const)
-    refined = args.kind == "refined"
-    problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
-                            domain=_domain(args) if refined else DomainSpec.disk(),
-                            equation_kind=args.kind)
-    result = (radius_refined if refined else radius_rogosinski)(problem, args.tol, args.scan_step)
-    params = {"phi": args.phi, "p": args.p, "m": args.m, "N": args.N,
-              "mu": args.mu_const, "kind": args.kind,
-              "gamma": args.gamma, "lambda_h": args.lambda_h}
-    record = {"command": "radius", "params": params, "radius": result.value,
-              "residual": result.residual, "bracket": list(result.bracket),
-              "iterations": result.iterations, "flags": []}
-    return EXIT_OK, record
+    _, result = _solved(args, args.kind,
+                        _domain(args) if args.kind == "refined" else DomainSpec.disk())
+    return EXIT_OK, {"radius": result.value, "residual": result.residual,
+                     "bracket": list(result.bracket), "iterations": result.iterations,
+                     "flags": []}
 
 
 def _cmd_tables(args):
-    rows = reproduce_table(args.id, args.tol, args.scan_step) if args.id \
+    rows = reproduce_table(args.id, args.tol, args.scan_step) if getattr(args, "id", None) \
         else reproduce_all_tables(args.tol, args.scan_step)
     flags = [f"erratum:table{row.table_id}:(p={row.p:g},m={row.m},mu={row.mu:g})"
              for row in rows if row.erratum]
     mismatched = [row for row in rows if row.delta > TABLE_MATCH_TOL]
-    record = {"command": "tables",
-              "params": {"id": args.id, "allow_errata": args.allow_errata},
-              "rows": [{"table": row.table_id, "phi": row.phi_kind, "p": row.p,
-                        "m": row.m, "mu": row.mu, "R_printed": row.printed,
-                        "R_computed": row.computed, "delta": row.delta,
-                        "erratum": row.erratum} for row in rows],
-              "flags": flags}
     code = EXIT_OK if (not mismatched or args.allow_errata) else EXIT_VERIFY_FAILED
-    return code, record
+    return code, {"rows": [{"table": row.table_id, "phi": row.phi_kind, "p": row.p,
+                            "m": row.m, "mu": row.mu, "R_printed": row.printed,
+                            "R_computed": row.computed, "delta": row.delta,
+                            "erratum": row.erratum} for row in rows],
+                  "flags": flags}
 
 
 def _verify_setup(args):
@@ -221,29 +244,22 @@ def _verify_setup(args):
 
     The family is ``family_gamma``'s, so a general lambda_h != 1 exits 2
     before any solve.  Seeded draws of a join the fixed grid (sampled)
-    only on the unshifted disk family (gamma = 0, and m = 0 for
-    bohr/refined), whose norm sequences are those of every diagonal
-    Mobius blend with a common parameter.
+    only on the unshifted disk family (gamma = 0, and m = 0 unless m is
+    the rogosinski Schwarz order), whose norm sequences are those of
+    every diagonal Mobius blend with a common parameter; elsewhere a
+    --samples or --seed off its default exits 2.
     """
-    mu = MuFunction.constant(args.mu_const)
-    phi = BUILTIN_PHI[args.phi]
-    if args.family == "rogosinski":
-        # m is the Schwarz order here; the family itself is never shifted
-        problem = RadiusProblem(phi, args.p, m=args.m, N=args.N, mu=mu,
-                                equation_kind="rogosinski")
-        radius = radius_rogosinski(problem, args.tol, args.scan_step).value
-        return radius, lambda r: problem_functional(problem, r), True
-
     domain = _domain(args, default_gamma=0.0)
     gamma = family_gamma(domain)
-    disk = gamma == 0.0
-    if args.family in ("bohr", "refined"):
+    rogosinski = args.family == "rogosinski"
+    sampled = gamma == 0.0 and (args.m == 0 or rogosinski)
+    if not sampled:
+        _reject_unread(args, [o for o in _reads("verify", args.family)[0] if o[0] in _DRAWS],
+                       f"--family {args.family} where no a is drawn (gamma > 0 or m > 0)")
+    if args.family in ("bohr", "refined", "rogosinski"):
         # "bohr" is the plain weighted sum: the refined functional at mu = 0
-        problem = RadiusProblem(phi, args.p, m=args.m, N=args.N,
-                                mu=MuFunction.zero() if args.family == "bohr" else mu,
-                                domain=domain, equation_kind="refined")
-        radius = radius_refined(problem, args.tol, args.scan_step).value
-        return radius, lambda r: problem_functional(problem, r), args.m == 0 and disk
+        problem, result = _solved(args, "rogosinski" if rogosinski else "refined", domain)
+        return result.value, lambda r: problem_functional(problem, r), sampled
 
     lam = domain.effective_lambda
     if args.family == "area-poly":
@@ -256,13 +272,12 @@ def _verify_setup(args):
     else:
         functional = lambda c, r: bohr_energy_functional(c, r, lam)
     radius = 1.0 / (1.0 + 2.0 * lam)
-    return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r), disk
+    return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r), sampled
 
 
 def _cmd_verify(args):
     if args.family == "tables":
         code, record = _cmd_tables(args)
-        record["command"] = "verify"
         record["summary"] = {"family": "tables", "mismatches": sum(
             r["delta"] > TABLE_MATCH_TOL for r in record["rows"])}
         return code, record
@@ -293,14 +308,7 @@ def _cmd_verify(args):
                "r_above": r_above if expect_witness else None,
                "checked": checked, "failures": failures, "worst_margin": worst_margin,
                "witness_a": witness, "passed": passed}
-    record = {"command": "verify",
-              "params": {"family": args.family, "phi": args.phi, "p": args.p,
-                         "m": args.m, "N": args.N, "mu": args.mu_const,
-                         "gamma": args.gamma, "lambda_h": args.lambda_h,
-                         "beta": args.beta, "seed": args.seed},
-              "summary": summary,
-              "flags": flags}
-    return (EXIT_OK if passed else EXIT_VERIFY_FAILED), record
+    return (EXIT_OK if passed else EXIT_VERIFY_FAILED), {"summary": summary, "flags": flags}
 
 
 def _cmd_calibrate(args):
@@ -308,13 +316,10 @@ def _cmd_calibrate(args):
     if len(tail) != args.degree - 1:
         raise ConfigurationError("give exactly degree-1 tail coefficients")
     spec = calibrate_area_poly(tail)
-    record = {"command": "calibrate",
-              "params": {"degree": args.degree, "tail": list(tail)},
-              "coefficients": list(spec.coefficients),
-              "residual": calibration_residual(spec),
-              "peak_weights": [peak_weight(s) for s in range(2, spec.degree + 1)],
-              "flags": []}
-    return EXIT_OK, record
+    return EXIT_OK, {"coefficients": list(spec.coefficients),
+                     "residual": calibration_residual(spec),
+                     "peak_weights": [peak_weight(s) for s in range(2, spec.degree + 1)],
+                     "flags": []}
 
 
 def _cmd_bloch(args):
@@ -334,19 +339,12 @@ def _cmd_bloch(args):
         flags.append(f"sign-changes:{changes}")
     else:
         result = bloch_refined_radius(density, args.nu, args.tol, args.scan_step)
-    record = {"command": "bloch",
-              "params": {"domain": args.domain, "gamma": args.gamma,
-                         "nu": args.nu, "variant": args.variant},
-              "radius": result.value, "residual": result.residual,
-              "flags": flags}
-    return EXIT_OK, record
+    return EXIT_OK, {"radius": result.value, "residual": result.residual, "flags": flags}
 
 
 def _cmd_bounds(args):
     lower, upper = rp_bounds(args.p)
-    record = {"command": "bounds", "params": {"p": args.p},
-              "lower": lower, "upper": upper, "flags": []}
-    return EXIT_OK, record
+    return EXIT_OK, {"lower": lower, "upper": upper, "flags": []}
 
 
 _COMMANDS = {"radius": _cmd_radius, "tables": _cmd_tables, "verify": _cmd_verify,
@@ -398,7 +396,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse validation already printed one line
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
-        code, record = _COMMANDS[args.command](_validated(args))
+        read = _validated(args)
+        code, record = _COMMANDS[args.command](args)
     except (NoRootError, InfeasibleError, NonConvergenceError,
             SingularIntegrandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -406,7 +405,8 @@ def main(argv=None) -> int:
     except BohradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    text = render(record, args.format)
+    params = {dest: getattr(args, dest) for dest, _, _ in read}
+    text = render({"command": args.command, "params": params, **record}, args.format)
     if args.out:
         try:
             with open(args.out, "w") as handle:

@@ -161,30 +161,16 @@ class TestVerifyCommand:
         assert code == 2
         assert err.strip().startswith("error:")
 
-    @pytest.mark.parametrize("argv, option", [
-        (("--family", "energy", "--phi", "odd_only", "--p", "0.3", "--mu-const", "5",
-          "--N", "4"), "--phi"),
-        (("--family", "bohr", "--mu-const", "0.7"), "--mu-const"),
-        (("--family", "bohr", "--gamma", "0", "--N", "2"), "--N"),
-        (("--family", "refined", "--N", "2"), "--N"),
-        (("--family", "rogosinski", "--m", "1", "--beta", "0.1"), "--beta"),
-        (("--family", "beta-square", "--lambda-h", "1", "--degree", "3"), "--degree"),
-        (("--family", "area-poly", "--p", "0.5"), "--p"),
-        (("--family", "energy", "--m", "1"), "--m"),
-        (("--family", "energy", "--beta", "nan"), "--beta"),
-        (("--family", "tables", "--mu-const", "1"), "--mu-const"),
-        (("--family", "area-poly", "--allow-errata"), "--allow-errata"),
-    ])
-    def test_an_option_the_family_does_not_read_exits_2(self, capsys, argv, option):
-        code, out, err = run_cli(capsys, "verify", *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: {option} does not apply to --family {argv[1]}\n"
-
     def test_options_at_their_defaults_apply_to_every_family(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "energy", "--lambda-h", "1",
                                "--phi", "monomial", "--p", "1", "--m", "0", "--N", "1",
                                "--mu-const", "0", "--degree", "2")
         assert code == 0 and json.loads(out)["summary"]["passed"]
+
+    def test_draw_options_at_their_defaults_apply_where_nothing_is_drawn(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.3",
+                               "--samples", "100", "--seed", "0")
+        assert code == 0 and json.loads(out)["summary"]["checked"] == len(SWEEP_A_GRID)
 
     def test_tables_family_respects_errata_gate(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "tables")
@@ -251,8 +237,8 @@ class TestVerifyCommand:
 
 class TestBlochCommand:
     def test_gamma_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "bloch", "--domain", "gamma", "--gamma", "0",
-                               "--nu", "0.5", "--variant", "majorant-gamma")
+        code, out, _ = run_cli(capsys, "bloch", "--gamma", "0", "--nu", "0.5",
+                               "--variant", "majorant-gamma")
         record = json.loads(out)
         assert code == 0
         assert record["radius"] == pytest.approx(EXPECTED_BLOCH, abs=1e-6)
@@ -374,6 +360,131 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestReadOptions:
+    """Each run accepts and echoes exactly the options cli.READS lists for it."""
+
+    NO_DRAW = "where no a is drawn (gamma > 0 or m > 0)"
+
+    @pytest.mark.parametrize("argv, option, where", [
+        # refined radius equations read no N and no mu
+        (("radius", "--phi", "monomial", "--gamma", "0", "--N", "5", "--mu-const", "3"),
+         "--N", "--kind refined"),
+        (("radius", "--phi", "monomial", "--gamma", "0", "--mu-const", "3"),
+         "--mu-const", "--kind refined"),
+        (("verify", "--family", "energy", "--phi", "odd_only", "--p", "0.3", "--mu-const", "5",
+          "--N", "4"), "--phi", "--family energy"),
+        (("verify", "--family", "bohr", "--mu-const", "0.7"), "--mu-const", "--family bohr"),
+        (("verify", "--family", "bohr", "--gamma", "0", "--N", "2"), "--N", "--family bohr"),
+        (("verify", "--family", "refined", "--N", "2"), "--N", "--family refined"),
+        (("verify", "--family", "rogosinski", "--m", "1", "--beta", "0.1"), "--beta",
+         "--family rogosinski"),
+        (("verify", "--family", "beta-square", "--lambda-h", "1", "--degree", "3"), "--degree",
+         "--family beta-square"),
+        (("verify", "--family", "area-poly", "--p", "0.5"), "--p", "--family area-poly"),
+        (("verify", "--family", "energy", "--m", "1"), "--m", "--family energy"),
+        (("verify", "--family", "energy", "--beta", "nan"), "--beta", "--family energy"),
+        (("verify", "--family", "area-poly", "--allow-errata"), "--allow-errata",
+         "--family area-poly"),
+        # the closed-form families never solve
+        (("verify", "--family", "energy", "--lambda-h", "1", "--scan-step", "0.5"), "--scan-step",
+         "--family energy"),
+        (("verify", "--family", "area-poly", "--lambda-h", "1", "--tol", "1e-4"), "--tol",
+         "--family area-poly"),
+        (("verify", "--family", "tables", "--mu-const", "1"), "--mu-const", "--family tables"),
+        (("verify", "--family", "tables", "--allow-errata", "--gamma", "0.5", "--seed", "3"),
+         "--gamma", "--family tables"),
+        (("verify", "--family", "tables", "--samples", "3"), "--samples", "--family tables"),
+        # a is drawn only on the unshifted disk family
+        (("verify", "--family", "bohr", "--gamma", "0.3", "--seed", "5", "--samples", "3"),
+         "--samples", f"--family bohr {NO_DRAW}"),
+        (("verify", "--family", "refined", "--m", "1", "--gamma", "0", "--seed", "2"),
+         "--seed", f"--family refined {NO_DRAW}"),
+        (("verify", "--family", "energy", "--gamma", "0.5", "--samples", "4"),
+         "--samples", f"--family energy {NO_DRAW}"),
+        # the closed form takes its gamma on no --domain
+        (("bloch", "--domain", "gamma", "--gamma", "0", "--nu", "0.5", "--variant",
+          "majorant-gamma"), "--domain", "--variant majorant-gamma"),
+    ])
+    def test_an_option_the_run_does_not_read_exits_2(self, capsys, argv, option, where):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} does not apply to {where}\n"
+
+    # a valid run of each command and selector value in cli.READS
+    RUNS = {("radius", "refined"): ("radius", "--phi", "monomial", "--gamma", "0"),
+            ("radius", "rogosinski"): ("radius", "--phi", "odd_only", "--p", "0.5", "--m", "1",
+                                       "--mu-const", "1", "--kind", "rogosinski"),
+            ("tables", None): ("tables", "--id", "4"),
+            ("verify", "bohr"): ("verify", "--family", "bohr", "--samples", "2"),
+            ("verify", "refined"): ("verify", "--family", "refined", "--mu-const", "1",
+                                    "--samples", "2"),
+            ("verify", "rogosinski"): ("verify", "--family", "rogosinski", "--m", "1",
+                                       "--mu-const", "1", "--samples", "2"),
+            ("verify", "area-poly"): ("verify", "--family", "area-poly", "--samples", "2"),
+            ("verify", "beta-square"): ("verify", "--family", "beta-square", "--samples", "2"),
+            ("verify", "energy"): ("verify", "--family", "energy", "--samples", "2"),
+            ("verify", "tables"): ("verify", "--family", "tables", "--allow-errata"),
+            ("calibrate", None): ("calibrate", "--degree", "1"),
+            ("bloch", "majorant"): ("bloch", "--nu", "0.5"),
+            ("bloch", "majorant-gamma"): ("bloch", "--variant", "majorant-gamma",
+                                          "--gamma", "0.5", "--nu", "0.5"),
+            ("bloch", "refined"): ("bloch", "--variant", "refined", "--nu", "0.5"),
+            ("bounds", None): ("bounds", "--p", "1.5")}
+
+    def test_every_table_entry_has_a_run(self):
+        assert set(self.RUNS) == {(command, choice) for command, (_, reads) in cli.READS.items()
+                                  for choice in reads}
+
+    @pytest.mark.parametrize("key", RUNS, ids=[f"{c} {v}" for c, v in RUNS])
+    def test_params_echo_exactly_the_options_read(self, capsys, key):
+        command, choice = key
+        selector, reads = cli.READS[command]
+        code, out, _ = run_cli(capsys, *self.RUNS[key])
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert set(params) == set(reads[choice]) | ({selector} - {None})
+        if selector:
+            assert params[selector] == choice
+
+    # an off-default value of every option, for argv built from the table
+    OFF_DEFAULT = {"phi": ("odd_only",), "p": ("0.5",), "m": ("1",), "N": ("2",),
+                   "mu_const": ("1",), "gamma": ("0.5",), "lambda_h": ("1",), "beta": ("0.1",),
+                   "degree": ("3",), "samples": ("3",), "seed": ("3",), "allow_errata": (),
+                   "tol": ("1e-10",), "scan_step": ("0.01",), "domain": ("gamma",)}
+
+    def unread_in_reverse(self):
+        """(argv giving each unread option of a run, in reverse parser order; the first)."""
+        cases = []
+        for (command, choice), run in self.RUNS.items():
+            options = cli.build_parser()._subparsers._group_actions[0].choices[command]._actions
+            unread = [a for a in options if a.dest in self.OFF_DEFAULT
+                      and a.dest not in cli.READS[command][1][choice]
+                      and a.dest != cli.READS[command][0]]
+            if unread:
+                argv = list(run)
+                for action in reversed(unread):
+                    argv += [action.option_strings[0], *self.OFF_DEFAULT[action.dest]]
+                cases.append((argv, unread[0].option_strings[0]))
+        return cases
+
+    def test_the_first_unread_option_in_parser_order_is_reported(self, capsys):
+        cases = self.unread_in_reverse()
+        assert len(cases) == 10  # every selector value that leaves an option unread
+        for argv, first in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert re.fullmatch(rf"error: {first} does not apply to --\S+ \S+\n", err), argv
+
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_the_reported_option_does_not_depend_on_the_hash_seed(self, capsys, hash_seed):
+        argvs = [argv for argv, _ in self.unread_in_reverse()]
+        expected = [list(run_cli(capsys, *argv)) for argv in argvs]
+        proc = run_python("-c", TestParserCache.MAIN_IN_ONE_PROCESS, json.dumps(argvs),
+                          hash_seed=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
+
+
 class TestTextFormat:
     def test_text_output_is_line_oriented(self, capsys):
         code, out, _ = run_cli(capsys, "radius", "--phi", "monomial", "--gamma", "0",
@@ -383,12 +494,15 @@ class TestTextFormat:
         assert any(line.startswith("radius:") for line in out.splitlines())
 
 
-def run_python(*args):
+def run_python(*args, hash_seed=None):
     """Run python with src/ importable (no install needed) and a fixed help width."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+                          timeout=120, env=env)
 
 
 def test_console_script_smoke():
