@@ -194,7 +194,21 @@ def _validated(args):
             _check_index(count, getattr(args, count))
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
+    if args.command == "verify" and not _draws_a(args):
+        draws = [o for o in read if o[0] in _DRAWS]
+        _reject_unread(args, draws, f"--family {args.family} where no a is drawn "
+                                    "(gamma > 0 or m > 0)")
+        read = tuple(o for o in read if o not in draws)
     return read
+
+
+def _draws_a(args):
+    """Whether a verify run draws seeded a besides its fixed grid: only on the unshifted
+    disk family (gamma = 0, and m = 0 unless m is the rogosinski Schwarz order), whose
+    norm sequences are those of every diagonal Mobius blend with a common parameter.
+    A general lambda_h != 1 has no family and exits 2 here, before any solve."""
+    return (args.family != "tables" and family_gamma(_domain(args, default_gamma=0.0)) == 0.0
+            and (args.m == 0 or args.family == "rogosinski"))
 
 
 def _domain(args, default_gamma=None) -> DomainSpec:
@@ -240,26 +254,14 @@ def _cmd_tables(args):
 
 
 def _verify_setup(args):
-    """(radius, bind: r -> (a -> report) on the extremal family, sampled).
-
-    The family is ``family_gamma``'s, so a general lambda_h != 1 exits 2
-    before any solve.  Seeded draws of a join the fixed grid (sampled)
-    only on the unshifted disk family (gamma = 0, and m = 0 unless m is
-    the rogosinski Schwarz order), whose norm sequences are those of
-    every diagonal Mobius blend with a common parameter; elsewhere a
-    --samples or --seed off its default exits 2.
-    """
+    """(radius, bind: r -> (a -> report) on the extremal family of ``family_gamma``)."""
     domain = _domain(args, default_gamma=0.0)
     gamma = family_gamma(domain)
-    rogosinski = args.family == "rogosinski"
-    sampled = gamma == 0.0 and (args.m == 0 or rogosinski)
-    if not sampled:
-        _reject_unread(args, [o for o in _reads("verify", args.family)[0] if o[0] in _DRAWS],
-                       f"--family {args.family} where no a is drawn (gamma > 0 or m > 0)")
     if args.family in ("bohr", "refined", "rogosinski"):
         # "bohr" is the plain weighted sum: the refined functional at mu = 0
-        problem, result = _solved(args, "rogosinski" if rogosinski else "refined", domain)
-        return result.value, lambda r: problem_functional(problem, r), sampled
+        kind = "rogosinski" if args.family == "rogosinski" else "refined"
+        problem, result = _solved(args, kind, domain)
+        return result.value, lambda r: problem_functional(problem, r)
 
     lam = domain.effective_lambda
     if args.family == "area-poly":
@@ -272,7 +274,7 @@ def _verify_setup(args):
     else:
         functional = lambda c, r: bohr_energy_functional(c, r, lam)
     radius = 1.0 / (1.0 + 2.0 * lam)
-    return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r), sampled
+    return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r)
 
 
 def _cmd_verify(args):
@@ -282,11 +284,11 @@ def _cmd_verify(args):
             r["delta"] > TABLE_MATCH_TOL for r in record["rows"])}
         return code, record
 
-    radius, bind, sampled = _verify_setup(args)
+    radius, bind = _verify_setup(args)
     r_below = max(radius - PROBE_OFFSET, radius / 2.0)
     r_above = radius + PROBE_OFFSET
     a_values = list(SWEEP_A_GRID)
-    if sampled:
+    if _draws_a(args):
         a_values += np.random.default_rng(args.seed).uniform(0.05, 0.995, args.samples).tolist()
     reports = list(zip(a_values, map(bind(r_below), a_values)))
     checked = len(reports)

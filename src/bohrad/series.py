@@ -7,8 +7,11 @@ optional exact geometric continuation).  Concrete test surfaces are the
 Mobius-type extremal family on the enlarged disk Omega_gamma and
 diagonal blends of scalar Mobius factors, for which the norms are exact.
 The extremal family is geometric from index 1, so it stores two norms
-and its ratio (``count`` asks for a longer explicit prefix), and every
-sum on it adds the rest in closed form.
+and its ratio; a blend is geometric from its crossover, the index where
+the entry with the largest parameter takes over, so it stores its norms
+up to there (two for equal parameters) and that parameter as the ratio.
+``count`` asks either builder for a longer explicit prefix, and every
+sum adds the rest in closed form.
 
 Weights, sums and blend tables do their per-element work with the
 floating-point operations of a plain per-element loop, so every value is
@@ -458,17 +461,21 @@ class MatrixCoeffFn:
         return self.phases[i] * _mobius_taylor(self.params[i], n, n + 1)[0]
 
 
-def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 64) -> CoeffSeries:
+def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 1) -> CoeffSeries:
     """Coefficient-norm series of a diagonal Mobius blend.
 
     The norm at index n is max_i |c_n^{(i)}|, from one table of Taylor
-    coefficients per distinct parameter.  Stored norms run at least
-    to the last index where an entry with a smaller parameter a first
-    falls below the entry with the largest one, b: the smallest n with
-    (1-b^2) b^(n-1) >= (1-a^2) a^(n-1), which then holds for all larger n,
-    so the continuation ratio b is exact.  A log estimate, less one
-    against round-off, is stepped up until that comparison confirms it.
-    A crossover beyond MAX_BLEND_NORMS raises NonConvergenceError.
+    coefficients per distinct parameter.  Stored norms run to the
+    crossover max(1, k), where k is the last index at which an entry
+    with a smaller parameter a first falls below the entry with the
+    largest one, b: the smallest n with (1-b^2) b^(n-1) >= (1-a^2)
+    a^(n-1), which then holds for all larger n, so the continuation
+    ratio b is exact and every sum adds the rest in closed form.  A
+    blend with equal parameters stores ||A_0|| and ||A_1||; ``count``
+    only asks for a longer prefix, to index max(count, k).  A log
+    estimate of k, less one against round-off, is stepped up until that
+    comparison confirms it.  A crossover beyond MAX_BLEND_NORMS raises
+    NonConvergenceError.
 
     The table is computed in one array pass with the operations of the
     per-entry scan max_i abs(phase_i * c_n^{(i)}), so every norm is bit
@@ -534,9 +541,10 @@ def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
     violation is reported, not raised.  The stored norms settle the whole
     series: a geometric continuation has ratio < 1, so no norm past the
     stored range exceeds the last stored one, and the two-norm extremal
-    family reports what any longer prefix of it does.  ``checked`` counts
-    the stored norms compared, so that family reports 1 (a 64-norm prefix
-    of it, 64), although both checks cover every index.
+    family and a blend stored to its crossover report what any longer
+    prefix of them does.  ``checked`` counts the stored norms compared,
+    so that family and an equal-parameter blend report 1 (a 64-norm
+    prefix, 64), although every check covers every index.
     """
     m = coeffs.start_index
     a0 = coeffs.norm(m)

@@ -446,6 +446,17 @@ class TestReadOptions:
         if selector:
             assert params[selector] == choice
 
+    @pytest.mark.parametrize("extra, draws", [(("--gamma", "0"), True),
+                                              (("--gamma", "0.3"), False),
+                                              (("--gamma", "0", "--m", "1"), False)])
+    def test_verify_echoes_samples_and_seed_only_where_it_draws_a(self, capsys, extra, draws):
+        code, out, _ = run_cli(capsys, "verify", "--family", "bohr", *extra)
+        record = json.loads(out)
+        assert code == 0
+        assert {"samples", "seed"} & set(record["params"]) == ({"samples", "seed"} if draws
+                                                               else set())
+        assert record["summary"]["checked"] == len(cli.SWEEP_A_GRID) + (100 if draws else 0)
+
     # an off-default value of every option, for argv built from the table
     OFF_DEFAULT = {"phi": ("odd_only",), "p": ("0.5",), "m": ("1",), "N": ("2",),
                    "mu_const": ("1",), "gamma": ("0.5",), "lambda_h": ("1",), "beta": ("0.1",),

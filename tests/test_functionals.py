@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, WEIGHTED_LINEAR,
                     CoeffSeries, FunctionalReport, MatrixCoeffFn, MuFunction, PhiSequence,
                     RadiusProblem, bohr_area_functional, bohr_beta_functional,
-                    bohr_energy_functional, classical_functional,
+                    bohr_energy_functional, check_coeff_bound, classical_functional,
                     diag_blend_coeffs, majorant, mobius_gamma_coeffs,
                     mobius_partial_modulus, per_function_radius, phi_tail,
                     phi_term, problem_functional, radius_refined, refined_at,
@@ -588,6 +588,88 @@ class TestTwoNormFamily:
         assert mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0), EVEN_ONLY, r), want, 0.0)
         assert mobius_gamma_coeffs(a, 0.0, 64) == mobius_gamma_coeffs(a, 0.0)
         assert mp_sums.close(majorant(mobius_gamma_coeffs(a, 0.0, 64), EVEN_ONLY, r), want, 0.0)
+
+
+def seeded_blend(seed):
+    """1-8 phased entries: even seeds share one parameter, odd ones draw distinct ones."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    if seed % 2:  # a largest parameter near 1 with near neighbours crosses over late
+        b = float(rng.uniform(0.9, 0.999))
+        params = (b,) + tuple(float(b * rng.uniform(0.97, 1.0) if rng.random() < 0.5
+                                    else rng.uniform(0.01, b)) for _ in range(d - 1))
+    else:
+        params = (float(rng.uniform(0.05, 0.995)),) * d
+    phases = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(d))
+    return MatrixCoeffFn(params, phases)
+
+
+def crossover(params):
+    """The first index k >= 1 from which the largest parameter's entry dominates each
+    smaller one's, (1 - b^2) b^(n-1) >= (1 - a^2) a^(n-1), found by a scan from 1."""
+    b, k = max(params), 1
+    for a in set(params) - {b}:
+        n = 1
+        while (1.0 - b * b) * b ** (n - 1) < (1.0 - a * a) * a ** (n - 1):
+            n += 1
+        k = max(k, n)
+    return k
+
+
+def blend_sums(coeffs, m, r):
+    """Every functional a blend feeds: majorant, s_r and the refined sums of the blend
+    shifted by m, the kind-free functionals, and Rogosinski with N = m + 1."""
+    shifted = coeffs.shifted(m)
+    values = {"s_r": s_r(shifted, r), "energy": bohr_energy_functional(coeffs, r).value,
+              "beta": bohr_beta_functional(coeffs, r, 0.25).value,
+              "area": bohr_area_functional(coeffs, r, 1.0, m + 1).value}
+    for kind, phi in BUILTIN_PHI.items():
+        values[f"{kind} majorant"] = majorant(shifted, phi, r)
+        values[f"{kind} refined"] = refined_functional(shifted, phi, 1.5, m, 2.0, r).value
+        values[f"{kind} refined_sum"] = refined_sum(shifted, phi, m, r)
+        values[f"{kind} rogosinski"] = rogosinski_functional(coeffs, phi, 1.5, m + 1, 1, 2.0,
+                                                             r).value
+    return values
+
+
+class TestShortBlendPrefix:
+    """A blend stores ||A_0|| .. ||A_k|| to its crossover k; sums add the rest in closed form."""
+
+    @pytest.fixture(scope="class")
+    def blends(self):
+        from test_series_golden import BLENDS
+        return [seeded_blend(seed) for seed in range(40)] + [BLENDS["wide"]]
+
+    def test_prefix_ends_at_the_crossover(self, blends):
+        late = 0
+        for fn in blends:
+            k = crossover(fn.params)
+            assert diag_blend_coeffs(fn).last_index == k, fn
+            late += k > 64
+        assert late > 0
+
+    def test_sums_equal_the_64_norm_blend(self, blends):
+        rng = np.random.default_rng(5)
+        for fn in blends:
+            r, m = float(rng.uniform(0.05, 0.95)), int(rng.integers(0, 3))
+            short = blend_sums(diag_blend_coeffs(fn), m, r)
+            long = blend_sums(diag_blend_coeffs(fn, 64), m, r)
+            for name, want in long.items():
+                assert short[name] == pytest.approx(want, rel=1e-15, abs=0.0), (name, fn, r, m)
+
+    def test_coefficient_bound_check_is_the_64_norm_check(self, blends):
+        outcomes = set()
+        for domain in (DomainSpec.disk(), DomainSpec.omega_gamma(0.3), DomainSpec.general(3.0)):
+            for fn in blends:
+                for m in (0, 2):
+                    short = check_coeff_bound(diag_blend_coeffs(fn).shifted(m), domain)
+                    long = check_coeff_bound(diag_blend_coeffs(fn, 64).shifted(m), domain)
+                    assert ((short.passed, short.first_violation)
+                            == (long.passed, long.first_violation)), (fn, domain, m)
+                    if len(set(fn.params)) == 1:  # ||A_0|| and ||A_1|| stored
+                        assert short.checked == 1
+                    outcomes.add(short.passed)
+        assert outcomes == {True, False}
 
 
 # (n + 1) r^n as a custom kind, with and without its closed-form tail

@@ -275,29 +275,32 @@ class TestDiagonalBlend:
         assert blend.norms == pytest.approx(mobius_gamma_coeffs(0.7, 0.0, 16).norms, rel=1e-15)
 
     def test_phased_equal_parameters_prefix_a_dominance_scan(self):
-        # Scanning from `count` until the first entry with the largest
-        # parameter is also the largest in magnitude stores extra norms
-        # whenever phase round-off lifts another entry by an ulp.  Equal
-        # parameters need none of them: the stored norms are that scan's
-        # first count + 1, bit for bit, and the continuation matches the
-        # rest to round-off.
+        # Scanning from the last stored index until the first entry with
+        # the largest parameter is also the largest in magnitude stores
+        # extra norms whenever phase round-off lifts another entry by an
+        # ulp.  Equal parameters need none of them: the stored norms are
+        # that scan's first last_index + 1, bit for bit, and the
+        # continuation matches the rest to round-off, checked here up to
+        # the dominance index and at least to index 64.
         longer = 0
         for seed in range(40):
             fn = phased_equal_blend(np.random.default_rng(seed))
             blend = diag_blend_coeffs(fn)
+            stored = blend.last_index + 1
             n = blend.last_index
             while True:
                 mags = [abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension)]
                 if mags.index(max(mags)) == 0:
                     break
                 n += 1
+            longer += n > blend.last_index
+            n = max(n, 64)
             scanned = [max(abs(fn.entry_coefficient(i, k)) for i in range(fn.dimension))
                        for k in range(n + 1)]
-            assert blend.last_index == 64
-            assert list(blend.norms) == scanned[:65]
-            for k in range(65, n + 1):
+            assert blend.last_index == 1
+            assert list(blend.norms) == scanned[:stored]
+            for k in range(stored, n + 1):
                 assert blend.norm(k) == pytest.approx(scanned[k], rel=1e-14, abs=0.0)
-            longer += n > 64
         assert longer > 0
 
     def test_phased_unequal_parameters_match_the_entry_scan(self):
@@ -336,7 +339,7 @@ class TestDiagonalBlend:
         # (1 - a^2) <= 1 cannot lift an underflowed power: every stored 0.0 is
         # a norm below half the least subnormal, so the sums keep their terms
         a, r = 3.0536614991083513e-189, 0.5
-        blend = diag_blend_coeffs(MatrixCoeffFn((a, a), (1.0, 1j)))
+        blend = diag_blend_coeffs(MatrixCoeffFn((a, a), (1.0, 1j)), 64)
         mp = mp_sums.mp
         with mp.workdps(mp_sums.DPS):
             half_least = mp.mpf(2) ** -1075

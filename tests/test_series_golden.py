@@ -20,6 +20,9 @@ from bohrad import (BUILTIN_PHI, MatrixCoeffFn, PhiSequence, bohr_area_functiona
                     mobius_gamma_coeffs, refined_functional, refined_sum, rogosinski_functional,
                     s_r)
 
+import mp_sums
+from test_functionals import mp_family_sums
+
 GOLDEN_PATH = Path(__file__).resolve().parent / "series_golden.json"
 
 CUSTOM = {
@@ -40,6 +43,7 @@ BLENDS = {
     "distinct": _blend((0.3, 0.7, 0.5), (0.1, 0.45, 0.9)),
     "wide": _blend((0.05, 0.95, 0.9, 0.2, 0.6, 0.6, 0.995, 0.4), [k / 8 for k in range(8)]),
 }
+BLEND_R = {"equal": 0.3, "distinct": 0.8, "wide": 0.6}
 
 
 def _sums(values, label, coeffs, disk, m, r, lam, kinds):
@@ -66,9 +70,9 @@ def golden_values():
     for m in (0, 2):
         _sums(values, f"count64 m={m}", mobius_gamma_coeffs(0.9, 0.0, 64),
               mobius_gamma_coeffs(0.9, 0.0, 64), m, 0.7, 1.0, BUILTIN_PHI)
-    for (name, fn), r in zip(BLENDS.items(), (0.3, 0.8, 0.6)):
+    for name, fn in BLENDS.items():
         coeffs = diag_blend_coeffs(fn)
-        _sums(values, f"blend {name}", coeffs, coeffs, 0, r, 1.0, BUILTIN_PHI)
+        _sums(values, f"blend {name}", coeffs, coeffs, 0, BLEND_R[name], 1.0, BUILTIN_PHI)
     family = mobius_gamma_coeffs(0.9, 0.0)
     for kind, phi in CUSTOM.items():
         values[f"custom {kind} majorant"] = majorant(family, phi, 0.9)
@@ -95,6 +99,23 @@ def test_sum_repeats_its_golden_value(current, label):
 
 def test_no_value_is_unpinned(current):
     assert sorted(current) == sorted(GOLDEN)
+
+
+def test_equal_blend_values_are_the_40_digit_sums():
+    # the equal blend's entries share a = 0.6, so its norms are those of the
+    # disk family mobius_gamma_coeffs(0.6, 0.0), whose sums mp_family_sums restates
+    family, r = mobius_gamma_coeffs(0.6, 0.0), BLEND_R["equal"]
+    want = {}
+    for kind in BUILTIN_PHI:
+        sums = mp_family_sums(0.6, 0.0, kind, 0, r)
+        for name in ("majorant", "refined", "rogosinski"):
+            want[f"{kind} {name}"] = sums[name]
+        want[f"{kind} refined_sum"] = mp_sums.refined_sum(family, kind, 0, r)
+    want.update({name: sums[name] for name in ("s_r", "energy", "beta", "area")})
+    assert sorted(f"blend equal {label}" for label in want) == sorted(
+        label for label in GOLDEN if label.startswith("blend equal "))
+    for label, value in want.items():
+        assert mp_sums.close(float(GOLDEN[f"blend equal {label}"]), value, 0.0, 1e-15), label
 
 
 if __name__ == "__main__":
