@@ -66,8 +66,12 @@ class HyperbolicDensity:
             raise DomainError(f"unknown density kind {self.kind!r}")
         if self.kind == "omega_gamma" and not 0.0 <= self.gamma < 1.0:
             raise DomainError("gamma must lie in [0, 1)")
-        if self.kind == "custom" and self.fn is None:
+        if self.kind != "omega_gamma" and self.gamma != 0.0:
+            raise DomainError(f"density kind {self.kind!r} takes no gamma")
+        if self.kind == "custom" and not callable(self.fn):
             raise DomainError("custom density requires a callable")
+        if self.kind != "custom" and self.fn is not None:
+            raise DomainError(f"density kind {self.kind!r} takes no fn")
 
     @classmethod
     def unit_disk(cls):

@@ -43,7 +43,9 @@ class MuFunction:
             raise ConfigurationError("provide exactly one of value / fn")
         if self.value is not None:
             _check_constant_mu(self.value)
-        if self.fn is not None:
+        elif not callable(self.fn):
+            raise ConfigurationError(f"mu fn must be callable, got {type(self.fn).__name__}")
+        else:
             for k in range(65):  # coarse admissibility screen
                 v = float(self.fn(k / 64.0))
                 if not math.isfinite(v) or v < 0:
@@ -149,8 +151,8 @@ def bohr_energy_functional(coeffs: CoeffSeries, r: float,
     value = sum ||A_n|| r^n
           + ( (1+L)/(2L(1+||A_0||)) + 2(1+L) r/(3(1-r)) ) sum_{n>=1} ||A_n||^2 r^{2n}.
     """
-    if not lambda_h > 0:
-        raise DomainError(f"lambda_h must be positive, got {lambda_h}")
+    if not (math.isfinite(lambda_h) and lambda_h > 0):
+        raise DomainError(f"lambda_h must be finite and positive, got {lambda_h}")
     _check_radius(r)
     a0 = coeffs.norm(coeffs.start_index)
     weight = (1.0 + lambda_h) / (2.0 * lambda_h * (1.0 + a0)) \

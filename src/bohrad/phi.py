@@ -69,8 +69,14 @@ class PhiSequence:
     def __post_init__(self):
         if self.kind not in PHI_KINDS:
             raise ConfigurationError(f"unknown phi kind {self.kind!r}")
-        if self.kind == "custom" and self.custom_term is None:
+        if self.kind != "custom":
+            if self.custom_term is not None or self.custom_tail is not None:
+                raise ConfigurationError(f"phi kind {self.kind!r} takes no custom_term "
+                                         "or custom_tail")
+        elif not callable(self.custom_term):
             raise ConfigurationError("custom phi requires a custom_term callable")
+        elif self.custom_tail is not None and not callable(self.custom_tail):
+            raise ConfigurationError("custom_tail must be callable")
 
 
 BUILTIN_PHI = {kind: PhiSequence(kind) for kind in GEOMETRIC_FORMS}

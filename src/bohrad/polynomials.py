@@ -51,8 +51,8 @@ class PolySpec:
 
 def area_poly_coeffs(lambda_h: float, degree: int) -> PolySpec:
     """Closed-form coefficients k_j = ((1 + L)/(1 + 2L))^{2j}, L = lambda_h."""
-    if not lambda_h > 0:
-        raise DomainError(f"lambda_h must be positive, got {lambda_h}")
+    if not (math.isfinite(lambda_h) and lambda_h > 0):
+        raise DomainError(f"lambda_h must be finite and positive, got {lambda_h}")
     _check_index("degree", degree, 1)
     base = ((1.0 + lambda_h) / (1.0 + 2.0 * lambda_h)) ** 2
     return PolySpec(tuple(base**j for j in range(1, degree + 1)))

@@ -193,8 +193,8 @@ def closed_form_radius(case: str, gamma: float | None = None,
         return p
 
     if case == "lambda_base":
-        if lambda_h is None or not lambda_h > 0:
-            raise ConfigurationError("case 'lambda_base' needs lambda_h > 0")
+        if lambda_h is None or not (math.isfinite(lambda_h) and lambda_h > 0):
+            raise ConfigurationError("case 'lambda_base' needs a finite lambda_h > 0")
         return 1.0 / (1.0 + 2.0 * lambda_h)
     if case == "gamma_p1":
         g = need_gamma()

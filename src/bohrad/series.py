@@ -10,15 +10,13 @@ The extremal family is geometric from index 1, so it stores two norms
 and its ratio; a blend is geometric from its crossover, the index where
 the entry with the largest parameter takes over, so it stores its norms
 up to there (two for equal parameters) and that parameter as the ratio.
-``count`` asks either builder for a longer explicit prefix, and every
-sum adds the rest in closed form.
+``count`` asks the extremal family for a longer explicit prefix, and
+every sum adds the rest in closed form.
 
-Weights, sums and blend tables do their per-element work with the
-floating-point operations of a plain per-element loop, so every value is
-bit identical to that loop, with less interpreter work: weights visit
-only the indices of their parity class, stored-norm terms are products
-mapped in C, and a blend's norms come from one numpy table whose moduli
-are libm ``hypot``, as ``abs(complex)`` computes them.
+Weights and sums do their per-element work with the floating-point
+operations of a plain per-element loop, so every value is bit identical
+to that loop, with less interpreter work: weights visit only the indices
+of their parity class, and stored-norm terms are products mapped in C.
 
 Inputs are checked once, where they enter the package: the public
 constructors (``CoeffSeries``, ``MatrixCoeffFn``, ``DomainSpec``, and in
@@ -455,41 +453,29 @@ class MatrixCoeffFn:
         return len(self.params)
 
     def entry_coefficient(self, i: int, n: int) -> complex:
-        """n-th Taylor coefficient of the i-th diagonal entry."""
+        """n-th Taylor coefficient of entry i: its phase times a, or (1 - a^2)(-a)^(n-1)."""
         _check_index("i", i)
         _check_index("n", n)
-        return self.phases[i] * _mobius_taylor(self.params[i], n, n + 1)[0]
+        a = self.params[i]
+        return self.phases[i] * (complex(a) if n == 0 else (1 - a * a) * (-a) ** (n - 1))
 
 
-def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 1) -> CoeffSeries:
+def diag_blend_coeffs(fn: MatrixCoeffFn) -> CoeffSeries:
     """Coefficient-norm series of a diagonal Mobius blend.
 
-    The norm at index n is max_i |c_n^{(i)}|, from one table of Taylor
-    coefficients per distinct parameter.  Stored norms run to the
-    crossover max(1, k), where k is the last index at which an entry
+    Every phase is unimodular, so ||A_n|| = max_i |c_n^{(i)}|: max_i a_i
+    at n = 0 and max_i (1 - a_i^2) a_i^(n-1) after.  Stored norms run to
+    the crossover max(1, k), where k is the last index at which an entry
     with a smaller parameter a first falls below the entry with the
     largest one, b: the smallest n with (1-b^2) b^(n-1) >= (1-a^2)
     a^(n-1), which then holds for all larger n, so the continuation
-    ratio b is exact and every sum adds the rest in closed form.  A
-    blend with equal parameters stores ||A_0|| and ||A_1||; ``count``
-    only asks for a longer prefix, to index max(count, k).  A log
-    estimate of k, less one against round-off, is stepped up until that
-    comparison confirms it.  A crossover beyond MAX_BLEND_NORMS raises
-    NonConvergenceError.
-
-    The table is computed in one array pass with the operations of the
-    per-entry scan max_i abs(phase_i * c_n^{(i)}), so every norm is bit
-    identical to it: a phase times a real coefficient is the complex
-    (Re * c, Im * c), and np.hypot of the two parts calls the libm hypot
-    that abs(complex) calls (np.abs on complex128 rounds differently).
-    The coefficients' powers stay in Python's pow (see _mobius_taylor).
-    An underflowed power needs no guard: (1 - a^2) <= 1 never enlarges
-    it, so a stored 0.0 is the true norm rounded, and so is every later
-    norm.
+    ratio b is exact and every sum adds the rest in closed form (equal
+    parameters store ||A_0|| and ||A_1||).  A log estimate of k, less
+    one against round-off, is stepped up until that comparison confirms
+    it.  A crossover beyond MAX_BLEND_NORMS raises NonConvergenceError.
     """
-    _check_index("count", count, 1)
     b = max(fn.params)
-    n = count
+    n = 1
     for a in fn.params:
         if a < b:
             k = max(1, math.floor(math.log((1.0 - a * a) / (1.0 - b * b))
@@ -500,27 +486,11 @@ def diag_blend_coeffs(fn: MatrixCoeffFn, count: int = 1) -> CoeffSeries:
             while (1.0 - b * b) * b ** (k - 1) < (1.0 - a * a) * a ** (k - 1):
                 k += 1
             n = max(n, k)
-    scalar = {a: np.array([a] + _mobius_taylor(a, 1, n + 1)) for a in set(fn.params)}
-    table = np.array([scalar[a] for a in fn.params])
-    phases = np.array(fn.phases)
-    norms = np.hypot(phases.real[:, None] * table, phases.imag[:, None] * table).max(axis=0)
-    # tolist gives floats; hypot of finite coefficients and checked unimodular phases
-    # is finite and >= 0, start 0 needs no zeros, and the largest parameter b lies in (0, 1)
-    return _trusted(CoeffSeries, norms=tuple(norms.tolist()), start_index=0,
-                    tail_geometric_ratio=b)
-
-
-def _mobius_taylor(a: float, start: int, stop: int) -> list:
-    """Taylor coefficients c_start .. c_{stop-1} of (a + z)/(1 + a z).
-
-    c_0 = a (as a complex) and c_n = (1 - a^2)(-a)^(n-1) for n >= 1; the
-    same floating-point operations whether one or a whole table is asked.
-    The powers come from Python's pow (libm), not numpy's, whose pow can
-    differ in the last bit.
-    """
-    head = [complex(a)] if start == 0 < stop else []
-    scale, b = 1.0 - a * a, -a
-    return head + [scale * b**k for k in range(max(start, 1) - 1, stop - 1)]
+    scales = {a: 1.0 - a * a for a in fn.params}  # one column per distinct parameter
+    columns = [[a] + [scale * a**k for k in range(n)] for a, scale in scales.items()]
+    norms = tuple(map(max, *columns)) if len(columns) > 1 else tuple(columns[0])
+    # checked a in (0, 1), its powers times 1 - a^2: finite, >= 0 from start 0; b in (0, 1)
+    return _trusted(CoeffSeries, norms=norms, start_index=0, tail_geometric_ratio=b)
 
 
 @dataclass(frozen=True)
@@ -546,6 +516,8 @@ def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
     so that family and an equal-parameter blend report 1 (a 64-norm
     prefix, 64), although every check covers every index.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):  # a NaN or infinite tol passes every norm
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     m = coeffs.start_index
     a0 = coeffs.norm(m)
     if a0 > 1.0 + tol:

@@ -6,6 +6,8 @@ with a parity class picked out by (1 + (-1)^(n - parity)) / 2.  The
 weights are restated here from their definitions, not imported.
 """
 
+from typing import NamedTuple
+
 import mpmath as mp
 
 DPS = 40
@@ -68,6 +70,31 @@ def phi_tail(kind, N, r):
     c, parity, head = KINDS[kind]
     value = poly_tail(c, r, N, parity)
     return value + head if N == 0 else value
+
+
+class Blend(NamedTuple):
+    """Exact norms of a diagonal Mobius blend, read like a CoeffSeries: max_i a_i at
+    n = 0 and max_i (1 - a_i^2) a_i^(n-1) after, stored until the entry with the
+    largest parameter b dominates every other, and geometric with ratio b from there."""
+
+    norms: tuple
+    tail_geometric_ratio: object
+
+    def norm(self, n):
+        return self.norms[n]
+
+
+def blend(params):
+    with mp.workdps(DPS):
+        params = [mp.mpf(a) for a in params]
+        b = max(params)
+        norms = [b]
+        while True:
+            n = len(norms)
+            entries = [(1 - a * a) * a ** (n - 1) for a in params]
+            norms.append(max(entries))
+            if (1 - b * b) * b ** (n - 1) == norms[-1]:
+                return Blend(tuple(norms), b)
 
 
 def _series(coeffs):

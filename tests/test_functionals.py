@@ -523,11 +523,15 @@ def family_sums(a, gamma, kind, m, r, count=1):
 
 def mp_family_sums(a, gamma, kind, m, r):
     """family_sums of the two-norm family, from the 40-digit references."""
-    mp = mp_sums.mp
-    lam = 1.0 / (1.0 + gamma)
     coeffs = mobius_gamma_coeffs(a, gamma)
-    shifted = coeffs.shifted(m)
-    disk = mobius_gamma_coeffs(a, 0.0)
+    return mp_series_sums(coeffs, coeffs.shifted(m), mobius_gamma_coeffs(a, 0.0),
+                          1.0 / (1.0 + gamma), kind, m, r)
+
+
+def mp_series_sums(coeffs, shifted, disk, lam, kind, m, r):
+    """family_sums' functionals of coeffs (shifted: coeffs shifted by m), from the
+    40-digit references; Rogosinski's reads disk."""
+    mp = mp_sums.mp
     with mp.workdps(mp_sums.DPS):
         L, r_, a0 = mp.mpf(lam), mp.mpf(r), mp.mpf(coeffs.norm(0))
         bohr = mp_sums.majorant(coeffs, "monomial", r)
@@ -616,6 +620,19 @@ def crossover(params):
     return k
 
 
+def closed_form_norms(params, last):
+    """(||A_0||, .., ||A_last||) of a diagonal blend, one closed-form expression per
+    entry: max a_i at n = 0 and max (1 - a_i^2) a_i^(n-1) after."""
+    return (max(params),) + tuple(max((1.0 - a * a) * a ** (n - 1) for a in params)
+                                  for n in range(1, last + 1))
+
+
+def long_prefix(fn):
+    """The blend's norms to index max(64, crossover), stored explicitly, then geometric."""
+    last = max(64, crossover(fn.params))
+    return CoeffSeries(closed_form_norms(fn.params, last), 0, max(fn.params))
+
+
 def blend_sums(coeffs, m, r):
     """Every functional a blend feeds: majorant, s_r and the refined sums of the blend
     shifted by m, the kind-free functionals, and Rogosinski with N = m + 1."""
@@ -653,7 +670,7 @@ class TestShortBlendPrefix:
         for fn in blends:
             r, m = float(rng.uniform(0.05, 0.95)), int(rng.integers(0, 3))
             short = blend_sums(diag_blend_coeffs(fn), m, r)
-            long = blend_sums(diag_blend_coeffs(fn, 64), m, r)
+            long = blend_sums(long_prefix(fn), m, r)
             for name, want in long.items():
                 assert short[name] == pytest.approx(want, rel=1e-15, abs=0.0), (name, fn, r, m)
 
@@ -663,7 +680,7 @@ class TestShortBlendPrefix:
             for fn in blends:
                 for m in (0, 2):
                     short = check_coeff_bound(diag_blend_coeffs(fn).shifted(m), domain)
-                    long = check_coeff_bound(diag_blend_coeffs(fn, 64).shifted(m), domain)
+                    long = check_coeff_bound(long_prefix(fn).shifted(m), domain)
                     assert ((short.passed, short.first_violation)
                             == (long.passed, long.first_violation)), (fn, domain, m)
                     if len(set(fn.params)) == 1:  # ||A_0|| and ||A_1|| stored

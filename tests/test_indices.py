@@ -17,9 +17,9 @@ import pytest
 
 from bohrad import (EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR, WEIGHTED_QUADRATIC,
                     CoeffSeries, HyperbolicDensity, MatrixCoeffFn, RadiusProblem,
-                    area_poly_coeffs, bloch_majorant_check, bohr_beta_functional,
-                    bohr_energy_functional, classical_functional, closed_form_radius,
-                    diag_blend_coeffs, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
+                    area_poly_coeffs, bloch_majorant_check, bohr_area_functional,
+                    bohr_beta_functional, bohr_energy_functional, classical_functional,
+                    closed_form_radius, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
                     monotonicity_check, peak_weight, per_function_radius, phi_tail, phi_term,
                     radius_refined, radius_rogosinski, refined_functional, refined_sum,
                     rogosinski_functional, schwarz_composed_bound)
@@ -68,7 +68,6 @@ ENTRIES = [
     ("CoeffSeries.shifted", "k", 0, 2, lambda k: COEFFS.shifted(k)),
     ("CoeffSeries.truncated_from", "N", 0, 2, lambda N: COEFFS.truncated_from(N)),
     ("mobius_gamma_coeffs", "count", 1, 4, lambda count: mobius_gamma_coeffs(0.6, 0.2, count)),
-    ("diag_blend_coeffs", "count", 1, 8, lambda count: diag_blend_coeffs(BLEND, count)),
     ("MatrixCoeffFn.entry_coefficient.i", "i", 0, 1, lambda i: BLEND.entry_coefficient(i, 3)),
     ("MatrixCoeffFn.entry_coefficient.n", "n", 0, 3, lambda n: BLEND.entry_coefficient(1, n)),
     ("schwarz_composed_bound", "omega_order", 1, 2,
@@ -140,12 +139,19 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.nan), DomainError,
                  "^beta must be non-negative, got nan$", id="beta"),
-    pytest.param(lambda: bohr_energy_functional(COEFFS, 0.2, math.nan), DomainError,
-                 "^lambda_h must be positive, got nan$", id="energy-lambda_h"),
-    pytest.param(lambda: area_poly_coeffs(math.nan, 2), DomainError,
-                 "^lambda_h must be positive, got nan$", id="area-poly-lambda_h"),
-    pytest.param(lambda: closed_form_radius("lambda_base", lambda_h=math.nan), ConfigurationError,
-                 "needs lambda_h > 0", id="lambda_base"),
+    # lambda_h follows DomainSpec.general: finite and > 0, so +inf raises like a NaN
+    *(pytest.param(lambda c=call, x=bad: c(x), error, match.format(bad),
+                   id=name if math.isnan(bad) else f"{name}-inf")
+      for bad in (math.nan, math.inf)
+      for name, call, error, match in (
+          ("energy-lambda_h", lambda x: bohr_energy_functional(COEFFS, 0.2, x), DomainError,
+           "^lambda_h must be finite and positive, got {}$"),
+          ("area-lambda_h", lambda x: bohr_area_functional(COEFFS, 0.2, x), DomainError,
+           "^lambda_h must be finite and positive, got {}$"),
+          ("area-poly-lambda_h", lambda x: area_poly_coeffs(x, 2), DomainError,
+           "^lambda_h must be finite and positive, got {}$"),
+          ("lambda_base", lambda x: closed_form_radius("lambda_base", lambda_h=x),
+           ConfigurationError, "^case 'lambda_base' needs a finite lambda_h > 0$"))),
     pytest.param(lambda: per_function_radius(COEFFS, MONOMIAL, 1.0, math.nan), DomainError,
                  "^q must be positive, got nan$", id="per-function-q"),
     pytest.param(lambda: bloch_majorant_check(SMALL, math.nan, DISK, 0.5, 0.2), DomainError,

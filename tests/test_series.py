@@ -15,6 +15,7 @@ from bohrad.errors import DomainError, NonConvergenceError
 from bohrad.series import GeometricWeight, SampledWeight, _check_radius, norm_sum
 
 import mp_sums
+from test_functionals import closed_form_norms
 
 
 # blend parameters whose crossovers stay within a few hundred norms
@@ -27,6 +28,17 @@ def phased_equal_blend(rng):
     a = float(rng.uniform(0.05, 0.995))
     phases = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(d))
     return MatrixCoeffFn((a,) * d, phases)
+
+
+def entry_scan(fn, last):
+    """[max_i abs(entry_coefficient(i, n)) for n = 0 .. last]: the phased entry scan."""
+    return [max(abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension))
+            for n in range(last + 1)]
+
+
+def within_ulps(xs, ys, ulps):
+    """Each x lies within ulps units in the last place of its y."""
+    return len(xs) == len(ys) and all(abs(x - y) <= ulps * math.ulp(y) for x, y in zip(xs, ys))
 
 
 def power_iteration_norm(matrix, iters=5000, tol=1e-15, seed=7):
@@ -233,33 +245,33 @@ class TestOperatorNorm:
 class TestDiagonalBlend:
     def test_scalar_case_matches_mobius(self):
         fn = MatrixCoeffFn((0.5,))
-        blend = diag_blend_coeffs(fn, 16)
+        blend = diag_blend_coeffs(fn)
         disk = mobius_gamma_coeffs(0.5, 0.0, 16)
         for n in range(17):
             assert blend.norm(n) == pytest.approx(disk.norm(n), abs=1e-15)
 
     def test_head_is_max_of_entries(self):
         fn = MatrixCoeffFn((0.3, 0.6))
-        blend = diag_blend_coeffs(fn, 8)
+        blend = diag_blend_coeffs(fn)
         assert blend.norm(0) == 0.6
         assert blend.norm(1) == pytest.approx(max(1 - 0.09, 1 - 0.36), abs=1e-15)
         assert blend.norm(1) == pytest.approx(0.91, abs=1e-15)
 
     def test_diagonal_coefficient_matrices_have_the_blend_norm(self):
         fn = MatrixCoeffFn((0.3, 0.6), (1.0, 1j))
-        blend = diag_blend_coeffs(fn, 8)
+        blend = diag_blend_coeffs(fn)
         for n in range(5):
             m = np.diag([fn.entry_coefficient(i, n) for i in range(fn.dimension)])
             assert operator_norm(m) == pytest.approx(blend.norm(n), abs=1e-12)
 
-    @pytest.mark.parametrize("params, count, checked", [
-        ((0.3, 0.6, 0.59), 4, range(501)),
+    @pytest.mark.parametrize("params, checked", [
+        ((0.3, 0.6, 0.59), range(501)),
         # crossover near n = 105000: the stored range must reach past it
-        ((0.99999, 0.999991), 64, (0, 64, 20000, 104000, 106000, 200000)),
+        ((0.99999, 0.999991), (0, 64, 20000, 104000, 106000, 200000)),
     ])
-    def test_distinct_parameters_continue_exactly(self, params, count, checked):
+    def test_distinct_parameters_continue_exactly(self, params, checked):
         fn = MatrixCoeffFn(params)
-        blend = diag_blend_coeffs(fn, count)
+        blend = diag_blend_coeffs(fn)
         for n in checked:
             want = max(abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension))
             assert blend.norm(n) == pytest.approx(want, rel=1e-12, abs=0.0), n
@@ -269,39 +281,23 @@ class TestDiagonalBlend:
         with pytest.raises(NonConvergenceError):
             diag_blend_coeffs(MatrixCoeffFn((0.999999999, 0.9999999991)))
 
-    def test_equal_parameters_store_count_norms(self):
-        blend = diag_blend_coeffs(MatrixCoeffFn((0.7, 0.7, 0.7)), 16)
-        assert blend.last_index == 16
-        assert blend.norms == pytest.approx(mobius_gamma_coeffs(0.7, 0.0, 16).norms, rel=1e-15)
+    def test_equal_parameters_store_two_norms(self):
+        blend = diag_blend_coeffs(MatrixCoeffFn((0.7, 0.7, 0.7)))
+        assert blend.last_index == 1
+        assert tuple(map(blend.norm, range(17))) == pytest.approx(
+            mobius_gamma_coeffs(0.7, 0.0, 16).norms, rel=1e-15)
 
-    def test_phased_equal_parameters_prefix_a_dominance_scan(self):
-        # Scanning from the last stored index until the first entry with
-        # the largest parameter is also the largest in magnitude stores
-        # extra norms whenever phase round-off lifts another entry by an
-        # ulp.  Equal parameters need none of them: the stored norms are
-        # that scan's first last_index + 1, bit for bit, and the
-        # continuation matches the rest to round-off, checked here up to
-        # the dominance index and at least to index 64.
-        longer = 0
+    def test_phased_equal_parameters_continue_the_entry_scan(self):
+        # the stored norms are the phased scan max_i abs(phase_i c_n^(i)) to 2 ulp,
+        # and the continuation matches the rest to round-off up to index 64
         for seed in range(40):
             fn = phased_equal_blend(np.random.default_rng(seed))
             blend = diag_blend_coeffs(fn)
-            stored = blend.last_index + 1
-            n = blend.last_index
-            while True:
-                mags = [abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension)]
-                if mags.index(max(mags)) == 0:
-                    break
-                n += 1
-            longer += n > blend.last_index
-            n = max(n, 64)
-            scanned = [max(abs(fn.entry_coefficient(i, k)) for i in range(fn.dimension))
-                       for k in range(n + 1)]
+            scanned = entry_scan(fn, 64)
             assert blend.last_index == 1
-            assert list(blend.norms) == scanned[:stored]
-            for k in range(stored, n + 1):
+            assert within_ulps(blend.norms, scanned[:2], 2)
+            for k in range(2, 65):
                 assert blend.norm(k) == pytest.approx(scanned[k], rel=1e-14, abs=0.0)
-        assert longer > 0
 
     def test_phased_unequal_parameters_match_the_entry_scan(self):
         longer = 0
@@ -315,39 +311,50 @@ class TestDiagonalBlend:
             phases = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) for _ in range(d))
             fn = MatrixCoeffFn(params, phases)
             blend = diag_blend_coeffs(fn)
-            scanned = [max(abs(fn.entry_coefficient(i, k)) for i in range(d))
-                       for k in range(blend.last_index + 1)]
-            assert list(blend.norms) == scanned
+            assert blend.norms == closed_form_norms(params, blend.last_index)
+            assert within_ulps(blend.norms, entry_scan(fn, blend.last_index), 2)
             longer += blend.last_index > 64
         assert longer > 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(BLEND_GRID), min_size=1, max_size=8),
-           st.lists(st.floats(0.0, 2.0 * math.pi), min_size=8, max_size=8),
-           st.integers(1, 300))
-    def test_table_is_the_entry_scan_bit_for_bit(self, params, angles, count):
-        # equal and distinct parameters; the scan is max_i abs(phase_i c_n^(i))
+           st.lists(st.floats(0.0, 2.0 * math.pi), min_size=8, max_size=8))
+    def test_norms_are_the_closed_form_bit_for_bit(self, params, angles):
+        # equal and distinct parameters; the phased entry scan agrees to 2 ulp, and
+        # with every phase 1 bit for bit
         phases = [complex(math.cos(t), math.sin(t)) for t in angles[:len(params)]]
         fn = MatrixCoeffFn(params, phases)
-        blend = diag_blend_coeffs(fn, count)
-        scanned = [max(abs(fn.entry_coefficient(i, n)) for i in range(fn.dimension))
-                   for n in range(blend.last_index + 1)]
-        assert list(map(float.hex, blend.norms)) == list(map(float.hex, scanned))
-        assert blend.last_index >= count and blend.tail_geometric_ratio == max(params)
+        blend = diag_blend_coeffs(fn)
+        last = blend.last_index
+        assert list(map(float.hex, blend.norms)) == list(
+            map(float.hex, closed_form_norms(params, last)))
+        assert within_ulps(blend.norms, entry_scan(fn, last), 2)
+        assert blend.norms == tuple(entry_scan(MatrixCoeffFn(params), last))
+        assert last >= 1 and blend.tail_geometric_ratio == max(params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(BLEND_GRID), min_size=1, max_size=8),
+           st.lists(st.floats(0.0, 2.0 * math.pi), min_size=8, max_size=8))
+    def test_phases_leave_the_series_unchanged(self, params, angles):
+        phases = [complex(math.cos(t), math.sin(t)) for t in angles[:len(params)]]
+        assert (diag_blend_coeffs(MatrixCoeffFn(params, phases))
+                == diag_blend_coeffs(MatrixCoeffFn(params)))
 
     def test_underflowed_norms_are_the_true_norms_rounded(self):
-        # (1 - a^2) <= 1 cannot lift an underflowed power: every stored 0.0 is
-        # a norm below half the least subnormal, so the sums keep their terms
+        # (1 - a^2) <= 1 cannot lift an underflowed power: every 0.0 of the 64-norm
+        # prefix is a norm below half the least subnormal, so the sums keep their terms
         a, r = 3.0536614991083513e-189, 0.5
-        blend = diag_blend_coeffs(MatrixCoeffFn((a, a), (1.0, 1j)), 64)
+        blend = diag_blend_coeffs(MatrixCoeffFn((a, a), (1.0, 1j)))
+        prefix = CoeffSeries(closed_form_norms((a, a), 64), 0, a)
         mp = mp_sums.mp
         with mp.workdps(mp_sums.DPS):
             half_least = mp.mpf(2) ** -1075
-            zeros = [n for n, x in enumerate(blend.norms) if x == 0.0]
+            zeros = [n for n, x in enumerate(prefix.norms) if x == 0.0]
             assert zeros and all((1 - mp.mpf(a) ** 2) * mp.mpf(a) ** (n - 1) < half_least
                                  for n in zeros)
         want = mp_sums.majorant(mobius_gamma_coeffs(a, 0.0), "even_only", r)
-        assert mp_sums.close(majorant(blend, EVEN_ONLY, r), want, 0.0)
+        for coeffs in (blend, prefix):
+            assert mp_sums.close(majorant(coeffs, EVEN_ONLY, r), want, 0.0)
 
     def test_entry_coefficients_are_the_mobius_taylor_coefficients(self):
         # c_0 = a and c_n = (1 - a^2)(-a)^(n-1), times the phase, bit for bit

@@ -21,7 +21,7 @@ from bohrad import (BUILTIN_PHI, MatrixCoeffFn, PhiSequence, bohr_area_functiona
                     s_r)
 
 import mp_sums
-from test_functionals import mp_family_sums
+from test_functionals import mp_series_sums
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "series_golden.json"
 
@@ -101,21 +101,22 @@ def test_no_value_is_unpinned(current):
     assert sorted(current) == sorted(GOLDEN)
 
 
-def test_equal_blend_values_are_the_40_digit_sums():
-    # the equal blend's entries share a = 0.6, so its norms are those of the
-    # disk family mobius_gamma_coeffs(0.6, 0.0), whose sums mp_family_sums restates
-    family, r = mobius_gamma_coeffs(0.6, 0.0), BLEND_R["equal"]
+@pytest.mark.parametrize("name", sorted(BLENDS))
+def test_blend_values_are_the_40_digit_sums(name):
+    # the sums on the blend's exact norms; its golden series is its own disk series
+    exact, r = mp_sums.blend(BLENDS[name].params), BLEND_R[name]
     want = {}
     for kind in BUILTIN_PHI:
-        sums = mp_family_sums(0.6, 0.0, kind, 0, r)
-        for name in ("majorant", "refined", "rogosinski"):
-            want[f"{kind} {name}"] = sums[name]
-        want[f"{kind} refined_sum"] = mp_sums.refined_sum(family, kind, 0, r)
-    want.update({name: sums[name] for name in ("s_r", "energy", "beta", "area")})
-    assert sorted(f"blend equal {label}" for label in want) == sorted(
-        label for label in GOLDEN if label.startswith("blend equal "))
+        sums = mp_series_sums(exact, exact, exact, 1.0, kind, 0, r)
+        for label in ("majorant", "refined", "rogosinski"):
+            want[f"{kind} {label}"] = sums[label]
+        want[f"{kind} refined_sum"] = mp_sums.refined_sum(exact, kind, 0, r)
+    want.update({label: sums[label] for label in ("s_r", "energy", "beta", "area")})
+    prefix = f"blend {name} "
+    assert sorted(prefix + label for label in want) == sorted(
+        label for label in GOLDEN if label.startswith(prefix))
     for label, value in want.items():
-        assert mp_sums.close(float(GOLDEN[f"blend equal {label}"]), value, 0.0, 1e-15), label
+        assert mp_sums.close(float(GOLDEN[prefix + label]), value, 0.0, 1e-15), label
 
 
 if __name__ == "__main__":
