@@ -16,21 +16,19 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from .bloch import HyperbolicDensity, bloch_radius, bloch_radius_gamma, \
     bloch_refined_radius, gamma_equation_value
 from .errors import (BohradError, ConfigurationError, InfeasibleError,
                      NoRootError, NonConvergenceError, SingularIntegrandError)
-from .functionals import (MuFunction, _first_violation, bohr_area_functional,
-                          bohr_beta_functional, bohr_energy_functional,
-                          family_gamma, problem_functional)
+from .functionals import (DEFAULT_A_GRID, MuFunction, _first_violation,
+                          bohr_area_functional, bohr_beta_functional,
+                          bohr_energy_functional, family_gamma, problem_functional)
 from .phi import BUILTIN_PHI, MONOMIAL
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
 from .radii import (RadiusProblem, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
 from .roots import count_sign_changes
-from .series import DomainSpec, _check_index, mobius_gamma_coeffs
+from .series import DomainSpec, mobius_gamma_coeffs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -39,27 +37,27 @@ EXIT_VERIFY_FAILED = 4
 
 TABLE_MATCH_TOL = 1e-5  # printed values carry six significant figures
 PROBE_OFFSET = 0.01
-SWEEP_A_GRID = (0.5, 0.9, 0.99, 0.999, 0.9999)
+# the extremal parameters a that verify checks just below a radius, ascending: 0.05 to
+# 0.85 in steps of 0.05, then DEFAULT_A_GRID (0.9 to 1 - 1e-6), where it seeks a witness above
+VERIFY_A_GRID = tuple(k / 20 for k in range(1, 18)) + DEFAULT_A_GRID
 
 # The options each run reads besides --format and --out, as argparse dests, by command
 # and the value of its selector (None on a command without one).  Any other option must
 # keep its default; a record's params echoes the selector and exactly these.
 _SOLVER = ("tol", "scan_step")
-_DRAWS = ("samples", "seed")  # verify's seeded draws of a
 _REFINED = ("phi", "p", "m", "gamma", "lambda_h")  # p phi_m = 2 lambda_H Phi_{m+1}
 _ROGOSINSKI = ("phi", "p", "m", "N", "mu_const")  # posed on the disk
 READS = {
     "radius": ("kind", {"refined": _REFINED + _SOLVER, "rogosinski": _ROGOSINSKI + _SOLVER}),
     "tables": (None, {None: ("id", "allow_errata") + _SOLVER}),
     "verify": ("family", {
-        "bohr": _REFINED + _SOLVER + _DRAWS,  # mu = 0
-        "refined": _REFINED + ("mu_const",) + _SOLVER + _DRAWS,
-        "rogosinski": _ROGOSINSKI + _SOLVER + _DRAWS,
+        "bohr": _REFINED + _SOLVER,  # mu = 0
+        "refined": _REFINED + ("mu_const",) + _SOLVER,
+        "rogosinski": _ROGOSINSKI + _SOLVER,
         # these three radii are the closed form 1/(1 + 2 lambda_H): no solve
-        "area-poly": ("gamma", "lambda_h", "degree") + _DRAWS,
-        "beta-square": ("gamma", "lambda_h", "beta") + _DRAWS,
-        "energy": ("gamma", "lambda_h") + _DRAWS,
-        "tables": ("allow_errata",) + _SOLVER}),
+        "area-poly": ("gamma", "lambda_h", "degree"),
+        "beta-square": ("gamma", "lambda_h", "beta"),
+        "energy": ("gamma", "lambda_h")}),
     "calibrate": (None, {None: ("degree", "c")}),
     # the closed form takes gamma itself, on no --domain
     "bloch": ("variant", {"majorant": ("domain", "gamma", "nu") + _SOLVER,
@@ -134,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     problem(sp, default=MONOMIAL.kind)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--degree", type=int, default=2)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--allow-errata", action="store_true")
     common(sp)
 
     sp = sub.add_parser("calibrate", help="calibrate the positive-coefficient polynomial")
@@ -171,44 +166,23 @@ def _reads(command, choice):
     return read, tuple(o for o in options if o not in read)
 
 
-def _reject_unread(args, options, where):
-    """Exit 2 naming the first of options, in parser order, off its default."""
-    for dest, flag, default in options:
-        if getattr(args, dest) != default:
-            raise ConfigurationError(f"{flag} does not apply to {where}")
-
-
 def _validated(args):
     """The options args reads, in parser order, once every option it does not
     read keeps its default and the ranges argparse cannot express hold."""
     selector = READS[args.command][0]
     choice = getattr(args, selector) if selector else None
     read, unread = _reads(args.command, choice)
-    _reject_unread(args, unread, f"--{selector} {choice}" if selector else args.command)
+    for dest, flag, default in unread:  # the first, in parser order, off its default
+        if getattr(args, dest) != default:
+            where = f"--{selector} {choice}" if selector else args.command
+            raise ConfigurationError(f"{flag} does not apply to {where}")
     if "tol" in args and not 0.0 < args.tol <= 1e-3:
         raise ConfigurationError("tol must lie in (0, 1e-3]")
     if "scan_step" in args and not 0.0 < args.scan_step < 1.0:  # also rejects nan
         raise ConfigurationError("scan-step must lie in (0, 1)")
-    for count in _DRAWS:
-        if count in args:
-            _check_index(count, getattr(args, count))
     if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
         raise ConfigurationError("give exactly one of --gamma / --lambda-h")
-    if args.command == "verify" and not _draws_a(args):
-        draws = [o for o in read if o[0] in _DRAWS]
-        _reject_unread(args, draws, f"--family {args.family} where no a is drawn "
-                                    "(gamma > 0 or m > 0)")
-        read = tuple(o for o in read if o not in draws)
     return read
-
-
-def _draws_a(args):
-    """Whether a verify run draws seeded a besides its fixed grid: only on the unshifted
-    disk family (gamma = 0, and m = 0 unless m is the rogosinski Schwarz order), whose
-    norm sequences are those of every diagonal Mobius blend with a common parameter.
-    A general lambda_h != 1 has no family and exits 2 here, before any solve."""
-    return (args.family != "tables" and family_gamma(_domain(args, default_gamma=0.0)) == 0.0
-            and (args.m == 0 or args.family == "rogosinski"))
 
 
 def _domain(args, default_gamma=None) -> DomainSpec:
@@ -240,7 +214,7 @@ def _cmd_radius(args):
 
 
 def _cmd_tables(args):
-    rows = reproduce_table(args.id, args.tol, args.scan_step) if getattr(args, "id", None) \
+    rows = reproduce_table(args.id, args.tol, args.scan_step) if args.id \
         else reproduce_all_tables(args.tol, args.scan_step)
     flags = [f"erratum:table{row.table_id}:(p={row.p:g},m={row.m},mu={row.mu:g})"
              for row in rows if row.erratum]
@@ -254,7 +228,9 @@ def _cmd_tables(args):
 
 
 def _verify_setup(args):
-    """(radius, bind: r -> (a -> report) on the extremal family of ``family_gamma``)."""
+    """(radius, bind: r -> (a -> report) on the extremal family of ``family_gamma``).
+
+    A general lambda_h != 1 has no family and exits 2 here, before any solve."""
     domain = _domain(args, default_gamma=0.0)
     gamma = family_gamma(domain)
     if args.family in ("bohr", "refined", "rogosinski"):
@@ -278,25 +254,16 @@ def _verify_setup(args):
 
 
 def _cmd_verify(args):
-    if args.family == "tables":
-        code, record = _cmd_tables(args)
-        record["summary"] = {"family": "tables", "mismatches": sum(
-            r["delta"] > TABLE_MATCH_TOL for r in record["rows"])}
-        return code, record
-
     radius, bind = _verify_setup(args)
     r_below = max(radius - PROBE_OFFSET, radius / 2.0)
     r_above = radius + PROBE_OFFSET
-    a_values = list(SWEEP_A_GRID)
-    if _draws_a(args):
-        a_values += np.random.default_rng(args.seed).uniform(0.05, 0.995, args.samples).tolist()
-    reports = list(zip(a_values, map(bind(r_below), a_values)))
+    reports = list(zip(VERIFY_A_GRID, map(bind(r_below), VERIFY_A_GRID)))
     checked = len(reports)
     failures = sum(not rep.satisfied for _, rep in reports)
     worst_margin, worst_a = min((rep.margin, a) for a, rep in reports)
 
     expect_witness = r_above < 1.0
-    witness = _first_violation(bind(r_above), SWEEP_A_GRID) if expect_witness else None
+    witness = _first_violation(bind(r_above), DEFAULT_A_GRID) if expect_witness else None
 
     passed = not failures and (witness is not None or not expect_witness)
     flags = [] if passed else ["verification-failed"]

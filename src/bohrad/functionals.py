@@ -134,8 +134,8 @@ def bohr_beta_functional(coeffs: CoeffSeries, r: float, beta: float) -> Function
     value = ||A_0|| + sum_{n>=1} (||A_n|| + beta ||A_n||^2) r^n; the
     guarantee needs beta <= 1/(4 lambda_h).
     """
-    if not beta >= 0:
-        raise DomainError(f"beta must be non-negative, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise DomainError(f"beta must be finite and non-negative, got {beta}")
     _check_radius(r)
     a0 = coeffs.norm(coeffs.start_index)
     linear = majorant(coeffs, MONOMIAL, r) - a0 * r**coeffs.start_index
@@ -320,8 +320,8 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     class-wide radius for q != 1, so this is a per-function estimate,
     not a certified class radius.
     """
-    if not q > 0:
-        raise DomainError(f"q must be positive, got {q}")
+    if not (math.isfinite(q) and q > 0):
+        raise DomainError(f"q must be finite and positive, got {q}")
     _check_index("m", m)
     mu = MuFunction.of(mu)
 

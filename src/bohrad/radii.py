@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
 from .functionals import MuFunction
-from .optimize import grid_then_golden_min, refine_by_derivative_sign
+from .optimize import central_diff, grid_then_golden_min, refine_by_derivative_sign
 from .phi import BUILTIN_PHI, PhiSequence, tail_from, tail_ratio, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, decreasing_root, min_positive_root
@@ -154,7 +154,7 @@ def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:
     """
     F = refined_equation(problem) if problem.equation_kind == "refined" \
         else rogosinski_equation(problem)
-    return (F(r + h) - F(r - h)) / (2.0 * h) < 0.0
+    return central_diff(F, r, h) < 0.0
 
 
 @dataclass(frozen=True)

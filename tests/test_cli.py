@@ -22,18 +22,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bohrad import FunctionalReport, cli, reproduce_all_tables, reproduce_table
-from bohrad.cli import SWEEP_A_GRID, main
+from bohrad.cli import VERIFY_A_GRID, main
 from bohrad.errors import NoRootError
+from bohrad.functionals import DEFAULT_A_GRID
 
 EXPECTED_BLOCH = math.sqrt(6.0 / (6.0 + math.pi**2))
 
 # argv, exit code and full stdout of every README example, one verify per
-# family at the default seed, csv and text output, a seeded sample draw and
-# each error exit; a refactor must leave each one unchanged
+# family, csv and text output and each error exit; a refactor must leave
+# each one unchanged
 GOLDEN_PATH = Path(__file__).resolve().parent / "cli_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
@@ -113,12 +113,11 @@ class TestTablesCommand:
             assert float(cr["delta"]) == jr["delta"]
 
 
-    @pytest.mark.parametrize("command", [("tables",), ("verify", "--family", "tables")])
-    def test_scan_step_reaches_the_solver(self, capsys, command):
+    def test_scan_step_reaches_the_solver(self, capsys):
         # a step of 0.01 passes over table 1's root 0.00496 and finds none
         with pytest.raises(NoRootError):
             reproduce_all_tables(scan_step=0.01)
-        code, out, err = run_cli(capsys, *command, "--allow-errata", "--scan-step", "0.01")
+        code, out, err = run_cli(capsys, "tables", "--allow-errata", "--scan-step", "0.01")
         assert (code, out) == (3, "") and err.startswith("error: no sign change")
 
     def test_scan_step_rows_match_the_library(self, capsys):
@@ -167,35 +166,23 @@ class TestVerifyCommand:
                                "--mu-const", "0", "--degree", "2")
         assert code == 0 and json.loads(out)["summary"]["passed"]
 
-    def test_draw_options_at_their_defaults_apply_where_nothing_is_drawn(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.3",
-                               "--samples", "100", "--seed", "0")
-        assert code == 0 and json.loads(out)["summary"]["checked"] == len(SWEEP_A_GRID)
-
-    def test_tables_family_respects_errata_gate(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--family", "tables")
-        assert code == 4
-        code, out, _ = run_cli(capsys, "verify", "--family", "tables",
-                               "--allow-errata")
-        assert code == 0
-        assert json.loads(out)["summary"]["mismatches"] == 2
-
-    @pytest.mark.parametrize("argv, draws", [
-        (("--family", "bohr", "--gamma", "0"), 100),
-        (("--family", "bohr", "--gamma", "0", "--samples", "7"), 7),
-        (("--family", "rogosinski", "--p", "1", "--m", "1", "--mu-const", "1"), 100),
-        (("--family", "energy", "--lambda-h", "1", "--samples", "30"), 30),
-        (("--family", "bohr", "--gamma", "0.5"), 0),
-        (("--family", "refined", "--m", "1", "--mu-const", "1", "--gamma", "0"), 0),
+    @pytest.mark.parametrize("argv", [
+        ("--family", "bohr", "--gamma", "0"),
+        ("--family", "bohr", "--gamma", "0.5"),
+        ("--family", "refined", "--m", "1", "--mu-const", "1", "--gamma", "0"),
+        ("--family", "rogosinski", "--p", "1", "--m", "1", "--mu-const", "1"),
+        ("--family", "area-poly", "--gamma", "0.3"),
+        ("--family", "beta-square", "--lambda-h", "1"),
+        ("--family", "energy", "--gamma", "0.85"),
     ])
-    def test_seeded_draws_only_on_the_unshifted_disk_family(self, capsys, argv, draws):
+    def test_every_family_checks_the_whole_grid(self, capsys, argv):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
-        assert json.loads(out)["summary"]["checked"] == len(SWEEP_A_GRID) + draws
+        assert json.loads(out)["summary"]["checked"] == len(VERIFY_A_GRID) == 23
 
-    def test_draws_go_through_the_extremal_functional(self, capsys, monkeypatch):
-        # a functional that fails at every a off the fixed grid, by a, must
-        # fail once per seeded draw, and stderr names the worst draw
+    def test_the_grid_goes_through_the_extremal_functional(self, capsys, monkeypatch):
+        # a functional that fails at every a off DEFAULT_A_GRID, by a, must fail
+        # at the 17 values below 0.9, and stderr names the worst, a = 0.85
         real = cli.problem_functional
 
         def failing_off_grid(problem, r):
@@ -203,17 +190,16 @@ class TestVerifyCommand:
 
             def report(a):
                 rep = evaluate(a)
-                return rep if a in SWEEP_A_GRID else FunctionalReport.compare(1.0 + a, 1.0)
+                return rep if a in DEFAULT_A_GRID else FunctionalReport.compare(1.0 + a, 1.0)
             return report
         monkeypatch.setattr(cli, "problem_functional", failing_off_grid)
-        code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0",
-                                 "--samples", "3")
+        code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0")
         summary = json.loads(out)["summary"]
         assert code == 4
-        assert (summary["checked"], summary["failures"]) == (8, 3)
-        worst = max(np.random.default_rng(0).uniform(0.05, 0.995, 3))
-        assert err == (f"error: guarantee fails at 3 of 8 parameters; "
-                       f"worst a = {worst:.9g}, margin {-worst:.9g}\n")
+        assert (summary["checked"], summary["failures"]) == (23, 17)
+        assert summary["witness_a"] is not None
+        assert err == ("error: guarantee fails at 17 of 23 parameters; "
+                       "worst a = 0.85, margin -0.85\n")
 
     def test_missing_witness_is_reported(self, capsys, monkeypatch):
         # a functional that never fails leaves the probe above the radius
@@ -228,11 +214,9 @@ class TestVerifyCommand:
                        f"at r = {summary['r_above']:.9g}\n")
 
     def test_determinism(self, capsys):
-        _, first, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.5",
-                              "--seed", "42")
-        _, second, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.5",
-                               "--seed", "42")
-        assert first == second
+        code, first, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.5")
+        _, second, _ = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0.5")
+        assert code == 0 and first == second
 
 
 class TestBlochCommand:
@@ -319,8 +303,6 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ("verify", "--seed", "-1"),
-        ("verify", "--samples", "-3"),
         ("radius", "--phi", "monomial", "--gamma", "0", "--scan-step", "nan"),
         # the rogosinski equation lives on the disk; a domain was ignored before
         ("radius", "--phi", "monomial", "--m", "1", "--mu-const", "1", "--kind", "rogosinski",
@@ -354,6 +336,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    # verify checks one fixed grid; the tables are the tables command
+    @pytest.mark.parametrize("argv", [("--samples", "3"), ("--seed", "1"), ("--allow-errata",),
+                                      ("--family", "tables")])
+    def test_verify_has_no_draw_or_tables_options(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: (unrecognized arguments|argument --family: invalid choice)"
+                            r"[^\n]*\n", err)
+
     def test_malformed_float_exits_two(self, capsys):
         code = main(["radius", "--phi", "monomial", "--p", "banana", "--gamma", "0"])
         capsys.readouterr()
@@ -362,8 +353,6 @@ class TestExitCodes:
 
 class TestReadOptions:
     """Each run accepts and echoes exactly the options cli.READS lists for it."""
-
-    NO_DRAW = "where no a is drawn (gamma > 0 or m > 0)"
 
     @pytest.mark.parametrize("argv, option, where", [
         # refined radius equations read no N and no mu
@@ -383,24 +372,11 @@ class TestReadOptions:
         (("verify", "--family", "area-poly", "--p", "0.5"), "--p", "--family area-poly"),
         (("verify", "--family", "energy", "--m", "1"), "--m", "--family energy"),
         (("verify", "--family", "energy", "--beta", "nan"), "--beta", "--family energy"),
-        (("verify", "--family", "area-poly", "--allow-errata"), "--allow-errata",
-         "--family area-poly"),
         # the closed-form families never solve
         (("verify", "--family", "energy", "--lambda-h", "1", "--scan-step", "0.5"), "--scan-step",
          "--family energy"),
         (("verify", "--family", "area-poly", "--lambda-h", "1", "--tol", "1e-4"), "--tol",
          "--family area-poly"),
-        (("verify", "--family", "tables", "--mu-const", "1"), "--mu-const", "--family tables"),
-        (("verify", "--family", "tables", "--allow-errata", "--gamma", "0.5", "--seed", "3"),
-         "--gamma", "--family tables"),
-        (("verify", "--family", "tables", "--samples", "3"), "--samples", "--family tables"),
-        # a is drawn only on the unshifted disk family
-        (("verify", "--family", "bohr", "--gamma", "0.3", "--seed", "5", "--samples", "3"),
-         "--samples", f"--family bohr {NO_DRAW}"),
-        (("verify", "--family", "refined", "--m", "1", "--gamma", "0", "--seed", "2"),
-         "--seed", f"--family refined {NO_DRAW}"),
-        (("verify", "--family", "energy", "--gamma", "0.5", "--samples", "4"),
-         "--samples", f"--family energy {NO_DRAW}"),
         # the closed form takes its gamma on no --domain
         (("bloch", "--domain", "gamma", "--gamma", "0", "--nu", "0.5", "--variant",
           "majorant-gamma"), "--domain", "--variant majorant-gamma"),
@@ -415,15 +391,13 @@ class TestReadOptions:
             ("radius", "rogosinski"): ("radius", "--phi", "odd_only", "--p", "0.5", "--m", "1",
                                        "--mu-const", "1", "--kind", "rogosinski"),
             ("tables", None): ("tables", "--id", "4"),
-            ("verify", "bohr"): ("verify", "--family", "bohr", "--samples", "2"),
-            ("verify", "refined"): ("verify", "--family", "refined", "--mu-const", "1",
-                                    "--samples", "2"),
+            ("verify", "bohr"): ("verify", "--family", "bohr"),
+            ("verify", "refined"): ("verify", "--family", "refined", "--mu-const", "1"),
             ("verify", "rogosinski"): ("verify", "--family", "rogosinski", "--m", "1",
-                                       "--mu-const", "1", "--samples", "2"),
-            ("verify", "area-poly"): ("verify", "--family", "area-poly", "--samples", "2"),
-            ("verify", "beta-square"): ("verify", "--family", "beta-square", "--samples", "2"),
-            ("verify", "energy"): ("verify", "--family", "energy", "--samples", "2"),
-            ("verify", "tables"): ("verify", "--family", "tables", "--allow-errata"),
+                                       "--mu-const", "1"),
+            ("verify", "area-poly"): ("verify", "--family", "area-poly"),
+            ("verify", "beta-square"): ("verify", "--family", "beta-square"),
+            ("verify", "energy"): ("verify", "--family", "energy"),
             ("calibrate", None): ("calibrate", "--degree", "1"),
             ("bloch", "majorant"): ("bloch", "--nu", "0.5"),
             ("bloch", "majorant-gamma"): ("bloch", "--variant", "majorant-gamma",
@@ -446,21 +420,10 @@ class TestReadOptions:
         if selector:
             assert params[selector] == choice
 
-    @pytest.mark.parametrize("extra, draws", [(("--gamma", "0"), True),
-                                              (("--gamma", "0.3"), False),
-                                              (("--gamma", "0", "--m", "1"), False)])
-    def test_verify_echoes_samples_and_seed_only_where_it_draws_a(self, capsys, extra, draws):
-        code, out, _ = run_cli(capsys, "verify", "--family", "bohr", *extra)
-        record = json.loads(out)
-        assert code == 0
-        assert {"samples", "seed"} & set(record["params"]) == ({"samples", "seed"} if draws
-                                                               else set())
-        assert record["summary"]["checked"] == len(cli.SWEEP_A_GRID) + (100 if draws else 0)
-
     # an off-default value of every option, for argv built from the table
     OFF_DEFAULT = {"phi": ("odd_only",), "p": ("0.5",), "m": ("1",), "N": ("2",),
                    "mu_const": ("1",), "gamma": ("0.5",), "lambda_h": ("1",), "beta": ("0.1",),
-                   "degree": ("3",), "samples": ("3",), "seed": ("3",), "allow_errata": (),
+                   "degree": ("3",), "allow_errata": (),
                    "tol": ("1e-10",), "scan_step": ("0.01",), "domain": ("gamma",)}
 
     def unread_in_reverse(self):
@@ -480,7 +443,7 @@ class TestReadOptions:
 
     def test_the_first_unread_option_in_parser_order_is_reported(self, capsys):
         cases = self.unread_in_reverse()
-        assert len(cases) == 10  # every selector value that leaves an option unread
+        assert len(cases) == 9  # every selector value that leaves an option unread
         for argv, first in cases:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
@@ -576,7 +539,7 @@ print(len(built) > 0)
     def test_requests_in_one_process_print_what_fresh_processes_print(self):
         golden = GOLDEN[0]
         argvs = [["radius", "--phi", "monomial", "--p", "abc"], ["--help"],
-                 ["verify", "--family", "tables"], golden["argv"]]
+                 ["tables"], golden["argv"]]
         shared = self.main_in_one_process(*argvs)
         assert shared == [self.main_in_one_process(argv)[0] for argv in argvs]
         assert [code for code, _, _ in shared] == [2, 0, 4, golden["exit"]]

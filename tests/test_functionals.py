@@ -932,10 +932,10 @@ class TestBoundFunctionals:
         weights = self.count_calls(monkeypatch, "phi_weight")
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["verify", "--family", "refined", "--samples", "20"])
+            code = main(["verify", "--family", "refined"])
         summary = json.loads(out.getvalue())["summary"]
-        assert (code, summary["checked"], summary["passed"]) == (0, 25, True)
-        # r_below for the 25 values of a, r_above for the probe's grid
+        assert (code, summary["checked"], summary["passed"]) == (0, 23, True)
+        # r_below for the 23 values of a, r_above for the probe's grid
         bound_at = [args[-1] for args in binds]
         assert bound_at == pytest.approx([summary["r_below"], summary["r_above"]], rel=1e-8)
         assert len(weights) == 2

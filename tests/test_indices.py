@@ -137,8 +137,11 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
 
 
 @pytest.mark.parametrize("call, error, match", [
+    # +inf passed before: an infinite report here, NaN (inf * 0.0) with no norms past the head
     pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.nan), DomainError,
-                 "^beta must be non-negative, got nan$", id="beta"),
+                 "^beta must be finite and non-negative, got nan$", id="beta"),
+    pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.inf), DomainError,
+                 "^beta must be finite and non-negative, got inf$", id="beta-inf"),
     # lambda_h follows DomainSpec.general: finite and > 0, so +inf raises like a NaN
     *(pytest.param(lambda c=call, x=bad: c(x), error, match.format(bad),
                    id=name if math.isnan(bad) else f"{name}-inf")
@@ -152,8 +155,11 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
            "^lambda_h must be finite and positive, got {}$"),
           ("lambda_base", lambda x: closed_form_radius("lambda_base", lambda_h=x),
            ConfigurationError, "^case 'lambda_base' needs a finite lambda_h > 0$"))),
+    # +inf gave a radius before, since inner**inf is 0.0 for any inner < 1
     pytest.param(lambda: per_function_radius(COEFFS, MONOMIAL, 1.0, math.nan), DomainError,
-                 "^q must be positive, got nan$", id="per-function-q"),
+                 "^q must be finite and positive, got nan$", id="per-function-q"),
+    pytest.param(lambda: per_function_radius(COEFFS, MONOMIAL, 1.0, math.inf), DomainError,
+                 "^q must be finite and positive, got inf$", id="per-function-q-inf"),
     pytest.param(lambda: bloch_majorant_check(SMALL, math.nan, DISK, 0.5, 0.2), DomainError,
                  "^the Bloch norm budget must be <= 1, got nan$", id="bloch-budget"),
     pytest.param(lambda: gamma_equation_value(0.3, 0.5, 2.0), DomainError,
@@ -196,4 +202,4 @@ def test_verify_rejects_a_nan_beta_with_exit_2_and_no_output():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--family", "beta-square", "--gamma", "0", "--beta", "nan"])
     assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue() == "error: beta must be non-negative, got nan\n"
+    assert err.getvalue() == "error: beta must be finite and non-negative, got nan\n"
