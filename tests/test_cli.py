@@ -113,11 +113,12 @@ class TestTablesCommand:
             assert float(cr["delta"]) == jr["delta"]
 
 
-    def test_scan_step_reaches_the_solver(self, capsys):
+    @pytest.mark.parametrize("command", [("tables", "--allow-errata"), ("tables", "--id", "1")])
+    def test_scan_step_reaches_the_solver(self, capsys, command):
         # a step of 0.01 passes over table 1's root 0.00496 and finds none
         with pytest.raises(NoRootError):
             reproduce_all_tables(scan_step=0.01)
-        code, out, err = run_cli(capsys, "tables", "--allow-errata", "--scan-step", "0.01")
+        code, out, err = run_cli(capsys, *command, "--scan-step", "0.01")
         assert (code, out) == (3, "") and err.startswith("error: no sign change")
 
     def test_scan_step_rows_match_the_library(self, capsys):
@@ -166,7 +167,7 @@ class TestVerifyCommand:
                                "--mu-const", "0", "--degree", "2")
         assert code == 0 and json.loads(out)["summary"]["passed"]
 
-    @pytest.mark.parametrize("argv", [
+    FAMILY_RUNS = [
         ("--family", "bohr", "--gamma", "0"),
         ("--family", "bohr", "--gamma", "0.5"),
         ("--family", "refined", "--m", "1", "--mu-const", "1", "--gamma", "0"),
@@ -174,11 +175,26 @@ class TestVerifyCommand:
         ("--family", "area-poly", "--gamma", "0.3"),
         ("--family", "beta-square", "--lambda-h", "1"),
         ("--family", "energy", "--gamma", "0.85"),
-    ])
+    ]
+
+    def test_the_grid_ascends_to_the_default_grid(self):
+        assert len(VERIFY_A_GRID) == len(set(VERIFY_A_GRID)) == 23
+        assert list(VERIFY_A_GRID) == sorted(VERIFY_A_GRID)
+        assert VERIFY_A_GRID[:17] == tuple(k / 20 for k in range(1, 18))
+        assert VERIFY_A_GRID[17:] == DEFAULT_A_GRID
+
+    @pytest.mark.parametrize("argv", FAMILY_RUNS)
     def test_every_family_checks_the_whole_grid(self, capsys, argv):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert json.loads(out)["summary"]["checked"] == len(VERIFY_A_GRID) == 23
+
+    @pytest.mark.parametrize("argv", FAMILY_RUNS)
+    def test_the_witness_comes_from_the_default_grid(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        summary = json.loads(out)["summary"]
+        assert code == 0 and summary["r_above"] > summary["radius"]
+        assert summary["witness_a"] in DEFAULT_A_GRID
 
     def test_the_grid_goes_through_the_extremal_functional(self, capsys, monkeypatch):
         # a functional that fails at every a off DEFAULT_A_GRID, by a, must fail
@@ -330,6 +346,8 @@ class TestExitCodes:
         ("verify", "--family", "area-poly", "--lambda-h", "2"),
         ("verify", "--family", "beta-square", "--lambda-h", "2"),
         ("verify", "--family", "energy", "--lambda-h", "2"),
+        ("verify", "--family", "beta-square", "--gamma", "0", "--beta", "inf"),
+        ("tables", "--scan-step", "0"),
     ])
     def test_out_of_range_inputs_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -372,6 +390,11 @@ class TestReadOptions:
         (("verify", "--family", "area-poly", "--p", "0.5"), "--p", "--family area-poly"),
         (("verify", "--family", "energy", "--m", "1"), "--m", "--family energy"),
         (("verify", "--family", "energy", "--beta", "nan"), "--beta", "--family energy"),
+        (("verify", "--family", "energy", "--degree", "3"), "--degree", "--family energy"),
+        (("verify", "--family", "area-poly", "--beta", "0.1"), "--beta", "--family area-poly"),
+        (("verify", "--family", "beta-square", "--mu-const", "1"), "--mu-const",
+         "--family beta-square"),
+        (("verify", "--family", "refined", "--beta", "0.1"), "--beta", "--family refined"),
         # the closed-form families never solve
         (("verify", "--family", "energy", "--lambda-h", "1", "--scan-step", "0.5"), "--scan-step",
          "--family energy"),
