@@ -25,7 +25,7 @@ from .functionals import (DEFAULT_A_GRID, MuFunction, _first_violation,
                           bohr_energy_functional, family_gamma, problem_functional)
 from .phi import BUILTIN_PHI, MONOMIAL
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
-from .radii import (RadiusProblem, radius_refined, radius_rogosinski,
+from .radii import (RadiusProblem, closed_form_radius, radius_refined, radius_rogosinski,
                     reproduce_all_tables, reproduce_table, rp_bounds)
 from .roots import count_sign_changes
 from .series import DomainSpec, mobius_gamma_coeffs
@@ -249,7 +249,7 @@ def _verify_setup(args):
         functional = lambda c, r: bohr_beta_functional(c, r, beta)
     else:
         functional = lambda c, r: bohr_energy_functional(c, r, lam)
-    radius = 1.0 / (1.0 + 2.0 * lam)
+    radius = closed_form_radius("lambda_base", lambda_h=lam)
     return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r)
 
 

@@ -131,16 +131,15 @@ def bohr_area_functional(coeffs: CoeffSeries, r: float, lambda_h: float = 1.0,
 def bohr_beta_functional(coeffs: CoeffSeries, r: float, beta: float) -> FunctionalReport:
     """Bohr sum with beta-weighted squared coefficients.
 
-    value = ||A_0|| + sum_{n>=1} (||A_n|| + beta ||A_n||^2) r^n; the
-    guarantee needs beta <= 1/(4 lambda_h).
+    value = ||A_m|| + sum_{n>m} (||A_n|| + beta ||A_n||^2) r^n for a series
+    starting at m (m = 0: ||A_0|| head); the guarantee needs beta <= 1/(4 lambda_h).
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise DomainError(f"beta must be finite and non-negative, got {beta}")
     _check_radius(r)
-    a0 = coeffs.norm(coeffs.start_index)
-    linear = majorant(coeffs, MONOMIAL, r) - a0 * r**coeffs.start_index
-    square = norm_sum(coeffs, phi_weight(MONOMIAL, r), coeffs.start_index + 1, 2)
-    value = a0 + linear + beta * square
+    start, weight = coeffs.start_index, phi_weight(MONOMIAL, r)
+    value = (coeffs.norm(start) + norm_sum(coeffs, weight, start + 1)
+             + beta * norm_sum(coeffs, weight, start + 1, 2))
     return FunctionalReport.compare(value, 1.0)
 
 
@@ -185,8 +184,8 @@ def refined_at(phi: PhiSequence, p: float, m: int, mu,
     Every check and every value that depends on r alone is resolved
     here, once: p, m, mu (a bare callable is screened here), r, phi_m(r),
     mu(r), the majorant's weight and the refinement weight's r-part.
-    Each series is then checked for a vanishing head and summed as
-    majorant and refined_sum sum it, with the bound weights.
+    Each series is then checked for a vanishing head, and both sums run
+    from m + 1 with the bound weights.
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
@@ -203,9 +202,8 @@ def refined_at(phi: PhiSequence, p: float, m: int, mu,
         if start < m and any(coeffs.norm(n) != 0.0 for n in range(start, m)):
             raise DomainError("coefficients must vanish below index m")
         am = coeffs.norm(m)
-        tail_part = norm_sum(coeffs, weight, start) - am * phi_m
         refined = norm_sum(coeffs, refined_weight(am), m + 1, 2)
-        value = phi_m * am**p + tail_part + mu_r * refined
+        value = phi_m * am**p + norm_sum(coeffs, weight, m + 1) + mu_r * refined
         return FunctionalReport.compare(value, phi_m)
     return evaluate
 
@@ -230,7 +228,7 @@ def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
     As refined_at: the checks, phi_0(r), r^omega_order (where
     schwarz_composed_bound takes the point bound), mu(r) and the
     majorant's weight are resolved here; each series is then only
-    bounded at r^omega_order, truncated from N and summed.
+    bounded at r^omega_order and summed from N (or its start, if later).
     """
     if not 0.0 < p <= 2.0:
         raise DomainError(f"p must lie in (0, 2], got {p}")
@@ -244,8 +242,7 @@ def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
     def evaluate(coeffs):
         p, N, phi_0, r_k, weight, mu_r = bound
         head = point_eval_bound(coeffs, r_k) ** p * phi_0
-        tail = coeffs.truncated_from(N)
-        value = head + mu_r * norm_sum(tail, weight, tail.start_index)
+        value = head + mu_r * norm_sum(coeffs, weight, max(N, coeffs.start_index))
         return FunctionalReport.compare(value, phi_0)
     return evaluate
 
@@ -258,12 +255,12 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
                          N: int | None = None) -> FunctionalReport:
     """Scalar-era inequality left-hand sides (norms read as |a_n|).
 
-    Variants: "bohr" (plain majorant), "paulsen" (|a_0|^2 head),
-    "kayumov_ponnusamy" (the printed (1/3)^n-damped refinement),
-    "refined_square" (majorant plus weighted squares), and the partial
-    sums "rogosinski_partial" / "bohr_rogosinski", which need N.  The
-    Rogosinski partial sum uses the worst-case majorant surrogate; the
-    Bohr-Rogosinski head uses the sharp point bound.
+    Variants: "bohr" (plain majorant), "paulsen" (|a_0|^2 plus the sum from
+    n = 1), "kayumov_ponnusamy" (the printed (1/3)^n-damped refinement),
+    "refined_square" (majorant plus weighted squares), and the partial sums
+    "rogosinski_partial" / "bohr_rogosinski", which need N.  The Rogosinski
+    partial sum uses the worst-case majorant surrogate; "bohr_rogosinski" is
+    rogosinski_functional(coeffs, MONOMIAL, 1.0, N, 1, 1.0, r).
     """
     _check_radius(r)
     if variant not in CLASSICAL_VARIANTS:
@@ -276,7 +273,7 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
     if variant == "bohr":
         value = majorant(coeffs, MONOMIAL, r)
     elif variant == "paulsen":
-        value = a0 * a0 + majorant(coeffs, MONOMIAL, r) - a0
+        value = a0 * a0 + norm_sum(coeffs, phi_weight(MONOMIAL, r), 1)
     elif variant == "kayumov_ponnusamy":
         # a_0 + sum_{n>=1} (||A_n|| r^n + ||A_n||^2 / 2) 3^-n
         value = majorant(coeffs, MONOMIAL, r / 3.0) + 0.5 * _energy(coeffs, 3.0**-0.5)
@@ -285,8 +282,8 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
         value = majorant(coeffs, MONOMIAL, r) + weight * _energy(coeffs, r)
     elif variant == "rogosinski_partial":
         value = math.fsum(coeffs.norm(n) * r**n for n in range(N))
-    else:  # bohr_rogosinski: point bound head plus the tail majorant from N
-        value = point_eval_bound(coeffs, r) + majorant(coeffs.truncated_from(N), MONOMIAL, r)
+    else:
+        value = rogosinski_functional(coeffs, MONOMIAL, 1.0, N, 1, 1.0, r).value
     return FunctionalReport.compare(value, 1.0)
 
 
@@ -316,12 +313,14 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     """Numeric radius estimate for the q-powered functional of ONE function.
 
     Finds sup{ r : phi_m ||A_m||^p + (sum_{n>m} ||A_n|| phi_n + mu * A)^q
-    <= phi_m } by bisection on the monotone margin.  Nothing pins a
-    class-wide radius for q != 1, so this is a per-function estimate,
-    not a certified class radius.
+    <= phi_m } by bisection on the monotone margin, to tol or adjacent
+    floats: a per-function estimate, as no class-wide radius is pinned for q != 1.
     """
-    if not (math.isfinite(q) and q > 0):
-        raise DomainError(f"q must be finite and positive, got {q}")
+    if not 0.0 < p <= 2.0:
+        raise DomainError(f"p must lie in (0, 2], got {p}")
+    for name, value in (("q", q), ("tol", tol)):  # a NaN fails too
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     _check_index("m", m)
     mu = MuFunction.of(mu)
 
@@ -337,10 +336,9 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
+        if not lo < mid < hi:  # lo and hi are adjacent floats: no smaller tol is met
+            break
+        lo, hi = (mid, hi) if gap(mid) <= 0 else (lo, mid)
     return lo
 
 

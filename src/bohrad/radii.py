@@ -150,8 +150,10 @@ def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:
     The radius cannot be improved when the equation's left side keeps
     falling behind its right side just past the root; with smooth
     weights this is the derivative inequality F'(r) < 0, evaluated here
-    by central differences.  Diagnostic only, not a certificate.
+    by central differences of step h > 0.  Diagnostic only, not a certificate.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"h must be finite and positive, got {h}")
     F = refined_equation(problem) if problem.equation_kind == "refined" \
         else rogosinski_equation(problem)
     return central_diff(F, r, h) < 0.0

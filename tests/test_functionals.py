@@ -25,7 +25,8 @@ from bohrad import functionals
 from bohrad.cli import main
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.functionals import family_gamma
-from bohrad.series import ABS_TOL, CONTINUATION_FLOOR, TRUNCATION_N, DomainSpec
+from bohrad.phi import phi_weight
+from bohrad.series import ABS_TOL, CONTINUATION_FLOOR, TRUNCATION_N, DomainSpec, norm_sum
 
 import mp_sums
 
@@ -771,18 +772,67 @@ def outcome(call):
 
 
 def refined_composition(coeffs, phi, p, m, mu, r):
-    """The refined functional composed from the public sums."""
+    """The refined functional composed from the public sums, its tail summed from m + 1."""
     am, phi_m = coeffs.norm(m), phi_term(phi, m, r)
-    value = (phi_m * am**p + (majorant(coeffs, phi, r) - am * phi_m)
+    value = (phi_m * am**p + norm_sum(coeffs, phi_weight(phi, r), m + 1)
              + MuFunction.of(mu)(r) * refined_sum(coeffs, phi, m, r))
     return FunctionalReport.compare(value, phi_m)
 
 
 def rogosinski_composition(coeffs, phi, p, N, k, mu, r):
-    """The Bohr-Rogosinski functional composed from the public sums."""
+    """The Bohr-Rogosinski functional composed from the public sums, its tail from N."""
+    head = schwarz_composed_bound(coeffs, k, r) ** p * phi_term(phi, 0, r)
+    tail = norm_sum(coeffs, phi_weight(phi, r), max(N, coeffs.start_index))
+    value = head + MuFunction.of(mu)(r) * tail
+    return FunctionalReport.compare(value, phi_term(phi, 0, r))
+
+
+def refined_by_subtraction(coeffs, phi, p, m, mu, r):
+    """(value, scale): the refined value as the whole majorant minus its head term, and
+    that majorant, whose round-off the subtraction keeps."""
+    am, phi_m = coeffs.norm(m), phi_term(phi, m, r)
+    total = majorant(coeffs, phi, r)
+    value = (phi_m * am**p + (total - am * phi_m)
+             + MuFunction.of(mu)(r) * refined_sum(coeffs, phi, m, r))
+    return value, max(value, total)
+
+
+def rogosinski_by_truncation(coeffs, phi, p, N, k, mu, r):
+    """(value, scale): the Bohr-Rogosinski value with its tail taken as the majorant of a
+    copy truncated from N, and that value."""
     head = schwarz_composed_bound(coeffs, k, r) ** p * phi_term(phi, 0, r)
     value = head + MuFunction.of(mu)(r) * majorant(coeffs.truncated_from(N), phi, r)
-    return FunctionalReport.compare(value, phi_term(phi, 0, r))
+    return value, value
+
+
+# The tail summed from its own first index and the composition that sums the whole
+# majorant and subtracts its head (or sums a truncated copy) round differently: they
+# agree within REFINED_ULPS ulp of the larger of the value and the majorant, and within
+# ROGOSINSKI_ULPS ulp of the value (mu <= 4 scales the tail's own few ulp).
+REFINED_ULPS, ROGOSINSKI_ULPS = 4, 8
+
+
+def assert_agrees_within_ulps(report_call, old_call, ulps, whole_sum):
+    """report_call() and old_call() raise the same type, or the report's value lies within
+    ulps ulp of old_call()'s scale from its value.
+
+    One difference is allowed: a copy truncated past the stored norms stores its first
+    norm, and when that norm underflows to 0.0 the copy ends there, while the series
+    itself goes on.  report_call() may then raise NonConvergenceError where the old
+    composition returned, if whole_sum(), the majorant of that series, raises it too.
+    """
+    try:
+        old, scale = old_call()
+    except Exception as exc:  # the same inputs raise the same type
+        assert outcome(report_call) == type(exc)
+        return
+    try:
+        value = report_call().value
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            whole_sum()
+        return
+    assert abs(value - old) <= ulps * math.ulp(scale)
 
 
 BOUND_PHI = {**BUILTIN_PHI, "custom": CUSTOM_MONOMIAL[0], "custom_tail": CUSTOM_MONOMIAL[1]}
@@ -814,12 +864,16 @@ class TestBoundFunctionals:
         assert outcome(lambda: refined_at(phi, p, m, mu, r)(coeffs)) == want
         problem = RadiusProblem(phi, p, m=m, mu=mu, domain=DomainSpec.omega_gamma(gamma))
         assert outcome(lambda: problem_functional(problem, r)(a)) == want
+        assert_agrees_within_ulps(lambda: refined_functional(coeffs, phi, p, m, mu, r),
+                                  lambda: refined_by_subtraction(coeffs, phi, p, m, mu, r),
+                                  REFINED_ULPS, lambda: majorant(coeffs, phi, r))
 
     @settings(max_examples=250, deadline=None)
     @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
            UNIT_INTERVAL, st.integers(1, 6), st.integers(1, 5),
            st.floats(0.0, 2.0, exclude_min=True), MU)
     @example("odd_only", 1.0 - 1e-6, 0.999, 1, 1, 2.0, 3.0)
+    @example("custom", 4.341608328005024e-91, 0.96875, 5, 1, 1.0, 0.0)  # ||A_5|| underflows
     def test_rogosinski_is_the_composition_bit_for_bit(self, kind, a, r, N, k, p, mu):
         phi = BOUND_PHI[kind]
         mu = callable_mu(mu, lambda t: 0.5 + t)
@@ -829,6 +883,9 @@ class TestBoundFunctionals:
         assert outcome(lambda: rogosinski_at(phi, p, N, k, mu, r)(coeffs)) == want
         problem = RadiusProblem(phi, p, m=k, N=N, mu=mu, equation_kind="rogosinski")
         assert outcome(lambda: problem_functional(problem, r)(a)) == want
+        assert_agrees_within_ulps(lambda: rogosinski_functional(coeffs, phi, p, N, k, mu, r),
+                                  lambda: rogosinski_by_truncation(coeffs, phi, p, N, k, mu, r),
+                                  ROGOSINSKI_ULPS, lambda: majorant(coeffs, phi, r))
 
     # each input is invalid in one way; the types are those the functionals
     # raised before they were bound: a check moved into a binder raises as before
@@ -966,3 +1023,63 @@ class TestBoundFunctionals:
         for (r, _), reports in results.items():
             assert reports == serial[r] * 20
         assert len(results) == 4
+
+
+class TestTailsFromTheirFirstIndex:
+    """The functionals sum a tail from its first index on the series itself, where they
+    once summed a copy truncated from that index."""
+
+    # past the stored norms the copy stores its first norm, norms[-1] q^(N - L), and its
+    # closed form or continuation starts there: the two sums round apart by a few ulp
+    # (4 on blends with weighted_quadratic weights near r = 1).  A custom weight's sum
+    # stops once the rest is at most ABS_TOL, checked from CONTINUATION_FLOOR or from its
+    # first unstored index; from N >= CONTINUATION_FLOOR that is N for the series and
+    # N + 1 for the copy, so the two stop one term apart, both within ABS_TOL below the tail
+    TAIL_ULPS = 4
+
+    @staticmethod
+    def series(rng):
+        """A two-norm or longer-prefix extremal family (shifted or not), or a blend."""
+        a = float(rng.uniform(0.05, 0.995))
+        form = int(rng.integers(3))
+        if form == 0:
+            return mobius_gamma_coeffs(a, float(rng.uniform(0.0, 0.9)), int(rng.integers(1, 70)))
+        if form == 1:
+            return mobius_gamma_coeffs(a, 0.0).shifted(int(rng.integers(0, 5)))
+        d = int(rng.integers(1, 5))
+        return diag_blend_coeffs(MatrixCoeffFn(tuple(rng.uniform(0.05, 0.99, d))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_tail_from_n_is_the_truncated_copys_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        stored = past = 0
+        for _ in range(120):
+            coeffs, kind = self.series(rng), str(rng.choice(sorted(BOUND_PHI)))
+            r = float(rng.uniform(0.05, 0.9 if kind == "custom" else 0.999))
+            weight = phi_weight(BOUND_PHI[kind], r)
+            for N in range(1, coeffs.last_index + 4):
+                tail = norm_sum(coeffs, weight, max(N, coeffs.start_index))
+                copy = coeffs.truncated_from(N)
+                want = norm_sum(copy, weight, copy.start_index)
+                if N <= coeffs.last_index:  # the same stored norms and continuation
+                    assert tail == want, (seed, kind, r, N, coeffs)
+                    stored += 1
+                else:
+                    stop = ABS_TOL if kind.startswith("custom") and N >= CONTINUATION_FLOOR else 0
+                    assert abs(tail - want) <= self.TAIL_ULPS * math.ulp(want) + stop, (kind, r, N)
+                    past += 1
+        assert stored > 1000 and past == 360  # N on both sides of the stored norms
+
+    def test_no_functional_builds_a_truncated_copy(self, monkeypatch):
+        def refuse(self, N):
+            raise AssertionError(f"truncated_from({N}) called")
+        series = (mobius_gamma_coeffs(0.9, 0.3), mobius_gamma_coeffs(0.9, 0.0, 8),
+                  mobius_gamma_coeffs(0.6, 0.0).shifted(3),
+                  diag_blend_coeffs(MatrixCoeffFn((0.3, 0.8, 0.5))))
+        want = {(i, N): (rogosinski_at(WEIGHTED_LINEAR, 1.5, N, 2, 0.5, 0.4)(coeffs),
+                         classical_functional(coeffs, 0.4, "bohr_rogosinski", N=N))
+                for i, coeffs in enumerate(series) for N in (1, 2, 5, 12)}
+        monkeypatch.setattr(CoeffSeries, "truncated_from", refuse)
+        for (i, N), (bound, classical) in want.items():
+            assert rogosinski_at(WEIGHTED_LINEAR, 1.5, N, 2, 0.5, 0.4)(series[i]) == bound
+            assert classical_functional(series[i], 0.4, "bohr_rogosinski", N=N) == classical

@@ -8,10 +8,13 @@ import pytest
 from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, HyperbolicDensity, MatrixCoeffFn,
                     MuFunction, PhiSequence, RadiusProblem, area_scale, bloch_majorant_check,
                     check_coeff_bound, closed_form_radius, mobius_gamma_coeffs,
-                    mobius_partial_modulus, operator_norm, point_eval_bound, radius_rogosinski)
+                    mobius_partial_modulus, non_improvable, operator_norm, per_function_radius,
+                    point_eval_bound, radius_rogosinski)
 from bohrad.bloch import gamma_equation_value
 from bohrad.errors import ConfigurationError, DomainError, InvalidTestFunctionError
 from bohrad.radii import rp_upper
+
+from test_cli import run_python
 
 
 def term(n, r):
@@ -20,6 +23,13 @@ def term(n, r):
 
 WIDE_HEAD = CoeffSeries((1.5,))
 REFINED = RadiusProblem(MONOMIAL, 1.0)
+FAMILY = mobius_gamma_coeffs(0.9, 0.0)
+
+
+def per_function(**kwargs):
+    """per_function_radius of FAMILY with monomial weights, p = q = 1 unless given."""
+    args = {"p": 1.0, "q": 1.0, **kwargs}
+    return lambda: per_function_radius(FAMILY, MONOMIAL, **args)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -106,10 +116,34 @@ REFINED = RadiusProblem(MONOMIAL, 1.0)
                  r"^need a in \(0,1\) and gamma in \[0,1\)$", id="partial-modulus-a"),
     pytest.param(lambda: mobius_partial_modulus(0.6, 1.0, 3, 0.3), DomainError,
                  r"^need a in \(0,1\) and gamma in \[0,1\)$", id="partial-modulus-gamma"),
+    # p = nan and tol = nan returned 0.0, p = 5 was accepted, tol = 0 bisected forever
+    *(pytest.param(per_function(p=p), DomainError, rf"^p must lie in \(0, 2\], got {p}$",
+                   id=f"per-function-p-{p}") for p in (math.nan, 5.0, 0.0, -1.0)),
+    *(pytest.param(per_function(tol=tol), DomainError,
+                   f"^tol must be finite and positive, got {tol}$", id=f"per-function-tol-{tol}")
+      for tol in (0.0, math.nan, math.inf, -1e-10)),
+    # h = 0 raised a bare ZeroDivisionError from the central difference
+    *(pytest.param(lambda h=h: non_improvable(REFINED, 0.3, h), DomainError,
+                   f"^h must be finite and positive, got {h}$", id=f"non-improvable-h-{h}")
+      for h in (0.0, math.nan, math.inf, -1e-6)),
 ])
 def test_input_check_raises(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_per_function_radius_stops_at_adjacent_floats():
+    # tol = 1e-300 (and any tol below the spacing of the floats near the radius) bisected
+    # forever: run it in a subprocess, so that a hang fails on the timeout
+    code = ("from bohrad import MONOMIAL, mobius_gamma_coeffs, per_function_radius\n"
+            "coeffs = mobius_gamma_coeffs(0.9, 0.0)\n"
+            "print(repr(per_function_radius(coeffs, MONOMIAL, 1.0, 1.0, tol=1e-300)))\n"
+            "print(repr(per_function_radius(coeffs, MONOMIAL, 1.0, 1.0, tol=5e-324)))")
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    tiny, smallest = map(float, result.stdout.split())
+    assert tiny == smallest
+    assert tiny == pytest.approx(per_function_radius(FAMILY, MONOMIAL, 1.0, 1.0), abs=1e-10)
 
 
 def test_constructors_keep_accepting_what_they_use():

@@ -7,10 +7,15 @@ floating-point operation fails here.  Regenerate the file only for an
 intended change of values:
 
     PYTHONPATH=src python tests/test_series_golden.py
+
+It prints each label whose value it rewrote, one line each, with the old
+value, the new value and the distance between them in ulp, and nothing
+when no value changed.
 """
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -119,5 +124,20 @@ def test_blend_values_are_the_40_digit_sums(name):
         assert mp_sums.close(float(GOLDEN[prefix + label]), value, 0.0, 1e-15), label
 
 
+def ulp_distance(x, y):
+    """How many floats step from x to y: 0 for the same value, 1 for neighbours."""
+    def ordered(v):  # the bit patterns as integers in the order of the floats
+        (i,) = struct.unpack("<q", struct.pack("<d", v))
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordered(x) - ordered(y))
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(golden_values(), indent=1, sort_keys=True) + "\n")
+    values = golden_values()
+    for label in sorted(GOLDEN.keys() | values.keys()):  # name each rewritten value
+        old, new = GOLDEN.get(label), values.get(label)
+        if old != new:
+            ulps = (f"{ulp_distance(float(old), float(new))} ulp" if None not in (old, new)
+                    else "added or removed")
+            print(f"{label}: {old} -> {new} ({ulps})")
+    GOLDEN_PATH.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
