@@ -5,8 +5,10 @@ The Bloch-space radii are roots of equations in
     M(r) = (r / 2 pi) * integral over |z| = r of lambda^{2 nu}(z) |dz|,
 
 with lambda the hyperbolic density of the domain.  The unit disk has
-the closed form M(r) = r^2 / (1 - r^2)^{2 nu}; other densities are
-integrated by trapezoidal quadrature with node doubling.
+the closed form M(r) = r^2 / (1 - r^2)^{2 nu}; on Omega_gamma the mean
+is a positive hypergeometric series, summed to a proven relative
+remainder by ``series.ratio_sum`` with no numpy; only a custom density
+is integrated, by trapezoidal quadrature with node doubling.
 
 On the disk and Omega_gamma log lambda is subharmonic, so M increases
 and ``increasing_root`` brackets its radii; custom densities are scanned.
@@ -25,6 +27,7 @@ is within a few ulp of its exact sum.  Both functions, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,15 +39,22 @@ from .errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL
 from .roots import RootResult, increasing_root, min_positive_root
-from .series import CoeffSeries, GeometricWeight, _check_index, _check_radius, s_r
+from .series import (CoeffSeries, GeometricWeight, _check_index, _check_radius, ratio_sum,
+                     s_r)
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
 # threshold in the majorant equation
 MAJORANT_THRESHOLD = 6.0 / math.pi**2
 REFINED_THRESHOLD = 3.0 / math.pi
 
-# node doubling in m_integral stops when two successive values agree to this
+# node doubling in m_integral (custom densities only) stops when two
+# successive values agree to this
 QUAD_TOL = 1e-10
+# the Omega_gamma mean's series stops at this relative remainder, about
+# one ulp; its term cap admits r = 1 - 1e-8, where the longest series
+# (gamma near 1, nu = 1/4) takes about 1.1e5 terms (1.1e4 at 1 - 1e-6)
+MEAN_TOL = 1e-16
+MEAN_TERMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,18 +144,52 @@ def _omega_gamma_density(g, r, sin_sq):
     return 1.0 / ((1.0 - r) * (1.0 + g + (1.0 - g) * r) + 4.0 * g * r * sin_sq)
 
 
+def _omega_gamma_mean(g, nu, r):
+    """Circle mean of lambda^{2 nu} on |z| = r in Omega_gamma, as a positive series.
+
+    There lambda = 1/(c - B cos theta) (``_omega_gamma_density``), with
+    A = (1-r)(1+g+(1-g)r), B = 2 g r and c = A + B.  With
+    S = sqrt(A (A + 2B)) = sqrt(c^2 - B^2), free of cancellation, and
+    x = B/(c + S), c - B cos theta = ((c + S)/2) |1 - x e^(i theta)|^2, so
+    Parseval on (1 - x e^(i theta))^(-2 nu) gives the mean as
+    (2/(c + S))^{2 nu} F(2 nu) with F(a) = sum_k ((a)_k/k!)^2 w^k and
+    w = x^2 < 1 (DLMF 15.8's quadratic transformation of
+    c^{-2 nu} 2F1(nu, nu + 1/2; 1; (B/c)^2)).  For nu > 1/4 Euler's
+    transformation F(2 nu) = (1 - w)^{1 - 4 nu} F(1 - 2 nu) is summed
+    instead, with 1 - w = 2S/(c + S): as w -> 1 it is better conditioned
+    and shorter, and at nu = 1/2 and 1 it ends after one and two terms
+    (1/S and c/S^3).  Either parameter a lies in [-1, 1/2], so
+    |a + k| <= k + 1 and every term ratio ((a + k)/(k + 1))^2 w is at
+    most w: ``ratio_sum`` stops at relative remainder MEAN_TOL.
+    """
+    A = (1.0 - r) * (1.0 + g + (1.0 - g) * r)
+    B = 2.0 * g * r
+    S = math.sqrt(A * (A + 2.0 * B))
+    cs = A + B + S
+    w = (B / cs) ** 2
+    s = 2.0 * nu
+    a, e = (s, 0.0) if nu <= 0.25 else (1.0 - s, 1.0 - 2.0 * s)
+    terms = itertools.accumulate(itertools.count(),
+                                 lambda t, k: t * ((a + k) / (k + 1)) ** 2 * w, initial=1.0)
+    return (2.0 / cs) ** s * (2.0 * S / cs) ** e * ratio_sum(terms, w, MEAN_TOL, MEAN_TERMS)
+
+
 def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     """M(r) = (r / 2 pi) * circle integral of lambda^{2 nu}.
 
-    Uses the closed form for the unit disk and periodic trapezoidal
-    quadrature otherwise, doubling nodes from 64 until two successive
-    values differ by at most QUAD_TOL (relative for large values).
+    Uses the closed form for the unit disk, the series of
+    ``_omega_gamma_mean`` on Omega_gamma, and for a custom density
+    periodic trapezoidal quadrature, doubling nodes from 64 until two
+    successive values differ by at most QUAD_TOL (relative for large
+    values).
     """
     _check_radius(r)
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
     if density.kind == "unit_disk" or r == 0.0:  # M(0) = 0 for every density
         return r * r / (1.0 - r * r) ** (2.0 * nu)
+    if density.kind == "omega_gamma":
+        return r * r * _omega_gamma_mean(density.gamma, nu, r)
     nodes = 64
     prev = None
     while nodes <= 2**20:

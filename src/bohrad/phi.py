@@ -192,13 +192,16 @@ def _truncated_tail(phi, N, r):
 
     The caller has checked r and N >= 0.  The terms are
     checked together after they are all computed; a failure names the
-    first n whose term is negative or not finite.
+    first n whose term is negative or not finite.  fsum is given only
+    the nonzero terms: an exact zero (a parity gap, a cut-off weight,
+    r^n underflowed) never changes an fsum, so the sum is bit identical
+    to the fsum of all of them, and fsum of no terms is 0.0.
     """
     term = phi.custom_term
     terms = [float(term(n, r)) for n in range(N, N + TRUNCATION_N)]
     try:
         # min first: fsum raises ValueError on +inf and -inf together
-        total = math.fsum(terms) if min(terms) >= 0.0 else math.nan
+        total = math.fsum(filter(None, terms)) if min(terms) >= 0.0 else math.nan
     except OverflowError:  # valid terms whose sum overflows: raised after the ratio checks
         total = None
     if total is not None and not math.isfinite(total):
@@ -218,7 +221,7 @@ def _truncated_tail(phi, N, r):
         raise NonConvergenceError(
             f"tail estimate {bound:.3g} exceeds abs_tol {ABS_TOL:.3g} "
             f"after {TRUNCATION_N} terms")
-    return (math.fsum(terms) if total is None else total) + bound
+    return (math.fsum(filter(None, terms)) if total is None else total) + bound
 
 
 def phi_weight(phi: PhiSequence, r: float) -> GeometricWeight | SampledWeight:

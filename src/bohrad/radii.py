@@ -52,7 +52,10 @@ from .series import DomainSpec, _check_index, _check_radius
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
 ERRATUM_DELTA = 1e-3
-RP_UPPER_GRID = 4096  # grid cells rp_upper searches before its golden-section polish
+# grid cells rp_upper searches before its golden-section polish: on (1, 2)
+# the objective has one interior minimum, and at p = 1 it is 1/(1 + 2a),
+# monotone, so the best of 64 cells already brackets the minimum
+RP_UPPER_GRID = 64
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -274,6 +274,28 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
         terms.append(xe * w)
     raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "
                               f"after {check_from + TRUNCATION_N - N} continuation terms")
+
+
+def ratio_sum(terms: Iterable[float], rho: float, tol: float, cap: int) -> float:
+    """Sum of non-negative terms t_0, t_1, ... with t_{k+1} <= rho t_k, rho in [0, 1).
+
+    After t_k the rest sums to at most t_k rho/(1 - rho), a proven
+    remainder.  The sum stops at the first k where that remainder is at
+    most tol times the partial sum t_0 + ... + t_k, a lower bound of the
+    whole sum (its running float value is within k ulp of the exact
+    one), and returns the fsum of t_0 .. t_k.  No stop within the first
+    ``cap`` terms raises NonConvergenceError.
+    """
+    scale = rho / (1.0 - rho)
+    kept = []
+    partial = 0.0
+    for t in itertools.islice(terms, cap):
+        kept.append(t)
+        partial += t
+        if t * scale <= tol * partial:
+            return math.fsum(kept)
+    raise NonConvergenceError(f"series remainder stays above relative tol {tol:.3g} "
+                              f"after {cap} terms")
 
 
 @dataclass(frozen=True)

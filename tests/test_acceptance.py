@@ -202,15 +202,15 @@ def test_criterion_5_polynomial_calibration():
 def test_criterion_6_bloch_radii():
     want = math.sqrt(6.0 / (6.0 + math.pi**2))
     disk = HyperbolicDensity.unit_disk()
-    quad = bloch_radius(HyperbolicDensity.omega_gamma(0.0), 0.5).value
+    omega0 = bloch_radius(HyperbolicDensity.omega_gamma(0.0), 0.5).value
     closed = bloch_radius_gamma(0.0, 0.5).value
     refined = bloch_refined_radius(disk, 0.5).value
     want_refined = math.sqrt(3.0 / (3.0 + 2.0 * math.pi**2))
     head = 2.0 * math.pi * m_integral(disk, 0.5, 0.0) - REFINED_THRESHOLD
-    ok = (abs(quad - want) <= 1e-8 and abs(closed - want) <= 1e-8
-          and abs(refined - want_refined) <= 1e-8 and refined < quad
+    ok = (abs(omega0 - want) <= 1e-8 and abs(closed - want) <= 1e-8
+          and abs(refined - want_refined) <= 1e-8 and refined < omega0
           and head == -3.0 / math.pi)
-    verdict(6, ok, f"quadrature {quad:.9f} and closed form {closed:.9f} vs "
+    verdict(6, ok, f"Omega_0 series {omega0:.9f} and closed form {closed:.9f} vs "
                    f"{want:.9f}; refined {refined:.9f} vs {want_refined:.9f}; "
                    "H(0) = -3/pi exactly")
     assert ok

@@ -13,8 +13,8 @@ from bohrad import (CoeffSeries, HyperbolicDensity, bloch, bloch_majorant_check,
                     min_positive_root, phi, series)
 from bohrad.bloch import (MAJORANT_THRESHOLD, REFINED_THRESHOLD, derivative_majorant,
                           gamma_equation_value)
-from bohrad.errors import (DomainError, InvalidTestFunctionError, NoRootError,
-                           SingularIntegrandError)
+from bohrad.errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
+                           NoRootError, SingularIntegrandError)
 
 import mp_sums
 
@@ -40,13 +40,13 @@ class TestCircleIntegral:
         assert m_integral(DISK, 0.5, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_quadrature_matches_closed_form(self):
-        # Omega_0 is the disk, but its density goes through the trapezoid rule
-        disk_by_quadrature = HyperbolicDensity.omega_gamma(0.0)
+        # Omega_0 is the disk, but its mean goes through the Omega_gamma series
+        disk_by_series = HyperbolicDensity.omega_gamma(0.0)
         for r in (0.2, 0.5, 0.8):
             for nu in (0.25, 0.5, 1.0):
                 closed = m_integral(DISK, nu, r)
-                quad = m_integral(disk_by_quadrature, nu, r)
-                assert abs(closed - quad) <= 1e-9
+                by_series = m_integral(disk_by_series, nu, r)
+                assert abs(closed - by_series) <= 1e-9
 
     def test_gamma_zero_reduces_to_disk(self):
         dens = HyperbolicDensity.omega_gamma(0.0)
@@ -430,6 +430,92 @@ class TestCircleMeanTheorem:
                 closed = (r_ * r_ * (1 - g) ** (2 * nu) * c ** (-2 * nu)
                           * mp.hyp2f1(nu, nu + 0.5, 1, (B / c) ** 2))
             assert mp_sums.close(m_integral(density, nu, r), closed, 0.0, 1e-12), r
+
+
+def omega_gamma_c_and_s(gamma, r):
+    """c = A + B and S = sqrt(A (A + 2B)) of the Omega_gamma mean, as bloch writes them."""
+    A = (1.0 - r) * (1.0 + gamma + (1.0 - gamma) * r)
+    B = 2.0 * gamma * r
+    return A + B, math.sqrt(A * (A + 2.0 * B))
+
+
+def recording_ratio_sum(monkeypatch):
+    """Patch bloch's ratio_sum to keep (terms taken, rho, value) of each call."""
+    calls = []
+
+    def record(terms, rho, tol, cap):
+        taken = []
+        value = series.ratio_sum((taken.append(t) or t for t in terms), rho, tol, cap)
+        calls.append((taken, rho, value))
+        return value
+    monkeypatch.setattr(bloch, "ratio_sum", record)
+    return calls
+
+
+class TestOmegaGammaSeries:
+    """The Omega_gamma mean is a positive series with a proven remainder."""
+
+    def test_builtin_densities_are_never_sampled(self, monkeypatch):
+        calls = []
+        on_circle = HyperbolicDensity.on_circle
+        monkeypatch.setattr(HyperbolicDensity, "on_circle",
+                            lambda self, r, thetas: calls.append(r) or on_circle(self, r, thetas))
+        for density in [DISK] + OMEGAS:
+            for nu in (0.1, 0.5, 1.0):
+                m_integral(density, nu, 0.7)
+        bloch_radius(OMEGAS[2], 0.5)
+        bloch_refined_radius(OMEGAS[3], 1.0)
+        assert calls == []
+        m_integral(HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2)), 0.5, 0.7)
+        assert calls and set(calls) == {0.7}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.999), st.floats(0.0, 0.999, exclude_min=True))
+    def test_half_and_one_are_closed_forms(self, gamma, r):
+        # nu = 1/2: the mean of lambda is 1/S; nu = 1: the mean of lambda^2 is c/S^3
+        c, S = omega_gamma_c_and_s(gamma, r)
+        density = HyperbolicDensity.omega_gamma(gamma)
+        assert m_integral(density, 0.5, r) == pytest.approx(r * r / S, rel=1e-15, abs=0.0)
+        assert m_integral(density, 1.0, r) == pytest.approx(r * r * c / S**3, rel=1e-15,
+                                                             abs=0.0)
+
+    def test_stated_remainder_covers_the_true_one(self, monkeypatch):
+        # the series summed is F(a) = sum_k ((a)_k/k!)^2 w^k, a = 2 nu (nu <= 1/4) or
+        # 1 - 2 nu; its true remainder past the last term taken is computed at 40 digits
+        mp = mp_sums.mp
+        calls = recording_ratio_sum(monkeypatch)
+        rng = np.random.default_rng(20)
+        grid = [(0.999, 0.99, 0.25), (0.999, 0.99, 1e-3), (0.999, 0.5, 0.26), (0.5, 0.3, 0.75)]
+        grid += [(r, g, nu) for r, g, nu in zip(rng.uniform(0.0, 0.999, 40),
+                                                rng.uniform(0.0, 0.99, 40),
+                                                rng.uniform(1e-3, 1.0, 40))]
+        for r, gamma, nu in grid:
+            r, gamma, nu = float(r), float(gamma), float(nu)
+            m_integral(HyperbolicDensity.omega_gamma(gamma), nu, r)
+            taken, w, value = calls.pop()
+            a = 2.0 * nu if nu <= 0.25 else 1.0 - 2.0 * nu
+            with mp.workdps(mp_sums.DPS):
+                a_, w_ = mp.mpf(a), mp.mpf(w)
+                terms = [mp.rf(a_, k) ** 2 / mp.factorial(k) ** 2 * w_**k
+                         for k in range(len(taken))]
+                true = mp.hyp2f1(a_, a_, 1, w_) - mp.fsum(terms)
+                stated = mp.mpf(taken[-1]) * w_ / (1 - w_)
+                assert 0 <= true <= stated, (r, gamma, nu)
+                assert true <= bloch.MEAN_TOL * mp.fsum(terms)
+                assert mp_sums.close(value, mp.hyp2f1(a_, a_, 1, w_), 0.0, 1e-15)
+
+    def test_near_one_sums_within_the_cap(self, monkeypatch):
+        # gamma near 1 and nu = 1/4 is the longest series: about 1.1e4 terms at 1 - 1e-6
+        calls = recording_ratio_sum(monkeypatch)
+        density = HyperbolicDensity.omega_gamma(0.999)
+        value = m_integral(density, 0.25, 1.0 - 1e-6)
+        taken = calls[-1][0]
+        assert 1000 < len(taken) < bloch.MEAN_TERMS
+        monkeypatch.setattr(bloch, "MEAN_TERMS", len(taken) - 1)
+        with pytest.raises(NonConvergenceError, match=r"after \d+ terms$"):
+            m_integral(density, 0.25, 1.0 - 1e-6)
+        monkeypatch.setattr(bloch, "MEAN_TERMS", len(taken))
+        assert m_integral(density, 0.25, 1.0 - 1e-6) == value
 
 
 class TestGridScan:

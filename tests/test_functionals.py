@@ -21,7 +21,8 @@ from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, WEIGHTED_L
                     phi_term, problem_functional, radius_refined, refined_at,
                     refined_functional, refined_sum, rogosinski_at, rogosinski_functional, s_r,
                     schwarz_composed_bound, sharpness_probe)
-from bohrad import functionals
+from bohrad import functionals, radii
+from bohrad import phi as phi_module
 from bohrad.cli import main
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.functionals import family_gamma
@@ -1083,3 +1084,54 @@ class TestTailsFromTheirFirstIndex:
         for (i, N), (bound, classical) in want.items():
             assert rogosinski_at(WEIGHTED_LINEAR, 1.5, N, 2, 0.5, 0.4)(series[i]) == bound
             assert classical_functional(series[i], 0.4, "bohr_rogosinski", N=N) == classical
+
+
+class TestSlopeAtOneTiesFunctionalToEquation:
+    """rhs - value(a) = (1 - a) kappa F(r) + O((1 - a)^2) on the extremal family.
+
+    The functional (``problem_functional``) and the radius equation F
+    (``radii``) code each theorem separately; this identity ties them at
+    every r.  Refined: the Omega_gamma family shifted by m, with
+    kappa = (1 + gamma)/(1 - gamma) and F = p phi_m - 2 lambda_H Phi_{m+1}
+    (the refinement term is O((1 - a)^2)).  Rogosinski: the disk family,
+    kappa = 1 and F = p (1 - r^m)/(1 + r^m) phi_0 - 2 mu Phi_N.
+    """
+
+    # a Richardson slope from 1 - a = 2e-5 and 4e-5 met kappa F within 5.1e-7 of
+    # the scale below (the sum of F's two parts' sizes) on 4,000 seeded problems
+    SLOPE_TOL = 2e-6
+
+    @staticmethod
+    def equation_value(problem, r):
+        """F(r) of the library's equation; the refined one is bound as F/phi_m when
+        tail_ratio exists, so it is multiplied back."""
+        if problem.equation_kind == "rogosinski":
+            return radii.rogosinski_equation(problem)(r)
+        value = radii.refined_equation(problem)(r)
+        if phi_module.tail_ratio(problem.phi, problem.m):
+            value *= phi_term(problem.phi, problem.m, r)
+        return value
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BUILTIN_PHI)), st.booleans(), st.floats(0.05, 2.0),
+           st.integers(0, 9), st.integers(1, 9), st.floats(0.0, 5.0),
+           st.sampled_from([0.0, 0.3, 0.7]), st.floats(0.02, 0.6))
+    def test_richardson_slope_is_kappa_times_F(self, kind, refined, p, m, N, mu, gamma, r):
+        phi = BUILTIN_PHI[kind]
+        if refined:
+            problem = RadiusProblem(phi, p, m=m, mu=mu, domain=DomainSpec.omega_gamma(gamma))
+            kappa = (1.0 + gamma) / (1.0 - gamma)
+            two_lambda_h = 2.0 / (1.0 + gamma)
+            scale = kappa * (p * phi_term(phi, m, r) + two_lambda_h * phi_tail(phi, m + 1, r))
+        else:
+            problem = RadiusProblem(phi, p, m=max(m, 1), N=N, mu=mu, equation_kind="rogosinski")
+            kappa, rm = 1.0, r ** max(m, 1)
+            scale = p * (1.0 - rm) / (1.0 + rm) + 2.0 * mu * phi_tail(phi, N, r)
+        evaluate = problem_functional(problem, r)
+
+        def gap_over_step(step):
+            report = evaluate(1.0 - step)
+            return (report.rhs - report.value) / step
+
+        slope = 2.0 * gap_over_step(2e-5) - gap_over_step(4e-5)
+        assert abs(slope - kappa * self.equation_value(problem, r)) <= self.SLOPE_TOL * scale

@@ -406,6 +406,47 @@ class TestTruncatedTail:
         assert outcome(phi_tail, phi, 0, 0.5) == expected
 
 
+# weights with runs of exact zeros and subnormals: r^n underflows for r <= 0.05
+# within the window, parity gaps, a cut-off, and r^n with a bump at n = 600
+ZERO_RUN_WEIGHTS = {
+    "small_geometric": lambda cut: lambda n, r: r**n,
+    "even_only": lambda cut: lambda n, r: r**n if n % 2 == 0 else 0.0,
+    "cut_off": lambda cut: lambda n, r: r**n if n < cut else 0.0,
+    "bump": lambda cut: lambda n, r: r**n + (r**10 if n == 600 else 0.0),
+}
+PLANTED = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-300, -1.0, math.nan, math.inf,
+                           -math.inf])
+
+
+class TestTruncatedTailSkipsZeros:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(ZERO_RUN_WEIGHTS)), st.integers(0, 600),
+           st.floats(0.0, 0.05), st.integers(0, 200),
+           st.dictionaries(st.integers(0, 720), PLANTED, max_size=3))
+    def test_equals_the_fsum_of_every_term_bit_for_bit(self, name, cut, r, N, planted):
+        weight = ZERO_RUN_WEIGHTS[name](cut)
+        phi = PhiSequence("custom", custom_term=lambda n, r: planted.get(n, weight(n, r)))
+        # the reference sums every term with fsum, zeros included
+        expected = outcome(reference_truncated_tail, phi, N, r)
+        assert outcome(_truncated_tail, phi, N, r) == expected
+        assert outcome(phi_tail, phi, N, r) == expected
+
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_all_zero_terms_sum_to_positive_zero(self, value):
+        phi = PhiSequence("custom", custom_term=lambda n, r: value)
+        assert repr(_truncated_tail(phi, 3, 0.5)) == repr(reference_truncated_tail(phi, 3, 0.5))
+        assert repr(_truncated_tail(phi, 3, 0.5)) == "0.0"
+
+    def test_fsum_sees_only_the_nonzero_terms(self, monkeypatch):
+        seen = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda terms: fsum(seen.extend(terms) or seen))
+        phi = PhiSequence("custom", custom_term=lambda n, r: r**n if n % 4 == 0 else 0.0)
+        _truncated_tail(phi, 0, 0.01)
+        assert seen and 0.0 not in seen
+        assert len(seen) == sum(1 for n in range(0, TRUNCATION_N, 4) if 0.01**n)
+
+
 class TestRefinedSum:
     def test_zero_series(self):
         zero = CoeffSeries((0.0, 0.0, 0.0))

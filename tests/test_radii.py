@@ -14,7 +14,7 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRAT
                     decreasing_root, min_positive_root, non_improvable, radius_refined,
                     radius_rogosinski, reproduce_all_tables, reproduce_table, rp_bounds)
 from bohrad import phi as phi_module
-from bohrad import radii
+from bohrad import optimize, radii
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError, NoRootError
 from bohrad.phi import GEOMETRIC_FORMS, phi_tail, phi_term
 from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
@@ -238,6 +238,30 @@ class TestRpBounds:
         _, upper = rp_bounds(p)
         assert upper <= oracle + 1e-12
         assert abs(upper - oracle) <= 1e-8
+
+    def test_upper_makes_at_most_200_objective_calls(self, monkeypatch):
+        # 65 grid points, then the golden-section and derivative-sign polish
+        calls = []
+        objective = radii._rp_upper_objective
+
+        def counting(p):
+            g = objective(p)
+            return lambda a: calls.append(a) or g(a)
+        monkeypatch.setattr(radii, "_rp_upper_objective", counting)
+        for p in (1.0, 1.3, 1.95):
+            calls.clear()
+            radii.rp_upper(p)
+            assert 65 < len(calls) <= 200
+
+    def test_upper_matches_a_4096_cell_search(self):
+        # one interior minimum on (1, 2), and 1/(1 + 2a) at p = 1: 64 cells find
+        # the cell a 4096-cell grid finds, so the same polish gives the same value
+        for p in [1.0] + [1.0 + k / 211 for k in range(1, 211)]:
+            g = radii._rp_upper_objective(p)
+            hi = 1.0 - 1e-9
+            x, v = optimize.grid_then_golden_min(g, 0.0, hi, coarse=4096, tol=1e-13)
+            reference = min(v, g(optimize.refine_by_derivative_sign(g, x, 0.0, hi)))
+            assert radii.rp_upper(p) == pytest.approx(reference, rel=1e-9, abs=0.0), p
 
     def test_domain(self):
         with pytest.raises(DomainError):

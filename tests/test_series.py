@@ -1,5 +1,6 @@
 """Coefficient series, operator norms, and the point bounds."""
 
+import itertools
 import math
 import sys
 
@@ -12,7 +13,7 @@ from bohrad import (EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec, MatrixCoeffFn,
                     check_coeff_bound, diag_blend_coeffs, majorant, mobius_gamma_coeffs,
                     operator_norm, phi_term, point_eval_bound, s_r, schwarz_composed_bound)
 from bohrad.errors import DomainError, NonConvergenceError
-from bohrad.series import GeometricWeight, SampledWeight, _check_radius, norm_sum
+from bohrad.series import GeometricWeight, SampledWeight, _check_radius, norm_sum, ratio_sum
 
 import mp_sums
 from test_functionals import closed_form_norms
@@ -174,6 +175,43 @@ class TestNormSumPowers:
             with pytest.raises(DomainError, match=f"^power must be 1 or 2, got {power}$"):
                 norm_sum(coeffs, weight, 0, power)
         assert calls == []
+
+
+class TestRatioSum:
+    """ratio_sum: terms with t_{k+1} <= rho t_k, summed to a proven relative remainder."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.99), st.booleans())
+    def test_geometric_sums_meet_their_closed_forms(self, r, linear):
+        # r^k with rho = r; (k + 1) r^k with rho = 2r, as (k + 2)/(k + 1) <= 2
+        if linear:
+            r *= 0.5
+            terms = ((k + 1) * r**k for k in itertools.count())
+            rho, closed = 2 * r, 1 / (1 - r) ** 2
+        else:
+            terms, rho, closed = (r**k for k in itertools.count()), r, 1 / (1 - r)
+        assert ratio_sum(terms, rho, 1e-16, 1 << 16) == pytest.approx(closed, rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.999])
+    def test_stops_at_the_first_term_whose_remainder_bound_meets_tol(self, rho):
+        taken = []
+        terms = (taken.append(rho**k) or rho**k for k in itertools.count())
+        value = ratio_sum(terms, rho, 1e-16, 1 << 16)
+        partial = itertools.accumulate(taken)
+        stops = [k for k, s in enumerate(partial) if taken[k] * rho / (1 - rho) <= 1e-16 * s]
+        assert stops == [len(taken) - 1]
+        assert value == math.fsum(taken)
+
+    def test_zero_first_term_is_an_empty_sum(self):
+        assert repr(ratio_sum(itertools.repeat(0.0), 0.5, 1e-16, 4)) == "0.0"
+
+    def test_cap_raises_and_takes_no_more_terms(self):
+        taken = []
+        terms = (taken.append(k) or 0.999**k for k in itertools.count())
+        message = r"^series remainder stays above relative tol 1e-16 after 100 terms$"
+        with pytest.raises(NonConvergenceError, match=message):
+            ratio_sum(terms, 0.999, 1e-16, 100)
+        assert len(taken) == 100
 
 
 class TestDirichletSum:
