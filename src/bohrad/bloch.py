@@ -4,21 +4,21 @@ The Bloch-space radii are roots of equations in
 
     M(r) = (r / 2 pi) * integral over |z| = r of lambda^{2 nu}(z) |dz|,
 
-with lambda the hyperbolic density of the domain.  The unit disk has
-the closed form M(r) = r^2 / (1 - r^2)^{2 nu}; on Omega_gamma the mean
-is a positive hypergeometric series, summed to a proven relative
-remainder by ``series.ratio_sum`` with no numpy; only a custom density
-is integrated, by trapezoidal quadrature with node doubling.
+with lambda the hyperbolic density of the domain.  The unit disk is
+Omega_0, so every built-in density is an Omega_gamma: its mean is a
+positive hypergeometric series, summed to a proven relative remainder
+by ``series.ratio_sum`` with no numpy; only a custom density is
+integrated, by trapezoidal quadrature with node doubling.
 
-On the disk and Omega_gamma log lambda is subharmonic, so M increases
-and ``increasing_root`` brackets its radii; custom densities are scanned.
+On Omega_gamma log lambda is subharmonic, so M increases and
+``increasing_root`` brackets its radii; custom densities are scanned.
 A radius exists when lim_{r -> 1} M(r) exceeds its level; the solver's
 sign search decides that, raising NoRootError (all_negative) when the
 equation stays negative on every scan point.
 ``bloch_majorant_check`` tests the hypothesis ||Df(z)|| <= (1 - ||A_0||)
 lambda(z)^nu on its whole radial grid at once: ``derivative_majorant``
 and ``HyperbolicDensity.min_on_circle`` take an ndarray of radii, and
-the minimum has closed forms on the disk and Omega_gamma.
+the minimum has a closed form on Omega_gamma.
 ``derivative_majorant`` builds one (radii x terms) array and reduces
 its rows with one numpy sum; every term is non-negative, so each row
 is within a few ulp of its exact sum.  Both functions, and
@@ -61,9 +61,9 @@ MEAN_TERMS = 1 << 18
 class HyperbolicDensity:
     """Hyperbolic density of a simply connected domain containing the disk.
 
-    unit_disk: lambda(z) = 1/(1 - |z|^2).
     omega_gamma: lambda(z) = (1-g)/(1 - |(1-g) z + g|^2) on the enlarged
-    disk; g = 0 reduces to the unit disk.
+    disk; g = 0 is the unit disk, lambda(z) = 1/(1 - |z|^2), which
+    ``unit_disk()`` builds.
     custom: any positive callable z -> lambda(z).
     """
 
@@ -72,7 +72,7 @@ class HyperbolicDensity:
     fn: Callable[[complex], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("unit_disk", "omega_gamma", "custom"):
+        if self.kind not in ("omega_gamma", "custom"):
             raise DomainError(f"unknown density kind {self.kind!r}")
         if self.kind == "omega_gamma" and not 0.0 <= self.gamma < 1.0:
             raise DomainError("gamma must lie in [0, 1)")
@@ -85,7 +85,7 @@ class HyperbolicDensity:
 
     @classmethod
     def unit_disk(cls):
-        return cls("unit_disk")
+        return cls.omega_gamma(0.0)
 
     @classmethod
     def omega_gamma(cls, gamma: float):
@@ -96,8 +96,6 @@ class HyperbolicDensity:
         return cls("custom", fn=fn)
 
     def on_circle(self, r: float, thetas: np.ndarray) -> np.ndarray:
-        if self.kind == "unit_disk":
-            return np.full_like(thetas, 1.0 / (1.0 - r * r))
         if self.kind == "omega_gamma":
             s = np.sin(0.5 * thetas)
             return _omega_gamma_density(self.gamma, r, s * s)
@@ -110,16 +108,13 @@ class HyperbolicDensity:
     def min_on_circle(self, r, nodes: int = 256):
         """Minimum of lambda on |z| = r; r is a float or an ndarray of radii.
 
-        Built-in kinds use closed forms: lambda is constant on the disk's
-        circles, and on Omega_gamma it is smallest at z = -r (theta = pi,
+        On Omega_gamma the closed form is lambda at z = -r (theta = pi,
         node nodes/2 of the sampling, where sin^2(theta/2) = 1 exactly, so
         the value equals the sampled minimum bit for bit).  Only a custom
         density is sampled, at ``nodes`` angles (on_circle checks each value).
         """
         _check_index("nodes", nodes, 1)
         _check_radii(r)
-        if self.kind == "unit_disk":
-            return 1.0 / (1.0 - r * r)
         if self.kind == "omega_gamma":
             return _omega_gamma_density(self.gamma, r, 1.0)
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
@@ -177,8 +172,8 @@ def _omega_gamma_mean(g, nu, r):
 def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     """M(r) = (r / 2 pi) * circle integral of lambda^{2 nu}.
 
-    Uses the closed form for the unit disk, the series of
-    ``_omega_gamma_mean`` on Omega_gamma, and for a custom density
+    Uses the series of ``_omega_gamma_mean`` on Omega_gamma (the unit
+    disk included, as g = 0), and for a custom density
     periodic trapezoidal quadrature, doubling nodes from 64 until two
     successive values differ by at most QUAD_TOL (relative for large
     values).
@@ -186,8 +181,8 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     _check_radius(r)
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
-    if density.kind == "unit_disk" or r == 0.0:  # M(0) = 0 for every density
-        return r * r / (1.0 - r * r) ** (2.0 * nu)
+    if r == 0.0:  # M(0) = 0 for every density
+        return 0.0
     if density.kind == "omega_gamma":
         return r * r * _omega_gamma_mean(density.gamma, nu, r)
     nodes = 64

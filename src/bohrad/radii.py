@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
 from .functionals import MuFunction
-from .optimize import central_diff, grid_then_golden_min, refine_by_derivative_sign
+from .optimize import central_diff, grid_then_golden_min
 from .phi import BUILTIN_PHI, PhiSequence, tail_from, tail_ratio, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, decreasing_root, min_positive_root
@@ -52,15 +52,18 @@ from .series import DomainSpec, _check_index, _check_radius
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
 ERRATUM_DELTA = 1e-3
-# grid cells rp_upper searches before its golden-section polish: on (1, 2)
-# the objective has one interior minimum, and at p = 1 it is 1/(1 + 2a),
-# monotone, so the best of 64 cells already brackets the minimum
+# grid cells rp_upper searches before golden section polishes the best
+# one: on (1, 2) the objective has one interior minimum, and at p = 1 it
+# is 1/(1 + 2a), monotone, so the best of 64 cells brackets the minimum
 RP_UPPER_GRID = 64
 
 
 @dataclass(frozen=True)
 class RadiusProblem:
-    """One radius equation: weights, exponent, indices, weight mu, domain."""
+    """One radius equation: weights, exponent, indices, weight mu, domain.
+
+    Refined problems read no N, and Rogosinski ones are posed on the disk.
+    """
 
     phi: PhiSequence
     p: float
@@ -79,6 +82,11 @@ class RadiusProblem:
         if self.equation_kind == "rogosinski":
             _check_index("N", self.N, 1)
             _check_index("m", self.m, 1)  # the Schwarz order
+            if self.domain != DomainSpec.disk():
+                raise ConfigurationError("the rogosinski equation is posed on the disk, "
+                                         f"got {self.domain}")
+        elif self.N != 1:
+            raise ConfigurationError(f"the refined equation reads no N, got N = {self.N}")
         object.__setattr__(self, "mu", MuFunction.of(self.mu))
 
 
@@ -184,8 +192,8 @@ def closed_form_radius(case: str, gamma: float | None = None,
 
     lambda_base: 1/(1+2L); gamma_p1: (1+g)/(3+g); gamma_p2: (1+g)/(2+g);
     even_p: sqrt(p(1+g)/(2+p(1+g))); odd_p: both branches (see
-    OddRadiusPair); recentered: (1-g^2)/(3+g); disk_third: 1/3;
-    disk_half: 1/2.
+    OddRadiusPair); recentered: (1-g^2)/(3+g).  The disk is g = 0:
+    gamma_p1 and gamma_p2 give 1/3 and 1/2 there.
     """
     def need_gamma():
         if gamma is None or not 0.0 <= gamma < 1.0:
@@ -218,10 +226,6 @@ def closed_form_radius(case: str, gamma: float | None = None,
     if case == "recentered":
         g = need_gamma()
         return (1.0 - g * g) / (3.0 + g)
-    if case == "disk_third":
-        return 1.0 / 3.0
-    if case == "disk_half":
-        return 0.5
     raise ConfigurationError(f"unknown closed-form case {case!r}")
 
 
@@ -248,10 +252,7 @@ def rp_upper(p: float) -> float:
     if not 1.0 <= p < 2.0:
         raise DomainError("p must lie in [1, 2)")
     g = _rp_upper_objective(p)
-    hi = 1.0 - 1e-9
-    x, v = grid_then_golden_min(g, 0.0, hi, coarse=RP_UPPER_GRID, tol=1e-13)
-    x = refine_by_derivative_sign(g, x, 0.0, hi)
-    return min(v, g(x))
+    return grid_then_golden_min(g, 0.0, 1.0 - 1e-9, coarse=RP_UPPER_GRID, tol=1e-13)[1]
 
 
 def rp_bounds(p: float) -> tuple[float, float]:

@@ -19,7 +19,12 @@ from bohrad.errors import (DomainError, InvalidTestFunctionError, NonConvergence
 import mp_sums
 
 DISK = HyperbolicDensity.unit_disk()
-OMEGAS = [HyperbolicDensity.omega_gamma(g) for g in (0.0, 0.3, 0.7, 0.9)]
+OMEGAS = [HyperbolicDensity.omega_gamma(g) for g in (0.0, 0.3, 0.7, 0.9)]  # Omega_0 is DISK
+
+
+def disk_mean(nu, r):
+    """M(r) = r^2/(1 - r^2)^{2 nu} on the disk, with 1 - r^2 = (1 - r)(1 + r)."""
+    return r * r / ((1.0 - r) * (1.0 + r)) ** (2.0 * nu)
 
 
 def bisect(f, lo, hi, iters=200):
@@ -40,18 +45,15 @@ class TestCircleIntegral:
         assert m_integral(DISK, 0.5, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_quadrature_matches_closed_form(self):
-        # Omega_0 is the disk, but its mean goes through the Omega_gamma series
-        disk_by_series = HyperbolicDensity.omega_gamma(0.0)
+        # the disk's mean goes through the Omega_gamma series at gamma = 0
         for r in (0.2, 0.5, 0.8):
             for nu in (0.25, 0.5, 1.0):
-                closed = m_integral(DISK, nu, r)
-                by_series = m_integral(disk_by_series, nu, r)
-                assert abs(closed - by_series) <= 1e-9
+                assert m_integral(DISK, nu, r) == pytest.approx(disk_mean(nu, r), rel=1e-15)
 
     def test_gamma_zero_reduces_to_disk(self):
         dens = HyperbolicDensity.omega_gamma(0.0)
         for r in (0.3, 0.6, 0.9):
-            assert abs(m_integral(dens, 0.5, r) - m_integral(DISK, 0.5, r)) <= 1e-10
+            assert abs(m_integral(dens, 0.5, r) - disk_mean(0.5, r)) <= 1e-10
 
     def test_vanishes_at_origin(self):
         for dens in (DISK, HyperbolicDensity.omega_gamma(0.4)):
@@ -61,7 +63,7 @@ class TestCircleIntegral:
     def test_custom_density_quadrature(self):
         dens = HyperbolicDensity.custom(lambda z: 1.0 / (1.0 - abs(z) ** 2))
         for r in (0.3, 0.7):
-            assert abs(m_integral(dens, 0.5, r) - m_integral(DISK, 0.5, r)) <= 1e-9
+            assert abs(m_integral(dens, 0.5, r) - disk_mean(0.5, r)) <= 1e-9
 
     def test_against_adaptive_quadrature_oracle(self):
         from scipy.integrate import quad
@@ -123,6 +125,26 @@ class TestCircleMinimum:
         assert rows.shape == (2, 1) and rows.tolist() == [[1.5], [1.75]]
 
 
+class TestDiskIsOmegaZero:
+    """The unit disk is Omega_0: one density, through the cancellation-free Omega_gamma forms."""
+
+    def test_unit_disk_is_omega_zero(self):
+        assert HyperbolicDensity.unit_disk() == HyperbolicDensity.omega_gamma(0.0)
+
+    def test_mean_and_minimum_against_mp_near_one(self):
+        # 1 - r^2 as a float cancels as r -> 1 (about 2e-9 relative at 1 - 1e-8);
+        # (1 - r)(1 + r) does not, so both stay within 1e-15 of 40-digit values
+        mp = mp_sums.mp
+        rng = np.random.default_rng(33)
+        radii = [1.0 - 1e-8, 0.5] + (1.0 - 10.0 ** -rng.uniform(0.0, 8.0, 60)).tolist()
+        for r, nu in zip(radii, [1.0, 0.25] + rng.uniform(1e-3, 1.0, 60).tolist()):
+            with mp.workdps(mp_sums.DPS):
+                lam = 1 / (1 - mp.mpf(r) ** 2)
+                mean = mp.mpf(r) ** 2 * lam ** (2 * mp.mpf(nu))
+            assert mp_sums.close(m_integral(DISK, nu, r), mean, 0.0, 1e-15), (r, nu)
+            assert mp_sums.close(DISK.min_on_circle(r), lam, 0.0, 1e-15), r
+
+
 class TestBaselConstant:
     def test_threshold_literal_from_partial_sum(self):
         # bracket sum(1/s^2) by a 1e5-term partial sum plus integral
@@ -151,8 +173,7 @@ class TestMajorantRadius:
 
     def test_gamma_zero_density_matches_disk(self):
         got = bloch_radius(HyperbolicDensity.omega_gamma(0.0), 0.5).value
-        want = bloch_radius(DISK, 0.5).value
-        assert abs(got - want) <= 1e-8
+        assert abs(got - math.sqrt(6.0 / (6.0 + math.pi**2))) <= 1e-8
 
     def test_no_root_for_bounded_density(self):
         # M(r) = 0.01 r^2 stays below 6/pi^2 on every scan point
@@ -342,7 +363,7 @@ class TestBlochMajorantCheck:
             bloch_majorant_check(CoeffSeries((0.5, 0.5)), 1.0,
                                  HyperbolicDensity.custom(density), 0.5, 0.3)
 
-    @pytest.mark.parametrize("density", [DISK] + OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
+    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
     def test_first_failure_is_the_first_failing_grid_radius(self, density):
         # the radius-by-radius check, written out: the array pass raises at
         # the same first radius, or not at all
@@ -460,7 +481,7 @@ class TestOmegaGammaSeries:
         on_circle = HyperbolicDensity.on_circle
         monkeypatch.setattr(HyperbolicDensity, "on_circle",
                             lambda self, r, thetas: calls.append(r) or on_circle(self, r, thetas))
-        for density in [DISK] + OMEGAS:
+        for density in OMEGAS:
             for nu in (0.1, 0.5, 1.0):
                 m_integral(density, nu, 0.7)
         bloch_radius(OMEGAS[2], 0.5)
@@ -521,7 +542,7 @@ class TestOmegaGammaSeries:
 class TestGridScan:
     """The Bloch solvers bracket by index bisection, with the scalar scan's result."""
 
-    @pytest.mark.parametrize("density", [DISK] + OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
+    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
     @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
     def test_radii_match_scalar_scan(self, density, nu):
         majorant = lambda r: m_integral(density, nu, r) - MAJORANT_THRESHOLD

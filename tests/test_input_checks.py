@@ -47,8 +47,9 @@ def per_function(**kwargs):
                  id="phi-builtin-tail"),
     pytest.param(lambda: HyperbolicDensity.custom(5), DomainError,
                  "^custom density requires a callable$", id="density-fn-not-callable"),
-    pytest.param(lambda: HyperbolicDensity("unit_disk", gamma=0.5), DomainError,
-                 "^density kind 'unit_disk' takes no gamma$", id="density-disk-gamma"),
+    # the disk is omega_gamma at gamma = 0, which HyperbolicDensity.unit_disk() builds
+    pytest.param(lambda: HyperbolicDensity("unit_disk"), DomainError,
+                 "^unknown density kind 'unit_disk'$", id="density-disk-kind"),
     pytest.param(lambda: HyperbolicDensity("custom", gamma=0.5, fn=abs), DomainError,
                  "^density kind 'custom' takes no gamma$", id="density-custom-gamma"),
     pytest.param(lambda: HyperbolicDensity("omega_gamma", gamma=0.5, fn=abs), DomainError,
@@ -100,6 +101,19 @@ def per_function(**kwargs):
                  ConfigurationError, "^unknown equation kind 'schwarz'$", id="problem-kind"),
     pytest.param(lambda: radius_rogosinski(REFINED), ConfigurationError,
                  "^problem is not of the rogosinski kind$", id="rogosinski-refined"),
+    # a Rogosinski problem on Omega_0.9 returned the disk radius; a refined one with
+    # N = 7 solved as if N were 1
+    pytest.param(lambda: RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.9),
+                                       equation_kind="rogosinski"), ConfigurationError,
+                 r"^the rogosinski equation is posed on the disk, got DomainSpec\(mode='gamma', "
+                 r"lambda_h=None, gamma=0.9\)$", id="problem-rogosinski-gamma"),
+    pytest.param(lambda: RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.general(1.0),
+                                       equation_kind="rogosinski"), ConfigurationError,
+                 "^the rogosinski equation is posed on the disk, got ",
+                 id="problem-rogosinski-general"),
+    *(pytest.param(lambda N=N: RadiusProblem(MONOMIAL, 1.0, N=N), ConfigurationError,
+                   f"^the refined equation reads no N, got N = {N}$", id=f"problem-refined-N-{N}")
+      for N in (7, 0)),
     pytest.param(lambda: closed_form_radius("gamma_p1", gamma=1.0), ConfigurationError,
                  r"^case 'gamma_p1' needs gamma in \[0, 1\)$", id="closed-form-gamma"),
     pytest.param(lambda: closed_form_radius("gamma_p2"), ConfigurationError,
@@ -148,7 +162,9 @@ def test_per_function_radius_stops_at_adjacent_floats():
 
 def test_constructors_keep_accepting_what_they_use():
     assert PhiSequence("custom", custom_term=term, custom_tail=None).custom_tail is None
-    assert HyperbolicDensity("unit_disk", gamma=0.0).min_on_circle(0.5) == 1.0 / 0.75
+    assert HyperbolicDensity("custom", gamma=0.0, fn=abs).min_on_circle(0.5, 4) == 0.5
+    assert RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.0),
+                         equation_kind="rogosinski").domain == DomainSpec.disk()
     assert HyperbolicDensity.custom(lambda z: 2.0).min_on_circle(0.5, 4) == 2.0
     assert MuFunction(fn=lambda r: r)(0.5) == 0.5
 

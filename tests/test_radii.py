@@ -92,8 +92,9 @@ class TestClosedForms:
 
     def test_disk_constants(self):
         assert closed_form_radius("lambda_base", lambda_h=1.0) == pytest.approx(1 / 3)
-        assert closed_form_radius("disk_third") == pytest.approx(1 / 3)
-        assert closed_form_radius("disk_half") == 0.5
+        # the disk is gamma = 0, and the gamma forms give its radii exactly
+        assert closed_form_radius("gamma_p1", gamma=0.0) == 1.0 / 3.0
+        assert closed_form_radius("gamma_p2", gamma=0.0) == 0.5
         assert closed_form_radius("gamma_p1", gamma=0.5) == pytest.approx(1.5 / 3.5)
         assert closed_form_radius("recentered", gamma=0.5) == pytest.approx(0.75 / 3.5)
 
@@ -240,7 +241,7 @@ class TestRpBounds:
         assert abs(upper - oracle) <= 1e-8
 
     def test_upper_makes_at_most_200_objective_calls(self, monkeypatch):
-        # 65 grid points, then the golden-section and derivative-sign polish
+        # 65 grid points, then the golden-section polish (122 to 124 calls in all)
         calls = []
         objective = radii._rp_upper_objective
 
@@ -255,12 +256,11 @@ class TestRpBounds:
 
     def test_upper_matches_a_4096_cell_search(self):
         # one interior minimum on (1, 2), and 1/(1 + 2a) at p = 1: 64 cells find
-        # the cell a 4096-cell grid finds, so the same polish gives the same value
+        # the cell a 4096-cell grid finds, so the same golden polish gives the same value
         for p in [1.0] + [1.0 + k / 211 for k in range(1, 211)]:
             g = radii._rp_upper_objective(p)
             hi = 1.0 - 1e-9
-            x, v = optimize.grid_then_golden_min(g, 0.0, hi, coarse=4096, tol=1e-13)
-            reference = min(v, g(optimize.refine_by_derivative_sign(g, x, 0.0, hi)))
+            _, reference = optimize.grid_then_golden_min(g, 0.0, hi, coarse=4096, tol=1e-13)
             assert radii.rp_upper(p) == pytest.approx(reference, rel=1e-9, abs=0.0), p
 
     def test_domain(self):
