@@ -22,7 +22,7 @@ from .errors import (BohradError, ConfigurationError, InfeasibleError,
                      NoRootError, NonConvergenceError, SingularIntegrandError)
 from .functionals import (DEFAULT_A_GRID, MuFunction, _first_violation,
                           bohr_area_functional, bohr_beta_functional,
-                          bohr_energy_functional, family_gamma, problem_functional)
+                          bohr_energy_functional, problem_functional)
 from .phi import BUILTIN_PHI, MONOMIAL
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
 from .radii import (RadiusProblem, closed_form_radius, radius_refined, radius_rogosinski,
@@ -45,19 +45,20 @@ VERIFY_A_GRID = tuple(k / 20 for k in range(1, 18)) + DEFAULT_A_GRID
 # and the value of its selector (None on a command without one).  Any other option must
 # keep its default; a record's params echoes the selector and exactly these.
 _SOLVER = ("tol", "scan_step")
-_REFINED = ("phi", "p", "m", "gamma", "lambda_h")  # p phi_m = 2 lambda_H Phi_{m+1}
+_REFINED = ("phi", "p", "m", "gamma")  # p phi_m = 2 lambda_H Phi_{m+1}
 _ROGOSINSKI = ("phi", "p", "m", "N", "mu_const")  # posed on the disk
 READS = {
-    "radius": ("kind", {"refined": _REFINED + _SOLVER, "rogosinski": _ROGOSINSKI + _SOLVER}),
+    "radius": ("kind", {"refined": _REFINED + ("lambda_h",) + _SOLVER,
+                        "rogosinski": _ROGOSINSKI + _SOLVER}),
     "tables": (None, {None: ("id", "allow_errata") + _SOLVER}),
     "verify": ("family", {
         "bohr": _REFINED + _SOLVER,  # mu = 0
         "refined": _REFINED + ("mu_const",) + _SOLVER,
         "rogosinski": _ROGOSINSKI + _SOLVER,
         # these three radii are the closed form 1/(1 + 2 lambda_H): no solve
-        "area-poly": ("gamma", "lambda_h", "degree"),
-        "beta-square": ("gamma", "lambda_h", "beta"),
-        "energy": ("gamma", "lambda_h")}),
+        "area-poly": ("gamma", "degree"),
+        "beta-square": ("gamma", "beta"),
+        "energy": ("gamma",)}),
     "calibrate": (None, {None: ("degree", "c")}),
     # the closed form takes gamma itself, on no --domain
     "bloch": ("variant", {"majorant": ("domain", "gamma", "nu") + _SOLVER,
@@ -115,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, default=1)
         sp.add_argument("--mu-const", type=float, default=0.0)
         sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--lambda-h", type=float, default=None)
 
     sp = sub.add_parser("radius", help="solve one radius equation")
     problem(sp, required=True)
+    sp.add_argument("--lambda-h", type=float, default=None)
     sp.add_argument("--kind", choices=tuple(READS["radius"][1]), default="refined")
     common(sp)
 
@@ -185,13 +186,12 @@ def _validated(args):
     return read
 
 
-def _domain(args, default_gamma=None) -> DomainSpec:
+def _domain(args) -> DomainSpec:
     if args.lambda_h is not None:
         return DomainSpec.general(args.lambda_h)
-    gamma = default_gamma if args.gamma is None else args.gamma
-    if gamma is None:
+    if args.gamma is None:
         raise ConfigurationError("this command needs --gamma or --lambda-h")
-    return DomainSpec.omega_gamma(gamma)
+    return DomainSpec.omega_gamma(args.gamma)
 
 
 # ---------------------------------------------------------------- commands
@@ -228,11 +228,10 @@ def _cmd_tables(args):
 
 
 def _verify_setup(args):
-    """(radius, bind: r -> (a -> report) on the extremal family of ``family_gamma``).
-
-    A general lambda_h != 1 has no family and exits 2 here, before any solve."""
-    domain = _domain(args, default_gamma=0.0)
-    gamma = family_gamma(domain)
+    """(radius, bind: r -> (a -> report) on the extremal family of Omega_gamma, gamma =
+    --gamma or 0); verify takes no --lambda-h, as a general domain has no such family."""
+    gamma = 0.0 if args.gamma is None else args.gamma
+    domain = DomainSpec.omega_gamma(gamma)
     if args.family in ("bohr", "refined", "rogosinski"):
         # "bohr" is the plain weighted sum: the refined functional at mu = 0
         kind = "rogosinski" if args.family == "rogosinski" else "refined"

@@ -360,17 +360,11 @@ def _first_violation(evaluate: Callable[[float], FunctionalReport], a_grid):
 
 
 def family_gamma(domain: DomainSpec) -> float:
-    """gamma of the Mobius-type extremal family that tests a domain.
-
-    The family exists on Omega_gamma (its own gamma) and on the disk, a
-    general domain with lambda_h == 1 (gamma = 0); a domain known only
-    by a general lambda_h != 1 has none, and raises ConfigurationError.
-    """
-    if domain.mode == "gamma":
-        return domain.gamma
-    if abs(domain.effective_lambda - 1.0) <= 1e-12:
-        return 0.0
-    raise ConfigurationError("no extremal family is constructible for a general lambda_h != 1")
+    """gamma of the Mobius-type extremal family that tests a domain: Omega_gamma's own,
+    0 on the disk; a domain given by lambda_h has none and raises ConfigurationError."""
+    if domain.gamma is None:
+        raise ConfigurationError("no extremal family is constructible for a general lambda_h")
+    return domain.gamma
 
 
 def problem_functional(problem: "RadiusProblem", r: float) -> Callable[[float], FunctionalReport]:

@@ -221,7 +221,9 @@ def _truncated_tail(phi, N, r):
         raise NonConvergenceError(
             f"tail estimate {bound:.3g} exceeds abs_tol {ABS_TOL:.3g} "
             f"after {TRUNCATION_N} terms")
-    return (math.fsum(filter(None, terms)) if total is None else total) + bound
+    if total is None:
+        raise DomainError(f"custom tail at N={N}, r={r} must be finite and >= 0")
+    return total + bound
 
 
 def phi_weight(phi: PhiSequence, r: float) -> GeometricWeight | SampledWeight:

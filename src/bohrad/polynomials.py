@@ -83,10 +83,14 @@ def calibration_residual(spec: PolySpec) -> float:
       sum_{s=1}^{m} 2 (2s - 1) c_s d_s (3/8)^{2s} = 1,
     with d_1 = 4 making the first term 8 c_1 (3/8)^2.
     """
-    total = _CAL_BASE * spec.coefficients[0]
-    for s in range(2, spec.degree + 1):
-        total += 2.0 * (2 * s - 1) * spec.coefficients[s - 1] * peak_weight(s) * (3.0 / 8.0) ** (2 * s)
-    return total - 1.0
+    c1, *tail = spec.coefficients
+    return math.fsum([_CAL_BASE * c1, *_tail_terms(tail)]) - 1.0
+
+
+def _tail_terms(tail):
+    """The calibration terms 2 (2s - 1) c_s d_s (3/8)^{2s} of c_2, c_3, ... = tail."""
+    return [2.0 * (2 * s - 1) * c * peak_weight(s) * (3.0 / 8.0) ** (2 * s)
+            for s, c in enumerate(tail, start=2)]
 
 
 def calibrate_area_poly(tail_coeffs=()) -> PolySpec:
@@ -100,9 +104,7 @@ def calibrate_area_poly(tail_coeffs=()) -> PolySpec:
     for j, c in enumerate(tail, start=2):
         if not math.isfinite(c) or c <= 0:
             raise ConfigurationError(f"tail coefficient c_{j} must be positive, got {c}")
-    tail_sum = math.fsum(
-        2.0 * (2 * s - 1) * tail[s - 2] * peak_weight(s) * (3.0 / 8.0) ** (2 * s)
-        for s in range(2, len(tail) + 2))
+    tail_sum = math.fsum(_tail_terms(tail))
     if tail_sum >= 1.0:
         raise InfeasibleError(
             f"tail already contributes {tail_sum:.6g} >= 1; c_1 would not be positive")

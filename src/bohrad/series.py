@@ -300,47 +300,37 @@ def ratio_sum(terms: Iterable[float], rho: float, tol: float, cap: int) -> float
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Domain parameterization: an explicit constant, or gamma for Omega_gamma.
+    """A domain, given by exactly one of lambda_h > 0, the constant of a simply
+    connected domain, or gamma in [0, 1) for Omega_gamma, whose effective
+    constant is 1/(1+gamma); Omega_0 is the unit disk."""
 
-    In gamma mode the effective constant is 1/(1+gamma); gamma = 0
-    recovers the unit disk.
-    """
-
-    mode: str
     lambda_h: float | None = None
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.mode == "general":
-            if self.lambda_h is None or self.gamma is not None:
-                raise DomainError("general mode takes lambda_h only")
-            if not (math.isfinite(self.lambda_h) and self.lambda_h > 0):
-                raise DomainError("lambda_h must be a positive real")
-        elif self.mode == "gamma":
-            if self.gamma is None or self.lambda_h is not None:
-                raise DomainError("gamma mode takes gamma only")
+        if (self.lambda_h is None) == (self.gamma is None):
+            raise DomainError("provide exactly one of lambda_h / gamma")
+        if self.gamma is not None:
             if not 0.0 <= self.gamma < 1.0:
                 raise DomainError("gamma must lie in [0, 1)")
-        else:
-            raise DomainError(f"unknown domain mode {self.mode!r}")
+        elif not (math.isfinite(self.lambda_h) and self.lambda_h > 0):
+            raise DomainError("lambda_h must be a positive real")
 
     @classmethod
     def disk(cls):
-        return cls("gamma", gamma=0.0)
+        return cls(gamma=0.0)
 
     @classmethod
     def general(cls, lambda_h: float):
-        return cls("general", lambda_h=float(lambda_h))
+        return cls(lambda_h=float(lambda_h))
 
     @classmethod
     def omega_gamma(cls, gamma: float):
-        return cls("gamma", gamma=float(gamma))
+        return cls(gamma=float(gamma))
 
     @property
     def effective_lambda(self) -> float:
-        if self.mode == "general":
-            return self.lambda_h
-        return 1.0 / (1.0 + self.gamma)
+        return 1.0 / (1.0 + self.gamma) if self.lambda_h is None else self.lambda_h
 
 
 # built once: every evaluation of a radius equation checks its r

@@ -140,13 +140,13 @@ class TestVerifyCommand:
 
     def test_beta_family_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "beta-square",
-                               "--lambda-h", "1", "--beta", "0.25")
+                               "--gamma", "0", "--beta", "0.25")
         assert code == 0
         assert json.loads(out)["summary"]["passed"]
 
     def test_energy_family_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "energy",
-                               "--lambda-h", "1")
+                               "--gamma", "0")
         assert code == 0
         assert json.loads(out)["summary"]["passed"]
 
@@ -157,12 +157,12 @@ class TestVerifyCommand:
 
     def test_excessive_beta_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "beta-square",
-                               "--lambda-h", "1", "--beta", "0.5")
+                               "--gamma", "0", "--beta", "0.5")
         assert code == 2
         assert err.strip().startswith("error:")
 
     def test_options_at_their_defaults_apply_to_every_family(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--family", "energy", "--lambda-h", "1",
+        code, out, _ = run_cli(capsys, "verify", "--family", "energy", "--gamma", "0",
                                "--phi", "monomial", "--p", "1", "--m", "0", "--N", "1",
                                "--mu-const", "0", "--degree", "2")
         assert code == 0 and json.loads(out)["summary"]["passed"]
@@ -173,7 +173,7 @@ class TestVerifyCommand:
         ("--family", "refined", "--m", "1", "--mu-const", "1", "--gamma", "0"),
         ("--family", "rogosinski", "--p", "1", "--m", "1", "--mu-const", "1"),
         ("--family", "area-poly", "--gamma", "0.3"),
-        ("--family", "beta-square", "--lambda-h", "1"),
+        ("--family", "beta-square", "--gamma", "0"),
         ("--family", "energy", "--gamma", "0.85"),
     ]
 
@@ -342,10 +342,6 @@ class TestExitCodes:
         ("radius", "--phi", "monomial", "--gamma", "0", "--seed", "1"),
         ("tables", "--seed", "1"),
         ("bloch", "--nu", "0.5", "--seed", "1"),
-        # a general lambda_h != 1 has no extremal family; these passed with nothing checked
-        ("verify", "--family", "area-poly", "--lambda-h", "2"),
-        ("verify", "--family", "beta-square", "--lambda-h", "2"),
-        ("verify", "--family", "energy", "--lambda-h", "2"),
         ("verify", "--family", "beta-square", "--gamma", "0", "--beta", "inf"),
         ("tables", "--scan-step", "0"),
     ])
@@ -362,6 +358,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: (unrecognized arguments|argument --family: invalid choice)"
                             r"[^\n]*\n", err)
+
+    # a domain given by lambda_h has no extremal family, lambda_h = 1 included: the disk is
+    # --gamma 0, so verify has no --lambda-h
+    @pytest.mark.parametrize("lambda_h", ["1", "2"])
+    @pytest.mark.parametrize("family", cli.VERIFY_FAMILIES)
+    def test_verify_has_no_lambda_h(self, capsys, family, lambda_h):
+        code, out, err = run_cli(capsys, "verify", "--family", family, "--lambda-h", lambda_h)
+        assert (code, out) == (2, "")
+        assert err == f"error: unrecognized arguments: --lambda-h {lambda_h}\n"
 
     def test_malformed_float_exits_two(self, capsys):
         code = main(["radius", "--phi", "monomial", "--p", "banana", "--gamma", "0"])
@@ -385,7 +390,7 @@ class TestReadOptions:
         (("verify", "--family", "refined", "--N", "2"), "--N", "--family refined"),
         (("verify", "--family", "rogosinski", "--m", "1", "--beta", "0.1"), "--beta",
          "--family rogosinski"),
-        (("verify", "--family", "beta-square", "--lambda-h", "1", "--degree", "3"), "--degree",
+        (("verify", "--family", "beta-square", "--gamma", "0", "--degree", "3"), "--degree",
          "--family beta-square"),
         (("verify", "--family", "area-poly", "--p", "0.5"), "--p", "--family area-poly"),
         (("verify", "--family", "energy", "--m", "1"), "--m", "--family energy"),
@@ -396,9 +401,9 @@ class TestReadOptions:
          "--family beta-square"),
         (("verify", "--family", "refined", "--beta", "0.1"), "--beta", "--family refined"),
         # the closed-form families never solve
-        (("verify", "--family", "energy", "--lambda-h", "1", "--scan-step", "0.5"), "--scan-step",
+        (("verify", "--family", "energy", "--gamma", "0", "--scan-step", "0.5"), "--scan-step",
          "--family energy"),
-        (("verify", "--family", "area-poly", "--lambda-h", "1", "--tol", "1e-4"), "--tol",
+        (("verify", "--family", "area-poly", "--gamma", "0", "--tol", "1e-4"), "--tol",
          "--family area-poly"),
         # the closed form takes its gamma on no --domain
         (("bloch", "--domain", "gamma", "--gamma", "0", "--nu", "0.5", "--variant",
@@ -521,6 +526,23 @@ def test_readme_examples_are_golden():
                 for line in block.splitlines() if line.startswith("bohrad ")]
     assert examples
     assert [argv for argv in examples if argv not in [c["argv"] for c in GOLDEN]] == []
+
+
+def test_readme_read_options_table_matches_reads():
+    # each row: `command --selector value` (or `value` ...) | the flags its run reads
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.search(r"^\| run \| reads \|\n\|---\|---\|\n((?:\|.*\n)+)", readme, re.M)
+    listed = []
+    for row in table.group(1).splitlines():
+        run, flags = (re.findall(r"`([^`]*)`", cell) for cell in row.strip("|").split("|"))
+        command, *chosen = run[0].split()
+        choices = [chosen[1], *run[1:]] if chosen else [None]
+        listed += [((command, choice), flags[0].split()) for choice in choices]
+    expected = {(command, choice): [flag for dest, flag, _ in cli._reads(command, choice)[0]
+                                    if dest != selector]
+                for command, (selector, reads) in cli.READS.items() for choice in reads}
+    assert len(listed) == len(expected)
+    assert dict(listed) == expected
 
 
 class TestParserCache:

@@ -434,12 +434,15 @@ class TestFamilyGamma:
     def test_omega_gamma_keeps_its_own_gamma(self):
         assert family_gamma(DomainSpec.omega_gamma(0.4)) == 0.4
 
-    def test_general_unit_lambda_is_the_disk(self):
-        assert family_gamma(DomainSpec.general(1.0)) == 0.0
+    def test_the_disk_is_gamma_zero(self):
+        assert family_gamma(DomainSpec.disk()) == 0.0
 
-    def test_general_lambda_has_no_family(self):
-        with pytest.raises(ConfigurationError, match="no extremal family"):
-            family_gamma(DomainSpec.general(2.0))
+    # a domain given by lambda_h has no family, lambda_h = 1 included: the disk is gamma = 0
+    @pytest.mark.parametrize("lambda_h", [1.0, 2.0])
+    def test_general_lambda_has_no_family(self, lambda_h):
+        with pytest.raises(ConfigurationError, match="^no extremal family is constructible "
+                                                     "for a general lambda_h$"):
+            family_gamma(DomainSpec.general(lambda_h))
 
 
 class TestPerFunctionRadius:

@@ -57,20 +57,17 @@ def per_function(**kwargs):
     pytest.param(lambda: MuFunction(fn=5), ConfigurationError,
                  "^mu fn must be callable, got int$", id="mu-fn-not-callable"),
     # input checks that no other test reaches
-    pytest.param(lambda: DomainSpec("general", lambda_h=1.0, gamma=0.5), DomainError,
-                 "^general mode takes lambda_h only$", id="domain-general-gamma"),
-    pytest.param(lambda: DomainSpec("general"), DomainError,
-                 "^general mode takes lambda_h only$", id="domain-general-none"),
+    # a domain is given by exactly one of lambda_h and gamma
+    pytest.param(lambda: DomainSpec(lambda_h=1.0, gamma=0.5), DomainError,
+                 "^provide exactly one of lambda_h / gamma$", id="domain-both"),
+    pytest.param(lambda: DomainSpec(), DomainError,
+                 "^provide exactly one of lambda_h / gamma$", id="domain-none"),
     pytest.param(lambda: DomainSpec.general(math.inf), DomainError,
                  "^lambda_h must be a positive real$", id="domain-general-inf"),
-    pytest.param(lambda: DomainSpec("gamma", lambda_h=1.0, gamma=0.5), DomainError,
-                 "^gamma mode takes gamma only$", id="domain-gamma-lambda"),
     pytest.param(lambda: DomainSpec.omega_gamma(1.0), DomainError,
                  r"^gamma must lie in \[0, 1\)$", id="domain-gamma-range"),
     pytest.param(lambda: mobius_gamma_coeffs(0.5, 1.0), DomainError,
                  r"^gamma must lie in \[0, 1\), got 1.0$", id="family-gamma"),
-    pytest.param(lambda: DomainSpec("annulus"), DomainError,
-                 "^unknown domain mode 'annulus'$", id="domain-mode"),
     pytest.param(lambda: MatrixCoeffFn(()), DomainError,
                  "^at least one diagonal entry is required$", id="blend-empty"),
     pytest.param(lambda: MatrixCoeffFn((0.5, 1.0)), DomainError,
@@ -105,12 +102,13 @@ def per_function(**kwargs):
     # N = 7 solved as if N were 1
     pytest.param(lambda: RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.9),
                                        equation_kind="rogosinski"), ConfigurationError,
-                 r"^the rogosinski equation is posed on the disk, got DomainSpec\(mode='gamma', "
-                 r"lambda_h=None, gamma=0.9\)$", id="problem-rogosinski-gamma"),
+                 r"^the rogosinski equation is posed on the disk, got "
+                 r"DomainSpec\(lambda_h=None, gamma=0.9\)$", id="problem-rogosinski-gamma"),
+    # lambda_h = 1 has the disk's constant, but a domain given by lambda_h is not the disk
     pytest.param(lambda: RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.general(1.0),
                                        equation_kind="rogosinski"), ConfigurationError,
-                 "^the rogosinski equation is posed on the disk, got ",
-                 id="problem-rogosinski-general"),
+                 r"^the rogosinski equation is posed on the disk, got "
+                 r"DomainSpec\(lambda_h=1.0, gamma=None\)$", id="problem-rogosinski-general"),
     *(pytest.param(lambda N=N: RadiusProblem(MONOMIAL, 1.0, N=N), ConfigurationError,
                    f"^the refined equation reads no N, got N = {N}$", id=f"problem-refined-N-{N}")
       for N in (7, 0)),

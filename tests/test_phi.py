@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     WEIGHTED_LINEAR, WEIGHTED_QUADRATIC, CoeffSeries,
-                    PhiSequence, phi_tail, phi_term, refined_sum)
+                    PhiSequence, RadiusProblem, phi_tail, phi_term, radius_refined,
+                    refined_sum)
 from bohrad import phi as phi_module
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
 from bohrad.phi import (GEOMETRIC_FORMS, _refined_weight, _truncated_tail, tail_from, tail_ratio,
@@ -320,7 +321,11 @@ def reference_truncated_tail(phi, N, r):
         raise NonConvergenceError(
             f"tail estimate {bound:.3g} exceeds abs_tol {ABS_TOL:.3g} "
             f"after {TRUNCATION_N} terms")
-    return math.fsum(terms) + bound
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # valid terms whose sum overflows
+        raise DomainError(f"custom tail at N={N}, r={r} must be finite and >= 0") from None
+    return total + bound
 
 
 def outcome(f, *args):
@@ -396,7 +401,8 @@ class TestTruncatedTail:
     @pytest.mark.parametrize("phi", [
         PhiSequence("custom", custom_term=lambda n, r: 1.0 / (n + 1.0)),
         PhiSequence("custom", custom_term=lambda n, r: 0.995**n),
-        # valid terms whose sum overflows: the ratio check still comes first
+        # valid terms whose sum overflows: the ratio check still comes first, then the
+        # DomainError of an infinite custom tail
         PhiSequence("custom", custom_term=lambda n, r: 1e308),
         PhiSequence("custom", custom_term=lambda n, r: 1e308 if n < 2 else 0.5**n),
     ])
@@ -404,6 +410,18 @@ class TestTruncatedTail:
         expected = outcome(reference_truncated_tail, phi, 0, 0.5)
         assert not isinstance(expected, str)
         assert outcome(phi_tail, phi, 0, 0.5) == expected
+
+    def test_an_overflowing_sum_fails_as_an_infinite_custom_tail(self):
+        # the 512 terms pass the ratio checks (ratio 0.2) but sum past the largest float,
+        # which must not escape a solve as an OverflowError
+        term = lambda n, r: 1.5e308 * 0.2 ** max(n - 1, 0)
+        errors = []
+        for phi in (PhiSequence("custom", custom_term=term),
+                    PhiSequence("custom", custom_term=term, custom_tail=lambda N, r: math.inf)):
+            with pytest.raises(DomainError) as info:
+                radius_refined(RadiusProblem(phi, 1.0))
+            errors.append(str(info.value))
+        assert errors == ["custom tail at N=1, r=0.001 must be finite and >= 0"] * 2
 
 
 # weights with runs of exact zeros and subnormals: r^n underflows for r <= 0.05

@@ -558,7 +558,7 @@ class TestCoeffSeries:
         assert DomainSpec.disk().effective_lambda == 1.0
         assert DomainSpec.general(2.0).effective_lambda == 2.0
         with pytest.raises(DomainError):
-            DomainSpec("gamma", lambda_h=1.0)
+            DomainSpec(lambda_h=1.0, gamma=0.0)
 
 
 class TestCheckRadius:
