@@ -39,8 +39,8 @@ from .errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL
 from .roots import RootResult, increasing_root, min_positive_root
-from .series import (CoeffSeries, GeometricWeight, _check_index, _check_radius, ratio_sum,
-                     s_r)
+from .series import (CoeffSeries, GeometricWeight, _check_index, _check_param, _check_radius,
+                     ratio_sum, s_r)
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
 # threshold in the majorant equation
@@ -59,29 +59,25 @@ MEAN_TERMS = 1 << 18
 
 @dataclass(frozen=True)
 class HyperbolicDensity:
-    """Hyperbolic density of a simply connected domain containing the disk.
+    """Hyperbolic density of a simply connected domain containing the disk,
+    given by exactly one of its two fields.
 
-    omega_gamma: lambda(z) = (1-g)/(1 - |(1-g) z + g|^2) on the enlarged
-    disk; g = 0 is the unit disk, lambda(z) = 1/(1 - |z|^2), which
-    ``unit_disk()`` builds.
-    custom: any positive callable z -> lambda(z).
+    gamma in [0, 1): lambda(z) = (1-g)/(1 - |(1-g) z + g|^2) on the
+    enlarged disk Omega_gamma (``omega_gamma(g)``); g = 0 is the unit
+    disk, lambda(z) = 1/(1 - |z|^2), which ``unit_disk()`` builds.
+    fn: any positive callable z -> lambda(z) (``custom(fn)``).
     """
 
-    kind: str
-    gamma: float = 0.0
+    gamma: float | None = None
     fn: Callable[[complex], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("omega_gamma", "custom"):
-            raise DomainError(f"unknown density kind {self.kind!r}")
-        if self.kind == "omega_gamma" and not 0.0 <= self.gamma < 1.0:
-            raise DomainError("gamma must lie in [0, 1)")
-        if self.kind != "omega_gamma" and self.gamma != 0.0:
-            raise DomainError(f"density kind {self.kind!r} takes no gamma")
-        if self.kind == "custom" and not callable(self.fn):
+        if (self.gamma is None) == (self.fn is None):
+            raise DomainError("provide exactly one of gamma / fn")
+        if self.fn is None:
+            object.__setattr__(self, "gamma", _check_param("gamma", self.gamma))
+        elif not callable(self.fn):
             raise DomainError("custom density requires a callable")
-        if self.kind != "custom" and self.fn is not None:
-            raise DomainError(f"density kind {self.kind!r} takes no fn")
 
     @classmethod
     def unit_disk(cls):
@@ -89,19 +85,19 @@ class HyperbolicDensity:
 
     @classmethod
     def omega_gamma(cls, gamma: float):
-        return cls("omega_gamma", gamma=float(gamma))
+        return cls(gamma=gamma)
 
     @classmethod
     def custom(cls, fn):
-        return cls("custom", fn=fn)
+        return cls(fn=fn)
 
     def on_circle(self, r: float, thetas: np.ndarray) -> np.ndarray:
-        if self.kind == "omega_gamma":
+        if self.fn is None:
             s = np.sin(0.5 * thetas)
             return _omega_gamma_density(self.gamma, r, s * s)
         z = r * np.exp(1j * thetas)
         lam = np.array([float(self.fn(zz)) for zz in z])
-        if not np.all(np.isfinite(lam) & (lam > 0.0)):  # built-in kinds are, for r < 1
+        if not np.all(np.isfinite(lam) & (lam > 0.0)):  # Omega_gamma's is, for r < 1
             raise SingularIntegrandError(f"density is singular or non-positive on |z| = {r}")
         return lam
 
@@ -115,7 +111,7 @@ class HyperbolicDensity:
         """
         _check_index("nodes", nodes, 1)
         _check_radii(r)
-        if self.kind == "omega_gamma":
+        if self.fn is None:
             return _omega_gamma_density(self.gamma, r, 1.0)
         thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
         mins = [float(np.min(self.on_circle(x, thetas))) for x in np.ravel(r)]
@@ -179,11 +175,10 @@ def m_integral(density: HyperbolicDensity, nu: float, r: float) -> float:
     values).
     """
     _check_radius(r)
-    if not 0.0 < nu <= 1.0:
-        raise DomainError("nu must lie in (0, 1]")
+    nu = _check_param("nu", nu)
     if r == 0.0:  # M(0) = 0 for every density
         return 0.0
-    if density.kind == "omega_gamma":
+    if density.fn is None:
         return r * r * _omega_gamma_mean(density.gamma, nu, r)
     nodes = 64
     prev = None
@@ -208,7 +203,7 @@ def _level_root(density, nu, scale, level, tol, scan_step) -> RootResult:
     def F(r):
         return scale * m_integral(density, nu, r) - level
 
-    solve = min_positive_root if density.kind == "custom" else increasing_root
+    solve = increasing_root if density.fn is None else min_positive_root
     return solve(F, tol, scan_step)
 
 
@@ -231,10 +226,7 @@ def gamma_equation_value(gamma: float, nu: float, r: float) -> float:
     1 - ((1-g) r + g)^2 is evaluated as (1-g)(1-r)(1+g+(1-g)r), without
     cancellation.  r is a radius in [0, 1), or an ndarray of them.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError("gamma must lie in [0, 1)")
-    if not 0.0 < nu <= 1.0:
-        raise DomainError("nu must lie in (0, 1]")
+    gamma, nu = _check_param("gamma", gamma), _check_param("nu", nu)
     _check_radii(r)
     gap = (1.0 - gamma) * (1.0 - r) * (1.0 + gamma + (1.0 - gamma) * r)
     return (1.0 - gamma) ** (2.0 * nu) * r * r * math.pi**2 - 6.0 * gap ** (2.0 * nu)
@@ -303,8 +295,7 @@ def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
     pi * sum s ||A_s||^2 r^{2s}, with the full majorant standing in for
     ||f(z)||.  A nu outside (0, 1] raises DomainError before any work.
     """
-    if not 0.0 < nu <= 1.0:
-        raise DomainError("nu must lie in (0, 1]")
+    nu = _check_param("nu", nu)
     if not bloch_norm_budget <= 1.0 + 1e-12:
         raise DomainError(f"the Bloch norm budget must be <= 1, got {bloch_norm_budget}")
     _check_index("grid_radii", grid_radii, 1)

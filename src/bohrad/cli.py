@@ -229,8 +229,8 @@ def _cmd_tables(args):
 
 def _verify_setup(args):
     """(radius, bind: r -> (a -> report) on the extremal family of Omega_gamma, gamma =
-    --gamma or 0); verify takes no --lambda-h, as a general domain has no such family."""
-    gamma = 0.0 if args.gamma is None else args.gamma
+    --gamma or 0, set on args for params); no --lambda-h, which has no such family."""
+    gamma = args.gamma = 0.0 if args.gamma is None else args.gamma
     domain = DomainSpec.omega_gamma(gamma)
     if args.family in ("bohr", "refined", "rogosinski"):
         # "bohr" is the plain weighted sum: the refined functional at mu = 0

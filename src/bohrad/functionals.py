@@ -18,8 +18,9 @@ from typing import TYPE_CHECKING, Callable
 from .errors import ConfigurationError, DomainError
 from .phi import MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, refined_sum, term_at
 from .polynomials import area_poly_coeffs
-from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_radius,
-                     _trusted, mobius_gamma_coeffs, norm_sum, point_eval_bound, s_r)
+from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_param,
+                     _check_radius, _trusted, mobius_gamma_coeffs, norm_sum, point_eval_bound,
+                     s_r)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
@@ -150,8 +151,7 @@ def bohr_energy_functional(coeffs: CoeffSeries, r: float,
     value = sum ||A_n|| r^n
           + ( (1+L)/(2L(1+||A_0||)) + 2(1+L) r/(3(1-r)) ) sum_{n>=1} ||A_n||^2 r^{2n}.
     """
-    if not (math.isfinite(lambda_h) and lambda_h > 0):
-        raise DomainError(f"lambda_h must be finite and positive, got {lambda_h}")
+    lambda_h = _check_param("lambda_h", lambda_h)
     _check_radius(r)
     a0 = coeffs.norm(coeffs.start_index)
     weight = (1.0 + lambda_h) / (2.0 * lambda_h * (1.0 + a0)) \
@@ -187,8 +187,7 @@ def refined_at(phi: PhiSequence, p: float, m: int, mu,
     Each series is then checked for a vanishing head, and both sums run
     from m + 1 with the bound weights.
     """
-    if not 0.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (0, 2], got {p}")
+    p = _check_param("p", p)
     _check_index("m", m)
     mu = MuFunction.of(mu)
     _check_radius(r)
@@ -230,8 +229,7 @@ def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
     majorant's weight are resolved here; each series is then only
     bounded at r^omega_order and summed from N (or its start, if later).
     """
-    if not 0.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (0, 2], got {p}")
+    p = _check_param("p", p)
     _check_index("N", N, 1)
     mu = MuFunction.of(mu)
     _check_radius(r)
@@ -298,8 +296,7 @@ def mobius_partial_modulus(a: float, gamma: float, N: int, r: float,
     _check_index("N", N, 1)
     _check_index("nodes", nodes, 1)
     _check_radius(r)
-    if not 0.0 < a < 1.0 or not 0.0 <= gamma < 1.0:
-        raise DomainError("need a in (0,1) and gamma in [0,1)")
+    a, gamma = _check_param("a", a), _check_param("gamma", gamma)
     q = a * (1.0 - gamma) / (1.0 - a * gamma)
     c = [(a - gamma) / (1.0 - a * gamma)]
     c += [-(1.0 - gamma) * (1.0 - a * a) * q ** (n - 1) / (1.0 - a * gamma) ** 2
@@ -316,8 +313,7 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     <= phi_m } by bisection on the monotone margin, to tol or adjacent
     floats: a per-function estimate, as no class-wide radius is pinned for q != 1.
     """
-    if not 0.0 < p <= 2.0:
-        raise DomainError(f"p must lie in (0, 2], got {p}")
+    p = _check_param("p", p)
     for name, value in (("q", q), ("tol", tol)):  # a NaN fails too
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and positive, got {value}")

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError, InfeasibleError
-from .series import _check_index
+from .errors import ConfigurationError, InfeasibleError
+from .series import _check_index, _check_param
 
 _CAL_BASE = 8.0 * (3.0 / 8.0) ** 2  # = 9/8, the coefficient multiplying c_1
 
@@ -51,8 +51,7 @@ class PolySpec:
 
 def area_poly_coeffs(lambda_h: float, degree: int) -> PolySpec:
     """Closed-form coefficients k_j = ((1 + L)/(1 + 2L))^{2j}, L = lambda_h."""
-    if not (math.isfinite(lambda_h) and lambda_h > 0):
-        raise DomainError(f"lambda_h must be finite and positive, got {lambda_h}")
+    lambda_h = _check_param("lambda_h", lambda_h)
     _check_index("degree", degree, 1)
     base = ((1.0 + lambda_h) / (1.0 + 2.0 * lambda_h)) ** 2
     return PolySpec(tuple(base**j for j in range(1, degree + 1)))
@@ -118,8 +117,7 @@ def area_scale(gamma: float) -> float:
     Equals rho0/(1 - rho0^2) at rho0 = (1-g^2)/(3+g); decreases from 3/8
     at g = 0 to 0 as g -> 1.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError("gamma must lie in [0, 1)")
+    gamma = _check_param("gamma", gamma)
     top = (3.0 + gamma) * (1.0 - gamma * gamma)
     bottom = (3.0 + gamma) ** 2 - (1.0 - gamma * gamma) ** 2
     return top / bottom
@@ -175,12 +173,13 @@ def monotonicity_check(profile: str, grid_size: int = 1000, *, m: int = 1,
     """Check the claimed monotonicity of a slack profile on a uniform grid.
 
     profile is one of "area_poly" (decreasing, zero at 1; parameter m;
-    lambda_h is accepted but cancels out of this profile), "beta_square"
+    lambda_h is checked but cancels out of this profile), "beta_square"
     (decreasing, zero at 1; parameters lambda_h and beta), "recentered"
     (increasing, limit 0 at 1; parameters gamma and a calibrated spec).
     A failure is reported, not raised: out-of-hypothesis parameters are
     expected to fail.
     """
+    lambda_h = _check_param("lambda_h", lambda_h)
     if profile == "area_poly":
         fn = lambda x: area_slack(x, m)
         direction = "decreasing"

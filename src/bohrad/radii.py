@@ -47,7 +47,7 @@ from .optimize import central_diff, grid_then_golden_min
 from .phi import BUILTIN_PHI, PhiSequence, tail_from, tail_ratio, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, decreasing_root, min_positive_root
-from .series import DomainSpec, _check_index, _check_radius
+from .series import DomainSpec, _check_index, _check_param, _check_radius
 
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
@@ -74,8 +74,7 @@ class RadiusProblem:
     equation_kind: str = "refined"
 
     def __post_init__(self):
-        if not 0.0 < self.p <= 2.0:
-            raise DomainError(f"p must lie in (0, 2], got {self.p}")
+        object.__setattr__(self, "p", _check_param("p", self.p))
         _check_index("m", self.m)
         if self.equation_kind not in ("refined", "rogosinski"):
             raise ConfigurationError(f"unknown equation kind {self.equation_kind!r}")
@@ -190,43 +189,35 @@ def closed_form_radius(case: str, gamma: float | None = None,
                        lambda_h: float | None = None, p: float | None = None):
     """Closed-form radii.
 
-    lambda_base: 1/(1+2L); gamma_p1: (1+g)/(3+g); gamma_p2: (1+g)/(2+g);
+    lambda_base: 1/(1+2L), formed as 0.5/(0.5+L) with no 2L to overflow;
+    gamma_p1: (1+g)/(3+g); gamma_p2: (1+g)/(2+g);
     even_p: sqrt(p(1+g)/(2+p(1+g))); odd_p: both branches (see
     OddRadiusPair); recentered: (1-g^2)/(3+g).  The disk is g = 0:
-    gamma_p1 and gamma_p2 give 1/3 and 1/2 there.
+    gamma_p1 and gamma_p2 give 1/3 and 1/2 there.  A value the case needs
+    but lacks raises ConfigurationError, an out-of-range one DomainError.
     """
-    def need_gamma():
-        if gamma is None or not 0.0 <= gamma < 1.0:
-            raise ConfigurationError(f"case {case!r} needs gamma in [0, 1)")
-        return gamma
-
-    def need_p():
-        if p is None or not 0.0 < p <= 2.0:
-            raise ConfigurationError(f"case {case!r} needs p in (0, 2]")
-        return p
+    def need(name, value):
+        if value is None:
+            raise ConfigurationError(f"case {case!r} needs {name}")
+        return _check_param(name, value)
 
     if case == "lambda_base":
-        if lambda_h is None or not (math.isfinite(lambda_h) and lambda_h > 0):
-            raise ConfigurationError("case 'lambda_base' needs a finite lambda_h > 0")
-        return 1.0 / (1.0 + 2.0 * lambda_h)
+        return 0.5 / (0.5 + need("lambda_h", lambda_h))
+    if case not in ("gamma_p1", "gamma_p2", "recentered", "even_p", "odd_p"):
+        raise ConfigurationError(f"unknown closed-form case {case!r}")
+    g = need("gamma", gamma)
     if case == "gamma_p1":
-        g = need_gamma()
         return (1.0 + g) / (3.0 + g)
     if case == "gamma_p2":
-        g = need_gamma()
         return (1.0 + g) / (2.0 + g)
-    if case == "even_p":
-        g, pp = need_gamma(), need_p()
-        return math.sqrt(pp * (1.0 + g) / (2.0 + pp * (1.0 + g)))
-    if case == "odd_p":
-        g, pp = need_gamma(), need_p()
-        printed = (math.sqrt(1.0 + pp * pp * (1.0 + g)) - 1.0) / (pp * (1.0 + g))
-        derived = (math.sqrt(1.0 + pp * pp * (1.0 + g) ** 2) - 1.0) / (pp * (1.0 + g))
-        return OddRadiusPair(printed, derived, abs(printed - derived) > 1e-12)
     if case == "recentered":
-        g = need_gamma()
         return (1.0 - g * g) / (3.0 + g)
-    raise ConfigurationError(f"unknown closed-form case {case!r}")
+    pp = need("p", p)
+    if case == "even_p":
+        return math.sqrt(pp * (1.0 + g) / (2.0 + pp * (1.0 + g)))
+    printed = (math.sqrt(1.0 + pp * pp * (1.0 + g)) - 1.0) / (pp * (1.0 + g))
+    derived = (math.sqrt(1.0 + pp * pp * (1.0 + g) ** 2) - 1.0) / (pp * (1.0 + g))
+    return OddRadiusPair(printed, derived, abs(printed - derived) > 1e-12)
 
 
 def rp_lower(p: float) -> float:

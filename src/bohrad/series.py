@@ -20,15 +20,18 @@ of their parity class, and stored-norm terms are products mapped in C.
 
 Inputs are checked once, where they enter the package: the public
 constructors (``CoeffSeries``, ``MatrixCoeffFn``, ``DomainSpec``, and in
-other modules ``MuFunction`` and ``RadiusProblem``) and the arguments of
-public functions.  A value object the package builds itself from values
-it has checked is built by ``_trusted``, which runs no ``__init__`` or
-``__post_init__``: the series of ``mobius_gamma_coeffs``,
-``CoeffSeries.shifted``, ``CoeffSeries.truncated_from`` and
-``diag_blend_coeffs``, ``MuFunction.of`` of a number,
-``FunctionalReport.compare`` and the solvers' ``RootResult``.  Each of
-those sites says why its values pass the checks it skips, and a test
-rebuilds every trusted series through the public constructor.
+other modules ``MuFunction``, ``HyperbolicDensity`` and
+``RadiusProblem``) and the arguments of public functions, by the checks
+here: ``_check_index``, ``_check_radius`` and ``_check_param``, whose
+table ``_PARAMS`` holds the intervals of gamma, nu, p, lambda_h and a.
+A value object the package builds itself from values it has checked is
+built by ``_trusted``, which runs no ``__init__`` or ``__post_init__``:
+the series of ``mobius_gamma_coeffs``, ``CoeffSeries.shifted``,
+``CoeffSeries.truncated_from`` and ``diag_blend_coeffs``,
+``MuFunction.of`` of a number, ``FunctionalReport.compare`` and the
+solvers' ``RootResult``.  Each of those sites says why its values pass
+the checks it skips, and a test rebuilds every trusted series through
+the public constructor.
 """
 
 from __future__ import annotations
@@ -310,11 +313,8 @@ class DomainSpec:
     def __post_init__(self):
         if (self.lambda_h is None) == (self.gamma is None):
             raise DomainError("provide exactly one of lambda_h / gamma")
-        if self.gamma is not None:
-            if not 0.0 <= self.gamma < 1.0:
-                raise DomainError("gamma must lie in [0, 1)")
-        elif not (math.isfinite(self.lambda_h) and self.lambda_h > 0):
-            raise DomainError("lambda_h must be a positive real")
+        name = "lambda_h" if self.gamma is None else "gamma"
+        object.__setattr__(self, name, _check_param(name, getattr(self, name)))
 
     @classmethod
     def disk(cls):
@@ -322,11 +322,11 @@ class DomainSpec:
 
     @classmethod
     def general(cls, lambda_h: float):
-        return cls(lambda_h=float(lambda_h))
+        return cls(lambda_h=lambda_h)
 
     @classmethod
     def omega_gamma(cls, gamma: float):
-        return cls(gamma=float(gamma))
+        return cls(gamma=gamma)
 
     @property
     def effective_lambda(self) -> float:
@@ -362,6 +362,26 @@ def _check_radius(r):
         raise DomainError(f"radius must lie in [0, 1), got {r}")
 
 
+_TINY, _BELOW_ONE = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
+# each named parameter's interval as (least float in it, greatest float in it, as printed):
+# gamma of Omega_gamma, Bloch order nu, exponent p, domain constant lambda_h, extremal a
+_PARAMS = {"gamma": (0.0, _BELOW_ONE, "[0, 1)"), "nu": (_TINY, 1.0, "(0, 1]"),
+           "p": (_TINY, 2.0, "(0, 2]"), "lambda_h": (_TINY, sys.float_info.max, "(0, inf)"),
+           "a": (_TINY, _BELOW_ONE, "(0, 1)")}
+
+
+def _check_param(name, x):
+    """x as a float, once it is a real number, not a bool, in name's interval (_PARAMS)."""
+    lo, hi, interval = _PARAMS[name]
+    if type(x) is float and lo <= x <= hi:
+        return x
+    if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):  # np.bool_ is not real
+        raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
+    if not lo <= x <= hi:  # compared before float(), which overflows on a huge int
+        raise DomainError(f"{name} must lie in {interval}, got {x}")
+    return float(x)
+
+
 def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSeries:
     """Coefficient norms of the Mobius-type extremal map of Omega_gamma.
 
@@ -382,12 +402,8 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
     would store a norm far below its true value (or 0.0, which would end
     the series), and the continuation carries the rest instead.
     """
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"a must lie strictly inside (0, 1), got {a}")
-    if not 0.0 <= gamma < 1.0:
-        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+    a, gamma = _check_param("a", a), _check_param("gamma", gamma)
     _check_index("count", count, 1)
-    a, gamma = float(a), float(gamma)  # so a numpy scalar stores Python floats
     a0 = abs(a - gamma) / (1.0 - a * gamma)
     scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
     if not math.isfinite(scale):
@@ -441,12 +457,9 @@ class MatrixCoeffFn:
     phases: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        params = tuple(float(a) for a in self.params)
+        params = tuple(_check_param("a", a) for a in self.params)
         if not params:
             raise DomainError("at least one diagonal entry is required")
-        for a in params:
-            if not 0.0 < a < 1.0:
-                raise DomainError(f"entry parameter must lie in (0, 1), got {a}")
         phases = self.phases
         if phases is None:
             phases = (1.0 + 0.0j,) * len(params)

@@ -1,4 +1,4 @@
-"""Lines of the bohrad package that a pytest run never executes.
+"""Lines of the bohrad package that a pytest run, or the benchmark's traffic, never executes.
 
 A pytest plugin that uses only the standard library:
 
@@ -11,13 +11,25 @@ line counts as run when any code on it ran.  Code run in a subprocess
 (the CLI smoke tests) is not seen.  Tracing makes the run several times
 slower.  This is a tool, not a test: no test imports it, and pytest does
 not collect it.
+
+Run as a script, it asks the same of the benchmark's two workloads:
+
+    PYTHONPATH=src python tests/linecov.py --workloads SEED [SEED ...]
+
+It loads ``bench/oracles.py``, ``bench/workloads.py`` and ``bench/run.py``
+from their files, with the tracer installed before they import bohrad,
+runs one in-process pass of each workload per seed through
+``run.call_timed`` (CLI requests through ``cli.main``, as the timed
+passes do), and prints the unrun lines in the same format.
 """
 
+import argparse
 import importlib.util
 import os
 import sys
 import threading
 from collections import defaultdict
+from pathlib import Path
 
 _package = None  # the bohrad directory, with a trailing separator
 _hits = defaultdict(set)
@@ -61,19 +73,60 @@ def _ranges(numbers):
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def pytest_configure(config):
+def _start():
+    """Trace every later call into bohrad; find_spec locates the package without importing it."""
     global _package
     _package = os.path.dirname(importlib.util.find_spec("bohrad").origin) + os.sep
     threading.settrace(_trace_calls)
     sys.settrace(_trace_calls)
 
 
-def pytest_terminal_summary(terminalreporter):
+def _unrun():
+    """Stop tracing; one line per bohrad module: its executable lines that never ran."""
     sys.settrace(None)
     threading.settrace(None)
-    terminalreporter.write_sep("=", "bohrad lines never run")
     for name in sorted(os.listdir(_package)):
         if name.endswith(".py"):
             path = _package + name
             missed = _executable(path) - _hits[path]
-            terminalreporter.write_line(f"{name}: {_ranges(missed) if missed else 'none'}")
+            yield f"{name}: {_ranges(missed) if missed else 'none'}"
+
+
+def pytest_configure(config):
+    _start()
+
+
+def pytest_terminal_summary(terminalreporter):
+    lines = list(_unrun())
+    terminalreporter.write_sep("=", "bohrad lines never run")
+    for line in lines:
+        terminalreporter.write_line(line)
+
+
+def _load(path, name):
+    """The module in file path, registered as name (dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="bohrad lines the benchmark never runs")
+    parser.add_argument("--workloads", type=int, nargs="+", required=True, metavar="SEED")
+    seeds = parser.parse_args(argv).workloads
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    _start()
+    _load(bench / "oracles.py", "oracles")  # workloads imports it by this name
+    workloads = _load(bench / "workloads.py", "bench_workloads")
+    run = _load(bench / "run.py", "bench_run")
+    for seed in seeds:
+        for name in workloads.WORKLOADS:
+            run.run_pass(workloads.build(name, seed), run.call_timed)
+    print(f"bohrad lines never run by the workloads at seeds {' '.join(map(str, seeds))}")
+    for line in _unrun():
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -328,7 +328,7 @@ class TestBlochMajorantCheck:
         # at nu = 0.5 this series fails the derivative hypothesis; no nu may skip that check
         calls = []
         monkeypatch.setattr(bloch, "derivative_majorant", lambda *args: calls.append(args))
-        with pytest.raises(DomainError, match=r"^nu must lie in \(0, 1\]$"):
+        with pytest.raises(DomainError, match=rf"^nu must lie in \(0, 1\], got {nu}$"):
             bloch_majorant_check(CoeffSeries((0, 5, 5)), 1.0, DISK, nu, 0.3)
         assert calls == []
 
@@ -363,7 +363,7 @@ class TestBlochMajorantCheck:
             bloch_majorant_check(CoeffSeries((0.5, 0.5)), 1.0,
                                  HyperbolicDensity.custom(density), 0.5, 0.3)
 
-    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
+    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"omega_gamma-{d.gamma}")
     def test_first_failure_is_the_first_failing_grid_radius(self, density):
         # the radius-by-radius check, written out: the array pass raises at
         # the same first radius, or not at all
@@ -542,7 +542,7 @@ class TestOmegaGammaSeries:
 class TestGridScan:
     """The Bloch solvers bracket by index bisection, with the scalar scan's result."""
 
-    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"{d.kind}-{d.gamma}")
+    @pytest.mark.parametrize("density", OMEGAS, ids=lambda d: f"omega_gamma-{d.gamma}")
     @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0])
     def test_radii_match_scalar_scan(self, density, nu):
         majorant = lambda r: m_integral(density, nu, r) - MAJORANT_THRESHOLD

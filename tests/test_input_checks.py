@@ -1,18 +1,21 @@
 """Input checks: each rejected input raises its documented error type and message."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, HyperbolicDensity, MatrixCoeffFn,
-                    MuFunction, PhiSequence, RadiusProblem, area_scale, bloch_majorant_check,
-                    check_coeff_bound, closed_form_radius, mobius_gamma_coeffs,
-                    mobius_partial_modulus, non_improvable, operator_norm, per_function_radius,
-                    point_eval_bound, radius_rogosinski)
+                    MuFunction, PhiSequence, RadiusProblem, area_poly_coeffs, area_scale,
+                    bloch_majorant_check, bohr_energy_functional, check_coeff_bound,
+                    closed_form_radius, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
+                    monotonicity_check, non_improvable, operator_norm, per_function_radius,
+                    point_eval_bound, radius_rogosinski, refined_at, rogosinski_at)
 from bohrad.bloch import gamma_equation_value
 from bohrad.errors import ConfigurationError, DomainError, InvalidTestFunctionError
 from bohrad.radii import rp_upper
+from bohrad.series import _check_param
 
 from test_cli import run_python
 
@@ -47,13 +50,11 @@ def per_function(**kwargs):
                  id="phi-builtin-tail"),
     pytest.param(lambda: HyperbolicDensity.custom(5), DomainError,
                  "^custom density requires a callable$", id="density-fn-not-callable"),
-    # the disk is omega_gamma at gamma = 0, which HyperbolicDensity.unit_disk() builds
-    pytest.param(lambda: HyperbolicDensity("unit_disk"), DomainError,
-                 "^unknown density kind 'unit_disk'$", id="density-disk-kind"),
-    pytest.param(lambda: HyperbolicDensity("custom", gamma=0.5, fn=abs), DomainError,
-                 "^density kind 'custom' takes no gamma$", id="density-custom-gamma"),
-    pytest.param(lambda: HyperbolicDensity("omega_gamma", gamma=0.5, fn=abs), DomainError,
-                 "^density kind 'omega_gamma' takes no fn$", id="density-omega-fn"),
+    # a density is given by exactly one of gamma and fn, as a DomainSpec is
+    pytest.param(lambda: HyperbolicDensity(gamma=0.5, fn=abs), DomainError,
+                 "^provide exactly one of gamma / fn$", id="density-both"),
+    pytest.param(lambda: HyperbolicDensity(), DomainError,
+                 "^provide exactly one of gamma / fn$", id="density-none"),
     pytest.param(lambda: MuFunction(fn=5), ConfigurationError,
                  "^mu fn must be callable, got int$", id="mu-fn-not-callable"),
     # input checks that no other test reaches
@@ -63,15 +64,15 @@ def per_function(**kwargs):
     pytest.param(lambda: DomainSpec(), DomainError,
                  "^provide exactly one of lambda_h / gamma$", id="domain-none"),
     pytest.param(lambda: DomainSpec.general(math.inf), DomainError,
-                 "^lambda_h must be a positive real$", id="domain-general-inf"),
+                 r"^lambda_h must lie in \(0, inf\), got inf$", id="domain-general-inf"),
     pytest.param(lambda: DomainSpec.omega_gamma(1.0), DomainError,
-                 r"^gamma must lie in \[0, 1\)$", id="domain-gamma-range"),
+                 r"^gamma must lie in \[0, 1\), got 1.0$", id="domain-gamma-range"),
     pytest.param(lambda: mobius_gamma_coeffs(0.5, 1.0), DomainError,
                  r"^gamma must lie in \[0, 1\), got 1.0$", id="family-gamma"),
     pytest.param(lambda: MatrixCoeffFn(()), DomainError,
                  "^at least one diagonal entry is required$", id="blend-empty"),
     pytest.param(lambda: MatrixCoeffFn((0.5, 1.0)), DomainError,
-                 r"^entry parameter must lie in \(0, 1\), got 1.0$", id="blend-param"),
+                 r"^a must lie in \(0, 1\), got 1.0$", id="blend-param"),
     pytest.param(lambda: MatrixCoeffFn((0.5, 0.6), (1.0,)), DomainError,
                  "^one phase per diagonal entry is required$", id="blend-phase-count"),
     pytest.param(lambda: operator_norm(np.ones(3)), DomainError,
@@ -80,16 +81,17 @@ def per_function(**kwargs):
                  "^leading coefficient norm must be <= 1$", id="coeff-bound-head"),
     pytest.param(lambda: point_eval_bound(WIDE_HEAD, 0.5), DomainError,
                  "^point bound requires a unit-ball function$", id="point-bound-head"),
-    pytest.param(lambda: HyperbolicDensity("hexagon"), DomainError,
-                 "^unknown density kind 'hexagon'$", id="density-kind"),
+    # the first positional field is gamma: a kind name is not one
+    pytest.param(lambda: HyperbolicDensity("omega_gamma"), DomainError,
+                 "^gamma must be a real number, got str$", id="density-kind"),
     pytest.param(lambda: HyperbolicDensity.omega_gamma(1.0), DomainError,
-                 r"^gamma must lie in \[0, 1\)$", id="density-gamma"),
-    pytest.param(lambda: HyperbolicDensity("custom"), DomainError,
-                 "^custom density requires a callable$", id="density-custom-none"),
+                 r"^gamma must lie in \[0, 1\), got 1.0$", id="density-gamma"),
+    pytest.param(lambda: HyperbolicDensity.custom(None), DomainError,
+                 "^provide exactly one of gamma / fn$", id="density-custom-none"),
     pytest.param(lambda: gamma_equation_value(1.0, 0.5, 0.3), DomainError,
-                 r"^gamma must lie in \[0, 1\)$", id="gamma-equation-gamma"),
+                 r"^gamma must lie in \[0, 1\), got 1.0$", id="gamma-equation-gamma"),
     pytest.param(lambda: gamma_equation_value(0.3, 0.0, 0.3), DomainError,
-                 r"^nu must lie in \(0, 1\]$", id="gamma-equation-nu"),
+                 r"^nu must lie in \(0, 1\], got 0.0$", id="gamma-equation-nu"),
     pytest.param(lambda: bloch_majorant_check(CoeffSeries((0.8, 0.1)), 0.5,
                                               HyperbolicDensity.unit_disk(), 0.5, 0.2),
                  InvalidTestFunctionError, r"^\|\|A_0\|\| already exceeds the norm budget$",
@@ -112,22 +114,24 @@ def per_function(**kwargs):
     *(pytest.param(lambda N=N: RadiusProblem(MONOMIAL, 1.0, N=N), ConfigurationError,
                    f"^the refined equation reads no N, got N = {N}$", id=f"problem-refined-N-{N}")
       for N in (7, 0)),
-    pytest.param(lambda: closed_form_radius("gamma_p1", gamma=1.0), ConfigurationError,
-                 r"^case 'gamma_p1' needs gamma in \[0, 1\)$", id="closed-form-gamma"),
+    # a value out of range raises the DomainError of every entry point; a value the case
+    # needs and was not given, ConfigurationError
+    pytest.param(lambda: closed_form_radius("gamma_p1", gamma=1.0), DomainError,
+                 r"^gamma must lie in \[0, 1\), got 1.0$", id="closed-form-gamma"),
     pytest.param(lambda: closed_form_radius("gamma_p2"), ConfigurationError,
-                 r"^case 'gamma_p2' needs gamma in \[0, 1\)$", id="closed-form-no-gamma"),
+                 "^case 'gamma_p2' needs gamma$", id="closed-form-no-gamma"),
     pytest.param(lambda: rp_upper(2.0), DomainError,
                  r"^p must lie in \[1, 2\)$", id="rp-upper-p"),
     pytest.param(lambda: area_scale(-0.1), DomainError,
-                 r"^gamma must lie in \[0, 1\)$", id="area-scale-gamma"),
+                 r"^gamma must lie in \[0, 1\), got -0.1$", id="area-scale-gamma"),
     pytest.param(lambda: MuFunction(value=1.0, fn=abs), ConfigurationError,
                  "^provide exactly one of value / fn$", id="mu-both"),
     pytest.param(lambda: MuFunction(), ConfigurationError,
                  "^provide exactly one of value / fn$", id="mu-neither"),
     pytest.param(lambda: mobius_partial_modulus(1.0, 0.2, 3, 0.3), DomainError,
-                 r"^need a in \(0,1\) and gamma in \[0,1\)$", id="partial-modulus-a"),
+                 r"^a must lie in \(0, 1\), got 1.0$", id="partial-modulus-a"),
     pytest.param(lambda: mobius_partial_modulus(0.6, 1.0, 3, 0.3), DomainError,
-                 r"^need a in \(0,1\) and gamma in \[0,1\)$", id="partial-modulus-gamma"),
+                 r"^gamma must lie in \[0, 1\), got 1.0$", id="partial-modulus-gamma"),
     # p = nan and tol = nan returned 0.0, p = 5 was accepted, tol = 0 bisected forever
     *(pytest.param(per_function(p=p), DomainError, rf"^p must lie in \(0, 2\], got {p}$",
                    id=f"per-function-p-{p}") for p in (math.nan, 5.0, 0.0, -1.0)),
@@ -160,11 +164,89 @@ def test_per_function_radius_stops_at_adjacent_floats():
 
 def test_constructors_keep_accepting_what_they_use():
     assert PhiSequence("custom", custom_term=term, custom_tail=None).custom_tail is None
-    assert HyperbolicDensity("custom", gamma=0.0, fn=abs).min_on_circle(0.5, 4) == 0.5
+    assert HyperbolicDensity(fn=abs).min_on_circle(0.5, 4) == 0.5
     assert RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.0),
                          equation_kind="rogosinski").domain == DomainSpec.disk()
     assert HyperbolicDensity.custom(lambda z: 2.0).min_on_circle(0.5, 4) == 2.0
     assert MuFunction(fn=lambda r: r)(0.5) == 0.5
+
+
+# each named parameter: its interval as messages print it, the floats just past its two
+# ends, and a value inside it
+PARAMS = {"gamma": ("[0, 1)", -5e-324, 1.0, 0.3),
+          "nu": ("(0, 1]", 0.0, math.nextafter(1.0, 2.0), 0.5),
+          "p": ("(0, 2]", 0.0, math.nextafter(2.0, 3.0), 1.5),
+          "lambda_h": ("(0, inf)", 0.0, math.inf, 0.75),
+          "a": ("(0, 1)", 0.0, 1.0, 0.6)}
+DISK = HyperbolicDensity.unit_disk()
+# every entry point of a named parameter, as (parameter, call with that parameter at x,
+# the output that stores or uses x)
+PARAM_SITES = {
+    "DomainSpec.gamma": ("gamma", lambda x: DomainSpec(gamma=x).gamma),
+    "mobius_gamma_coeffs.gamma": ("gamma", lambda x: mobius_gamma_coeffs(0.6, x).norms[0]),
+    "HyperbolicDensity.gamma": ("gamma", lambda x: HyperbolicDensity(gamma=x).gamma),
+    "gamma_equation_value.gamma": ("gamma", lambda x: gamma_equation_value(x, 0.5, 0.3)),
+    "mobius_partial_modulus.gamma": ("gamma",
+                                     lambda x: mobius_partial_modulus(0.6, x, 3, 0.3, 16)),
+    "area_scale.gamma": ("gamma", area_scale),
+    "closed_form_radius.gamma": ("gamma", lambda x: closed_form_radius("gamma_p1", gamma=x)),
+    "m_integral.nu": ("nu", lambda x: m_integral(DISK, x, 0.3)),
+    "gamma_equation_value.nu": ("nu", lambda x: gamma_equation_value(0.3, x, 0.3)),
+    "bloch_majorant_check.nu": ("nu", lambda x: bloch_majorant_check(
+        CoeffSeries((0.0, 0.1)), 1.0, DISK, x, 0.2).value),
+    "RadiusProblem.p": ("p", lambda x: RadiusProblem(MONOMIAL, x).p),
+    "closed_form_radius.p": ("p", lambda x: closed_form_radius("even_p", gamma=0.2, p=x)),
+    "refined_at.p": ("p", lambda x: refined_at(MONOMIAL, x, 0, 0.0, 0.3)(FAMILY).value),
+    "rogosinski_at.p": ("p", lambda x: rogosinski_at(MONOMIAL, x, 1, 1, 1.0, 0.3)(FAMILY).value),
+    "per_function_radius.p": ("p", lambda x: per_function(p=x, tol=1e-6)()),
+    "DomainSpec.lambda_h": ("lambda_h", lambda x: DomainSpec(lambda_h=x).lambda_h),
+    "bohr_energy_functional.lambda_h": ("lambda_h",
+                                        lambda x: bohr_energy_functional(FAMILY, 0.3, x).value),
+    "area_poly_coeffs.lambda_h": ("lambda_h", lambda x: area_poly_coeffs(x, 2).coefficients[0]),
+    "closed_form_radius.lambda_h": ("lambda_h",
+                                    lambda x: closed_form_radius("lambda_base", lambda_h=x)),
+    "monotonicity_check.lambda_h": ("lambda_h", lambda x: monotonicity_check(
+        "beta_square", 8, lambda_h=x).value_at_0),
+    "mobius_gamma_coeffs.a": ("a", lambda x: mobius_gamma_coeffs(x, 0.2).norms[0]),
+    "MatrixCoeffFn.a": ("a", lambda x: MatrixCoeffFn((0.5, x)).params[1]),
+    "mobius_partial_modulus.a": ("a", lambda x: mobius_partial_modulus(x, 0.2, 3, 0.3, 16)),
+}
+
+
+def _bad_params():
+    for site, (name, call) in PARAM_SITES.items():
+        interval, below, above, _ = PARAMS[name]
+        for label, x in (("nan", math.nan), ("below", below), ("above", above),
+                         ("huge-int", 10**400)):  # no float: float(10**400) overflows
+            yield pytest.param(call, x, rf"^{name} must lie in {re.escape(interval)}, got {x}$",
+                               id=f"{site}-{label}")
+        for x in (True, np.bool_(True), "0.5"):
+            yield pytest.param(call, x, f"^{name} must be a real number, got {type(x).__name__}$",
+                               id=f"{site}-{type(x).__name__}")
+
+
+class TestNamedParameters:
+    """gamma, nu, p, lambda_h and a are each decided by one interval, with one message."""
+
+    @pytest.mark.parametrize("call, x, match", _bad_params())
+    def test_a_value_outside_the_interval_raises_the_same_message_everywhere(self, call, x,
+                                                                             match):
+        with pytest.raises(DomainError, match=match):
+            call(x)
+
+    @pytest.mark.parametrize("site", PARAM_SITES)
+    def test_a_numpy_scalar_is_stored_or_used_as_a_python_float(self, site):
+        name, call = PARAM_SITES[site]
+        inside = PARAMS[name][3]
+        out = call(np.float64(inside))
+        assert type(out) is float
+        assert out == call(inside)
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_the_floats_next_to_each_end_inside_the_interval_are_accepted(self, name):
+        _, below, above, _ = PARAMS[name]
+        for x in (math.nextafter(below, math.inf), math.nextafter(above, -math.inf)):
+            assert _check_param(name, x) == x
 
 
 class TestCoeffBoundTolerance:

@@ -192,6 +192,13 @@ class TestMonotoneProfiles:
         assert report.direction == "increasing"
         assert abs(recentered_slack(1.0, gamma, spec)) <= 1e-12
 
+    @pytest.mark.parametrize("profile", ["area_poly", "beta_square"])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    def test_lambda_h_outside_its_interval_raises(self, profile, lam):
+        # beta_square at lambda_h = -1 reported passed=True; area_poly never read it
+        with pytest.raises(DomainError, match=rf"^lambda_h must lie in \(0, inf\), got {lam}$"):
+            monotonicity_check(profile, grid_size=10, lambda_h=lam)
+
     def test_unknown_profile(self):
         with pytest.raises(ConfigurationError):
             monotonicity_check("quartic")

@@ -98,6 +98,20 @@ class TestClosedForms:
         assert closed_form_radius("gamma_p1", gamma=0.5) == pytest.approx(1.5 / 3.5)
         assert closed_form_radius("recentered", gamma=0.5) == pytest.approx(0.75 / 3.5)
 
+    @pytest.mark.parametrize("lam", [9e307, 1e308, 1.7976931348623157e308])
+    def test_base_radius_where_two_lambda_overflows(self, lam):
+        # 1/(1 + 2 lambda) read 1/inf = 0.0, outside (0, 1)
+        radius = closed_form_radius("lambda_base", lambda_h=lam)
+        assert 0.0 < radius < 1.0
+        assert radius == pytest.approx(0.5 / lam, rel=1e-15)
+
+    def test_base_radius_is_one_over_one_plus_two_lambda_bit_for_bit(self):
+        # fl(1 + 2 lambda) = 2 fl(0.5 + lambda) wherever 2 lambda is finite
+        rng = np.random.default_rng(35)
+        lams = np.ldexp(rng.uniform(1.0, 2.0, 4000), rng.integers(-1074, 1023, 4000))
+        for lam in map(float, lams):
+            assert closed_form_radius("lambda_base", lambda_h=lam) == 1.0 / (1.0 + 2.0 * lam)
+
     def test_odd_pair_branches(self):
         pair = closed_form_radius("odd_p", gamma=0.0, p=1.0)
         assert pair.printed == pytest.approx(pair.derived, abs=1e-15)
