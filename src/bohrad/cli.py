@@ -295,18 +295,18 @@ def _cmd_bloch(args):
         raise ConfigurationError("this bloch variant needs --gamma")
     if args.domain == "disk" and args.variant != "majorant-gamma" and args.gamma is not None:
         raise ConfigurationError("--gamma needs --domain gamma on this bloch variant")
-    density = HyperbolicDensity.unit_disk() if args.domain == "disk" \
-        else HyperbolicDensity.omega_gamma(args.gamma)
     flags = []
-    if args.variant == "majorant":
-        result = bloch_radius(density, args.nu, args.tol, args.scan_step)
-    elif args.variant == "majorant-gamma":
+    if args.variant == "majorant-gamma":
         result = bloch_radius_gamma(args.gamma, args.nu, args.tol, args.scan_step)
         F = lambda r: gamma_equation_value(args.gamma, args.nu, r)
         changes = count_sign_changes(F, args.scan_step)
         flags.append(f"sign-changes:{changes}")
     else:
-        result = bloch_refined_radius(density, args.nu, args.tol, args.scan_step)
+        if args.domain == "disk":
+            args.gamma = 0.0  # the disk is Omega_0, and params echoes it so
+        solve = bloch_radius if args.variant == "majorant" else bloch_refined_radius
+        result = solve(HyperbolicDensity.omega_gamma(args.gamma), args.nu, args.tol,
+                       args.scan_step)
     return EXIT_OK, {"radius": result.value, "residual": result.residual, "flags": flags}
 
 

@@ -108,30 +108,40 @@ def tail_from(phi: PhiSequence, N: int):
     _check_index("N", N)
     if phi.kind != "custom":
         c, step, parity, head = GEOMETRIC_FORMS[phi.kind]
-        return _power_tail(c, step, parity, N, head if N == 0 else 0.0)
+        return _power_tail(step, *power_tail(c, step, parity, N), head if N == 0 else 0.0)
     tail = phi.custom_tail
     if tail is not None:
         return functools.partial(_custom_tail, tail, N)
     return lambda r: _truncated_tail(phi, N, r)  # found at call time, so it can be wrapped
 
 
-def tail_ratio(phi: PhiSequence, m: int):
-    """Phi_{m+1}/phi_m = sum_{n > m} (P(n)/a) r^(n-m) of a built-in phi_m = a r^m != 0,
-    never forming r^m (it underflows for m in the hundreds); else None."""
+def ratio_form(phi: PhiSequence, m: int):
+    """(step, k, b0, b1, b2) of Phi_{m+1}/phi_m = r^k (b0 + (b1 + b2 (1 + u)/d) u/d)/d,
+    u = r^step, d = 1 - u, for a built-in phi_m = a r^m != 0: series.power_tail's
+    (E, b0, b1, b2) at N = m + 1, with k = E - m and each b divided by a; else None."""
     _check_index("m", m)
     if phi.kind == "custom":
         return None
+    c, step, parity, _ = GEOMETRIC_FORMS[phi.kind]
     a, value = _form_at(phi.kind, m)
     a = float(a) or value  # phi_m(1), as term_at evaluates it
-    return _power_tail(*GEOMETRIC_FORMS[phi.kind][:3], m + 1, m=m, a=a) if a else None
+    if not a:
+        return None
+    E, b0, b1, b2 = power_tail(c, step, parity, m + 1)
+    return step, E - m, b0 / a, b1 / a, b2 / a
 
 
-def _power_tail(c, step, parity, N, head=0.0, m=0, a=1):
-    """head + sum_{n >= N} (P(n)/a) r^(n-m) over n = parity (mod step), a call-free f(r);
-    the step, and whether P is constant, pick its closed form here, once.  Every
+def tail_ratio(phi: PhiSequence, m: int):
+    """Phi_{m+1}/phi_m of a built-in phi_m != 0 (see ratio_form) as a function of r,
+    never forming r^m (it underflows for m in the hundreds); else None."""
+    form = ratio_form(phi, m)
+    return _power_tail(*form) if form else None
+
+
+def _power_tail(step, k, b0, b1, b2, head=0.0):
+    """head + r^k (b0 + (b1 + b2 (1 + u)/d) u/d)/d, u = r^step, d = 1 - u, a call-free
+    f(r); the step, and whether b1 = b2 = 0, pick its closed form here, once.  Every
     step-2 P of GEOMETRIC_FORMS and _REFINED_POLYS is constant (a test pins this)."""
-    E, b0, b1, b2 = power_tail(c, step, parity, N)
-    k, b0, b1, b2 = E - m, b0 / a, b1 / a, b2 / a
     if step == 2:
         return lambda r: head + r**k * b0 / ((1.0 - r) * (1.0 + r))
     if not (b1 or b2):
@@ -147,8 +157,9 @@ def _power_tail(c, step, parity, N, head=0.0, m=0, a=1):
 # and their tails sum_{a >= 1} p(a) r^a, bound once for _refined_weight
 _REFINED_POLYS = {kind: ((c0, c1, c2), (2 * c1, 4 * c2, 0), (4 * c2, 0, 0))
                   for kind, ((c0, c1, c2), *_) in GEOMETRIC_FORMS.items()}
-_REFINED_TAILS = {kind: [_power_tail(p, *GEOMETRIC_FORMS[kind][1:3], 1) for p in polys]
-                  for kind, polys in _REFINED_POLYS.items()}
+_REFINED_TAILS = {kind: [_power_tail(step, *power_tail(p, step, parity, 1)) for p in polys]
+                  for kind, polys in _REFINED_POLYS.items()
+                  for step, parity in [GEOMETRIC_FORMS[kind][1:3]]}
 
 
 def _custom_term(term, n, r):

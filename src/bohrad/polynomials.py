@@ -160,7 +160,11 @@ def recentered_slack(x: float, gamma: float, spec: PolySpec) -> float:
     J(x) = 1 + 2 sum_j c_j (1-x^2)^{2j-1} A^{2j} - 2/(1+x), A = area_scale(gamma);
     increasing on [0, 1] with limit 0 at x -> 1 when the calibration holds.
     """
-    A = area_scale(gamma)
+    return _recentered_at(x, area_scale(gamma), spec)
+
+
+def _recentered_at(x, A, spec):
+    """recentered_slack at a scale A = area_scale(gamma) computed once."""
     f = math.fsum(c * (1.0 - x * x) ** (2 * j - 1) * A ** (2 * j)
                   for j, c in enumerate(spec.coefficients, start=1))
     return 1.0 + 2.0 * f - 2.0 / (1.0 + x)
@@ -189,7 +193,8 @@ def monotonicity_check(profile: str, grid_size: int = 1000, *, m: int = 1,
     elif profile == "recentered":
         if spec is None:
             raise ConfigurationError("recentered profile needs a calibrated spec")
-        fn = lambda x: recentered_slack(x, gamma, spec)
+        A = area_scale(gamma)  # once per check, not once per grid point
+        fn = lambda x: _recentered_at(x, A, spec)
         direction = "increasing"
     else:
         raise ConfigurationError(f"unknown profile {profile!r}")

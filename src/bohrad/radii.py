@@ -19,21 +19,28 @@ phi_m/phi_m in G below, and phi_0 in the Rogosinski F with a constant
 mu; x * 1.0 is x, so F is unchanged bit for bit.
 
 For the built-in weights (and a constant mu) F changes sign at most
-once on (0, 1), from + to -, so ``roots.decreasing_root`` brackets its
-root by bisecting the scan index, with the scan's RootResult (the
-bracket is then narrowed by safeguarded Brent-Dekker steps, as for
-every equation):
+once on (0, 1), from + to -:
 
   refined     for phi_m > 0, G = F/phi_m = p - 2 lambda_H R, R = Phi_{m+1}/phi_m
               (G is F bit for bit at m = 0, where phi_0 = 1); each phi_n/phi_m
               (n > m) is a constant >= 0 times r^{n-m}, so R increases from 0
-              to infinity and G has exactly one root; if phi_m = 0 (m off the
-              parity class), F = -2 lambda_H Phi_{m+1} < 0.
+              to infinity and G strictly decreases, with exactly one root; if
+              phi_m = 0 (m off the parity class), F = -2 lambda_H Phi_{m+1} < 0.
   rogosinski  phi_0 = 1 for every built-in, so F = Phi_N (p h/Phi_N - 2 mu)
               with h = (1 - r^m)/(1 + r^m); h and 1/Phi_N are positive
               and decreasing.
 
-Custom weights and a callable mu are scanned point by point.
+A built-in refined root is closed: R is the root of a polynomial of
+degree at most 3 in r or r^2 (``refined_root``), built from the
+``phi.ratio_form`` that G's ratio is bound from.  It is certified, not
+trusted: G(R - tol) > 0 > G(R + tol), which proves R the one root within
+tol, as G strictly decreases.  The RootResult has that bracket, G(R) and 3
+calls of G.  An R that fails the certificate or lies outside (tol, 1 - tol)
+falls back to ``roots.decreasing_root``, as does phi_m = 0.  That search,
+which the Rogosinski equation uses too, brackets the root by bisecting the
+scan index, with the scan's RootResult, and narrows the bracket by
+safeguarded Brent-Dekker steps, as for every equation.  Custom weights and a callable mu are
+scanned point by point.
 """
 
 from __future__ import annotations
@@ -44,10 +51,10 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, DomainError
 from .functionals import MuFunction
 from .optimize import central_diff, grid_then_golden_min
-from .phi import BUILTIN_PHI, PhiSequence, tail_from, tail_ratio, term_at
+from .phi import BUILTIN_PHI, PhiSequence, ratio_form, tail_from, tail_ratio, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
-from .roots import RootResult, decreasing_root, min_positive_root
-from .series import DomainSpec, _check_index, _check_param, _check_radius
+from .roots import RootResult, check_steps, decreasing_root, min_positive_root
+from .series import DomainSpec, _check_index, _check_param, _check_radius, _trusted
 
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
@@ -56,6 +63,8 @@ ERRATUM_DELTA = 1e-3
 # one: on (1, 2) the objective has one interior minimum, and at p = 1 it
 # is 1/(1 + 2a), monotone, so the best of 64 cells brackets the minimum
 RP_UPPER_GRID = 64
+# Newton steps refined_root takes at most on a cubic; a few reach the root
+NEWTON_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -132,12 +141,67 @@ def radius_refined(problem: RadiusProblem, tol: float = 1e-12,
                    scan_step: float = 1e-3) -> RootResult:
     """Minimal positive root of p phi_m(r) - 2 lambda_H Phi_{m+1}(r) = 0.
 
-    Built-in weights bisect the scan index; custom weights are scanned.
+    A built-in phi_m != 0 takes the closed root of ``refined_root``,
+    certified by the signs of G at its ends R -/+ tol and returned with
+    G(R) and 3 calls of G; an uncertified R, or one outside (tol, 1 - tol),
+    falls back to ``decreasing_root``, as does phi_m = 0.  Custom weights
+    are scanned.
     """
     if problem.equation_kind != "refined":
         raise ConfigurationError("problem is not of the refined kind")
-    solve = min_positive_root if problem.phi.kind == "custom" else decreasing_root
-    return solve(refined_equation(problem), tol, scan_step)
+    check_steps(tol, scan_step)
+    G = refined_equation(problem)
+    if problem.phi.kind == "custom":
+        return min_positive_root(G, tol, scan_step)
+    form = ratio_form(problem.phi, problem.m)
+    if form:
+        R = refined_root(problem.p, problem.domain.effective_lambda, *form)
+        lo, hi = R - tol, R + tol
+        # G strictly decreases, so + at lo and - at hi prove R the one root
+        if 0.0 < lo and hi < 1.0 and G(lo) > 0.0 > G(hi):
+            return _trusted(RootResult, value=R, bracket=(lo, hi), residual=G(R),
+                            iterations=3, scan_step=scan_step)
+    return decreasing_root(G, tol, scan_step)
+
+
+def refined_root(p: float, lambda_h: float, step: int, k: int, b0: float, b1: float,
+                 b2: float) -> float:
+    """Root in (0, 1) of p = 2 lambda_h Phi_{m+1}/phi_m, for the ratio_form
+    (step, k, b0, b1, b2) of a built-in phi_m != 0; uncertified.
+
+    With L_i = lambda_h b_i, clearing the ratio's denominators leaves a
+    polynomial of degree at most 3 in r or r^2:
+
+      step 2   p (1 - r^2) = 2 L0 r^k, k = 2 on the parity class and 1 at
+               odd_only's head: sqrt(p/(p + 2 L0)), or p/(sqrt(L0^2 + p^2) + L0)
+      b2 = 0   the smaller root of (p + 2 L0 - 2 L1) r^2 - 2 (p + L0) r + p:
+               p/(p + L0 + sqrt(L0^2 + 2 p L1)), with no cancellation
+      cubic    p d^3 = 2 r (L0 d^2 + L1 r d + L2 r (1 + r)), d = 1 - r.
+
+    Divided by d^3, with t = r/d, the cubic reads q(t) = 2 t (L0 + (L1 + L2) t
+    + 2 L2 t^2) - p = 0: its terms are positive, and q increases and is
+    convex for t > 0.  Newton's steps from t = p/(2 L0), where r = p/(p + 2 L0)
+    lies at or above the root, fall monotonically to it; they stop when a step
+    no longer falls, and r = t/(1 + t).
+
+    The paper's closed forms are special cases: monomial p = 1 and 2 on
+    Omega_gamma give gamma_p1 and gamma_p2, p = 1 gives lambda_base, and
+    the step-2 forms give even_p and odd_p's derived branch.
+    """
+    L0, L1, L2 = lambda_h * b0, lambda_h * b1, lambda_h * b2
+    if step == 2:
+        return math.sqrt(p / (p + 2.0 * L0)) if k == 2 else p / (math.hypot(L0, p) + L0)
+    if not b2:
+        return p / (p + L0 + math.sqrt(L0 * L0 + 2.0 * p * L1))
+    c1, c2, c3 = 2.0 * L0, 2.0 * (L1 + L2), 4.0 * L2
+    t = p / c1
+    for _ in range(NEWTON_CAP):
+        q = ((c3 * t + c2) * t + c1) * t - p
+        below = t - q / ((3.0 * c3 * t + 2.0 * c2) * t + c1)
+        if not below < t:
+            break
+        t = below
+    return t / (1.0 + t)
 
 
 def radius_rogosinski(problem: RadiusProblem, tol: float = 1e-12,

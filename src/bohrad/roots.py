@@ -44,7 +44,9 @@ class RootResult:
     that closed the bracket, plus every call of F that narrowed and
     certified it, however the bracket was found (scalar scan or index
     bisection).  The calls that confirm a zero on a scan point are not
-    counted.
+    counted.  A closed built-in refined root (``radii.radius_refined``)
+    counts its 3 calls of G: the certificate at both ends of its
+    bracket (R - tol, R + tol), and the residual at R.
     """
 
     value: float
@@ -82,9 +84,14 @@ def decreasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
     return _root(f, tol, scan_step, upper, _decreasing_search)
 
 
-def _root(f, tol, scan_step, upper, search):
+def check_steps(tol, scan_step):
+    """Raise DomainError unless tol and scan_step are both positive."""
     if not (tol > 0 and scan_step > 0):  # also rejects nan
         raise DomainError("tol and scan_step must be positive")
+
+
+def _root(f, tol, scan_step, upper, search):
+    check_steps(tol, scan_step)
     if not 0.0 < upper <= 1.0:
         raise DomainError("upper must lie in (0, 1]")
     k, prev_v, v = search(f, scan_step, upper)

@@ -36,3 +36,12 @@ def test_every_operation_meets_its_oracle(name, seed):
     verdicts = [(op.label, op.near_one, op.check(*outcome)) for op, outcome in zip(ops, outcomes)]
     assert [v for v in verdicts if v[2] is not None] == []
     assert any(op.near_one for op in ops) == (name == "probe_sweep")
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_every_refined_solve_of_radius_sweep_takes_the_closed_path(seed):
+    # a built-in refined radius is a certified closed root, 3 calls of G
+    # (see radii.radius_refined); a silent fall-back to the search fails here
+    refined = [op for op in workloads.build("radius_sweep", seed) if op.label.startswith("refined/")]
+    assert refined
+    assert [op.label for op in refined if op.run().iterations != 3] == []

@@ -8,6 +8,7 @@ import pytest
 from bohrad import (PolySpec, area_poly_coeffs, area_scale,
                     calibrate_area_poly, calibration_residual,
                     mobius_gamma_coeffs, monotonicity_check, peak_weight, s_r)
+from bohrad import polynomials
 from bohrad.errors import ConfigurationError, DomainError, InfeasibleError
 from bohrad.polynomials import area_slack, beta_slack, recentered_slack
 
@@ -191,6 +192,19 @@ class TestMonotoneProfiles:
         assert report.passed
         assert report.direction == "increasing"
         assert abs(recentered_slack(1.0, gamma, spec)) <= 1e-12
+
+    def test_recentered_check_computes_its_scale_once(self, monkeypatch):
+        # work-counter guard: one area_scale for the check, not one per grid point
+        spec = calibrate_area_poly((0.1,))
+        calls = []
+        scale = polynomials.area_scale
+        monkeypatch.setattr(polynomials, "area_scale", lambda g: calls.append(g) or scale(g))
+        report = monotonicity_check("recentered", grid_size=1000, gamma=0.3, spec=spec)
+        assert calls == [0.3]
+        # bit for bit the profile of recentered_slack, which takes gamma per point
+        vals = [recentered_slack(k / 1000, 0.3, spec) for k in range(1001)]
+        assert (report.value_at_0, report.value_at_1) == (vals[0], vals[-1])
+        assert report.worst_gap == max(0.0, *(a - b for a, b in zip(vals, vals[1:])))
 
     @pytest.mark.parametrize("profile", ["area_poly", "beta_square"])
     @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])

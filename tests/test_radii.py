@@ -324,6 +324,16 @@ def solved(problem, scan_step=1e-3):
                    scan_step=scan_step)
 
 
+def searched(problem, scan_step=1e-3):
+    """The index search of the built-in equations: decreasing_root on the bound
+    refined equation (radius_refined's fall-back), or radius_rogosinski, whose
+    solve it is.  radii.refined_equation is looked up at call time, so a test can
+    wrap it."""
+    if problem.equation_kind == "refined":
+        return outcome(decreasing_root, radii.refined_equation(problem), scan_step=scan_step)
+    return solved(problem, scan_step)
+
+
 def recorded(evaluations, F):
     """F, appending each radius it is called on to evaluations."""
     def wrapper(r):
@@ -438,7 +448,10 @@ class TestBoundEquations:
 
 
 class TestGridScan:
-    """Built-in equations bracket by bisecting the scan index, with the scalar scan's result."""
+    """Built-in equations bracket by bisecting the scan index, with the scalar scan's result.
+
+    radius_refined takes a built-in root in closed form (see TestClosedRefinedRoot);
+    the refined cases here search its bound equation, as its fall-back does."""
 
     @pytest.mark.parametrize("kind", sorted(VALID_M))
     def test_refined_matches_scalar_scan(self, kind):
@@ -447,7 +460,7 @@ class TestGridScan:
                 for gamma in (0.0, 0.25, 0.6, 0.95):
                     problem = RadiusProblem(BUILTIN_PHI[kind], p, m=m,
                                             domain=DomainSpec.omega_gamma(gamma))
-                    assert solved(problem) == scalar_scan(problem), (m, p, gamma)
+                    assert searched(problem) == scalar_scan(problem), (m, p, gamma)
 
     @pytest.mark.parametrize("lambda_h", [0.3, 1.0, 1.5, 2.7])
     def test_general_lambda_matches_scalar_scan(self, lambda_h):
@@ -455,7 +468,7 @@ class TestGridScan:
             for m in VALID_M[kind]:
                 problem = RadiusProblem(BUILTIN_PHI[kind], 1.0, m=m,
                                         domain=DomainSpec.general(lambda_h))
-                assert solved(problem) == scalar_scan(problem), (kind, m)
+                assert searched(problem) == scalar_scan(problem), (kind, m)
 
     @pytest.mark.parametrize("kind", sorted(VALID_M))
     def test_rogosinski_matches_scalar_scan(self, kind):
@@ -478,7 +491,7 @@ class TestGridScan:
         equation = radii.refined_equation
         monkeypatch.setattr(radii, "refined_equation",
                             lambda problem: recorded(evaluations, equation(problem)))
-        result = radius_refined(problem)
+        result = searched(problem)
         assert result.iterations == 1000 * root and len(evaluations) <= 12
         assert evaluations[-1] == (result.iterations + 1) * 1e-3
         assert result == scalar_scan(problem)
@@ -497,7 +510,7 @@ class TestGridScan:
                                     equation_kind="rogosinski")
         else:
             problem = RadiusProblem(BUILTIN_PHI[kind], p, m=m, domain=domain)
-        assert solved(problem, scan_step) == scalar_scan(problem, scan_step)
+        assert searched(problem, scan_step) == scalar_scan(problem, scan_step)
 
     @pytest.mark.parametrize("phi, m, expected", [
         (MONOMIAL, 150, 1.0 / 3.0), (MONOMIAL, 200, 1.0 / 3.0), (MONOMIAL, 340, 1.0 / 3.0),
@@ -540,9 +553,10 @@ class TestGridScan:
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=lambda r: 1.0 + r,
                                         equation_kind="rogosinski"))
         assert solvers == ["min_positive_root"] * 3
-        radius_refined(RadiusProblem(MONOMIAL, 1.0))
+        # a built-in refined root is closed, and certified without a solver
+        assert radius_refined(RadiusProblem(MONOMIAL, 1.0)).iterations == 3
         radius_rogosinski(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0, equation_kind="rogosinski"))
-        assert solvers[3:] == ["decreasing_root"] * 2
+        assert solvers[3:] == ["decreasing_root"]
 
     @pytest.mark.parametrize("problem, step, expected", [
         (RadiusProblem(MONOMIAL, 1.0, m=1, domain=DomainSpec.omega_gamma(0.3)), 1e-6,
@@ -562,8 +576,7 @@ class TestGridScan:
         # computed by the point-by-point scan, which evaluated the bound
         # equation (G for the refined cases) at every scan point up to the
         # bracket; the index search needs about 20
-        solve = radius_refined if problem.equation_kind == "refined" else radius_rogosinski
-        assert solve(problem, scan_step=step) == expected
+        assert searched(problem, step) == expected
 
     def test_default_step_solves_make_at_most_18_evaluations(self, monkeypatch):
         # work-counter guard: about 11 evaluations of F find the 1e-3 cell
@@ -608,7 +621,7 @@ class TestGridScan:
         monkeypatch.setattr(radii, name, lambda problem: recorded(evaluations, equation(problem)))
         for step in (1e-3, 1e-4, 1e-6):
             evaluations.clear()
-            result = solved(problem, step)
+            result = searched(problem, step)
             bracket_index = math.floor(result.value / step) + 1
             search = evaluations[:len(evaluations) - (result.iterations - bracket_index)]
             assert 1 <= len(search) <= math.ceil(math.log2(1.0 / step)) + 1
@@ -642,7 +655,7 @@ class TestGridScan:
         name = f"{problem.equation_kind}_equation"
         equation = getattr(radii, name)
         monkeypatch.setattr(radii, name, lambda problem: counted("F", equation(problem)))
-        result = solved(problem)
+        result = searched(problem)
         bracket_index = math.floor(result.value / result.scan_step) + 1
         narrowing = result.iterations - bracket_index
         assert calls["phi_term"] == calls["phi_tail"] == 0
@@ -680,3 +693,63 @@ class TestGridScan:
         assert evaluations == result.iterations
         assert counts["check"] == evaluations
         assert counts["custom"] == (TRUNCATION_N + 1) * evaluations
+
+
+class TestClosedRefinedRoot:
+    """A built-in refined root in closed form, certified by the signs of G at R -/+ tol."""
+
+    PROBLEMS = [RadiusProblem(BUILTIN_PHI[kind], p, m=m, domain=domain)
+                for kind in sorted(VALID_M) for m in VALID_M[kind]
+                for p, domain in [(0.05, DomainSpec.omega_gamma(0.95)),
+                                  (1.2, DomainSpec.omega_gamma(0.3)),
+                                  (2.0, DomainSpec.general(2.7))]]
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_a_solve_calls_G_three_times_and_checks_r_three_times(self, problem, monkeypatch):
+        # work-counter guard: G at R - tol, R + tol and R, and nothing else
+        calls = collections.Counter()
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, name in ((phi_module, "phi_term"), (phi_module, "phi_tail"),
+                             (radii, "phi_term"), (radii, "decreasing_root"),
+                             (radii, "min_positive_root")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(radii, "_check_radius", counted("check", radii._check_radius))
+        monkeypatch.setattr(radii, "refined_equation",
+                            lambda problem: counted("G", refined_equation(problem)))
+        result = radius_refined(problem)
+        assert calls == {"G": 3, "check": 3}
+        assert result.iterations == 3
+        lo, hi = result.bracket
+        assert (lo, hi) == (result.value - 1e-12, result.value + 1e-12)
+        G = refined_equation(problem)
+        assert G(lo) > 0.0 > G(hi) and result.residual == G(result.value)
+        assert result.scan_step == 1e-3
+
+    @pytest.mark.parametrize("problem", PROBLEMS[::4])
+    @pytest.mark.parametrize("offset", [1e-6, -1e-6])
+    def test_a_root_planted_off_falls_back_to_the_search(self, problem, offset, monkeypatch):
+        # an R whose certificate fails is never returned: the result is the
+        # search's, field for field
+        closed = radii.refined_root
+        monkeypatch.setattr(radii, "refined_root", lambda *args: closed(*args) + offset)
+        assert radius_refined(problem) == decreasing_root(refined_equation(problem))
+
+    def test_a_root_outside_tol_to_one_minus_tol_falls_back(self):
+        # R = 1/3 with tol = 0.4: R - tol < 0 lies outside G's domain
+        problem = RadiusProblem(MONOMIAL, 1.0)
+        result = radius_refined(problem, tol=0.4)
+        assert result == decreasing_root(refined_equation(problem), 0.4)
+        assert result.iterations != 3
+
+    @pytest.mark.parametrize("tol, scan_step", [(0.0, 1e-3), (-1e-12, 1e-3), (math.nan, 1e-3),
+                                                (1e-12, 0.0), (1e-12, -1e-3),
+                                                (1e-12, math.nan)])
+    def test_non_positive_tol_or_scan_step_raises(self, tol, scan_step):
+        with pytest.raises(DomainError, match="^tol and scan_step must be positive$"):
+            radius_refined(RadiusProblem(MONOMIAL, 1.0), tol, scan_step)

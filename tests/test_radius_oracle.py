@@ -8,13 +8,18 @@ The two equations are restated here from their definitions, not imported:
 and each weight's tail is summed term by term over the indices of its
 parity class only.  mpmath's findroot solves them at 40 digits inside the
 bracket the library reports, widened by 1e-9, and the library's radius
-must lie within 2 tol of that root.
+must lie within 2 tol of that root.  A built-in refined radius, taken in
+closed form, must lie within 4 ulp of the 40-digit root of the same
+equation divided by r^m.
 """
 
+import math
 import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrad import (BUILTIN_PHI, DomainSpec, RadiusProblem, phi_tail, phi_term, radius_refined,
                     radius_rogosinski)
@@ -58,6 +63,27 @@ def tail(kind, N, r):
 def refined_root(kind, p, m, lam, bracket):
     return mp.findroot(lambda r: p * phi(kind, m, r) - 2 * lam * tail(kind, m + 1, r),
                        bracket, solver="anderson")
+
+
+def scaled_refined_root(kind, p, m, lam, bracket):
+    """Root of p phi_m(r)/r^m = 2 lambda_H Phi_{m+1}(r)/r^m, the terms P(n) r^(n-m)
+    summed until one falls below 10^-(DPS + 10) of the sum: with phi_m ~ r^m
+    scaled out, a small root at a large m keeps its relative accuracy."""
+    P, step, parity, head = KINDS[kind]
+    lhs = p * ((P(m) if m % step == parity else 0) + (head if m == 0 else 0))
+    first = m + 1 + (parity - m - 1) % step
+
+    def F(r):
+        total, n, eps = mp.mpf(0), first, mp.mpf(10) ** -(DPS + 10)
+        past_peak = m + 2 / (1 - r)
+        while True:
+            term = P(n) * r ** (n - m)
+            total += term
+            if term < eps * total and n > past_peak:
+                break
+            n += step
+        return lhs - 2 * lam * total
+    return mp.findroot(F, bracket, solver="anderson")
 
 
 def rogosinski_root(kind, p, m, N, mu, bracket):
@@ -116,6 +142,25 @@ def test_rogosinski_radii_match_the_40_digit_root():
         with mp.workdps(DPS):
             root = rogosinski_root(kind, mp.mpf(p), m, N, mp.mpf(mu), _bracket(result))
             assert abs(result.value - root) <= 2 * TOL, (kind, p, m, N, mu, result, root)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(KINDS)), p=st.floats(0.01, 2.0), j=st.integers(0, 40),
+       gamma=st.one_of(st.floats(0.0, 0.99), st.none()), lambda_h=st.floats(0.05, 5.0))
+def test_closed_refined_radii_lie_within_4_ulp_of_the_40_digit_root(kind, p, j, gamma,
+                                                                      lambda_h):
+    # m = 0, or the j-th index of the kind's parity class up to 40, where phi_m != 0
+    _, step, parity, _ = KINDS[kind]
+    m = parity + step * j if j and parity + step * j <= 40 else 0
+    if gamma is None:
+        domain, lam = DomainSpec.general(lambda_h), mp.mpf(lambda_h)
+    else:
+        domain, lam = DomainSpec.omega_gamma(gamma), 1 / (1 + mp.mpf(gamma))
+    result = radius_refined(RadiusProblem(BUILTIN_PHI[kind], p, m=m, domain=domain))
+    assert result.iterations == 3  # the closed path, certified
+    with mp.workdps(DPS):
+        root = scaled_refined_root(kind, mp.mpf(p), m, lam, _bracket(result))
+        assert abs(result.value - root) <= 4 * math.ulp(float(root)), (result, root)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
