@@ -293,14 +293,14 @@ def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
     plain check compares sum ||A_s|| r^s with 1; the refined variant
     adds the tail majorant and mu(r) times the planar Dirichlet integral
     pi * sum s ||A_s||^2 r^{2s}, with the full majorant standing in for
-    ||f(z)||.  A nu outside (0, 1] raises DomainError before any work.
+    ||f(z)||.  A nu outside (0, 1], or a budget above 1 + 1e-12, raises
+    DomainError before any work.
     """
     nu = _check_param("nu", nu)
-    if not bloch_norm_budget <= 1.0 + 1e-12:
-        raise DomainError(f"the Bloch norm budget must be <= 1, got {bloch_norm_budget}")
+    budget = _check_param("bloch_norm_budget", bloch_norm_budget)
     _check_index("grid_radii", grid_radii, 1)
     a0 = coeffs.norm(coeffs.start_index)
-    slack = bloch_norm_budget - a0
+    slack = budget - a0
     if slack < -1e-12:
         raise InvalidTestFunctionError("||A_0|| already exceeds the norm budget")
     t = 0.999 * np.arange(1, grid_radii + 1) / grid_radii

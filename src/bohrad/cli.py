@@ -169,7 +169,8 @@ def _reads(command, choice):
 
 def _validated(args):
     """The options args reads, in parser order, once every option it does not
-    read keeps its default and the ranges argparse cannot express hold."""
+    read keeps its default and --tol lies in (0, 1e-3], the commands' own bound:
+    the library checks every other range, the solvers' tol > 0 included."""
     selector = READS[args.command][0]
     choice = getattr(args, selector) if selector else None
     read, unread = _reads(args.command, choice)
@@ -179,19 +180,7 @@ def _validated(args):
             raise ConfigurationError(f"{flag} does not apply to {where}")
     if "tol" in args and not 0.0 < args.tol <= 1e-3:
         raise ConfigurationError("tol must lie in (0, 1e-3]")
-    if "scan_step" in args and not 0.0 < args.scan_step < 1.0:  # also rejects nan
-        raise ConfigurationError("scan-step must lie in (0, 1)")
-    if getattr(args, "gamma", None) is not None and getattr(args, "lambda_h", None) is not None:
-        raise ConfigurationError("give exactly one of --gamma / --lambda-h")
     return read
-
-
-def _domain(args) -> DomainSpec:
-    if args.lambda_h is not None:
-        return DomainSpec.general(args.lambda_h)
-    if args.gamma is None:
-        raise ConfigurationError("this command needs --gamma or --lambda-h")
-    return DomainSpec.omega_gamma(args.gamma)
 
 
 # ---------------------------------------------------------------- commands
@@ -206,8 +195,9 @@ def _solved(args, kind, domain):
 
 
 def _cmd_radius(args):
-    _, result = _solved(args, args.kind,
-                        _domain(args) if args.kind == "refined" else DomainSpec.disk())
+    domain = DomainSpec(lambda_h=args.lambda_h, gamma=args.gamma) if args.kind == "refined" \
+        else DomainSpec.disk()
+    _, result = _solved(args, args.kind, domain)
     return EXIT_OK, {"radius": result.value, "residual": result.residual,
                      "bracket": list(result.bracket), "iterations": result.iterations,
                      "flags": []}

@@ -43,7 +43,7 @@ class MuFunction:
         if (self.value is None) == (self.fn is None):
             raise ConfigurationError("provide exactly one of value / fn")
         if self.value is not None:
-            _check_constant_mu(self.value)
+            object.__setattr__(self, "value", _check_param("mu", self.value))
         elif not callable(self.fn):
             raise ConfigurationError(f"mu fn must be callable, got {type(self.fn).__name__}")
         else:
@@ -55,7 +55,7 @@ class MuFunction:
 
     @classmethod
     def constant(cls, value: float) -> "MuFunction":
-        return cls(value=float(value))
+        return cls(value=value)
 
     @classmethod
     def zero(cls) -> "MuFunction":
@@ -65,15 +65,14 @@ class MuFunction:
     def of(cls, mu) -> "MuFunction":
         """Coerce a float, callable or MuFunction.
 
-        A number gets __post_init__'s check of a constant, once, and is
-        then stored without running __post_init__ again.
+        A number gets the check of a constant, the "mu" row of
+        series._PARAMS, once, and is stored without running __post_init__.
         """
         if isinstance(mu, MuFunction):
             return mu
         if callable(mu):
             return cls(fn=mu)
-        value = _check_constant_mu(float(mu))
-        return _trusted(cls, value=value, fn=None)
+        return _trusted(cls, value=_check_param("mu", mu), fn=None)
 
     def __call__(self, r: float) -> float:
         if self.value is not None:
@@ -82,12 +81,6 @@ class MuFunction:
         if not math.isfinite(v) or v < 0:
             raise DomainError(f"mu({r}) = {v} is not finite and non-negative")
         return v
-
-
-def _check_constant_mu(value):
-    if not math.isfinite(value) or value < 0:
-        raise ConfigurationError("a constant mu must be finite and >= 0")
-    return value
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,7 @@ def bohr_beta_functional(coeffs: CoeffSeries, r: float, beta: float) -> Function
     value = ||A_m|| + sum_{n>m} (||A_n|| + beta ||A_n||^2) r^n for a series
     starting at m (m = 0: ||A_0|| head); the guarantee needs beta <= 1/(4 lambda_h).
     """
-    if not (math.isfinite(beta) and beta >= 0):
-        raise DomainError(f"beta must be finite and non-negative, got {beta}")
+    beta = _check_param("beta", beta)
     _check_radius(r)
     start, weight = coeffs.start_index, phi_weight(MONOMIAL, r)
     value = (coeffs.norm(start) + norm_sum(coeffs, weight, start + 1)
@@ -313,10 +305,7 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     <= phi_m } by bisection on the monotone margin, to tol or adjacent
     floats: a per-function estimate, as no class-wide radius is pinned for q != 1.
     """
-    p = _check_param("p", p)
-    for name, value in (("q", q), ("tol", tol)):  # a NaN fails too
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and positive, got {value}")
+    p, q, tol = _check_param("p", p), _check_param("q", q), _check_param("tol", tol)
     _check_index("m", m)
     mu = MuFunction.of(mu)
 
@@ -345,9 +334,7 @@ def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID):
     Mobius family at each a in grid order and returns the first a with
     value > rhs + VIOLATION_TOL, or None.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError("probe radius must lie in (0, 1)")
-    return _first_violation(problem_functional(problem, r), a_grid)
+    return _first_violation(problem_functional(problem, _check_param("r:probe", r)), a_grid)
 
 
 def _first_violation(evaluate: Callable[[float], FunctionalReport], a_grid):

@@ -131,13 +131,6 @@ def ratio_form(phi: PhiSequence, m: int):
     return step, E - m, b0 / a, b1 / a, b2 / a
 
 
-def tail_ratio(phi: PhiSequence, m: int):
-    """Phi_{m+1}/phi_m of a built-in phi_m != 0 (see ratio_form) as a function of r,
-    never forming r^m (it underflows for m in the hundreds); else None."""
-    form = ratio_form(phi, m)
-    return _power_tail(*form) if form else None
-
-
 def _power_tail(step, k, b0, b1, b2, head=0.0):
     """head + r^k (b0 + (b1 + b2 (1 + u)/d) u/d)/d, u = r^step, d = 1 - u, a call-free
     f(r); the step, and whether b1 = b2 = 0, pick its closed form here, once.  Every

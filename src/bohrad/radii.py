@@ -48,10 +48,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .functionals import MuFunction
 from .optimize import central_diff, grid_then_golden_min
-from .phi import BUILTIN_PHI, PhiSequence, ratio_form, tail_from, tail_ratio, term_at
+from .phi import BUILTIN_PHI, PhiSequence, _power_tail, ratio_form, tail_from, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, check_steps, decreasing_root, min_positive_root
 from .series import DomainSpec, _check_index, _check_param, _check_radius, _trusted
@@ -100,10 +100,17 @@ class RadiusProblem:
 
 def refined_equation(problem: RadiusProblem):
     """F = p phi_m - 2 lambda_H Phi_{m+1}, or G = F/phi_m for a built-in phi_m != 0, bound once."""
+    return _refined_from(problem, ratio_form(problem.phi, problem.m))
+
+
+def _refined_from(problem, form):
+    """refined_equation(problem), given form = ratio_form(problem.phi, problem.m); G's
+    ratio Phi_{m+1}/phi_m is bound from the form and never forms r^m, which underflows."""
     phi, m = problem.phi, problem.m
     p, two_lam = problem.p, 2.0 * problem.domain.effective_lambda
-    ratio = tail_ratio(phi, m)
-    if ratio:
+    if form:
+        ratio = _power_tail(*form)
+
         def G(r):  # p phi_m/phi_m is p * 1.0, that is p
             _check_radius(r)
             return p - two_lam * ratio(r)
@@ -149,11 +156,11 @@ def radius_refined(problem: RadiusProblem, tol: float = 1e-12,
     """
     if problem.equation_kind != "refined":
         raise ConfigurationError("problem is not of the refined kind")
-    check_steps(tol, scan_step)
-    G = refined_equation(problem)
+    tol, scan_step = check_steps(tol, scan_step)
+    form = ratio_form(problem.phi, problem.m)  # once: it binds G and gives refined_root's input
+    G = _refined_from(problem, form)
     if problem.phi.kind == "custom":
         return min_positive_root(G, tol, scan_step)
-    form = ratio_form(problem.phi, problem.m)
     if form:
         R = refined_root(problem.p, problem.domain.effective_lambda, *form)
         lo, hi = R - tol, R + tol
@@ -226,8 +233,7 @@ def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:
     weights this is the derivative inequality F'(r) < 0, evaluated here
     by central differences of step h > 0.  Diagnostic only, not a certificate.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise DomainError(f"h must be finite and positive, got {h}")
+    h = _check_param("h", h)
     F = refined_equation(problem) if problem.equation_kind == "refined" \
         else rogosinski_equation(problem)
     return central_diff(F, r, h) < 0.0
@@ -286,8 +292,7 @@ def closed_form_radius(case: str, gamma: float | None = None,
 
 def rp_lower(p: float) -> float:
     """Closed-form lower bound (1 + (2/p)^{1/(2-p)})^{(p-2)/p} on r_p."""
-    if not 1.0 <= p < 2.0:
-        raise DomainError("p must lie in [1, 2)")
+    p = _check_param("p:r_p", p)
     return (1.0 + (2.0 / p) ** (1.0 / (2.0 - p))) ** ((p - 2.0) / p)
 
 
@@ -304,9 +309,7 @@ def _rp_upper_objective(p):
 
 def rp_upper(p: float) -> float:
     """Numeric minimization of the upper-bound expression over a in [0, 1)."""
-    if not 1.0 <= p < 2.0:
-        raise DomainError("p must lie in [1, 2)")
-    g = _rp_upper_objective(p)
+    g = _rp_upper_objective(_check_param("p:r_p", p))
     return grid_then_golden_min(g, 0.0, 1.0 - 1e-9, coarse=RP_UPPER_GRID, tol=1e-13)[1]
 
 

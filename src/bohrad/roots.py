@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoRootError, NonConvergenceError
-from .series import _trusted
+from .errors import NoRootError, NonConvergenceError
+from .series import _check_param, _trusted
 
 # grid points per array call of count_sign_changes: the default step
 # scans (0, 1) in one call, and a tiny step builds its grid a block at a
@@ -85,15 +85,13 @@ def decreasing_root(f, tol: float = 1e-12, scan_step: float = 1e-3,
 
 
 def check_steps(tol, scan_step):
-    """Raise DomainError unless tol and scan_step are both positive."""
-    if not (tol > 0 and scan_step > 0):  # also rejects nan
-        raise DomainError("tol and scan_step must be positive")
+    """(tol, scan_step) as floats, once each lies in its interval of series._PARAMS."""
+    return _check_param("tol", tol), _check_param("scan_step", scan_step)
 
 
 def _root(f, tol, scan_step, upper, search):
-    check_steps(tol, scan_step)
-    if not 0.0 < upper <= 1.0:
-        raise DomainError("upper must lie in (0, 1]")
+    tol, scan_step = check_steps(tol, scan_step)
+    upper = _check_param("upper", upper)
     k, prev_v, v = search(f, scan_step, upper)
     x = k * scan_step
     lo = (k - 1) * scan_step
@@ -262,10 +260,7 @@ def count_sign_changes(f, scan_step: float = 1e-3, upper: float = 1.0) -> int:
     SCAN_BLOCK points.  A zero keeps the previous sign; a nan counts no
     change on either side of it.
     """
-    if not scan_step > 0:  # also rejects nan; a step <= 0 never ends the scan
-        raise DomainError("scan_step must be positive")
-    if not 0.0 < upper <= 1.0:
-        raise DomainError("upper must lie in (0, 1]")
+    scan_step, upper = _check_param("scan_step", scan_step), _check_param("upper", upper)
     count = 0
     prev = math.nan
     k = 1

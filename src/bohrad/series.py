@@ -23,7 +23,19 @@ constructors (``CoeffSeries``, ``MatrixCoeffFn``, ``DomainSpec``, and in
 other modules ``MuFunction``, ``HyperbolicDensity`` and
 ``RadiusProblem``) and the arguments of public functions, by the checks
 here: ``_check_index``, ``_check_radius`` and ``_check_param``, whose
-table ``_PARAMS`` holds the intervals of gamma, nu, p, lambda_h and a.
+table ``_PARAMS`` holds the interval of every other numeric argument:
+gamma (``DomainSpec``, ``HyperbolicDensity``, the extremal family and
+the Omega_gamma closed forms), nu (the Bloch functions), p (problems,
+functionals, ``closed_form_radius``), p:r_p (``rp_lower``, ``rp_upper``),
+lambda_h (``DomainSpec``, the area and energy functionals, polynomials,
+``closed_form_radius``), a (the extremal family, ``MatrixCoeffFn``), the
+solvers' tol and scan_step (``roots.check_steps``, which every solve
+calls; ``per_function_radius``'s tol; ``count_sign_changes``), upper
+(the root solvers, ``count_sign_changes``), tol:coeff_bound
+(``check_coeff_bound``), h (``non_improvable``), beta
+(``bohr_beta_functional``), q (``per_function_radius``), mu (a constant
+``MuFunction``), r:probe (``sharpness_probe``), tail_geometric_ratio
+(``CoeffSeries``) and bloch_norm_budget (``bloch_majorant_check``).
 A value object the package builds itself from values it has checked is
 built by ``_trusted``, which runs no ``__init__`` or ``__post_init__``:
 the series of ``mobius_gamma_coeffs``, ``CoeffSeries.shifted``,
@@ -90,12 +102,8 @@ class CoeffSeries:
                     raise DomainError(f"norms below start_index must vanish (index {n})")
         ratio = self.tail_geometric_ratio
         if ratio is not None:
-            if isinstance(ratio, bool) or not isinstance(ratio, _REAL_TYPES):  # np.bool_ too
-                raise DomainError("tail_geometric_ratio must be a real number, "
-                                  f"got {type(ratio).__name__}")
-            if not 0.0 <= ratio < 1.0:
-                raise DomainError("tail_geometric_ratio must lie in [0, 1)")
-            object.__setattr__(self, "tail_geometric_ratio", float(ratio))
+            object.__setattr__(self, "tail_geometric_ratio",
+                               _check_param("tail_geometric_ratio", ratio))
         object.__setattr__(self, "norms", norms)
 
     @classmethod
@@ -362,19 +370,39 @@ def _check_radius(r):
         raise DomainError(f"radius must lie in [0, 1), got {r}")
 
 
-_TINY, _BELOW_ONE = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
-# each named parameter's interval as (least float in it, greatest float in it, as printed):
-# gamma of Omega_gamma, Bloch order nu, exponent p, domain constant lambda_h, extremal a
-_PARAMS = {"gamma": (0.0, _BELOW_ONE, "[0, 1)"), "nu": (_TINY, 1.0, "(0, 1]"),
-           "p": (_TINY, 2.0, "(0, 2]"), "lambda_h": (_TINY, sys.float_info.max, "(0, inf)"),
-           "a": (_TINY, _BELOW_ONE, "(0, 1)")}
+_TINY, _BELOW_ONE, _MAX = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), sys.float_info.max
+_UNIT, _OPEN_UNIT = (0.0, _BELOW_ONE, "[0, 1)"), (_TINY, _BELOW_ONE, "(0, 1)")
+_POSITIVE, _NON_NEGATIVE = (_TINY, _MAX, "(0, inf)"), (0.0, _MAX, "[0, inf)")
+# each numeric argument's interval as (least float in it, greatest float in it, as printed),
+# keyed by its name, or by name:use where the name has another interval elsewhere
+_PARAMS = {
+    "gamma": _UNIT,  # of Omega_gamma
+    "nu": (_TINY, 1.0, "(0, 1]"),  # Bloch order
+    "p": (_TINY, 2.0, "(0, 2]"),  # exponent of a radius problem or functional
+    "p:r_p": (1.0, math.nextafter(2.0, 0.0), "[1, 2)"),  # of the r_p bounds
+    "lambda_h": _POSITIVE,  # domain constant
+    "a": _OPEN_UNIT,  # extremal family parameter
+    "tol": _POSITIVE,  # root solvers, per_function_radius
+    "scan_step": _OPEN_UNIT,  # a step of 1 or more has no grid point
+    "upper": (_TINY, 1.0, "(0, 1]"),  # end of a root scan
+    "tol:coeff_bound": _NON_NEGATIVE,
+    "h": _POSITIVE,  # non_improvable's difference step
+    "beta": _NON_NEGATIVE,
+    "q": _POSITIVE,  # per_function_radius's outer power
+    "mu": _NON_NEGATIVE,  # a constant MuFunction
+    "r:probe": _OPEN_UNIT,  # sharpness_probe's radius
+    "tail_geometric_ratio": _UNIT,
+    "bloch_norm_budget": (-_MAX, 1.0 + 1e-12, "(-inf, 1 + 1e-12]"),  # 1 up to round-off
+}
 
 
-def _check_param(name, x):
-    """x as a float, once it is a real number, not a bool, in name's interval (_PARAMS)."""
-    lo, hi, interval = _PARAMS[name]
+def _check_param(key, x):
+    """x as a float, once it is a real number, not a bool, in key's interval (_PARAMS);
+    a message names the argument, the key up to any ':'."""
+    lo, hi, interval = _PARAMS[key]
     if type(x) is float and lo <= x <= hi:
         return x
+    name = key.partition(":")[0]
     if isinstance(x, bool) or not isinstance(x, _REAL_TYPES):  # np.bool_ is not real
         raise DomainError(f"{name} must be a real number, got {type(x).__name__}")
     if not lo <= x <= hi:  # compared before float(), which overflows on a huge int
@@ -541,8 +569,7 @@ def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
     so that family and an equal-parameter blend report 1 (a 64-norm
     prefix, 64), although every check covers every index.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):  # a NaN or infinite tol passes every norm
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    tol = _check_param("tol:coeff_bound", tol)  # a NaN or infinite tol passes every norm
     m = coeffs.start_index
     a0 = coeffs.norm(m)
     if a0 > 1.0 + tol:

@@ -294,10 +294,27 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "'monomial'" in err  # the line lists the valid choices
 
+    # DomainSpec decides the domain options of a refined radius, with its own message
     def test_conflicting_domain_flags(self, capsys):
-        code, _, _ = run_cli(capsys, "radius", "--phi", "monomial", "--gamma", "0",
-                             "--lambda-h", "1")
-        assert code == 2
+        code, out, err = run_cli(capsys, "radius", "--phi", "monomial", "--gamma", "0",
+                                 "--lambda-h", "1")
+        assert (code, out, err) == (2, "", "error: provide exactly one of lambda_h / gamma\n")
+
+    def test_missing_domain_flag(self, capsys):
+        code, out, err = run_cli(capsys, "radius", "--phi", "monomial")
+        assert (code, out, err) == (2, "", "error: provide exactly one of lambda_h / gamma\n")
+
+    # the solvers check --scan-step, in (0, 1): a step of 1 or more has no grid point
+    @pytest.mark.parametrize("step", ["nan", "0", "-0.001", "1", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ("radius", "--phi", "monomial", "--gamma", "0"),
+        ("radius", "--phi", "odd_only", "--m", "1", "--mu-const", "1", "--kind", "rogosinski"),
+        ("tables",), ("verify",), ("bloch", "--nu", "0.5"),
+        ("bloch", "--nu", "0.5", "--gamma", "0.3", "--variant", "majorant-gamma")])
+    def test_a_scan_step_outside_zero_one_exits_two(self, capsys, argv, step):
+        code, out, err = run_cli(capsys, *argv, "--scan-step", step)
+        assert (code, out) == (2, "")
+        assert err == f"error: scan_step must lie in (0, 1), got {float(step)}\n"
 
     def test_no_root_is_exit_three(self, capsys):
         # mu = 0 leaves the rogosinski equation positive on all of (0,1)

@@ -426,7 +426,7 @@ class TestSharpnessProbe:
 
     @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, math.nan])
     def test_radius_outside_the_open_interval_is_refused(self, r):
-        with pytest.raises(DomainError, match=r"^probe radius must lie in \(0, 1\)$"):
+        with pytest.raises(DomainError, match=rf"^r must lie in \(0, 1\), got {r}$"):
             sharpness_probe(RadiusProblem(MONOMIAL, 1.0), r)
 
 
@@ -468,7 +468,7 @@ class TestMuFunction:
         assert ramp(0.5) == 1.5
 
     def test_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match=r"^mu must lie in \[0, inf\), got -1.0$"):
             MuFunction.constant(-1.0)
         with pytest.raises(ConfigurationError):
             MuFunction.of(lambda r: -r - 0.1)
@@ -904,8 +904,8 @@ class TestBoundFunctionals:
         ((MONOMIAL, 1.0, -1, 1.0, 0.3, None), DomainError),
         ((MONOMIAL, 1.0, 1.5, 1.0, 0.3, None), DomainError),
         ((MONOMIAL, 1.0, True, 1.0, 0.3, None), DomainError),
-        ((MONOMIAL, 1.0, 0, -1.0, 0.3, None), ConfigurationError),
-        ((MONOMIAL, 1.0, 0, math.nan, 0.3, None), ConfigurationError),
+        ((MONOMIAL, 1.0, 0, -1.0, 0.3, None), DomainError),
+        ((MONOMIAL, 1.0, 0, math.nan, 0.3, None), DomainError),
         ((MONOMIAL, 1.0, 0, lambda r: -r, 0.3, None), ConfigurationError),
         ((MONOMIAL, 1.0, 0, DIP, 0.305, None), DomainError),
         ((MONOMIAL, 1.0, 0, 1.0, 1.0, None), DomainError),
@@ -926,7 +926,7 @@ class TestBoundFunctionals:
         ((MONOMIAL, 1.0, 1.0, 1, 1.0, 0.3), DomainError),
         ((MONOMIAL, 1.0, 1, 0, 1.0, 0.3), DomainError),
         ((MONOMIAL, 1.0, 1, True, 1.0, 0.3), DomainError),
-        ((MONOMIAL, 1.0, 1, 1, -2.0, 0.3), ConfigurationError),
+        ((MONOMIAL, 1.0, 1, 1, -2.0, 0.3), DomainError),
         ((MONOMIAL, 1.0, 1, 1, DIP, 0.305), DomainError),
         ((MONOMIAL, 1.0, 1, 1, 1.0, 1.0), DomainError),
         ((MONOMIAL, 1.0, 1, 1, 1.0, [0.3]), DomainError),
@@ -1107,11 +1107,11 @@ class TestSlopeAtOneTiesFunctionalToEquation:
     @staticmethod
     def equation_value(problem, r):
         """F(r) of the library's equation; the refined one is bound as F/phi_m when
-        tail_ratio exists, so it is multiplied back."""
+        ratio_form exists, so it is multiplied back."""
         if problem.equation_kind == "rogosinski":
             return radii.rogosinski_equation(problem)(r)
         value = radii.refined_equation(problem)(r)
-        if phi_module.tail_ratio(problem.phi, problem.m):
+        if phi_module.ratio_form(problem.phi, problem.m):
             value *= phi_term(problem.phi, problem.m, r)
         return value
 

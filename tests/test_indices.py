@@ -26,7 +26,7 @@ from bohrad import (EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR, WEIGHTED_QUA
 from bohrad.bloch import derivative_majorant, gamma_equation_value
 from bohrad.cli import main
 from bohrad.errors import DomainError
-from bohrad.phi import tail_from, tail_ratio, term_at
+from bohrad.phi import ratio_form, tail_from, term_at
 from bohrad.polynomials import area_slack, peak_point
 
 COEFFS = mobius_gamma_coeffs(0.6, 0.2)
@@ -42,7 +42,7 @@ ENTRIES = [
     ("phi_tail", "N", 0, 2, lambda N: phi_tail(WEIGHTED_QUADRATIC, N, 0.3)),
     ("term_at", "n", 0, 3, lambda n: term_at(ODD_ONLY, n)(0.3)),
     ("tail_from", "N", 0, 2, lambda N: tail_from(EVEN_ONLY, N)(0.3)),
-    ("tail_ratio", "m", 0, 2, lambda m: tail_ratio(WEIGHTED_LINEAR, m)(0.3)),
+    ("ratio_form", "m", 0, 2, lambda m: ratio_form(WEIGHTED_LINEAR, m)),
     ("refined_sum", "m", 0, 1, lambda m: refined_sum(COEFFS, EVEN_ONLY, m, 0.3)),
     ("RadiusProblem.m", "m", 0, 2,
      lambda m: radius_refined(RadiusProblem(MONOMIAL, 1.0, m=m))),
@@ -139,9 +139,9 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
 @pytest.mark.parametrize("call, error, match", [
     # +inf passed before: an infinite report here, NaN (inf * 0.0) with no norms past the head
     pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.nan), DomainError,
-                 "^beta must be finite and non-negative, got nan$", id="beta"),
+                 r"^beta must lie in \[0, inf\), got nan$", id="beta"),
     pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.inf), DomainError,
-                 "^beta must be finite and non-negative, got inf$", id="beta-inf"),
+                 r"^beta must lie in \[0, inf\), got inf$", id="beta-inf"),
     # lambda_h follows DomainSpec.general: finite and > 0, so +inf raises like a NaN
     *(pytest.param(lambda c=call, x=bad: c(x), DomainError,
                    rf"^lambda_h must lie in \(0, inf\), got {bad}$",
@@ -154,11 +154,12 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
           ("lambda_base", lambda x: closed_form_radius("lambda_base", lambda_h=x)))),
     # +inf gave a radius before, since inner**inf is 0.0 for any inner < 1
     pytest.param(lambda: per_function_radius(COEFFS, MONOMIAL, 1.0, math.nan), DomainError,
-                 "^q must be finite and positive, got nan$", id="per-function-q"),
+                 r"^q must lie in \(0, inf\), got nan$", id="per-function-q"),
     pytest.param(lambda: per_function_radius(COEFFS, MONOMIAL, 1.0, math.inf), DomainError,
-                 "^q must be finite and positive, got inf$", id="per-function-q-inf"),
+                 r"^q must lie in \(0, inf\), got inf$", id="per-function-q-inf"),
     pytest.param(lambda: bloch_majorant_check(SMALL, math.nan, DISK, 0.5, 0.2), DomainError,
-                 "^the Bloch norm budget must be <= 1, got nan$", id="bloch-budget"),
+                 r"^bloch_norm_budget must lie in \(-inf, 1 \+ 1e-12\], got nan$",
+                 id="bloch-budget"),
     pytest.param(lambda: gamma_equation_value(0.3, 0.5, 2.0), DomainError,
                  r"^radius must lie in \[0, 1\), got 2.0$", id="gamma-equation-r"),
     pytest.param(lambda: gamma_equation_value(0.3, 0.5, math.nan), DomainError,
@@ -199,4 +200,4 @@ def test_verify_rejects_a_nan_beta_with_exit_2_and_no_output():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--family", "beta-square", "--gamma", "0", "--beta", "nan"])
     assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue() == "error: beta must be finite and non-negative, got nan\n"
+    assert err.getvalue() == "error: beta must lie in [0, inf), got nan\n"

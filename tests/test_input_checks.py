@@ -10,12 +10,14 @@ from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, HyperbolicDensity, Matrix
                     MuFunction, PhiSequence, RadiusProblem, area_poly_coeffs, area_scale,
                     bloch_majorant_check, bohr_energy_functional, check_coeff_bound,
                     closed_form_radius, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
-                    monotonicity_check, non_improvable, operator_norm, per_function_radius,
-                    point_eval_bound, radius_rogosinski, refined_at, rogosinski_at)
+                    bohr_beta_functional, monotonicity_check, non_improvable, operator_norm,
+                    per_function_radius, point_eval_bound, radius_refined, radius_rogosinski,
+                    refined_at, rogosinski_at, sharpness_probe)
 from bohrad.bloch import gamma_equation_value
 from bohrad.errors import ConfigurationError, DomainError, InvalidTestFunctionError
-from bohrad.radii import rp_upper
-from bohrad.series import _check_param
+from bohrad.radii import rp_bounds, rp_lower, rp_upper
+from bohrad.roots import count_sign_changes, decreasing_root, increasing_root, min_positive_root
+from bohrad.series import _PARAMS, _check_param
 
 from test_cli import run_python
 
@@ -121,7 +123,7 @@ def per_function(**kwargs):
     pytest.param(lambda: closed_form_radius("gamma_p2"), ConfigurationError,
                  "^case 'gamma_p2' needs gamma$", id="closed-form-no-gamma"),
     pytest.param(lambda: rp_upper(2.0), DomainError,
-                 r"^p must lie in \[1, 2\)$", id="rp-upper-p"),
+                 r"^p must lie in \[1, 2\), got 2.0$", id="rp-upper-p"),
     pytest.param(lambda: area_scale(-0.1), DomainError,
                  r"^gamma must lie in \[0, 1\), got -0.1$", id="area-scale-gamma"),
     pytest.param(lambda: MuFunction(value=1.0, fn=abs), ConfigurationError,
@@ -136,11 +138,11 @@ def per_function(**kwargs):
     *(pytest.param(per_function(p=p), DomainError, rf"^p must lie in \(0, 2\], got {p}$",
                    id=f"per-function-p-{p}") for p in (math.nan, 5.0, 0.0, -1.0)),
     *(pytest.param(per_function(tol=tol), DomainError,
-                   f"^tol must be finite and positive, got {tol}$", id=f"per-function-tol-{tol}")
+                   rf"^tol must lie in \(0, inf\), got {tol}$", id=f"per-function-tol-{tol}")
       for tol in (0.0, math.nan, math.inf, -1e-10)),
     # h = 0 raised a bare ZeroDivisionError from the central difference
     *(pytest.param(lambda h=h: non_improvable(REFINED, 0.3, h), DomainError,
-                   f"^h must be finite and positive, got {h}$", id=f"non-improvable-h-{h}")
+                   rf"^h must lie in \(0, inf\), got {h}$", id=f"non-improvable-h-{h}")
       for h in (0.0, math.nan, math.inf, -1e-6)),
 ])
 def test_input_check_raises(call, error, match):
@@ -171,16 +173,30 @@ def test_constructors_keep_accepting_what_they_use():
     assert MuFunction(fn=lambda r: r)(0.5) == 0.5
 
 
-# each named parameter: its interval as messages print it, the floats just past its two
-# ends, and a value inside it
+# each row of series._PARAMS: its interval as messages print it, the floats just past its
+# two ends, and a value inside it
 PARAMS = {"gamma": ("[0, 1)", -5e-324, 1.0, 0.3),
           "nu": ("(0, 1]", 0.0, math.nextafter(1.0, 2.0), 0.5),
           "p": ("(0, 2]", 0.0, math.nextafter(2.0, 3.0), 1.5),
+          "p:r_p": ("[1, 2)", math.nextafter(1.0, 0.0), 2.0, 1.5),
           "lambda_h": ("(0, inf)", 0.0, math.inf, 0.75),
-          "a": ("(0, 1)", 0.0, 1.0, 0.6)}
+          "a": ("(0, 1)", 0.0, 1.0, 0.6),
+          "tol": ("(0, inf)", 0.0, math.inf, 1e-10),
+          "scan_step": ("(0, 1)", 0.0, 1.0, 0.01),
+          "upper": ("(0, 1]", 0.0, math.nextafter(1.0, 2.0), 0.9),
+          "tol:coeff_bound": ("[0, inf)", -5e-324, math.inf, 1e-12),
+          "h": ("(0, inf)", 0.0, math.inf, 1e-6),
+          "beta": ("[0, inf)", -5e-324, math.inf, 0.25),
+          "q": ("(0, inf)", 0.0, math.inf, 1.5),
+          "mu": ("[0, inf)", -5e-324, math.inf, 0.5),
+          "r:probe": ("(0, 1)", 0.0, 1.0, 0.5),
+          "tail_geometric_ratio": ("[0, 1)", -5e-324, 1.0, 0.5),
+          "bloch_norm_budget": ("(-inf, 1 + 1e-12]", -math.inf,
+                                math.nextafter(1.0 + 1e-12, 2.0), 1.0)}
 DISK = HyperbolicDensity.unit_disk()
-# every entry point of a named parameter, as (parameter, call with that parameter at x,
-# the output that stores or uses x)
+RISING, FALLING = (lambda r: r - 0.3), (lambda r: 0.3 - r)
+# every entry point of a row, as (row key, call with that argument at x, the output that
+# stores or uses x)
 PARAM_SITES = {
     "DomainSpec.gamma": ("gamma", lambda x: DomainSpec(gamma=x).gamma),
     "mobius_gamma_coeffs.gamma": ("gamma", lambda x: mobius_gamma_coeffs(0.6, x).norms[0]),
@@ -210,12 +226,41 @@ PARAM_SITES = {
     "mobius_gamma_coeffs.a": ("a", lambda x: mobius_gamma_coeffs(x, 0.2).norms[0]),
     "MatrixCoeffFn.a": ("a", lambda x: MatrixCoeffFn((0.5, x)).params[1]),
     "mobius_partial_modulus.a": ("a", lambda x: mobius_partial_modulus(x, 0.2, 3, 0.3, 16)),
+    **{f"{solve.__name__}.{key}": (key, lambda x, solve=solve, f=f, key=key:
+                                   solve(f, **{key: x}).value)
+       for solve, f in ((min_positive_root, RISING), (increasing_root, RISING),
+                        (decreasing_root, FALLING))
+       for key in ("tol", "scan_step", "upper")},
+    "radius_refined.tol": ("tol", lambda x: radius_refined(REFINED, x).value),
+    "radius_refined.scan_step": ("scan_step",
+                                 lambda x: radius_refined(REFINED, 1e-12, x).scan_step),
+    "per_function_radius.tol": ("tol", lambda x: per_function(tol=x)()),
+    "count_sign_changes.scan_step": ("scan_step", lambda x: count_sign_changes(RISING, x)),
+    "count_sign_changes.upper": ("upper", lambda x: count_sign_changes(RISING, upper=x)),
+    "rp_lower.p": ("p:r_p", rp_lower),
+    "rp_upper.p": ("p:r_p", rp_upper),
+    "rp_bounds.p": ("p:r_p", lambda x: rp_bounds(x)[1]),
+    "check_coeff_bound.tol": ("tol:coeff_bound", lambda x: check_coeff_bound(
+        TestCoeffBoundTolerance.VIOLATING, DomainSpec.disk(), x).first_violation),
+    "non_improvable.h": ("h", lambda x: non_improvable(REFINED, 0.3, x)),
+    "bohr_beta_functional.beta": ("beta", lambda x: bohr_beta_functional(FAMILY, 0.3, x).value),
+    "per_function_radius.q": ("q", lambda x: per_function(q=x, tol=1e-6)()),
+    "MuFunction.value": ("mu", lambda x: MuFunction(value=x).value),
+    "MuFunction.constant": ("mu", lambda x: MuFunction.constant(x).value),
+    "MuFunction.of": ("mu", lambda x: MuFunction.of(x).value),
+    "RadiusProblem.mu": ("mu", lambda x: RadiusProblem(MONOMIAL, 1.0, mu=x).mu.value),
+    "sharpness_probe.r": ("r:probe", lambda x: sharpness_probe(REFINED, x)),
+    "CoeffSeries.tail_geometric_ratio": ("tail_geometric_ratio", lambda x: CoeffSeries(
+        (0.5, 0.25), 0, x).tail_geometric_ratio),
+    "bloch_majorant_check.bloch_norm_budget": ("bloch_norm_budget", lambda x: bloch_majorant_check(
+        CoeffSeries((0.0, 0.1)), x, DISK, 0.5, 0.2).value),
 }
 
 
 def _bad_params():
-    for site, (name, call) in PARAM_SITES.items():
-        interval, below, above, _ = PARAMS[name]
+    for site, (key, call) in PARAM_SITES.items():
+        interval, below, above, _ = PARAMS[key]
+        name = key.partition(":")[0]  # the argument's name, which messages print
         for label, x in (("nan", math.nan), ("below", below), ("above", above),
                          ("huge-int", 10**400)):  # no float: float(10**400) overflows
             yield pytest.param(call, x, rf"^{name} must lie in {re.escape(interval)}, got {x}$",
@@ -226,7 +271,15 @@ def _bad_params():
 
 
 class TestNamedParameters:
-    """gamma, nu, p, lambda_h and a are each decided by one interval, with one message."""
+    """Each numeric argument is decided by its one interval in series._PARAMS, with one
+    message."""
+
+    def test_every_row_is_tested_at_an_entry_point(self):
+        # a row added to the table without a PARAMS row and an entry point fails here
+        assert set(PARAMS) == set(_PARAMS)
+        assert {key for key, _ in PARAM_SITES.values()} == set(_PARAMS)
+        assert {key: row[0] for key, row in PARAMS.items()} \
+            == {key: row[2] for key, row in _PARAMS.items()}
 
     @pytest.mark.parametrize("call, x, match", _bad_params())
     def test_a_value_outside_the_interval_raises_the_same_message_everywhere(self, call, x,
@@ -236,11 +289,13 @@ class TestNamedParameters:
 
     @pytest.mark.parametrize("site", PARAM_SITES)
     def test_a_numpy_scalar_is_stored_or_used_as_a_python_float(self, site):
-        name, call = PARAM_SITES[site]
-        inside = PARAMS[name][3]
-        out = call(np.float64(inside))
-        assert type(out) is float
-        assert out == call(inside)
+        # the output of a numpy scalar has the type and value of the float's: a float
+        # wherever the site returns one (count_sign_changes returns an int, non_improvable
+        # a bool, check_coeff_bound's first violation an int)
+        key, call = PARAM_SITES[site]
+        inside = PARAMS[key][3]
+        out, want = call(np.float64(inside)), call(inside)
+        assert type(out) is type(want) and out == want
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_the_floats_next_to_each_end_inside_the_interval_are_accepted(self, name):
@@ -256,7 +311,7 @@ class TestCoeffBoundTolerance:
     def test_a_tolerance_that_is_not_finite_and_non_negative_raises(self, tol):
         # a NaN or infinite tol passed this series, whose max_ratio is 2.67, and a
         # negative one raised about the leading norm
-        with pytest.raises(DomainError, match=f"^tol must be finite and >= 0, got {tol}$"):
+        with pytest.raises(DomainError, match=rf"^tol must lie in \[0, inf\), got {tol}$"):
             check_coeff_bound(self.VIOLATING, DomainSpec.disk(), tol)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1.0])

@@ -13,8 +13,8 @@ from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY,
                     refined_sum)
 from bohrad import phi as phi_module
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError
-from bohrad.phi import (GEOMETRIC_FORMS, _refined_weight, _truncated_tail, tail_from, tail_ratio,
-                        term_at)
+from bohrad.phi import (GEOMETRIC_FORMS, _power_tail, _refined_weight, _truncated_tail, ratio_form,
+                        tail_from, term_at)
 from bohrad.series import (ABS_TOL, CONTINUATION_FLOOR, TAIL_RATIO_CAP, TRUNCATION_N,
                            GeometricWeight)
 
@@ -195,13 +195,14 @@ class TestTailRoutine:
                 assert abs(got - want) <= 8 * math.ulp(want), (N, r)
 
     @pytest.mark.parametrize("kind", sorted(WRITTEN_TAILS) + ["custom"])
-    def test_tail_ratio_is_phi_tail_over_phi_term(self, kind):
+    def test_ratio_form_binds_phi_tail_over_phi_term(self, kind):
         phi = BUILTIN_PHI.get(kind) or CUSTOM_PHI[kind]
         for m in range(13):
-            ratio = tail_ratio(phi, m)
+            form = ratio_form(phi, m)
             if kind == "custom" or phi_term(phi, m, 0.5) == 0.0:
-                assert ratio is None
+                assert form is None
                 continue
+            ratio = _power_tail(*form)
             for r in (1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6):
                 want = phi_tail(phi, m + 1, r) / phi_term(phi, m, r)
                 assert abs(ratio(r) - want) <= 1e-14 * want, (m, r)

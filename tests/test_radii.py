@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 import time
 
 import numpy as np
@@ -595,10 +596,10 @@ class TestGridScan:
         problems += [RadiusProblem(BUILTIN_PHI[kind], p, m=m, mu=mu, equation_kind="rogosinski")
                      for kind, rows in REFERENCE_TABLES.values() for p, m, mu, _ in rows]
         evaluations = []
-        for name in ("refined_equation", "rogosinski_equation"):
+        for name in ("_refined_from", "rogosinski_equation"):  # what the solves bind
             equation = getattr(radii, name)
-            monkeypatch.setattr(radii, name, lambda problem, equation=equation:
-                                recorded(evaluations, equation(problem)))
+            monkeypatch.setattr(radii, name, lambda *args, equation=equation:
+                                recorded(evaluations, equation(*args)))
         solves = 0
         for problem in problems:
             evaluations.clear()
@@ -684,8 +685,9 @@ class TestGridScan:
 
         for module in (radii, phi_module):
             monkeypatch.setattr(module, "_check_radius", counted("check", module._check_radius))
-        monkeypatch.setattr(radii, "refined_equation",
-                            lambda problem: counted("F", refined_equation(problem)))
+        bind = radii._refined_from
+        monkeypatch.setattr(radii, "_refined_from",
+                            lambda problem, form: counted("F", bind(problem, form)))
         custom = PhiSequence("custom", custom_term=counted("custom", lambda n, r: r**n))
         result = radius_refined(RadiusProblem(custom, 1.0))
         assert result.value == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -706,7 +708,8 @@ class TestClosedRefinedRoot:
 
     @pytest.mark.parametrize("problem", PROBLEMS)
     def test_a_solve_calls_G_three_times_and_checks_r_three_times(self, problem, monkeypatch):
-        # work-counter guard: G at R - tol, R + tol and R, and nothing else
+        # work-counter guard: one ratio form, which binds G and gives the closed root's
+        # input, then G at R - tol, R + tol and R, and nothing else
         calls = collections.Counter()
 
         def counted(key, fn):
@@ -717,13 +720,14 @@ class TestClosedRefinedRoot:
 
         for module, name in ((phi_module, "phi_term"), (phi_module, "phi_tail"),
                              (radii, "phi_term"), (radii, "decreasing_root"),
-                             (radii, "min_positive_root")):
+                             (radii, "min_positive_root"), (radii, "ratio_form")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(radii, "_check_radius", counted("check", radii._check_radius))
-        monkeypatch.setattr(radii, "refined_equation",
-                            lambda problem: counted("G", refined_equation(problem)))
+        bind = radii._refined_from
+        monkeypatch.setattr(radii, "_refined_from",
+                            lambda problem, form: counted("G", bind(problem, form)))
         result = radius_refined(problem)
-        assert calls == {"G": 3, "check": 3}
+        assert calls == {"ratio_form": 1, "G": 3, "check": 3}
         assert result.iterations == 3
         lo, hi = result.bracket
         assert (lo, hi) == (result.value - 1e-12, result.value + 1e-12)
@@ -751,5 +755,8 @@ class TestClosedRefinedRoot:
                                                 (1e-12, 0.0), (1e-12, -1e-3),
                                                 (1e-12, math.nan)])
     def test_non_positive_tol_or_scan_step_raises(self, tol, scan_step):
-        with pytest.raises(DomainError, match="^tol and scan_step must be positive$"):
+        bad, name, interval = (tol, "tol", "(0, inf)") if not tol > 0 \
+            else (scan_step, "scan_step", "(0, 1)")
+        with pytest.raises(DomainError, match=rf"^{name} must lie in {re.escape(interval)}, "
+                                              rf"got {bad}$"):
             radius_refined(RadiusProblem(MONOMIAL, 1.0), tol, scan_step)

@@ -74,8 +74,10 @@ class TestMinPositiveRoot:
     @pytest.mark.parametrize("solver", [min_positive_root, increasing_root, decreasing_root])
     def test_parameter_validation(self, solver):
         # nan fails every comparison, so "<= 0" alone would let it through
+        # a step of 1 or more has no grid point below upper <= 1
         for kwargs in ({"tol": 0.0}, {"scan_step": -1e-3}, {"tol": math.nan},
-                       {"scan_step": math.nan}, {"upper": math.nan}, {"upper": 1.5}):
+                       {"scan_step": math.nan}, {"scan_step": 1.0}, {"scan_step": 1.5},
+                       {"upper": math.nan}, {"upper": 1.5}):
             with pytest.raises(DomainError):
                 solver(lambda r: r - 0.5, **kwargs)
 
@@ -95,7 +97,7 @@ class TestSignChanges:
     def test_parameter_validation(self):
         # a step <= 0 or an unbounded upper end would never end the scan
         for kwargs in ({"scan_step": 0.0}, {"scan_step": -1e-3}, {"scan_step": math.nan},
-                       {"upper": math.nan}, {"upper": math.inf}):
+                       {"scan_step": 1.0}, {"upper": math.nan}, {"upper": math.inf}):
             with pytest.raises(DomainError):
                 count_sign_changes(lambda r: r - 0.5, **kwargs)
 
@@ -192,7 +194,7 @@ MONOTONE_CASES = [
     (lambda r: r - 0.3, {"upper": 0.5, "scan_step": 0.125}),
     (lambda r: r - 0.45, {"upper": 0.5, "scan_step": 0.125}),  # x_4 = upper is off the grid
     (lambda r: r - 0.29, {"upper": 0.3, "scan_step": 0.1}),    # 3 * 0.1 > 0.3 in floats
-    (lambda r: r - 0.3, {"scan_step": 1.5}),           # no grid point at all
+    (lambda r: r - 0.3, {"scan_step": 0.5, "upper": 0.25}),  # no grid point at all
     (lambda r: r - 0.31, {"scan_step": 1e-6}),
     (lambda r: r - 0.5, {"scan_step": 1e-6}),
 ]

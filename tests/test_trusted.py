@@ -19,7 +19,7 @@ from bohrad import (DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec
                     FunctionalReport, MatrixCoeffFn, MuFunction, RadiusProblem, RootResult,
                     diag_blend_coeffs, majorant, min_positive_root, mobius_gamma_coeffs,
                     refined_functional, rogosinski_functional, s_r, sharpness_probe)
-from bohrad.errors import ConfigurationError, DomainError
+from bohrad.errors import DomainError
 from bohrad import functionals
 
 # blend parameters whose crossovers stay within a few hundred norms
@@ -102,7 +102,8 @@ class TestTrustedSeriesRebuild:
 
     @pytest.mark.parametrize("ratio", [1.0, -0.25, math.nan, np.float64(1.5)])
     def test_ratio_outside_the_unit_interval_is_refused(self, ratio):
-        with pytest.raises(DomainError, match=r"^tail_geometric_ratio must lie in \[0, 1\)$"):
+        with pytest.raises(DomainError,
+                           match=rf"^tail_geometric_ratio must lie in \[0, 1\), got {ratio}$"):
             CoeffSeries((0.5, 0.25), 0, ratio)
 
 
@@ -183,12 +184,11 @@ class TestTrustedValueObjects:
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, -math.inf])
     def test_constant_mu_is_checked_once_with_the_constructor_message(self, bad):
         for build in (MuFunction.of, MuFunction.constant, lambda v: MuFunction(value=v)):
-            with pytest.raises(ConfigurationError,
-                               match="^a constant mu must be finite and >= 0$"):
+            with pytest.raises(DomainError, match=rf"^mu must lie in \[0, inf\), got {bad}$"):
                 build(bad)
 
     def test_constant_mu_equals_the_constructed_one(self):
-        for value in (0, 0.0, 2.5, np.float64(0.75), True):
+        for value in (0, 0.0, 2.5, np.float64(0.75)):
             made = MuFunction.of(value)
             assert made == MuFunction(value=float(value))
             assert type(made.value) is float and made.fn is None
