@@ -23,9 +23,9 @@ from .phi import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR,
 from .polynomials import (MonotonicityReport, PolySpec, area_poly_coeffs,
                           area_scale, calibrate_area_poly, calibration_residual,
                           monotonicity_check, peak_weight)
-from .radii import (OddRadiusPair, RadiusProblem, TableRow, closed_form_radius,
+from .radii import (OddRadiusPair, RadiusProblem, TableRow, VerifyReport, closed_form_radius,
                     non_improvable, radius_refined, radius_rogosinski,
-                    reproduce_all_tables, reproduce_table, rp_bounds)
+                    reproduce_all_tables, reproduce_table, rp_bounds, verify)
 from .roots import (RootResult, count_sign_changes, decreasing_root, increasing_root,
                     min_positive_root)
 from .series import (CoeffBoundReport, CoeffSeries, DomainSpec, MatrixCoeffFn,

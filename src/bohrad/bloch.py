@@ -293,7 +293,7 @@ def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
     plain check compares sum ||A_s|| r^s with 1; the refined variant
     adds the tail majorant and mu(r) times the planar Dirichlet integral
     pi * sum s ||A_s||^2 r^{2s}, with the full majorant standing in for
-    ||f(z)||.  A nu outside (0, 1], or a budget above 1 + 1e-12, raises
+    ||f(z)||.  A nu outside (0, 1], or a budget outside [0, 1 + 1e-12], raises
     DomainError before any work.
     """
     nu = _check_param("nu", nu)

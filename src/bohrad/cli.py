@@ -20,15 +20,13 @@ from .bloch import HyperbolicDensity, bloch_radius, bloch_radius_gamma, \
     bloch_refined_radius, gamma_equation_value
 from .errors import (BohradError, ConfigurationError, InfeasibleError,
                      NoRootError, NonConvergenceError, SingularIntegrandError)
-from .functionals import (DEFAULT_A_GRID, MuFunction, _first_violation,
-                          bohr_area_functional, bohr_beta_functional,
-                          bohr_energy_functional, problem_functional)
+from .functionals import MuFunction
 from .phi import BUILTIN_PHI, MONOMIAL
 from .polynomials import calibrate_area_poly, calibration_residual, peak_weight
-from .radii import (RadiusProblem, closed_form_radius, radius_refined, radius_rogosinski,
-                    reproduce_all_tables, reproduce_table, rp_bounds)
+from .radii import (RadiusProblem, radius_refined, radius_rogosinski, reproduce_all_tables,
+                    reproduce_table, rp_bounds, verify)
 from .roots import count_sign_changes
-from .series import DomainSpec, mobius_gamma_coeffs
+from .series import DomainSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,10 +34,6 @@ EXIT_NO_ROOT = 3
 EXIT_VERIFY_FAILED = 4
 
 TABLE_MATCH_TOL = 1e-5  # printed values carry six significant figures
-PROBE_OFFSET = 0.01
-# the extremal parameters a that verify checks just below a radius, ascending: 0.05 to
-# 0.85 in steps of 0.05, then DEFAULT_A_GRID (0.9 to 1 - 1e-6), where it seeks a witness above
-VERIFY_A_GRID = tuple(k / 20 for k in range(1, 18)) + DEFAULT_A_GRID
 
 # The options each run reads besides --format and --out, as argparse dests, by command
 # and the value of its selector (None on a command without one).  Any other option must
@@ -185,19 +179,18 @@ def _validated(args):
 
 # ---------------------------------------------------------------- commands
 
-def _solved(args, kind, domain):
-    """The radius problem args pose on domain, and its leftmost root."""
-    problem = RadiusProblem(BUILTIN_PHI[args.phi], args.p, m=args.m, N=args.N,
-                            mu=MuFunction.constant(args.mu_const), domain=domain,
-                            equation_kind=kind)
-    solve = radius_refined if kind == "refined" else radius_rogosinski
-    return problem, solve(problem, args.tol, args.scan_step)
+def _problem(args, kind, domain):
+    """The radius problem args pose on domain."""
+    return RadiusProblem(BUILTIN_PHI[args.phi], args.p, m=args.m, N=args.N,
+                         mu=MuFunction.constant(args.mu_const), domain=domain,
+                         equation_kind=kind)
 
 
 def _cmd_radius(args):
     domain = DomainSpec(lambda_h=args.lambda_h, gamma=args.gamma) if args.kind == "refined" \
         else DomainSpec.disk()
-    _, result = _solved(args, args.kind, domain)
+    solve = radius_refined if args.kind == "refined" else radius_rogosinski
+    result = solve(_problem(args, args.kind, domain), args.tol, args.scan_step)
     return EXIT_OK, {"radius": result.value, "residual": result.residual,
                      "bracket": list(result.bracket), "iterations": result.iterations,
                      "flags": []}
@@ -217,56 +210,24 @@ def _cmd_tables(args):
                   "flags": flags}
 
 
-def _verify_setup(args):
-    """(radius, bind: r -> (a -> report) on the extremal family of Omega_gamma, gamma =
-    --gamma or 0, set on args for params); no --lambda-h, which has no such family."""
-    gamma = args.gamma = 0.0 if args.gamma is None else args.gamma
-    domain = DomainSpec.omega_gamma(gamma)
-    if args.family in ("bohr", "refined", "rogosinski"):
-        # "bohr" is the plain weighted sum: the refined functional at mu = 0
-        kind = "rogosinski" if args.family == "rogosinski" else "refined"
-        problem, result = _solved(args, kind, domain)
-        return result.value, lambda r: problem_functional(problem, r)
-
-    lam = domain.effective_lambda
-    if args.family == "area-poly":
-        functional = lambda c, r: bohr_area_functional(c, r, lam, args.degree)
-    elif args.family == "beta-square":
-        beta = args.beta if args.beta is not None else 1.0 / (4.0 * lam)
-        if beta > 1.0 / (4.0 * lam) + 1e-12:
-            raise ConfigurationError("beta must be at most 1/(4 lambda_h)")
-        functional = lambda c, r: bohr_beta_functional(c, r, beta)
-    else:
-        functional = lambda c, r: bohr_energy_functional(c, r, lam)
-    radius = closed_form_radius("lambda_base", lambda_h=lam)
-    return radius, lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r)
-
-
 def _cmd_verify(args):
-    radius, bind = _verify_setup(args)
-    r_below = max(radius - PROBE_OFFSET, radius / 2.0)
-    r_above = radius + PROBE_OFFSET
-    reports = list(zip(VERIFY_A_GRID, map(bind(r_below), VERIFY_A_GRID)))
-    checked = len(reports)
-    failures = sum(not rep.satisfied for _, rep in reports)
-    worst_margin, worst_a = min((rep.margin, a) for a, rep in reports)
-
-    expect_witness = r_above < 1.0
-    witness = _first_violation(bind(r_above), DEFAULT_A_GRID) if expect_witness else None
-
-    passed = not failures and (witness is not None or not expect_witness)
-    flags = [] if passed else ["verification-failed"]
-    if failures:
-        print(f"error: guarantee fails at {failures} of {checked} parameters; "
-              f"worst a = {worst_a:.9g}, margin {worst_margin:.9g}", file=sys.stderr)
-    elif not passed:
-        print(f"error: no violation found above the radius, at r = {r_above:.9g}",
+    gamma = args.gamma = 0.0 if args.gamma is None else args.gamma  # set for params to echo
+    if args.family in ("area-poly", "beta-square", "energy"):
+        report = verify(args.family, gamma, args.degree, args.beta)
+    else:  # "bohr" is the plain weighted sum: the refined problem at mu = 0
+        kind = "rogosinski" if args.family == "rogosinski" else "refined"
+        report = verify(_problem(args, kind, DomainSpec.omega_gamma(gamma)), tol=args.tol,
+                        scan_step=args.scan_step)
+    if report.failures:
+        print(f"error: guarantee fails at {report.failures} of {report.checked} parameters; "
+              f"worst a = {report.worst_a:.9g}, margin {report.worst_margin:.9g}", file=sys.stderr)
+    elif not report.passed:
+        print(f"error: no violation found above the radius, at r = {report.r_above:.9g}",
               file=sys.stderr)
-    summary = {"family": args.family, "radius": radius, "r_below": r_below,
-               "r_above": r_above if expect_witness else None,
-               "checked": checked, "failures": failures, "worst_margin": worst_margin,
-               "witness_a": witness, "passed": passed}
-    return (EXIT_OK if passed else EXIT_VERIFY_FAILED), {"summary": summary, "flags": flags}
+    summary = {"family": args.family, **vars(report)}
+    del summary["worst_a"]  # stderr names it
+    flags = [] if report.passed else ["verification-failed"]
+    return (EXIT_OK if report.passed else EXIT_VERIFY_FAILED), {"summary": summary, "flags": flags}
 
 
 def _cmd_calibrate(args):

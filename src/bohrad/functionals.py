@@ -47,11 +47,8 @@ class MuFunction:
         elif not callable(self.fn):
             raise ConfigurationError(f"mu fn must be callable, got {type(self.fn).__name__}")
         else:
-            for k in range(65):  # coarse admissibility screen
-                v = float(self.fn(k / 64.0))
-                if not math.isfinite(v) or v < 0:
-                    raise ConfigurationError(
-                        f"mu({k / 64.0}) = {v} is not finite and non-negative")
+            for k in range(65):  # coarse admissibility screen, by __call__'s check
+                self(k / 64.0)
 
     @classmethod
     def constant(cls, value: float) -> "MuFunction":

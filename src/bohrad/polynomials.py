@@ -30,12 +30,9 @@ class PolySpec:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(_check_param("c", c) for c in self.coefficients)
         if not coeffs:
             raise ConfigurationError("a polynomial needs at least one coefficient")
-        for j, c in enumerate(coeffs, start=1):
-            if not math.isfinite(c) or c <= 0:
-                raise ConfigurationError(f"coefficient c_{j} must be positive, got {c}")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -99,10 +96,7 @@ def calibrate_area_poly(tail_coeffs=()) -> PolySpec:
     caller chooses the rest.  A tail so heavy that c_1 would not be
     positive raises InfeasibleError.
     """
-    tail = tuple(float(c) for c in tail_coeffs)
-    for j, c in enumerate(tail, start=2):
-        if not math.isfinite(c) or c <= 0:
-            raise ConfigurationError(f"tail coefficient c_{j} must be positive, got {c}")
+    tail = tuple(_check_param("c", c) for c in tail_coeffs)
     tail_sum = math.fsum(_tail_terms(tail))
     if tail_sum >= 1.0:
         raise InfeasibleError(

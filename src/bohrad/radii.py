@@ -1,4 +1,4 @@
-"""Radius equations, closed-form radii, reference tables, and r_p bounds.
+"""Radius equations, closed-form radii, reference tables, r_p bounds, verify.
 
 A radius here is always the minimal positive root in (0, 1) of a
 continuous equation built from a weight sequence.  The two equation
@@ -41,6 +41,10 @@ which the Rogosinski equation uses too, brackets the root by bisecting the
 scan index, with the scan's RootResult, and narrows the bracket by
 safeguarded Brent-Dekker steps, as for every equation.  Custom weights and a callable mu are
 scanned point by point.
+
+``verify`` checks a radius R sharp: the extremal family satisfies the functional at
+every a of VERIFY_A_GRID at r_below = max(R - PROBE_OFFSET, R/2) and, when r_above =
+R + PROBE_OFFSET < 1, violates it at some a of DEFAULT_A_GRID (witness_a, the first).
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .functionals import MuFunction
+from .functionals import (DEFAULT_A_GRID, MuFunction, _first_violation, bohr_area_functional,
+                          bohr_beta_functional, bohr_energy_functional, problem_functional)
 from .optimize import central_diff, grid_then_golden_min
 from .phi import BUILTIN_PHI, PhiSequence, _power_tail, ratio_form, tail_from, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, check_steps, decreasing_root, min_positive_root
-from .series import DomainSpec, _check_index, _check_param, _check_radius, _trusted
+from .series import (DomainSpec, _check_index, _check_param, _check_radius, _trusted,
+                     mobius_gamma_coeffs)
 
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
@@ -65,6 +71,10 @@ ERRATUM_DELTA = 1e-3
 RP_UPPER_GRID = 64
 # Newton steps refined_root takes at most on a cubic; a few reach the root
 NEWTON_CAP = 100
+PROBE_OFFSET = 0.01  # how far below and above a radius verify evaluates the extremal family
+# the a that verify checks below a radius, ascending: 0.05 to 0.85 in steps of 0.05, then
+# DEFAULT_A_GRID (0.9 to 1 - 1e-6), the grid where it seeks a witness above
+VERIFY_A_GRID = tuple(k / 20 for k in range(1, 18)) + DEFAULT_A_GRID
 
 
 @dataclass(frozen=True)
@@ -381,3 +391,59 @@ def reproduce_table(table_id: int, tol: float = 1e-12,
 def reproduce_all_tables(tol: float = 1e-12, scan_step: float = 1e-3) -> list[TableRow]:
     return [row for table_id in sorted(REFERENCE_TABLES)
             for row in reproduce_table(table_id, tol, scan_step)]
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """verify's verdict on one radius R: the sweep below it and the probe above it."""
+
+    radius: float
+    r_below: float
+    r_above: float | None  # None when R + PROBE_OFFSET >= 1, where no witness can lie
+    checked: int
+    failures: int
+    worst_margin: float
+    worst_a: float
+    witness_a: float | None
+    passed: bool
+
+
+def verify(subject, gamma: float = 0.0, degree: int = 2, beta: float | None = None,
+           tol: float = 1e-12, scan_step: float = 1e-3) -> VerifyReport:
+    """Check a radius R sharp on the extremal family of its domain.
+
+    subject is a RadiusProblem, solved with tol and scan_step and tested by
+    ``problem_functional`` on its own domain, or a family whose R is
+    1/(1 + 2 lambda_H) on Omega_gamma: "area-poly" (of this degree),
+    "beta-square" (beta at most, and by default, 1/(4 lambda_H)) or "energy".
+    """
+    if isinstance(subject, RadiusProblem):
+        if (gamma, degree, beta) != (0.0, 2, None):
+            raise ConfigurationError("a RadiusProblem reads no gamma, degree or beta")
+        solve = radius_refined if subject.equation_kind == "refined" else radius_rogosinski
+        radius = solve(subject, tol, scan_step).value
+        bind = lambda r: problem_functional(subject, r)
+    else:  # each functional is looked up when called, not held in a table
+        lam = DomainSpec.omega_gamma(gamma).effective_lambda
+        if subject == "area-poly":
+            functional = lambda c, r: bohr_area_functional(c, r, lam, degree)
+        elif subject == "beta-square":
+            beta = 1.0 / (4.0 * lam) if beta is None else _check_param("beta", beta)
+            if beta > 1.0 / (4.0 * lam) + 1e-12:
+                raise ConfigurationError("beta must be at most 1/(4 lambda_h)")
+            functional = lambda c, r: bohr_beta_functional(c, r, beta)
+        elif subject == "energy":
+            functional = lambda c, r: bohr_energy_functional(c, r, lam)
+        else:
+            raise ConfigurationError(f"unknown verify family {subject!r}")
+        radius = closed_form_radius("lambda_base", lambda_h=lam)
+        bind = lambda r: lambda a: functional(mobius_gamma_coeffs(a, gamma), r)
+    r_below = max(radius - PROBE_OFFSET, radius / 2.0)
+    reports = list(zip(VERIFY_A_GRID, map(bind(r_below), VERIFY_A_GRID)))
+    failures = sum(not rep.satisfied for _, rep in reports)
+    worst_margin, worst_a = min((rep.margin, a) for a, rep in reports)
+    r_above = radius + PROBE_OFFSET
+    r_above = r_above if r_above < 1.0 else None  # the family has no point at r >= 1
+    witness = None if r_above is None else _first_violation(bind(r_above), DEFAULT_A_GRID)
+    return VerifyReport(radius, r_below, r_above, len(reports), failures, worst_margin, worst_a,
+                        witness, not failures and (witness is not None or r_above is None))

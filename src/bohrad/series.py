@@ -33,9 +33,10 @@ solvers' tol and scan_step (``roots.check_steps``, which every solve
 calls; ``per_function_radius``'s tol; ``count_sign_changes``), upper
 (the root solvers, ``count_sign_changes``), tol:coeff_bound
 (``check_coeff_bound``), h (``non_improvable``), beta
-(``bohr_beta_functional``), q (``per_function_radius``), mu (a constant
-``MuFunction``), r:probe (``sharpness_probe``), tail_geometric_ratio
-(``CoeffSeries``) and bloch_norm_budget (``bloch_majorant_check``).
+(``bohr_beta_functional``, ``radii.verify``), q (``per_function_radius``),
+mu (a constant ``MuFunction``), r:probe (``sharpness_probe``),
+tail_geometric_ratio (``CoeffSeries``), bloch_norm_budget
+(``bloch_majorant_check``) and c (``PolySpec``, ``calibrate_area_poly``).
 A value object the package builds itself from values it has checked is
 built by ``_trusted``, which runs no ``__init__`` or ``__post_init__``:
 the series of ``mobius_gamma_coeffs``, ``CoeffSeries.shifted``,
@@ -392,7 +393,8 @@ _PARAMS = {
     "mu": _NON_NEGATIVE,  # a constant MuFunction
     "r:probe": _OPEN_UNIT,  # sharpness_probe's radius
     "tail_geometric_ratio": _UNIT,
-    "bloch_norm_budget": (-_MAX, 1.0 + 1e-12, "(-inf, 1 + 1e-12]"),  # 1 up to round-off
+    "bloch_norm_budget": (0.0, 1.0 + 1e-12, "[0, 1 + 1e-12]"),  # 1 up to round-off
+    "c": _POSITIVE,  # a coefficient of an improvement polynomial
 }
 
 

@@ -10,6 +10,7 @@ It prints the argv of each entry whose exit code or stdout it rewrote,
 one line each, and nothing when no entry changed.
 """
 
+import ast
 import contextlib
 import csv
 import io
@@ -24,10 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from bohrad import FunctionalReport, cli, reproduce_all_tables, reproduce_table
-from bohrad.cli import VERIFY_A_GRID, main
+from bohrad import FunctionalReport, cli, radii, reproduce_all_tables, reproduce_table
+from bohrad.cli import main
 from bohrad.errors import NoRootError
 from bohrad.functionals import DEFAULT_A_GRID
+from bohrad.radii import VERIFY_A_GRID
 
 EXPECTED_BLOCH = math.sqrt(6.0 / (6.0 + math.pi**2))
 
@@ -199,7 +201,7 @@ class TestVerifyCommand:
     def test_the_grid_goes_through_the_extremal_functional(self, capsys, monkeypatch):
         # a functional that fails at every a off DEFAULT_A_GRID, by a, must fail
         # at the 17 values below 0.9, and stderr names the worst, a = 0.85
-        real = cli.problem_functional
+        real = radii.problem_functional
 
         def failing_off_grid(problem, r):
             evaluate = real(problem, r)
@@ -208,7 +210,7 @@ class TestVerifyCommand:
                 rep = evaluate(a)
                 return rep if a in DEFAULT_A_GRID else FunctionalReport.compare(1.0 + a, 1.0)
             return report
-        monkeypatch.setattr(cli, "problem_functional", failing_off_grid)
+        monkeypatch.setattr(radii, "problem_functional", failing_off_grid)
         code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0")
         summary = json.loads(out)["summary"]
         assert code == 4
@@ -220,7 +222,7 @@ class TestVerifyCommand:
     def test_missing_witness_is_reported(self, capsys, monkeypatch):
         # a functional that never fails leaves the probe above the radius
         # without a witness
-        monkeypatch.setattr(cli, "problem_functional",
+        monkeypatch.setattr(radii, "problem_functional",
                             lambda problem, r: lambda a: FunctionalReport.compare(0.0, 1.0))
         code, out, err = run_cli(capsys, "verify", "--family", "bohr", "--gamma", "0")
         summary = json.loads(out)["summary"]
@@ -560,6 +562,29 @@ def test_readme_read_options_table_matches_reads():
                 for command, (selector, reads) in cli.READS.items() for choice in reads}
     assert len(listed) == len(expected)
     assert dict(listed) == expected
+
+
+def private_library_imports(source):
+    """module.name of each _-prefixed name that source imports from a bohrad module."""
+    return [f"{'.' * node.level}{node.module or ''}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("bohrad"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_cli_imports_no_private_library_name():
+    # the CLI parses and renders; what it needs of the library is public
+    assert private_library_imports(Path(cli.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .functionals import MuFunction, _first_violation", [".functionals._first_violation"]),
+    ("from bohrad.series import _check_param as check", ["bohrad.series._check_param"]),
+    ("from .radii import verify\nfrom json import _default_decoder", []),
+])
+def test_the_import_guard_sees_a_private_name(source, found):
+    assert private_library_imports(source) == found
 
 
 class TestParserCache:

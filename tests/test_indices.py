@@ -158,7 +158,7 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
     pytest.param(lambda: per_function_radius(COEFFS, MONOMIAL, 1.0, math.inf), DomainError,
                  r"^q must lie in \(0, inf\), got inf$", id="per-function-q-inf"),
     pytest.param(lambda: bloch_majorant_check(SMALL, math.nan, DISK, 0.5, 0.2), DomainError,
-                 r"^bloch_norm_budget must lie in \(-inf, 1 \+ 1e-12\], got nan$",
+                 r"^bloch_norm_budget must lie in \[0, 1 \+ 1e-12\], got nan$",
                  id="bloch-budget"),
     pytest.param(lambda: gamma_equation_value(0.3, 0.5, 2.0), DomainError,
                  r"^radius must lie in \[0, 1\), got 2.0$", id="gamma-equation-r"),

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, HyperbolicDensity, MatrixCoeffFn,
-                    MuFunction, PhiSequence, RadiusProblem, area_poly_coeffs, area_scale,
+                    MuFunction, PhiSequence, PolySpec, RadiusProblem, area_poly_coeffs, area_scale,
                     bloch_majorant_check, bohr_energy_functional, check_coeff_bound,
                     closed_form_radius, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
-                    bohr_beta_functional, monotonicity_check, non_improvable, operator_norm,
+                    bohr_beta_functional, calibrate_area_poly, monotonicity_check,
+                    non_improvable, operator_norm,
                     per_function_radius, point_eval_bound, radius_refined, radius_rogosinski,
                     refined_at, rogosinski_at, sharpness_probe)
 from bohrad.bloch import gamma_equation_value
@@ -98,6 +99,11 @@ def per_function(**kwargs):
                                               HyperbolicDensity.unit_disk(), 0.5, 0.2),
                  InvalidTestFunctionError, r"^\|\|A_0\|\| already exceeds the norm budget$",
                  id="bloch-head-over-budget"),
+    # a budget no Bloch norm can meet is the caller's fault, not the test function's
+    pytest.param(lambda: bloch_majorant_check(CoeffSeries((0.0, 0.1)), -0.5,
+                                              HyperbolicDensity.unit_disk(), 0.5, 0.2),
+                 DomainError, r"^bloch_norm_budget must lie in \[0, 1 \+ 1e-12\], got -0.5$",
+                 id="bloch-negative-budget"),
     pytest.param(lambda: RadiusProblem(MONOMIAL, 1.0, equation_kind="schwarz"),
                  ConfigurationError, "^unknown equation kind 'schwarz'$", id="problem-kind"),
     pytest.param(lambda: radius_rogosinski(REFINED), ConfigurationError,
@@ -191,8 +197,9 @@ PARAMS = {"gamma": ("[0, 1)", -5e-324, 1.0, 0.3),
           "mu": ("[0, inf)", -5e-324, math.inf, 0.5),
           "r:probe": ("(0, 1)", 0.0, 1.0, 0.5),
           "tail_geometric_ratio": ("[0, 1)", -5e-324, 1.0, 0.5),
-          "bloch_norm_budget": ("(-inf, 1 + 1e-12]", -math.inf,
-                                math.nextafter(1.0 + 1e-12, 2.0), 1.0)}
+          "bloch_norm_budget": ("[0, 1 + 1e-12]", -5e-324, math.nextafter(1.0 + 1e-12, 2.0),
+                                1.0),
+          "c": ("(0, inf)", 0.0, math.inf, 0.1)}
 DISK = HyperbolicDensity.unit_disk()
 RISING, FALLING = (lambda r: r - 0.3), (lambda r: 0.3 - r)
 # every entry point of a row, as (row key, call with that argument at x, the output that
@@ -254,6 +261,8 @@ PARAM_SITES = {
         (0.5, 0.25), 0, x).tail_geometric_ratio),
     "bloch_majorant_check.bloch_norm_budget": ("bloch_norm_budget", lambda x: bloch_majorant_check(
         CoeffSeries((0.0, 0.1)), x, DISK, 0.5, 0.2).value),
+    "PolySpec.c": ("c", lambda x: PolySpec((0.5, x)).coefficients[1]),
+    "calibrate_area_poly.c": ("c", lambda x: calibrate_area_poly((x,)).coefficients[1]),
 }
 
 

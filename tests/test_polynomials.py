@@ -52,7 +52,7 @@ class TestAreaPolyCoeffs:
             area_poly_coeffs(0.0, 1)
         with pytest.raises(ConfigurationError):
             PolySpec(())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match=r"^c must lie in \(0, inf\), got 0.0$"):
             PolySpec((0.0,))
 
 
@@ -128,7 +128,7 @@ class TestCalibration:
             assert abs(calibration_residual(spec)) <= 1e-12
 
     def test_rejects_nonpositive_tail(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match=r"^c must lie in \(0, inf\), got 0.0$"):
             calibrate_area_poly((0.0,))
 
 

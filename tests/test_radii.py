@@ -1,6 +1,7 @@
-"""Radius equations, closed forms, reference tables, and r_p bounds."""
+"""Radius equations, closed forms, reference tables, r_p bounds, and verify."""
 
 import collections
+import json
 import math
 import re
 import time
@@ -10,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrad import (BUILTIN_PHI, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_QUADRATIC, DomainSpec,
-                    MuFunction, PhiSequence, RadiusProblem, RootResult, closed_form_radius,
-                    decreasing_root, min_positive_root, non_improvable, radius_refined,
-                    radius_rogosinski, reproduce_all_tables, reproduce_table, rp_bounds)
+from bohrad import (BUILTIN_PHI, DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR,
+                    WEIGHTED_QUADRATIC, DomainSpec, FunctionalReport, MuFunction, PhiSequence,
+                    RadiusProblem, RootResult, closed_form_radius, decreasing_root,
+                    min_positive_root, non_improvable, radius_refined, radius_rogosinski,
+                    reproduce_all_tables, reproduce_table, rp_bounds, verify)
 from bohrad import phi as phi_module
-from bohrad import optimize, radii
+from bohrad import cli, optimize, radii
 from bohrad.errors import ConfigurationError, DomainError, NonConvergenceError, NoRootError
 from bohrad.phi import GEOMETRIC_FORMS, phi_tail, phi_term
-from bohrad.radii import REFERENCE_TABLES, refined_equation, rogosinski_equation
+from bohrad.radii import REFERENCE_TABLES, VERIFY_A_GRID, refined_equation, rogosinski_equation
 from bohrad.series import TRUNCATION_N, _check_radius
 
 GAMMAS = [0.1 * k for k in range(10)]
@@ -297,6 +299,126 @@ class TestProblemValidation:
             RadiusProblem(MONOMIAL, 1.0, m=1, N=0, equation_kind="rogosinski")
         with pytest.raises(DomainError):
             RadiusProblem(MONOMIAL, 1.0, m=0, equation_kind="rogosinski")
+
+
+class TestVerify:
+    """radii.verify, the library check that bohrad verify renders."""
+
+    # (CLI argv after --family, the same check as a library call); one run per family
+    RUNS = {
+        "bohr": (("--gamma", "0.5"),
+                 lambda: verify(RadiusProblem(MONOMIAL, 1.0, domain=DomainSpec.omega_gamma(0.5)))),
+        "refined": (("--m", "1", "--mu-const", "1", "--gamma", "0"),
+                    lambda: verify(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0))),
+        "rogosinski": (("--p", "1", "--m", "1", "--mu-const", "1"),
+                       lambda: verify(RadiusProblem(MONOMIAL, 1.0, m=1, mu=1.0,
+                                                    equation_kind="rogosinski"))),
+        "area-poly": (("--gamma", "0.3"), lambda: verify("area-poly", 0.3)),
+        "beta-square": (("--gamma", "0"), lambda: verify("beta-square")),
+        "energy": (("--gamma", "0.85"), lambda: verify("energy", 0.85)),
+    }
+    NEAR_ONE = RadiusProblem(MONOMIAL, 2.0, m=1, mu=1e-6, equation_kind="rogosinski")
+    SMALL = RadiusProblem(WEIGHTED_LINEAR, 2.0, m=10, mu=100.0, equation_kind="rogosinski")
+
+    @staticmethod
+    def summary(family, argv, capsys):
+        code = cli.main(["verify", "--family", family, *argv])
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary.pop("family") == family
+        return code, summary
+
+    def test_every_cli_family_is_a_library_family(self):
+        assert set(self.RUNS) == set(cli.VERIFY_FAMILIES)
+
+    @pytest.mark.parametrize("family", RUNS)
+    def test_the_report_is_the_cli_summary(self, capsys, family):
+        argv, run = self.RUNS[family]
+        report = run()
+        code, summary = self.summary(family, argv, capsys)
+        assert cli._sig9({k: v for k, v in vars(report).items() if k != "worst_a"}) == summary
+        assert report.passed and code == 0
+        assert report.checked == len(VERIFY_A_GRID) == 23
+        assert report.witness_a in DEFAULT_A_GRID
+
+    def test_a_radius_within_the_offset_of_one_has_no_probe_above(self, capsys):
+        # R + 0.01 >= 1: the family has no point there, so no witness is sought
+        report = verify(self.NEAR_ONE)
+        assert round(report.radius, 6) == 0.998587
+        assert (report.r_above, report.witness_a, report.failures, report.passed) \
+            == (None, None, 0, True)
+        code, summary = self.summary("rogosinski", ("--p", "2", "--m", "1", "--N", "1",
+                                                    "--mu-const", "1e-6"), capsys)
+        assert code == 0 and summary["r_above"] is None and summary["passed"] is True
+
+    @pytest.mark.parametrize("subject, gamma, R", [
+        (RadiusProblem(MONOMIAL, 1.0), 0.0, 1.0 / 3.0),
+        ("energy", 0.0, 1.0 / 3.0),
+        ("area-poly", 0.3, 1.3 / 3.3),
+        (SMALL, 0.0, None),  # R < 0.02, so r_below is R/2
+        (NEAR_ONE, 0.0, None),  # R + 0.01 > 1, so there is no r_above
+    ])
+    def test_the_probes_sit_a_hundredth_from_the_radius(self, subject, gamma, R):
+        report = verify(subject, gamma)
+        assert report.passed
+        if R is not None:
+            assert report.radius == pytest.approx(R, rel=1e-15)
+        R = report.radius
+        assert report.r_below == max(R - 0.01, R / 2.0)
+        assert report.r_above == (R + 0.01 if R + 0.01 < 1.0 else None)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_beta_defaults_to_and_is_bounded_by_a_quarter_over_lambda(self, gamma):
+        quarter = (1.0 + gamma) / 4.0  # 1/(4 lambda_H), lambda_H = 1/(1 + gamma)
+        assert verify("beta-square", gamma) == verify("beta-square", gamma, beta=quarter)
+        assert verify("beta-square", gamma, beta=quarter / 2.0).passed
+        for beta in (quarter + 1e-9, 1.2 * quarter, 1.9 * quarter):
+            with pytest.raises(ConfigurationError,
+                               match=r"^beta must be at most 1/\(4 lambda_h\)$"):
+                verify("beta-square", gamma, beta=beta)
+
+    def test_a_nan_beta_is_refused_by_its_row(self):
+        with pytest.raises(DomainError, match=r"^beta must lie in \[0, inf\), got nan$"):
+            verify("beta-square", beta=math.nan)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: verify("tables"), "^unknown verify family 'tables'$"),
+        (lambda: verify(RadiusProblem(MONOMIAL, 1.0), 0.5),
+         "^a RadiusProblem reads no gamma, degree or beta$"),
+        (lambda: verify(RadiusProblem(MONOMIAL, 1.0), beta=0.1),
+         "^a RadiusProblem reads no gamma, degree or beta$"),
+        (lambda: verify(RadiusProblem(MONOMIAL, 1.0, domain=DomainSpec.general(2.0))),
+         "^no extremal family is constructible for a general lambda_h$"),
+    ])
+    def test_a_check_it_cannot_make_raises(self, call, match):
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+
+    @pytest.mark.parametrize("family, functional", [
+        ("area-poly", "bohr_area_functional"), ("beta-square", "bohr_beta_functional"),
+        ("energy", "bohr_energy_functional")])
+    def test_each_functional_is_looked_up_when_called(self, monkeypatch, family, functional):
+        # a patch of the module attribute, as a tracer makes, sees every evaluation: the 23
+        # below the radius and the witness search, up to its witness
+        calls = []
+        real = getattr(radii, functional)
+        monkeypatch.setattr(radii, functional, lambda *args: calls.append(1) or real(*args))
+        report = verify(family)
+        assert len(calls) == 23 + DEFAULT_A_GRID.index(report.witness_a) + 1
+
+    def test_a_family_that_never_fails_does_not_pass(self, monkeypatch):
+        monkeypatch.setattr(radii, "problem_functional",
+                            lambda problem, r: lambda a: FunctionalReport.compare(0.0, 1.0))
+        report = verify(RadiusProblem(MONOMIAL, 1.0))
+        assert (report.failures, report.witness_a, report.passed) == (0, None, False)
+
+    def test_a_failure_below_the_radius_names_the_worst_a(self, monkeypatch):
+        monkeypatch.setattr(radii, "problem_functional",
+                            lambda problem, r: lambda a: FunctionalReport.compare(1.0 + a, 1.0))
+        report = verify(RadiusProblem(MONOMIAL, 1.0))
+        assert (report.failures, report.checked, report.passed) == (23, 23, False)
+        worst = VERIFY_A_GRID[-1]
+        assert (report.worst_a, report.worst_margin) == (worst, 1.0 - (1.0 + worst))
+        assert report.witness_a == DEFAULT_A_GRID[0]
 
 
 VALID_M = {"monomial": (0, 1, 2, 3), "weighted_linear": (0, 1, 2, 3),
