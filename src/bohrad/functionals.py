@@ -5,7 +5,10 @@ the right-hand side of the inequality it belongs to.  Probes evaluate a
 functional along the extremal Mobius family and hunt for a violation
 just beyond a claimed radius.  Binders take the radius r and return
 coeffs -> report (``refined_at``, ``rogosinski_at``) or a -> report
-(``problem_functional``), with every r-only value computed once.
+(``problem_functional``), with every check and r-only value computed
+once.  For a built-in weight, a -> report then computes per a only the
+extremal family's three numbers and their closed-form sums, with no
+series built; a custom weight builds the family at each a and sums it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .errors import ConfigurationError, DomainError
 from .phi import MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, refined_sum, term_at
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_param,
-                     _check_radius, _trusted, mobius_gamma_coeffs, norm_sum, point_eval_bound,
-                     s_r)
+                     _check_radius, _mobius_norms, _trusted, mobius_gamma_coeffs, norm_sum,
+                     point_eval_bound, s_r)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
@@ -171,18 +174,12 @@ def refined_at(phi: PhiSequence, p: float, m: int, mu,
     """coeffs -> refined_functional(coeffs, phi, p, m, mu, r), bound once.
 
     Every check and every value that depends on r alone is resolved
-    here, once: p, m, mu (a bare callable is screened here), r, phi_m(r),
-    mu(r), the majorant's weight and the refinement weight's r-part.
-    Each series is then checked for a vanishing head, and both sums run
-    from m + 1 with the bound weights.
+    once, by ``_bind_refined``: p, m, mu (a bare callable is screened
+    there), r, phi_m(r), mu(r), the majorant's weight and the refinement
+    weight's r-part.  Each series is then checked for a vanishing head,
+    and both sums run from m + 1 with the bound weights.
     """
-    p = _check_param("p", p)
-    _check_index("m", m)
-    mu = MuFunction.of(mu)
-    _check_radius(r)
-    # one tuple, not a closure cell per value: the cells, or a closure per
-    # sum, made a one-shot call of the functional measurably slower
-    bound = (p, m, term_at(phi, m)(r), phi_weight(phi, r), _refined_weight(phi, r), mu(r))
+    bound = _bind_refined(phi, p, m, mu, r)
 
     def evaluate(coeffs):
         p, m, phi_m, weight, refined_weight, mu_r = bound
@@ -194,6 +191,18 @@ def refined_at(phi: PhiSequence, p: float, m: int, mu,
         value = phi_m * am**p + norm_sum(coeffs, weight, m + 1) + mu_r * refined
         return FunctionalReport.compare(value, phi_m)
     return evaluate
+
+
+def _bind_refined(phi, p, m, mu, r):
+    """refined_at's checks, in its order, and its r-only values, as one tuple
+    (p, m, phi_m(r), weight, refined weight, mu(r)): the cells of a closure per
+    value, or a closure per sum, made a one-shot call of the functional measurably
+    slower."""
+    p = _check_param("p", p)
+    _check_index("m", m)
+    mu = MuFunction.of(mu)
+    _check_radius(r)
+    return p, m, term_at(phi, m)(r), phi_weight(phi, r), _refined_weight(phi, r), mu(r)
 
 
 def rogosinski_functional(coeffs: CoeffSeries, phi: PhiSequence, p: float,
@@ -215,16 +224,11 @@ def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
 
     As refined_at: the checks, phi_0(r), r^omega_order (where
     schwarz_composed_bound takes the point bound), mu(r) and the
-    majorant's weight are resolved here; each series is then only
-    bounded at r^omega_order and summed from N (or its start, if later).
+    majorant's weight are resolved once, by ``_bind_rogosinski``; each
+    series is then only bounded at r^omega_order and summed from N (or
+    its start, if later).
     """
-    p = _check_param("p", p)
-    _check_index("N", N, 1)
-    mu = MuFunction.of(mu)
-    _check_radius(r)
-    phi_0 = term_at(phi, 0)(r)
-    _check_index("omega_order", omega_order, 1)
-    bound = (p, N, phi_0, r**omega_order, phi_weight(phi, r), mu(r))  # one tuple, as in refined_at
+    bound = _bind_rogosinski(phi, p, N, omega_order, mu, r)
 
     def evaluate(coeffs):
         p, N, phi_0, r_k, weight, mu_r = bound
@@ -232,6 +236,18 @@ def rogosinski_at(phi: PhiSequence, p: float, N: int, omega_order: int, mu,
         value = head + mu_r * norm_sum(coeffs, weight, max(N, coeffs.start_index))
         return FunctionalReport.compare(value, phi_0)
     return evaluate
+
+
+def _bind_rogosinski(phi, p, N, omega_order, mu, r):
+    """rogosinski_at's checks, in its order, and its r-only values, as one tuple
+    (p, N, phi_0(r), r^omega_order, weight, mu(r)), as in _bind_refined."""
+    p = _check_param("p", p)
+    _check_index("N", N, 1)
+    mu = MuFunction.of(mu)
+    _check_radius(r)
+    phi_0 = term_at(phi, 0)(r)
+    _check_index("omega_order", omega_order, 1)
+    return p, N, phi_0, r**omega_order, phi_weight(phi, r), mu(r)
 
 
 CLASSICAL_VARIANTS = ("bohr", "paulsen", "kayumov_ponnusamy", "refined_square",
@@ -329,7 +345,9 @@ def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID):
 
     Binds problem_functional(problem, r) once, evaluates the extremal
     Mobius family at each a in grid order and returns the first a with
-    value > rhs + VIOLATION_TOL, or None.
+    value > rhs + VIOLATION_TOL, or None.  The bind does the checks and
+    the r-only work; per a, a built-in weight costs the family's three
+    numbers and closed-form sums, and a custom weight a built series.
     """
     return _first_violation(problem_functional(problem, _check_param("r:probe", r)), a_grid)
 
@@ -351,18 +369,88 @@ def problem_functional(problem: "RadiusProblem", r: float) -> Callable[[float], 
     """a -> report of the problem's functional on the extremal family at r, bound once.
 
     Refined problems use the family of ``family_gamma(problem.domain)``
-    shifted by m and bind ``refined_at``; Rogosinski problems use the
-    disk family with the problem's Schwarz order and bind
-    ``rogosinski_at``.  Each a then only builds the family and sums it.
+    shifted by m; Rogosinski problems use the disk family with the
+    problem's Schwarz order.  Bound once per r, as by ``refined_at`` /
+    ``rogosinski_at``: the checks, phi_m(r) or phi_0(r), mu(r), the
+    majorant's weight and its value at the first summed index, the
+    refinement weight's r-part and r^k for the point bound.  Per a, a
+    built-in weight computes only the family's ||A_0||, scale q and q
+    (``series._mobius_norms``), the refinement weight at ||A_0||, the
+    ``GeometricWeight.tail`` values and the fsums that ``norm_sum`` forms:
+    every report and exception is the binder's on
+    ``mobius_gamma_coeffs(a, gamma).shifted(m)``, bit for bit.  A custom
+    weight has no closed-form tail, so each a builds that series and the
+    binder sums it.
     """
     if problem.equation_kind == "rogosinski":
-        gamma, shift = 0.0, 0
-        bound = rogosinski_at(problem.phi, problem.p, problem.N, problem.m, problem.mu, r)
+        args = (problem.phi, problem.p, problem.N, problem.m, problem.mu, r)
+        if problem.phi.kind != "custom":
+            return _rogosinski_family(_bind_rogosinski(*args))
+        gamma, shift, evaluate_coeffs = 0.0, 0, rogosinski_at(*args)
     else:
-        gamma, shift = family_gamma(problem.domain), problem.m
-        bound = refined_at(problem.phi, problem.p, problem.m, problem.mu, r)
+        gamma = family_gamma(problem.domain)
+        args = (problem.phi, problem.p, problem.m, problem.mu, r)
+        if problem.phi.kind != "custom":
+            return _refined_family(_bind_refined(*args), gamma, r)
+        shift, evaluate_coeffs = problem.m, refined_at(*args)
 
     def evaluate(a):
         coeffs = mobius_gamma_coeffs(a, gamma)
-        return bound(coeffs.shifted(shift) if shift else coeffs)
+        return evaluate_coeffs(coeffs.shifted(shift) if shift else coeffs)
+    return evaluate
+
+
+# The two evaluators below are refined_at's and rogosinski_at's evaluate, and norm_sum,
+# written out with the same float operations for the series
+# mobius_gamma_coeffs(a, gamma).shifted(m): it stores ||A_m|| = a0 and
+# x = ||A_{m+1}|| = scale q, and norm(n) continues it as x * q**(n - m - 1).  A stored x
+# of 0.0 ends the series (CoeffSeries.is_finite), so no tail is added; else the tail from
+# the first unstored index N, norm(N)**power * weight.tail(N, q, power), follows the
+# stored term in the fsum.  A power of 1 returns its base exactly, so q**1 and y**1 are
+# written q and y.  The weights are GeometricWeights, whose value at the stored index is
+# that of GeometricWeight.values there.
+
+def _refined_family(bound, gamma, r):
+    """a -> refined_at(...)(mobius_gamma_coeffs(a, gamma).shifted(m)), built-in weight."""
+    p, m, phi_m, weight, refined_weight, mu_r = bound
+    n = m + 1
+    w_n = weight.values(n, n + 1)[0]
+    t_n = (r * r) ** n  # t = r^2 of the refinement weight, as _refined_weight forms it
+
+    def evaluate(a):
+        a0, scale, q = _mobius_norms(_check_param("a", a), gamma)
+        x = scale * q
+        sq = refined_weight(a0)
+        c0, c1, c2 = sq.c
+        sq_n = (c0 + n * (c1 + c2 * n)) * t_n if c1 or c2 else c0 * t_n
+        if x == 0.0:
+            refined, tail = math.fsum((x**2 * sq_n,)), math.fsum((x * w_n,))
+        else:
+            y = x * q  # norm(m + 2)
+            refined = math.fsum((x**2 * sq_n, y**2 * sq.tail(n + 1, q, 2)))
+            tail = math.fsum((x * w_n, y * weight.tail(n + 1, q, 1)))
+        return FunctionalReport.compare(phi_m * a0**p + tail + mu_r * refined, phi_m)
+    return evaluate
+
+
+def _rogosinski_family(bound):
+    """a -> rogosinski_at(...)(mobius_gamma_coeffs(a, 0.0)), built-in weight.
+
+    The disk family has a0 = a < 1, so the point bound's unit-ball check and
+    its clamp at 1 pass a0 unchanged, and x = (1 - a^2)/a * a > 0, so a tail
+    is always added.  Its sum from N holds the stored x only for N = 1; the
+    first unstored index is max(N, 2).
+    """
+    p, N, phi_0, r_k, weight, mu_r = bound
+    w_1 = weight.values(1, 2)[0] if N == 1 else None
+    first_unstored = max(N, 2)
+    k = first_unstored - 1
+
+    def evaluate(a):
+        a0, scale, q = _mobius_norms(_check_param("a", a), 0.0)
+        x = scale * q
+        rest = x * q**k * weight.tail(first_unstored, q, 1)
+        tail = math.fsum((x * w_1, rest) if N == 1 else (rest,))
+        head = ((a0 + r_k) / (1.0 + a0 * r_k)) ** p * phi_0
+        return FunctionalReport.compare(head + mu_r * tail, phi_0)
     return evaluate

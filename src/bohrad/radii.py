@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .functionals import (DEFAULT_A_GRID, MuFunction, _first_violation, bohr_area_functional,
-                          bohr_beta_functional, bohr_energy_functional, problem_functional)
+                          bohr_beta_functional, bohr_energy_functional, family_gamma,
+                          problem_functional)
 from .optimize import central_diff, grid_then_golden_min
 from .phi import BUILTIN_PHI, PhiSequence, _power_tail, ratio_form, tail_from, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
@@ -413,15 +414,20 @@ def verify(subject, gamma: float = 0.0, degree: int = 2, beta: float | None = No
     """Check a radius R sharp on the extremal family of its domain.
 
     subject is a RadiusProblem, solved with tol and scan_step and tested by
-    ``problem_functional`` on its own domain, or a family whose R is
+    ``problem_functional`` on its own domain (a refined problem on a domain
+    given by lambda_h has no extremal family and raises ConfigurationError
+    before the solve), or a family whose R is
     1/(1 + 2 lambda_H) on Omega_gamma: "area-poly" (of this degree),
     "beta-square" (beta at most, and by default, 1/(4 lambda_H)) or "energy".
     """
     if isinstance(subject, RadiusProblem):
         if (gamma, degree, beta) != (0.0, 2, None):
             raise ConfigurationError("a RadiusProblem reads no gamma, degree or beta")
-        solve = radius_refined if subject.equation_kind == "refined" else radius_rogosinski
-        radius = solve(subject, tol, scan_step).value
+        if subject.equation_kind == "refined":
+            family_gamma(subject.domain)  # a domain given by lambda_h has no family: raise now
+            radius = radius_refined(subject, tol, scan_step).value
+        else:
+            radius = radius_rogosinski(subject, tol, scan_step).value
         bind = lambda r: problem_functional(subject, r)
     else:  # each functional is looked up when called, not held in a table
         lam = DomainSpec.omega_gamma(gamma).effective_lambda

@@ -434,11 +434,7 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
     """
     a, gamma = _check_param("a", a), _check_param("gamma", gamma)
     _check_index("count", count, 1)
-    a0 = abs(a - gamma) / (1.0 - a * gamma)
-    scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
-    if not math.isfinite(scale):
-        raise DomainError(f"a = {a} is too small: the norm scale 1/a overflows")
-    q = a * (1.0 - gamma) / (1.0 - a * gamma)
+    a0, scale, q = _mobius_norms(a, gamma)
     norms = [a0, scale * q]
     for n in range(2, count + 1):
         power = q**n
@@ -449,6 +445,17 @@ def mobius_gamma_coeffs(a: float, gamma: float = 0.0, count: int = 1) -> CoeffSe
     # finite scale >= 0 times normal powers of q; q < 1, as a (1 - gamma) rounds below
     # 1 - gamma, which rounds no higher than 1 - a gamma (a test rebuilds the series)
     return _trusted(CoeffSeries, norms=tuple(norms), start_index=0, tail_geometric_ratio=q)
+
+
+def _mobius_norms(a, gamma):
+    """(||A_0||, scale, q) of the extremal family at a checked a and gamma, so that
+    ||A_n|| = scale q^n for n >= 1; an a whose scale overflows raises DomainError.
+    mobius_gamma_coeffs and functionals.problem_functional both take the norms here."""
+    a0 = abs(a - gamma) / (1.0 - a * gamma)
+    scale = (1.0 - a * a) / (a * (1.0 - a * gamma))
+    if not math.isfinite(scale):
+        raise DomainError(f"a = {a} is too small: the norm scale 1/a overflows")
+    return a0, scale, a * (1.0 - gamma) / (1.0 - a * gamma)
 
 
 def s_r(coeffs: CoeffSeries, r: float, include_pi: bool = False) -> float:

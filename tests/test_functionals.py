@@ -1,6 +1,7 @@
 """Inequality left-hand sides, equality cases, and sharpness probes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -769,18 +770,21 @@ class TestTwoNormFamilyCustomWeights:
 
 
 def outcome(call):
-    """repr of call()'s result, or the type of the exception it raised."""
+    """repr of call()'s result, or the type and message of the exception it raised."""
     try:
         return repr(call())
-    except Exception as exc:  # every outcome is compared, raised ones by type
-        return type(exc)
+    except Exception as exc:  # every outcome is compared, raised ones by type and message
+        return type(exc), str(exc)
 
 
 def refined_composition(coeffs, phi, p, m, mu, r):
-    """The refined functional composed from the public sums, its tail summed from m + 1."""
+    """The refined functional composed from the public sums, its tail summed from m + 1;
+    the refinement term is summed first, as refined_at sums it, so a failing sum raises
+    the same message."""
     am, phi_m = coeffs.norm(m), phi_term(phi, m, r)
+    refined = refined_sum(coeffs, phi, m, r)
     value = (phi_m * am**p + norm_sum(coeffs, phi_weight(phi, r), m + 1)
-             + MuFunction.of(mu)(r) * refined_sum(coeffs, phi, m, r))
+             + MuFunction.of(mu)(r) * refined)
     return FunctionalReport.compare(value, phi_m)
 
 
@@ -829,7 +833,7 @@ def assert_agrees_within_ulps(report_call, old_call, ulps, whole_sum):
     try:
         old, scale = old_call()
     except Exception as exc:  # the same inputs raise the same type
-        assert outcome(report_call) == type(exc)
+        assert outcome(report_call)[0] is type(exc)
         return
     try:
         value = report_call().value
@@ -852,7 +856,8 @@ def callable_mu(mu, fn):
 
 
 class TestBoundFunctionals:
-    """The binders refined_at/rogosinski_at, and problem_functional, which binds one of them at r."""
+    """The binders refined_at/rogosinski_at, and problem_functional, which binds their
+    checks and r-only values at r and then evaluates the extremal family at each a."""
 
     @settings(max_examples=250, deadline=None)
     @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
@@ -860,18 +865,28 @@ class TestBoundFunctionals:
            st.floats(0.0, 2.0, exclude_min=True), MU)
     @example("monomial", 1.0 - 1e-6, 0.0, 0.999, 0, 1.0, 1.0)
     @example("custom", 1.0 - 1e-6, 0.5, 0.3, 5, 0.5, "wrapped")
+    # each branch of problem_functional's per-a evaluator for a built-in weight: a scale
+    # that overflows, m = 0 and 5, gamma = 0.99, a = 1 - 1e-6, and ||A_{m+1}|| = 0.0
+    # (q underflows), where the series ends and no tail is added
+    @example("monomial", 1e-310, 0.0, 0.5, 0, 1.0, 1.0)
+    @example("odd_only", 1e-310, 0.99, 0.5, 1, 1.0, "bare")
+    @example("weighted_linear", 0.9, 0.3, 0.4, 0, 1.5, 2.0)
+    @example("weighted_quadratic", 0.95, 0.5, 0.3, 5, 0.7, "bare")
+    @example("even_only", 0.999, 0.99, 0.6, 2, 1.0, 1.0)
+    @example("odd_only", 1.0 - 1e-6, 0.99, 0.95, 5, 2.0, "wrapped")
+    @example("weighted_linear", 1e-308, 1.0 - 2.0**-53, 0.5, 1, 1.3, 2.0)
     def test_refined_is_the_composition_bit_for_bit(self, kind, a, gamma, r, m, p, mu):
         phi = BOUND_PHI[kind]
         mu = callable_mu(mu, lambda t: 1.0 + t * t)
-        coeffs = mobius_gamma_coeffs(a, gamma).shifted(m)
-        want = outcome(lambda: refined_composition(coeffs, phi, p, m, mu, r))
-        assert outcome(lambda: refined_functional(coeffs, phi, p, m, mu, r)) == want
-        assert outcome(lambda: refined_at(phi, p, m, mu, r)(coeffs)) == want
+        family = lambda: mobius_gamma_coeffs(a, gamma).shifted(m)  # raised inside outcome
+        want = outcome(lambda: refined_composition(family(), phi, p, m, mu, r))
+        assert outcome(lambda: refined_functional(family(), phi, p, m, mu, r)) == want
+        assert outcome(lambda: refined_at(phi, p, m, mu, r)(family())) == want
         problem = RadiusProblem(phi, p, m=m, mu=mu, domain=DomainSpec.omega_gamma(gamma))
         assert outcome(lambda: problem_functional(problem, r)(a)) == want
-        assert_agrees_within_ulps(lambda: refined_functional(coeffs, phi, p, m, mu, r),
-                                  lambda: refined_by_subtraction(coeffs, phi, p, m, mu, r),
-                                  REFINED_ULPS, lambda: majorant(coeffs, phi, r))
+        assert_agrees_within_ulps(lambda: refined_functional(family(), phi, p, m, mu, r),
+                                  lambda: refined_by_subtraction(family(), phi, p, m, mu, r),
+                                  REFINED_ULPS, lambda: majorant(family(), phi, r))
 
     @settings(max_examples=250, deadline=None)
     @given(st.sampled_from(sorted(BOUND_PHI)), FAMILY_A,
@@ -879,18 +894,25 @@ class TestBoundFunctionals:
            st.floats(0.0, 2.0, exclude_min=True), MU)
     @example("odd_only", 1.0 - 1e-6, 0.999, 1, 1, 2.0, 3.0)
     @example("custom", 4.341608328005024e-91, 0.96875, 5, 1, 1.0, 0.0)  # ||A_5|| underflows
+    # each branch of the per-a evaluator for a built-in weight: a scale that overflows,
+    # N = 1 (the stored ||A_1|| is summed) and N >= 2 (no stored norm), a = 1 - 1e-6
+    @example("monomial", 1e-310, 0.5, 1, 1, 1.0, 1.0)
+    @example("weighted_linear", 0.9, 0.4, 1, 2, 1.5, 0.5)
+    @example("even_only", 0.95, 0.3, 3, 1, 0.8, "wrapped")
+    @example("weighted_quadratic", 1.0 - 1e-6, 0.5, 4, 5, 1.0, "bare")
     def test_rogosinski_is_the_composition_bit_for_bit(self, kind, a, r, N, k, p, mu):
         phi = BOUND_PHI[kind]
         mu = callable_mu(mu, lambda t: 0.5 + t)
-        coeffs = mobius_gamma_coeffs(a, 0.0)
-        want = outcome(lambda: rogosinski_composition(coeffs, phi, p, N, k, mu, r))
-        assert outcome(lambda: rogosinski_functional(coeffs, phi, p, N, k, mu, r)) == want
-        assert outcome(lambda: rogosinski_at(phi, p, N, k, mu, r)(coeffs)) == want
+        family = lambda: mobius_gamma_coeffs(a, 0.0)  # raised inside outcome
+        want = outcome(lambda: rogosinski_composition(family(), phi, p, N, k, mu, r))
+        assert outcome(lambda: rogosinski_functional(family(), phi, p, N, k, mu, r)) == want
+        assert outcome(lambda: rogosinski_at(phi, p, N, k, mu, r)(family())) == want
         problem = RadiusProblem(phi, p, m=k, N=N, mu=mu, equation_kind="rogosinski")
         assert outcome(lambda: problem_functional(problem, r)(a)) == want
-        assert_agrees_within_ulps(lambda: rogosinski_functional(coeffs, phi, p, N, k, mu, r),
-                                  lambda: rogosinski_by_truncation(coeffs, phi, p, N, k, mu, r),
-                                  ROGOSINSKI_ULPS, lambda: majorant(coeffs, phi, r))
+        assert_agrees_within_ulps(lambda: rogosinski_functional(family(), phi, p, N, k, mu, r),
+                                  lambda: rogosinski_by_truncation(family(), phi, p, N, k, mu,
+                                                                   r),
+                                  ROGOSINSKI_ULPS, lambda: majorant(family(), phi, r))
 
     # each input is invalid in one way; the types are those the functionals
     # raised before they were bound: a check moved into a binder raises as before
@@ -976,21 +998,35 @@ class TestBoundFunctionals:
         monkeypatch.setattr(functionals, name, counted)
         return calls
 
-    @pytest.mark.parametrize("problem, r", [
+    # probes that find no violation, so every a of DEFAULT_A_GRID is evaluated
+    GRID_PROBES = [
         (RadiusProblem(MONOMIAL, 1.0), 1.0 / 3.0 - 0.02),
-        (RadiusProblem(EVEN_ONLY, 1.0, m=2, N=2, mu=1.0, equation_kind="rogosinski"), 0.05)])
-    def test_a_full_grid_probe_binds_once(self, monkeypatch, problem, r):
-        binder = "rogosinski_at" if problem.equation_kind == "rogosinski" else "refined_at"
-        binds = self.count_calls(monkeypatch, binder)
-        weights = self.count_calls(monkeypatch, "phi_weight")
-        assert sharpness_probe(problem, r) is None  # every a of DEFAULT_A_GRID evaluated
-        assert (len(binds), len(weights)) == (1, 1)
+        (RadiusProblem(EVEN_ONLY, 1.0, m=2, N=2, mu=1.0, equation_kind="rogosinski"), 0.05)]
+    # the same weights as custom kinds, without a closed-form tail
+    AS_CUSTOM = {"monomial": CUSTOM_MONOMIAL[0],
+                 "even_only": PhiSequence("custom", custom_term=lambda n, r: (n + 1) % 2 * r**n)}
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
+    @pytest.mark.parametrize("problem, r", GRID_PROBES, ids=["refined", "rogosinski"])
+    def test_a_full_grid_probe_binds_once(self, monkeypatch, problem, r, custom):
+        # per a, a built-in weight takes the family's three numbers and builds no series; a
+        # custom one builds the series and sums it with norm_sum: its tail, and for a
+        # refined problem its refinement term too
+        if custom:
+            problem = dataclasses.replace(problem, phi=self.AS_CUSTOM[problem.phi.kind])
+        rogosinski = problem.equation_kind == "rogosinski"
+        calls = [self.count_calls(monkeypatch, name) for name in (
+            "_bind_rogosinski" if rogosinski else "_bind_refined", "phi_weight",
+            "mobius_gamma_coeffs", "norm_sum")]
+        builds, sums = (6, 6 if rogosinski else 12) if custom else (0, 0)
+        assert sharpness_probe(problem, r) is None
+        assert list(map(len, calls)) == [1, 1, builds, sums]
         evaluate = problem_functional(problem, r)
         assert all(evaluate(a).satisfied for a in DEFAULT_A_GRID)
-        assert (len(binds), len(weights)) == (2, 2)
+        assert list(map(len, calls)) == [2, 2, 2 * builds, 2 * sums]
 
     def test_verify_refined_binds_once_per_radius(self, monkeypatch):
-        binds = self.count_calls(monkeypatch, "refined_at")
+        binds = self.count_calls(monkeypatch, "_bind_refined")
         weights = self.count_calls(monkeypatch, "phi_weight")
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -393,6 +393,15 @@ class TestVerify:
         with pytest.raises(ConfigurationError, match=match):
             call()
 
+    def test_a_domain_without_a_family_is_refused_before_the_solve(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("verify solved a problem it cannot check")
+        monkeypatch.setattr(radii, "radius_refined", unreachable)
+        monkeypatch.setattr(radii, "radius_rogosinski", unreachable)
+        with pytest.raises(ConfigurationError,
+                           match="^no extremal family is constructible for a general lambda_h$"):
+            verify(RadiusProblem(MONOMIAL, 1.0, domain=DomainSpec.general(2.0)))
+
     @pytest.mark.parametrize("family, functional", [
         ("area-poly", "bohr_area_functional"), ("beta-square", "bohr_beta_functional"),
         ("energy", "bohr_energy_functional")])

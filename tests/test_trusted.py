@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrad import (DEFAULT_A_GRID, EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec,
-                    FunctionalReport, MatrixCoeffFn, MuFunction, RadiusProblem, RootResult,
-                    diag_blend_coeffs, majorant, min_positive_root, mobius_gamma_coeffs,
-                    refined_functional, rogosinski_functional, s_r, sharpness_probe)
+                    FunctionalReport, MatrixCoeffFn, MuFunction, PhiSequence, RadiusProblem,
+                    RootResult, diag_blend_coeffs, majorant, min_positive_root,
+                    mobius_gamma_coeffs, refined_functional, rogosinski_functional, s_r,
+                    sharpness_probe)
 from bohrad.errors import DomainError
 from bohrad import functionals
 
@@ -116,18 +117,26 @@ class TestValidatorRunsOnlyAtTheBoundary:
                             lambda self: calls.append(self) or check(self))
         return calls
 
+    # the two weights as custom kinds, which have no closed-form tail
+    AS_CUSTOM = {"even_only": PhiSequence("custom", custom_term=lambda n, r: (n + 1) % 2 * r**n),
+                 "monomial": PhiSequence("custom", custom_term=lambda n, r: r**n)}
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
     @pytest.mark.parametrize("problem", [
         RadiusProblem(EVEN_ONLY, 1.0, m=2, mu=0.5, domain=DomainSpec.omega_gamma(0.3)),
         RadiusProblem(MONOMIAL, 1.0, m=2, N=2, mu=0.3, equation_kind="rogosinski"),
     ], ids=["refined-shifted", "rogosinski"])
-    def test_full_grid_sharpness_probe(self, post_inits, monkeypatch, problem):
+    def test_full_grid_sharpness_probe(self, post_inits, monkeypatch, problem, custom):
+        # a custom weight builds the family at each a, a built-in one builds no series
+        if custom:
+            problem = dataclasses.replace(problem, phi=self.AS_CUSTOM[problem.phi.kind])
         seen = []
         build = functionals.mobius_gamma_coeffs
         monkeypatch.setattr(functionals, "mobius_gamma_coeffs",
                             lambda a, gamma: seen.append(a) or build(a, gamma))
         # r = 0.05 lies below both radii, so the probe walks the whole grid
         assert sharpness_probe(problem, 0.05) is None
-        assert seen == list(DEFAULT_A_GRID)
+        assert seen == (list(DEFAULT_A_GRID) if custom else [])
         assert post_inits == []
 
     def test_functionals_and_blends(self, post_inits):
