@@ -37,10 +37,10 @@ import numpy as np
 from .errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
                      SingularIntegrandError)
 from .functionals import FunctionalReport, MuFunction, majorant
-from .phi import MONOMIAL
+from .phi import MONOMIAL, phi_weight
 from .roots import RootResult, increasing_root, min_positive_root
 from .series import (CoeffSeries, GeometricWeight, _check_index, _check_param, _check_radius,
-                     ratio_sum, s_r)
+                     norm_sum, ratio_sum, s_r)
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
 # threshold in the majorant equation
@@ -282,19 +282,19 @@ def derivative_majorant(coeffs: CoeffSeries, t):
 
 def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
                          density: HyperbolicDensity, nu: float, r: float,
-                         mu=None, refined: bool = False,
+                         mu=0.0, refined: bool = False,
                          grid_radii: int = 64) -> FunctionalReport:
     """Majorant check for a Bloch-normalized test function.
 
     First verifies on a radial grid of |z| <= 0.999 that the derivative
     majorant stays below (budget - ||A_0||) * lambda^nu (the hypothesis
     the radii rely on), in one array pass over the whole grid; raises
-    InvalidTestFunctionError at the first failing radius otherwise.  The
-    plain check compares sum ||A_s|| r^s with 1; the refined variant
-    adds the tail majorant and mu(r) times the planar Dirichlet integral
-    pi * sum s ||A_s||^2 r^{2s}, with the full majorant standing in for
-    ||f(z)||.  A nu outside (0, 1], or a budget outside [0, 1 + 1e-12], raises
-    DomainError before any work.
+    InvalidTestFunctionError at the first failing radius otherwise.  The plain check
+    compares the majorant sum ||A_s|| r^s with 1.  The refined one sums the tail over
+    s > m, m the start index, once; it adds head ||A_m|| r^m plus tail (the majorant,
+    standing in for ||f(z)||), the tail again and mu(r) times the planar Dirichlet
+    integral pi * sum s ||A_s||^2 r^{2s}.  A nu outside (0, 1], or a budget outside
+    [0, 1 + 1e-12], raises DomainError before any work.
     """
     nu = _check_param("nu", nu)
     budget = _check_param("bloch_norm_budget", bloch_norm_budget)
@@ -309,10 +309,10 @@ def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
     if fails.size:
         raise InvalidTestFunctionError(
             f"derivative bound fails at |z| = {t[fails[0]]:.4f}")
-    base = majorant(coeffs, MONOMIAL, r)
     if not refined:
-        return FunctionalReport.compare(base, 1.0)
-    mu = MuFunction.of(0.0 if mu is None else mu)
-    tail = base - a0 * r**coeffs.start_index
-    value = base + tail + mu(r) * s_r(coeffs, r, include_pi=True)
+        return FunctionalReport.compare(majorant(coeffs, MONOMIAL, r), 1.0)
+    _check_radius(r)
+    tail = norm_sum(coeffs, phi_weight(MONOMIAL, r), coeffs.start_index + 1)
+    value = (a0 * r**coeffs.start_index + tail + tail
+             + MuFunction.of(mu)(r) * s_r(coeffs, r, include_pi=True))
     return FunctionalReport.compare(value, 1.0)

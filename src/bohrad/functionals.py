@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError, DomainError
-from .phi import MONOMIAL, PhiSequence, _refined_weight, phi_term, phi_weight, refined_sum, term_at
+from .phi import MONOMIAL, PhiSequence, _refined_weight, phi_weight, term_at
 from .polynomials import area_poly_coeffs
 from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_param,
                      _check_radius, _mobius_norms, _trusted, mobius_gamma_coeffs, norm_sum,
@@ -314,19 +314,20 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
                         q: float, m: int = 0, mu=0.0, tol: float = 1e-10) -> float:
     """Numeric radius estimate for the q-powered functional of ONE function.
 
-    Finds sup{ r : phi_m ||A_m||^p + (sum_{n>m} ||A_n|| phi_n + mu * A)^q
-    <= phi_m } by bisection on the monotone margin, to tol or adjacent
-    floats: a per-function estimate, as no class-wide radius is pinned for q != 1.
+    Finds sup{ r : phi_m ||A_m||^p + (sum_{n>m} ||A_n|| phi_n + mu * A)^q <= phi_m },
+    A refined_at's refinement sum, both sums from m + 1, by bisection on the monotone
+    margin, to tol or adjacent floats: a per-function estimate, as no class-wide
+    radius is pinned for q != 1.
     """
     p, q, tol = _check_param("p", p), _check_param("q", q), _check_param("tol", tol)
     _check_index("m", m)
     mu = MuFunction.of(mu)
+    am = coeffs.norm(m)
 
     def gap(r):
-        am = coeffs.norm(m)
-        phi_m = phi_term(phi, m, r)
-        inner = (majorant(coeffs, phi, r) - am * phi_m
-                 + mu(r) * refined_sum(coeffs, phi, m, r))
+        _, _, phi_m, weight, refined_weight, mu_r = _bind_refined(phi, p, m, mu, r)
+        inner = (norm_sum(coeffs, weight, m + 1)
+                 + mu_r * norm_sum(coeffs, refined_weight(am), m + 1, 2))
         return phi_m * am**p + inner**q - phi_m
 
     lo, hi = 0.0, 1.0 - 1e-9
@@ -402,13 +403,13 @@ def problem_functional(problem: "RadiusProblem", r: float) -> Callable[[float], 
 
 # The two evaluators below are refined_at's and rogosinski_at's evaluate, and norm_sum,
 # written out with the same float operations for the series
-# mobius_gamma_coeffs(a, gamma).shifted(m): it stores ||A_m|| = a0 and
-# x = ||A_{m+1}|| = scale q, and norm(n) continues it as x * q**(n - m - 1).  A stored x
-# of 0.0 ends the series (CoeffSeries.is_finite), so no tail is added; else the tail from
-# the first unstored index N, norm(N)**power * weight.tail(N, q, power), follows the
-# stored term in the fsum.  A power of 1 returns its base exactly, so q**1 and y**1 are
-# written q and y.  The weights are GeometricWeights, whose value at the stored index is
-# that of GeometricWeight.values there.
+# mobius_gamma_coeffs(a, gamma).shifted(m): it stores ||A_m|| = a0 and x = ||A_{m+1}||
+# = scale q, and norm(n) continues it as x * q**(n - m - 1).  The tail from the first
+# unstored index N, norm(N)**power * weight.tail(N, q, power), follows the stored term in
+# the fsum.  A stored x of 0.0 ends the series (CoeffSeries.is_finite) and norm_sum adds
+# no tail; then q < 1e-307, y = x q is 0.0 and each tail finite, so the added 0.0 leaves
+# the fsum as norm_sum's.  A power of 1 returns its base exactly, so q**1 and y**1 are
+# written q and y.  The weights are GeometricWeights, valued as GeometricWeight.values.
 
 def _refined_family(bound, gamma, r):
     """a -> refined_at(...)(mobius_gamma_coeffs(a, gamma).shifted(m)), built-in weight."""
@@ -423,12 +424,9 @@ def _refined_family(bound, gamma, r):
         sq = refined_weight(a0)
         c0, c1, c2 = sq.c
         sq_n = (c0 + n * (c1 + c2 * n)) * t_n if c1 or c2 else c0 * t_n
-        if x == 0.0:
-            refined, tail = math.fsum((x**2 * sq_n,)), math.fsum((x * w_n,))
-        else:
-            y = x * q  # norm(m + 2)
-            refined = math.fsum((x**2 * sq_n, y**2 * sq.tail(n + 1, q, 2)))
-            tail = math.fsum((x * w_n, y * weight.tail(n + 1, q, 1)))
+        y = x * q  # norm(m + 2)
+        refined = math.fsum((x**2 * sq_n, y**2 * sq.tail(n + 1, q, 2)))
+        tail = math.fsum((x * w_n, y * weight.tail(n + 1, q, 1)))
         return FunctionalReport.compare(phi_m * a0**p + tail + mu_r * refined, phi_m)
     return evaluate
 

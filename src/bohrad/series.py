@@ -243,23 +243,24 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
              power: int = 1) -> float:
     """sum_{n >= start} ||A_n||^power w(n), for power 1 or 2.
 
-    Any other power raises DomainError before any term is computed.
-    The stored norms are summed with fsum.  Their terms are x * w (power
-    1) or pow(x, power) * w, mapped over the norms and weights; a zero
-    norm adds 0.0, which leaves the fsum unchanged.  A geometric
-    continuation of the stored norms adds, for a GeometricWeight, its
-    exact remainder.  For a SampledWeight, continuation terms are added
-    until the bound sup(n) ||A_n||^power / (1 - q^power) on the rest is
-    at most ABS_TOL, or NonConvergenceError.  With N the first unstored
-    index and M = max(N, CONTINUATION_FLOOR), terms N .. M are added
-    unchecked and the bound is checked at n = M .. M + TRUNCATION_N.  At
-    each checked index, term(n) ||A_n||^power is compared first, and
-    sup(n) (a custom weight's truncated tail costs TRUNCATION_N terms) is
-    evaluated only once that term alone meets the bound; as sup(n) >=
-    term(n), this stops where the bound alone would.  So term(n) is
-    evaluated at the stop index too, and a prefix shorter than 64 norms
-    is summed as if 64 were stored, with the same terms and evaluations.
-    A short sum is never returned.
+    Any other power raises DomainError before any term is computed.  The stored norms
+    are summed with fsum.  Their terms are x * w (power 1) or pow(x, power) * w, mapped
+    over the norms and weights; a zero norm adds 0.0, which leaves the fsum unchanged.
+    A geometric continuation of the stored norms adds, for a GeometricWeight, its exact
+    remainder.  For a SampledWeight, continuation terms are added until the bound
+    sup(n) ||A_n||^power / (1 - q^power) on the rest is at most ABS_TOL, or
+    NonConvergenceError.  The first ||A_n||^power that reads 0.0 ends the sum, with no
+    term(n) or sup(n) there, as a stored last norm of 0.0 ends the series
+    (``CoeffSeries.is_finite``): every later one reads 0.0 too, and the true rest,
+    below the least subnormal times sup(n) / (1 - q^power), is within ABS_TOL for a
+    finite sup(n) and 1 - q^power >= 5e-4.  With N the first unstored index and
+    M = max(N, CONTINUATION_FLOOR), terms N .. M are added unchecked and the bound is
+    checked at n = M .. M + TRUNCATION_N.  At each checked index, term(n) ||A_n||^power
+    is compared first, and sup(n) (a custom weight's truncated tail costs TRUNCATION_N
+    terms) is evaluated only once that term alone meets the bound; as sup(n) >= term(n),
+    this stops where the bound alone would.  So term(n) is evaluated at the stop index
+    too, and a prefix shorter than 64 norms is summed as if 64 were stored, with the
+    same terms and evaluations.  A short sum is never returned.
     """
     if power not in (1, 2):
         raise DomainError(f"power must be 1 or 2, got {power!r}")
@@ -280,8 +281,9 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
     check_from = max(N, CONTINUATION_FLOOR)
     bound = ABS_TOL * (1.0 - q**power)
     for n in range(N, check_from + TRUNCATION_N + 1):
-        xe, w = coeffs.norm(n) ** power, term(n)
-        if n >= check_from and w * xe <= bound and sup(n) * xe <= bound:
+        xe = coeffs.norm(n) ** power
+        w = term(n) if xe else 0.0  # a 0.0 ends the series, as a stored last norm of 0.0
+        if not xe or n >= check_from and w * xe <= bound and sup(n) * xe <= bound:
             return math.fsum(terms)
         terms.append(xe * w)
     raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "

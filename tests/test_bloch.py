@@ -277,6 +277,24 @@ class TestBlochMajorantCheck:
                                       mu=1.0, refined=True)
         assert report.satisfied
 
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_refined_check_sums_its_tail_once(self, monkeypatch, shift):
+        # the plain check is one majorant; the refined one sums the tail from the start
+        # index plus one and adds the head ||A_m|| r^m, with no majorant
+        calls = []
+        monkeypatch.setattr(bloch, "majorant",
+                            lambda *args: calls.append(args) or functionals.majorant(*args))
+        coeffs, r = CoeffSeries((0.05, 0.06, 0.03), 0, 0.5).shifted(shift), 0.3
+        plain = bloch_majorant_check(coeffs, 1.0, DISK, 0.5, r)
+        assert len(calls) == 1
+        refined = bloch_majorant_check(coeffs, 1.0, DISK, 0.5, r, mu=0.5, refined=True)
+        assert len(calls) == 1
+        head = 0.05 * r**shift
+        want = 2.0 * plain.value - head + 0.5 * series.s_r(coeffs, r, include_pi=True)
+        assert refined.value == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert (bloch_majorant_check(coeffs, 1.0, DISK, 0.5, r, refined=True)
+                == bloch_majorant_check(coeffs, 1.0, DISK, 0.5, r, mu=0.0, refined=True))
+
     def test_derivative_bound_failure(self):
         too_steep = CoeffSeries((0.5, 5.0))
         with pytest.raises(InvalidTestFunctionError):

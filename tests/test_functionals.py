@@ -125,6 +125,20 @@ class TestMajorant:
             assert stops
             assert mp_sums.close(value, mp_sums.majorant(coeffs, kind, r))
 
+    def test_a_continuation_norm_of_zero_ends_a_custom_sum(self):
+        # ||A_n|| = scale a^n underflows to 0.0 from n = 5, where r^n's 512-term tail
+        # cannot meet ABS_TOL at r = 0.96875; the series ends there, so both sums return
+        # the built-in weight's value and custom_term is never asked for n >= 5
+        coeffs, r = mobius_gamma_coeffs(4.341608328005024e-91, 0.0), 0.96875
+        assert coeffs.norm(4) > 0.0 == coeffs.norm(5)
+        calls = []
+        custom = PhiSequence("custom", custom_term=lambda n, r: calls.append(n) or r**n)
+        assert abs(majorant(coeffs, custom, r) - majorant(coeffs, MONOMIAL, r)) <= ABS_TOL
+        want = rogosinski_functional(coeffs, MONOMIAL, 1.0, 5, 1, 1.0, r).value
+        assert abs(rogosinski_functional(coeffs, custom, 1.0, 5, 1, 1.0, r).value
+                   - want) <= ABS_TOL
+        assert calls and max(calls) < 5
+
 
 class TestAreaPolynomialFunctional:
     def test_equality_case(self):
@@ -460,6 +474,28 @@ class TestPerFunctionRadius:
         r1 = per_function_radius(coeffs, MONOMIAL, 1.0, 1.0)
         r2 = per_function_radius(coeffs, MONOMIAL, 1.0, 2.0)
         assert r2 >= r1 - 1e-9
+
+    @pytest.mark.parametrize("q, mu", [(1.0, 0.0), (2.0, 0.5)])
+    def test_norms_below_m_are_not_summed(self, q, mu):
+        # ||A_0|| = 1/2 lies below m = 1: the radius is that of the series without it
+        family = mobius_gamma_coeffs(0.5, 0.0)
+        headless = CoeffSeries((0.0,) + family.norms[1:], 0, family.tail_geometric_ratio)
+        radius = per_function_radius(family, MONOMIAL, 1.0, q, 1, mu)
+        assert radius == per_function_radius(headless, MONOMIAL, 1.0, q, 1, mu)
+        if q == 1.0 and mu == 0.0:
+            # (3/4) r + sum_{n>1} (3/2) (r/2)^n <= r holds exactly for r <= 1/2
+            assert abs(radius - 0.5) <= 1e-9
+
+    def test_makes_no_one_shot_sum(self, monkeypatch):
+        # each bisection step binds r once, as refined_at does, and sums from m + 1
+        family = mobius_gamma_coeffs(0.9, 0.3).shifted(1)
+        want = per_function_radius(family, WEIGHTED_LINEAR, 1.5, 2.0, 1, 0.5)
+
+        def refuse(*args):
+            raise AssertionError("one-shot sum called")
+        for name in ("majorant", "phi_term", "refined_sum"):
+            monkeypatch.setattr(functionals, name, refuse, raising=False)
+        assert per_function_radius(family, WEIGHTED_LINEAR, 1.5, 2.0, 1, 0.5) == want
 
 
 class TestMuFunction:

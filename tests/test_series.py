@@ -176,6 +176,22 @@ class TestNormSumPowers:
                 norm_sum(coeffs, weight, 0, power)
         assert calls == []
 
+    @pytest.mark.parametrize("power, first_zero", [(1, 4), (2, 2)])
+    def test_a_continuation_term_of_zero_ends_a_sampled_sum(self, power, first_zero):
+        # ||A_n||^power underflows to 0.0 at first_zero, and so does every later one: the
+        # series ends there, as a stored last norm of 0.0 ends it, with no term(n) or
+        # sup(n) call, whatever sup would say
+        coeffs = CoeffSeries((0.5, 1e-100), 0, 1e-100)
+        assert coeffs.norm(first_zero - 1) ** power > 0.0 == coeffs.norm(first_zero) ** power
+
+        def sup(n):
+            raise AssertionError(f"sup({n}) called")
+        calls = []
+        weight = SampledWeight(lambda n: calls.append(n) or 0.5**n, sup)
+        want = math.fsum(coeffs.norm(n) ** power * 0.5**n for n in range(first_zero))
+        assert norm_sum(coeffs, weight, 0, power) == want
+        assert calls == list(range(first_zero))
+
 
 class TestRatioSum:
     """ratio_sum: terms with t_{k+1} <= rho t_k, summed to a proven relative remainder."""
