@@ -386,13 +386,13 @@ def problem_functional(problem: "RadiusProblem", r: float) -> Callable[[float], 
     if problem.equation_kind == "rogosinski":
         args = (problem.phi, problem.p, problem.N, problem.m, problem.mu, r)
         if problem.phi.kind != "custom":
-            return _rogosinski_family(_bind_rogosinski(*args))
+            return _rogosinski_family(_bind_rogosinski(*args), problem.phi, r)
         gamma, shift, evaluate_coeffs = 0.0, 0, rogosinski_at(*args)
     else:
         gamma = family_gamma(problem.domain)
         args = (problem.phi, problem.p, problem.m, problem.mu, r)
         if problem.phi.kind != "custom":
-            return _refined_family(_bind_refined(*args), gamma, r)
+            return _refined_family(_bind_refined(*args), problem.phi, gamma, r)
         shift, evaluate_coeffs = problem.m, refined_at(*args)
 
     def evaluate(a):
@@ -409,13 +409,14 @@ def problem_functional(problem: "RadiusProblem", r: float) -> Callable[[float], 
 # the fsum.  A stored x of 0.0 ends the series (CoeffSeries.is_finite) and norm_sum adds
 # no tail; then q < 1e-307, y = x q is 0.0 and each tail finite, so the added 0.0 leaves
 # the fsum as norm_sum's.  A power of 1 returns its base exactly, so q**1 and y**1 are
-# written q and y.  The weights are GeometricWeights, valued as GeometricWeight.values.
+# written q and y.  A stored term's weight phi_n(r) (term_at) is norm_sum's w(n): a built-in
+# polynomial is an exact int, 0.0 adds nothing to an fsum, and n >= 1 carries no head.
 
-def _refined_family(bound, gamma, r):
+def _refined_family(bound, phi, gamma, r):
     """a -> refined_at(...)(mobius_gamma_coeffs(a, gamma).shifted(m)), built-in weight."""
     p, m, phi_m, weight, refined_weight, mu_r = bound
     n = m + 1
-    w_n = weight.values(n, n + 1)[0]
+    w_n = term_at(phi, n)(r)  # phi_n(r), the weight at n
     t_n = (r * r) ** n  # t = r^2 of the refinement weight, as _refined_weight forms it
 
     def evaluate(a):
@@ -431,7 +432,7 @@ def _refined_family(bound, gamma, r):
     return evaluate
 
 
-def _rogosinski_family(bound):
+def _rogosinski_family(bound, phi, r):
     """a -> rogosinski_at(...)(mobius_gamma_coeffs(a, 0.0)), built-in weight.
 
     The disk family has a0 = a < 1, so the point bound's unit-ball check and
@@ -440,7 +441,7 @@ def _rogosinski_family(bound):
     first unstored index is max(N, 2).
     """
     p, N, phi_0, r_k, weight, mu_r = bound
-    w_1 = weight.values(1, 2)[0] if N == 1 else None
+    w_1 = term_at(phi, 1)(r) if N == 1 else None
     first_unstored = max(N, 2)
     k = first_unstored - 1
 

@@ -13,10 +13,10 @@ up to there (two for equal parameters) and that parameter as the ratio.
 ``count`` asks the extremal family for a longer explicit prefix, and
 every sum adds the rest in closed form.
 
-Weights and sums do their per-element work with the floating-point
-operations of a plain per-element loop, so every value is bit identical
-to that loop, with less interpreter work: weights visit only the indices
-of their parity class, and stored-norm terms are products mapped in C.
+Sums do their per-element work with the floating-point operations of a
+plain per-index loop, so every value is bit identical to that loop.  A
+sum over a closed-form weight is one pass over the series' fields, with
+weights formed on their parity class only and one closed-form tail.
 
 Inputs are checked once, where they enter the package: the public
 constructors (``CoeffSeries``, ``MatrixCoeffFn``, ``DomainSpec``, and in
@@ -118,15 +118,16 @@ class CoeffSeries:
 
     def norm(self, n: int) -> float:
         """||A_n||, extending geometrically past the stored range if allowed."""
-        if type(n) in _BOOL_TYPES:  # True < start_index compares as 1
-            raise DomainError("n must be an integer, got bool")
+        if type(n) is not int:  # a numpy integer passes; a bool, float or str raises
+            _check_index("n", n, -math.inf)  # an n below start_index reads 0.0
         if n < self.start_index:
             return 0.0
-        if n <= self.last_index:
+        stored = len(self.norms)
+        if n < stored:
             return self.norms[n]
         if self.tail_geometric_ratio is None:
             return 0.0
-        return self.norms[-1] * self.tail_geometric_ratio ** (n - self.last_index)
+        return self.norms[-1] * self.tail_geometric_ratio ** (n - stored + 1)
 
     def shifted(self, k: int) -> "CoeffSeries":
         """The series of z^k * f(z): every index moves up by k."""
@@ -164,8 +165,9 @@ class GeometricWeight(NamedTuple):
     """Weights w(n) = (c0 + c1 n + c2 n^2) t^n on the indices n = parity (mod step).
 
     ``head`` is added at n = 0; ``one_minus_t`` is 1 - t computed without
-    cancellation, e.g. (1-r)(1+r) for t = r^2.  w(n) q^n has the same
-    form, so a geometric continuation of the norms sums in closed form.
+    cancellation, e.g. (1-r)(1+r) for t = r^2.  ``norm_sum`` forms w(n) at
+    stored indices; w(n) q^n has the same form, so ``tail`` sums a
+    geometric continuation of the norms in closed form.
     Only the package builds weights, from values it has checked, so this
     is a NamedTuple: it checks nothing, and builds without a dataclass
     ``__init__``.
@@ -177,31 +179,6 @@ class GeometricWeight(NamedTuple):
     step: int = 1
     parity: int = 0
     head: float = 0.0
-
-    def values(self, start: int, stop: int) -> list[float]:
-        """[w(start), ..., w(stop - 1)], computed in one pass.
-
-        Each w(n) on the weight's indices is (c0 + n (c1 + c2 n)) * t**n,
-        the operations of a per-index loop, so the values are bit
-        identical to it; only the indices on the parity class are visited,
-        the factor is c0 alone when c1 = c2 = 0, and the off-parity slots
-        are zeros filled by one slice assignment.
-        """
-        (c0, c1, c2), t, step = self.c, self.t, self.step
-        first = start + (self.parity - start) % step
-        indices = range(first, stop, step)
-        if c1 or c2:
-            on = [(c0 + n * (c1 + c2 * n)) * t**n for n in indices]
-        else:
-            on = [c0 * t**n for n in indices]
-        if step == 1:
-            w = on
-        else:
-            w = [0.0] * max(0, stop - start)
-            w[first - start::step] = on
-        if start == 0 < stop:
-            w[0] += self.head
-        return w
 
     def tail(self, N: int, q: float = 1.0, power: int = 1) -> float:
         """sum_{n >= N} q^(power (n - N)) w(n), N >= 0, power 1 or 2: q^(power (E-N))
@@ -244,13 +221,18 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
     """sum_{n >= start} ||A_n||^power w(n), for power 1 or 2.
 
     Any other power raises DomainError before any term is computed.  The stored norms
-    are summed with fsum.  Their terms are x * w (power 1) or pow(x, power) * w, mapped
-    over the norms and weights; a zero norm adds 0.0, which leaves the fsum unchanged.
-    A geometric continuation of the stored norms adds, for a GeometricWeight, its exact
-    remainder.  For a SampledWeight, continuation terms are added until the bound
-    sup(n) ||A_n||^power / (1 - q^power) on the rest is at most ABS_TOL, or
-    NonConvergenceError.  The first ||A_n||^power that reads 0.0 ends the sum, with no
-    term(n) or sup(n) there, as a stored last norm of 0.0 ends the series
+    are summed with fsum, and a term of 0.0 leaves the fsum unchanged.  For a
+    GeometricWeight, one pass reads the series' norms and ratio: its terms are
+    ||A_n||^power * w(n) at the stored n >= start on the weight's indices, with
+    w(n) = (c0 + n (c1 + c2 n)) t^n (c0 t^n if c1 = c2 = 0) and the head added at
+    n = 0; unless the series ends (as ``CoeffSeries.is_finite`` decides), the exact
+    remainder ||A_N||^power * tail(N, q, power) from the first unstored index N
+    follows, with ||A_N|| formed as ``CoeffSeries.norm`` forms it.  For a
+    SampledWeight, the terms are x * w (power 1) or pow(x, power) * w, mapped over the
+    stored norms and term(n), which a zero norm skips.  Continuation terms are added
+    until the bound sup(n) ||A_n||^power / (1 - q^power) on the rest is at most
+    ABS_TOL, or NonConvergenceError.  The first ||A_n||^power that reads 0.0 ends the
+    sum, with no term(n) or sup(n) there, as a stored last norm of 0.0 ends the series
     (``CoeffSeries.is_finite``): every later one reads 0.0 too, and the true rest,
     below the least subnormal times sup(n) / (1 - q^power), is within ABS_TOL for a
     finite sup(n) and 1 - q^power >= 5e-4.  With N the first unstored index and
@@ -264,19 +246,33 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
     """
     if power not in (1, 2):
         raise DomainError(f"power must be 1 or 2, got {power!r}")
-    norms = coeffs.norms[start:]
-    geometric = isinstance(weight, GeometricWeight)
-    weights = (weight.values(start, start + len(norms)) if geometric
-               else [weight.term(n) if x else 0.0 for n, x in enumerate(norms, start)])
+    norms, q = coeffs.norms, coeffs.tail_geometric_ratio
+    if isinstance(weight, GeometricWeight):
+        (c0, c1, c2), t, _, step, parity, head = weight
+        stored = len(norms)
+        first = start + (parity - start) % step
+        if c1 or c2:
+            terms = [norms[n] ** power * ((c0 + n * (c1 + c2 * n)) * t**n)
+                     for n in range(first, stored, step)]
+        else:
+            terms = [norms[n] ** power * (c0 * t**n) for n in range(first, stored, step)]
+        if start == 0 and head:  # w(0) holds the head, on the weight's indices or not
+            if first == 0:
+                terms[0] = norms[0] ** power * (c0 + head)  # c0 t^0 is c0
+            else:
+                terms.append(norms[0] ** power * head)
+        if q is None or norms[-1] == 0.0:  # CoeffSeries.is_finite
+            return math.fsum(terms)
+        N = max(start, stored)
+        terms.append((norms[-1] * q ** (N - stored + 1)) ** power * weight.tail(N, q, power))
+        return math.fsum(terms)
+    norms = norms[start:]
+    weights = [weight.term(n) if x else 0.0 for n, x in enumerate(norms, start)]
     powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
     terms = list(map(operator.mul, powered, weights))
     if coeffs.is_finite():
         return math.fsum(terms)
-    q = coeffs.tail_geometric_ratio
     N = max(start, coeffs.last_index + 1)
-    if geometric:
-        terms.append(coeffs.norm(N) ** power * weight.tail(N, q, power))
-        return math.fsum(terms)
     term, sup = weight
     check_from = max(N, CONTINUATION_FLOOR)
     bound = ABS_TOL * (1.0 - q**power)
@@ -346,7 +342,6 @@ class DomainSpec:
 
 # built once: every evaluation of a radius equation checks its r
 _REAL_TYPES = (int, float, np.integer, np.floating)
-_BOOL_TYPES = (bool, np.bool_)
 
 
 def _trusted(cls, **fields):

@@ -136,6 +136,16 @@ def test_norm_rejects_a_bool_index_and_reads_int_and_numpy_indices_as_before():
         assert series.norm(n) == series.norm(np.int64(n)) == want
 
 
+@pytest.mark.parametrize("bad, name", [(1.5, "float"), (2.5, "float"),
+                                       (np.float64(3.0), "float64"), ("1", "str"),
+                                       (True, "bool")])
+def test_norm_rejects_an_index_that_is_not_an_integer(bad, name):
+    # a float index read a norm between the stored ones: norm(1.5) was 0.25 * 0.5 ** 0.5
+    series = CoeffSeries((0.5, 0.25), 0, 0.5)
+    with pytest.raises(DomainError, match=f"^n must be an integer, got {name}$"):
+        series.norm(bad)
+
+
 @pytest.mark.parametrize("call, error, match", [
     # +inf passed before: an infinite report here, NaN (inf * 0.0) with no norms past the head
     pytest.param(lambda: bohr_beta_functional(COEFFS, 0.2, math.nan), DomainError,

@@ -122,27 +122,73 @@ class TestMobiusFamily:
             assert coeffs.norm(n) == pytest.approx(prefix.norm(n), rel=1e-13, abs=0.0), n
 
 
-class TestGeometricWeightValues:
-    """values() against the per-index formula (c0 + n (c1 + c2 n)) t^n, bit for bit."""
+def per_index(weight, n):
+    """w(n) of a GeometricWeight at one index: (c0 + n (c1 + c2 n)) t^n on its indices,
+    0.0 off them, plus the head at n = 0."""
+    (c0, c1, c2), t = weight.c, weight.t
+    value = (c0 + n * (c1 + c2 * n)) * t**n if n % weight.step == weight.parity else 0.0
+    return value + weight.head if n == 0 else value
+
+
+@st.composite
+def geometric_sums(draw):
+    """(coeffs, weight, start, power): 1-70 stored norms, zeros below start_index, a
+    stored last norm of 0.0 in about half the draws, any ratio or none; every step,
+    parity and head, int and float c, float and np.float64 t; start up to len + 3."""
+    length = draw(st.integers(1, 70))
+    below = draw(st.integers(0, length - 1))
+    norms = [0.0] * below + draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                                          min_size=length - below, max_size=length - below))
+    if draw(st.booleans()):
+        norms[-1] = 0.0
+    ratio = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)))
+    c = draw(st.tuples(*[st.one_of(st.integers(0, 6), st.floats(0.0, 10.0))] * 3))
+    t = draw(st.floats(0.0, 1.0, exclude_max=True))
+    step = draw(st.sampled_from([1, 2]))
+    parity, head = draw(st.integers(0, step - 1)), draw(st.sampled_from([0.0, 1.0, 0.25]))
+    weight = GeometricWeight(c, np.float64(t) if draw(st.booleans()) else t, 1.0 - t, step,
+                             parity, head)
+    return (CoeffSeries(tuple(norms), below, ratio), weight, draw(st.integers(0, length + 3)),
+            draw(st.sampled_from([1, 2])))
+
+
+class TestNormSumGeometric:
+    """norm_sum over a GeometricWeight: one pass over the series' fields, bit for bit the
+    per-index composition through CoeffSeries' methods."""
 
     @staticmethod
-    def per_index(weight, n):
-        (c0, c1, c2), t = weight.c, weight.t
-        value = (c0 + n * (c1 + c2 * n)) * t**n if n % weight.step == weight.parity else 0.0
-        return value + weight.head if n == 0 else value
+    def composed(coeffs, weight, start, power):
+        """fsum of ||A_n||^power w(n) over the stored n >= start, plus
+        norm(N)**power * tail(N, q, power) from the first unstored index N."""
+        stop = coeffs.last_index + 1
+        terms = [coeffs.norm(n) ** power * per_index(weight, n) for n in range(start, stop)]
+        if not coeffs.is_finite():
+            N = max(start, stop)
+            q = coeffs.tail_geometric_ratio
+            terms.append(coeffs.norm(N) ** power * weight.tail(N, q, power))
+        return math.fsum(terms)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.tuples(*[st.one_of(st.integers(0, 6), st.floats(0.0, 10.0))] * 3),
-           st.floats(0.0, 1.0, exclude_max=True), st.booleans(), st.sampled_from([1, 2]),
-           st.integers(0, 1), st.sampled_from([0.0, 1.0, 0.25]), st.integers(0, 90),
-           st.integers(-3, 90))
-    def test_values_are_the_per_index_formula(self, c, t, numpy_t, step, parity, head,
-                                              start, length):
-        t = np.float64(t) if numpy_t else t
-        weight = GeometricWeight(c, t, 1.0 - t, step, parity % step, head)
-        got = weight.values(start, start + length)
-        want = [self.per_index(weight, n) for n in range(start, start + length)]
-        assert list(map(float.hex, map(float, got))) == list(map(float.hex, map(float, want)))
+    @given(geometric_sums())
+    def test_is_the_per_index_composition(self, case):
+        assert norm_sum(*case).hex() == self.composed(*case).hex()
+
+    def test_calls_no_method_of_the_series(self, monkeypatch):
+        cases = [(coeffs, weight, start, power)
+                 for coeffs in (mobius_gamma_coeffs(0.7, 0.2), CoeffSeries((0.0, 0.5, 0.25), 1),
+                                CoeffSeries((0.0, 0.5, 0.25), 1, 0.5))
+                 for weight in (GeometricWeight((1, 1, 0), 0.5, 0.5),
+                                GeometricWeight((0, 0, 1), 0.5, 0.5, 1, 0, 1.0),
+                                GeometricWeight((1, 0, 0), 0.5, 0.5, 2, 1, 1.0))
+                 for start in (0, 1, 4) for power in (1, 2)]
+        want = [norm_sum(*case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("norm_sum called a CoeffSeries method")
+        for name in ("norm", "is_finite"):
+            monkeypatch.setattr(CoeffSeries, name, refuse)
+        monkeypatch.setattr(CoeffSeries, "last_index", property(refuse))
+        assert [norm_sum(*case) for case in cases] == want
 
 
 class TestNormSumPowers:
@@ -159,8 +205,7 @@ class TestNormSumPowers:
         coeffs = CoeffSeries((0.7, 0.4, 0.2), 0, q)
         weight = GeometricWeight(c, t, 1.0 - t, step, parity, head)
         # q t <= 0.855, so the terms past 3000 are far below one ulp of the sum
-        terms = [coeffs.norm(n) ** power * TestGeometricWeightValues.per_index(weight, n)
-                 for n in range(start, 3000)]
+        terms = [coeffs.norm(n) ** power * per_index(weight, n) for n in range(start, 3000)]
         assert norm_sum(coeffs, weight, start, power) == pytest.approx(math.fsum(terms),
                                                                        rel=1e-13)
 
