@@ -247,6 +247,7 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
     if power not in (1, 2):
         raise DomainError(f"power must be 1 or 2, got {power!r}")
     norms, q = coeffs.norms, coeffs.tail_geometric_ratio
+    ends = q is None or norms[-1] == 0.0  # CoeffSeries.is_finite(), read off the fields
     if isinstance(weight, GeometricWeight):
         (c0, c1, c2), t, _, step, parity, head = weight
         stored = len(norms)
@@ -261,16 +262,16 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
                 terms[0] = norms[0] ** power * (c0 + head)  # c0 t^0 is c0
             else:
                 terms.append(norms[0] ** power * head)
-        if q is None or norms[-1] == 0.0:  # CoeffSeries.is_finite
+        if ends:
             return math.fsum(terms)
-        N = max(start, stored)
+        N = max(start, stored)  # the continuation norm is CoeffSeries.norm(N)
         terms.append((norms[-1] * q ** (N - stored + 1)) ** power * weight.tail(N, q, power))
         return math.fsum(terms)
     norms = norms[start:]
     weights = [weight.term(n) if x else 0.0 for n, x in enumerate(norms, start)]
     powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
     terms = list(map(operator.mul, powered, weights))
-    if coeffs.is_finite():
+    if ends:
         return math.fsum(terms)
     N = max(start, coeffs.last_index + 1)
     term, sup = weight

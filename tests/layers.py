@@ -1,13 +1,14 @@
 """Per-label timings of the benchmark's two workloads, written to BENCH_layers.json.
 
-    python tests/layers.py [--seeds 1 7 29] [--seconds 5] [--out BENCH_layers.json]
+    python tests/layers.py [--out BENCH_layers.json]
 
 Run from anywhere; the package is imported from this tree's ``src``.  It
 loads ``bench/oracles.py``, ``bench/workloads.py`` and ``bench/run.py``
 from their files and changes nothing there.  For each workload and seed
-it builds the operation list, runs one warm-up pass, then repeats the
-list through ``run.call_timed`` (CLI requests through ``cli.main``, as
-the timed passes do) for ``--seconds`` seconds, at least three passes.
+(seeds 1, 7 and 29) it builds the operation list, runs one warm-up
+pass, then repeats the list through ``run.call_timed`` (CLI requests
+through ``cli.main``, as the timed passes do) for 5 seconds, at least
+three passes.
 Each operation is timed by its fastest pass, as the benchmark times it.
 Per label it records the number of operations, the sum and the median of
 their fastest times, and the sum's share of the whole list at its
@@ -18,7 +19,6 @@ This is a tool, not a test: pytest does not collect it.
 """
 
 import argparse
-import importlib.util
 import json
 import platform
 import statistics
@@ -28,16 +28,12 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
+from linecov import _load  # this file's directory is on sys.path when run as a script
+
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7, 29)
+SECONDS = 5.0  # timed seconds per workload and seed
 MIN_PASSES = 3
-
-
-def _load(path, name):
-    """The module in file path, registered as name (dataclasses look their module up)."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _git(*args):
@@ -77,9 +73,6 @@ def measure(run, ops, seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="per-label timings of the benchmark workloads")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 29])
-    parser.add_argument("--seconds", type=float, default=5.0,
-                        help="timed seconds per workload and seed (default 5)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
@@ -93,12 +86,12 @@ def main(argv=None):
     record = {"commit": _git("rev-parse", "HEAD"),
               "uncommitted_src_or_bench": None if changed is None else bool(changed),
               "python": platform.python_version(), "numpy": numpy.__version__,
-              "seconds": args.seconds, "workloads": {}}
+              "seconds": SECONDS, "workloads": {}}
     ok = True
     for name in workloads.WORKLOADS:
         record["workloads"][name] = by_seed = {}
-        for seed in args.seeds:
-            labels, passes, repeats = measure(run, workloads.build(name, seed), args.seconds)
+        for seed in SEEDS:
+            labels, passes, repeats = measure(run, workloads.build(name, seed), SECONDS)
             ok = ok and repeats
             by_seed[str(seed)] = {"passes": passes, "outcomes_repeat": repeats,
                                   "pass_ms": round(sum(v["sum_ms"] for v in labels.values()), 4),
