@@ -39,7 +39,7 @@ from .errors import (DomainError, InvalidTestFunctionError, NonConvergenceError,
 from .functionals import FunctionalReport, MuFunction, majorant
 from .phi import MONOMIAL, phi_weight
 from .roots import RootResult, increasing_root, min_positive_root
-from .series import (CoeffSeries, GeometricWeight, _check_index, _check_param, _check_radius,
+from .series import (ROUND_OFF, CoeffSeries, GeometricWeight, _check_param, _check_radius,
                      norm_sum, ratio_sum, s_r)
 
 # sum of 1/s^2 enters the Cauchy-Schwarz step; its reciprocal is the
@@ -101,19 +101,19 @@ class HyperbolicDensity:
             raise SingularIntegrandError(f"density is singular or non-positive on |z| = {r}")
         return lam
 
-    def min_on_circle(self, r, nodes: int = 256):
+    def min_on_circle(self, r):
         """Minimum of lambda on |z| = r; r is a float or an ndarray of radii.
 
         On Omega_gamma the closed form is lambda at z = -r (theta = pi,
-        node nodes/2 of the sampling, where sin^2(theta/2) = 1 exactly, so
-        the value equals the sampled minimum bit for bit).  Only a custom
-        density is sampled, at ``nodes`` angles (on_circle checks each value).
+        node 128 of the sampling, where sin^2(theta/2) = 1 exactly, so the
+        value equals the sampled minimum bit for bit).  Only a custom
+        density is sampled, at 256 equally spaced angles (on_circle checks
+        each value).
         """
-        _check_index("nodes", nodes, 1)
         _check_radii(r)
         if self.fn is None:
             return _omega_gamma_density(self.gamma, r, 1.0)
-        thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
         mins = [float(np.min(self.on_circle(x, thetas))) for x in np.ravel(r)]
         return np.reshape(mins, np.shape(r)) if np.ndim(r) else mins[0]
 
@@ -282,30 +282,28 @@ def derivative_majorant(coeffs: CoeffSeries, t):
 
 def bloch_majorant_check(coeffs: CoeffSeries, bloch_norm_budget: float,
                          density: HyperbolicDensity, nu: float, r: float,
-                         mu=0.0, refined: bool = False,
-                         grid_radii: int = 64) -> FunctionalReport:
+                         mu=0.0, refined: bool = False) -> FunctionalReport:
     """Majorant check for a Bloch-normalized test function.
 
-    First verifies on a radial grid of |z| <= 0.999 that the derivative
-    majorant stays below (budget - ||A_0||) * lambda^nu (the hypothesis
-    the radii rely on), in one array pass over the whole grid; raises
+    First verifies on the radial grid 0.999 k/64, k = 1 .. 64, that the derivative
+    majorant stays below (budget - ||A_0||) * lambda^nu (the hypothesis the radii
+    rely on) up to series.ROUND_OFF, in one array pass over the whole grid; raises
     InvalidTestFunctionError at the first failing radius otherwise.  The plain check
     compares the majorant sum ||A_s|| r^s with 1.  The refined one sums the tail over
     s > m, m the start index, once; it adds head ||A_m|| r^m plus tail (the majorant,
     standing in for ||f(z)||), the tail again and mu(r) times the planar Dirichlet
     integral pi * sum s ||A_s||^2 r^{2s}.  A nu outside (0, 1], or a budget outside
-    [0, 1 + 1e-12], raises DomainError before any work.
+    [0, 1 + series.ROUND_OFF], raises DomainError before any work.
     """
     nu = _check_param("nu", nu)
     budget = _check_param("bloch_norm_budget", bloch_norm_budget)
-    _check_index("grid_radii", grid_radii, 1)
     a0 = coeffs.norm(coeffs.start_index)
     slack = budget - a0
-    if slack < -1e-12:
+    if slack < -ROUND_OFF:
         raise InvalidTestFunctionError("||A_0|| already exceeds the norm budget")
-    t = 0.999 * np.arange(1, grid_radii + 1) / grid_radii
+    t = 0.999 * np.arange(1, 65) / 64
     fails = np.flatnonzero(derivative_majorant(coeffs, t)
-                           > slack * density.min_on_circle(t) ** nu + 1e-12)
+                           > slack * density.min_on_circle(t) ** nu + ROUND_OFF)
     if fails.size:
         raise InvalidTestFunctionError(
             f"derivative bound fails at |z| = {t[fails[0]]:.4f}")

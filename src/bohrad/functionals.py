@@ -21,15 +21,12 @@ from typing import TYPE_CHECKING, Callable
 from .errors import ConfigurationError, DomainError
 from .phi import MONOMIAL, PhiSequence, _refined_weight, phi_weight, term_at
 from .polynomials import area_poly_coeffs
-from .series import (CoeffSeries, DomainSpec, GeometricWeight, _check_index, _check_param,
-                     _check_radius, _mobius_norms, _trusted, mobius_gamma_coeffs, norm_sum,
-                     point_eval_bound, s_r)
+from .series import (ROUND_OFF, CoeffSeries, DomainSpec, GeometricWeight, _check_index,
+                     _check_param, _check_radius, _mobius_norms, _trusted, mobius_gamma_coeffs,
+                     norm_sum, point_eval_bound, s_r)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radii import RadiusProblem
-
-# violations smaller than this are indistinguishable from round-off
-VIOLATION_TOL = 1e-12
 
 # reflects the a -> 1^- limits used by every sharpness argument
 DEFAULT_A_GRID = tuple(1.0 - 10.0**-k for k in range(1, 7))
@@ -85,7 +82,8 @@ class MuFunction:
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """Value vs right-hand side of one inequality at one radius."""
+    """Value vs right-hand side of one inequality at one radius; a value above the
+    right-hand side by at most series.ROUND_OFF still satisfies it."""
 
     value: float
     rhs: float
@@ -95,7 +93,7 @@ class FunctionalReport:
     @classmethod
     def compare(cls, value: float, rhs: float) -> "FunctionalReport":
         margin = rhs - value  # a report checks nothing: _trusted skips only __init__
-        return _trusted(cls, value=value, rhs=rhs, satisfied=margin >= -VIOLATION_TOL,
+        return _trusted(cls, value=value, rhs=rhs, satisfied=margin >= -ROUND_OFF,
                         margin=margin)
 
 
@@ -290,36 +288,34 @@ def classical_functional(coeffs: CoeffSeries, r: float, variant: str,
     return FunctionalReport.compare(value, 1.0)
 
 
-def mobius_partial_modulus(a: float, gamma: float, N: int, r: float,
-                           nodes: int = 512) -> float:
+def mobius_partial_modulus(a: float, gamma: float, N: int, r: float) -> float:
     """Exact max of |sum_{n<N} c_n z^n| over |z| = r for the extremal family.
 
     The Mobius-type map has real Taylor coefficients c_0 = (a-g)/(1-ag)
-    and c_n = -(1-g)(1-a^2) q^{n-1}/(1-ag)^2; the circle is scanned at
-    ``nodes`` angles.
+    and c_n = -(1-g)(1-a^2) q^{n-1}/(1-ag)^2; the circle is scanned at 512
+    equally spaced angles.
     """
     _check_index("N", N, 1)
-    _check_index("nodes", nodes, 1)
     _check_radius(r)
     a, gamma = _check_param("a", a), _check_param("gamma", gamma)
     q = a * (1.0 - gamma) / (1.0 - a * gamma)
     c = [(a - gamma) / (1.0 - a * gamma)]
     c += [-(1.0 - gamma) * (1.0 - a * a) * q ** (n - 1) / (1.0 - a * gamma) ** 2
           for n in range(1, N)]
-    circle = (r * cmath.exp(2j * math.pi * k / nodes) for k in range(nodes))
+    circle = (r * cmath.exp(2j * math.pi * k / 512) for k in range(512))
     return max((abs(sum(cn * z**n for n, cn in enumerate(c))) for z in circle), default=0.0)
 
 
 def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
-                        q: float, m: int = 0, mu=0.0, tol: float = 1e-10) -> float:
+                        q: float, m: int = 0, mu=0.0) -> float:
     """Numeric radius estimate for the q-powered functional of ONE function.
 
     Finds sup{ r : phi_m ||A_m||^p + (sum_{n>m} ||A_n|| phi_n + mu * A)^q <= phi_m },
     A refined_at's refinement sum, both sums from m + 1, by bisection on the monotone
-    margin, to tol or adjacent floats: a per-function estimate, as no class-wide
+    margin, to a bracket of width 1e-10: a per-function estimate, as no class-wide
     radius is pinned for q != 1.
     """
-    p, q, tol = _check_param("p", p), _check_param("q", q), _check_param("tol", tol)
+    p, q = _check_param("p", p), _check_param("q", q)
     _check_index("m", m)
     mu = MuFunction.of(mu)
     am = coeffs.norm(m)
@@ -333,10 +329,8 @@ def per_function_radius(coeffs: CoeffSeries, phi: PhiSequence, p: float,
     lo, hi = 0.0, 1.0 - 1e-9
     if gap(hi) <= 0:
         return hi
-    while hi - lo > tol:
+    while hi - lo > 1e-10:  # floats near 1 lie 1.1e-16 apart, so lo < mid < hi
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats: no smaller tol is met
-            break
         lo, hi = (mid, hi) if gap(mid) <= 0 else (lo, mid)
     return lo
 
@@ -346,7 +340,7 @@ def sharpness_probe(problem: "RadiusProblem", r: float, a_grid=DEFAULT_A_GRID):
 
     Binds problem_functional(problem, r) once, evaluates the extremal
     Mobius family at each a in grid order and returns the first a with
-    value > rhs + VIOLATION_TOL, or None.  The bind does the checks and
+    value > rhs + series.ROUND_OFF, or None.  The bind does the checks and
     the r-only work; per a, a built-in weight costs the family's three
     numbers and closed-form sums, and a custom weight a built series.
     """

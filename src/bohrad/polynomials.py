@@ -166,16 +166,16 @@ def _recentered_at(x, A, spec):
 
 def monotonicity_check(profile: str, grid_size: int = 1000, *, m: int = 1,
                        lambda_h: float = 1.0, beta: float = 0.25,
-                       gamma: float = 0.0, spec: PolySpec | None = None,
-                       tol: float = 1e-9) -> MonotonicityReport:
+                       gamma: float = 0.0, spec: PolySpec | None = None) -> MonotonicityReport:
     """Check the claimed monotonicity of a slack profile on a uniform grid.
 
     profile is one of "area_poly" (decreasing, zero at 1; parameter m;
     lambda_h is checked but cancels out of this profile), "beta_square"
     (decreasing, zero at 1; parameters lambda_h and beta), "recentered"
     (increasing, limit 0 at 1; parameters gamma and a calibrated spec).
-    A failure is reported, not raised: out-of-hypothesis parameters are
-    expected to fail.
+    The check passes when neither a step against the claimed direction
+    nor the value at 1 exceeds 1e-9 times max(1, max |value|).  A failure is
+    reported, not raised: out-of-hypothesis parameters are expected to fail.
     """
     lambda_h = _check_param("lambda_h", lambda_h)
     if profile == "area_poly":
@@ -206,6 +206,6 @@ def monotonicity_check(profile: str, grid_size: int = 1000, *, m: int = 1,
             worst_gap = adverse
             worst_x = xs[k + 1]
     # both claims pin the boundary value at x = 1 to zero
-    passed = worst_gap <= tol * scale and abs(vals[-1]) <= tol * scale
+    passed = worst_gap <= 1e-9 * scale and abs(vals[-1]) <= 1e-9 * scale
     return MonotonicityReport(profile, passed, direction, worst_gap, worst_x,
                               vals[0], vals[-1])

@@ -60,8 +60,8 @@ from .optimize import central_diff, grid_then_golden_min
 from .phi import BUILTIN_PHI, PhiSequence, _power_tail, ratio_form, tail_from, term_at
 from .phi import phi_term  # noqa: F401 - still reachable as radii.phi_term
 from .roots import RootResult, check_steps, decreasing_root, min_positive_root
-from .series import (DomainSpec, _check_index, _check_param, _check_radius, _trusted,
-                     mobius_gamma_coeffs)
+from .series import (ROUND_OFF, DomainSpec, _check_index, _check_param, _check_radius,
+                     _trusted, mobius_gamma_coeffs)
 
 # a printed reference value failing its own equation by more than this
 # is reported as an erratum rather than silently corrected
@@ -236,18 +236,17 @@ def radius_rogosinski(problem: RadiusProblem, tol: float = 1e-12,
     return solve(rogosinski_equation(problem), tol, scan_step)
 
 
-def non_improvable(problem: RadiusProblem, r: float, h: float = 1e-6) -> bool:
+def non_improvable(problem: RadiusProblem, r: float) -> bool:
     """Numeric check of the derivative condition that pins the radius.
 
     The radius cannot be improved when the equation's left side keeps
     falling behind its right side just past the root; with smooth
     weights this is the derivative inequality F'(r) < 0, evaluated here
-    by central differences of step h > 0.  Diagnostic only, not a certificate.
+    by central differences of step 1e-6.  Diagnostic only, not a certificate.
     """
-    h = _check_param("h", h)
     F = refined_equation(problem) if problem.equation_kind == "refined" \
         else rogosinski_equation(problem)
-    return central_diff(F, r, h) < 0.0
+    return central_diff(F, r, 1e-6) < 0.0
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ class OddRadiusPair:
     root; ``derived`` solves the generating equation
     p (1+gamma) (1 - r^2) = 2 r, which squares that factor.  The two
     coincide at gamma = 0; the flag records a disagreement beyond
-    round-off without deciding intent.
+    series.ROUND_OFF without deciding intent.
     """
 
     printed: float
@@ -298,7 +297,7 @@ def closed_form_radius(case: str, gamma: float | None = None,
         return math.sqrt(pp * (1.0 + g) / (2.0 + pp * (1.0 + g)))
     printed = (math.sqrt(1.0 + pp * pp * (1.0 + g)) - 1.0) / (pp * (1.0 + g))
     derived = (math.sqrt(1.0 + pp * pp * (1.0 + g) ** 2) - 1.0) / (pp * (1.0 + g))
-    return OddRadiusPair(printed, derived, abs(printed - derived) > 1e-12)
+    return OddRadiusPair(printed, derived, abs(printed - derived) > ROUND_OFF)
 
 
 def rp_lower(p: float) -> float:
@@ -435,7 +434,7 @@ def verify(subject, gamma: float = 0.0, degree: int = 2, beta: float | None = No
             functional = lambda c, r: bohr_area_functional(c, r, lam, degree)
         elif subject == "beta-square":
             beta = 1.0 / (4.0 * lam) if beta is None else _check_param("beta", beta)
-            if beta > 1.0 / (4.0 * lam) + 1e-12:
+            if beta > 1.0 / (4.0 * lam) + ROUND_OFF:
                 raise ConfigurationError("beta must be at most 1/(4 lambda_h)")
             functional = lambda c, r: bohr_beta_functional(c, r, beta)
         elif subject == "energy":

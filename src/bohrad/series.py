@@ -30,13 +30,12 @@ functionals, ``closed_form_radius``), p:r_p (``rp_lower``, ``rp_upper``),
 lambda_h (``DomainSpec``, the area and energy functionals, polynomials,
 ``closed_form_radius``), a (the extremal family, ``MatrixCoeffFn``), the
 solvers' tol and scan_step (``roots.check_steps``, which every solve
-calls; ``per_function_radius``'s tol; ``count_sign_changes``), upper
-(the root solvers, ``count_sign_changes``), tol:coeff_bound
-(``check_coeff_bound``), h (``non_improvable``), beta
-(``bohr_beta_functional``, ``radii.verify``), q (``per_function_radius``),
-mu (a constant ``MuFunction``), r:probe (``sharpness_probe``),
-tail_geometric_ratio (``CoeffSeries``), bloch_norm_budget
-(``bloch_majorant_check``) and c (``PolySpec``, ``calibrate_area_poly``).
+calls; ``count_sign_changes``), upper (the root solvers,
+``count_sign_changes``), beta (``bohr_beta_functional``, ``radii.verify``),
+q (``per_function_radius``), mu (a constant ``MuFunction``), r:probe
+(``sharpness_probe``), tail_geometric_ratio (``CoeffSeries``),
+bloch_norm_budget (``bloch_majorant_check``) and c (``PolySpec``,
+``calibrate_area_poly``).
 A value object the package builds itself from values it has checked is
 built by ``_trusted``, which runs no ``__init__`` or ``__post_init__``:
 the series of ``mobius_gamma_coeffs``, ``CoeffSeries.shifted``,
@@ -74,6 +73,8 @@ TRUNCATION_N = 512
 CONTINUATION_FLOOR = 65
 TAIL_RATIO_CAP = 0.99
 ABS_TOL = 1e-12
+# how far past a bound a value may lie as round-off: every boundary check's one allowance
+ROUND_OFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -242,49 +243,58 @@ def norm_sum(coeffs: CoeffSeries, weight: GeometricWeight | SampledWeight, start
     terms) is evaluated only once that term alone meets the bound; as sup(n) >= term(n),
     this stops where the bound alone would.  So term(n) is evaluated at the stop index
     too, and a prefix shorter than 64 norms is summed as if 64 were stored, with the
-    same terms and evaluations.  A short sum is never returned.
+    same terms and evaluations.  A short sum is never returned; a term or a sum past
+    the largest float raises DomainError, by one test of the fsum, none per term.
     """
     if power not in (1, 2):
         raise DomainError(f"power must be 1 or 2, got {power!r}")
     norms, q = coeffs.norms, coeffs.tail_geometric_ratio
     ends = q is None or norms[-1] == 0.0  # CoeffSeries.is_finite(), read off the fields
-    if isinstance(weight, GeometricWeight):
-        (c0, c1, c2), t, _, step, parity, head = weight
-        stored = len(norms)
-        first = start + (parity - start) % step
-        if c1 or c2:
-            terms = [norms[n] ** power * ((c0 + n * (c1 + c2 * n)) * t**n)
-                     for n in range(first, stored, step)]
-        else:
-            terms = [norms[n] ** power * (c0 * t**n) for n in range(first, stored, step)]
-        if start == 0 and head:  # w(0) holds the head, on the weight's indices or not
-            if first == 0:
-                terms[0] = norms[0] ** power * (c0 + head)  # c0 t^0 is c0
+    try:  # a norm's power, and fsum past the largest float, raise OverflowError
+        if isinstance(weight, GeometricWeight):
+            (c0, c1, c2), t, _, step, parity, head = weight
+            stored = len(norms)
+            first = start + (parity - start) % step
+            if c1 or c2:
+                terms = [norms[n] ** power * ((c0 + n * (c1 + c2 * n)) * t**n)
+                         for n in range(first, stored, step)]
             else:
-                terms.append(norms[0] ** power * head)
-        if ends:
-            return math.fsum(terms)
-        N = max(start, stored)  # the continuation norm is CoeffSeries.norm(N)
-        terms.append((norms[-1] * q ** (N - stored + 1)) ** power * weight.tail(N, q, power))
-        return math.fsum(terms)
-    norms = norms[start:]
-    weights = [weight.term(n) if x else 0.0 for n, x in enumerate(norms, start)]
-    powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
-    terms = list(map(operator.mul, powered, weights))
-    if ends:
-        return math.fsum(terms)
-    N = max(start, coeffs.last_index + 1)
-    term, sup = weight
-    check_from = max(N, CONTINUATION_FLOOR)
-    bound = ABS_TOL * (1.0 - q**power)
-    for n in range(N, check_from + TRUNCATION_N + 1):
-        xe = coeffs.norm(n) ** power
-        w = term(n) if xe else 0.0  # a 0.0 ends the series, as a stored last norm of 0.0
-        if not xe or n >= check_from and w * xe <= bound and sup(n) * xe <= bound:
-            return math.fsum(terms)
-        terms.append(xe * w)
-    raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g} "
-                              f"after {check_from + TRUNCATION_N - N} continuation terms")
+                terms = [norms[n] ** power * (c0 * t**n) for n in range(first, stored, step)]
+            if start == 0 and head:  # w(0) holds the head, on the weight's indices or not
+                if first == 0:
+                    terms[0] = norms[0] ** power * (c0 + head)  # c0 t^0 is c0
+                else:
+                    terms.append(norms[0] ** power * head)
+            if not ends:
+                N = max(start, stored)  # the continuation norm is CoeffSeries.norm(N)
+                terms.append((norms[-1] * q ** (N - stored + 1)) ** power
+                             * weight.tail(N, q, power))
+        else:
+            norms = norms[start:]
+            weights = [weight.term(n) if x else 0.0 for n, x in enumerate(norms, start)]
+            powered = norms if power == 1 else map(pow, norms, itertools.repeat(power))
+            terms = list(map(operator.mul, powered, weights))
+            if not ends:
+                N = max(start, coeffs.last_index + 1)
+                term, sup = weight
+                check_from = max(N, CONTINUATION_FLOOR)
+                bound = ABS_TOL * (1.0 - q**power)
+                for n in range(N, check_from + TRUNCATION_N + 1):
+                    xe = coeffs.norm(n) ** power
+                    w = term(n) if xe else 0.0  # a 0.0 ends the series, as a last norm of 0.0
+                    if not xe or n >= check_from and w * xe <= bound and sup(n) * xe <= bound:
+                        break
+                    terms.append(xe * w)
+                else:
+                    raise NonConvergenceError(f"series remainder stays above abs_tol {ABS_TOL:.3g}"
+                                              f" after {check_from + TRUNCATION_N - N} "
+                                              "continuation terms")
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    raise DomainError(f"the sum of ||A_n||^{power} w(n) overflows a float")
 
 
 def ratio_sum(terms: Iterable[float], rho: float, tol: float, cap: int) -> float:
@@ -381,17 +391,15 @@ _PARAMS = {
     "p:r_p": (1.0, math.nextafter(2.0, 0.0), "[1, 2)"),  # of the r_p bounds
     "lambda_h": _POSITIVE,  # domain constant
     "a": _OPEN_UNIT,  # extremal family parameter
-    "tol": _POSITIVE,  # root solvers, per_function_radius
+    "tol": _POSITIVE,  # root solvers
     "scan_step": _OPEN_UNIT,  # a step of 1 or more has no grid point
     "upper": (_TINY, 1.0, "(0, 1]"),  # end of a root scan
-    "tol:coeff_bound": _NON_NEGATIVE,
-    "h": _POSITIVE,  # non_improvable's difference step
     "beta": _NON_NEGATIVE,
     "q": _POSITIVE,  # per_function_radius's outer power
     "mu": _NON_NEGATIVE,  # a constant MuFunction
     "r:probe": _OPEN_UNIT,  # sharpness_probe's radius
     "tail_geometric_ratio": _UNIT,
-    "bloch_norm_budget": (0.0, 1.0 + 1e-12, "[0, 1 + 1e-12]"),  # 1 up to round-off
+    "bloch_norm_budget": (0.0, 1.0 + ROUND_OFF, f"[0, 1 + {ROUND_OFF:g}]"),
     "c": _POSITIVE,  # a coefficient of an improvement polynomial
 }
 
@@ -503,7 +511,7 @@ class MatrixCoeffFn:
             if len(phases) != len(params):
                 raise DomainError("one phase per diagonal entry is required")
             for p in phases:
-                if not abs(abs(p) - 1.0) <= 1e-12:  # a NaN fails it too
+                if not abs(abs(p) - 1.0) <= ROUND_OFF:  # a NaN fails it too
                     raise DomainError("phases must be unimodular")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "phases", phases)
@@ -563,23 +571,22 @@ class CoeffBoundReport:
     max_ratio: float  # max over n of ||A_n|| / bound; 1.0 means equality
 
 
-def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
-                      tol: float = 1e-12) -> CoeffBoundReport:
-    """Check ||A_n|| <= lambda_H (1 - ||A_m||^2) for all stored n > m.
+def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec) -> CoeffBoundReport:
+    """Check ||A_n|| <= lambda_H (1 - ||A_m||^2) for all stored n > m, up to ROUND_OFF.
 
-    m is the series start index and A_m its first coefficient; a
-    violation is reported, not raised.  The stored norms settle the whole
-    series: a geometric continuation has ratio < 1, so no norm past the
-    stored range exceeds the last stored one, and the two-norm extremal
-    family and a blend stored to its crossover report what any longer
-    prefix of them does.  ``checked`` counts the stored norms compared,
-    so that family and an equal-parameter blend report 1 (a 64-norm
-    prefix, 64), although every check covers every index.
+    m is the series start index and A_m its first coefficient, whose norm
+    must be at most 1 + ROUND_OFF; a violation is reported, not raised.
+    The stored norms settle the whole series: a geometric continuation has
+    ratio < 1, so no norm past the stored range exceeds the last stored
+    one, and the two-norm extremal family and a blend stored to its
+    crossover report what any longer prefix of them does.  ``checked``
+    counts the stored norms compared, so that family and an
+    equal-parameter blend report 1 (a 64-norm prefix, 64), although every
+    check covers every index.
     """
-    tol = _check_param("tol:coeff_bound", tol)  # a NaN or infinite tol passes every norm
     m = coeffs.start_index
     a0 = coeffs.norm(m)
-    if a0 > 1.0 + tol:
+    if a0 > 1.0 + ROUND_OFF:
         raise DomainError("leading coefficient norm must be <= 1")
     bound = domain.effective_lambda * (1.0 - a0 * a0)
     first = None
@@ -588,16 +595,17 @@ def check_coeff_bound(coeffs: CoeffSeries, domain: DomainSpec,
         x = coeffs.norm(n)
         if bound > 0:
             max_ratio = max(max_ratio, x / bound)
-        if x > bound + tol and first is None:
+        if x > bound + ROUND_OFF and first is None:
             first = n
     return CoeffBoundReport(first is None, first, max(0, coeffs.last_index - m), max_ratio)
 
 
 def point_eval_bound(coeffs: CoeffSeries, r: float) -> float:
-    """Sharp point bound (||A_0|| + r)/(1 + ||A_0|| r) on ||f(z)||, |z| = r."""
+    """Sharp point bound (||A_0|| + r)/(1 + ||A_0|| r) on ||f(z)||, |z| = r; a head
+    norm above 1 + ROUND_OFF raises DomainError, and one within it reads as 1."""
     _check_radius(r)
     a0 = coeffs.norm(coeffs.start_index)
-    if a0 > 1.0 + 1e-12:
+    if a0 > 1.0 + ROUND_OFF:
         raise DomainError("point bound requires a unit-ball function")
     a0 = min(a0, 1.0)
     return (a0 + r) / (1.0 + a0 * r)

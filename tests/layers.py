@@ -28,7 +28,7 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-from linecov import _load  # this file's directory is on sys.path when run as a script
+from linecov import load_bench  # this file's directory is on sys.path when run as a script
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7, 29)
@@ -76,10 +76,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    bench = ROOT / "bench"
-    _load(bench / "oracles.py", "oracles")  # workloads imports it by this name
-    workloads = _load(bench / "workloads.py", "bench_workloads")
-    run = _load(bench / "run.py", "bench_run")
+    workloads, run = load_bench()
     import numpy
 
     changed = _git("status", "--porcelain", "--", "src", "bench")

@@ -9,16 +9,16 @@ threads it starts), and at the end prints, for each module of the
 ``bohrad`` package, the executable lines that never ran, as ranges.  A
 line counts as run when any code on it ran.  Code run in a subprocess
 (the CLI smoke tests) is not seen.  Tracing makes the run several times
-slower.  This is a tool, not a test: no test imports it, and pytest does
-not collect it.
+slower.  This is a tool, not a test: pytest does not collect it, and the
+tests import only its bench loaders, ``load_bench`` and ``_load``.
 
 Run as a script, it asks the same of the benchmark's two workloads:
 
     PYTHONPATH=src python tests/linecov.py --workloads SEED [SEED ...]
 
 It loads ``bench/oracles.py``, ``bench/workloads.py`` and ``bench/run.py``
-from their files, with the tracer installed before they import bohrad,
-runs one in-process pass of each workload per seed through
+from their files (``load_bench``), with the tracer installed before they
+import bohrad, runs one in-process pass of each workload per seed through
 ``run.call_timed`` (CLI requests through ``cli.main``, as the timed
 passes do), and prints the unrun lines in the same format.
 """
@@ -31,6 +31,7 @@ import threading
 from collections import defaultdict
 from pathlib import Path
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 _package = None  # the bohrad directory, with a trailing separator
 _hits = defaultdict(set)
 
@@ -111,15 +112,19 @@ def _load(path, name):
     return module
 
 
+def load_bench():
+    """(workloads, run): bench/workloads.py and bench/run.py, loaded from their files
+    after bench/oracles.py, which workloads imports by the name oracles."""
+    _load(BENCH / "oracles.py", "oracles")
+    return _load(BENCH / "workloads.py", "bench_workloads"), _load(BENCH / "run.py", "bench_run")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="bohrad lines the benchmark never runs")
     parser.add_argument("--workloads", type=int, nargs="+", required=True, metavar="SEED")
     seeds = parser.parse_args(argv).workloads
-    bench = Path(__file__).resolve().parent.parent / "bench"
     _start()
-    _load(bench / "oracles.py", "oracles")  # workloads imports it by this name
-    workloads = _load(bench / "workloads.py", "bench_workloads")
-    run = _load(bench / "run.py", "bench_run")
+    workloads, run = load_bench()
     for seed in seeds:
         for name in workloads.WORKLOADS:
             run.run_pass(workloads.build(name, seed), run.call_timed)

@@ -6,26 +6,11 @@ are loaded from their files under ``bench/``, as the benchmark runs
 them, and each operation runs once in process through ``run.call_timed``.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from linecov import load_bench
 
-
-def _load(file, name):
-    """The module in bench/file, registered as name (dataclasses look their module up)."""
-    spec = importlib.util.spec_from_file_location(name, BENCH / file)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_load("oracles.py", "oracles")  # workloads imports it by this name
-workloads = _load("workloads.py", "bench_workloads")
-run = _load("run.py", "bench_run")
+workloads, run = load_bench()
 
 
 @pytest.mark.parametrize("seed", [1, 7, 29])

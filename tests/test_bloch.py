@@ -107,7 +107,6 @@ class TestCircleMinimum:
         for density in (DISK, HyperbolicDensity.omega_gamma(gamma)):
             sampled = float(np.min(density.on_circle(r, self.NODES)))
             assert density.min_on_circle(r) == sampled
-            assert density.min_on_circle(r, nodes=3) == sampled
             both = density.min_on_circle(np.array([r, 0.5 * r]))
             assert both.tolist() == [sampled, density.min_on_circle(0.5 * r)]
 
@@ -115,13 +114,15 @@ class TestCircleMinimum:
         # one NaN node makes the sampled minimum NaN, and NaN compares False with any bound
         density = HyperbolicDensity.custom(lambda z: math.nan if z.real < 0 else 2.0)
         with pytest.raises(SingularIntegrandError, match=r"on \|z\| = 0.5$"):
-            density.min_on_circle(0.5, nodes=4)
+            density.min_on_circle(0.5)
 
     def test_custom_density_is_sampled_at_nodes(self):
-        density = HyperbolicDensity.custom(lambda z: 2.0 + z.real)
-        assert density.min_on_circle(0.5, nodes=2) == 1.5
-        assert density.min_on_circle(0.5, nodes=3) == pytest.approx(1.75, abs=1e-15)
-        rows = density.min_on_circle(np.array([[0.5], [0.25]]), nodes=2)
+        # 256 nodes from theta = 0; theta = pi is node 128, where cos is -1.0 exactly
+        seen = []
+        density = HyperbolicDensity.custom(lambda z: seen.append(z) or 2.0 + z.real)
+        assert density.min_on_circle(0.5) == 1.5
+        assert len(seen) == 256 and seen[0] == 0.5 and seen[128].real == -0.5
+        rows = density.min_on_circle(np.array([[0.5], [0.25]]))
         assert rows.shape == (2, 1) and rows.tolist() == [[1.5], [1.75]]
 
 
@@ -396,9 +397,9 @@ class TestBlochMajorantCheck:
                 with pytest.raises(InvalidTestFunctionError, match=rf"= {first:.4f}$"):
                     bloch_majorant_check(coeffs, 1.0, density, 0.5, 0.3)
 
-    def test_grid_size_does_not_add_sums(self, monkeypatch):
-        # one derivative_majorant call and a fixed number of norm_sum
-        # calls, however many radii the grid has
+    def test_the_grid_adds_no_sums(self, monkeypatch):
+        # one derivative_majorant call for all 64 radii, and only the refined
+        # check's two sums: its tail and s_r
         calls = {"norm_sum": 0, "derivative_majorant": 0}
 
         def counting(name, fn):
@@ -407,21 +408,16 @@ class TestBlochMajorantCheck:
                 return fn(*args, **kwargs)
             return wrapper
 
+        norm_sum = counting("norm_sum", series.norm_sum)
         for module in (series, functionals, phi, bloch):
             if hasattr(module, "norm_sum"):
-                monkeypatch.setattr(module, "norm_sum", counting("norm_sum", series.norm_sum))
+                monkeypatch.setattr(module, "norm_sum", norm_sum)
         monkeypatch.setattr(bloch, "derivative_majorant",
                             counting("derivative_majorant", bloch.derivative_majorant))
         coeffs = CoeffSeries((0.05, 0.06, 0.03), 0, 0.5)
-        seen = []
-        for grid_radii in (8, 64):
-            calls.update(norm_sum=0, derivative_majorant=0)
-            report = bloch_majorant_check(coeffs, 1.0, DISK, 0.5, 0.3, mu=0.5, refined=True,
-                                          grid_radii=grid_radii)
-            assert report.satisfied
-            seen.append(dict(calls))
-        assert seen[0] == seen[1]
-        assert seen[0]["derivative_majorant"] == 1 and seen[0]["norm_sum"] > 0
+        report = bloch_majorant_check(coeffs, 1.0, DISK, 0.5, 0.3, mu=0.5, refined=True)
+        assert report.satisfied
+        assert calls == {"norm_sum": 2, "derivative_majorant": 1}
 
 
 

@@ -1,7 +1,7 @@
 """Index and count arguments, and the inputs a NaN used to slip through.
 
 Every index or count (a term index n, a tail start N, the refinement index
-m, a Schwarz order, a degree, a node count) goes through
+m, a Schwarz order, a degree, a term count, a grid size) goes through
 ``series._check_index``: an int or a numpy integer at least the entry's
 least value passes, and a bool, any float (2.0 included) or a smaller
 value raises a DomainError that names the argument.
@@ -58,11 +58,9 @@ ENTRIES = [
      lambda N: rogosinski_functional(COEFFS, MONOMIAL, 1.0, N, 1, 1.0, 0.2)),
     ("classical_functional", "N", 1, 2,
      lambda N: classical_functional(COEFFS, 0.2, "bohr_rogosinski", N)),
-    ("mobius_partial_modulus.N", "N", 1, 3, lambda N: mobius_partial_modulus(0.6, 0.2, N, 0.3, 64)),
-    ("mobius_partial_modulus.nodes", "nodes", 1, 16,
-     lambda nodes: mobius_partial_modulus(0.6, 0.2, 3, 0.3, nodes)),
+    ("mobius_partial_modulus.N", "N", 1, 3, lambda N: mobius_partial_modulus(0.6, 0.2, N, 0.3)),
     ("per_function_radius", "m", 0, 1,
-     lambda m: per_function_radius(COEFFS, MONOMIAL, 1.0, 1.0, m, tol=1e-4)),
+     lambda m: per_function_radius(COEFFS, MONOMIAL, 1.0, 1.0, m)),
     ("CoeffSeries.start_index", "start_index", 0, 2,
      lambda k: CoeffSeries((0.0, 0.0, 0.5, 0.25), k)),
     ("CoeffSeries.shifted", "k", 0, 2, lambda k: COEFFS.shifted(k)),
@@ -78,9 +76,6 @@ ENTRIES = [
     ("area_slack", "m", 1, 2, lambda m: area_slack(0.3, m)),
     ("monotonicity_check", "grid_size", 2, 10,
      lambda size: monotonicity_check("area_poly", size, m=1)),
-    ("min_on_circle", "nodes", 1, 16, lambda nodes: CUSTOM_DISK.min_on_circle(0.5, nodes)),
-    ("bloch_majorant_check", "grid_radii", 1, 8,
-     lambda size: bloch_majorant_check(SMALL, 1.0, DISK, 0.5, 0.2, grid_radii=size)),
 ]
 IDS = [entry[0] for entry in ENTRIES]
 

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrad import (EVEN_ONLY, MONOMIAL, CoeffSeries, DomainSpec, MatrixCoeffFn,
-                    check_coeff_bound, diag_blend_coeffs, majorant, mobius_gamma_coeffs,
-                    operator_norm, phi_term, point_eval_bound, s_r, schwarz_composed_bound)
+                    bohr_energy_functional, check_coeff_bound, diag_blend_coeffs, majorant,
+                    mobius_gamma_coeffs, operator_norm, phi_term, point_eval_bound,
+                    refined_functional, s_r, schwarz_composed_bound)
 from bohrad.errors import DomainError, NonConvergenceError
 from bohrad.series import GeometricWeight, SampledWeight, _check_radius, norm_sum, ratio_sum
 
 import mp_sums
-from test_functionals import closed_form_norms
+from test_functionals import CUSTOM_MONOMIAL, closed_form_norms
 
 
 # blend parameters whose crossovers stay within a few hundred norms
@@ -236,6 +237,38 @@ class TestNormSumPowers:
         want = math.fsum(coeffs.norm(n) ** power * 0.5**n for n in range(first_zero))
         assert norm_sum(coeffs, weight, 0, power) == want
         assert calls == list(range(first_zero))
+
+
+class TestNormSumOverflow:
+    """A sum past the largest float raises DomainError: the square of a norm above about
+    1.3e154 raised OverflowError, a tail past it returned inf, and so would fsum's
+    partial sum of finite terms past it."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: s_r(CoeffSeries((0.0, 1e200)), 0.5), id="s_r-square"),
+        pytest.param(lambda: refined_functional(CoeffSeries((0.5, 1e200)), MONOMIAL, 1.0, 0,
+                                                1.0, 0.5), id="refined-square"),
+        pytest.param(lambda: bohr_energy_functional(CoeffSeries((0.5, 1e200)), 0.5),
+                     id="energy-square"),
+        pytest.param(lambda: majorant(CoeffSeries((0.0, 1e308), 0, 0.9), MONOMIAL, 0.99),
+                     id="majorant-tail"),
+        pytest.param(lambda: majorant(CoeffSeries((1e308, 1e308)), MONOMIAL, 0.9),
+                     id="majorant-fsum"),
+        pytest.param(lambda: majorant(CoeffSeries((1e308, 1e308), 0, 1e-3), CUSTOM_MONOMIAL[0],
+                                      0.9), id="sampled-fsum"),
+        pytest.param(lambda: refined_functional(CoeffSeries((0.5, 1e200)), CUSTOM_MONOMIAL[0],
+                                                1.0, 0, 1.0, 0.5), id="sampled-square"),
+    ])
+    def test_raises_domain_error(self, call):
+        with pytest.raises(DomainError,
+                           match=r"^the sum of \|\|A_n\|\|\^[12] w\(n\) overflows a float$"):
+            call()
+
+    def test_the_largest_finite_sums_are_returned(self):
+        big = sys.float_info.max
+        assert majorant(CoeffSeries((big,)), MONOMIAL, 0.5) == big
+        assert majorant(CoeffSeries((0.0, big)), CUSTOM_MONOMIAL[0], 0.5) == 0.5 * big
+        assert s_r(CoeffSeries((0.0, 1e154)), 0.5) == 1e154**2 * 0.25
 
 
 class TestRatioSum:

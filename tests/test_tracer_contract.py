@@ -5,18 +5,14 @@ deletion here would otherwise surface only when the benchmark runs.
 The module is loaded from its file and never installed.
 """
 
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
 from bohrad import roots
+from linecov import BENCH, _load
 
-_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-_SPEC = importlib.util.spec_from_file_location("bench_tracing", _PATH)
-tracing = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracing)
+tracing = _load(BENCH / "tracing.py", "bench_tracing")
 
 SPANNED = [(module, name) for module, names in tracing.SPANNED.items() for name in names]
 SPANNED_METHODS = [(cls, name) for _, cls, names in tracing.SPANNED_METHODS for name in names]
