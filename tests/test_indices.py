@@ -21,8 +21,8 @@ from bohrad import (EVEN_ONLY, MONOMIAL, ODD_ONLY, WEIGHTED_LINEAR, WEIGHTED_QUA
                     bohr_beta_functional, bohr_energy_functional, classical_functional,
                     closed_form_radius, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
                     monotonicity_check, peak_weight, per_function_radius, phi_tail, phi_term,
-                    radius_refined, radius_rogosinski, refined_functional, refined_sum,
-                    rogosinski_functional, schwarz_composed_bound)
+                    radius_refined, radius_rogosinski, refined_at, refined_functional,
+                    refined_sum, rogosinski_at, rogosinski_functional, schwarz_composed_bound)
 from bohrad.bloch import derivative_majorant, gamma_equation_value
 from bohrad.cli import main
 from bohrad.errors import DomainError
@@ -56,6 +56,12 @@ ENTRIES = [
      lambda m: refined_functional(COEFFS.shifted(3), MONOMIAL, 1.0, m, 0.5, 0.2)),
     ("rogosinski_functional", "N", 1, 2,
      lambda N: rogosinski_functional(COEFFS, MONOMIAL, 1.0, N, 1, 1.0, 0.2)),
+    ("rogosinski_functional.omega_order", "omega_order", 1, 2,
+     lambda k: rogosinski_functional(COEFFS, MONOMIAL, 1.0, 1, k, 1.0, 0.2)),
+    ("refined_at", "m", 0, 2, lambda m: refined_at(MONOMIAL, 1.0, m, 0.5, 0.2)(COEFFS.shifted(3))),
+    ("rogosinski_at.N", "N", 1, 2, lambda N: rogosinski_at(MONOMIAL, 1.0, N, 1, 1.0, 0.2)(COEFFS)),
+    ("rogosinski_at.omega_order", "omega_order", 1, 2,
+     lambda k: rogosinski_at(MONOMIAL, 1.0, 1, k, 1.0, 0.2)(COEFFS)),
     ("classical_functional", "N", 1, 2,
      lambda N: classical_functional(COEFFS, 0.2, "bohr_rogosinski", N)),
     ("mobius_partial_modulus.N", "N", 1, 3, lambda N: mobius_partial_modulus(0.6, 0.2, N, 0.3)),

@@ -12,7 +12,8 @@ from bohrad import (MONOMIAL, CoeffSeries, DomainSpec, HyperbolicDensity, Matrix
                     closed_form_radius, m_integral, mobius_gamma_coeffs, mobius_partial_modulus,
                     bohr_beta_functional, calibrate_area_poly, monotonicity_check, operator_norm,
                     per_function_radius, point_eval_bound, radius_refined, radius_rogosinski,
-                    refined_at, rogosinski_at, sharpness_probe, verify)
+                    refined_at, refined_functional, rogosinski_at, rogosinski_functional,
+                    sharpness_probe, verify)
 from bohrad.bloch import gamma_equation_value
 from bohrad.errors import ConfigurationError, DomainError, InvalidTestFunctionError
 from bohrad.radii import rp_bounds, rp_lower, rp_upper
@@ -26,6 +27,7 @@ def term(n, r):
 
 WIDE_HEAD = CoeffSeries((1.5,))
 REFINED = RadiusProblem(MONOMIAL, 1.0)
+ROGOSINSKI = RadiusProblem(MONOMIAL, 1.0, m=1, N=1, mu=1.0, equation_kind="rogosinski")
 FAMILY = mobius_gamma_coeffs(0.9, 0.0)
 
 
@@ -194,6 +196,10 @@ PARAM_SITES = {
     "closed_form_radius.p": ("p", lambda x: closed_form_radius("even_p", gamma=0.2, p=x)),
     "refined_at.p": ("p", lambda x: refined_at(MONOMIAL, x, 0, 0.0, 0.3)(FAMILY).value),
     "rogosinski_at.p": ("p", lambda x: rogosinski_at(MONOMIAL, x, 1, 1, 1.0, 0.3)(FAMILY).value),
+    "refined_functional.p": ("p", lambda x: refined_functional(FAMILY, MONOMIAL, x, 0, 0.0,
+                                                               0.3).value),
+    "rogosinski_functional.p": ("p", lambda x: rogosinski_functional(FAMILY, MONOMIAL, x, 1, 1,
+                                                                     1.0, 0.3).value),
     "per_function_radius.p": ("p", lambda x: per_function(p=x)()),
     "DomainSpec.lambda_h": ("lambda_h", lambda x: DomainSpec(lambda_h=x).lambda_h),
     "bohr_energy_functional.lambda_h": ("lambda_h",
@@ -214,12 +220,20 @@ PARAM_SITES = {
     "radius_refined.tol": ("tol", lambda x: radius_refined(REFINED, x).value),
     "radius_refined.scan_step": ("scan_step",
                                  lambda x: radius_refined(REFINED, 1e-12, x).scan_step),
+    "radius_rogosinski.tol": ("tol", lambda x: radius_rogosinski(ROGOSINSKI, x).value),
+    "radius_rogosinski.scan_step": ("scan_step",
+                                    lambda x: radius_rogosinski(ROGOSINSKI, 1e-12, x).scan_step),
+    # a family subject solves nothing, so verify's tol and scan_step reach a check only
+    # through a RadiusProblem
+    "verify.tol": ("tol", lambda x: verify(REFINED, tol=x).radius),
+    "verify.scan_step": ("scan_step", lambda x: verify(REFINED, scan_step=x).radius),
     "count_sign_changes.scan_step": ("scan_step", lambda x: count_sign_changes(RISING, x)),
     "count_sign_changes.upper": ("upper", lambda x: count_sign_changes(RISING, upper=x)),
     "rp_lower.p": ("p:r_p", rp_lower),
     "rp_upper.p": ("p:r_p", rp_upper),
     "rp_bounds.p": ("p:r_p", lambda x: rp_bounds(x)[1]),
     "bohr_beta_functional.beta": ("beta", lambda x: bohr_beta_functional(FAMILY, 0.3, x).value),
+    "verify.beta": ("beta", lambda x: verify("beta-square", 0.0, beta=x).worst_margin),
     "per_function_radius.q": ("q", lambda x: per_function(q=x)()),
     "MuFunction.value": ("mu", lambda x: MuFunction(value=x).value),
     "MuFunction.constant": ("mu", lambda x: MuFunction.constant(x).value),
